@@ -15,7 +15,8 @@ import enum
 import json
 from dataclasses import dataclass, fields
 from email.utils import parsedate_to_datetime
-from typing import Iterable, Iterator
+from typing import Iterable
+from urllib.parse import urlsplit
 
 from .errors import InputError, InvariantError, ParseIssue
 from .model import (
@@ -211,6 +212,17 @@ def _enum_field(enum_cls, obj: dict, key: str, lineno: int):
         raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} value {raw!r}") from None
 
 
+def _url_field(value, key: str, lineno: int) -> str:
+    """A URL field: a string that ``urlsplit`` accepts, as detection splits it."""
+    if not isinstance(value, str):
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
+    try:
+        urlsplit(value)
+    except ValueError as exc:
+        raise InputError("UNPARSABLE_URL", f"line {lineno}: bad {key} {value!r} ({exc})") from None
+    return value
+
+
 def record_to_event(obj: dict, lineno: int, event_index: int) -> CrawlEvent:
     kind = _require(obj, "kind", lineno)
     cls = _KINDS.get(kind)
@@ -253,14 +265,17 @@ def record_to_event(obj: dict, lineno: int, event_index: int) -> CrawlEvent:
             cookie_header = obj.get("cookie_header", "")
             if not isinstance(cookie_header, str):
                 raise InputError("MALFORMED_RECORD", f"line {lineno}: cookie_header must be a string")
+            redirect_parent_url = obj.get("redirect_parent_url")
+            if redirect_parent_url is not None:
+                _url_field(redirect_parent_url, "redirect_parent_url", lineno)
             return HttpRequest(
                 visit_id=visit_id,
                 stage=_enum_field(InteractionStage, obj, "stage", lineno),
                 target_host=_require(obj, "target_host", lineno),
-                target_url=_require(obj, "target_url", lineno),
+                target_url=_url_field(_require(obj, "target_url", lineno), "target_url", lineno),
                 channel=_enum_field(Channel, obj, "channel", lineno),
                 cookie_header=cookie_header,
-                redirect_parent_url=obj.get("redirect_parent_url"),
+                redirect_parent_url=redirect_parent_url,
                 event_index=event_index,
             )
         if cls is CookieSet:
@@ -595,11 +610,3 @@ def strict_issues(events: Iterable[CrawlEvent]) -> list[ParseIssue]:
             except InputError as exc:
                 issues.append(ParseIssue(exc.code, exc.message))
     return issues
-
-
-def events_in_phase(events: Iterable[CrawlEvent], phase: Phase) -> Iterator[CrawlEvent]:
-    """Events belonging to visits of the given phase, in original order."""
-    starts = visit_starts(events)
-    for event in events:
-        if starts[event.visit_id].phase is phase:
-            yield event

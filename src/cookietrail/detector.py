@@ -34,7 +34,6 @@ from .model import (
     Phase,
     SiteId,
     VisitOutcome,
-    domain_match,
 )
 from .psl import Party, PslRuleSet, etld_plus_one, party_of
 
@@ -67,19 +66,23 @@ def match_sent_to_jar(obs: SentCookieObservation, jar: CookieJar) -> CookieKey |
 
     Candidates share the cookie name, are not partitioned (partitioned
     entries never travel cross-site), and their host domain-matches the
-    request target.  Ties prefer an exact value match, then the longest
-    host; the final host tie-break is lexicographic for determinism.
+    request target.  The hosts that domain-match a target are exactly its
+    label suffixes (``a.b.c``, ``b.c``, ``c``), so candidates are looked up
+    in ``jar.entries`` by suffix, longest first, instead of scanning the jar.
+    Ties prefer an exact value match, then the longest host.
     """
-    best: tuple[tuple[int, int, str], CookieKey] | None = None
-    for key, record in jar.entries.items():
-        if key.partition is not None or key.name != obs.name:
+    labels = obs.target_host.split(".")
+    longest: CookieKey | None = None
+    for i in range(len(labels)):
+        key = CookieKey(obs.name, ".".join(labels[i:]), None)
+        record = jar.entries.get(key)
+        if record is None:
             continue
-        if not domain_match(obs.target_host, key.host):
-            continue
-        rank = (0 if record.value == obs.value else 1, -len(key.host), key.host)
-        if best is None or rank < best[0]:
-            best = (rank, key)
-    return best[1] if best else None
+        if record.value == obs.value:
+            return key
+        if longest is None:
+            longest = key
+    return longest
 
 
 @dataclass(frozen=True)
@@ -256,10 +259,13 @@ def detect_sync(
     a query-parameter value of a redirect target whose registrable domain is
     a different tracker.
     """
-    by_value: dict[str, list[IntractableFinding]] = {}
+    # value -> distinct (key, tracker domain) in first-seen order: the only
+    # finding fields a sync carries, so repeat sends of one cookie collapse.
+    by_value: dict[str, dict[tuple[CookieKey, SiteId], None]] = {}
     for finding in findings:
         if finding.canonical and syncable_value(finding.value_at_send):
-            by_value.setdefault(finding.value_at_send, []).append(finding)
+            pairs = by_value.setdefault(finding.value_at_send, {})
+            pairs.setdefault((finding.key, finding.tracker_domain), None)
     if not by_value:
         return []
     syncs: list[SyncFinding] = []
@@ -275,13 +281,13 @@ def detect_sync(
             continue
         params = parse_qsl(urlsplit(event.target_url).query, keep_blank_values=True)
         for name, value in params:
-            for finding in by_value.get(value, ()):
-                if destination == finding.tracker_domain:
+            for key, origin in by_value.get(value, ()):
+                if destination == origin:
                     continue
                 sync = SyncFinding(
-                    source_key=finding.key,
+                    source_key=key,
                     carrying_url=event.target_url,
-                    origin_tracker=finding.tracker_domain,
+                    origin_tracker=origin,
                     destination_tracker=destination,
                     parameter_name=name,
                 )

@@ -43,9 +43,28 @@ class HistoryEntry:
 
 @dataclass
 class CookieJar:
+    """Jar entries, their write history and the accepted sites.
+
+    ``history`` is given at construction (a new, loaded or sampled jar) and
+    afterwards grows only through ``upsert``.  The setter index behind
+    ``setters_of`` is built from ``history`` when the jar is constructed and
+    extended by ``upsert``, so it always agrees with a rescan of the history.
+    """
+
     entries: dict[CookieKey, CookieRecord] = field(default_factory=dict)
     history: list[HistoryEntry] = field(default_factory=list)
     accepted_sites: set[SiteId] = field(default_factory=set)
+    # key -> distinct non-deleting setter sites in first-write order (dict as ordered set)
+    _setters: dict[CookieKey, dict[SiteId, None]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._setters = {}
+        for row in self.history:
+            self._index(row)
+
+    def _index(self, row: HistoryEntry) -> None:
+        if not row.deleted:
+            self._setters.setdefault(row.key, {}).setdefault(row.setter_site, None)
 
     def upsert(self, record: CookieRecord) -> None:
         """Apply one phase-1 cookie write: latest write wins per key.
@@ -64,18 +83,16 @@ class CookieJar:
             self.history.append(HistoryEntry(record.key, record.setter_site, record.set_at, deleted=True))
             return
         self.entries[record.key] = dataclasses.replace(record, effective_expiry=FIXED_EXPIRY)
-        self.history.append(HistoryEntry(record.key, record.setter_site, record.set_at))
+        row = HistoryEntry(record.key, record.setter_site, record.set_at)
+        self.history.append(row)
+        self._index(row)
 
     def mark_accepted(self, site: SiteId) -> None:
         self.accepted_sites.add(site)
 
     def setters_of(self, key: CookieKey) -> tuple[SiteId, ...]:
         """Distinct setter sites for a key, in first-write order (deletions excluded)."""
-        seen: dict[SiteId, None] = {}
-        for row in self.history:
-            if row.key == key and not row.deleted:
-                seen.setdefault(row.setter_site, None)
-        return tuple(seen)
+        return tuple(self._setters.get(key, ()))
 
     def normalize_sample(self, n: int, seed: int) -> "CookieJar":
         """Restrict the jar to a uniform size-``n`` sample of accepted sites.

@@ -94,14 +94,6 @@ def _public_suffix_labels(labels: list[str], rules: PslRuleSet) -> int:
     return best
 
 
-def public_suffix(host: str, rules: PslRuleSet) -> str:
-    """The public suffix of a canonical host (may equal the host itself)."""
-    if not host:
-        raise InputError("EMPTY_HOST", "empty hostname")
-    labels = host.split(".")
-    return ".".join(labels[len(labels) - _public_suffix_labels(labels, rules):])
-
-
 def etld_plus_one(host: str, rules: PslRuleSet) -> SiteId:
     """Resolve the registrable domain (public suffix plus one label).
 

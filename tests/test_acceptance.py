@@ -399,6 +399,13 @@ def _mutants(lines: list[str]):
         record["rank"] = 0
         yield "\n".join(lines[:i] + [json.dumps(record)] + lines[i + 1:]), "MALFORMED_RECORD", 1
 
+    # n) a redirect's URL that urlsplit rejects (unclosed IPv6 bracket).
+    for i in positions("HTTP_REQUEST", key="redirect_parent_url"):
+        for url_field in ("target_url", "redirect_parent_url"):
+            record = dict(records[i])
+            record[url_field] = "https://[::1/match?uid=x"
+            yield "\n".join(lines[:i] + [json.dumps(record)] + lines[i + 1:]), "UNPARSABLE_URL", 1
+
 
 def test_c8_corrupted_log_corpus(tmp_path):
     corpus = list(_mutants(_base_log_lines()))

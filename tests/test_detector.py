@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from urllib.parse import parse_qsl, urlsplit
 
 from cookietrail.crawllog import (
     CookieSet,
@@ -15,6 +17,7 @@ from cookietrail.crawllog import (
 from cookietrail.detector import (
     Detector,
     IntractableFinding,
+    SyncFinding,
     channel_split,
     classify_cookie,
     detect_reset,
@@ -23,7 +26,8 @@ from cookietrail.detector import (
     match_sent_to_jar,
     syncable_value,
 )
-from cookietrail.filterlist import TrackerDomainSet
+from cookietrail.errors import InputError
+from cookietrail.filterlist import TrackerDomainSet, is_tracker
 from cookietrail.jar import CookieJar
 from cookietrail.model import (
     Channel,
@@ -34,8 +38,9 @@ from cookietrail.model import (
     Iteration,
     Phase,
     VisitOutcome,
+    domain_match,
 )
-from cookietrail.psl import Party, load_psl
+from cookietrail.psl import Party, etld_plus_one, load_psl
 
 from test_jar import make_record
 
@@ -133,6 +138,47 @@ class TestMatchSentToJar:
                     )
                 results.add(match_sent_to_jar(probe, jar))
             assert len(results) == 1, (probe, results)
+
+
+    def test_matches_linear_scan_on_random_jars(self):
+        """Suffix lookup picks what a scan over every jar entry picks."""
+
+        def scan(o: SentCookieObservation, jar: CookieJar) -> CookieKey | None:
+            best = None
+            for key, record in jar.entries.items():
+                if key.partition is not None or key.name != o.name:
+                    continue
+                if not domain_match(o.target_host, key.host):
+                    continue
+                rank = (0 if record.value == o.value else 1, -len(key.host), key.host)
+                if best is None or rank < best[0]:
+                    best = (rank, key)
+            return best[1] if best else None
+
+        rng = random.Random(5)
+        hosts = ["", "net", "tracker.net", "a.tracker.net", "b.a.tracker.net", "x.tracker.net",
+                 "a..b", ".b", "b", "tracker.net.", "net.", "."]
+        targets = hosts + ["c.b.a.tracker.net", "z.a..b", "q.tracker.net.", "nottracker.net", ".."]
+        matched = 0
+        for _ in range(2000):
+            jar = CookieJar()
+            for step in range(rng.randint(0, 12)):
+                jar.upsert(
+                    make_record(
+                        rng.choice(["id", "uid"]),
+                        rng.choice(hosts),
+                        partition=rng.choice([None, None, "p.com"]),
+                        value=rng.choice(["1", "2"]),
+                        expiry=rng.choice([60.0, 60.0, -1.0]),
+                        set_at=step,
+                    )
+                )
+            for _ in range(4):
+                probe = obs(name=rng.choice(["id", "uid"]), value=rng.choice(["1", "2"]), target=rng.choice(targets))
+                got = match_sent_to_jar(probe, jar)
+                assert got == scan(probe, jar), (probe, sorted(jar.entries, key=repr))
+                matched += got is not None
+        assert matched > 1000
 
 
 def _reject_visit_events(visit_id="v1", site="new.com", header="id=123",
@@ -402,6 +448,72 @@ class TestDetectSync:
         value = "123456789012345"
         events = self._events_with_redirect(f"https://other-tracker.com/?x={value}", "other-tracker.com")
         assert len(detect_sync([self._finding(value)], events, RULES, TRACKERS)) == 1
+
+
+    def test_repeat_sends_of_one_value_match_brute_force(self):
+        """Many findings share one key and value; output equals a pairwise scan, order included."""
+
+        def brute_force(findings, events):
+            syncs = []
+            for event in events:
+                if not isinstance(event, HttpRequest) or event.redirect_parent_url is None:
+                    continue
+                try:
+                    destination = etld_plus_one(event.target_host, RULES)
+                except InputError:
+                    continue
+                if not is_tracker(event.target_host, TRACKERS):
+                    continue
+                for name, value in parse_qsl(urlsplit(event.target_url).query, keep_blank_values=True):
+                    for f in findings:
+                        if not (f.canonical and syncable_value(f.value_at_send) and f.value_at_send == value):
+                            continue
+                        if f.tracker_domain == destination:
+                            continue
+                        sync = SyncFinding(f.key, event.target_url, f.tracker_domain, destination, name)
+                        if sync not in syncs:
+                            syncs.append(sync)
+            return syncs
+
+        shared, other = "AbCdEf123456", "ZyXwVu987654"
+        origins = [
+            (CookieKey("id", "tracker.net"), "tracker.net"),
+            (CookieKey("uid", "a.tracker.net"), "tracker.net"),
+            (CookieKey("id", "other-tracker.com"), "other-tracker.com"),
+        ]
+        rng = random.Random(3)
+        findings = []
+        for i in range(300):
+            key, domain = origins[0] if i < 200 else rng.choice(origins)
+            findings.append(
+                self._finding(
+                    shared if rng.random() < 0.9 else other,
+                    key=key,
+                    tracker_domain=domain,
+                    sender_site=f"s{i % 40}.com",
+                    visit_id=f"v{i % 40}",
+                    event_index=i,
+                    canonical=rng.random() < 0.95,
+                )
+            )
+        urls = [
+            ("other-tracker.com", f"https://other-tracker.com/s?uid={shared}"),
+            ("shop.com", f"https://shop.com/s?a={shared}&b={shared}&c={other}"),
+            ("a.tracker.net", f"https://a.tracker.net/?x={shared}"),
+            ("unlisted.com", f"https://unlisted.com/?x={shared}"),
+            ("other-tracker.com", f"https://other-tracker.com/s?uid={shared}"),
+            ("shop.com", f"https://shop.com/t?w={other}"),
+        ]
+        events = [
+            HttpRequest(
+                f"v{i}", InteractionStage.BEFORE_INTERACTION, host, url, Channel.RESOURCE_FETCH, "",
+                redirect_parent_url="https://cdn.tracker.net/px",
+            )
+            for i, (host, url) in enumerate(urls)
+        ]
+        expected = brute_force(findings, events)
+        assert len(expected) >= 8
+        assert detect_sync(findings, events, RULES, TRACKERS) == expected
 
 
 class TestSimpleValues:

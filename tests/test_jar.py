@@ -131,6 +131,39 @@ class TestJarProperties:
             assert sum(1 for row in jar.history if not row.deleted) == non_deleting
 
 
+    def test_setters_of_matches_history_rescan(self, tmp_path):
+        """The setter index agrees with a rescan of history after upserts, load and sampling."""
+
+        def rescan(jar: CookieJar, key: CookieKey) -> tuple[str, ...]:
+            seen: dict[str, None] = {}
+            for row in jar.history:
+                if row.key == key and not row.deleted:
+                    seen.setdefault(row.setter_site, None)
+            return tuple(seen)
+
+        rng = random.Random(11)
+        keys = [CookieKey(n, h, p) for n in ("a", "b") for h in ("t1.net", "x.t1.net") for p in (None, "p.com")]
+        setters = [f"s{i}.com" for i in range(6)]
+        probe_keys = keys + [CookieKey("never", "t1.net")]
+        for trial in range(150):
+            jar = CookieJar()
+            for step in range(rng.randint(0, 30)):
+                key = rng.choice(keys)
+                setter = rng.choice(setters)
+                jar.mark_accepted(setter)
+                expiry = rng.choice([None, 60.0, -5.0, 0.0])
+                jar.upsert(make_record(key.name, key.host, key.partition, expiry=expiry, setter=setter, set_at=step))
+                for probe in probe_keys:
+                    assert jar.setters_of(probe) == rescan(jar, probe)
+            path = tmp_path / f"{trial}.jar"
+            jar.save(path)
+            loaded = CookieJar.load(path)
+            sampled = jar.normalize_sample(rng.randint(0, len(jar.accepted_sites)), seed=trial)
+            for probe in probe_keys:
+                assert loaded.setters_of(probe) == rescan(loaded, probe) == jar.setters_of(probe)
+                assert sampled.setters_of(probe) == rescan(sampled, probe)
+
+
 class TestNormalizeSample:
     def _jar_with_sites(self, n=10):
         jar = CookieJar()
