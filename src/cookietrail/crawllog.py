@@ -204,6 +204,13 @@ def _require(obj: dict, key: str, lineno: int):
     return obj[key]
 
 
+def _str_field(obj: dict, key: str, lineno: int) -> str:
+    raw = _require(obj, key, lineno)
+    if not isinstance(raw, str):
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
+    return raw
+
+
 def _enum_field(enum_cls, obj: dict, key: str, lineno: int):
     raw = _require(obj, key, lineno)
     try:
@@ -241,7 +248,7 @@ def record_to_event(obj: dict, lineno: int, event_index: int) -> CrawlEvent:
                 raise InputError("MALFORMED_RECORD", f"line {lineno}: gpc_enabled must be a bool")
             return VisitStart(
                 visit_id=visit_id,
-                site=_require(obj, "site", lineno),
+                site=_str_field(obj, "site", lineno),
                 rank=rank,
                 phase=_enum_field(Phase, obj, "phase", lineno),
                 iteration=_enum_field(Iteration, obj, "iteration", lineno),
@@ -271,7 +278,7 @@ def record_to_event(obj: dict, lineno: int, event_index: int) -> CrawlEvent:
             return HttpRequest(
                 visit_id=visit_id,
                 stage=_enum_field(InteractionStage, obj, "stage", lineno),
-                target_host=_require(obj, "target_host", lineno),
+                target_host=_str_field(obj, "target_host", lineno),
                 target_url=_url_field(_require(obj, "target_url", lineno), "target_url", lineno),
                 channel=_enum_field(Channel, obj, "channel", lineno),
                 cookie_header=cookie_header,
@@ -282,8 +289,8 @@ def record_to_event(obj: dict, lineno: int, event_index: int) -> CrawlEvent:
             return CookieSet(
                 visit_id=visit_id,
                 stage=_enum_field(InteractionStage, obj, "stage", lineno),
-                set_cookie_header=_require(obj, "set_cookie_header", lineno),
-                setter_context_host=_require(obj, "setter_context_host", lineno),
+                set_cookie_header=_str_field(obj, "set_cookie_header", lineno),
+                setter_context_host=_str_field(obj, "setter_context_host", lineno),
                 event_index=event_index,
             )
         return VisitEnd(

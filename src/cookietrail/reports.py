@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import analytics
-from .detector import DetectionStats, IntractableFinding, channel_split
+from .detector import IntractableFinding, channel_split
 from .filterlist import TrackerDomainSet
 from .jar import CookieJar
 from .model import BannerType, InteractionStage, SiteId
@@ -64,7 +64,6 @@ class ReportInputs:
     # work, and None means "not supplied" (blank cell) rather than zero.
     resets: Sequence | None = None
     syncs: Sequence | None = None
-    stats: DetectionStats | None = None
 
 
 def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:

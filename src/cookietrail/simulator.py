@@ -4,7 +4,10 @@
 an accept-everything stateful pass over the phase-1 sites, then per phase-2
 site a reject iteration (reject, reload) and an accept iteration.  The
 simulated browser attaches stored cookies whose host domain-matches the
-request target and whose partition, if any, equals the visited site.
+request target and whose partition, if any, equals the visited site.  Its
+cookie store (``_CookieStore``) is indexed by (host, partition), so a request
+reads only the buckets of the target's label suffixes with partition None or
+the visited site, and the cost of a request does not grow with the store.
 
 ``ground_truth`` computes the cookies the detector must report by direct
 enumeration over the configuration, sharing only the seeded derivation
@@ -539,15 +542,57 @@ class _Emitter:
         self.events.append(cls(event_index=len(self.events), **kwargs))
 
 
-def _attach_header(store: dict[CookieKey, str], target: str, visited_site: SiteId) -> str:
-    """Cookie header the simulated browser sends to ``target`` from ``visited_site``."""
-    sendable = [
-        (key, value)
-        for key, value in store.items()
-        if domain_match(target, key.host) and key.partition in (None, visited_site)
-    ]
-    sendable.sort(key=lambda kv: (-len(kv[0].host), kv[0].host, kv[0].name, kv[0].partition or ""))
-    return "; ".join(f"{key.name}={value}" for key, value in sendable)
+class _CookieStore:
+    """The simulated browser's cookies, bucketed by (host, partition).
+
+    Each bucket is an insertion-ordered ``dict[CookieKey, str]`` and keeps the
+    ``pop`` / re-insert order of its own keys.  ``domain_match(target, host)``
+    holds exactly when ``host`` is one of the target's label suffixes
+    (``".".join(target.split(".")[i:])``), so ``attached`` walks those
+    suffixes, longest first, and reads only their ``(suffix, None)`` and
+    ``(suffix, visited_site)`` buckets instead of scanning every cookie.
+
+    The callers sort what ``attached`` returns, so its order only matters
+    where a sort key ties.  The header key ``(-len(host), host, name,
+    partition)`` is total.  The ``attached_own`` key ``(name, host)`` ties
+    only between two keys that differ in partition alone; every stored key's
+    host is its tracker's domain and ``sets_partitioned`` is fixed per
+    tracker, so such keys never coexist.  The output therefore equals that
+    of a full scan of a flat, insertion-ordered store.
+    """
+
+    def __init__(self):
+        self._buckets: dict[tuple[str, SiteId | None], dict[CookieKey, str]] = {}
+
+    def set(self, key: CookieKey, value: str) -> None:
+        self._buckets.setdefault((key.host, key.partition), {})[key] = value
+
+    def delete(self, key: CookieKey) -> None:
+        bucket = self._buckets.get((key.host, key.partition))
+        if bucket is not None:
+            bucket.pop(key, None)
+
+    def attached(self, target: str, visited_site: SiteId) -> list[tuple[CookieKey, str]]:
+        """The (key, value) pairs a request to ``target`` from ``visited_site`` carries, unsorted."""
+        found: list[tuple[CookieKey, str]] = []
+        labels = target.split(".")
+        for i in range(len(labels)):
+            suffix = ".".join(labels[i:])
+            for partition in (None, visited_site):
+                bucket = self._buckets.get((suffix, partition))
+                if bucket:
+                    found.extend(bucket.items())
+        return found
+
+
+def _attach_header(attached: list[tuple[CookieKey, str]]) -> str:
+    """Cookie header for the pairs ``_CookieStore.attached`` found for one request.
+
+    The store looks them up by (host, partition) over the target's label
+    suffixes; the header lists them longest host first.
+    """
+    ordered = sorted(attached, key=lambda kv: (-len(kv[0].host), kv[0].host, kv[0].name, kv[0].partition or ""))
+    return "; ".join(f"{key.name}={value}" for key, value in ordered)
 
 
 def _set_cookie_header(cookie: CookieSpec, value: str, tracker: TrackerSpec) -> str:
@@ -567,7 +612,7 @@ def generate(config: EcosystemConfig, seed: int, *, run_label: str = "") -> list
     """
     config.validate()
     emitter = _Emitter()
-    store: dict[CookieKey, str] = {}
+    store = _CookieStore()
     gpc = config.schedule.gpc_enabled
     prefix = f"{run_label}-" if run_label else ""
 
@@ -606,7 +651,7 @@ def generate(config: EcosystemConfig, seed: int, *, run_label: str = "") -> list
                 target_host=target,
                 target_url=f"https://{target}/collect?site={site.site}",
                 channel=embed.channel,
-                cookie_header=_attach_header(store, target, site.site),
+                cookie_header=_attach_header(store.attached(target, site.site)),
             )
             partition = site.site if tracker.sets_partitioned else None
             for cookie in tracker.cookies:
@@ -620,9 +665,9 @@ def generate(config: EcosystemConfig, seed: int, *, run_label: str = "") -> list
                 )
                 key = CookieKey(cookie.name, tracker.domain, partition)
                 if cookie.lifetime is not None and cookie.lifetime <= 0:
-                    store.pop(key, None)
+                    store.delete(key)
                 else:
-                    store[key] = value
+                    store.set(key, value)
         emitter.emit(VisitEnd, visit_id=visit_id, outcome=VisitOutcome.ACCEPTED)
 
     for position, site_name in enumerate(config.schedule.phase2):
@@ -648,7 +693,7 @@ def _pre_consent_embeds(config: EcosystemConfig, site: SiteSpec) -> list[EmbedSp
 def _emit_embed_requests(
     config: EcosystemConfig,
     emitter: _Emitter,
-    store: dict[CookieKey, str],
+    store: _CookieStore,
     site: SiteSpec,
     visit_id: str,
     stage: InteractionStage,
@@ -658,7 +703,7 @@ def _emit_embed_requests(
         tracker = config.tracker(embed.tracker)
         target = _embed_target(tracker.domain)
         origin_url = f"https://{target}/px?site={site.site}"
-        header = _attach_header(store, target, site.site)
+        attached = store.attached(target, site.site)
         emitter.emit(
             HttpRequest,
             visit_id=visit_id,
@@ -666,14 +711,9 @@ def _emit_embed_requests(
             target_host=target,
             target_url=origin_url,
             channel=embed.channel,
-            cookie_header=header,
+            cookie_header=_attach_header(attached),
         )
-        attached_own = [
-            (key, value)
-            for key, value in store.items()
-            if domain_match(target, key.host) and key.partition in (None, site.site)
-        ]
-        attached_own.sort(key=lambda kv: (kv[0].name, kv[0].host))
+        attached_own = sorted(attached, key=lambda kv: (kv[0].name, kv[0].host))
         if tracker.resets_on_send:
             for key, value in attached_own:
                 spec = next((c for c in tracker.cookies if c.name == key.name), None)
@@ -698,7 +738,7 @@ def _emit_embed_requests(
                     target_host=partner_host,
                     target_url=f"https://{partner_host}/match?uid={carried}",
                     channel=Channel.RESOURCE_FETCH,
-                    cookie_header=_attach_header(store, partner_host, site.site),
+                    cookie_header=_attach_header(store.attached(partner_host, site.site)),
                     redirect_parent_url=origin_url,
                 )
 

@@ -314,6 +314,15 @@ def _base_log_lines(seed: int = 13) -> list[str]:
     return serialize(sim.generate(config, seed)).splitlines()
 
 
+# (kind, field, value): a string field of a log record holding a number.
+_FIELD_TYPE_MUTATIONS = (
+    ("HTTP_REQUEST", "target_host", 5),
+    ("VISIT_START", "site", 42),
+    ("COOKIE_SET", "set_cookie_header", 7),
+    ("COOKIE_SET", "setter_context_host", 7),
+)
+
+
 def _mutants(lines: list[str]):
     """Yield (mutated_text, expected_error_class, expected_exit) tuples."""
     records = [json.loads(line) for line in lines]
@@ -406,6 +415,13 @@ def _mutants(lines: list[str]):
             record[url_field] = "https://[::1/match?uid=x"
             yield "\n".join(lines[:i] + [json.dumps(record)] + lines[i + 1:]), "UNPARSABLE_URL", 1
 
+    # o) a string field holding a number: hosts and the Set-Cookie header.
+    for kind, field, value in _FIELD_TYPE_MUTATIONS:
+        for i in positions(kind, limit=10):
+            record = dict(records[i])
+            record[field] = value
+            yield "\n".join(lines[:i] + [json.dumps(record)] + lines[i + 1:]), "MALFORMED_RECORD", 1
+
 
 def test_c8_corrupted_log_corpus(tmp_path):
     corpus = list(_mutants(_base_log_lines()))
@@ -444,6 +460,29 @@ def test_c8_corrupted_log_corpus(tmp_path):
         code, stderr = _run_cli(["--errors", "json", "validate-log", "--log", bad])
         assert code == expected_exit
         assert expected_class in stderr
+
+
+def test_c8_field_type_mutations_exit_1_from_every_log_reader(tmp_path):
+    """A non-string host or header is an input error for validate-log, build-jar and detect."""
+    log, trackers, jar = tmp_path / "demo.log", tmp_path / "trackers.txt", tmp_path / "jar.json"
+    assert _run_cli(["simulate", "--config", DEMO / "ecosystem.json", "--seed", 1,
+                     "--out", log, "--trackers-out", trackers])[0] == 0
+    assert _run_cli(["build-jar", "--log", log, "--out", jar])[0] == 0
+    lines = log.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for kind, field, value in _FIELD_TYPE_MUTATIONS:
+        i = next(i for i, r in enumerate(records) if r.get("kind") == kind)
+        bad = tmp_path / f"{field}.log"
+        bad.write_text("\n".join(lines[:i] + [json.dumps({**records[i], field: value})] + lines[i + 1:]) + "\n")
+        for command in (
+            ["validate-log", "--log", bad],
+            ["build-jar", "--log", bad, "--out", tmp_path / "bad-jar.json"],
+            ["detect", "--jar", jar, "--log", bad, "--psl", DEMO / "psl.dat",
+             "--trackers", trackers, "--out", tmp_path / "findings.json"],
+        ):
+            code, stderr = _run_cli(["--errors", "json", *command])
+            assert code == 1, (field, command[0], stderr)
+            assert json.loads(stderr)["error"] == "MALFORMED_RECORD", (field, command[0], stderr)
 
 
 # --- criterion 9: report conservation laws -----------------------------------------------------

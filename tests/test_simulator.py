@@ -15,7 +15,9 @@ from cookietrail.model import (
     BannerLayer,
     BannerType,
     ButtonAction,
+    CookieKey,
     InteractionStage,
+    domain_match,
 )
 
 from helpers import (
@@ -302,3 +304,123 @@ class TestScenarioShapes:
             per_site[f.sender_site] = per_site.get(f.sender_site, 0) + 1
         assert per_site["cmpsite.com"] == 6
         assert per_site["natsite.com"] == 1
+
+
+# --- the indexed cookie store against a full scan --------------------------------
+
+
+def _full_scan(flat: dict, target: str, visited_site: str) -> list:
+    """The store lookup before indexing: every entry, in insertion order."""
+    return [
+        (key, value)
+        for key, value in flat.items()
+        if domain_match(target, key.host) and key.partition in (None, visited_site)
+    ]
+
+
+def _header_order(pairs: list) -> list:
+    return sorted(pairs, key=lambda kv: (-len(kv[0].host), kv[0].host, kv[0].name, kv[0].partition or ""))
+
+
+def _own_order(pairs: list) -> list:
+    return sorted(pairs, key=lambda kv: (kv[0].name, kv[0].host))
+
+
+class _CheckedStore(sim._CookieStore):
+    """Mirrors every write into a flat dict and checks each lookup against a full scan."""
+
+    def __init__(self):
+        super().__init__()
+        self.flat: dict = {}
+        self.deleted: set = set()
+        self.lookups = self.partitioned_hits = self.resets_after_delete = 0
+
+    def set(self, key, value):
+        super().set(key, value)
+        self.resets_after_delete += key in self.deleted
+        self.flat[key] = value
+
+    def delete(self, key):
+        super().delete(key)
+        if key in self.flat:
+            self.deleted.add(key)
+            del self.flat[key]
+
+    def attached(self, target, visited_site):
+        got = super().attached(target, visited_site)
+        want = _full_scan(self.flat, target, visited_site)
+        assert _header_order(got) == _header_order(want), (target, visited_site)
+        assert _own_order(got) == _own_order(want), (target, visited_site)
+        self.lookups += 1
+        self.partitioned_hits += any(key.partition is not None for key, _ in got)
+        return got
+
+
+class TestIndexedStore:
+    def test_generate_lookups_match_full_scan(self, monkeypatch):
+        stores: list[_CheckedStore] = []
+
+        def checked_store():
+            stores.append(_CheckedStore())
+            return stores[-1]
+
+        monkeypatch.setattr(sim, "_CookieStore", checked_store)
+        configs = [random_config(random.Random(2000 + i)) for i in range(200)]
+        # One tracker deletes and re-sets the same cookie on every accepted
+        # site, under a nested tracker that reads it by suffix.
+        configs.append(
+            sim.EcosystemConfig(
+                sites=tuple(
+                    sim.SiteSpec(f"s{i}.com", i + 1, native_banner(),
+                                 (sim.EmbedSpec("t.net"), sim.EmbedSpec("x.t.net")))
+                    for i in range(12)
+                ),
+                trackers=(
+                    sim.TrackerSpec("t.net", (sim.CookieSpec("id", lifetime=-1), sim.CookieSpec("id"))),
+                    sim.TrackerSpec("x.t.net", (sim.CookieSpec("id"),), sets_partitioned=True,
+                                    resets_on_send=True, sync_partners=("t.net",)),
+                ),
+                schedule=sim.Schedule(
+                    phase1=tuple(f"s{i}.com" for i in range(6)),
+                    phase2=tuple(f"s{i}.com" for i in range(6, 12)),
+                ),
+            )
+        )
+        for seed, config in enumerate(configs):
+            sim.generate(config, seed)
+        trackers = [t for config in configs for t in config.trackers]
+
+        def count(predicate) -> int:
+            return sum(1 for t in trackers if predicate(t))
+
+        assert count(lambda t: t.domain.count(".") > 1) >= 20  # nested, e.g. x1.t0.net
+        assert count(lambda t: t.sets_partitioned) >= 20
+        assert count(lambda t: t.sync_partners) >= 20
+        assert count(lambda t: t.resets_on_send) >= 20
+        assert count(lambda t: any(c.lifetime == -1 for c in t.cookies)) >= 20
+        assert sum(s.lookups for s in stores) >= 5_000
+        assert sum(s.partitioned_hits for s in stores) >= 10
+        assert sum(s.resets_after_delete for s in stores) >= 5
+
+    def test_degenerate_hosts_match_full_scan(self):
+        hosts = ["a..b", ".b", "b", "", "b.", "a.b.", "x.a..b", "a.b", "..", "c.a.b"]
+        # Names differ per partition, so no two keys tie on (name, host).
+        keys = [
+            CookieKey(name, host, partition)
+            for host in hosts
+            for name, partition in (("id", None), ("pid", "s.com"), ("oid", "o.com"))
+        ]
+        targets = [*hosts, "x.b", "cdn.a..b", ".", "a.b..", "zzz"]
+        rng = random.Random(5)
+        store = _CheckedStore()
+        for step in range(400):
+            key = rng.choice(keys)
+            if rng.random() < 0.3:
+                store.delete(key)
+            else:
+                store.set(key, f"v{step}")
+            if step % 20 == 0:
+                for target in targets:
+                    for site in ("s.com", "o.com", "n.com"):
+                        store.attached(target, site)
+        assert store.partitioned_hits and store.resets_after_delete
