@@ -138,8 +138,24 @@ def _require_option(args, name: str, flag: str):
 
 
 def _load_logs(paths) -> list[crawllog.CrawlEvent]:
-    parsed = [crawllog.parse_log_text(Path(p).read_text(encoding="utf-8")) for p in paths]
-    return crawllog.merge_logs(parsed)
+    """Parse the logs in turn into one stream, indexed 0..n-1 across all of them.
+
+    Visit ids must be disjoint across the inputs; a collision would silently
+    conflate two visits, so it is rejected as a sequencing violation.
+    """
+    events: list[crawllog.CrawlEvent] = []
+    seen_visits: set[str] = set()
+    for path in paths:
+        parsed = crawllog.parse_log_text(Path(path).read_text(encoding="utf-8"), first_index=len(events))
+        file_visits = {e.visit_id for e in parsed if isinstance(e, crawllog.VisitStart)}
+        overlap = file_visits & seen_visits
+        if overlap:
+            raise InvariantError(
+                "SEQUENCE_VIOLATION", f"visit ids repeat across merged logs: {sorted(overlap)[:5]}"
+            )
+        seen_visits |= file_visits
+        events += parsed
+    return events
 
 
 def _load_rules(args) -> PslRuleSet:

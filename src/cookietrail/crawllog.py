@@ -6,11 +6,16 @@ record ``{"format_version": 1}``.  Events for one visit must appear as
 INTERACTION, VISIT_END``.  The stage of a request or cookie-set event must
 equal the stage established by the most recent interaction (initially
 ``BEFORE_INTERACTION``), so stages are non-decreasing by construction.
+
+Parsing builds each event once, in one pass: a decoder per record kind checks
+the record's fields and its place in its visit's sequence, then constructs the
+event with its final index (``first_index`` lets logs loaded one after another
+share one index).  Hosts (``site``, ``target_host``, ``setter_context_host``)
+are canonicalized at parse time, so every later stage sees canonical hosts.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 from dataclasses import dataclass, fields
@@ -106,15 +111,14 @@ class VisitEnd:
 
 CrawlEvent = VisitStart | BannerObserved | Interaction | HttpRequest | CookieSet | VisitEnd
 
-_KINDS = {
-    "VISIT_START": VisitStart,
-    "BANNER_OBSERVED": BannerObserved,
-    "INTERACTION": Interaction,
-    "HTTP_REQUEST": HttpRequest,
-    "COOKIE_SET": CookieSet,
-    "VISIT_END": VisitEnd,
+_KIND_NAMES = {
+    VisitStart: "VISIT_START",
+    BannerObserved: "BANNER_OBSERVED",
+    Interaction: "INTERACTION",
+    HttpRequest: "HTTP_REQUEST",
+    CookieSet: "COOKIE_SET",
+    VisitEnd: "VISIT_END",
 }
-_KIND_NAMES = {cls: name for name, cls in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -198,110 +202,6 @@ def event_to_record(event: CrawlEvent) -> dict:
     return record
 
 
-def _require(obj: dict, key: str, lineno: int):
-    if key not in obj or obj[key] is None:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: missing field {key!r}")
-    return obj[key]
-
-
-def _str_field(obj: dict, key: str, lineno: int) -> str:
-    raw = _require(obj, key, lineno)
-    if not isinstance(raw, str):
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
-    return raw
-
-
-def _enum_field(enum_cls, obj: dict, key: str, lineno: int):
-    raw = _require(obj, key, lineno)
-    try:
-        return enum_cls[raw]
-    except (KeyError, TypeError):
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} value {raw!r}") from None
-
-
-def _url_field(value, key: str, lineno: int) -> str:
-    """A URL field: a string that ``urlsplit`` accepts, as detection splits it."""
-    if not isinstance(value, str):
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
-    try:
-        urlsplit(value)
-    except ValueError as exc:
-        raise InputError("UNPARSABLE_URL", f"line {lineno}: bad {key} {value!r} ({exc})") from None
-    return value
-
-
-def record_to_event(obj: dict, lineno: int, event_index: int) -> CrawlEvent:
-    kind = _require(obj, "kind", lineno)
-    cls = _KINDS.get(kind)
-    if cls is None:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: unknown kind {kind!r}")
-    visit_id = _require(obj, "visit_id", lineno)
-    if not isinstance(visit_id, str) or not visit_id:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad visit_id {visit_id!r}")
-    try:
-        if cls is VisitStart:
-            rank = _require(obj, "rank", lineno)
-            if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: rank must be a positive int")
-            gpc = _require(obj, "gpc_enabled", lineno)
-            if not isinstance(gpc, bool):
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: gpc_enabled must be a bool")
-            return VisitStart(
-                visit_id=visit_id,
-                site=_str_field(obj, "site", lineno),
-                rank=rank,
-                phase=_enum_field(Phase, obj, "phase", lineno),
-                iteration=_enum_field(Iteration, obj, "iteration", lineno),
-                gpc_enabled=gpc,
-                event_index=event_index,
-            )
-        if cls is BannerObserved:
-            try:
-                banner = banner_from_obj(_require(obj, "banner", lineno))
-            except (InputError, KeyError, ValueError, TypeError) as exc:
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
-            return BannerObserved(visit_id=visit_id, banner=banner, event_index=event_index)
-        if cls is Interaction:
-            return Interaction(
-                visit_id=visit_id,
-                action=_enum_field(InteractionAction, obj, "action", lineno),
-                resulting_stage=_enum_field(InteractionStage, obj, "resulting_stage", lineno),
-                event_index=event_index,
-            )
-        if cls is HttpRequest:
-            cookie_header = obj.get("cookie_header", "")
-            if not isinstance(cookie_header, str):
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: cookie_header must be a string")
-            redirect_parent_url = obj.get("redirect_parent_url")
-            if redirect_parent_url is not None:
-                _url_field(redirect_parent_url, "redirect_parent_url", lineno)
-            return HttpRequest(
-                visit_id=visit_id,
-                stage=_enum_field(InteractionStage, obj, "stage", lineno),
-                target_host=_str_field(obj, "target_host", lineno),
-                target_url=_url_field(_require(obj, "target_url", lineno), "target_url", lineno),
-                channel=_enum_field(Channel, obj, "channel", lineno),
-                cookie_header=cookie_header,
-                redirect_parent_url=redirect_parent_url,
-                event_index=event_index,
-            )
-        if cls is CookieSet:
-            return CookieSet(
-                visit_id=visit_id,
-                stage=_enum_field(InteractionStage, obj, "stage", lineno),
-                set_cookie_header=_str_field(obj, "set_cookie_header", lineno),
-                setter_context_host=_str_field(obj, "setter_context_host", lineno),
-                event_index=event_index,
-            )
-        return VisitEnd(
-            visit_id=visit_id,
-            outcome=_enum_field(VisitOutcome, obj, "outcome", lineno),
-            event_index=event_index,
-        )
-    except (TypeError, AttributeError) as exc:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: malformed record ({exc})") from None
-
-
 # --- serialization --------------------------------------------------------
 
 
@@ -313,39 +213,219 @@ def serialize(events: Iterable[CrawlEvent]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- parsing with sequencing validation ------------------------------------
+# --- parsing: one decoder per kind, sequencing checked as each event is built ---
+
+# name -> member tables, one dictionary lookup per enum field.
+_PHASES = dict(Phase.__members__)
+_ITERATIONS = dict(Iteration.__members__)
+_ACTIONS = dict(InteractionAction.__members__)
+_STAGES = dict(InteractionStage.__members__)
+_CHANNELS = dict(Channel.__members__)
+_OUTCOMES = dict(VisitOutcome.__members__)
+
+_decode_json = json.JSONDecoder().raw_decode
+
+
+def _field_error(obj: dict, key: str, lineno: int, problem: str = "") -> InputError:
+    """The error for a field that failed its check; an absent or null field is missing."""
+    raw = obj.get(key)
+    if raw is None:
+        return InputError("MALFORMED_RECORD", f"line {lineno}: missing field {key!r}")
+    return InputError("MALFORMED_RECORD", f"line {lineno}: {problem or f'bad {key} value {raw!r}'}")
+
+
+def _member(table: dict, obj: dict, key: str, lineno: int):
+    try:
+        return table[obj[key]]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise _field_error(obj, key, lineno) from None
+
+
+def _check_url(value, key: str, lineno: int) -> None:
+    """A URL field must be a string that ``urlsplit`` accepts, as detection splits it."""
+    if not isinstance(value, str):
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
+    try:
+        urlsplit(value)
+    except ValueError as exc:
+        raise InputError("UNPARSABLE_URL", f"line {lineno}: bad {key} {value!r} ({exc})") from None
+
+
+def _violation(visit_id: str, detail: str):
+    raise InvariantError("SEQUENCE_VIOLATION", f"visit {visit_id!r}: {detail}")
 
 
 class _VisitState:
-    __slots__ = ("site", "stage", "saw_body", "banner_count")
+    __slots__ = ("stage", "saw_body", "saw_banner")
 
-    def __init__(self, site: str):
-        self.site = site
+    def __init__(self):
         self.stage = InteractionStage.BEFORE_INTERACTION
         self.saw_body = False  # any event beyond VISIT_START/BANNER_OBSERVED
-        self.banner_count = 0
+        self.saw_banner = False
 
 
-def parse_log(lines: Iterable[str]) -> list[CrawlEvent]:
-    """Parse an NDJSON crawl log into events with monotonically increasing indices.
+class _LogParser:
+    """The state of one parse: open and closed visits, and each host's canonical form.
+
+    Each decoder checks one record's fields in a fixed order, then the
+    record's place in its visit, and only then builds the event.
+    """
+
+    __slots__ = ("open_visits", "closed", "hosts")
+
+    def __init__(self):
+        self.open_visits: dict[str, _VisitState] = {}
+        self.closed: set[str] = set()
+        self.hosts: dict[str, str] = {}  # raw -> canonical: each distinct host is canonicalized once
+
+    def _host(self, obj: dict, key: str, lineno: int) -> str:
+        raw = obj.get(key)
+        if not isinstance(raw, str):
+            raise _field_error(obj, key, lineno, f"{key} must be a string")
+        host = self.hosts.get(raw)
+        if host is None:
+            try:
+                host = canonicalize_host(raw)
+            except InputError as exc:
+                raise InputError(exc.code, f"line {lineno}: bad {key} {raw!r} ({exc.message})") from None
+            self.hosts[raw] = host
+        return host
+
+    def _state(self, visit_id: str, event_name: str) -> _VisitState:
+        """The open visit an event after VISIT_START belongs to."""
+        state = self.open_visits.get(visit_id)
+        if state is None:
+            detail = "event after VISIT_END" if visit_id in self.closed else "event before VISIT_START"
+            _violation(visit_id, f"{detail} ({event_name})")
+        return state
+
+    def _at_stage(self, visit_id: str, event_name: str, stage: InteractionStage) -> None:
+        """HTTP_REQUEST / COOKIE_SET carry the stage the visit is currently in."""
+        state = self._state(visit_id, event_name)
+        state.saw_body = True
+        if stage is not state.stage:
+            _violation(visit_id, f"{event_name} at stage {stage.name} while visit is at {state.stage.name}")
+
+    def visit_start(self, obj: dict, lineno: int, visit_id: str, index: int) -> VisitStart:
+        rank = obj.get("rank")
+        if type(rank) is not int or rank < 1:  # a bool is not a rank
+            raise _field_error(obj, "rank", lineno, "rank must be a positive int")
+        gpc = obj.get("gpc_enabled")
+        if type(gpc) is not bool:
+            raise _field_error(obj, "gpc_enabled", lineno, "gpc_enabled must be a bool")
+        site = self._host(obj, "site", lineno)
+        phase = _member(_PHASES, obj, "phase", lineno)
+        iteration = _member(_ITERATIONS, obj, "iteration", lineno)
+        if visit_id in self.open_visits or visit_id in self.closed:
+            _violation(visit_id, "duplicate VISIT_START")
+        self.open_visits[visit_id] = _VisitState()
+        return VisitStart(visit_id, site, rank, phase, iteration, gpc, index)
+
+    def banner_observed(self, obj: dict, lineno: int, visit_id: str, index: int) -> BannerObserved:
+        raw = obj.get("banner")
+        try:
+            if raw is None:
+                raise _field_error(obj, "banner", lineno)
+            banner = banner_from_obj(raw)
+        except (InputError, KeyError, ValueError, TypeError) as exc:
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
+        except AttributeError as exc:
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: malformed record ({exc})") from None
+        state = self._state(visit_id, "BannerObserved")
+        if state.saw_body or state.saw_banner:
+            _violation(visit_id, "BANNER_OBSERVED not immediately after VISIT_START")
+        state.saw_banner = True
+        return BannerObserved(visit_id, banner, index)
+
+    def interaction(self, obj: dict, lineno: int, visit_id: str, index: int) -> Interaction:
+        action = _member(_ACTIONS, obj, "action", lineno)
+        resulting = _member(_STAGES, obj, "resulting_stage", lineno)
+        state = self._state(visit_id, "Interaction")
+        state.saw_body = True
+        if resulting is not _ACTION_STAGE[action]:
+            _violation(visit_id, f"{action.value} cannot result in stage {resulting.name}")
+        if resulting <= state.stage:
+            _violation(visit_id, f"stage {resulting.name} does not advance past {state.stage.name}")
+        state.stage = resulting
+        return Interaction(visit_id, action, resulting, index)
+
+    def http_request(self, obj: dict, lineno: int, visit_id: str, index: int) -> HttpRequest:
+        cookie_header = obj.get("cookie_header", "")
+        if not isinstance(cookie_header, str):
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: cookie_header must be a string")
+        redirect_parent_url = obj.get("redirect_parent_url")
+        if redirect_parent_url is not None:
+            _check_url(redirect_parent_url, "redirect_parent_url", lineno)
+        stage = _member(_STAGES, obj, "stage", lineno)
+        target_host = self._host(obj, "target_host", lineno)
+        target_url = obj.get("target_url")
+        if target_url is None:
+            raise _field_error(obj, "target_url", lineno)
+        _check_url(target_url, "target_url", lineno)
+        channel = _member(_CHANNELS, obj, "channel", lineno)
+        self._at_stage(visit_id, "HttpRequest", stage)
+        return HttpRequest(
+            visit_id, stage, target_host, target_url, channel, cookie_header, redirect_parent_url, index
+        )
+
+    def cookie_set(self, obj: dict, lineno: int, visit_id: str, index: int) -> CookieSet:
+        stage = _member(_STAGES, obj, "stage", lineno)
+        header = obj.get("set_cookie_header")
+        if not isinstance(header, str):
+            raise _field_error(obj, "set_cookie_header", lineno, "set_cookie_header must be a string")
+        setter_context_host = self._host(obj, "setter_context_host", lineno)
+        self._at_stage(visit_id, "CookieSet", stage)
+        return CookieSet(visit_id, stage, header, setter_context_host, index)
+
+    def visit_end(self, obj: dict, lineno: int, visit_id: str, index: int) -> VisitEnd:
+        outcome = _member(_OUTCOMES, obj, "outcome", lineno)
+        self._state(visit_id, "VisitEnd")
+        del self.open_visits[visit_id]
+        self.closed.add(visit_id)
+        return VisitEnd(visit_id, outcome, index)
+
+
+_DECODERS = {
+    "VISIT_START": _LogParser.visit_start,
+    "BANNER_OBSERVED": _LogParser.banner_observed,
+    "INTERACTION": _LogParser.interaction,
+    "HTTP_REQUEST": _LogParser.http_request,
+    "COOKIE_SET": _LogParser.cookie_set,
+    "VISIT_END": _LogParser.visit_end,
+}
+
+
+def parse_log(lines: Iterable[str], first_index: int = 0) -> list[CrawlEvent]:
+    """Parse an NDJSON crawl log into events, checking every record and every visit's sequence.
+
+    Each line is decoded, checked and built into its event once, in one pass.
+    Events are numbered consecutively from ``first_index``, so several logs
+    loaded one after another share one index.  Hosts (``site``,
+    ``target_host``, ``setter_context_host``) are canonical from here on.
 
     Raises:
-        InputError: ``MALFORMED_RECORD`` with the offending line number.
+        InputError: ``MALFORMED_RECORD``, ``UNPARSABLE_URL``, or a host's
+            ``EMPTY_HOST`` / ``INVALID_LABEL``, with the offending line number.
         InvariantError: ``SEQUENCE_VIOLATION`` naming the visit and event.
     """
+    parser = _LogParser()
     events: list[CrawlEvent] = []
-    open_visits: dict[str, _VisitState] = {}
-    closed_visits: set[str] = set()
     header_seen = False
-    event_index = 0
+    index = first_index
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({exc.msg})") from None
+            obj, end = _decode_json(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
+            # Decode again as json.loads does, for its error message.
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({exc.msg})") from None
         if not isinstance(obj, dict):
             raise InputError("MALFORMED_RECORD", f"line {lineno}: record is not an object")
         if not header_seen:
@@ -357,85 +437,25 @@ def parse_log(lines: Iterable[str]) -> list[CrawlEvent]:
                 )
             header_seen = True
             continue
-        event = record_to_event(obj, lineno, event_index)
-        _check_sequence(event, open_visits, closed_visits)
-        events.append(event)
-        event_index += 1
+        kind = obj.get("kind")
+        decode = _DECODERS.get(kind) if isinstance(kind, str) else None
+        if decode is None:
+            raise _field_error(obj, "kind", lineno, f"unknown kind {kind!r}")
+        visit_id = obj.get("visit_id")
+        if not isinstance(visit_id, str) or not visit_id:
+            raise _field_error(obj, "visit_id", lineno, f"bad visit_id {visit_id!r}")
+        events.append(decode(parser, obj, lineno, visit_id, index))
+        index += 1
     if not header_seen:
         raise InputError("MALFORMED_RECORD", "missing format_version header record")
-    if open_visits:
-        visit_id = next(iter(open_visits))
+    if parser.open_visits:
+        visit_id = next(iter(parser.open_visits))
         raise InvariantError("SEQUENCE_VIOLATION", f"visit {visit_id!r} has no VISIT_END")
     return events
 
 
-def parse_log_text(text: str) -> list[CrawlEvent]:
-    return parse_log(text.splitlines())
-
-
-def merge_logs(event_lists: Iterable[list[CrawlEvent]]) -> list[CrawlEvent]:
-    """Concatenate independently parsed logs, re-indexing events.
-
-    Visit ids must be disjoint across the inputs; a collision would silently
-    conflate two visits, so it is rejected as a sequencing violation.
-    """
-    merged: list[CrawlEvent] = []
-    seen_visits: set[str] = set()
-    for events in event_lists:
-        file_visits = {e.visit_id for e in events}
-        overlap = file_visits & seen_visits
-        if overlap:
-            raise InvariantError(
-                "SEQUENCE_VIOLATION", f"visit ids repeat across merged logs: {sorted(overlap)[:5]}"
-            )
-        seen_visits |= file_visits
-        for event in events:
-            merged.append(dataclasses.replace(event, event_index=len(merged)))
-    return merged
-
-
-def _violation(visit_id: str, detail: str):
-    raise InvariantError("SEQUENCE_VIOLATION", f"visit {visit_id!r}: {detail}")
-
-
-def _check_sequence(event: CrawlEvent, open_visits: dict[str, _VisitState], closed: set[str]):
-    visit_id = event.visit_id
-    if isinstance(event, VisitStart):
-        if visit_id in open_visits or visit_id in closed:
-            _violation(visit_id, "duplicate VISIT_START")
-        open_visits[visit_id] = _VisitState(event.site)
-        return
-    state = open_visits.get(visit_id)
-    if state is None:
-        detail = "event after VISIT_END" if visit_id in closed else "event before VISIT_START"
-        _violation(visit_id, f"{detail} ({type(event).__name__})")
-    if isinstance(event, BannerObserved):
-        if state.saw_body or state.banner_count:
-            _violation(visit_id, "BANNER_OBSERVED not immediately after VISIT_START")
-        state.banner_count += 1
-        return
-    if isinstance(event, VisitEnd):
-        del open_visits[visit_id]
-        closed.add(visit_id)
-        return
-    state.saw_body = True
-    if isinstance(event, Interaction):
-        expected = _ACTION_STAGE[event.action]
-        if event.resulting_stage is not expected:
-            _violation(visit_id, f"{event.action.value} cannot result in stage {event.resulting_stage.name}")
-        if event.resulting_stage <= state.stage:
-            _violation(
-                visit_id,
-                f"stage {event.resulting_stage.name} does not advance past {state.stage.name}",
-            )
-        state.stage = event.resulting_stage
-        return
-    # HTTP_REQUEST / COOKIE_SET carry the stage the visit is currently in.
-    if event.stage is not state.stage:
-        _violation(
-            visit_id,
-            f"{type(event).__name__} at stage {event.stage.name} while visit is at {state.stage.name}",
-        )
+def parse_log_text(text: str, first_index: int = 0) -> list[CrawlEvent]:
+    return parse_log(text.splitlines(), first_index)
 
 
 # --- cookie headers ---------------------------------------------------------

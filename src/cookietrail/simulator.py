@@ -292,12 +292,12 @@ class EcosystemConfig:
         try:
             sites = tuple(
                 SiteSpec(
-                    site=canonicalize_host(s["site"]),
-                    rank=s["rank"],
+                    site=_config_host(s["site"], "site"),
+                    rank=_typed(s["rank"], int, "rank"),
                     banner=banner_from_obj(s["banner"]),
                     embeds=tuple(
                         EmbedSpec(
-                            tracker=canonicalize_host(e["tracker"]),
+                            tracker=_config_host(e["tracker"], "embedded tracker"),
                             policy=EmbedLoadPolicy[e.get("policy", "ALWAYS")],
                             channel=Channel[e.get("channel", "RESOURCE_FETCH")],
                         )
@@ -309,18 +309,18 @@ class EcosystemConfig:
             )
             trackers = tuple(
                 TrackerSpec(
-                    domain=canonicalize_host(t["domain"]),
+                    domain=_config_host(t["domain"], "tracker domain"),
                     cookies=tuple(
                         CookieSpec(
-                            name=c["name"],
-                            value=ValueGenerator(**c.get("value", {})),
+                            name=_typed(c["name"], str, "cookie name"),
+                            value=_checked_generator(ValueGenerator(**c.get("value", {}))),
                             lifetime=_parse_lifetime(c.get("lifetime", "365d")),
                         )
                         for c in t["cookies"]
                     ),
                     honors_gpc=bool(t.get("honors_gpc", False)),
                     sets_partitioned=bool(t.get("sets_partitioned", False)),
-                    sync_partners=tuple(canonicalize_host(p) for p in t.get("sync_partners", [])),
+                    sync_partners=tuple(_config_host(p, "sync partner") for p in t.get("sync_partners", [])),
                     drop_after_reject_prob=float(t.get("drop_after_reject_prob", 0.0)),
                     resets_on_send=bool(t.get("resets_on_send", False)),
                     listed=bool(t.get("listed", True)),
@@ -328,13 +328,13 @@ class EcosystemConfig:
                 for t in obj["trackers"]
             )
             schedule = Schedule(
-                phase1=tuple(canonicalize_host(s) for s in obj["schedule"]["phase1"]),
-                phase2=tuple(canonicalize_host(s) for s in obj["schedule"]["phase2"]),
+                phase1=tuple(_config_host(s, "scheduled site") for s in obj["schedule"]["phase1"]),
+                phase2=tuple(_config_host(s, "scheduled site") for s in obj["schedule"]["phase2"]),
                 gpc_enabled=bool(obj["schedule"].get("gpc_enabled", False)),
             )
         except InputError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise InputError("INVALID_CONFIG", f"bad ecosystem config: {exc!r}") from None
         config = cls(sites=sites, trackers=trackers, schedule=schedule)
         config.validate()
@@ -381,6 +381,24 @@ class EcosystemConfig:
                 "gpc_enabled": self.schedule.gpc_enabled,
             },
         }
+
+
+def _typed(value, kind: type, field: str):
+    """``value`` if it is a ``kind`` (a bool is not an int), else ``INVALID_CONFIG``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError("INVALID_CONFIG", f"{field} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _config_host(value, field: str) -> SiteId:
+    return canonicalize_host(_typed(value, str, field))
+
+
+def _checked_generator(generator: ValueGenerator) -> ValueGenerator:
+    _typed(generator.kind, str, "value kind")
+    _typed(generator.length, int, "value length")
+    _typed(generator.const, str, "value const")
+    return generator
 
 
 _LIFETIME_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "y": 365 * 86400}

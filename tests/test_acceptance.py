@@ -320,6 +320,7 @@ _FIELD_TYPE_MUTATIONS = (
     ("VISIT_START", "site", 42),
     ("COOKIE_SET", "set_cookie_header", 7),
     ("COOKIE_SET", "setter_context_host", 7),
+    ("HTTP_REQUEST", "cookie_header", 3),
 )
 
 
@@ -415,7 +416,7 @@ def _mutants(lines: list[str]):
             record[url_field] = "https://[::1/match?uid=x"
             yield "\n".join(lines[:i] + [json.dumps(record)] + lines[i + 1:]), "UNPARSABLE_URL", 1
 
-    # o) a string field holding a number: hosts and the Set-Cookie header.
+    # o) a string field holding a number: hosts and the cookie headers.
     for kind, field, value in _FIELD_TYPE_MUTATIONS:
         for i in positions(kind, limit=10):
             record = dict(records[i])
@@ -423,12 +424,17 @@ def _mutants(lines: list[str]):
             yield "\n".join(lines[:i] + [json.dumps(record)] + lines[i + 1:]), "MALFORMED_RECORD", 1
 
 
-def test_c8_corrupted_log_corpus(tmp_path):
+def c8_corpus() -> list[tuple[str, str, int]]:
+    """Every C8 mutant: of the demo log, and of the logs of two larger randomized ecosystems."""
     corpus = list(_mutants(_base_log_lines()))
-    # Widen the corpus with valid logs from two larger randomized ecosystems.
     for extra_seed in (77, 78):
         config = random_config(random.Random(extra_seed), n_sites=20)
         corpus += list(_mutants(serialize(sim.generate(config, extra_seed)).splitlines()))
+    return corpus
+
+
+def test_c8_corrupted_log_corpus(tmp_path):
+    corpus = c8_corpus()
     assert len(corpus) >= 500, f"only {len(corpus)} mutants generated"
 
     silent = 0
@@ -483,6 +489,33 @@ def test_c8_field_type_mutations_exit_1_from_every_log_reader(tmp_path):
             code, stderr = _run_cli(["--errors", "json", *command])
             assert code == 1, (field, command[0], stderr)
             assert json.loads(stderr)["error"] == "MALFORMED_RECORD", (field, command[0], stderr)
+
+
+# (path into the demo config, value): one config field holding the wrong type.
+_CONFIG_TYPE_MUTATIONS = (
+    (("sites", 0, "site"), 42),
+    (("sites", 0, "rank"), "x"),
+    (("trackers", 0, "cookies", 0, "name"), 7),
+    (("trackers", 0, "cookies", 0, "value", "length"), "z"),
+    (("trackers", 0, "cookies", 0, "lifetime"), float("inf")),
+    (("sites", 0, "banner"), 5),
+)
+
+
+def test_c8_config_type_mutations_exit_1_with_invalid_config(tmp_path):
+    """simulate rejects a mistyped config field with an INVALID_CONFIG record, not a traceback."""
+    for path, value in _CONFIG_TYPE_MUTATIONS:
+        config = json.loads((DEMO / "ecosystem.json").read_text())
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps(config))
+        code, stderr = _run_cli(["--errors", "json", "simulate", "--config", bad, "--seed", 1,
+                                 "--out", tmp_path / "out.log"])
+        assert code == 1, (path, stderr)
+        assert json.loads(stderr)["error"] == "INVALID_CONFIG", (path, stderr)
 
 
 # --- criterion 9: report conservation laws -----------------------------------------------------

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from cookietrail.cli import main
+from cookietrail.cli import _load_logs, main
+from cookietrail.crawllog import CookieSet, parse_log_text
+from cookietrail.jar import CookieJar
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -311,6 +313,98 @@ class TestPipelineConfig:
         jar = CookieJar.load(merged)
         assert len(jar.accepted_sites) == 3  # same sites accepted in both runs
         assert len(jar.history) == 20  # two runs' writes accumulate
+
+
+def _rewrite_hosts(log: Path, out: Path, rewrite) -> Path:
+    """Copy a log with ``rewrite`` applied to every host field."""
+    lines = log.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        for field in ("site", "target_host", "setter_context_host"):
+            if field in record:
+                record[field] = rewrite(record[field])
+        lines[i] = json.dumps(record, sort_keys=True)
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+class TestCanonicalHosts:
+    def test_upper_case_log_yields_the_same_artifacts(self, workspace, tmp_path):
+        rules = ["--psl", DEMO / "psl.dat", "--trackers", workspace / "trackers.txt"]
+        logs = {"lower": workspace / "run.log",
+                "upper": _rewrite_hosts(workspace / "run.log", tmp_path / "upper.log", str.upper)}
+        for name, log in logs.items():
+            assert _run(["validate-log", "--log", log]) == 0
+            assert _run(["build-jar", "--log", log, "--out", tmp_path / f"{name}.snap"]) == 0
+            assert _run(["detect", "--jar", tmp_path / f"{name}.snap", "--log", log, *rules,
+                         "--out", tmp_path / f"{name}.jsonl"]) == 0
+        findings = (tmp_path / "upper.jsonl").read_text()
+        assert findings == (tmp_path / "lower.jsonl").read_text()
+        assert any(json.loads(line)["canonical"] for line in findings.splitlines()[1:])
+        assert (tmp_path / "upper.snap").read_bytes() == (tmp_path / "lower.snap").read_bytes()
+
+    @pytest.mark.parametrize("host, code", [("a..b.example", "INVALID_LABEL"), ("bad host.example", "INVALID_LABEL"),
+                                            ("...", "EMPTY_HOST")])
+    def test_invalid_host_exit_1_from_every_log_reader(self, workspace, tmp_path, capsys, host, code):
+        log = workspace / "run.log"
+        assert _run(["build-jar", "--log", log, "--out", tmp_path / "jar.snap"]) == 0
+        bad = _rewrite_hosts(log, tmp_path / "bad.log", lambda _host: host)
+        capsys.readouterr()
+        for command in (
+            ["validate-log", "--log", bad],
+            ["build-jar", "--log", bad, "--out", tmp_path / "bad.snap"],
+            ["detect", "--jar", tmp_path / "jar.snap", "--log", bad, "--out", tmp_path / "f.jsonl"],
+        ):
+            assert _run(["--errors", "json", *command]) == 1, command[0]
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == code, command[0]
+            assert record["message"].startswith("line 2: bad site"), command[0]
+
+
+class TestMergedLogs:
+    def test_shared_visit_id_is_a_sequence_violation_for_every_log_reader(self, workspace, tmp_path, capsys):
+        log, other = workspace / "run.log", tmp_path / "other.log"
+        # No --run-id: the second run reuses the first run's visit ids.
+        assert _run(["simulate", "--config", DEMO / "ecosystem.json", "--seed", 8, "--out", other]) == 0
+        jar, findings = tmp_path / "jar.snap", tmp_path / "findings.jsonl"
+        rules = ["--psl", DEMO / "psl.dat", "--trackers", workspace / "trackers.txt"]
+        assert _run(["build-jar", "--log", log, "--out", jar]) == 0
+        assert _run(["detect", "--jar", jar, "--log", log, *rules, "--out", findings]) == 0
+        capsys.readouterr()
+        logs = ["--log", log, "--log", other]
+        for command in (
+            ["build-jar", *logs, "--out", tmp_path / "merged.snap"],
+            ["detect", "--jar", jar, *logs, *rules, "--out", tmp_path / "merged.jsonl"],
+            ["report", "--findings", findings, "--jar", jar, *logs, *rules, "--out", tmp_path / "report"],
+        ):
+            assert _run(["--errors", "json", *command]) == 2, command[0]
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"] == "SEQUENCE_VIOLATION", command[0]
+            assert "visit ids repeat across merged logs" in record["message"], command[0]
+
+    def test_three_logs_form_one_indexed_stream(self, workspace, tmp_path):
+        logs = []
+        for run_id, seed in (("a", 7), ("b", 8), ("c", 9)):
+            logs.append(tmp_path / f"{run_id}.log")
+            assert _run(["simulate", "--config", DEMO / "ecosystem.json", "--seed", seed,
+                         "--out", logs[-1], "--run-id", run_id]) == 0
+        # Each file parsed on its own is indexed from 0; concatenated, position i is event i.
+        stream = [event for path in logs for event in parse_log_text(path.read_text())]
+        assert [e.event_index for e in _load_logs(logs)] == list(range(len(stream)))
+
+        log_args = [arg for path in logs for arg in ("--log", path)]
+        jar, findings = tmp_path / "jar.snap", tmp_path / "findings.jsonl"
+        assert _run(["build-jar", *log_args, "--out", jar]) == 0
+        assert _run(["detect", "--jar", jar, *log_args, "--psl", DEMO / "psl.dat",
+                     "--trackers", workspace / "trackers.txt", "--out", findings]) == 0
+        # A history row's index (the set_at of its write) names the COOKIE_SET in the merged stream.
+        written = [row.event_index for row in CookieJar.load(jar).history]
+        assert written == sorted(set(written))
+        assert all(isinstance(stream[i], CookieSet) for i in written)
+        assert {stream[i].visit_id[0] for i in written} == {"a", "b", "c"}
+        records = [json.loads(line) for line in findings.read_text().splitlines()[1:]]
+        assert {r["visit_id"][0] for r in records} == {"a", "b", "c"}
+        assert all(stream[r["event_index"]].visit_id == r["visit_id"] for r in records)
 
 
 class TestFilterConvert:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cookietrail import simulator as sim
+from cookietrail.cli import _load_logs
 from cookietrail.crawllog import (
     BannerObserved,
     CookieSet,
@@ -12,6 +17,7 @@ from cookietrail.crawllog import (
     Interaction,
     VisitEnd,
     VisitStart,
+    banner_from_obj,
     extract_sent,
     parse_cookie_header,
     parse_log_text,
@@ -21,7 +27,7 @@ from cookietrail.crawllog import (
     strict_issues,
     summarize_visits,
 )
-from cookietrail.errors import InputError, InvariantError, ParseIssue
+from cookietrail.errors import InputError, InvariantError, ParseIssue, PipelineError
 from cookietrail.model import (
     BannerType,
     Channel,
@@ -33,7 +39,7 @@ from cookietrail.model import (
     VisitOutcome,
 )
 
-from helpers import native_banner
+from helpers import native_banner, random_config
 
 
 def _single_visit_events(visit_id="v1", site="new.com", phase=Phase.STATELESS_MEASURE):
@@ -150,6 +156,20 @@ class TestParseLog:
         with pytest.raises(InputError) as exc:
             parse_log_text("\n".join(lines))
         assert exc.value.code == "MALFORMED_RECORD"
+
+    def test_unhashable_kind_or_enum_value_is_malformed(self):
+        lines = serialize(_single_visit_events()).splitlines()
+        for field in ("kind", "stage"):
+            record = json.loads(lines[3])
+            record[field] = ["HTTP_REQUEST"]
+            with pytest.raises(InputError) as exc:
+                parse_log_text("\n".join(lines[:3] + [json.dumps(record)] + lines[4:]))
+            assert exc.value.code == "MALFORMED_RECORD"
+            assert exc.value.message.startswith("line 4: "), exc.value.message
+
+    def test_first_index_offsets_every_event(self):
+        events = parse_log_text(serialize(_single_visit_events()), first_index=10)
+        assert [e.event_index for e in events] == list(range(10, 16))
 
     def test_interaction_action_stage_consistency(self):
         events = _single_visit_events()
@@ -341,3 +361,279 @@ class TestSummaries:
         )
         issues = strict_issues(parse_log_text(serialize(events)))
         assert [i.code for i in issues] == ["MALFORMED_PAIR"]
+
+
+# --- the single-pass loader against the loader it replaced ------------------------------------
+#
+# A copy of the two-pass loader as it was before decoding and sequencing were
+# fused (record_to_event, _check_sequence, merge_logs): the reference the
+# single-pass loader must agree with, event for event and error for error.
+
+
+def _ref_require(obj, key, lineno):
+    if key not in obj or obj[key] is None:
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: missing field {key!r}")
+    return obj[key]
+
+
+def _ref_str_field(obj, key, lineno):
+    raw = _ref_require(obj, key, lineno)
+    if not isinstance(raw, str):
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
+    return raw
+
+
+def _ref_enum_field(enum_cls, obj, key, lineno):
+    raw = _ref_require(obj, key, lineno)
+    try:
+        return enum_cls[raw]
+    except (KeyError, TypeError):
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} value {raw!r}") from None
+
+
+def _ref_url_field(value, key, lineno):
+    if not isinstance(value, str):
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
+    try:
+        urlsplit(value)
+    except ValueError as exc:
+        raise InputError("UNPARSABLE_URL", f"line {lineno}: bad {key} {value!r} ({exc})") from None
+    return value
+
+
+_REF_KINDS = {
+    "VISIT_START": VisitStart,
+    "BANNER_OBSERVED": BannerObserved,
+    "INTERACTION": Interaction,
+    "HTTP_REQUEST": HttpRequest,
+    "COOKIE_SET": CookieSet,
+    "VISIT_END": VisitEnd,
+}
+
+
+def _ref_record_to_event(obj, lineno, event_index):
+    kind = _ref_require(obj, "kind", lineno)
+    cls = _REF_KINDS.get(kind)
+    if cls is None:
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: unknown kind {kind!r}")
+    visit_id = _ref_require(obj, "visit_id", lineno)
+    if not isinstance(visit_id, str) or not visit_id:
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad visit_id {visit_id!r}")
+    try:
+        if cls is VisitStart:
+            rank = _ref_require(obj, "rank", lineno)
+            if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+                raise InputError("MALFORMED_RECORD", f"line {lineno}: rank must be a positive int")
+            gpc = _ref_require(obj, "gpc_enabled", lineno)
+            if not isinstance(gpc, bool):
+                raise InputError("MALFORMED_RECORD", f"line {lineno}: gpc_enabled must be a bool")
+            return VisitStart(
+                visit_id=visit_id,
+                site=_ref_str_field(obj, "site", lineno),
+                rank=rank,
+                phase=_ref_enum_field(Phase, obj, "phase", lineno),
+                iteration=_ref_enum_field(Iteration, obj, "iteration", lineno),
+                gpc_enabled=gpc,
+                event_index=event_index,
+            )
+        if cls is BannerObserved:
+            try:
+                banner = banner_from_obj(_ref_require(obj, "banner", lineno))
+            except (InputError, KeyError, ValueError, TypeError) as exc:
+                raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
+            return BannerObserved(visit_id=visit_id, banner=banner, event_index=event_index)
+        if cls is Interaction:
+            return Interaction(
+                visit_id=visit_id,
+                action=_ref_enum_field(InteractionAction, obj, "action", lineno),
+                resulting_stage=_ref_enum_field(InteractionStage, obj, "resulting_stage", lineno),
+                event_index=event_index,
+            )
+        if cls is HttpRequest:
+            cookie_header = obj.get("cookie_header", "")
+            if not isinstance(cookie_header, str):
+                raise InputError("MALFORMED_RECORD", f"line {lineno}: cookie_header must be a string")
+            redirect_parent_url = obj.get("redirect_parent_url")
+            if redirect_parent_url is not None:
+                _ref_url_field(redirect_parent_url, "redirect_parent_url", lineno)
+            return HttpRequest(
+                visit_id=visit_id,
+                stage=_ref_enum_field(InteractionStage, obj, "stage", lineno),
+                target_host=_ref_str_field(obj, "target_host", lineno),
+                target_url=_ref_url_field(_ref_require(obj, "target_url", lineno), "target_url", lineno),
+                channel=_ref_enum_field(Channel, obj, "channel", lineno),
+                cookie_header=cookie_header,
+                redirect_parent_url=redirect_parent_url,
+                event_index=event_index,
+            )
+        if cls is CookieSet:
+            return CookieSet(
+                visit_id=visit_id,
+                stage=_ref_enum_field(InteractionStage, obj, "stage", lineno),
+                set_cookie_header=_ref_str_field(obj, "set_cookie_header", lineno),
+                setter_context_host=_ref_str_field(obj, "setter_context_host", lineno),
+                event_index=event_index,
+            )
+        return VisitEnd(
+            visit_id=visit_id,
+            outcome=_ref_enum_field(VisitOutcome, obj, "outcome", lineno),
+            event_index=event_index,
+        )
+    except (TypeError, AttributeError) as exc:
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: malformed record ({exc})") from None
+
+
+_REF_ACTION_STAGE = {
+    InteractionAction.ACCEPT_CLICKED: InteractionStage.AFTER_ACCEPT,
+    InteractionAction.REJECT_CLICKED: InteractionStage.AFTER_REJECT,
+    InteractionAction.RELOAD: InteractionStage.AFTER_RELOADED_REJECT,
+}
+
+
+class _RefVisitState:
+    def __init__(self):
+        self.stage = InteractionStage.BEFORE_INTERACTION
+        self.saw_body = False
+        self.banner_count = 0
+
+
+def _ref_violation(visit_id, detail):
+    raise InvariantError("SEQUENCE_VIOLATION", f"visit {visit_id!r}: {detail}")
+
+
+def _ref_check_sequence(event, open_visits, closed):
+    visit_id = event.visit_id
+    if isinstance(event, VisitStart):
+        if visit_id in open_visits or visit_id in closed:
+            _ref_violation(visit_id, "duplicate VISIT_START")
+        open_visits[visit_id] = _RefVisitState()
+        return
+    state = open_visits.get(visit_id)
+    if state is None:
+        detail = "event after VISIT_END" if visit_id in closed else "event before VISIT_START"
+        _ref_violation(visit_id, f"{detail} ({type(event).__name__})")
+    if isinstance(event, BannerObserved):
+        if state.saw_body or state.banner_count:
+            _ref_violation(visit_id, "BANNER_OBSERVED not immediately after VISIT_START")
+        state.banner_count += 1
+        return
+    if isinstance(event, VisitEnd):
+        del open_visits[visit_id]
+        closed.add(visit_id)
+        return
+    state.saw_body = True
+    if isinstance(event, Interaction):
+        if event.resulting_stage is not _REF_ACTION_STAGE[event.action]:
+            _ref_violation(visit_id, f"{event.action.value} cannot result in stage {event.resulting_stage.name}")
+        if event.resulting_stage <= state.stage:
+            _ref_violation(visit_id, f"stage {event.resulting_stage.name} does not advance past {state.stage.name}")
+        state.stage = event.resulting_stage
+        return
+    if event.stage is not state.stage:
+        _ref_violation(
+            visit_id, f"{type(event).__name__} at stage {event.stage.name} while visit is at {state.stage.name}"
+        )
+
+
+def _ref_parse_log_text(text):
+    events = []
+    open_visits, closed = {}, set()
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: record is not an object")
+        if not header_seen:
+            if obj.get("format_version") != 1:
+                raise InputError(
+                    "MALFORMED_RECORD", f"line {lineno}: expected header record {{'format_version': 1}}, got {obj!r}"
+                )
+            header_seen = True
+            continue
+        event = _ref_record_to_event(obj, lineno, len(events))
+        _ref_check_sequence(event, open_visits, closed)
+        events.append(event)
+    if not header_seen:
+        raise InputError("MALFORMED_RECORD", "missing format_version header record")
+    if open_visits:
+        raise InvariantError("SEQUENCE_VIOLATION", f"visit {next(iter(open_visits))!r} has no VISIT_END")
+    return events
+
+
+def _ref_load(texts):
+    merged, seen_visits = [], set()
+    for events in [_ref_parse_log_text(text) for text in texts]:
+        file_visits = {e.visit_id for e in events}
+        overlap = file_visits & seen_visits
+        if overlap:
+            raise InvariantError("SEQUENCE_VIOLATION", f"visit ids repeat across merged logs: {sorted(overlap)[:5]}")
+        seen_visits |= file_visits
+        merged += [dataclasses.replace(e, event_index=len(merged) + i) for i, e in enumerate(events)]
+    return merged
+
+
+_HOST_FIELDS = {VisitStart: "site", HttpRequest: "target_host", CookieSet: "setter_context_host"}
+
+
+def _load_outcome(load, *, fold_hosts=False):
+    """("ok", events) or ("error", (type, code, message)); the reference's hosts are case-folded."""
+    try:
+        events = load()
+    except PipelineError as exc:
+        return "error", (type(exc), exc.code, exc.message)
+    if fold_hosts:
+        for i, event in enumerate(events):
+            field = _HOST_FIELDS.get(type(event))
+            if field and not getattr(event, field).islower():
+                events[i] = dataclasses.replace(event, **{field: getattr(event, field).lower()})
+    return "ok", events
+
+
+def _upper_case_hosts(text):
+    """The log with every host field upper-cased: the one input the two loaders read differently."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        for field in ("site", "target_host", "setter_context_host"):
+            if field in record:
+                record[field] = record[field].upper()
+        lines[i] = json.dumps(record)
+    return "\n".join(lines) + "\n"
+
+
+def test_single_pass_loader_matches_two_pass_reference(tmp_path):
+    """Random ecosystems merged from 1-3 logs, and every C8 mutant: same events or same error."""
+    from test_acceptance import c8_corpus
+
+    cases = []  # (what the case covers, the texts of its logs)
+    for seed in range(200):
+        config = random_config(random.Random(seed))
+        labels = [f"r{j}" for j in range(1 + seed % 3)]
+        what = "merged" if len(labels) > 1 else "single"
+        if seed % 25 == 1:
+            labels, what = ["r0"] * len(labels), "collision"
+        texts = [serialize(sim.generate(config, seed + j, run_label=label)) for j, label in enumerate(labels)]
+        if seed % 20 == 0:
+            texts[-1], what = _upper_case_hosts(texts[-1]), "upper-case"
+        cases.append((what, texts))
+    cases += [("mutant", [text]) for text, _code, _exit in c8_corpus()]
+
+    seen = {}
+    for n, (what, texts) in enumerate(cases):
+        paths = []
+        for j, text in enumerate(texts):
+            paths.append(tmp_path / f"{n}-{j}.log")
+            paths[-1].write_text(text, encoding="utf-8")
+        expected = _load_outcome(lambda: _ref_load(texts), fold_hosts=True)
+        got = _load_outcome(lambda: _load_logs(paths))
+        assert got[0] == expected[0], (n, what, expected[1] if expected[0] == "error" else got[1])
+        assert got == expected, (n, what)
+        seen[what, got[0]] = seen.get((what, got[0]), 0) + 1
+    assert seen[("merged", "ok")] >= 100 and seen[("upper-case", "ok")] == 10, seen
+    assert seen[("collision", "error")] >= 5 and seen[("mutant", "error")] >= 500, seen
