@@ -1,15 +1,31 @@
 """Command-line entry point tying the pipeline together.
 
 Subcommands: ``simulate``, ``build-jar``, ``detect``, ``report``,
-``filter-convert``, ``validate-log``.  Exit codes: 0 on success, 1 on input
-errors, 2 on invariant violations.  Diagnostics go to stderr (as JSON records
-with ``--errors json``); data goes to files or stdout.
+``filter-convert``, ``validate-log``.  Diagnostics go to stderr (as JSON
+records with ``--errors json``); data goes to files or stdout.
+
+Exit codes:
+
+  0  success (also ``--help``)
+  1  input error: malformed or unusable input, bad config, I/O, or a
+     command-line usage error (``USAGE_ERROR``)
+  2  invariant violation by otherwise well-formed input (event sequencing)
+
+A failure exits with one error record on stderr, never a Python traceback.
+A usage error is reported as text when ``--errors`` itself is the problem.
+
+``main`` is safe to call repeatedly in one process: the argument parser is
+built on the first call and shared by the later ones, and each call parses
+into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,9 +70,11 @@ def load_pipeline_config(path: str, *, jar_is_output: bool = False) -> PipelineC
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError("INVALID_CONFIG", f"{path}: not valid JSON ({exc.msg})") from None
-    filter_lists = obj.get("filter_lists", {})
-    sample = obj.get("sample") or {}
+    except RecursionError:
+        raise InputError("INVALID_CONFIG", f"{path}: not valid JSON (nested too deeply)") from None
     try:
+        filter_lists = obj.get("filter_lists", {})
+        sample = obj.get("sample") or {}
         config = PipelineConfig(
             psl_path=obj.get("psl_path"),
             plain_filter_lists=tuple(filter_lists.get("plain", [])),
@@ -207,18 +225,69 @@ def finding_to_record(finding: IntractableFinding) -> dict:
     }
 
 
-def finding_from_record(obj: dict) -> IntractableFinding:
+# The exact JSON types each findings field may have, in record order.
+_FINDING_FIELD_TYPES = {
+    "name": {str},
+    "host": {str},
+    "partition": {str, type(None)},
+    "value_at_send": {str},
+    "sender_site": {str},
+    "tracker_domain": {str},
+    "setter_sites": {list},
+    "stage": {str},
+    "channel": {str},
+    "visit_id": {str},
+    "event_index": {int},
+    "canonical": {bool},
+}
+_finding_values = operator.itemgetter(*_FINDING_FIELD_TYPES)
+# Every allowed combination of field types, so that one lookup checks a whole
+# record.  Exact types: a boolean is not an ``event_index``.
+_FINDING_TYPE_ROWS = frozenset(itertools.product(*_FINDING_FIELD_TYPES.values()))
+_STAGES = InteractionStage.__members__
+_CHANNELS = Channel.__members__
+
+
+def finding_from_record(obj) -> IntractableFinding:
+    """Build a finding from its record, checking every field.
+
+    Raises:
+        ValueError: naming the first field that is missing, of the wrong
+            type, or (``stage``, ``channel``) not a member name.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("record is not an object")
+    try:
+        values = _finding_values(obj)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    if tuple(map(type, values)) not in _FINDING_TYPE_ROWS:
+        for (name, types), value in zip(_FINDING_FIELD_TYPES.items(), values):
+            if type(value) not in types:
+                raise ValueError(f"bad {name} {value!r}")
+    (name, host, partition, value_at_send, sender_site, tracker_domain, setter_sites,
+     stage, channel, visit_id, event_index, canonical) = values
+    try:
+        "".join(setter_sites)  # checks in one C loop that every item is a string
+    except TypeError:
+        raise ValueError(f"bad setter_sites {setter_sites!r}") from None
+    stage_member = _STAGES.get(stage)
+    if stage_member is None:
+        raise ValueError(f"bad stage {stage!r}")
+    channel_member = _CHANNELS.get(channel)
+    if channel_member is None:
+        raise ValueError(f"bad channel {channel!r}")
     return IntractableFinding(
-        key=CookieKey(obj["name"], obj["host"], obj["partition"]),
-        value_at_send=obj["value_at_send"],
-        sender_site=obj["sender_site"],
-        tracker_domain=obj["tracker_domain"],
-        setter_sites=tuple(obj["setter_sites"]),
-        stage=InteractionStage[obj["stage"]],
-        channel=Channel[obj["channel"]],
-        visit_id=obj["visit_id"],
-        event_index=obj["event_index"],
-        canonical=obj["canonical"],
+        key=CookieKey(name, host, partition),
+        value_at_send=value_at_send,
+        sender_site=sender_site,
+        tracker_domain=tracker_domain,
+        setter_sites=tuple(setter_sites),
+        stage=stage_member,
+        channel=channel_member,
+        visit_id=visit_id,
+        event_index=event_index,
+        canonical=canonical,
     )
 
 
@@ -245,6 +314,8 @@ def _read_ndjson(path: str) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: {exc.msg}") from None
+            except RecursionError:
+                raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: nested too deeply") from None
             if not header_seen:
                 if not isinstance(obj, dict) or obj.get("format_version") != NDJSON_VERSION:
                     raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: missing format_version header")
@@ -256,13 +327,22 @@ def _read_ndjson(path: str) -> list[dict]:
     return records
 
 
-def _read_findings(path: str) -> list[IntractableFinding]:
+def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableFinding]:
+    """Read a findings file; with ``jar``, each finding's cookie must be one of its entries."""
     findings = []
     for index, obj in enumerate(_read_ndjson(path)):
         try:
-            findings.append(finding_from_record(obj))
-        except (KeyError, TypeError) as exc:
+            finding = finding_from_record(obj)
+        except ValueError as exc:
             raise InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}") from None
+        if jar is not None and finding.key not in jar.entries:
+            key = finding.key
+            raise InputError(
+                "FINDING_NOT_IN_JAR",
+                f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
+                f"(partition {key.partition!r}) is not in the jar",
+            )
+        findings.append(finding)
     return findings
 
 
@@ -342,8 +422,8 @@ def _cmd_detect(args, error_format: str) -> int:
 
 def _cmd_report(args, error_format: str) -> int:
     _apply_config(args)
-    findings = _read_findings(args.findings)
     jar = CookieJar.load(_require_option(args, "jar", "--jar"))
+    findings = _read_findings(args.findings, jar)
     events = _load_logs(_require_option(args, "log", "--log"))
     visits = crawllog.summarize_visits(events)
     rejected_sites = sorted(
@@ -418,8 +498,23 @@ def _cmd_validate_log(args, error_format: str) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ``InputError`` instead of exiting 2."""
+
+    def error(self, message: str):
+        raise InputError("USAGE_ERROR", f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cookietrail", description=__doc__)
+    """Return the CLI's argument parser, built on the first call.
+
+    The one parser is shared by every later call, and so by every ``main``
+    call in the process: do not mutate it.  Parsing leaves it unchanged.
+    """
+    parser = _ArgumentParser(
+        prog="cookietrail", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--errors", choices=["text", "json"], default="text",
                         help="diagnostic format on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -484,9 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code (see the module docstring)."""
+    # Errors raised before ``--errors`` is parsed are reported as text.
+    args = argparse.Namespace(errors="text")
     try:
+        build_parser().parse_args(argv, args)
         return args.func(args, args.errors)
     except InvariantError as exc:
         _emit_error(exc, args.errors)

@@ -420,6 +420,8 @@ def parse_log(lines: Iterable[str], first_index: int = 0) -> list[CrawlEvent]:
             obj, end = _decode_json(line)
         except json.JSONDecodeError:
             end = -1
+        except RecursionError:
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON (nested too deeply)") from None
         if end != len(line):
             # Decode again as json.loads does, for its error message.
             try:

@@ -219,6 +219,8 @@ class CookieJar:
             raise
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError("CORRUPT_SNAPSHOT", f"{path}: {exc}") from None
+        except RecursionError:
+            raise InputError("CORRUPT_SNAPSHOT", f"{path}: JSON nested too deeply") from None
         return cls(entries=entries, history=history, accepted_sites=accepted)
 
 

@@ -285,6 +285,8 @@ class EcosystemConfig:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError("INVALID_CONFIG", f"config is not valid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise InputError("INVALID_CONFIG", "config is not valid JSON: nested too deeply") from None
         return cls.from_obj(obj)
 
     @classmethod

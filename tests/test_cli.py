@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cookietrail.cli import _load_logs, main
+import cookietrail
+from cookietrail import cli
+from cookietrail.cli import _load_logs, build_parser, main
 from cookietrail.crawllog import CookieSet, parse_log_text
-from cookietrail.jar import CookieJar
+from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -283,6 +289,13 @@ class TestPipelineConfig:
         code = _run(["detect", "--config", config, "--out", workspace / "f.jsonl"])
         assert code == 1
 
+    @pytest.mark.parametrize("text", ["[]", '{"filter_lists": []}', '{"sample": 5}'])
+    def test_mistyped_config_is_invalid_config(self, tmp_path, capsys, text):
+        config = tmp_path / "pipeline.json"
+        config.write_text(text)
+        assert _run(["--errors", "json", "detect", "--config", config, "--out", tmp_path / "f.jsonl"]) == 1
+        assert _json_error(capsys)["error"] == "INVALID_CONFIG"
+
     def test_merged_logs(self, workspace, tmp_path):
         # Colliding visit ids are rejected outright.
         code = _run(
@@ -420,3 +433,266 @@ class TestFilterConvert:
         adblock.write_text("||tracker.net^\n")
         assert _run(["filter-convert", "--adblock", adblock]) == 0
         assert capsys.readouterr().out == "tracker.net\n"
+
+
+def _run_fresh(args, cwd) -> subprocess.CompletedProcess:
+    """Run the CLI in a new interpreter, the way the installed script runs."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cookietrail.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-m", "cookietrail.cli", *map(str, args)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _json_error(capsys) -> dict:
+    """The single JSON error record on stderr; a traceback there fails the test."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+class TestSharedParser:
+    # (exit code, argv): one chain.  The second detect drops --resets-out,
+    # --syncs-out and --psl, and the last command drops --errors json, so an
+    # option carried over from an earlier call would change what is written.
+    SEQUENCE = (
+        (0, ["simulate", "--config", DEMO / "ecosystem.json", "--seed", 7, "--out", "run.log",
+             "--trackers-out", "trackers.txt", "--truth-out", "truth.json"]),
+        (0, ["build-jar", "--log", "run.log", "--out", "jar.snap"]),
+        (0, ["detect", "--jar", "jar.snap", "--log", "run.log", "--psl", DEMO / "psl.dat",
+             "--trackers", "trackers.txt", "--out", "f1.jsonl", "--resets-out", "resets.jsonl",
+             "--syncs-out", "syncs.jsonl"]),
+        (0, ["detect", "--jar", "jar.snap", "--log", "run.log", "--trackers", "trackers.txt", "--out", "f2.jsonl"]),
+        (0, ["report", "--findings", "f1.jsonl", "--jar", "jar.snap", "--log", "run.log", "--psl", DEMO / "psl.dat",
+             "--trackers", "trackers.txt", "--resets", "resets.jsonl", "--syncs", "syncs.jsonl",
+             "--out", "report1"]),
+        (0, ["report", "--findings", "f2.jsonl", "--jar", "jar.snap", "--log", "run.log", "--out", "report2"]),
+        (1, ["--errors", "json", "validate-log", "--log", "missing.log"]),
+        (1, ["validate-log", "--log", "missing.log"]),
+    )
+
+    @staticmethod
+    def _tree(root: Path) -> dict[str, bytes]:
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def test_sequence_in_one_process_matches_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        shared.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(shared)
+        for code, command in self.SEQUENCE:
+            assert _run(command) == code, command
+            if "--resets-out" in command:
+                # Set aside: a --resets-out or --syncs-out carried over to the next detect would rewrite them.
+                kept = {name: Path(name).read_bytes() for name in ("resets.jsonl", "syncs.jsonl")}
+                for name in kept:
+                    Path(name).unlink()
+            elif command[0] == "detect":
+                for name, data in kept.items():
+                    assert not Path(name).exists(), name
+                    Path(name).write_bytes(data)
+        shared_err = capsys.readouterr().err
+        fresh_err = ""
+        for code, command in self.SEQUENCE:
+            done = _run_fresh(command, fresh)
+            assert done.returncode == code, done.stderr
+            fresh_err += done.stderr
+        assert shared_err == fresh_err
+        shared_tree, fresh_tree = self._tree(shared), self._tree(fresh)
+        assert shared_tree.keys() == fresh_tree.keys()
+        for name in shared_tree:
+            assert shared_tree[name] == fresh_tree[name], name
+
+    def test_no_option_carries_over_between_parses(self):
+        parser = build_parser()
+        first = parser.parse_args(["detect", "--out", "a", "--resets-out", "r", "--log", "x", "--log", "y"])
+        second = parser.parse_args(["detect", "--out", "b", "--log", "z"])
+        assert (first.resets_out, first.log) == ("r", ["x", "y"])
+        assert (second.resets_out, second.syncs_out, second.psl, second.log) == (None, None, None, ["z"])
+
+    def test_parser_is_built_once_across_calls(self, workspace, monkeypatch):
+        built = []
+        original_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        after_round = []
+        try:
+            for _ in range(3):
+                assert _run(["validate-log", "--log", workspace / "run.log"]) == 0
+                assert _run(["build-jar", "--log", workspace / "run.log", "--out", workspace / "jar.snap"]) == 0
+                after_round.append(len(built))
+        finally:
+            build_parser.cache_clear()
+        # The root parser and its subcommand parsers, built in the first round only.
+        assert built.count("cookietrail") == 1
+        assert after_round[0] > 1
+        assert after_round == after_round[:1] * 3
+
+    def test_patched_build_jar_takes_effect_with_the_parser_cached(self, workspace, monkeypatch):
+        build_parser()
+        calls = []
+        original = cli.build_jar
+
+        def traced(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_jar", traced)
+        for name in ("a", "b"):
+            assert _run(["build-jar", "--log", workspace / "run.log", "--out", workspace / f"{name}.snap"]) == 0
+        assert len(calls) == 2
+        assert (workspace / "a.snap").read_bytes() == (workspace / "b.snap").read_bytes()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["detect", "--jar", "j"], "cookietrail detect: the following arguments are required: --out"),
+            (["simulate", "--config", "c", "--seed", "notanint", "--out", "o"],
+             "cookietrail simulate: argument --seed: invalid int value: 'notanint'"),
+            (["no-such-command"], "cookietrail: argument command: invalid choice"),
+            (["validate-log", "--log", "x", "--bogus"], "cookietrail: unrecognized arguments: --bogus"),
+            ([], "cookietrail: the following arguments are required: command"),
+        ],
+    )
+    def test_usage_error_exits_1_with_a_json_record(self, capsys, argv, message):
+        assert _run(["--errors", "json", *argv]) == 1
+        record = _json_error(capsys)
+        assert record["error"] == "USAGE_ERROR"
+        assert record["message"].startswith(message)
+
+    def test_bad_errors_option_is_reported_as_text(self, capsys):
+        assert _run(["--errors", "xml", "validate-log", "--log", "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: USAGE_ERROR: cookietrail: argument --errors: invalid choice: 'xml'")
+        assert "Traceback" not in err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cookietrail detect")
+
+    def test_usage_error_in_a_fresh_process(self, tmp_path):
+        done = _run_fresh(["--errors", "json", "detect", "--jar", "x"], tmp_path)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "USAGE_ERROR"
+
+
+DEEP = "[" * 200_000
+
+
+@pytest.fixture
+def analyzed(workspace):
+    """The workspace plus its jar.snap and findings.jsonl."""
+    assert _run(["build-jar", "--log", workspace / "run.log", "--out", workspace / "jar.snap"]) == 0
+    assert _run(["detect", "--jar", workspace / "jar.snap", "--log", workspace / "run.log",
+                 "--psl", DEMO / "psl.dat", "--trackers", workspace / "trackers.txt",
+                 "--out", workspace / "findings.jsonl"]) == 0
+    return workspace
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the decoder's recursion limit is the reader's input error, not a traceback."""
+
+    def test_log_readers(self, analyzed, tmp_path, capsys):
+        header = (analyzed / "run.log").read_text().splitlines()[0]
+        deep = tmp_path / "deep.log"
+        deep.write_text(f"{header}\n{DEEP}\n")
+        capsys.readouterr()
+        for command in (
+            ["validate-log", "--log", deep],
+            ["build-jar", "--log", deep, "--out", tmp_path / "jar.snap"],
+            ["detect", "--jar", analyzed / "jar.snap", "--log", deep, "--out", tmp_path / "f.jsonl"],
+        ):
+            assert _run(["--errors", "json", *command]) == 1, command[0]
+            assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
+                                           "message": "line 2: invalid JSON (nested too deeply)"}
+
+    @pytest.mark.parametrize("option", ["--findings", "--resets", "--syncs"])
+    def test_ndjson_readers(self, analyzed, tmp_path, capsys, option):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text(f'{{"format_version":1}}\n{DEEP}\n')
+        inputs = {"--findings": analyzed / "findings.jsonl", option: deep}
+        capsys.readouterr()
+        assert _run(["--errors", "json", "report", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
+                     *(arg for pair in inputs.items() for arg in pair), "--out", tmp_path / "report"]) == 1
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD", "message": f"{deep}:2: nested too deeply"}
+
+    @pytest.mark.parametrize("line", [0, 1])
+    def test_jar_snapshot(self, analyzed, tmp_path, capsys, line):
+        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
+                             "payload_sha256": hashlib.sha256(DEEP.encode()).hexdigest()})
+        deep = tmp_path / "deep.snap"
+        deep.write_text(f"{DEEP}\n{DEEP}\n" if line == 0 else f"{header}\n{DEEP}\n")
+        capsys.readouterr()
+        assert _run(["--errors", "json", "detect", "--jar", deep, "--log", analyzed / "run.log",
+                     "--out", tmp_path / "f.jsonl"]) == 1
+        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT", "message": f"{deep}: JSON nested too deeply"}
+
+    def test_configs(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP)
+        assert _run(["--errors", "json", "simulate", "--config", deep, "--seed", 1, "--out", tmp_path / "x.log"]) == 1
+        assert _json_error(capsys) == {"error": "INVALID_CONFIG",
+                                       "message": "config is not valid JSON: nested too deeply"}
+        assert _run(["--errors", "json", "detect", "--config", deep, "--out", tmp_path / "f.jsonl"]) == 1
+        assert _json_error(capsys) == {"error": "INVALID_CONFIG",
+                                       "message": f"{deep}: not valid JSON (nested too deeply)"}
+
+
+class TestFindingsReader:
+    def _report(self, analyzed, findings: Path) -> int:
+        return _run(["--errors", "json", "report", "--findings", findings, "--jar", analyzed / "jar.snap",
+                     "--log", analyzed / "run.log", "--psl", DEMO / "psl.dat",
+                     "--trackers", analyzed / "trackers.txt", "--out", analyzed / "report"])
+
+    def _mutate(self, analyzed, tmp_path, index: int, mutate) -> Path:
+        lines = (analyzed / "findings.jsonl").read_text().splitlines()
+        assert len(lines) > index + 1
+        record = json.loads(lines[index + 1])
+        mutate(record)
+        lines[index + 1] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        return bad
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("name", 7), ("host", 5), ("partition", 1), ("tracker_domain", 4), ("canonical", "yes"),
+            ("canonical", 1), ("setter_sites", "abc"), ("setter_sites", [3]), ("event_index", "x"),
+            ("event_index", True), ("event_index", 1.5), ("value_at_send", None), ("sender_site", []),
+            ("visit_id", {}), ("stage", "NOT_A_STAGE"), ("stage", ["x"]), ("channel", 3),
+        ],
+    )
+    def test_mistyped_field_exits_1(self, analyzed, tmp_path, capsys, field, value):
+        bad = self._mutate(analyzed, tmp_path, 1, lambda record: record.__setitem__(field, value))
+        capsys.readouterr()
+        assert self._report(analyzed, bad) == 1
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
+                                       "message": f"{bad}: record 1: bad {field} {value!r}"}
+
+    def test_missing_field_exits_1(self, analyzed, tmp_path, capsys):
+        bad = self._mutate(analyzed, tmp_path, 0, lambda record: record.pop("partition"))
+        capsys.readouterr()
+        assert self._report(analyzed, bad) == 1
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
+                                       "message": f"{bad}: record 0: missing field 'partition'"}
+
+    def test_finding_not_in_jar_exits_1(self, analyzed, tmp_path, capsys):
+        bad = self._mutate(analyzed, tmp_path, 2, lambda record: record.__setitem__("name", "elsewhere"))
+        capsys.readouterr()
+        assert self._report(analyzed, bad) == 1
+        record = _json_error(capsys)
+        assert record["error"] == "FINDING_NOT_IN_JAR"
+        assert record["message"].startswith(f"{bad}: record 2: cookie 'elsewhere' of ")
