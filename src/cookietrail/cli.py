@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import crawllog, filterlist, reports, simulator
-from .detector import Detector, IntractableFinding
+from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
 from .errors import InputError, InvariantError, PipelineError
 from .jar import CookieJar, build_jar
 from .model import BannerType, Channel, CookieKey, InteractionStage, Iteration, Phase, VisitOutcome
@@ -225,25 +225,40 @@ def finding_to_record(finding: IntractableFinding) -> dict:
     }
 
 
-# The exact JSON types each findings field may have, in record order.
-_FINDING_FIELD_TYPES = {
-    "name": {str},
-    "host": {str},
-    "partition": {str, type(None)},
-    "value_at_send": {str},
-    "sender_site": {str},
-    "tracker_domain": {str},
-    "setter_sites": {list},
-    "stage": {str},
-    "channel": {str},
-    "visit_id": {str},
-    "event_index": {int},
-    "canonical": {bool},
-}
-_finding_values = operator.itemgetter(*_FINDING_FIELD_TYPES)
-# Every allowed combination of field types, so that one lookup checks a whole
-# record.  Exact types: a boolean is not an ``event_index``.
-_FINDING_TYPE_ROWS = frozenset(itertools.product(*_FINDING_FIELD_TYPES.values()))
+class _RecordFields:
+    """The exact JSON types each field of one record kind may have, in record order.
+
+    ``values`` checks a record against them in one set lookup: every allowed
+    combination of field types is precomputed.  Types are exact: a boolean is
+    not an ``event_index``.
+    """
+
+    def __init__(self, **types: set[type]):
+        self.types = types
+        self.get = operator.itemgetter(*types)
+        self.rows = frozenset(itertools.product(*types.values()))
+
+    def values(self, obj) -> tuple:
+        """The record's field values in order; ``ValueError`` names the first missing or mistyped one."""
+        if not isinstance(obj, dict):
+            raise ValueError("record is not an object")
+        try:
+            values = self.get(obj)
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        if tuple(map(type, values)) not in self.rows:
+            for (name, types), value in zip(self.types.items(), values):
+                if type(value) not in types:
+                    raise ValueError(f"bad {name} {value!r}")
+        return values
+
+
+_OPTIONAL_STR = {str, type(None)}
+_FINDING_FIELDS = _RecordFields(
+    name={str}, host={str}, partition=_OPTIONAL_STR, value_at_send={str}, sender_site={str},
+    tracker_domain={str}, setter_sites={list}, stage={str}, channel={str}, visit_id={str},
+    event_index={int}, canonical={bool},
+)
 _STAGES = InteractionStage.__members__
 _CHANNELS = Channel.__members__
 
@@ -255,18 +270,8 @@ def finding_from_record(obj) -> IntractableFinding:
         ValueError: naming the first field that is missing, of the wrong
             type, or (``stage``, ``channel``) not a member name.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("record is not an object")
-    try:
-        values = _finding_values(obj)
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
-    if tuple(map(type, values)) not in _FINDING_TYPE_ROWS:
-        for (name, types), value in zip(_FINDING_FIELD_TYPES.items(), values):
-            if type(value) not in types:
-                raise ValueError(f"bad {name} {value!r}")
     (name, host, partition, value_at_send, sender_site, tracker_domain, setter_sites,
-     stage, channel, visit_id, event_index, canonical) = values
+     stage, channel, visit_id, event_index, canonical) = _FINDING_FIELDS.values(obj)
     try:
         "".join(setter_sites)  # checks in one C loop that every item is a string
     except TypeError:
@@ -289,6 +294,45 @@ def finding_from_record(obj) -> IntractableFinding:
         event_index=event_index,
         canonical=canonical,
     )
+
+
+# --- resets and syncs NDJSON -------------------------------------------------
+
+
+def reset_to_record(reset: ResetFinding) -> dict:
+    key = reset.key
+    return {"name": key.name, "host": key.host, "partition": key.partition,
+            "sender_site": reset.sender_site, "event_index": reset.event_index}
+
+
+_RESET_FIELDS = _RecordFields(
+    name={str}, host={str}, partition=_OPTIONAL_STR, sender_site={str}, event_index={int}
+)
+
+
+def reset_from_record(obj) -> ResetFinding:
+    """Build a reset from its record; raises ``ValueError`` as ``finding_from_record`` does."""
+    name, host, partition, sender_site, event_index = _RESET_FIELDS.values(obj)
+    return ResetFinding(CookieKey(name, host, partition), sender_site, event_index)
+
+
+def sync_to_record(sync: SyncFinding) -> dict:
+    key = sync.source_key
+    return {"name": key.name, "host": key.host, "partition": key.partition,
+            "carrying_url": sync.carrying_url, "origin_tracker": sync.origin_tracker,
+            "destination_tracker": sync.destination_tracker, "parameter_name": sync.parameter_name}
+
+
+_SYNC_FIELDS = _RecordFields(
+    name={str}, host={str}, partition=_OPTIONAL_STR, carrying_url={str}, origin_tracker={str},
+    destination_tracker={str}, parameter_name={str},
+)
+
+
+def sync_from_record(obj) -> SyncFinding:
+    """Build a sync from its record; raises ``ValueError`` as ``finding_from_record`` does."""
+    name, host, partition, carrying_url, origin, destination, parameter = _SYNC_FIELDS.values(obj)
+    return SyncFinding(CookieKey(name, host, partition), carrying_url, origin, destination, parameter)
 
 
 NDJSON_VERSION = 1
@@ -327,22 +371,29 @@ def _read_ndjson(path: str) -> list[dict]:
     return records
 
 
-def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableFinding]:
-    """Read a findings file; with ``jar``, each finding's cookie must be one of its entries."""
-    findings = []
+def _read_records(path: str, from_record) -> list:
+    """Read an NDJSON file of one record kind, building each record with ``from_record``."""
+    built = []
     for index, obj in enumerate(_read_ndjson(path)):
         try:
-            finding = finding_from_record(obj)
+            built.append(from_record(obj))
         except ValueError as exc:
             raise InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}") from None
-        if jar is not None and finding.key not in jar.entries:
+    return built
+
+
+def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableFinding]:
+    """Read a findings file; with ``jar``, each finding's cookie must be one of its entries."""
+    findings = _read_records(path, finding_from_record)
+    if jar is not None:
+        for index, finding in enumerate(findings):
             key = finding.key
-            raise InputError(
-                "FINDING_NOT_IN_JAR",
-                f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
-                f"(partition {key.partition!r}) is not in the jar",
-            )
-        findings.append(finding)
+            if key not in jar.entries:
+                raise InputError(
+                    "FINDING_NOT_IN_JAR",
+                    f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
+                    f"(partition {key.partition!r}) is not in the jar",
+                )
     return findings
 
 
@@ -391,25 +442,9 @@ def _cmd_detect(args, error_format: str) -> int:
     _emit_issues(result.issues, error_format)
     _write_ndjson(args.out, (finding_to_record(f) for f in result.findings))
     if args.resets_out:
-        _write_ndjson(
-            args.resets_out,
-            (
-                {"name": r.key.name, "host": r.key.host, "partition": r.key.partition,
-                 "sender_site": r.sender_site, "event_index": r.event_index}
-                for r in result.resets
-            ),
-        )
+        _write_ndjson(args.resets_out, map(reset_to_record, result.resets))
     if args.syncs_out:
-        _write_ndjson(
-            args.syncs_out,
-            (
-                {"name": s.source_key.name, "host": s.source_key.host,
-                 "partition": s.source_key.partition, "carrying_url": s.carrying_url,
-                 "origin_tracker": s.origin_tracker, "destination_tracker": s.destination_tracker,
-                 "parameter_name": s.parameter_name}
-                for s in result.syncs
-            ),
-        )
+        _write_ndjson(args.syncs_out, map(sync_to_record, result.syncs))
     stats = result.stats
     print(
         f"detect: {len(result.canonical_findings)} canonical findings over "
@@ -461,8 +496,8 @@ def _cmd_report(args, error_format: str) -> int:
         paywall_setters=paywall_setters,
         tier_cutoffs=tiers,
         gpc_findings=gpc_findings,
-        resets=_read_ndjson(args.resets) if args.resets else None,
-        syncs=_read_ndjson(args.syncs) if args.syncs else None,
+        resets=_read_records(args.resets, reset_from_record) if args.resets else None,
+        syncs=_read_records(args.syncs, sync_from_record) if args.syncs else None,
     )
     out_dir = _require_option(args, "out", "--out")
     manifest = reports.write_report_suite(out_dir, inputs)

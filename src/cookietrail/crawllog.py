@@ -7,6 +7,11 @@ INTERACTION, VISIT_END``.  The stage of a request or cookie-set event must
 equal the stage established by the most recent interaction (initially
 ``BEFORE_INTERACTION``), so stages are non-decreasing by construction.
 
+Each record kind has one encoder and one decoder, side by side in
+``_ENCODERS`` and ``_DECODERS``.  An encoder writes its record's line
+directly, and the bytes are exactly those of ``json.dumps(record,
+sort_keys=True, separators=(",", ":"))``.
+
 Parsing builds each event once, in one pass: a decoder per record kind checks
 the record's fields and its place in its visit's sequence, then constructs the
 event with its final index (``first_index`` lets logs loaded one after another
@@ -16,10 +21,10 @@ are canonicalized at parse time, so every later stage sees canonical hosts.
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
+from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable
 from urllib.parse import urlsplit
 
@@ -111,16 +116,6 @@ class VisitEnd:
 
 CrawlEvent = VisitStart | BannerObserved | Interaction | HttpRequest | CookieSet | VisitEnd
 
-_KIND_NAMES = {
-    VisitStart: "VISIT_START",
-    BannerObserved: "BANNER_OBSERVED",
-    Interaction: "INTERACTION",
-    HttpRequest: "HTTP_REQUEST",
-    CookieSet: "COOKIE_SET",
-    VisitEnd: "VISIT_END",
-}
-
-
 @dataclass(frozen=True)
 class SentCookieObservation:
     """One cookie name/value pair observed in an outgoing request."""
@@ -183,34 +178,6 @@ def banner_from_obj(obj: dict) -> BannerDescriptor:
         for layer in obj.get("layers", [])
     )
     return BannerDescriptor(BannerType(obj["banner_type"]), layers)
-
-
-# --- event <-> record -----------------------------------------------------
-
-
-def event_to_record(event: CrawlEvent) -> dict:
-    record: dict = {"kind": _KIND_NAMES[type(event)]}
-    for f in fields(event):
-        if f.name == "event_index":
-            continue
-        value = getattr(event, f.name)
-        if f.name == "banner":
-            value = banner_to_obj(value)
-        elif isinstance(value, enum.Enum):
-            value = value.name
-        record[f.name] = value
-    return record
-
-
-# --- serialization --------------------------------------------------------
-
-
-def serialize(events: Iterable[CrawlEvent]) -> str:
-    """Serialize events to the NDJSON wire format, header record first."""
-    lines = [json.dumps({"format_version": FORMAT_VERSION}, sort_keys=True, separators=(",", ":"))]
-    for event in events:
-        lines.append(json.dumps(event_to_record(event), sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
 
 
 # --- parsing: one decoder per kind, sequencing checked as each event is built ---
@@ -385,6 +352,74 @@ class _LogParser:
         return VisitEnd(visit_id, outcome, index)
 
 
+# --- writing: one encoder per kind ---------------------------------------------
+#
+# Keys are written in sorted order, enum fields as member names (read from the
+# plain ``_name_`` attribute, cheaper than the ``name`` property), and strings
+# through the escaper ``json.dumps`` applies under ``ensure_ascii`` (``_string``).
+
+
+def _int(value: int) -> str:
+    """An int as ``json.dumps`` writes it: a bool, an int subclass, as ``true`` / ``false``."""
+    return "true" if value is True else "false" if value is False else int.__repr__(value)
+
+
+def _encode_visit_start(e: VisitStart, banners: dict) -> str:
+    return (
+        f'{{"gpc_enabled":{_int(e.gpc_enabled)},"iteration":"{e.iteration._name_}","kind":"VISIT_START",'
+        f'"phase":"{e.phase._name_}","rank":{_int(e.rank)},"site":{_string(e.site)},'
+        f'"visit_id":{_string(e.visit_id)}}}'
+    )
+
+
+def _encode_banner_observed(e: BannerObserved, banners: dict) -> str:
+    """``banners`` memoizes each distinct banner's JSON for one ``serialize`` call."""
+    banner = e.banner
+    key = (banner.banner_type, banner.layers)
+    text = banners.get(key)
+    if text is None:
+        text = banners[key] = json.dumps(banner_to_obj(banner), sort_keys=True, separators=(",", ":"))
+    return f'{{"banner":{text},"kind":"BANNER_OBSERVED","visit_id":{_string(e.visit_id)}}}'
+
+
+def _encode_interaction(e: Interaction, banners: dict) -> str:
+    return (
+        f'{{"action":"{e.action._name_}","kind":"INTERACTION",'
+        f'"resulting_stage":"{e.resulting_stage._name_}","visit_id":{_string(e.visit_id)}}}'
+    )
+
+
+def _encode_http_request(e: HttpRequest, banners: dict) -> str:
+    parent = e.redirect_parent_url
+    return (
+        f'{{"channel":"{e.channel._name_}","cookie_header":{_string(e.cookie_header)},"kind":"HTTP_REQUEST",'
+        f'"redirect_parent_url":{"null" if parent is None else _string(parent)},"stage":"{e.stage._name_}",'
+        f'"target_host":{_string(e.target_host)},"target_url":{_string(e.target_url)},'
+        f'"visit_id":{_string(e.visit_id)}}}'
+    )
+
+
+def _encode_cookie_set(e: CookieSet, banners: dict) -> str:
+    return (
+        f'{{"kind":"COOKIE_SET","set_cookie_header":{_string(e.set_cookie_header)},'
+        f'"setter_context_host":{_string(e.setter_context_host)},"stage":"{e.stage._name_}",'
+        f'"visit_id":{_string(e.visit_id)}}}'
+    )
+
+
+def _encode_visit_end(e: VisitEnd, banners: dict) -> str:
+    return f'{{"kind":"VISIT_END","outcome":"{e.outcome._name_}","visit_id":{_string(e.visit_id)}}}'
+
+
+# Each record kind's encoder and decoder, side by side.
+_ENCODERS = {
+    VisitStart: _encode_visit_start,
+    BannerObserved: _encode_banner_observed,
+    Interaction: _encode_interaction,
+    HttpRequest: _encode_http_request,
+    CookieSet: _encode_cookie_set,
+    VisitEnd: _encode_visit_end,
+}
 _DECODERS = {
     "VISIT_START": _LogParser.visit_start,
     "BANNER_OBSERVED": _LogParser.banner_observed,
@@ -393,6 +428,14 @@ _DECODERS = {
     "COOKIE_SET": _LogParser.cookie_set,
     "VISIT_END": _LogParser.visit_end,
 }
+
+
+def serialize(events: Iterable[CrawlEvent]) -> str:
+    """Serialize events to the NDJSON wire format, header record first."""
+    banners: dict = {}
+    lines = [f'{{"format_version":{FORMAT_VERSION}}}']
+    lines += [_ENCODERS[type(event)](event, banners) for event in events]
+    return "\n".join(lines) + "\n"
 
 
 def parse_log(lines: Iterable[str], first_index: int = 0) -> list[CrawlEvent]:

@@ -187,11 +187,20 @@ class CookieJar:
         try:
             header = json.loads(lines[0])
             payload_line = lines[1]
-            if header.get("format") != SNAPSHOT_FORMAT or header.get("format_version") != SNAPSHOT_VERSION:
+            if (
+                type(header) is not dict
+                or header.get("format") != SNAPSHOT_FORMAT
+                or header.get("format_version") != SNAPSHOT_VERSION
+            ):
                 raise InputError("CORRUPT_SNAPSHOT", f"{path}: unrecognized snapshot header")
             if hashlib.sha256(payload_line.encode()).hexdigest() != header.get("payload_sha256"):
                 raise InputError("CORRUPT_SNAPSHOT", f"{path}: checksum mismatch")
             payload = json.loads(payload_line)
+            if type(payload) is not dict:
+                raise InputError("CORRUPT_SNAPSHOT", f"{path}: payload is not an object")
+            for field in ("entries", "history"):
+                if type(payload[field]) is not list or not all(type(obj) is dict for obj in payload[field]):
+                    raise InputError("CORRUPT_SNAPSHOT", f"{path}: {field} is not a list of objects")
             entries = {}
             for obj in payload["entries"]:
                 key = CookieKey(obj["name"], obj["host"], obj["partition"])

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import analytics
-from .detector import IntractableFinding, channel_split
+from .detector import IntractableFinding, ResetFinding, SyncFinding, channel_split
 from .filterlist import TrackerDomainSet
 from .jar import CookieJar
 from .model import BannerType, InteractionStage, SiteId
@@ -60,10 +60,10 @@ class ReportInputs:
     paywall_setters: set[SiteId]
     tier_cutoffs: Sequence[int]
     gpc_findings: list[IntractableFinding] | None = None
-    # Only counted in the totals table; finding objects or raw records both
-    # work, and None means "not supplied" (blank cell) rather than zero.
-    resets: Sequence | None = None
-    syncs: Sequence | None = None
+    # Only counted in the totals table; None means "not supplied" (blank
+    # cell) rather than zero.
+    resets: list[ResetFinding] | None = None
+    syncs: list[SyncFinding] | None = None
 
 
 def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:

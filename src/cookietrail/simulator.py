@@ -494,22 +494,29 @@ def ground_truth(config: EcosystemConfig, seed: int) -> GroundTruth:
     def listed_match(host: str) -> bool:
         return any(domain_match(host, entry) for entry in listed)
 
+    # Phase 1 is over: the non-partitioned cookies a phase-2 send can carry,
+    # grouped by host.  A cookie for ``host`` attaches to ``target`` exactly
+    # when ``domain_match(target, host)``, that is when ``host`` is one of
+    # the target's label suffixes, so only those groups are read.
+    by_host: dict[str, list[tuple[CookieKey, str]]] = {}
+    for key, value in jar_values.items():
+        if key.partition is None:
+            by_host.setdefault(key.host, []).append((key, value))
+
     def attachable(target: str) -> list[tuple[CookieKey, str]]:
-        return [
-            (key, value)
-            for key, value in jar_values.items()
-            if key.partition is None and domain_match(target, key.host)
-        ]
+        labels = target.split(".")
+        return [pair for i in range(len(labels)) for pair in by_host.get(".".join(labels[i:]), ())]
 
     findings: set[tuple[CookieKey, SiteId, InteractionStage]] = set()
 
-    def record_sends(target: str, sender: SiteId) -> None:
+    def record_sends(target: str, sender: SiteId) -> list[tuple[CookieKey, str]]:
         attached = attachable(target)
         candidates = [key for key, _ in attached]
         for key, value in attached:
             resolved = _resolve_like_detector(key.name, value, candidates, jar_values)
             if listed_match(resolved.host):
                 findings.add((resolved, sender, InteractionStage.BEFORE_INTERACTION))
+        return attached
 
     for site_name in config.schedule.phase2:
         site = config.site(site_name)
@@ -523,11 +530,9 @@ def ground_truth(config: EcosystemConfig, seed: int) -> GroundTruth:
                 continue
             if config.schedule.gpc_enabled and tracker.honors_gpc:
                 continue
-            target = _embed_target(tracker.domain)
-            record_sends(target, site.site)
             # Sync redirects fire when the origin request carried at least one
             # of the origin tracker's cookies, and attach the partner's own.
-            if tracker.sync_partners and attachable(target):
+            if record_sends(_embed_target(tracker.domain), site.site) and tracker.sync_partners:
                 for partner in tracker.sync_partners:
                     record_sends(f"sync.{partner}", site.site)
     return GroundTruth(frozenset(findings), frozenset(jar_values))

@@ -696,3 +696,99 @@ class TestFindingsReader:
         record = _json_error(capsys)
         assert record["error"] == "FINDING_NOT_IN_JAR"
         assert record["message"].startswith(f"{bad}: record 2: cookie 'elsewhere' of ")
+
+
+def _snapshot(path: Path, header, payload: str) -> Path:
+    """A snapshot whose header (``None``: a valid one) checksums ``payload``."""
+    if header is None:
+        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
+                             "payload_sha256": hashlib.sha256(payload.encode()).hexdigest()})
+    path.write_text(f"{header}\n{payload}\n")
+    return path
+
+
+class TestSnapshotReader:
+    @pytest.mark.parametrize(
+        "header, payload, problem",
+        [
+            ("[1]", "{}", "unrecognized snapshot header"),
+            ('"x"', "{}", "unrecognized snapshot header"),
+            (None, "[]", "payload is not an object"),
+            (None, '{"entries":[1],"history":[],"accepted_sites":[]}', "entries is not a list of objects"),
+            (None, '{"entries":{},"history":[],"accepted_sites":[]}', "entries is not a list of objects"),
+            (None, '{"entries":[],"history":["x"],"accepted_sites":[]}', "history is not a list of objects"),
+            (None, '{"entries":[],"history":[[]],"accepted_sites":[]}', "history is not a list of objects"),
+        ],
+    )
+    def test_valid_json_of_the_wrong_shape_is_corrupt(self, analyzed, tmp_path, capsys, header, payload, problem):
+        bad = _snapshot(tmp_path / "bad.snap", header, payload)
+        capsys.readouterr()
+        assert _run(["--errors", "json", "detect", "--jar", bad, "--log", analyzed / "run.log",
+                     "--out", tmp_path / "f.jsonl"]) == 1
+        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT", "message": f"{bad}: {problem}"}
+
+
+class TestResetsAndSyncsReaders:
+    @pytest.fixture
+    def detected(self, analyzed):
+        assert _run(["detect", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
+                     "--psl", DEMO / "psl.dat", "--trackers", analyzed / "trackers.txt",
+                     "--out", analyzed / "findings.jsonl", "--resets-out", analyzed / "resets.jsonl",
+                     "--syncs-out", analyzed / "syncs.jsonl"]) == 0
+        return analyzed
+
+    def _report(self, detected, kind: str, path: Path) -> int:
+        return _run(["--errors", "json", "report", "--findings", detected / "findings.jsonl",
+                     "--jar", detected / "jar.snap", "--log", detected / "run.log", f"--{kind}", path,
+                     "--out", detected / "report"])
+
+    @pytest.mark.parametrize("kind", ["resets", "syncs"])
+    def test_records_decode_to_what_detect_found(self, detected, kind):
+        records = [json.loads(line) for line in (detected / f"{kind}.jsonl").read_text().splitlines()[1:]]
+        assert records
+        to_record, from_record = {"resets": (cli.reset_to_record, cli.reset_from_record),
+                                  "syncs": (cli.sync_to_record, cli.sync_from_record)}[kind]
+        assert [to_record(from_record(record)) for record in records] == records
+        assert self._report(detected, kind, detected / f"{kind}.jsonl") == 0
+        header, row = (detected / "report" / "totals.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))[kind] == str(len(records))
+
+    @pytest.mark.parametrize("kind", ["resets", "syncs"])
+    @pytest.mark.parametrize(
+        "mutate, problem",
+        [
+            (lambda records: [[1, 2], "x"], "record 0: record is not an object"),
+            (lambda records: [records[0], 7], "record 1: record is not an object"),
+            (lambda records: [{k: v for k, v in records[0].items() if k != "name"}], "record 0: missing field 'name'"),
+            (lambda records: [records[0], {**records[0], "host": 5}], "record 1: bad host 5"),
+            (lambda records: [{**records[0], "partition": False}], "record 0: bad partition False"),
+        ],
+    )
+    def test_bad_record_exits_1(self, detected, tmp_path, capsys, kind, mutate, problem):
+        lines = (detected / f"{kind}.jsonl").read_text().splitlines()
+        records = mutate([json.loads(line) for line in lines[1:]])
+        bad = tmp_path / f"{kind}.jsonl"
+        bad.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+        capsys.readouterr()
+        assert self._report(detected, kind, bad) == 1
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD", "message": f"{bad}: {problem}"}
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("resets", "event_index", True),
+            ("resets", "event_index", "3"),
+            ("resets", "sender_site", None),
+            ("syncs", "carrying_url", 1),
+            ("syncs", "parameter_name", []),
+        ],
+    )
+    def test_mistyped_field_exits_1(self, detected, tmp_path, capsys, kind, field, value):
+        lines = (detected / f"{kind}.jsonl").read_text().splitlines()
+        record = {**json.loads(lines[1]), field: value}
+        bad = tmp_path / f"{kind}.jsonl"
+        bad.write_text(f"{lines[0]}\n{json.dumps(record)}\n")
+        capsys.readouterr()
+        assert self._report(detected, kind, bad) == 1
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
+                                       "message": f"{bad}: record 0: bad {field} {value!r}"}

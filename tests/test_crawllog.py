@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import random
 from urllib.parse import urlsplit
@@ -29,7 +30,12 @@ from cookietrail.crawllog import (
 )
 from cookietrail.errors import InputError, InvariantError, ParseIssue, PipelineError
 from cookietrail.model import (
+    BannerButton,
+    BannerDescriptor,
+    BannerLayer,
+    BannerToggle,
     BannerType,
+    ButtonAction,
     Channel,
     ConsentState,
     InteractionAction,
@@ -637,3 +643,110 @@ def test_single_pass_loader_matches_two_pass_reference(tmp_path):
         seen[what, got[0]] = seen.get((what, got[0]), 0) + 1
     assert seen[("merged", "ok")] >= 100 and seen[("upper-case", "ok")] == 10, seen
     assert seen[("collision", "error")] >= 5 and seen[("mutant", "error")] >= 500, seen
+
+
+# --- the per-kind encoders against the generic encoder they replaced --------------------------
+#
+# A copy of the path ``serialize`` took before each record kind had its own
+# encoder: every dataclass field, enums by name, through ``json.dumps``.  The
+# encoders must write the same bytes.
+
+
+def _ref_banner_to_obj(banner):
+    return {
+        "banner_type": banner.banner_type.value,
+        "layers": [
+            {
+                "buttons": [[b.label, b.action.value] for b in layer.buttons],
+                "toggles": [[t.category, t.preselected, t.essential] for t in layer.toggles],
+            }
+            for layer in banner.layers
+        ],
+    }
+
+
+_REF_KIND_NAMES = {cls: kind for kind, cls in _REF_KINDS.items()}
+
+
+def _ref_event_to_record(event):
+    record = {"kind": _REF_KIND_NAMES[type(event)]}
+    for f in dataclasses.fields(event):
+        if f.name == "event_index":
+            continue
+        value = getattr(event, f.name)
+        if f.name == "banner":
+            value = _ref_banner_to_obj(value)
+        elif isinstance(value, enum.Enum):
+            value = value.name
+        record[f.name] = value
+    return record
+
+
+def _ref_serialize(events):
+    lines = [json.dumps({"format_version": 1}, sort_keys=True, separators=(",", ":"))]
+    for event in events:
+        lines.append(json.dumps(_ref_event_to_record(event), sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+# Strings the escaper must treat as json.dumps does: quote, backslash, control
+# characters, a JSON-legal but JavaScript-hostile separator, non-ASCII,
+# non-BMP (written as a surrogate pair) and a lone surrogate.
+_AWKWARD = ['q"uote', "back\\slash", "ctl\x00\x01\x1f\x7f\n\r\t\b\f", "sep \u2028 \u2029", "caf\u00e9 \u4e2d",
+            "emoji \U0001F36A", "lone \ud800 \udfff", ""]
+
+
+def _hand_built_events():
+    events = []
+    for n, text in enumerate(_AWKWARD):
+        banner = BannerDescriptor(
+            BannerType.CMP,
+            (
+                BannerLayer(buttons=(BannerButton(text, ButtonAction.ACCEPT),
+                                     BannerButton("Settings", ButtonAction.SETTINGS))),
+                BannerLayer(buttons=(BannerButton("Save", ButtonAction.SAVE),),
+                            toggles=(BannerToggle(text, n % 2 == 0, n % 3 == 0),)),
+            ),
+        )
+        events += [
+            VisitStart(text, text, n + 1, Phase.STATELESS_MEASURE, Iteration.REJECT_ITER, n % 2 == 0),
+            BannerObserved(text, banner),
+            HttpRequest(text, InteractionStage.BEFORE_INTERACTION, text, text, Channel.API_CALL, text, text),
+            HttpRequest(text, InteractionStage.AFTER_REJECT, text, text, Channel.RESOURCE_FETCH, text, None),
+            CookieSet(text, InteractionStage.AFTER_RELOADED_REJECT, text, text),
+            Interaction(text, InteractionAction.RELOAD, InteractionStage.AFTER_RELOADED_REJECT),
+            VisitEnd(text, VisitOutcome.INTERACTION_FAILED),
+        ]
+    # Banners that share a type but not their layers, and equal banners built twice.
+    for reject in (True, False, True):
+        events.append(BannerObserved("b", native_banner(reject=reject)))
+    events.append(BannerObserved("b", BannerDescriptor(BannerType.NATIVE)))
+    events.append(BannerObserved("b", BannerDescriptor(BannerType.NONE)))
+    # An int field is written as json writes an int, including a bool or a huge one.
+    for rank, gpc in ((True, False), (False, True), (2**70, True), (1, False)):
+        events.append(VisitStart("r", "r.com", rank, Phase.STATEFUL_ACCEPT, Iteration.ACCEPT_ITER, gpc))
+    return events
+
+
+def test_encoders_match_generic_encoder():
+    """C8 logs that parse, 200 random ecosystems and hand-built awkward events: identical bytes."""
+    from test_acceptance import c8_corpus
+
+    logs = [_hand_built_events()]
+    logs += [sim.generate(random_config(random.Random(seed)), seed) for seed in range(200)]
+    for text, _code, _exit in c8_corpus():
+        try:
+            logs.append(parse_log_text(text))
+        except PipelineError:
+            pass
+    for n, events in enumerate(logs):
+        assert serialize(events) == _ref_serialize(events), n
+    assert serialize([]) == _ref_serialize([])
+    assert len(logs) >= 250, len(logs)
+
+    kinds = {type(e) for events in logs for e in events}
+    assert kinds == set(_REF_KIND_NAMES)
+    requests = [e for events in logs for e in events if isinstance(e, HttpRequest)]
+    assert {e.redirect_parent_url is None for e in requests} == {True, False}
+    starts = [e for events in logs for e in events if isinstance(e, VisitStart)]
+    assert {e.gpc_enabled for e in starts} == {True, False}

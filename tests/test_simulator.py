@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +255,91 @@ class TestGroundTruth:
             got = {(f.key, f.sender_site, f.stage) for f in result.canonical_findings}
             assert got == truth.expected_findings, f"seed {seed}"
             assert set(jar.entries) == set(truth.expected_jar_keys), f"seed {seed}"
+
+
+# --- the grouped oracle against the scan it replaced ----------------------------------------
+#
+# A copy of ``ground_truth`` as it was when every phase-2 send scanned the
+# whole phase-1 jar, partitioned entries included, for attachable cookies.
+
+
+def _ref_ground_truth(config: sim.EcosystemConfig, seed: int) -> sim.GroundTruth:
+    config.validate()
+    jar_values: dict[CookieKey, str] = {}
+    for site_name in config.schedule.phase1:
+        site = config.site(site_name)
+        if not sim.can_accept(site.banner):
+            continue
+        for embed in site.embeds:
+            tracker = config.tracker(embed.tracker)
+            partition = site.site if tracker.sets_partitioned else None
+            for cookie in tracker.cookies:
+                key = CookieKey(cookie.name, tracker.domain, partition)
+                if cookie.lifetime is not None and cookie.lifetime <= 0:
+                    jar_values.pop(key, None)
+                else:
+                    jar_values[key] = cookie.value.generate(seed, tracker.domain, cookie.name, site.site)
+
+    listed = {t.domain for t in config.trackers if t.listed}
+
+    def attachable(target):
+        return [
+            (key, value)
+            for key, value in jar_values.items()
+            if key.partition is None and domain_match(target, key.host)
+        ]
+
+    findings = set()
+
+    def record_sends(target, sender):
+        attached = attachable(target)
+        candidates = [key for key, _ in attached]
+        for key, value in attached:
+            resolved = sim._resolve_like_detector(key.name, value, candidates, jar_values)
+            if any(domain_match(resolved.host, entry) for entry in listed):
+                findings.add((resolved, sender, InteractionStage.BEFORE_INTERACTION))
+
+    for site_name in config.schedule.phase2:
+        site = config.site(site_name)
+        if site.banner.banner_type is BannerType.NONE:
+            continue
+        if sim.plan_rejection(site.banner).outcome is not sim.RejectionOutcome.REJECTED:
+            continue
+        for embed in site.embeds:
+            tracker = config.tracker(embed.tracker)
+            if embed.policy is sim.EmbedLoadPolicy.POST_ACCEPT_ONLY:
+                continue
+            if config.schedule.gpc_enabled and tracker.honors_gpc:
+                continue
+            target = f"cdn.{tracker.domain}"
+            record_sends(target, site.site)
+            if tracker.sync_partners and attachable(target):
+                for partner in tracker.sync_partners:
+                    record_sends(f"sync.{partner}", site.site)
+    return sim.GroundTruth(frozenset(findings), frozenset(jar_values))
+
+
+def _benchmark_workloads():
+    """The benchmark's frozen ecosystem generators (``perfbench/workloads.py``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grouped_oracle_matches_full_scan():
+    """200 random ecosystems and the crawl-scale and oracle-sweep configs of two seeds: same truth."""
+    workloads = _benchmark_workloads()
+    cases = [(random_config(random.Random(seed)), seed) for seed in range(200)]
+    for seed in (1, 2):
+        cases += [(config, seed) for config in workloads.crawl_scale(seed) + workloads.oracle_sweep(seed)]
+    with_findings = 0
+    for n, (config, seed) in enumerate(cases):
+        truth = sim.ground_truth(config, seed).to_obj()
+        assert truth == _ref_ground_truth(config, seed).to_obj(), n
+        with_findings += bool(truth["expected_findings"])
+    assert len(cases) >= 400 and with_findings >= 200, (len(cases), with_findings)
 
 
 class TestScenarioShapes:
