@@ -17,24 +17,33 @@ A usage error is reported as text when ``--errors`` itself is the problem.
 ``main`` is safe to call repeatedly in one process: the argument parser is
 built on the first call and shared by the later ones, and each call parses
 into a fresh namespace.
+
+Findings are NDJSON, one line per finding.  ``detect`` writes each line with
+the hand encoder ``encode_finding``, byte for byte what ``json.dumps`` wrote,
+encoding each distinct setter list once per file.  ``report`` reads the file
+as a stream and checks every record; a finding whose setter list equals the
+``--jar`` snapshot's holds the jar's own tuple, so ``report`` keeps one copy
+of each distinct setter list, not one per finding.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import operator
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import crawllog, filterlist, reports, simulator
 from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
 from .errors import InputError, InvariantError, PipelineError
 from .jar import CookieJar, build_jar
-from .model import BannerType, Channel, CookieKey, InteractionStage, Iteration, Phase, VisitOutcome
+from .model import (
+    OPTIONAL_STR, BannerType, Channel, CookieKey, InteractionStage, Iteration, Phase, RecordFields, VisitOutcome
+)
 from .psl import EMPTY_RULESET, PslRuleSet, load_psl
 
 DEFAULT_TIERS = (50, 500, 1000, 5000, 10000)
@@ -208,54 +217,32 @@ def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
 # --- findings NDJSON ---------------------------------------------------------
 
 
-def finding_to_record(finding: IntractableFinding) -> dict:
-    return {
-        "name": finding.key.name,
-        "host": finding.key.host,
-        "partition": finding.key.partition,
-        "value_at_send": finding.value_at_send,
-        "sender_site": finding.sender_site,
-        "tracker_domain": finding.tracker_domain,
-        "setter_sites": list(finding.setter_sites),
-        "stage": finding.stage.name,
-        "channel": finding.channel.name,
-        "visit_id": finding.visit_id,
-        "event_index": finding.event_index,
-        "canonical": finding.canonical,
-    }
+def encode_finding(finding: IntractableFinding, setters: dict) -> str:
+    """A finding's record line, byte for byte ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.
 
-
-class _RecordFields:
-    """The exact JSON types each field of one record kind may have, in record order.
-
-    ``values`` checks a record against them in one set lookup: every allowed
-    combination of field types is precomputed.  Types are exact: a boolean is
-    not an ``event_index``.
+    Keys are written in sorted order, enums by member name and strings through
+    the escaper ``json.dumps`` applies under ``ensure_ascii``.  ``setters``
+    memoizes each distinct ``setter_sites`` tuple's JSON for one file, keyed
+    by identity; it keeps the tuple, so the id is not reused while it lives.
     """
-
-    def __init__(self, **types: set[type]):
-        self.types = types
-        self.get = operator.itemgetter(*types)
-        self.rows = frozenset(itertools.product(*types.values()))
-
-    def values(self, obj) -> tuple:
-        """The record's field values in order; ``ValueError`` names the first missing or mistyped one."""
-        if not isinstance(obj, dict):
-            raise ValueError("record is not an object")
-        try:
-            values = self.get(obj)
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc}") from None
-        if tuple(map(type, values)) not in self.rows:
-            for (name, types), value in zip(self.types.items(), values):
-                if type(value) not in types:
-                    raise ValueError(f"bad {name} {value!r}")
-        return values
+    key = finding.key
+    sites = finding.setter_sites
+    memo = setters.get(id(sites))
+    if memo is None:
+        memo = setters[id(sites)] = (sites, f"[{','.join(map(_string, sites))}]")
+    partition = key.partition
+    return (
+        f'{{"canonical":{"true" if finding.canonical else "false"},"channel":"{finding.channel._name_}",'
+        f'"event_index":{int.__repr__(finding.event_index)},"host":{_string(key.host)},'
+        f'"name":{_string(key.name)},"partition":{"null" if partition is None else _string(partition)},'
+        f'"sender_site":{_string(finding.sender_site)},"setter_sites":{memo[1]},'
+        f'"stage":"{finding.stage._name_}","tracker_domain":{_string(finding.tracker_domain)},'
+        f'"value_at_send":{_string(finding.value_at_send)},"visit_id":{_string(finding.visit_id)}}}'
+    )
 
 
-_OPTIONAL_STR = {str, type(None)}
-_FINDING_FIELDS = _RecordFields(
-    name={str}, host={str}, partition=_OPTIONAL_STR, value_at_send={str}, sender_site={str},
+_FINDING_FIELDS = RecordFields(
+    name={str}, host={str}, partition=OPTIONAL_STR, value_at_send={str}, sender_site={str},
     tracker_domain={str}, setter_sites={list}, stage={str}, channel={str}, visit_id={str},
     event_index={int}, canonical={bool},
 )
@@ -263,8 +250,12 @@ _STAGES = InteractionStage.__members__
 _CHANNELS = Channel.__members__
 
 
-def finding_from_record(obj) -> IntractableFinding:
+def finding_from_record(obj, jar: CookieJar | None = None) -> IntractableFinding:
     """Build a finding from its record, checking every field.
+
+    With ``jar``, a ``setter_sites`` equal to ``jar.setters_of(key)`` is read
+    as the jar's own tuple, so findings share it.  The jar holds only strings
+    (``CookieJar.load`` checks), so an equal list needs no item check.
 
     Raises:
         ValueError: naming the first field that is missing, of the wrong
@@ -272,10 +263,16 @@ def finding_from_record(obj) -> IntractableFinding:
     """
     (name, host, partition, value_at_send, sender_site, tracker_domain, setter_sites,
      stage, channel, visit_id, event_index, canonical) = _FINDING_FIELDS.values(obj)
-    try:
-        "".join(setter_sites)  # checks in one C loop that every item is a string
-    except TypeError:
-        raise ValueError(f"bad setter_sites {setter_sites!r}") from None
+    key = CookieKey(name, host, partition)
+    sites = tuple(setter_sites)
+    shared = jar.setters_of(key) if jar is not None else None
+    if sites == shared:
+        sites = shared
+    else:
+        try:
+            "".join(sites)  # checks in one C loop that every item is a string
+        except TypeError:
+            raise ValueError(f"bad setter_sites {setter_sites!r}") from None
     stage_member = _STAGES.get(stage)
     if stage_member is None:
         raise ValueError(f"bad stage {stage!r}")
@@ -283,11 +280,11 @@ def finding_from_record(obj) -> IntractableFinding:
     if channel_member is None:
         raise ValueError(f"bad channel {channel!r}")
     return IntractableFinding(
-        key=CookieKey(name, host, partition),
+        key=key,
         value_at_send=value_at_send,
         sender_site=sender_site,
         tracker_domain=tracker_domain,
-        setter_sites=tuple(setter_sites),
+        setter_sites=sites,
         stage=stage_member,
         channel=channel_member,
         visit_id=visit_id,
@@ -305,8 +302,8 @@ def reset_to_record(reset: ResetFinding) -> dict:
             "sender_site": reset.sender_site, "event_index": reset.event_index}
 
 
-_RESET_FIELDS = _RecordFields(
-    name={str}, host={str}, partition=_OPTIONAL_STR, sender_site={str}, event_index={int}
+_RESET_FIELDS = RecordFields(
+    name={str}, host={str}, partition=OPTIONAL_STR, sender_site={str}, event_index={int}
 )
 
 
@@ -323,8 +320,8 @@ def sync_to_record(sync: SyncFinding) -> dict:
             "destination_tracker": sync.destination_tracker, "parameter_name": sync.parameter_name}
 
 
-_SYNC_FIELDS = _RecordFields(
-    name={str}, host={str}, partition=_OPTIONAL_STR, carrying_url={str}, origin_tracker={str},
+_SYNC_FIELDS = RecordFields(
+    name={str}, host={str}, partition=OPTIONAL_STR, carrying_url={str}, origin_tracker={str},
     destination_tracker={str}, parameter_name={str},
 )
 
@@ -338,16 +335,25 @@ def sync_from_record(obj) -> SyncFinding:
 NDJSON_VERSION = 1
 
 
-def _write_ndjson(path: str, records) -> None:
+def _record_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _write_ndjson(path: str, lines: Iterable[str]) -> None:
+    """Write a versioned NDJSON file: its header record, then the given record lines."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"format_version": NDJSON_VERSION}, separators=(",", ":")) + "\n")
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        handle.write(f'{{"format_version":{NDJSON_VERSION}}}\n')
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
 
 
-def _read_ndjson(path: str) -> list[dict]:
-    """Read a versioned NDJSON file, validating its header record."""
-    records = []
+def _read_ndjson(path: str) -> Iterator:
+    """Yield the records of a versioned NDJSON file one at a time, after its header record.
+
+    A line that is not JSON, or a missing header, raises ``InputError`` when
+    the stream reaches it.
+    """
     header_seen = False
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -365,26 +371,38 @@ def _read_ndjson(path: str) -> list[dict]:
                     raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: missing format_version header")
                 header_seen = True
                 continue
-            records.append(obj)
+            yield obj
     if not header_seen:
         raise InputError("MALFORMED_RECORD", f"{path}: missing format_version header")
-    return records
 
 
 def _read_records(path: str, from_record) -> list:
-    """Read an NDJSON file of one record kind, building each record with ``from_record``."""
+    """Read an NDJSON file of one record kind, building each record with ``from_record``.
+
+    The first bad record is reported only once the whole file has been read,
+    so a line that is not JSON wins over it wherever it is.
+    """
     built = []
+    error = None
     for index, obj in enumerate(_read_ndjson(path)):
-        try:
-            built.append(from_record(obj))
-        except ValueError as exc:
-            raise InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}") from None
+        if error is None:
+            try:
+                built.append(from_record(obj))
+            except ValueError as exc:
+                error = InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}")
+    if error is not None:
+        raise error
     return built
 
 
 def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableFinding]:
-    """Read a findings file; with ``jar``, each finding's cookie must be one of its entries."""
-    findings = _read_records(path, finding_from_record)
+    """Read a findings file as a stream; with ``jar``, each finding's cookie must be one of its entries.
+
+    Findings share ``jar``'s setter tuples (``finding_from_record``).  Every
+    record is decoded before the jar check, so a bad record wins over a
+    cookie not in the jar.
+    """
+    findings = _read_records(path, functools.partial(finding_from_record, jar=jar))
     if jar is not None:
         for index, finding in enumerate(findings):
             key = finding.key
@@ -440,11 +458,12 @@ def _cmd_detect(args, error_format: str) -> int:
     detector = Detector(_load_rules(args), _load_trackers(args, error_format))
     result = detector.detect(jar, events)
     _emit_issues(result.issues, error_format)
-    _write_ndjson(args.out, (finding_to_record(f) for f in result.findings))
+    setters: dict = {}
+    _write_ndjson(args.out, (encode_finding(f, setters) for f in result.findings))
     if args.resets_out:
-        _write_ndjson(args.resets_out, map(reset_to_record, result.resets))
+        _write_ndjson(args.resets_out, map(_record_line, map(reset_to_record, result.resets)))
     if args.syncs_out:
-        _write_ndjson(args.syncs_out, map(sync_to_record, result.syncs))
+        _write_ndjson(args.syncs_out, map(_record_line, map(sync_to_record, result.syncs)))
     stats = result.stats
     print(
         f"detect: {len(result.canonical_findings)} canonical findings over "

@@ -232,18 +232,21 @@ class _VisitState:
 
 
 class _LogParser:
-    """The state of one parse: open and closed visits, and each host's canonical form.
+    """The state of one parse: open and closed visits, each host's canonical form and each banner.
 
     Each decoder checks one record's fields in a fixed order, then the
     record's place in its visit, and only then builds the event.
     """
 
-    __slots__ = ("open_visits", "closed", "hosts")
+    __slots__ = ("open_visits", "closed", "hosts", "banners")
 
     def __init__(self):
         self.open_visits: dict[str, _VisitState] = {}
         self.closed: set[str] = set()
         self.hosts: dict[str, str] = {}  # raw -> canonical: each distinct host is canonicalized once
+        # repr of the raw object -> descriptor: each distinct banner is decoded once.  Equal reprs
+        # of JSON values mean equal values of equal types, so they decode to equal descriptors.
+        self.banners: dict[str, BannerDescriptor] = {}
 
     def _host(self, obj: dict, key: str, lineno: int) -> str:
         raw = obj.get(key)
@@ -290,13 +293,16 @@ class _LogParser:
 
     def banner_observed(self, obj: dict, lineno: int, visit_id: str, index: int) -> BannerObserved:
         raw = obj.get("banner")
+        if raw is None:
+            raise _field_error(obj, "banner", lineno)
         try:
-            if raw is None:
-                raise _field_error(obj, "banner", lineno)
-            banner = banner_from_obj(raw)
-        except (InputError, KeyError, ValueError, TypeError) as exc:
+            text = repr(raw)
+            banner = self.banners.get(text)
+            if banner is None:
+                banner = self.banners[text] = banner_from_obj(raw)
+        except (KeyError, ValueError, TypeError) as exc:
             raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
-        except AttributeError as exc:
+        except (AttributeError, RecursionError) as exc:
             raise InputError("MALFORMED_RECORD", f"line {lineno}: malformed record ({exc})") from None
         state = self._state(visit_id, "BannerObserved")
         if state.saw_body or state.saw_banner:

@@ -21,16 +21,26 @@ from . import crawllog
 from .errors import InputError, ParseIssue
 from .model import (
     FIXED_EXPIRY,
+    OPTIONAL_STR,
     ConsentState,
     CookieKey,
     CookieRecord,
     Phase,
+    RecordFields,
     SiteId,
     VisitOutcome,
 )
 
 SNAPSHOT_FORMAT = "cookietrail-jar"
 SNAPSHOT_VERSION = 1
+# The exact JSON types of a snapshot's entry and history fields, in the order the loader reads them.
+_ENTRY_FIELDS = RecordFields(
+    name={str}, host={str}, partition=OPTIONAL_STR, value={str}, original_expiry={float, int, type(None)},
+    setter_site={str}, set_at={int}, consent_state_at_set={str}, phase={str}, effective_expiry={str},
+)
+_HISTORY_FIELDS = RecordFields(
+    name={str}, host={str}, partition=OPTIONAL_STR, setter_site={str}, event_index={int}, deleted={bool},
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,8 @@ class CookieJar:
     afterwards grows only through ``upsert``.  The setter index behind
     ``setters_of`` is built from ``history`` when the jar is constructed and
     extended by ``upsert``, so it always agrees with a rescan of the history.
+    ``setters_of`` returns one shared tuple per key until a new setter of
+    that key is indexed.
     """
 
     entries: dict[CookieKey, CookieRecord] = field(default_factory=dict)
@@ -56,15 +68,21 @@ class CookieJar:
     accepted_sites: set[SiteId] = field(default_factory=set)
     # key -> distinct non-deleting setter sites in first-write order (dict as ordered set)
     _setters: dict[CookieKey, dict[SiteId, None]] = field(init=False, repr=False, compare=False)
+    # key -> the tuple ``setters_of`` last returned, dropped when the key gains a setter
+    _setter_tuples: dict[CookieKey, tuple[SiteId, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._setters = {}
+        self._setter_tuples = {}
         for row in self.history:
             self._index(row)
 
     def _index(self, row: HistoryEntry) -> None:
         if not row.deleted:
-            self._setters.setdefault(row.key, {}).setdefault(row.setter_site, None)
+            sites = self._setters.setdefault(row.key, {})
+            if row.setter_site not in sites:
+                sites[row.setter_site] = None
+                self._setter_tuples.pop(row.key, None)
 
     def upsert(self, record: CookieRecord) -> None:
         """Apply one phase-1 cookie write: latest write wins per key.
@@ -91,8 +109,17 @@ class CookieJar:
         self.accepted_sites.add(site)
 
     def setters_of(self, key: CookieKey) -> tuple[SiteId, ...]:
-        """Distinct setter sites for a key, in first-write order (deletions excluded)."""
-        return tuple(self._setters.get(key, ()))
+        """Distinct setter sites for a key, in first-write order (deletions excluded).
+
+        Calls return the same tuple object until the key gains a setter.
+        """
+        shared = self._setter_tuples.get(key)
+        if shared is None:
+            sites = self._setters.get(key)
+            if sites is None:
+                return ()
+            shared = self._setter_tuples[key] = tuple(sites)
+        return shared
 
     def normalize_sample(self, n: int, seed: int) -> "CookieJar":
         """Restrict the jar to a uniform size-``n`` sample of accepted sites.
@@ -202,28 +229,30 @@ class CookieJar:
                 if type(payload[field]) is not list or not all(type(obj) is dict for obj in payload[field]):
                     raise InputError("CORRUPT_SNAPSHOT", f"{path}: {field} is not a list of objects")
             entries = {}
-            for obj in payload["entries"]:
-                key = CookieKey(obj["name"], obj["host"], obj["partition"])
+            for name, host, partition, value, original_expiry, setter_site, set_at, consent, phase, expiry in _rows(
+                _ENTRY_FIELDS, payload, "entries"
+            ):
+                key = CookieKey(name, host, partition)
                 entries[key] = CookieRecord(
                     key=key,
-                    value=obj["value"],
-                    original_expiry=obj["original_expiry"],
-                    setter_site=obj["setter_site"],
-                    set_at=obj["set_at"],
-                    consent_state_at_set=ConsentState[obj["consent_state_at_set"]],
-                    phase=Phase[obj["phase"]],
-                    effective_expiry=datetime.fromisoformat(obj["effective_expiry"]),
+                    value=value,
+                    original_expiry=original_expiry,
+                    setter_site=setter_site,
+                    set_at=set_at,
+                    consent_state_at_set=ConsentState[consent],
+                    phase=Phase[phase],
+                    effective_expiry=datetime.fromisoformat(expiry),
                 )
             history = [
-                HistoryEntry(
-                    CookieKey(obj["name"], obj["host"], obj["partition"]),
-                    obj["setter_site"],
-                    obj["event_index"],
-                    obj["deleted"],
+                HistoryEntry(CookieKey(name, host, partition), setter_site, event_index, deleted)
+                for name, host, partition, setter_site, event_index, deleted in _rows(
+                    _HISTORY_FIELDS, payload, "history"
                 )
-                for obj in payload["history"]
             ]
-            accepted = set(payload["accepted_sites"])
+            accepted = payload["accepted_sites"]
+            if type(accepted) is not list or not all(type(site) is str for site in accepted):
+                raise InputError("CORRUPT_SNAPSHOT", f"{path}: accepted_sites is not a list of strings")
+            accepted = set(accepted)
         except InputError:
             raise
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -231,6 +260,15 @@ class CookieJar:
         except RecursionError:
             raise InputError("CORRUPT_SNAPSHOT", f"{path}: JSON nested too deeply") from None
         return cls(entries=entries, history=history, accepted_sites=accepted)
+
+
+def _rows(fields: RecordFields, payload: dict, name: str):
+    """Each object of ``payload[name]`` as its checked field values; ``ValueError`` names the object."""
+    for index, obj in enumerate(payload[name]):
+        try:
+            yield fields.values(obj)
+        except ValueError as exc:
+            raise ValueError(f"{name}[{index}]: {exc}") from None
 
 
 def build_jar(events: Iterable[crawllog.CrawlEvent], *, issues: list[ParseIssue] | None = None) -> CookieJar:

@@ -10,6 +10,8 @@ log-parse time, and cookie lifetimes are carried as seconds relative to
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -208,3 +210,37 @@ def canonicalize_host(raw: str) -> str:
 def domain_match(target_host: str, cookie_host: str) -> bool:
     """True when a cookie stored for ``cookie_host`` covers ``target_host``."""
     return target_host == cookie_host or target_host.endswith("." + cookie_host)
+
+
+# --- wire records ----------------------------------------------------------------
+
+
+class RecordFields:
+    """The exact JSON types each field of one record kind may have, in record order.
+
+    ``values`` checks a record against them in one set lookup: every allowed
+    combination of field types is precomputed.  Types are exact: a boolean is
+    not an ``event_index``.
+    """
+
+    def __init__(self, **types: set[type]):
+        self.types = types
+        self.get = operator.itemgetter(*types)
+        self.rows = frozenset(itertools.product(*types.values()))
+
+    def values(self, obj) -> tuple:
+        """The record's field values in order; ``ValueError`` names the first missing or mistyped one."""
+        if not isinstance(obj, dict):
+            raise ValueError("record is not an object")
+        try:
+            values = self.get(obj)
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        if tuple(map(type, values)) not in self.rows:
+            for (name, types), value in zip(self.types.items(), values):
+                if type(value) not in types:
+                    raise ValueError(f"bad {name} {value!r}")
+        return values
+
+
+OPTIONAL_STR = {str, type(None)}

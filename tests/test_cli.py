@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,10 @@ import cookietrail
 from cookietrail import cli
 from cookietrail.cli import _load_logs, build_parser, main
 from cookietrail.crawllog import CookieSet, parse_log_text
+from cookietrail.detector import IntractableFinding
 from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar
+from cookietrail.model import Channel, CookieKey, InteractionStage
+from helpers import random_config, run_pipeline
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -698,6 +702,140 @@ class TestFindingsReader:
         assert record["message"].startswith(f"{bad}: record 2: cookie 'elsewhere' of ")
 
 
+class TestFindingsSharing:
+    """``report`` reads findings as a stream and shares the jar's setter tuples."""
+
+    def _findings_file(self, analyzed, tmp_path, mutate) -> Path:
+        lines = (analyzed / "findings.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        mutate(records)
+        path = tmp_path / "findings.jsonl"
+        path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+        return path
+
+    def test_findings_hold_the_jar_tuple(self, analyzed):
+        jar = CookieJar.load(analyzed / "jar.snap")
+        findings = cli._read_findings(str(analyzed / "findings.jsonl"), jar)
+        assert findings and all(f.setter_sites for f in findings)
+        for finding in findings:
+            assert finding.setter_sites is jar.setters_of(finding.key)
+
+    def test_setter_sites_unlike_the_jar_are_read_as_written(self, analyzed, tmp_path):
+        path = self._findings_file(analyzed, tmp_path, lambda records: records[1].__setitem__(
+            "setter_sites", ["elsewhere.com", *records[1]["setter_sites"]]))
+        jar = CookieJar.load(analyzed / "jar.snap")
+        findings = cli._read_findings(str(path), jar)
+        key = findings[1].key
+        assert findings[1].setter_sites == ("elsewhere.com", *jar.setters_of(key))
+        assert findings[0].setter_sites is jar.setters_of(findings[0].key)
+        assert _run(["report", "--findings", path, "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
+                     "--out", tmp_path / "report"]) == 0
+
+    def test_gpc_findings_are_read_without_a_jar(self, analyzed, tmp_path):
+        findings = cli._read_findings(str(analyzed / "findings.jsonl"))
+        jar = CookieJar.load(analyzed / "jar.snap")
+        assert [f.setter_sites for f in findings] == [jar.setters_of(f.key) for f in findings]
+
+    def test_a_numeric_setter_in_the_snapshot_is_corrupt(self, analyzed, tmp_path, capsys):
+        """A findings ``setter_sites`` of ``[5]`` cannot get through by matching a jar that holds ``5``."""
+        record = json.loads((analyzed / "findings.jsonl").read_text().splitlines()[1])
+        key = (record["name"], record["host"], record["partition"])
+        header, payload = (analyzed / "jar.snap").read_text().splitlines()
+        payload = json.loads(payload)
+        rows = [i for i, row in enumerate(payload["history"]) if (row["name"], row["host"], row["partition"]) == key]
+        for i in rows:
+            payload["history"][i]["setter_site"] = 5
+        bad_jar = _snapshot(tmp_path / "bad.snap", None, json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        findings = self._findings_file(analyzed, tmp_path, lambda records: records[0].__setitem__("setter_sites", [5]))
+        capsys.readouterr()
+        assert _run(["--errors", "json", "report", "--findings", findings, "--jar", bad_jar,
+                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
+                                       "message": f"{bad_jar}: history[{rows[0]}]: bad setter_site 5"}
+        assert _run(["--errors", "json", "report", "--findings", findings, "--jar", analyzed / "jar.snap",
+                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
+                                       "message": f"{findings}: record 0: bad setter_sites [5]"}
+
+    def test_a_bad_record_wins_over_one_not_in_the_jar_and_bad_json_over_both(self, analyzed, tmp_path, capsys):
+        def mutate(records):
+            records[0]["name"] = "elsewhere"
+            records[2]["event_index"] = "x"
+
+        path = self._findings_file(analyzed, tmp_path, mutate)
+        args = ["--errors", "json", "report", "--findings", path, "--jar", analyzed / "jar.snap",
+                "--log", analyzed / "run.log", "--out", tmp_path / "report"]
+        capsys.readouterr()
+        assert _run(args) == 1
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD", "message": f"{path}: record 2: bad event_index 'x'"}
+        with path.open("a") as handle:
+            handle.write("{not json\n")
+        lineno = len(path.read_text().splitlines())
+        assert _run(args) == 1
+        assert _json_error(capsys)["message"].startswith(f"{path}:{lineno}: ")
+
+
+# --- the findings encoder against the path it replaced ------------------------------------
+
+
+def _ref_finding_to_record(finding: IntractableFinding) -> dict:
+    """The record ``detect`` passed to ``json.dumps`` before ``encode_finding``: the reference."""
+    return {
+        "name": finding.key.name,
+        "host": finding.key.host,
+        "partition": finding.key.partition,
+        "value_at_send": finding.value_at_send,
+        "sender_site": finding.sender_site,
+        "tracker_domain": finding.tracker_domain,
+        "setter_sites": list(finding.setter_sites),
+        "stage": finding.stage.name,
+        "channel": finding.channel.name,
+        "visit_id": finding.visit_id,
+        "event_index": finding.event_index,
+        "canonical": finding.canonical,
+    }
+
+
+def _hand_built_findings() -> list[IntractableFinding]:
+    from test_crawllog import _AWKWARD
+
+    findings = []
+    stages, channels = list(InteractionStage), list(Channel)
+    # Empty, one-item and awkward lists; the last two are equal to the second but not it, or of its length.
+    setter_lists = [(), ("one.com",), tuple(_AWKWARD), tuple(["one.com"]), ("two.com",)]
+    for n, text in enumerate(_AWKWARD):
+        for partition in (None, text, ""):
+            findings.append(IntractableFinding(
+                key=CookieKey(text, text, partition), value_at_send=text, sender_site=text, tracker_domain=text,
+                setter_sites=setter_lists[n % len(setter_lists)], stage=stages[n % len(stages)],
+                channel=channels[n % len(channels)], visit_id=text, event_index=(0, 7, 2**31, 2**70)[n % 4],
+                canonical=n % 2 == 0,
+            ))
+    return findings
+
+
+def test_findings_encoder_matches_json_dumps():
+    """detect's findings on the demo and 100 random ecosystems, and awkward ones: identical bytes."""
+    demo = cookietrail.simulator.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+    runs = [run_pipeline(demo, 7)] + [run_pipeline(random_config(random.Random(seed)), seed) for seed in range(100)]
+    batches = [result.findings for _events, _jar, result in runs] + [_hand_built_findings()]
+    for n, findings in enumerate(batches):
+        setters: dict = {}
+        assert [cli.encode_finding(f, setters) for f in findings] == [
+            json.dumps(_ref_finding_to_record(f), sort_keys=True, separators=(",", ":")) for f in findings
+        ], n
+    detected = [f for batch in batches[:-1] for f in batch]
+    assert len(detected) > 1000
+    assert {f.canonical for f in detected} == {True, False}
+    assert {f.key.partition is None for batch in batches for f in batch} == {True, False}
+    # detect's findings hold the jar's tuples, so the memo encodes each key's setters once.
+    for _events, jar, result in runs:
+        setters = {}
+        for finding in result.findings:
+            cli.encode_finding(finding, setters)
+        assert len(setters) <= len({f.key for f in result.findings})
+
+
 def _snapshot(path: Path, header, payload: str) -> Path:
     """A snapshot whose header (``None``: a valid one) checksums ``payload``."""
     if header is None:
@@ -726,6 +864,62 @@ class TestSnapshotReader:
         assert _run(["--errors", "json", "detect", "--jar", bad, "--log", analyzed / "run.log",
                      "--out", tmp_path / "f.jsonl"]) == 1
         assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT", "message": f"{bad}: {problem}"}
+
+    @staticmethod
+    def _mutated(analyzed, tmp_path, mutate) -> Path:
+        payload = json.loads((analyzed / "jar.snap").read_text().splitlines()[1])
+        mutate(payload)
+        return _snapshot(tmp_path / "bad.snap", None, json.dumps(payload, sort_keys=True, separators=(",", ":")))
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("entries", "name", 5), ("entries", "host", None), ("entries", "partition", 1),
+            ("entries", "value", 2), ("entries", "original_expiry", "60"), ("entries", "original_expiry", True),
+            ("entries", "setter_site", ["a.com"]), ("entries", "set_at", 1.0), ("entries", "set_at", False),
+            ("entries", "consent_state_at_set", 0), ("entries", "phase", None), ("entries", "effective_expiry", 5),
+            ("history", "name", 5), ("history", "host", {}), ("history", "partition", 0),
+            ("history", "setter_site", 5), ("history", "event_index", "3"), ("history", "event_index", True),
+            ("history", "deleted", 0), ("history", "deleted", "no"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["detect", "report"])
+    def test_mistyped_field_is_corrupt(self, analyzed, tmp_path, capsys, section, field, value, command):
+        bad = self._mutated(analyzed, tmp_path, lambda payload: payload[section][1].__setitem__(field, value))
+        outputs = {"detect": ["--log", analyzed / "run.log", "--out", tmp_path / "f.jsonl"],
+                   "report": ["--findings", analyzed / "findings.jsonl", "--log", analyzed / "run.log",
+                              "--out", tmp_path / "report"]}[command]
+        capsys.readouterr()
+        assert _run(["--errors", "json", command, "--jar", bad, *outputs]) == 1
+        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
+                                       "message": f"{bad}: {section}[1]: bad {field} {value!r}"}
+
+    def test_missing_field_is_corrupt(self, analyzed, tmp_path, capsys):
+        bad = self._mutated(analyzed, tmp_path, lambda payload: payload["history"][0].pop("deleted"))
+        capsys.readouterr()
+        assert _run(["--errors", "json", "detect", "--jar", bad, "--log", analyzed / "run.log",
+                     "--out", tmp_path / "f.jsonl"]) == 1
+        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
+                                       "message": f"{bad}: history[0]: missing field 'deleted'"}
+
+    @pytest.mark.parametrize("value", ["abc", ["a.com", 1], {"a.com": 1}, None])
+    def test_accepted_sites_must_be_a_list_of_strings(self, analyzed, tmp_path, capsys, value):
+        bad = self._mutated(analyzed, tmp_path, lambda payload: payload.__setitem__("accepted_sites", value))
+        capsys.readouterr()
+        assert _run(["--errors", "json", "detect", "--jar", bad, "--log", analyzed / "run.log",
+                     "--out", tmp_path / "f.jsonl"]) == 1
+        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
+                                       "message": f"{bad}: accepted_sites is not a list of strings"}
+
+    def test_an_integer_expiry_loads(self, analyzed, tmp_path):
+        """JSON does not tell 60 from 60.0 apart by meaning; both are lifetimes."""
+        def mutate(payload):
+            for entry in payload["entries"]:
+                if entry["original_expiry"] is not None:
+                    entry["original_expiry"] = int(entry["original_expiry"])
+
+        jar = CookieJar.load(self._mutated(analyzed, tmp_path, mutate))
+        assert jar.entries == CookieJar.load(analyzed / "jar.snap").entries
 
 
 class TestResetsAndSyncsReaders:

@@ -173,6 +173,40 @@ class TestParseLog:
             assert exc.value.code == "MALFORMED_RECORD"
             assert exc.value.message.startswith("line 4: "), exc.value.message
 
+    @pytest.mark.parametrize("banner", [None, "drop"])
+    def test_missing_banner_names_the_field_once(self, banner):
+        lines = serialize(_single_visit_events()).splitlines()
+        record = json.loads(lines[2])
+        if banner == "drop":
+            del record["banner"]
+        else:
+            record["banner"] = banner
+        with pytest.raises(InputError) as exc:
+            parse_log_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]))
+        assert exc.value.message == "line 3: missing field 'banner'"
+
+    def test_equal_banners_share_one_descriptor(self):
+        """Each distinct banner is decoded once per parse; banners that decode differently stay apart."""
+        events = []
+        banners = [native_banner(reject=True), native_banner(reject=False), native_banner(reject=True)]
+        for n, banner in enumerate(banners):
+            visit = _single_visit_events(f"v{n}")
+            visit[1] = BannerObserved(f"v{n}", banner)
+            events += visit
+        text = serialize(events)
+        parsed = [e.banner for e in parse_log_text(text) if isinstance(e, BannerObserved)]
+        assert parsed == banners
+        assert parsed[0] is parsed[2] and parsed[0] is not parsed[1]
+        # A toggle written as 1 / 0 and as true / false: different records, equal descriptors.
+        lines = text.splitlines()
+        for lineno, toggle in ((2, ["ads", 1, 0]), (14, ["ads", True, False])):
+            record = json.loads(lines[lineno])
+            record["banner"]["layers"][0]["toggles"] = [toggle]
+            lines[lineno] = json.dumps(record)
+        parsed = [e.banner for e in parse_log_text("\n".join(lines)) if isinstance(e, BannerObserved)]
+        assert parsed == [banner_from_obj(json.loads(lines[n])["banner"]) for n in (2, 8, 14)]
+        assert parsed[0] == parsed[2] != banners[0]
+
     def test_first_index_offsets_every_event(self):
         events = parse_log_text(serialize(_single_visit_events()), first_index=10)
         assert [e.event_index for e in events] == list(range(10, 16))
@@ -443,9 +477,10 @@ def _ref_record_to_event(obj, lineno, event_index):
                 event_index=event_index,
             )
         if cls is BannerObserved:
+            raw_banner = _ref_require(obj, "banner", lineno)
             try:
-                banner = banner_from_obj(_ref_require(obj, "banner", lineno))
-            except (InputError, KeyError, ValueError, TypeError) as exc:
+                banner = banner_from_obj(raw_banner)
+            except (KeyError, ValueError, TypeError) as exc:
                 raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
             return BannerObserved(visit_id=visit_id, banner=banner, event_index=event_index)
         if cls is Interaction:

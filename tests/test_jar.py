@@ -132,7 +132,10 @@ class TestJarProperties:
 
 
     def test_setters_of_matches_history_rescan(self, tmp_path):
-        """The setter index agrees with a rescan of history after upserts, load and sampling."""
+        """The setter index agrees with a rescan of history after upserts, load and sampling.
+
+        Each key's tuple is one object across calls until an upsert adds a setter of that key.
+        """
 
         def rescan(jar: CookieJar, key: CookieKey) -> tuple[str, ...]:
             seen: dict[str, None] = {}
@@ -152,9 +155,13 @@ class TestJarProperties:
                 setter = rng.choice(setters)
                 jar.mark_accepted(setter)
                 expiry = rng.choice([None, 60.0, -5.0, 0.0])
+                before = {probe: jar.setters_of(probe) for probe in probe_keys}
                 jar.upsert(make_record(key.name, key.host, key.partition, expiry=expiry, setter=setter, set_at=step))
                 for probe in probe_keys:
-                    assert jar.setters_of(probe) == rescan(jar, probe)
+                    shared = jar.setters_of(probe)
+                    assert shared == rescan(jar, probe)
+                    assert shared is jar.setters_of(probe)
+                    assert (shared is before[probe]) == (shared == before[probe])
             path = tmp_path / f"{trial}.jar"
             jar.save(path)
             loaded = CookieJar.load(path)
