@@ -21,9 +21,9 @@ into a fresh namespace.
 Findings are NDJSON, one line per finding.  ``detect`` writes each line with
 the hand encoder ``encode_finding``, byte for byte what ``json.dumps`` wrote,
 encoding each distinct setter list once per file.  ``report`` reads the file
-as a stream and checks every record; a finding whose setter list equals the
-``--jar`` snapshot's holds the jar's own tuple, so ``report`` keeps one copy
-of each distinct setter list, not one per finding.
+as a stream and checks every record; a cookie's findings with equal setter
+lists share one tuple, so ``report`` keeps one copy of each cookie's setter
+list, not one per finding.
 """
 
 from __future__ import annotations
@@ -221,21 +221,20 @@ def encode_finding(finding: IntractableFinding, setters: dict) -> str:
     """A finding's record line, byte for byte ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.
 
     Keys are written in sorted order, enums by member name and strings through
-    the escaper ``json.dumps`` applies under ``ensure_ascii``.  ``setters``
-    memoizes each distinct ``setter_sites`` tuple's JSON for one file, keyed
-    by identity; it keeps the tuple, so the id is not reused while it lives.
+    the escaper ``json.dumps`` applies under ``ensure_ascii``.  ``setters``,
+    a memo local to one file, holds each distinct ``setter_sites`` tuple's JSON.
     """
     key = finding.key
     sites = finding.setter_sites
-    memo = setters.get(id(sites))
-    if memo is None:
-        memo = setters[id(sites)] = (sites, f"[{','.join(map(_string, sites))}]")
+    sites_json = setters.get(sites)
+    if sites_json is None:
+        sites_json = setters[sites] = f"[{','.join(map(_string, sites))}]"
     partition = key.partition
     return (
         f'{{"canonical":{"true" if finding.canonical else "false"},"channel":"{finding.channel._name_}",'
         f'"event_index":{int.__repr__(finding.event_index)},"host":{_string(key.host)},'
         f'"name":{_string(key.name)},"partition":{"null" if partition is None else _string(partition)},'
-        f'"sender_site":{_string(finding.sender_site)},"setter_sites":{memo[1]},'
+        f'"sender_site":{_string(finding.sender_site)},"setter_sites":{sites_json},'
         f'"stage":"{finding.stage._name_}","tracker_domain":{_string(finding.tracker_domain)},'
         f'"value_at_send":{_string(finding.value_at_send)},"visit_id":{_string(finding.visit_id)}}}'
     )
@@ -250,12 +249,12 @@ _STAGES = InteractionStage.__members__
 _CHANNELS = Channel.__members__
 
 
-def finding_from_record(obj, jar: CookieJar | None = None) -> IntractableFinding:
+def finding_from_record(obj, setters: dict) -> IntractableFinding:
     """Build a finding from its record, checking every field.
 
-    With ``jar``, a ``setter_sites`` equal to ``jar.setters_of(key)`` is read
-    as the jar's own tuple, so findings share it.  The jar holds only strings
-    (``CookieJar.load`` checks), so an equal list needs no item check.
+    ``setters``, a memo local to one file, holds the last ``setter_sites``
+    tuple read for each cookie, so a cookie's findings with equal setter
+    lists share one tuple.
 
     Raises:
         ValueError: naming the first field that is missing, of the wrong
@@ -263,16 +262,17 @@ def finding_from_record(obj, jar: CookieJar | None = None) -> IntractableFinding
     """
     (name, host, partition, value_at_send, sender_site, tracker_domain, setter_sites,
      stage, channel, visit_id, event_index, canonical) = _FINDING_FIELDS.values(obj)
+    try:
+        "".join(setter_sites)  # checks in one C loop that every item is a string
+    except TypeError:
+        raise ValueError(f"bad setter_sites {setter_sites!r}") from None
     key = CookieKey(name, host, partition)
     sites = tuple(setter_sites)
-    shared = jar.setters_of(key) if jar is not None else None
-    if sites == shared:
-        sites = shared
+    known = setters.get(key)
+    if sites == known:
+        sites = known
     else:
-        try:
-            "".join(sites)  # checks in one C loop that every item is a string
-        except TypeError:
-            raise ValueError(f"bad setter_sites {setter_sites!r}") from None
+        setters[key] = sites
     stage_member = _STAGES.get(stage)
     if stage_member is None:
         raise ValueError(f"bad stage {stage!r}")
@@ -398,11 +398,11 @@ def _read_records(path: str, from_record) -> list:
 def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableFinding]:
     """Read a findings file as a stream; with ``jar``, each finding's cookie must be one of its entries.
 
-    Findings share ``jar``'s setter tuples (``finding_from_record``).  Every
-    record is decoded before the jar check, so a bad record wins over a
-    cookie not in the jar.
+    A cookie's findings with equal setter lists share one tuple
+    (``finding_from_record``).  Every record is decoded before the jar check,
+    so a bad record wins over a cookie not in the jar.
     """
-    findings = _read_records(path, functools.partial(finding_from_record, jar=jar))
+    findings = _read_records(path, functools.partial(finding_from_record, setters={}))
     if jar is not None:
         for index, finding in enumerate(findings):
             key = finding.key

@@ -244,8 +244,8 @@ class _LogParser:
         self.open_visits: dict[str, _VisitState] = {}
         self.closed: set[str] = set()
         self.hosts: dict[str, str] = {}  # raw -> canonical: each distinct host is canonicalized once
-        # repr of the raw object -> descriptor: each distinct banner is decoded once.  Equal reprs
-        # of JSON values mean equal values of equal types, so they decode to equal descriptors.
+        # repr of the fields ``banner_from_obj`` reads -> descriptor: each distinct banner is decoded
+        # once.  Equal reprs of JSON values mean equal values of equal types, so equal descriptors.
         self.banners: dict[str, BannerDescriptor] = {}
 
     def _host(self, obj: dict, key: str, lineno: int) -> str:
@@ -296,13 +296,14 @@ class _LogParser:
         if raw is None:
             raise _field_error(obj, "banner", lineno)
         try:
-            text = repr(raw)
-            banner = self.banners.get(text)
+            # The two fields banner_from_obj reads; a banner that is not an object fails on get, as there.
+            key = repr((raw.get("banner_type"), raw.get("layers", [])))
+            banner = self.banners.get(key)
             if banner is None:
-                banner = self.banners[text] = banner_from_obj(raw)
-        except (KeyError, ValueError, TypeError) as exc:
+                banner = self.banners[key] = banner_from_obj(raw)
+        except (InputError, KeyError, ValueError, TypeError) as exc:
             raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
-        except (AttributeError, RecursionError) as exc:
+        except AttributeError as exc:
             raise InputError("MALFORMED_RECORD", f"line {lineno}: malformed record ({exc})") from None
         state = self._state(visit_id, "BannerObserved")
         if state.saw_body or state.saw_banner:

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -703,7 +704,7 @@ class TestFindingsReader:
 
 
 class TestFindingsSharing:
-    """``report`` reads findings as a stream and shares the jar's setter tuples."""
+    """``report`` reads findings as a stream; a cookie's findings with equal setter lists share one tuple."""
 
     def _findings_file(self, analyzed, tmp_path, mutate) -> Path:
         lines = (analyzed / "findings.jsonl").read_text().splitlines()
@@ -713,31 +714,43 @@ class TestFindingsSharing:
         path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
         return path
 
-    def test_findings_hold_the_jar_tuple(self, analyzed):
+    @pytest.mark.parametrize("with_jar", [True, False])
+    def test_equal_setter_lists_share_one_tuple(self, analyzed, with_jar):
+        """With ``--jar`` (``report``) or without (``--gpc-findings``): one tuple per cookie and list."""
         jar = CookieJar.load(analyzed / "jar.snap")
-        findings = cli._read_findings(str(analyzed / "findings.jsonl"), jar)
-        assert findings and all(f.setter_sites for f in findings)
+        findings = cli._read_findings(str(analyzed / "findings.jsonl"), jar if with_jar else None)
+        assert len(findings) > len({f.key for f in findings}) and all(f.setter_sites for f in findings)
+        shared = {}
         for finding in findings:
-            assert finding.setter_sites is jar.setters_of(finding.key)
+            sites = finding.setter_sites
+            assert sites == jar.setters_of(finding.key)
+            assert shared.setdefault((finding.key, sites), sites) is sites
 
-    def test_setter_sites_unlike_the_jar_are_read_as_written(self, analyzed, tmp_path):
-        path = self._findings_file(analyzed, tmp_path, lambda records: records[1].__setitem__(
-            "setter_sites", ["elsewhere.com", *records[1]["setter_sites"]]))
+    def test_setter_sites_unlike_the_others_are_read_as_written(self, analyzed, tmp_path):
+        """A cookie's list that differs from its earlier findings', longer or of the same length."""
+        cookie = itemgetter("name", "host", "partition")
+        changed = {}
+
+        def mutate(records):
+            seen = set()
+            for n, record in enumerate(records):
+                sites = record["setter_sites"]
+                if cookie(record) in seen and len(changed) < 2:
+                    changed[n] = ["elsewhere.com", *sites] if not changed else ["elsewhere.com", *sites[1:]]
+                    record["setter_sites"] = changed[n]
+                seen.add(cookie(record))
+
+        path = self._findings_file(analyzed, tmp_path, mutate)
         jar = CookieJar.load(analyzed / "jar.snap")
         findings = cli._read_findings(str(path), jar)
-        key = findings[1].key
-        assert findings[1].setter_sites == ("elsewhere.com", *jar.setters_of(key))
-        assert findings[0].setter_sites is jar.setters_of(findings[0].key)
+        assert len(changed) == 2
+        for n, finding in enumerate(findings):
+            assert finding.setter_sites == tuple(changed.get(n, jar.setters_of(finding.key))), n
         assert _run(["report", "--findings", path, "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
                      "--out", tmp_path / "report"]) == 0
 
-    def test_gpc_findings_are_read_without_a_jar(self, analyzed, tmp_path):
-        findings = cli._read_findings(str(analyzed / "findings.jsonl"))
-        jar = CookieJar.load(analyzed / "jar.snap")
-        assert [f.setter_sites for f in findings] == [jar.setters_of(f.key) for f in findings]
-
     def test_a_numeric_setter_in_the_snapshot_is_corrupt(self, analyzed, tmp_path, capsys):
-        """A findings ``setter_sites`` of ``[5]`` cannot get through by matching a jar that holds ``5``."""
+        """A snapshot setter of ``5`` is corrupt; a findings ``setter_sites`` of ``[5]`` is a bad record."""
         record = json.loads((analyzed / "findings.jsonl").read_text().splitlines()[1])
         key = (record["name"], record["host"], record["partition"])
         header, payload = (analyzed / "jar.snap").read_text().splitlines()
@@ -828,7 +841,7 @@ def test_findings_encoder_matches_json_dumps():
     assert len(detected) > 1000
     assert {f.canonical for f in detected} == {True, False}
     assert {f.key.partition is None for batch in batches for f in batch} == {True, False}
-    # detect's findings hold the jar's tuples, so the memo encodes each key's setters once.
+    # The memo encodes each distinct setter list once: at most once per cookie.
     for _events, jar, result in runs:
         setters = {}
         for finding in result.findings:

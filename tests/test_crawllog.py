@@ -9,6 +9,7 @@ from urllib.parse import urlsplit
 import pytest
 from hypothesis import given, strategies as st
 
+from cookietrail import crawllog
 from cookietrail import simulator as sim
 from cookietrail.cli import _load_logs
 from cookietrail.crawllog import (
@@ -206,6 +207,63 @@ class TestParseLog:
         parsed = [e.banner for e in parse_log_text("\n".join(lines)) if isinstance(e, BannerObserved)]
         assert parsed == [banner_from_obj(json.loads(lines[n])["banner"]) for n in (2, 8, 14)]
         assert parsed[0] == parsed[2] != banners[0]
+        # Absent layers decode as none; null layers are a bad banner, even after an absent one.
+        records = [json.loads(lines[n]) for n in (2, 8)]
+        del records[0]["banner"]["layers"]
+        records[1]["banner"]["layers"] = None
+        lines[2], lines[8] = map(json.dumps, records)
+        with pytest.raises(InputError) as exc:
+            parse_log_text("\n".join(lines))
+        assert exc.value.message.startswith("line 9: bad banner object (")
+
+    def test_banner_key_is_the_fields_the_decoder_reads(self):
+        """A key the decoder ignores, however large, does not split a banner."""
+        lines = serialize(_single_visit_events("v0") + _single_visit_events("v1")).splitlines()
+        record = json.loads(lines[8])
+        record["banner"]["ignored"] = [list(range(1000))] * 100
+        lines[8] = json.dumps(record)
+        parsed = [e.banner for e in parse_log_text("\n".join(lines)) if isinstance(e, BannerObserved)]
+        assert parsed[0] is parsed[1]
+
+    @pytest.mark.parametrize("template", [
+        '{"banner_type":"NONE","ignored":%s}',
+        '{"banner_type":"CMP","layers":[{"ignored":%s}]}',
+        '{"banner_type":"CMP","layers":[{"buttons":[[%s,"ACCEPT"]]}]}',
+    ])
+    def test_banner_as_deep_as_the_json_decoder_takes_still_loads(self, template):
+        """Keying a banner never fails on nesting that the JSON decoder accepted."""
+        head = serialize(_single_visit_events()).splitlines()[:2]
+
+        def parse(depth):
+            banner = template % ("[" * depth + "]" * depth)
+            line = f'{{"banner":{banner},"kind":"BANNER_OBSERVED","visit_id":"v1"}}'
+            try:
+                parse_log_text("\n".join([head[0], head[1], line]))
+            except PipelineError as exc:
+                return exc.message
+            return "parsed"
+
+        low, high = 1, 200_000  # the deepest nesting the decoder takes, by bisection
+        while low < high:
+            mid = (low + high + 1) // 2
+            if "invalid JSON" in parse(mid):
+                high = mid - 1
+            else:
+                low = mid
+        assert parse(low + 1) == "line 3: invalid JSON (nested too deeply)"
+        # The visit has no VISIT_END: the banner itself was accepted.
+        assert parse(low) == parse(low - 1) == "visit 'v1' has no VISIT_END"
+
+    def test_invalid_banner_is_a_bad_banner_object(self):
+        """A banner the descriptor rejects (NONE with layers) is reported on its line, like any bad banner."""
+        lines = serialize(_single_visit_events()).splitlines()
+        record = json.loads(lines[2])
+        record["banner"] = {"banner_type": "NONE", "layers": [{}]}
+        with pytest.raises(InputError) as exc:
+            parse_log_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]))
+        assert (exc.value.code, exc.value.message) == (
+            "MALFORMED_RECORD", "line 3: bad banner object (INVALID_CONFIG: banner_type NONE must have no layers)"
+        )
 
     def test_first_index_offsets_every_event(self):
         events = parse_log_text(serialize(_single_visit_events()), first_index=10)
@@ -480,7 +538,7 @@ def _ref_record_to_event(obj, lineno, event_index):
             raw_banner = _ref_require(obj, "banner", lineno)
             try:
                 banner = banner_from_obj(raw_banner)
-            except (KeyError, ValueError, TypeError) as exc:
+            except (InputError, KeyError, ValueError, TypeError) as exc:
                 raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
             return BannerObserved(visit_id=visit_id, banner=banner, event_index=event_index)
         if cls is Interaction:
