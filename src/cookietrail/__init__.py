@@ -23,14 +23,15 @@ from .analytics import (
 )
 from .crawllog import (
     CrawlEvent,
+    RunIndex,
     SentCookieObservation,
     extract_sent,
+    index_run,
     parse_cookie_header,
     parse_log,
     parse_log_text,
     parse_set_cookie,
     serialize,
-    summarize_visits,
 )
 from .detector import (
     Detector,
@@ -39,7 +40,6 @@ from .detector import (
     ResetFinding,
     SyncFinding,
     channel_split,
-    classify_cookie,
     detect_intractable,
     detect_reset,
     detect_sync,
@@ -69,7 +69,7 @@ from .model import (
     VisitOutcome,
     canonicalize_host,
 )
-from .psl import Party, PslRuleSet, etld_plus_one, load_psl, party_of
+from .psl import PslRuleSet, etld_plus_one, load_psl
 from .simulator import (
     EcosystemConfig,
     GroundTruth,

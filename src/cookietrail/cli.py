@@ -41,9 +41,7 @@ from . import crawllog, filterlist, reports, simulator
 from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
 from .errors import InputError, InvariantError, PipelineError
 from .jar import CookieJar, build_jar
-from .model import (
-    OPTIONAL_STR, BannerType, Channel, CookieKey, InteractionStage, Iteration, Phase, RecordFields, VisitOutcome
-)
+from .model import OPTIONAL_STR, Channel, CookieKey, InteractionStage, RecordFields
 from .psl import EMPTY_RULESET, PslRuleSet, load_psl
 
 DEFAULT_TIERS = (50, 500, 1000, 5000, 10000)
@@ -72,8 +70,9 @@ class PipelineConfig:
 def load_pipeline_config(path: str, *, jar_is_output: bool = False) -> PipelineConfig:
     """Load and validate a pipeline config file.
 
-    Every referenced input path must exist; ``jar_is_output`` exempts the jar
-    path for build-jar, which writes it.
+    Every field must have its JSON type, or be null or absent.  Every
+    referenced input path must exist; ``jar_is_output`` exempts the jar path
+    for build-jar, which writes it.
     """
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -81,23 +80,31 @@ def load_pipeline_config(path: str, *, jar_is_output: bool = False) -> PipelineC
         raise InputError("INVALID_CONFIG", f"{path}: not valid JSON ({exc.msg})") from None
     except RecursionError:
         raise InputError("INVALID_CONFIG", f"{path}: not valid JSON (nested too deeply)") from None
-    try:
-        filter_lists = obj.get("filter_lists", {})
-        sample = obj.get("sample") or {}
-        config = PipelineConfig(
-            psl_path=obj.get("psl_path"),
-            plain_filter_lists=tuple(filter_lists.get("plain", [])),
-            adblock_filter_lists=tuple(filter_lists.get("adblock", [])),
-            extra_tracker_domains_path=obj.get("extra_tracker_domains_path"),
-            jar_path=obj.get("jar_path"),
-            log_paths=tuple(obj.get("log_paths", [])),
-            report_dir=obj.get("report_dir"),
-            sample_n=sample.get("n"),
-            sample_seed=sample.get("seed", 0),
-            tier_cutoffs=tuple(obj.get("tier_cutoffs", DEFAULT_TIERS)),
-        )
-    except (TypeError, AttributeError) as exc:
-        raise InputError("INVALID_CONFIG", f"{path}: bad pipeline config ({exc})") from None
+
+    def field(owner: dict, name: str, kind: type, item: type | None = None):
+        """The field ``name`` (a dotted path) of ``owner``, checked to be null or a ``kind`` (a list: of ``item``)."""
+        value = owner.get(name.rpartition(".")[2])
+        if value is None or (type(value) is kind and (item is None or all(type(v) is item for v in value))):
+            return value
+        expected = f"a list of {item.__name__}" if item else kind.__name__
+        raise InputError("INVALID_CONFIG", f"{path}: field {name!r} must be {expected}, got {value!r}")
+
+    if type(obj) is not dict:
+        raise InputError("INVALID_CONFIG", f"{path}: bad pipeline config (not an object)")
+    filter_lists = field(obj, "filter_lists", dict) or {}
+    sample = field(obj, "sample", dict) or {}
+    config = PipelineConfig(
+        psl_path=field(obj, "psl_path", str),
+        plain_filter_lists=tuple(field(filter_lists, "filter_lists.plain", list, str) or ()),
+        adblock_filter_lists=tuple(field(filter_lists, "filter_lists.adblock", list, str) or ()),
+        extra_tracker_domains_path=field(obj, "extra_tracker_domains_path", str),
+        jar_path=field(obj, "jar_path", str),
+        log_paths=tuple(field(obj, "log_paths", list, str) or ()),
+        report_dir=field(obj, "report_dir", str),
+        sample_n=field(sample, "sample.n", int),
+        sample_seed=field(sample, "sample.seed", int) or 0,
+        tier_cutoffs=tuple(field(obj, "tier_cutoffs", list, int) or DEFAULT_TIERS),
+    )
     inputs = [
         config.psl_path,
         config.extra_tracker_domains_path,
@@ -145,12 +152,11 @@ def _apply_config(args) -> None:
         "out": None,
         "sample_n": config.sample_n,
         "sample_seed": config.sample_seed,
+        "tiers": config.tier_cutoffs,
     }
     for name, value in defaults.items():
         if hasattr(args, name) and getattr(args, name) in (None, []) and value is not None:
             setattr(args, name, value)
-    if hasattr(args, "tiers") and args.tiers is None and config.tier_cutoffs:
-        args.tiers = ",".join(str(t) for t in config.tier_cutoffs)
     if hasattr(args, "out") and args.out is None and config.report_dir and args.command == "report":
         args.out = config.report_dir
     if hasattr(args, "out") and args.out is None and config.jar_path and args.command == "build-jar":
@@ -183,6 +189,11 @@ def _load_logs(paths) -> list[crawllog.CrawlEvent]:
         seen_visits |= file_visits
         events += parsed
     return events
+
+
+def _index_logs(args) -> crawllog.RunIndex:
+    """The run in the command's ``--log`` files: one parse per file, then one walk over the events."""
+    return crawllog.index_run(_load_logs(_require_option(args, "log", "--log")))
 
 
 def _load_rules(args) -> PslRuleSet:
@@ -436,9 +447,9 @@ def _cmd_simulate(args, error_format: str) -> int:
 
 def _cmd_build_jar(args, error_format: str) -> int:
     _apply_config(args)
-    events = _load_logs(_require_option(args, "log", "--log"))
+    index = _index_logs(args)
     issues: list = []
-    jar = build_jar(events, issues=issues)
+    jar = build_jar(index, issues=issues)
     _emit_issues(issues, error_format)
     if args.sample_n is not None:
         jar = jar.normalize_sample(args.sample_n, args.sample_seed or 0)
@@ -454,9 +465,9 @@ def _cmd_build_jar(args, error_format: str) -> int:
 def _cmd_detect(args, error_format: str) -> int:
     _apply_config(args)
     jar = CookieJar.load(_require_option(args, "jar", "--jar"))
-    events = _load_logs(_require_option(args, "log", "--log"))
+    index = _index_logs(args)
     detector = Detector(_load_rules(args), _load_trackers(args, error_format))
-    result = detector.detect(jar, events)
+    result = detector.detect(jar, index)
     _emit_issues(result.issues, error_format)
     setters: dict = {}
     _write_ndjson(args.out, (encode_finding(f, setters) for f in result.findings))
@@ -478,42 +489,15 @@ def _cmd_report(args, error_format: str) -> int:
     _apply_config(args)
     jar = CookieJar.load(_require_option(args, "jar", "--jar"))
     findings = _read_findings(args.findings, jar)
-    events = _load_logs(_require_option(args, "log", "--log"))
-    visits = crawllog.summarize_visits(events)
-    rejected_sites = sorted(
-        {
-            v.site
-            for v in visits.values()
-            if v.phase is Phase.STATELESS_MEASURE
-            and v.iteration is Iteration.REJECT_ITER
-            and v.outcome is VisitOutcome.REJECTED
-        }
-    )
-    site_ranks = {v.site: v.rank for v in visits.values()}
-    sender_banner_types = {
-        v.site: v.banner_type
-        for v in visits.values()
-        if v.phase is Phase.STATELESS_MEASURE and v.iteration is Iteration.REJECT_ITER
-    }
-    paywall_setters = {
-        v.site
-        for v in visits.values()
-        if v.phase is Phase.STATEFUL_ACCEPT
-        and v.outcome is VisitOutcome.ACCEPTED
-        and v.banner_type is BannerType.PAYWALL
-    }
+    index = _index_logs(args)
     gpc_findings = _read_findings(args.gpc_findings) if args.gpc_findings else None
-    tiers = [int(t) for t in args.tiers.split(",")] if args.tiers else list(DEFAULT_TIERS)
     inputs = reports.ReportInputs(
         findings=findings,
         jar=jar,
         rules=_load_rules(args),
         trackers=_load_trackers(args, error_format),
-        rejected_sites=rejected_sites,
-        site_ranks=site_ranks,
-        sender_banner_types=sender_banner_types,
-        paywall_setters=paywall_setters,
-        tier_cutoffs=tiers,
+        visits=index.visits,
+        tier_cutoffs=args.tiers,
         gpc_findings=gpc_findings,
         resets=_read_records(args.resets, reset_from_record) if args.resets else None,
         syncs=_read_records(args.syncs, sync_from_record) if args.syncs else None,
@@ -550,6 +534,14 @@ def _cmd_validate_log(args, error_format: str) -> int:
         return 1
     print(f"validate-log: {len(events)} events OK", file=sys.stderr)
     return 0
+
+
+def _tier_list(text: str) -> tuple[int, ...]:
+    """The value of ``--tiers``: comma-separated integer rank cutoffs."""
+    try:
+        return tuple(int(cutoff) for cutoff in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -614,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jar", help="jar snapshot from build-jar")
     p.add_argument("--log", action="append", help="crawl log (repeatable)")
     p.add_argument("--out", help="report directory")
-    p.add_argument("--tiers", help="comma-separated rank cutoffs")
+    p.add_argument("--tiers", type=_tier_list, help="comma-separated rank cutoffs")
     p.add_argument("--gpc-findings", help="findings file from a signal-enabled run")
     p.add_argument("--resets", help="resets file from detect, for the totals table")
     p.add_argument("--syncs", help="syncs file from detect, for the totals table")

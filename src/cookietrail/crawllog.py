@@ -17,6 +17,10 @@ the record's fields and its place in its visit's sequence, then constructs the
 event with its final index (``first_index`` lets logs loaded one after another
 share one index).  Hosts (``site``, ``target_host``, ``setter_context_host``)
 are canonicalized at parse time, so every later stage sees canonical hosts.
+
+``index_run`` then walks the parsed events once into a ``RunIndex``: one
+``VisitSummary`` per visit, the requests and the cookie sets.  Later stages
+read the index and do not walk the events again.
 """
 
 from __future__ import annotations
@@ -151,6 +155,31 @@ class VisitSummary:
     gpc_enabled: bool
     banner_type: BannerType
     outcome: VisitOutcome
+
+    @property
+    def accepted_setter(self) -> bool:
+        """An accept-phase visit whose banner was accepted: its cookie writes fill the jar."""
+        return self.phase is Phase.STATEFUL_ACCEPT and self.outcome is VisitOutcome.ACCEPTED
+
+    @property
+    def in_reject_iteration(self) -> bool:
+        """A measure-phase visit of the reject iteration, whatever its outcome."""
+        return self.phase is Phase.STATELESS_MEASURE and self.iteration is Iteration.REJECT_ITER
+
+    @property
+    def rejected_measurement(self) -> bool:
+        """A reject-iteration visit that ended REJECTED: its sends before any interaction are canonical."""
+        return self.in_reject_iteration and self.outcome is VisitOutcome.REJECTED
+
+
+@dataclass(frozen=True)
+class RunIndex:
+    """What the stages read of a run, built by ``index_run`` in one walk over its events."""
+
+    visits: dict[str, VisitSummary]  # by visit id, in VISIT_START order
+    ended: list[VisitSummary]  # the same rows, in VISIT_END order
+    requests: list[HttpRequest]  # in event order
+    cookie_sets: list[CookieSet]  # in event order
 
 
 # --- banner serialization -------------------------------------------------
@@ -595,8 +624,10 @@ def parse_set_cookie(
     return SetCookieFragment(name, value, host, original_expiry, partitioned)
 
 
-def record_from_cookie_set(event: CookieSet, visit: VisitStart, *, issues: list[ParseIssue] | None = None) -> CookieRecord:
-    """Build a CookieRecord from a COOKIE_SET event and its visit context."""
+def record_from_cookie_set(
+    event: CookieSet, visit: VisitStart | VisitSummary, *, issues: list[ParseIssue] | None = None
+) -> CookieRecord:
+    """Build a CookieRecord from a COOKIE_SET event and its visit's site and phase."""
     fragment = parse_set_cookie(event.set_cookie_header, event.setter_context_host, issues=issues)
     partition = visit.site if fragment.partitioned else None
     return CookieRecord(
@@ -610,59 +641,58 @@ def record_from_cookie_set(event: CookieSet, visit: VisitStart, *, issues: list[
     )
 
 
-# --- derived views ----------------------------------------------------------
+# --- the run index -----------------------------------------------------------
 
 
-def visit_starts(events: Iterable[CrawlEvent]) -> dict[str, VisitStart]:
-    return {e.visit_id: e for e in events if isinstance(e, VisitStart)}
-
-
-def summarize_visits(events: Iterable[CrawlEvent]) -> dict[str, VisitSummary]:
-    """Condense a parsed event stream into one summary row per visit."""
+def index_run(events: Iterable[CrawlEvent]) -> RunIndex:
+    """Index a run in one walk over its events, which hold whole visits, as ``parse_log`` returns them."""
     starts: dict[str, VisitStart] = {}
     banners: dict[str, BannerType] = {}
-    outcomes: dict[str, VisitOutcome] = {}
+    visits: dict = {}
+    ended: list[VisitSummary] = []
+    requests: list[HttpRequest] = []
+    cookie_sets: list[CookieSet] = []
     for event in events:
-        if isinstance(event, VisitStart):
+        kind = type(event)
+        if kind is HttpRequest:
+            requests.append(event)
+        elif kind is CookieSet:
+            cookie_sets.append(event)
+        elif kind is VisitStart:
             starts[event.visit_id] = event
-        elif isinstance(event, BannerObserved):
+            visits[event.visit_id] = None  # holds the visit's VISIT_START place until its row is built
+        elif kind is BannerObserved:
             banners[event.visit_id] = event.banner.banner_type
-        elif isinstance(event, VisitEnd):
-            outcomes[event.visit_id] = event.outcome
-    return {
-        visit_id: VisitSummary(
-            visit_id=visit_id,
-            site=start.site,
-            rank=start.rank,
-            phase=start.phase,
-            iteration=start.iteration,
-            gpc_enabled=start.gpc_enabled,
-            banner_type=banners.get(visit_id, BannerType.NONE),
-            outcome=outcomes[visit_id],
-        )
-        for visit_id, start in starts.items()
-    }
+        elif kind is VisitEnd:
+            visit_id = event.visit_id
+            start = starts.pop(visit_id)
+            visits[visit_id] = summary = VisitSummary(
+                visit_id=visit_id,
+                site=start.site,
+                rank=start.rank,
+                phase=start.phase,
+                iteration=start.iteration,
+                gpc_enabled=start.gpc_enabled,
+                banner_type=banners.pop(visit_id, BannerType.NONE),
+                outcome=event.outcome,
+            )
+            ended.append(summary)
+    return RunIndex(visits, ended, requests, cookie_sets)
 
 
-def extract_sent(
-    events: Iterable[CrawlEvent],
-    *,
-    issues: list[ParseIssue] | None = None,
-) -> list[SentCookieObservation]:
+def extract_sent(index: RunIndex, *, issues: list[ParseIssue] | None = None) -> list[SentCookieObservation]:
     """One observation per (HTTP_REQUEST, cookie pair), in event order."""
-    sites = visit_starts(events)
+    visits = index.visits
     observations: list[SentCookieObservation] = []
-    for event in events:
-        if not isinstance(event, HttpRequest):
-            continue
-        start = sites[event.visit_id]
+    for event in index.requests:
+        site = visits[event.visit_id].site
         for name, value in parse_cookie_header(event.cookie_header, issues=issues):
             observations.append(
                 SentCookieObservation(
                     name=name,
                     value=value,
                     target_host=event.target_host,
-                    sender_site=start.site,
+                    sender_site=site,
                     stage=event.stage,
                     channel=event.channel,
                     visit_id=event.visit_id,

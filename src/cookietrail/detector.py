@@ -1,4 +1,4 @@
-"""Classify cookies and detect cross-site transmission, resets, and syncing.
+"""Detect cross-site transmission of jar cookies, cookie resets, and cookie syncing.
 
 A finding is *canonical* when the cookie was sent before any banner
 interaction on a visit whose banner was later successfully rejected; sends
@@ -12,53 +12,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 from urllib.parse import parse_qsl, urlsplit
 
-from .crawllog import (
-    CookieSet,
-    CrawlEvent,
-    HttpRequest,
-    SentCookieObservation,
-    VisitSummary,
-    extract_sent,
-    parse_set_cookie,
-    summarize_visits,
-)
+from .crawllog import RunIndex, SentCookieObservation, VisitSummary, extract_sent, parse_set_cookie
 from .errors import InputError, ParseIssue
 from .filterlist import TrackerDomainSet, is_tracker
 from .jar import CookieJar
-from .model import (
-    Channel,
-    CookieKey,
-    CookieRecord,
-    InteractionStage,
-    Iteration,
-    Phase,
-    SiteId,
-    VisitOutcome,
-)
-from .psl import Party, PslRuleSet, etld_plus_one, party_of
-
-
-@dataclass(frozen=True)
-class CookieFlags:
-    party: Party
-    is_tracking: bool
-
-
-def classify_cookie(
-    record: CookieRecord,
-    visit_site: SiteId,
-    rules: PslRuleSet,
-    trackers: TrackerDomainSet,
-) -> CookieFlags:
-    """Party and tracking flags for one cookie on one visit.
-
-    First- and third-party cookies are both eligible to be tracking cookies;
-    the tracking flag depends only on the blocklist match of the host.
-    """
-    return CookieFlags(
-        party=party_of(record.key.host, visit_site, rules),
-        is_tracking=is_tracker(record.key.host, trackers),
-    )
+from .model import Channel, CookieKey, InteractionStage, Phase, SiteId, VisitOutcome
+from .psl import PslRuleSet, etld_plus_one
 
 
 def match_sent_to_jar(obs: SentCookieObservation, jar: CookieJar) -> CookieKey | None:
@@ -125,6 +84,7 @@ class DetectionStats:
     observations: int = 0
     unmatched_observations: int = 0
     non_tracking_matches: int = 0
+    psl_failures: int = 0  # tracking matches whose cookie host has no registrable domain
 
 
 @dataclass
@@ -144,15 +104,6 @@ class DetectionResult:
         return [f for f in self.findings if not f.canonical]
 
 
-def _is_canonical(obs: SentCookieObservation, visit: VisitSummary) -> bool:
-    return (
-        visit.phase is Phase.STATELESS_MEASURE
-        and visit.iteration is Iteration.REJECT_ITER
-        and visit.outcome is VisitOutcome.REJECTED
-        and obs.stage is InteractionStage.BEFORE_INTERACTION
-    )
-
-
 def detect_intractable(
     jar: CookieJar,
     observations: Iterable[SentCookieObservation],
@@ -160,36 +111,36 @@ def detect_intractable(
     rules: PslRuleSet,
     trackers: TrackerDomainSet,
     *,
-    issues: list[ParseIssue] | None = None,
-    stats: DetectionStats | None = None,
+    issues: list[ParseIssue],
+    stats: DetectionStats,
 ) -> list[IntractableFinding]:
     """Match measure-phase sends against the jar and label each finding's stage.
 
-    Only tracking cookies (blocklist match on the jar host) yield findings.
-    Findings keep event order, so the output is deterministic however the
-    observations were produced.
+    Only tracking cookies (blocklist match on the jar host) yield findings;
+    first- and third-party hosts alike.  Findings keep event order, so the
+    output is deterministic however the observations were produced.  Each
+    measure-phase observation lands in exactly one of ``stats``'
+    ``unmatched_observations``, ``non_tracking_matches`` and ``psl_failures``,
+    or in the findings.
     """
     findings: list[IntractableFinding] = []
     for obs in observations:
         visit = visits[obs.visit_id]
         if visit.phase is not Phase.STATELESS_MEASURE:
             continue
-        if stats is not None:
-            stats.observations += 1
+        stats.observations += 1
         key = match_sent_to_jar(obs, jar)
         if key is None:
-            if stats is not None:
-                stats.unmatched_observations += 1
+            stats.unmatched_observations += 1
             continue
         if not is_tracker(key.host, trackers):
-            if stats is not None:
-                stats.non_tracking_matches += 1
+            stats.non_tracking_matches += 1
             continue
         try:
             tracker_domain = etld_plus_one(key.host, rules)
         except InputError as exc:
-            if issues is not None:
-                issues.append(ParseIssue(exc.code, f"cookie host {key.host!r}: {exc.message}"))
+            stats.psl_failures += 1
+            issues.append(ParseIssue(exc.code, f"cookie host {key.host!r}: {exc.message}"))
             continue
         findings.append(
             IntractableFinding(
@@ -202,25 +153,20 @@ def detect_intractable(
                 channel=obs.channel,
                 visit_id=obs.visit_id,
                 event_index=obs.event_index,
-                canonical=_is_canonical(obs, visit),
+                canonical=visit.rejected_measurement and obs.stage is InteractionStage.BEFORE_INTERACTION,
             )
         )
     return findings
 
 
-def detect_reset(
-    findings: Iterable[IntractableFinding],
-    events: Iterable[CrawlEvent],
-) -> list[ResetFinding]:
+def detect_reset(findings: Iterable[IntractableFinding], index: RunIndex) -> list[ResetFinding]:
     """Canonical findings whose key is re-set within the sender's own visit."""
     per_visit_keys: dict[str, dict[CookieKey, SiteId]] = {}
     for finding in findings:
         if finding.canonical:
             per_visit_keys.setdefault(finding.visit_id, {})[finding.key] = finding.sender_site
     resets: list[ResetFinding] = []
-    for event in events:
-        if not isinstance(event, CookieSet):
-            continue
+    for event in index.cookie_sets:
         keys = per_visit_keys.get(event.visit_id)
         if not keys:
             continue
@@ -249,7 +195,7 @@ def syncable_value(value: str) -> bool:
 
 def detect_sync(
     findings: Iterable[IntractableFinding],
-    events: Iterable[CrawlEvent],
+    index: RunIndex,
     rules: PslRuleSet,
     trackers: TrackerDomainSet,
 ) -> list[SyncFinding]:
@@ -270,8 +216,8 @@ def detect_sync(
         return []
     syncs: list[SyncFinding] = []
     seen: set[SyncFinding] = set()
-    for event in events:
-        if not isinstance(event, HttpRequest) or event.redirect_parent_url is None:
+    for event in index.requests:
+        if event.redirect_parent_url is None:
             continue
         try:
             destination = etld_plus_one(event.target_host, rules)
@@ -325,24 +271,21 @@ class Detector:
         self.rules = rules
         self.trackers = trackers
 
-    def detect(self, jar: CookieJar, events: Iterable[CrawlEvent]) -> DetectionResult:
-        events = list(events)
-        visits = summarize_visits(events)
+    def detect(self, jar: CookieJar, index: RunIndex) -> DetectionResult:
         stats = DetectionStats()
         issues: list[ParseIssue] = []
-        for visit in visits.values():
+        for visit in index.visits.values():
             if visit.phase is not Phase.STATELESS_MEASURE:
                 continue
             stats.visits += 1
-            if visit.iteration is Iteration.REJECT_ITER:
-                if visit.outcome is VisitOutcome.REJECTED:
-                    stats.rejected_visits += 1
-                elif visit.outcome is VisitOutcome.INTERACTION_FAILED:
-                    stats.failed_rejections += 1
-        observations = extract_sent(events, issues=issues)
+            if visit.rejected_measurement:
+                stats.rejected_visits += 1
+            elif visit.in_reject_iteration and visit.outcome is VisitOutcome.INTERACTION_FAILED:
+                stats.failed_rejections += 1
+        observations = extract_sent(index, issues=issues)
         findings = detect_intractable(
-            jar, observations, visits, self.rules, self.trackers, issues=issues, stats=stats
+            jar, observations, index.visits, self.rules, self.trackers, issues=issues, stats=stats
         )
-        resets = detect_reset(findings, events)
-        syncs = detect_sync(findings, events, self.rules, self.trackers)
+        resets = detect_reset(findings, index)
+        syncs = detect_sync(findings, index, self.rules, self.trackers)
         return DetectionResult(findings=findings, resets=resets, syncs=syncs, stats=stats, issues=issues)

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable
 
 from . import crawllog
 from .errors import InputError, ParseIssue
@@ -28,7 +27,6 @@ from .model import (
     Phase,
     RecordFields,
     SiteId,
-    VisitOutcome,
 )
 
 SNAPSHOT_FORMAT = "cookietrail-jar"
@@ -271,24 +269,20 @@ def _rows(fields: RecordFields, payload: dict, name: str):
             raise ValueError(f"{name}[{index}]: {exc}") from None
 
 
-def build_jar(events: Iterable[crawllog.CrawlEvent], *, issues: list[ParseIssue] | None = None) -> CookieJar:
-    """Replay a crawl log's accept phase into a jar.
+def build_jar(index: crawllog.RunIndex, *, issues: list[ParseIssue] | None = None) -> CookieJar:
+    """Replay a crawl's accept phase into a jar.
 
-    Only visits that ended with outcome ACCEPTED contribute: their cookie
-    writes are applied in event order and their site joins the accepted set.
+    Only accept-phase visits that ended with outcome ACCEPTED contribute:
+    each one's site joins the accepted set and its cookie writes are applied,
+    in event order, at its VISIT_END, so visits apply in VISIT_END order.
     """
-    events = list(events)
-    starts = crawllog.visit_starts(events)
-    pending: dict[str, list[crawllog.CookieSet]] = {}
+    writes: dict[str, list[crawllog.CookieSet]] = {}
+    for cookie_set in index.cookie_sets:
+        writes.setdefault(cookie_set.visit_id, []).append(cookie_set)
     jar = CookieJar()
-    for event in events:
-        visit = starts[event.visit_id]
-        if visit.phase is not Phase.STATEFUL_ACCEPT:
-            continue
-        if isinstance(event, crawllog.CookieSet):
-            pending.setdefault(event.visit_id, []).append(event)
-        elif isinstance(event, crawllog.VisitEnd) and event.outcome is VisitOutcome.ACCEPTED:
+    for visit in index.ended:
+        if visit.accepted_setter:
             jar.mark_accepted(visit.site)
-            for cookie_set in pending.pop(event.visit_id, []):
+            for cookie_set in writes.get(visit.visit_id, ()):
                 jar.upsert(crawllog.record_from_cookie_set(cookie_set, visit, issues=issues))
     return jar

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -10,11 +9,6 @@ from .model import SiteId, canonicalize_host
 
 _PRIVATE_BEGIN = "===BEGIN PRIVATE DOMAINS==="
 _PRIVATE_END = "===END PRIVATE DOMAINS==="
-
-
-class Party(enum.Enum):
-    FIRST_PARTY = "FIRST_PARTY"
-    THIRD_PARTY = "THIRD_PARTY"
 
 
 @dataclass(frozen=True)
@@ -110,10 +104,3 @@ def etld_plus_one(host: str, rules: PslRuleSet) -> SiteId:
     if len(labels) <= suffix_len:
         raise InputError("HOST_IS_PUBLIC_SUFFIX", f"{host!r} has no registrable part")
     return ".".join(labels[len(labels) - suffix_len - 1:])
-
-
-def party_of(cookie_host: str, visit_site: SiteId, rules: PslRuleSet) -> Party:
-    """FIRST_PARTY iff the cookie host's registrable domain equals the visited site."""
-    if etld_plus_one(cookie_host, rules) == visit_site:
-        return Party.FIRST_PARTY
-    return Party.THIRD_PARTY

@@ -13,9 +13,10 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import analytics
+from .crawllog import VisitSummary
 from .detector import IntractableFinding, ResetFinding, SyncFinding, channel_split
 from .filterlist import TrackerDomainSet
 from .jar import CookieJar
@@ -54,10 +55,7 @@ class ReportInputs:
     jar: CookieJar
     rules: PslRuleSet
     trackers: TrackerDomainSet
-    rejected_sites: list[SiteId]
-    site_ranks: dict[SiteId, int]
-    sender_banner_types: dict[SiteId, BannerType]
-    paywall_setters: set[SiteId]
+    visits: Mapping[str, VisitSummary]  # in VISIT_START order, as ``crawllog.index_run`` builds them
     tier_cutoffs: Sequence[int]
     gpc_findings: list[IntractableFinding] | None = None
     # Only counted in the totals table; None means "not supplied" (blank
@@ -66,15 +64,39 @@ class ReportInputs:
     syncs: list[SyncFinding] | None = None
 
 
+def _site_views(visits: Mapping[str, VisitSummary]):
+    """Every per-site view of the visits, derived in one pass.
+
+    They are: the sorted sites of the visits findings are counted on, each
+    site's rank, the banner type of each site's reject iteration, and the
+    accepted sites whose banner was a paywall.  Of one site's visits, the
+    last to start wins.
+    """
+    rejected: set[SiteId] = set()
+    ranks: dict[SiteId, int] = {}
+    banner_types: dict[SiteId, BannerType] = {}
+    paywall: set[SiteId] = set()
+    for visit in visits.values():
+        ranks[visit.site] = visit.rank
+        if visit.in_reject_iteration:
+            banner_types[visit.site] = visit.banner_type
+            if visit.rejected_measurement:
+                rejected.add(visit.site)
+        elif visit.accepted_setter and visit.banner_type is BannerType.PAYWALL:
+            paywall.add(visit.site)
+    return sorted(rejected), ranks, banner_types, paywall
+
+
 def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
     """Write every report CSV and the manifest; returns the manifest object."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     canonical = [f for f in inputs.findings if f.canonical]
+    rejected_sites, site_ranks, sender_banner_types, paywall_setters = _site_views(inputs.visits)
     files: list[tuple[str, int, str]] = []
 
     # Findings per rejected sender site (zero-send sites included).
-    per_site = {site: 0 for site in inputs.rejected_sites}
+    per_site = {site: 0 for site in rejected_sites}
     for f in canonical:
         if f.sender_site in per_site:
             per_site[f.sender_site] += 1
@@ -88,7 +110,7 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
     )
 
     # Distinct trackers contacted per sender site.
-    trackers_per_site: dict[SiteId, set[SiteId]] = {site: set() for site in inputs.rejected_sites}
+    trackers_per_site: dict[SiteId, set[SiteId]] = {site: set() for site in rejected_sites}
     for f in canonical:
         if f.sender_site in trackers_per_site:
             trackers_per_site[f.sender_site].add(f.tracker_domain)
@@ -176,8 +198,8 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
         inputs.findings,
         inputs.jar,
         inputs.tier_cutoffs,
-        site_ranks=inputs.site_ranks,
-        rejected_sites=inputs.rejected_sites,
+        site_ranks=site_ranks,
+        rejected_sites=rejected_sites,
     )
     files.append(
         _write_csv(
@@ -190,9 +212,9 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
 
     banner = analytics.banner_type_report(
         inputs.findings,
-        sender_banner_types=inputs.sender_banner_types,
-        rejected_sites=inputs.rejected_sites,
-        paywall_setters=inputs.paywall_setters,
+        sender_banner_types=sender_banner_types,
+        rejected_sites=rejected_sites,
+        paywall_setters=paywall_setters,
     )
     files.append(
         _write_csv(

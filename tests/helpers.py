@@ -207,7 +207,8 @@ def run_pipeline(config: sim.EcosystemConfig, seed: int) -> tuple[list, CookieJa
     the generated log's sequencing invariants.
     """
     events = crawllog.parse_log_text(crawllog.serialize(sim.generate(config, seed)))
-    jar = build_jar(events)
+    index = crawllog.index_run(events)
+    jar = build_jar(index)
     trackers = TrackerDomainSet(frozenset(config.listed_tracker_domains()))
-    result = Detector(SIM_PSL, trackers).detect(jar, events)
+    result = Detector(SIM_PSL, trackers).detect(jar, index)
     return events, jar, result

@@ -15,11 +15,15 @@ import pytest
 import cookietrail
 from cookietrail import cli
 from cookietrail.cli import _load_logs, build_parser, main
-from cookietrail.crawllog import CookieSet, parse_log_text
+from cookietrail.crawllog import (
+    BannerObserved, CookieSet, HttpRequest, Interaction, VisitEnd, VisitStart, parse_log_text, serialize
+)
 from cookietrail.detector import IntractableFinding
 from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar
-from cookietrail.model import Channel, CookieKey, InteractionStage
-from helpers import random_config, run_pipeline
+from cookietrail.model import (
+    Channel, CookieKey, InteractionAction, InteractionStage, Iteration, Phase, VisitOutcome
+)
+from helpers import cmp_banner, native_banner, paywall_banner, random_config, run_pipeline
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -425,6 +429,93 @@ class TestMergedLogs:
         assert all(stream[r["event_index"]].visit_id == r["visit_id"] for r in records)
 
 
+def _interleaved_events() -> list:
+    """Two accept-phase visits, then two measure-phase reject visits, each pair interleaved."""
+    S = InteractionStage
+
+    def tracker_set(visit_id, stage, pair):
+        return CookieSet(visit_id, stage, f"{pair}; Domain=tracker.net; Max-Age=86400", "cdn.tracker.net")
+
+    def send(visit_id, stage, header, host="cdn.tracker.net", url="https://cdn.tracker.net/px", parent=None):
+        return HttpRequest(visit_id, stage, host, url, Channel.RESOURCE_FETCH, header, parent)
+
+    accept = (Phase.STATEFUL_ACCEPT, Iteration.ACCEPT_ITER, False)
+    reject = (Phase.STATELESS_MEASURE, Iteration.REJECT_ITER, False)
+    return [
+        VisitStart("a1", "first.com", 1, *accept),
+        BannerObserved("a1", paywall_banner()),
+        VisitStart("a2", "second.com", 2, *accept),
+        BannerObserved("a2", native_banner()),
+        Interaction("a1", InteractionAction.ACCEPT_CLICKED, S.AFTER_ACCEPT),
+        Interaction("a2", InteractionAction.ACCEPT_CLICKED, S.AFTER_ACCEPT),
+        tracker_set("a1", S.AFTER_ACCEPT, "id=one"),
+        tracker_set("a2", S.AFTER_ACCEPT, "id=two"),
+        tracker_set("a2", S.AFTER_ACCEPT, "uid=AbCdEf1234567890"),
+        tracker_set("a1", S.AFTER_ACCEPT, "pref=1"),
+        VisitEnd("a2", VisitOutcome.ACCEPTED),
+        VisitEnd("a1", VisitOutcome.ACCEPTED),
+        VisitStart("m1", "third.com", 3, *reject),
+        BannerObserved("m1", native_banner()),
+        VisitStart("m2", "fourth.com", 4, *reject),
+        BannerObserved("m2", cmp_banner(settings_reject=True)),
+        send("m2", S.BEFORE_INTERACTION, "id=one; uid=AbCdEf1234567890"),
+        send("m1", S.BEFORE_INTERACTION, "id=two; pref=1"),
+        tracker_set("m1", S.BEFORE_INTERACTION, "id=three"),
+        send("m2", S.BEFORE_INTERACTION, "", "sync.other.com", "https://sync.other.com/?u=AbCdEf1234567890",
+             "https://cdn.tracker.net/px"),
+        Interaction("m2", InteractionAction.REJECT_CLICKED, S.AFTER_REJECT),
+        Interaction("m1", InteractionAction.REJECT_CLICKED, S.AFTER_REJECT),
+        send("m1", S.AFTER_REJECT, "id=one"),
+        tracker_set("m2", S.AFTER_REJECT, "uid=renewed"),
+        VisitEnd("m1", VisitOutcome.REJECTED),
+        VisitEnd("m2", VisitOutcome.REJECTED),
+    ]
+
+
+def _interleaved_chain(directory: Path) -> dict[str, str]:
+    """Run build-jar, detect and report over the interleaved log; the SHA-256 of each artifact."""
+    log = directory / "run.log"
+    log.write_text(serialize(_interleaved_events()))
+    (directory / "psl.dat").write_text("com\nnet\n")
+    (directory / "trackers.txt").write_text("tracker.net\nother.com\n")
+    rules = ["--psl", directory / "psl.dat", "--trackers", directory / "trackers.txt"]
+    jar, findings = directory / "jar.snap", directory / "findings.jsonl"
+    resets, syncs = directory / "resets.jsonl", directory / "syncs.jsonl"
+    assert _run(["build-jar", "--log", log, "--out", jar]) == 0
+    assert _run(["detect", "--jar", jar, "--log", log, *rules, "--out", findings,
+                 "--resets-out", resets, "--syncs-out", syncs]) == 0
+    assert _run(["report", "--findings", findings, "--jar", jar, "--log", log, *rules,
+                 "--resets", resets, "--syncs", syncs, "--out", directory / "report"]) == 0
+    names = ("jar.snap", "findings.jsonl", "resets.jsonl", "syncs.jsonl", "report/manifest.json")
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
+class TestInterleavedVisits:
+    # The artifacts' digests as the chain wrote them before the run index existed.
+    PINNED = {
+        "jar.snap": "56c4f598cd09108651e2acb2d7817a9a5cb020bb423fd3338b457dad64bb1db5",
+        "findings.jsonl": "0afb987115b2b8caad86b39260fad9b8a1f95194889452a7d2dac32f8f153802",
+        "resets.jsonl": "f4c734db1e0314a070cbc4e665c925e1d0315b542df3e35eb2b0571591f2332e",
+        "syncs.jsonl": "1f25b0afb571dd540283a275e1d0b56ebe2e25df99b89cf03c4f7b351588ec3a",
+        "report/manifest.json": "82de8313045aecf7a8e0ae88c5ef1cc08c4a234a3cc98ec1aa663c32e26cf5aa",
+    }
+
+    def test_artifacts_keep_their_bytes(self, tmp_path):
+        assert _interleaved_chain(tmp_path) == self.PINNED
+
+    def test_writes_apply_at_visit_end_and_findings_keep_event_order(self, tmp_path):
+        _interleaved_chain(tmp_path)
+        jar = CookieJar.load(tmp_path / "jar.snap")
+        # a2 ends first, so a1's write of id, applied last, is the one kept.
+        assert jar.entries[CookieKey("id", "tracker.net")].value == "one"
+        assert jar.setters_of(CookieKey("id", "tracker.net")) == ("second.com", "first.com")
+        records = [json.loads(line) for line in (tmp_path / "findings.jsonl").read_text().splitlines()[1:]]
+        assert [r["visit_id"] for r in records] == ["m2", "m2", "m1", "m1", "m1"]
+        assert [r["event_index"] for r in records] == sorted(r["event_index"] for r in records)
+        resets = [json.loads(line) for line in (tmp_path / "resets.jsonl").read_text().splitlines()[1:]]
+        assert [(r["name"], r["sender_site"]) for r in resets] == [("id", "third.com"), ("uid", "fourth.com")]
+
+
 class TestFilterConvert:
     def test_conversion(self, tmp_path, capsys):
         adblock = tmp_path / "list.txt"
@@ -653,6 +744,51 @@ class TestDeeplyNestedJson:
         assert _run(["--errors", "json", "detect", "--config", deep, "--out", tmp_path / "f.jsonl"]) == 1
         assert _json_error(capsys) == {"error": "INVALID_CONFIG",
                                        "message": f"{deep}: not valid JSON (nested too deeply)"}
+
+
+class TestReportTiersAndConfigTypes:
+    """A bad ``--tiers`` or a mistyped pipeline-config field: exit 1, one JSON record, no traceback."""
+
+    def _argv(self, analyzed, command: str) -> list:
+        jar, log = analyzed / "jar.snap", analyzed / "run.log"
+        return {
+            "build-jar": ["build-jar", "--log", log, "--out", analyzed / "sampled.snap"],
+            "detect": ["detect", "--jar", jar, "--log", log, "--out", analyzed / "again.jsonl"],
+            "report": ["report", "--findings", analyzed / "findings.jsonl", "--jar", jar, "--log", log,
+                       "--out", analyzed / "report"],
+        }[command]
+
+    @pytest.mark.parametrize("tiers", ["x", "10,,20", "5.5"])
+    def test_bad_tiers_is_a_usage_error(self, analyzed, capsys, tiers):
+        capsys.readouterr()
+        assert _run(["--errors", "json", *self._argv(analyzed, "report"), "--tiers", tiers]) == 1
+        record = _json_error(capsys)
+        assert record["error"] == "USAGE_ERROR"
+        assert record["message"].startswith("cookietrail report: argument --tiers: ")
+
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("report", {"tier_cutoffs": ["a"]}, "tier_cutoffs"),
+            ("build-jar", {"sample": {"n": "5"}}, "sample.n"),
+            ("detect", {"psl_path": 5}, "psl_path"),
+        ],
+    )
+    def test_mistyped_config_field_is_invalid_config(self, analyzed, capsys, command, config, field):
+        path = analyzed / "pipeline.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert _run(["--errors", "json", *self._argv(analyzed, command), "--config", path]) == 1
+        record = _json_error(capsys)
+        assert record["error"] == "INVALID_CONFIG"
+        assert f"field {field!r}" in record["message"]
+
+    def test_config_tiers_reach_the_report(self, analyzed):
+        path = analyzed / "pipeline.json"
+        path.write_text(json.dumps({"tier_cutoffs": [2, 6]}))
+        assert _run([*self._argv(analyzed, "report"), "--config", path]) == 0
+        rows = (analyzed / "report" / "rank_tiers.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "6"]
 
 
 class TestFindingsReader:

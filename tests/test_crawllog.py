@@ -21,13 +21,13 @@ from cookietrail.crawllog import (
     VisitStart,
     banner_from_obj,
     extract_sent,
+    index_run,
     parse_cookie_header,
     parse_log_text,
     parse_set_cookie,
     record_from_cookie_set,
     serialize,
     strict_issues,
-    summarize_visits,
 )
 from cookietrail.errors import InputError, InvariantError, ParseIssue, PipelineError
 from cookietrail.model import (
@@ -379,7 +379,7 @@ class TestRecordFromCookieSet:
 class TestExtractSent:
     def test_one_observation_per_pair(self):
         events = parse_log_text(serialize(_single_visit_events()))
-        observations = extract_sent(events)
+        observations = extract_sent(index_run(events))
         assert len(observations) == 1
         obs = observations[0]
         assert obs.name == "id"
@@ -391,7 +391,7 @@ class TestExtractSent:
         events[2] = HttpRequest(
             "v1", InteractionStage.BEFORE_INTERACTION, "t.net", "https://t.net/", Channel.API_CALL, ""
         )
-        assert extract_sent(parse_log_text(serialize(events))) == []
+        assert extract_sent(index_run(parse_log_text(serialize(events)))) == []
 
     def test_conservation_total_equals_pair_sum(self):
         events = _single_visit_events()
@@ -407,7 +407,7 @@ class TestExtractSent:
             ),
         )
         parsed = parse_log_text(serialize(events))
-        observations = extract_sent(parsed)
+        observations = extract_sent(index_run(parsed))
         expected = sum(
             len(parse_cookie_header(e.cookie_header)) for e in parsed if isinstance(e, HttpRequest)
         )
@@ -426,7 +426,7 @@ class TestExtractSent:
                 "id=123",
             ),
         )
-        observations = extract_sent(parse_log_text(serialize(events)))
+        observations = extract_sent(index_run(parse_log_text(serialize(events))))
         assert len(observations) == 2
         assert {o.target_host for o in observations} == {"cdn.tracker.net", "other.net"}
 
@@ -434,7 +434,7 @@ class TestExtractSent:
 class TestSummaries:
     def test_summary_fields(self):
         events = parse_log_text(serialize(_single_visit_events()))
-        summary = summarize_visits(events)["v1"]
+        summary = index_run(events).visits["v1"]
         assert summary.site == "new.com"
         assert summary.banner_type is BannerType.NATIVE
         assert summary.outcome is VisitOutcome.REJECTED
@@ -444,7 +444,7 @@ class TestSummaries:
             VisitStart("v1", "a.com", 1, Phase.STATELESS_MEASURE, Iteration.REJECT_ITER, False),
             VisitEnd("v1", VisitOutcome.NO_BANNER),
         ]
-        summary = summarize_visits(parse_log_text(serialize(events)))["v1"]
+        summary = index_run(parse_log_text(serialize(events))).visits["v1"]
         assert summary.banner_type is BannerType.NONE
 
     def test_strict_issues_flags_bad_cookie_headers(self):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
 from cookietrail.crawllog import (
@@ -11,6 +12,7 @@ from cookietrail.crawllog import (
     SentCookieObservation,
     VisitEnd,
     VisitStart,
+    index_run,
     parse_log_text,
     serialize,
 )
@@ -19,16 +21,16 @@ from cookietrail.detector import (
     IntractableFinding,
     SyncFinding,
     channel_split,
-    classify_cookie,
     detect_reset,
     detect_sync,
     is_simple_value,
     match_sent_to_jar,
     syncable_value,
 )
+from cookietrail import simulator as sim
 from cookietrail.errors import InputError
 from cookietrail.filterlist import TrackerDomainSet, is_tracker
-from cookietrail.jar import CookieJar
+from cookietrail.jar import CookieJar, build_jar
 from cookietrail.model import (
     Channel,
     CookieKey,
@@ -40,9 +42,12 @@ from cookietrail.model import (
     VisitOutcome,
     domain_match,
 )
-from cookietrail.psl import Party, etld_plus_one, load_psl
+from cookietrail.psl import etld_plus_one, load_psl
 
+from helpers import random_config, run_pipeline
 from test_jar import make_record
+
+DEMO = Path(__file__).parent.parent / "demo"
 
 RULES = load_psl("com\nnet\nexample\n")
 TRACKERS = TrackerDomainSet(frozenset({"tracker.net", "other-tracker.com", "shop.com"}))
@@ -59,21 +64,6 @@ def jar_with(*records: CookieRecord) -> CookieJar:
     for record in records:
         jar.upsert(record)
     return jar
-
-
-class TestClassifyCookie:
-    def test_third_party_tracking(self):
-        flags = classify_cookie(make_record(host="tracker.net"), "shop.com", RULES, TRACKERS)
-        assert flags.party is Party.THIRD_PARTY and flags.is_tracking
-
-    def test_first_party_tracking_permitted(self):
-        flags = classify_cookie(make_record(host="shop.com"), "shop.com", RULES, TRACKERS)
-        assert flags.party is Party.FIRST_PARTY and flags.is_tracking
-
-    def test_first_party_not_tracking(self):
-        empty = TrackerDomainSet(frozenset())
-        flags = classify_cookie(make_record(host="cdn.shop.com"), "shop.com", RULES, empty)
-        assert flags.party is Party.FIRST_PARTY and not flags.is_tracking
 
 
 class TestMatchSentToJar:
@@ -207,7 +197,7 @@ class TestDetect:
         jar = jar_with(make_record("id", "tracker.net", value="123", setter="basic.com"))
         jar.mark_accepted("basic.com")
         events = parse_log_text(serialize(_reject_visit_events()))
-        result = Detector(RULES, TRACKERS).detect(jar, events)
+        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
         assert len(result.canonical_findings) == 1
         finding = result.canonical_findings[0]
         assert finding.key == CookieKey("id", "tracker.net")
@@ -218,7 +208,7 @@ class TestDetect:
 
     def test_empty_jar_no_findings(self):
         events = parse_log_text(serialize(_reject_visit_events()))
-        result = Detector(RULES, TRACKERS).detect(CookieJar(), events)
+        result = Detector(RULES, TRACKERS).detect(CookieJar(), index_run(events))
         assert result.findings == []
 
     def test_send_only_after_reload_is_staged_not_canonical(self):
@@ -228,7 +218,7 @@ class TestDetect:
         )
         # The builder emits a BEFORE request only for BEFORE stage, so here the
         # only send happens after reload.
-        result = Detector(RULES, TRACKERS).detect(jar, events)
+        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
         canonical = result.canonical_findings
         staged = result.staged_findings
         assert canonical == []
@@ -239,7 +229,7 @@ class TestDetect:
         events = parse_log_text(
             serialize(_reject_visit_events(outcome=VisitOutcome.INTERACTION_FAILED))
         )
-        result = Detector(RULES, TRACKERS).detect(jar, events)
+        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
         assert result.canonical_findings == []
         assert len(result.staged_findings) == 1
         assert result.stats.failed_rejections == 1
@@ -249,7 +239,7 @@ class TestDetect:
         events = parse_log_text(
             serialize(_reject_visit_events(header="pref=1", target="benign.example"))
         )
-        result = Detector(RULES, TRACKERS).detect(jar, events)
+        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
         assert result.findings == []
         assert result.stats.non_tracking_matches == 1
 
@@ -268,7 +258,7 @@ class TestDetect:
             ),
             VisitEnd("a1", VisitOutcome.ACCEPTED),
         ]
-        result = Detector(RULES, TRACKERS).detect(jar, parse_log_text(serialize(events)))
+        result = Detector(RULES, TRACKERS).detect(jar, index_run(parse_log_text(serialize(events))))
         assert result.canonical_findings == []
         assert [f.stage for f in result.staged_findings] == [InteractionStage.AFTER_ACCEPT]
 
@@ -287,7 +277,7 @@ class TestDetect:
             Interaction("a1", InteractionAction.ACCEPT_CLICKED, InteractionStage.AFTER_ACCEPT),
             VisitEnd("a1", VisitOutcome.ACCEPTED),
         ]
-        result = Detector(RULES, TRACKERS).detect(jar, parse_log_text(serialize(events)))
+        result = Detector(RULES, TRACKERS).detect(jar, index_run(parse_log_text(serialize(events))))
         assert result.canonical_findings == []
         assert len(result.staged_findings) == 1
 
@@ -298,7 +288,7 @@ class TestDetect:
             make_record("unsent", "tracker.net", value="3", setter="a.com", set_at=2),
         )
         events = parse_log_text(serialize(_reject_visit_events(header="id=1; sid=2")))
-        result = Detector(RULES, TRACKERS).detect(jar, events)
+        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
         canonical = result.canonical_findings
         finding_keys = {f.key for f in canonical}
         assert finding_keys <= set(jar.entries)
@@ -307,6 +297,51 @@ class TestDetect:
             if (key.name, key.host) in {(f.key.name, f.key.host) for f in canonical}
         }
         assert {(k.name, k.host) for k in finding_keys} == {(k.name, k.host) for k in flagged}
+
+
+    def test_first_party_tracking_permitted(self):
+        # A tracker host that is also the sending site is first-party there, and still a finding.
+        jar = jar_with(make_record("id", "shop.com", value="123", setter="basic.com"))
+        events = parse_log_text(serialize(_reject_visit_events(site="shop.com", target="www.shop.com")))
+        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
+        [finding] = result.canonical_findings
+        assert finding.key == CookieKey("id", "shop.com")
+        assert finding.sender_site == finding.tracker_domain == "shop.com"
+
+
+def _assert_accounted(result) -> None:
+    stats = result.stats
+    accounted = stats.unmatched_observations + stats.non_tracking_matches + stats.psl_failures
+    assert stats.observations == accounted + len(result.findings)
+
+
+class TestDetectionStatsIdentity:
+    """Each measure-phase observation is unmatched, non-tracking, a PSL failure or a finding."""
+
+    def test_demo_log(self):
+        config = sim.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text())
+        index = index_run(parse_log_text(serialize(sim.generate(config, 7))))
+        rules = load_psl((DEMO / "psl.dat").read_text())
+        trackers = TrackerDomainSet(frozenset(config.listed_tracker_domains()))
+        result = Detector(rules, trackers).detect(build_jar(index), index)
+        assert result.findings
+        _assert_accounted(result)
+
+    def test_random_configs(self):
+        for seed in range(50):
+            _, _, result = run_pipeline(random_config(random.Random(seed)), seed)
+            _assert_accounted(result)
+
+    def test_public_suffix_cookie_host_is_counted(self):
+        # With tracker.net a public suffix, the matched tracking cookie has no registrable domain.
+        rules = load_psl("com\nnet\nexample\ntracker.net\n")
+        jar = jar_with(make_record("id", "tracker.net", value="123"))
+        events = parse_log_text(serialize(_reject_visit_events(header="id=123; other=1")))
+        result = Detector(rules, TRACKERS).detect(jar, index_run(events))
+        assert result.findings == []
+        assert (result.stats.observations, result.stats.psl_failures) == (2, 1)
+        assert [issue.code for issue in result.issues] == ["HOST_IS_PUBLIC_SUFFIX"]
+        _assert_accounted(result)
 
 
 class TestDetectReset:
@@ -336,14 +371,14 @@ class TestDetectReset:
 
     def test_reset_detected(self):
         events = self._events_with_set()
-        resets = detect_reset([self._finding()], events)
+        resets = detect_reset([self._finding()], index_run(events))
         assert len(resets) == 1
         assert resets[0].key == CookieKey("id", "tracker.net")
         assert resets[0].sender_site == "new.com"
 
     def test_unrelated_set_ignored(self):
         events = self._events_with_set(set_header="unrelated=1")
-        assert detect_reset([self._finding()], events) == []
+        assert detect_reset([self._finding()], index_run(events)) == []
 
     def test_two_senders_two_resets(self):
         first = _reject_visit_events(visit_id="v1", site="s1.com")
@@ -363,13 +398,13 @@ class TestDetectReset:
             self._finding(visit_id="v1", sender_site="s1.com"),
             self._finding(visit_id="v2", sender_site="s2.com"),
         ]
-        resets = detect_reset(findings, events)
+        resets = detect_reset(findings, index_run(events))
         assert len(resets) == 2
         assert {r.sender_site for r in resets} == {"s1.com", "s2.com"}
 
     def test_non_canonical_findings_ignored(self):
         events = self._events_with_set()
-        assert detect_reset([self._finding(canonical=False)], events) == []
+        assert detect_reset([self._finding(canonical=False)], index_run(events)) == []
 
 
 class TestDetectSync:
@@ -410,7 +445,7 @@ class TestDetectSync:
         events = self._events_with_redirect(
             f"https://other-tracker.com/?uid={value}", "other-tracker.com"
         )
-        syncs = detect_sync([self._finding(value)], events, RULES, TRACKERS)
+        syncs = detect_sync([self._finding(value)], index_run(events), RULES, TRACKERS)
         assert len(syncs) == 1
         sync = syncs[0]
         assert sync.origin_tracker == "tracker.net"
@@ -419,12 +454,12 @@ class TestDetectSync:
 
     def test_simple_values_excluded(self):
         events = self._events_with_redirect("https://other-tracker.com/?uid=true", "other-tracker.com")
-        assert detect_sync([self._finding("true")], events, RULES, TRACKERS) == []
+        assert detect_sync([self._finding("true")], index_run(events), RULES, TRACKERS) == []
 
     def test_same_tracker_destination_excluded(self):
         value = "AbCdEf123456"
         events = self._events_with_redirect(f"https://a.tracker.net/?uid={value}", "a.tracker.net")
-        assert detect_sync([self._finding(value)], events, RULES, TRACKERS) == []
+        assert detect_sync([self._finding(value)], index_run(events), RULES, TRACKERS) == []
 
     def test_non_redirect_requests_ignored(self):
         value = "AbCdEf123456"
@@ -441,13 +476,13 @@ class TestDetectSync:
             ),
         )
         parsed = parse_log_text(serialize(events))
-        assert detect_sync([self._finding(value)], parsed, RULES, TRACKERS) == []
+        assert detect_sync([self._finding(value)], index_run(parsed), RULES, TRACKERS) == []
 
     def test_long_digit_values_still_sync(self):
         # Longer than ten characters is identifier-like even when numeric.
         value = "123456789012345"
         events = self._events_with_redirect(f"https://other-tracker.com/?x={value}", "other-tracker.com")
-        assert len(detect_sync([self._finding(value)], events, RULES, TRACKERS)) == 1
+        assert len(detect_sync([self._finding(value)], index_run(events), RULES, TRACKERS)) == 1
 
 
     def test_repeat_sends_of_one_value_match_brute_force(self):
@@ -513,7 +548,7 @@ class TestDetectSync:
         ]
         expected = brute_force(findings, events)
         assert len(expected) >= 8
-        assert detect_sync(findings, events, RULES, TRACKERS) == expected
+        assert detect_sync(findings, index_run(events), RULES, TRACKERS) == expected
 
 
 class TestSimpleValues:

@@ -285,7 +285,7 @@ class TestSnapshot:
 class TestBuildJar:
     def test_only_accepted_visits_contribute(self):
         from cookietrail import simulator as sim
-        from cookietrail.crawllog import parse_log_text, serialize
+        from cookietrail.crawllog import index_run, parse_log_text, serialize
         from cookietrail.model import BannerButton, BannerDescriptor, BannerLayer, BannerType, ButtonAction
         from helpers import simple_config
 
@@ -300,6 +300,6 @@ class TestBuildJar:
         sites[1] = sim.SiteSpec(sites[1].site, sites[1].rank, reject_only, sites[1].embeds)
         config = sim.EcosystemConfig(tuple(sites), config.trackers, config.schedule)
         events = parse_log_text(serialize(sim.generate(config, 1)))
-        jar = build_jar(events)
+        jar = build_jar(index_run(events))
         assert jar.accepted_sites == {"site0.com"}
         assert all(r.setter_site == "site0.com" for r in jar.entries.values())

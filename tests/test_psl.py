@@ -7,7 +7,7 @@ import pytest
 
 from cookietrail.errors import InputError
 from cookietrail.model import canonicalize_host
-from cookietrail.psl import Party, etld_plus_one, load_psl, party_of
+from cookietrail.psl import etld_plus_one, load_psl
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -67,26 +67,6 @@ class TestEtldPlusOne:
     def test_longest_rule_wins(self):
         rules = load_psl("uk\nco.uk\n")
         assert etld_plus_one("a.b.co.uk", rules) == "b.co.uk"
-
-
-class TestPartyOf:
-    def test_first_party_same_registrable(self, basic_rules):
-        assert party_of("cdn.shop.com", "shop.com", basic_rules) is Party.FIRST_PARTY
-
-    def test_third_party(self, basic_rules):
-        assert party_of("tracker.net", "shop.com", basic_rules) is Party.THIRD_PARTY
-
-    def test_third_party_shared_public_suffix(self, basic_rules):
-        # Same public suffix is not enough; registrable domains differ.
-        assert party_of("shop.co.uk", "other.co.uk", basic_rules) is Party.THIRD_PARTY
-
-    def test_first_party_iff_equal_site_ids(self, basic_rules):
-        hosts = ["shop.com", "cdn.shop.com", "tracker.net", "a.b.co.uk"]
-        sites = ["shop.com", "tracker.net", "b.co.uk"]
-        for host in hosts:
-            for site in sites:
-                party = party_of(host, site, basic_rules)
-                assert (party is Party.FIRST_PARTY) == (etld_plus_one(host, basic_rules) == site)
 
 
 _VECTOR_RE = re.compile(r"checkPublicSuffix\((null|'[^']*'), (null|'[^']*')\);")

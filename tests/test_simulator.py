@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cookietrail import simulator as sim
-from cookietrail.crawllog import HttpRequest, parse_cookie_header, parse_log_text, serialize
+from cookietrail.crawllog import HttpRequest, index_run, parse_cookie_header, parse_log_text, serialize
 from cookietrail.errors import InputError
 from cookietrail.jar import build_jar
 from cookietrail.model import (
@@ -156,7 +156,7 @@ class TestGenerate:
             schedule=sim.Schedule(phase1=("basic.com",), phase2=("new.com",)),
         )
         events = sim.generate(config, 7)
-        jar = build_jar(events)
+        jar = build_jar(index_run(events))
         assert any(k.partition == "basic.com" for k in jar.entries)
         phase2_headers = [
             e.cookie_header
@@ -245,7 +245,7 @@ class TestGroundTruth:
         truth = sim.ground_truth(config, 1)
         assert truth.expected_jar_keys == frozenset()
         events = sim.generate(config, 1)
-        assert build_jar(events).entries == {}
+        assert build_jar(index_run(events)).entries == {}
 
     def test_matches_detector_on_simple_configs(self):
         for seed in range(10):
