@@ -246,6 +246,7 @@ class BannerTypeReport:
 
 def banner_type_report(
     findings: Iterable[IntractableFinding],
+    jar: CookieJar,
     *,
     sender_banner_types: Mapping[SiteId, BannerType],
     rejected_sites: Collection[SiteId],
@@ -255,7 +256,8 @@ def banner_type_report(
 
     ``paywall_shares``: for each distinct per-site finding count k, among the
     rejected sites sending at most k cookies, the fraction of their findings
-    that were set (at least once) by a site with a cookie-paywall banner.
+    whose cookie the jar records as set (at least once) by a site with a
+    cookie-paywall banner.
     """
     canonical = [f for f in findings if f.canonical]
     per_site: Counter[SiteId] = Counter()
@@ -270,6 +272,9 @@ def banner_type_report(
         ratio = cmp_avg / native_avg
 
     paywall_setters = set(paywall_setters)
+    paywalled = {
+        key for key in {f.key for f in canonical} if not paywall_setters.isdisjoint(jar.setters_of(key))
+    }
     site_count = len(rejected_sites)
     shares: list[PaywallShareRow] = []
     if site_count:
@@ -278,9 +283,7 @@ def banner_type_report(
             covered = {s for s in rejected_sites if per_site[s] <= threshold}
             their_findings = [f for f in canonical if f.sender_site in covered]
             if their_findings:
-                with_paywall = sum(
-                    1 for f in their_findings if paywall_setters.intersection(f.setter_sites)
-                )
+                with_paywall = sum(1 for f in their_findings if f.key in paywalled)
                 share = with_paywall / len(their_findings)
             else:
                 share = None

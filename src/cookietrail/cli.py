@@ -19,17 +19,18 @@ built on the first call and shared by the later ones, and each call parses
 into a fresh namespace.
 
 Findings are NDJSON, one line per finding.  ``detect`` writes each line with
-the hand encoder ``encode_finding``, byte for byte what ``json.dumps`` wrote,
-encoding each distinct setter list once per file.  ``report`` reads the file
-as a stream and checks every record; a cookie's findings with equal setter
-lists share one tuple, so ``report`` keeps one copy of each cookie's setter
-list, not one per finding.
+the hand encoder ``encode_finding``, byte for byte what ``json.dumps`` wrote.
+A record's ``setter_sites`` is the jar's setter list of its cookie
+(``CookieJar.setters_of``), encoded once per cookie.  ``report`` reads the
+file as a stream and checks every record; with ``--jar``, each record's list
+must equal the jar's, and is then dropped.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -206,21 +207,16 @@ def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
     sets = []
     for path in args.trackers or []:
         issues: list = []
-        sets.append(
-            filterlist.parse_domain_list(Path(path).read_text(encoding="utf-8"), Path(path).name, issues=issues)
-        )
+        sets.append(filterlist.parse_domain_list(Path(path).read_text(encoding="utf-8"), issues=issues))
         _emit_issues(issues, error_format)
     for path in args.adblock or []:
-        extraction = filterlist.extract_domains_from_adblock(Path(path).read_text(encoding="utf-8"), Path(path).name)
+        extraction = filterlist.extract_domains_from_adblock(Path(path).read_text(encoding="utf-8"))
         _emit_issues(extraction.issues, error_format)
         sets.append(extraction.domains)
     if getattr(args, "extra_domains", None):
         issues = []
-        sets.append(
-            filterlist.parse_domain_list(
-                Path(args.extra_domains).read_text(encoding="utf-8"), "extra-domains", issues=issues
-            )
-        )
+        text = Path(args.extra_domains).read_text(encoding="utf-8")
+        sets.append(filterlist.parse_domain_list(text, issues=issues))
         _emit_issues(issues, error_format)
     return filterlist.merge(sets) if sets else filterlist.EMPTY_TRACKER_SET
 
@@ -228,18 +224,18 @@ def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
 # --- findings NDJSON ---------------------------------------------------------
 
 
-def encode_finding(finding: IntractableFinding, setters: dict) -> str:
+def encode_finding(finding: IntractableFinding, jar: CookieJar, setters: dict) -> str:
     """A finding's record line, byte for byte ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.
 
     Keys are written in sorted order, enums by member name and strings through
-    the escaper ``json.dumps`` applies under ``ensure_ascii``.  ``setters``,
-    a memo local to one file, holds each distinct ``setter_sites`` tuple's JSON.
+    the escaper ``json.dumps`` applies under ``ensure_ascii``.  ``setter_sites``
+    is the jar's setter list of the cookie; ``setters``, a memo local to one
+    file, holds its JSON per cookie.
     """
     key = finding.key
-    sites = finding.setter_sites
-    sites_json = setters.get(sites)
+    sites_json = setters.get(key)
     if sites_json is None:
-        sites_json = setters[sites] = f"[{','.join(map(_string, sites))}]"
+        sites_json = setters[key] = f"[{','.join(map(_string, jar.setters_of(key)))}]"
     partition = key.partition
     return (
         f'{{"canonical":{"true" if finding.canonical else "false"},"channel":"{finding.channel._name_}",'
@@ -260,12 +256,11 @@ _STAGES = InteractionStage.__members__
 _CHANNELS = Channel.__members__
 
 
-def finding_from_record(obj, setters: dict) -> IntractableFinding:
+def finding_from_record(obj) -> IntractableFinding:
     """Build a finding from its record, checking every field.
 
-    ``setters``, a memo local to one file, holds the last ``setter_sites``
-    tuple read for each cookie, so a cookie's findings with equal setter
-    lists share one tuple.
+    ``setter_sites`` is checked to be a list of strings and then dropped: a
+    finding's setter sites are its jar's (``_read_findings``).
 
     Raises:
         ValueError: naming the first field that is missing, of the wrong
@@ -277,13 +272,6 @@ def finding_from_record(obj, setters: dict) -> IntractableFinding:
         "".join(setter_sites)  # checks in one C loop that every item is a string
     except TypeError:
         raise ValueError(f"bad setter_sites {setter_sites!r}") from None
-    key = CookieKey(name, host, partition)
-    sites = tuple(setter_sites)
-    known = setters.get(key)
-    if sites == known:
-        sites = known
-    else:
-        setters[key] = sites
     stage_member = _STAGES.get(stage)
     if stage_member is None:
         raise ValueError(f"bad stage {stage!r}")
@@ -291,11 +279,10 @@ def finding_from_record(obj, setters: dict) -> IntractableFinding:
     if channel_member is None:
         raise ValueError(f"bad channel {channel!r}")
     return IntractableFinding(
-        key=key,
+        key=CookieKey(name, host, partition),
         value_at_send=value_at_send,
         sender_site=sender_site,
         tracker_domain=tracker_domain,
-        setter_sites=sites,
         stage=stage_member,
         channel=channel_member,
         visit_id=visit_id,
@@ -407,22 +394,36 @@ def _read_records(path: str, from_record) -> list:
 
 
 def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableFinding]:
-    """Read a findings file as a stream; with ``jar``, each finding's cookie must be one of its entries.
+    """Read a findings file as a stream; with ``jar``, each record must agree with it.
 
-    A cookie's findings with equal setter lists share one tuple
-    (``finding_from_record``).  Every record is decoded before the jar check,
-    so a bad record wins over a cookie not in the jar.
+    A record's cookie must be one of the jar's entries, and its
+    ``setter_sites`` the jar's setter list of that cookie.  Without a jar
+    (``--gpc-findings``, written from another run's jar) the lists are only
+    type-checked.  The first disagreement is reported once every record has
+    been decoded, so a bad record wins over it.
     """
-    findings = _read_records(path, functools.partial(finding_from_record, setters={}))
-    if jar is not None:
-        for index, finding in enumerate(findings):
-            key = finding.key
-            if key not in jar.entries:
-                raise InputError(
-                    "FINDING_NOT_IN_JAR",
-                    f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
-                    f"(partition {key.partition!r}) is not in the jar",
-                )
+    if jar is None:
+        return _read_records(path, finding_from_record)
+    jar_sites: dict[CookieKey, list[str]] = {}  # each cookie's setter list, read from the jar once
+    indices = itertools.count()
+    mismatches: list[str] = []
+
+    def checked(obj) -> IntractableFinding:
+        index = next(indices)
+        finding = finding_from_record(obj)
+        key = finding.key
+        sites = jar_sites.get(key)
+        if sites is None and key in jar.entries:
+            sites = jar_sites[key] = list(jar.setters_of(key))
+        if sites != obj["setter_sites"] and not mismatches:
+            problem = "is not in the jar" if sites is None else "has setter_sites other than the jar's"
+            mismatches.append(f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
+                              f"(partition {key.partition!r}) {problem}")
+        return finding
+
+    findings = _read_records(path, checked)
+    if mismatches:
+        raise InputError("FINDING_NOT_IN_JAR", mismatches[0])
     return findings
 
 
@@ -470,7 +471,7 @@ def _cmd_detect(args, error_format: str) -> int:
     result = detector.detect(jar, index)
     _emit_issues(result.issues, error_format)
     setters: dict = {}
-    _write_ndjson(args.out, (encode_finding(f, setters) for f in result.findings))
+    _write_ndjson(args.out, (encode_finding(f, jar, setters) for f in result.findings))
     if args.resets_out:
         _write_ndjson(args.resets_out, map(_record_line, map(reset_to_record, result.resets)))
     if args.syncs_out:
@@ -512,7 +513,7 @@ def _cmd_filter_convert(args, error_format: str) -> int:
     sets = []
     ignored = 0
     for path in args.adblock:
-        extraction = filterlist.extract_domains_from_adblock(Path(path).read_text(encoding="utf-8"), Path(path).name)
+        extraction = filterlist.extract_domains_from_adblock(Path(path).read_text(encoding="utf-8"))
         _emit_issues(extraction.issues, error_format)
         ignored += extraction.ignored_rules
         sets.append(extraction.domains)

@@ -46,13 +46,15 @@ def match_sent_to_jar(obs: SentCookieObservation, jar: CookieJar) -> CookieKey |
 
 @dataclass(frozen=True)
 class IntractableFinding:
-    """One matched (jar entry, transmission) pair."""
+    """One matched (jar entry, transmission) pair.
+
+    The sites that set the cookie are the jar's: ``CookieJar.setters_of(key)``.
+    """
 
     key: CookieKey
     value_at_send: str
     sender_site: SiteId
     tracker_domain: SiteId
-    setter_sites: tuple[SiteId, ...]
     stage: InteractionStage
     channel: Channel
     visit_id: str
@@ -148,7 +150,6 @@ def detect_intractable(
                 value_at_send=obs.value,
                 sender_site=obs.sender_site,
                 tracker_domain=tracker_domain,
-                setter_sites=jar.setters_of(key),
                 stage=obs.stage,
                 channel=obs.channel,
                 visit_id=obs.visit_id,

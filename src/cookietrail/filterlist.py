@@ -33,7 +33,6 @@ class TrackerDomainSet:
     """Deduplicated set of canonical tracker domains from one or more lists."""
 
     domains: frozenset[str]
-    source_label: str = ""
     _trie: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,19 +60,14 @@ def is_tracker(host: str, tracker_set: TrackerDomainSet) -> bool:
     return False
 
 
-def merge(sets: Iterable[TrackerDomainSet], source_label: str = "merged") -> TrackerDomainSet:
+def merge(sets: Iterable[TrackerDomainSet]) -> TrackerDomainSet:
     domains: set[str] = set()
     for tracker_set in sets:
         domains |= tracker_set.domains
-    return TrackerDomainSet(frozenset(domains), source_label)
+    return TrackerDomainSet(frozenset(domains))
 
 
-def parse_domain_list(
-    text: str,
-    source_label: str = "",
-    *,
-    issues: list[ParseIssue] | None = None,
-) -> TrackerDomainSet:
+def parse_domain_list(text: str, *, issues: list[ParseIssue] | None = None) -> TrackerDomainSet:
     """Parse a one-domain-per-line list; ``#`` comments and blank lines allowed.
 
     Malformed lines are collected into ``issues`` as ``MALFORMED_DOMAIN`` with
@@ -91,7 +85,7 @@ def parse_domain_list(
         except InputError as exc:
             if issues is not None:
                 issues.append(ParseIssue("MALFORMED_DOMAIN", f"{line!r}: {exc.message}", lineno))
-    return TrackerDomainSet(frozenset(domains), source_label)
+    return TrackerDomainSet(frozenset(domains))
 
 
 # Whole-domain blocking rules only: ||domain^ with an optional $third-party
@@ -107,7 +101,7 @@ class AdblockExtraction:
     issues: tuple[ParseIssue, ...] = ()
 
 
-def extract_domains_from_adblock(text: str, source_label: str = "") -> AdblockExtraction:
+def extract_domains_from_adblock(text: str) -> AdblockExtraction:
     """Extract whole-domain blocking rules from an Adblock-syntax list.
 
     Only ``||domain^`` and ``||domain^$third-party`` produce domains;
@@ -129,6 +123,4 @@ def extract_domains_from_adblock(text: str, source_label: str = "") -> AdblockEx
             domains.add(canonicalize_host(match.group(1)))
         except InputError as exc:
             issues.append(ParseIssue("MALFORMED_DOMAIN", f"{line!r}: {exc.message}", lineno))
-    return AdblockExtraction(
-        TrackerDomainSet(frozenset(domains), source_label), ignored, tuple(issues)
-    )
+    return AdblockExtraction(TrackerDomainSet(frozenset(domains)), ignored, tuple(issues))

@@ -53,12 +53,8 @@ class HistoryEntry:
 class CookieJar:
     """Jar entries, their write history and the accepted sites.
 
-    ``history`` is given at construction (a new, loaded or sampled jar) and
-    afterwards grows only through ``upsert``.  The setter index behind
-    ``setters_of`` is built from ``history`` when the jar is constructed and
-    extended by ``upsert``, so it always agrees with a rescan of the history.
-    ``setters_of`` returns one shared tuple per key until a new setter of
-    that key is indexed.
+    The setter index behind ``setters_of`` is built from ``history`` at
+    construction and extended by ``upsert``, the only way ``history`` grows.
     """
 
     entries: dict[CookieKey, CookieRecord] = field(default_factory=dict)
@@ -66,21 +62,15 @@ class CookieJar:
     accepted_sites: set[SiteId] = field(default_factory=set)
     # key -> distinct non-deleting setter sites in first-write order (dict as ordered set)
     _setters: dict[CookieKey, dict[SiteId, None]] = field(init=False, repr=False, compare=False)
-    # key -> the tuple ``setters_of`` last returned, dropped when the key gains a setter
-    _setter_tuples: dict[CookieKey, tuple[SiteId, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._setters = {}
-        self._setter_tuples = {}
         for row in self.history:
             self._index(row)
 
     def _index(self, row: HistoryEntry) -> None:
         if not row.deleted:
-            sites = self._setters.setdefault(row.key, {})
-            if row.setter_site not in sites:
-                sites[row.setter_site] = None
-                self._setter_tuples.pop(row.key, None)
+            self._setters.setdefault(row.key, {}).setdefault(row.setter_site, None)
 
     def upsert(self, record: CookieRecord) -> None:
         """Apply one phase-1 cookie write: latest write wins per key.
@@ -107,17 +97,8 @@ class CookieJar:
         self.accepted_sites.add(site)
 
     def setters_of(self, key: CookieKey) -> tuple[SiteId, ...]:
-        """Distinct setter sites for a key, in first-write order (deletions excluded).
-
-        Calls return the same tuple object until the key gains a setter.
-        """
-        shared = self._setter_tuples.get(key)
-        if shared is None:
-            sites = self._setters.get(key)
-            if sites is None:
-                return ()
-            shared = self._setter_tuples[key] = tuple(sites)
-        return shared
+        """Distinct setter sites for a key, in first-write order (deletions excluded)."""
+        return tuple(self._setters.get(key, ()))
 
     def normalize_sample(self, n: int, seed: int) -> "CookieJar":
         """Restrict the jar to a uniform size-``n`` sample of accepted sites.
@@ -127,9 +108,12 @@ class CookieJar:
         the ``n`` smallest keep their cookies and history rows.
 
         Raises:
-            InputError: ``SAMPLE_TOO_LARGE`` when ``n`` exceeds the number of
-                accepted sites.
+            InputError: ``INVALID_SAMPLE`` when ``n`` is negative,
+                ``SAMPLE_TOO_LARGE`` when it exceeds the number of accepted
+                sites.
         """
+        if n < 0:
+            raise InputError("INVALID_SAMPLE", f"sample size must not be negative, got {n}")
         if n > len(self.accepted_sites):
             raise InputError(
                 "SAMPLE_TOO_LARGE",

@@ -120,9 +120,6 @@ class BannerDescriptor:
             raise InputError("INVALID_CONFIG", "banner_type NONE must have no layers")
 
 
-NO_BANNER_DESCRIPTOR = BannerDescriptor(BannerType.NONE)
-
-
 @dataclass(frozen=True)
 class CookieKey:
     """Identity of a stored cookie.

@@ -212,6 +212,7 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
 
     banner = analytics.banner_type_report(
         inputs.findings,
+        inputs.jar,
         sender_banner_types=sender_banner_types,
         rejected_sites=rejected_sites,
         paywall_setters=paywall_setters,

@@ -20,8 +20,6 @@ import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
-from typing import Iterable
 
 from . import _rand
 from .errors import InputError
@@ -86,10 +84,6 @@ class SynonymTable:
     def load_default(cls) -> "SynonymTable":
         text = resources.files("cookietrail").joinpath("data/reject_synonyms.json").read_text("utf-8")
         return cls.from_obj(json.loads(text))
-
-    @classmethod
-    def from_path(cls, path: str | Path) -> "SynonymTable":
-        return cls.from_obj(json.loads(Path(path).read_text("utf-8")))
 
     @classmethod
     def from_obj(cls, obj: dict) -> "SynonymTable":
@@ -511,9 +505,11 @@ def ground_truth(config: EcosystemConfig, seed: int) -> GroundTruth:
 
     def record_sends(target: str, sender: SiteId) -> list[tuple[CookieKey, str]]:
         attached = attachable(target)
-        candidates = [key for key, _ in attached]
+        by_name: dict[str, list[CookieKey]] = {}
+        for key, _ in attached:
+            by_name.setdefault(key.name, []).append(key)
         for key, value in attached:
-            resolved = _resolve_like_detector(key.name, value, candidates, jar_values)
+            resolved = _resolve_like_detector(value, by_name[key.name], jar_values)
             if listed_match(resolved.host):
                 findings.add((resolved, sender, InteractionStage.BEFORE_INTERACTION))
         return attached
@@ -538,22 +534,12 @@ def ground_truth(config: EcosystemConfig, seed: int) -> GroundTruth:
     return GroundTruth(frozenset(findings), frozenset(jar_values))
 
 
-def _resolve_like_detector(
-    name: str,
-    value: str,
-    candidates: Iterable[CookieKey],
-    jar_values: dict[CookieKey, str],
-) -> CookieKey:
-    """The value-then-longest-host preference the detector applies to a send."""
-    best = None
-    for key in candidates:
-        if key.name != name:
-            continue
-        rank = (0 if jar_values[key] == value else 1, -len(key.host), key.host)
-        if best is None or rank < best[0]:
-            best = (rank, key)
-    assert best is not None
-    return best[1]
+def _resolve_like_detector(value: str, same_name: list[CookieKey], jar_values: dict[CookieKey, str]) -> CookieKey:
+    """The value-then-longest-host preference the detector applies to a send of one of ``same_name``.
+
+    ``same_name`` holds every attached cookie of the sent cookie's name.
+    """
+    return min(same_name, key=lambda key: (jar_values[key] != value, -len(key.host), key.host))
 
 
 # --- log generation ----------------------------------------------------------------

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
+from cookietrail import reports
 from cookietrail.analytics import (
     ExpiryBucket,
     SetterBucket,
@@ -18,28 +22,31 @@ from cookietrail.analytics import (
     setter_bucket,
     tracker_table,
 )
+from cookietrail.crawllog import index_run
 from cookietrail.detector import IntractableFinding
 from cookietrail.filterlist import TrackerDomainSet
 from cookietrail.jar import CookieJar
 from cookietrail.model import BannerType, Channel, CookieKey, InteractionStage
 from cookietrail.psl import load_psl
+from cookietrail.simulator import EcosystemConfig
 
+from helpers import random_config, run_pipeline
 from test_jar import make_record
 
 DAY = 86400.0
+DEMO = Path(__file__).parent.parent / "demo"
 RULES = load_psl("com\nnet\n")
 
 
 def finding(name="id", host="tracker.net", sender="s.com", value="x", *,
             tracker=None, stage=InteractionStage.BEFORE_INTERACTION,
-            channel=Channel.RESOURCE_FETCH, canonical=True, setters=("a.com",),
+            channel=Channel.RESOURCE_FETCH, canonical=True,
             visit_id=None, event_index=0) -> IntractableFinding:
     return IntractableFinding(
         key=CookieKey(name, host),
         value_at_send=value,
         sender_site=sender,
         tracker_domain=tracker or host,
-        setter_sites=tuple(setters),
         stage=stage,
         channel=channel,
         visit_id=visit_id or f"v-{sender}",
@@ -98,7 +105,7 @@ class TestRenewalHeatmap:
 
     def test_set_once_over_y1_cell(self):
         jar = self._jar()
-        findings = [finding("once", "t.net", setters=("a.com",))]
+        findings = [finding("once", "t.net")]
         cells = renewal_heatmap(jar, findings, accepted_count=1000)
         nonzero = [c for c in cells if c.count]
         assert len(nonzero) == 1
@@ -210,6 +217,7 @@ class TestBannerTypeReport:
             findings.append(finding("id", "t.net", sender="nat.com", event_index=10 + i))
         report = banner_type_report(
             findings,
+            CookieJar(),
             sender_banner_types={"cmp.com": BannerType.CMP, "nat.com": BannerType.NATIVE},
             rejected_sites=["cmp.com", "nat.com"],
             paywall_setters=set(),
@@ -220,6 +228,7 @@ class TestBannerTypeReport:
         findings = [finding("id", "t.net", sender="cmp.com")]
         report = banner_type_report(
             findings,
+            CookieJar(),
             sender_banner_types={"cmp.com": BannerType.CMP},
             rejected_sites=["cmp.com"],
             paywall_setters=set(),
@@ -233,6 +242,7 @@ class TestBannerTypeReport:
         ]
         report = banner_type_report(
             findings,
+            CookieJar(),
             sender_banner_types={"cmp.com": BannerType.CMP, "nat.com": BannerType.NATIVE},
             rejected_sites=["cmp.com", "nat.com"],
             paywall_setters=set(),
@@ -241,12 +251,16 @@ class TestBannerTypeReport:
 
     def test_paywall_share_by_threshold(self):
         findings = [
-            finding("a", "t.net", sender="low.com", setters=("pay.com",)),
-            finding("b", "t.net", sender="high.com", setters=("plain.com",), event_index=1),
-            finding("c", "t.net", sender="high.com", setters=("plain.com",), event_index=2),
+            finding("a", "t.net", sender="low.com"),
+            finding("b", "t.net", sender="high.com", event_index=1),
+            finding("c", "t.net", sender="high.com", event_index=2),
         ]
+        jar = CookieJar()
+        for name, setter in (("a", "pay.com"), ("b", "plain.com"), ("c", "plain.com")):
+            jar.upsert(make_record(name, "t.net", setter=setter))
         report = banner_type_report(
             findings,
+            jar,
             sender_banner_types={"low.com": BannerType.NATIVE, "high.com": BannerType.NATIVE},
             rejected_sites=["low.com", "high.com"],
             paywall_setters={"pay.com"},
@@ -259,12 +273,41 @@ class TestBannerTypeReport:
     def test_zero_send_threshold_has_no_share(self):
         report = banner_type_report(
             [],
+            CookieJar(),
             sender_banner_types={"quiet.com": BannerType.NATIVE},
             rejected_sites=["quiet.com"],
             paywall_setters=set(),
         )
         assert report.paywall_shares[0].threshold == 0
         assert report.paywall_shares[0].paywall_share is None
+
+    def test_paywall_shares_match_the_per_finding_intersection(self):
+        """The demo and 50 random ecosystems: the same shares as one setter-list intersection per finding."""
+        demo = EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+        cases = [(demo, 7)] + [(random_config(random.Random(seed)), seed) for seed in range(50)]
+        with_paywall = 0
+        for n, (config, seed) in enumerate(cases):
+            events, jar, result = run_pipeline(config, seed)
+            rejected, _ranks, banner_types, paywall_setters = reports._site_views(index_run(events).visits)
+            report = banner_type_report(result.findings, jar, sender_banner_types=banner_types,
+                                        rejected_sites=rejected, paywall_setters=paywall_setters)
+            got = [(row.threshold, row.site_fraction, row.paywall_share) for row in report.paywall_shares]
+            assert got == _ref_paywall_shares(result.findings, jar, rejected, paywall_setters), n
+            with_paywall += any(row.paywall_share for row in report.paywall_shares)
+        assert with_paywall >= 5, with_paywall
+
+
+def _ref_paywall_shares(findings, jar, rejected_sites, paywall_setters) -> list[tuple]:
+    """``banner_type_report``'s shares as computed when each finding carried its cookie's setter list."""
+    canonical = [(f, jar.setters_of(f.key)) for f in findings if f.canonical]
+    per_site = Counter(f.sender_site for f, _sites in canonical)
+    shares = []
+    for threshold in sorted({per_site[s] for s in rejected_sites}):
+        covered = {s for s in rejected_sites if per_site[s] <= threshold}
+        theirs = [sites for f, sites in canonical if f.sender_site in covered]
+        with_paywall = sum(1 for sites in theirs if set(paywall_setters).intersection(sites))
+        shares.append((threshold, len(covered) / len(rejected_sites), with_paywall / len(theirs) if theirs else None))
+    return shares
 
 
 class TestGpcReport:

@@ -19,7 +19,7 @@ from cookietrail.crawllog import (
     BannerObserved, CookieSet, HttpRequest, Interaction, VisitEnd, VisitStart, parse_log_text, serialize
 )
 from cookietrail.detector import IntractableFinding
-from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar
+from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar, HistoryEntry
 from cookietrail.model import (
     Channel, CookieKey, InteractionAction, InteractionStage, Iteration, Phase, VisitOutcome
 )
@@ -747,7 +747,10 @@ class TestDeeplyNestedJson:
 
 
 class TestReportTiersAndConfigTypes:
-    """A bad ``--tiers`` or a mistyped pipeline-config field: exit 1, one JSON record, no traceback."""
+    """A bad ``--tiers``, a negative sample size or a mistyped pipeline-config field.
+
+    Each exits 1 with one JSON record and no traceback.
+    """
 
     def _argv(self, analyzed, command: str) -> list:
         jar, log = analyzed / "jar.snap", analyzed / "run.log"
@@ -782,6 +785,21 @@ class TestReportTiersAndConfigTypes:
         record = _json_error(capsys)
         assert record["error"] == "INVALID_CONFIG"
         assert f"field {field!r}" in record["message"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_sample_is_invalid(self, analyzed, capsys, source):
+        argv = ["--errors", "json", *self._argv(analyzed, "build-jar")]
+        if source == "flag":
+            argv += ["--sample-n", -1]
+        else:
+            path = analyzed / "pipeline.json"
+            path.write_text(json.dumps({"sample": {"n": -1}}))
+            argv += ["--config", path]
+        capsys.readouterr()
+        assert _run(argv) == 1
+        assert _json_error(capsys) == {"error": "INVALID_SAMPLE",
+                                       "message": "sample size must not be negative, got -1"}
+        assert not (analyzed / "sampled.snap").exists()
 
     def test_config_tiers_reach_the_report(self, analyzed):
         path = analyzed / "pipeline.json"
@@ -840,50 +858,55 @@ class TestFindingsReader:
 
 
 class TestFindingsSharing:
-    """``report`` reads findings as a stream; a cookie's findings with equal setter lists share one tuple."""
+    """Findings share their setter lists with the jar: ``report`` checks each record's list against ``--jar``."""
 
     def _findings_file(self, analyzed, tmp_path, mutate) -> Path:
         lines = (analyzed / "findings.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines[1:]]
         mutate(records)
-        path = tmp_path / "findings.jsonl"
+        path = tmp_path / "mutated.jsonl"
         path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
         return path
 
-    @pytest.mark.parametrize("with_jar", [True, False])
-    def test_equal_setter_lists_share_one_tuple(self, analyzed, with_jar):
-        """With ``--jar`` (``report``) or without (``--gpc-findings``): one tuple per cookie and list."""
+    def test_detect_writes_the_jars_setter_lists(self, analyzed):
         jar = CookieJar.load(analyzed / "jar.snap")
-        findings = cli._read_findings(str(analyzed / "findings.jsonl"), jar if with_jar else None)
-        assert len(findings) > len({f.key for f in findings}) and all(f.setter_sites for f in findings)
-        shared = {}
-        for finding in findings:
-            sites = finding.setter_sites
-            assert sites == jar.setters_of(finding.key)
-            assert shared.setdefault((finding.key, sites), sites) is sites
+        records = [json.loads(line) for line in (analyzed / "findings.jsonl").read_text().splitlines()[1:]]
+        assert len(records) > len({itemgetter("name", "host", "partition")(r) for r in records})
+        for record in records:
+            key = CookieKey(record["name"], record["host"], record["partition"])
+            assert record["setter_sites"] == list(jar.setters_of(key)) != []
+        assert len(cli._read_findings(str(analyzed / "findings.jsonl"), jar)) == len(records)
 
-    def test_setter_sites_unlike_the_others_are_read_as_written(self, analyzed, tmp_path):
-        """A cookie's list that differs from its earlier findings', longer or of the same length."""
-        cookie = itemgetter("name", "host", "partition")
-        changed = {}
-
+    @pytest.mark.parametrize("change", ["longer", "same length"])
+    def test_setter_sites_other_than_the_jars_exit_1(self, analyzed, tmp_path, capsys, change):
         def mutate(records):
-            seen = set()
-            for n, record in enumerate(records):
-                sites = record["setter_sites"]
-                if cookie(record) in seen and len(changed) < 2:
-                    changed[n] = ["elsewhere.com", *sites] if not changed else ["elsewhere.com", *sites[1:]]
-                    record["setter_sites"] = changed[n]
-                seen.add(cookie(record))
+            sites = records[3]["setter_sites"]
+            records[3]["setter_sites"] = ["elsewhere.com", *(sites if change == "longer" else sites[1:])]
 
         path = self._findings_file(analyzed, tmp_path, mutate)
-        jar = CookieJar.load(analyzed / "jar.snap")
-        findings = cli._read_findings(str(path), jar)
-        assert len(changed) == 2
-        for n, finding in enumerate(findings):
-            assert finding.setter_sites == tuple(changed.get(n, jar.setters_of(finding.key))), n
-        assert _run(["report", "--findings", path, "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
-                     "--out", tmp_path / "report"]) == 0
+        record = json.loads(path.read_text().splitlines()[4])
+        capsys.readouterr()
+        assert _run(["--errors", "json", "report", "--findings", path, "--jar", analyzed / "jar.snap",
+                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        assert _json_error(capsys) == {
+            "error": "FINDING_NOT_IN_JAR",
+            "message": f"{path}: record 3: cookie {record['name']!r} of {record['host']!r} "
+                       f"(partition {record['partition']!r}) has setter_sites other than the jar's",
+        }
+
+    def test_gpc_findings_lists_are_type_checked_and_dropped(self, analyzed, tmp_path, capsys):
+        """``--gpc-findings`` come from another run's jar: any list of strings is read, ``[5]`` is not."""
+        path = self._findings_file(analyzed, tmp_path, lambda records: records[0].__setitem__("setter_sites", ["x"]))
+        args = ["--errors", "json", "report", "--findings", analyzed / "findings.jsonl", "--gpc-findings", path,
+                "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log", "--out", tmp_path / "report"]
+        assert _run(args) == 0
+        assert cli._read_findings(str(path)) == cli._read_findings(str(analyzed / "findings.jsonl"))
+        bad = self._findings_file(analyzed, tmp_path, lambda records: records[0].__setitem__("setter_sites", [5]))
+        assert bad == path
+        capsys.readouterr()
+        assert _run(args) == 1
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
+                                       "message": f"{path}: record 0: bad setter_sites [5]"}
 
     def test_a_numeric_setter_in_the_snapshot_is_corrupt(self, analyzed, tmp_path, capsys):
         """A snapshot setter of ``5`` is corrupt; a findings ``setter_sites`` of ``[5]`` is a bad record."""
@@ -909,6 +932,7 @@ class TestFindingsSharing:
     def test_a_bad_record_wins_over_one_not_in_the_jar_and_bad_json_over_both(self, analyzed, tmp_path, capsys):
         def mutate(records):
             records[0]["name"] = "elsewhere"
+            records[1]["setter_sites"] = ["elsewhere.com"]
             records[2]["event_index"] = "x"
 
         path = self._findings_file(analyzed, tmp_path, mutate)
@@ -927,7 +951,7 @@ class TestFindingsSharing:
 # --- the findings encoder against the path it replaced ------------------------------------
 
 
-def _ref_finding_to_record(finding: IntractableFinding) -> dict:
+def _ref_finding_to_record(finding: IntractableFinding, jar: CookieJar) -> dict:
     """The record ``detect`` passed to ``json.dumps`` before ``encode_finding``: the reference."""
     return {
         "name": finding.key.name,
@@ -936,7 +960,7 @@ def _ref_finding_to_record(finding: IntractableFinding) -> dict:
         "value_at_send": finding.value_at_send,
         "sender_site": finding.sender_site,
         "tracker_domain": finding.tracker_domain,
-        "setter_sites": list(finding.setter_sites),
+        "setter_sites": list(jar.setters_of(finding.key)),
         "stage": finding.stage.name,
         "channel": finding.channel.name,
         "visit_id": finding.visit_id,
@@ -945,44 +969,42 @@ def _ref_finding_to_record(finding: IntractableFinding) -> dict:
     }
 
 
-def _hand_built_findings() -> list[IntractableFinding]:
+def _hand_built_findings() -> tuple[list[IntractableFinding], CookieJar]:
+    """Findings of awkward strings, and a jar that gives their cookies empty, one-item and awkward setter lists."""
     from test_crawllog import _AWKWARD
 
     findings = []
+    history = []
     stages, channels = list(InteractionStage), list(Channel)
-    # Empty, one-item and awkward lists; the last two are equal to the second but not it, or of its length.
-    setter_lists = [(), ("one.com",), tuple(_AWKWARD), tuple(["one.com"]), ("two.com",)]
+    setter_lists = [(), ("one.com",), tuple(_AWKWARD), ("two.com",)]
     for n, text in enumerate(_AWKWARD):
         for partition in (None, text, ""):
+            key = CookieKey(text, text, partition)
+            history += [HistoryEntry(key, site, 0) for site in setter_lists[n % len(setter_lists)]]
             findings.append(IntractableFinding(
-                key=CookieKey(text, text, partition), value_at_send=text, sender_site=text, tracker_domain=text,
-                setter_sites=setter_lists[n % len(setter_lists)], stage=stages[n % len(stages)],
+                key=key, value_at_send=text, sender_site=text, tracker_domain=text, stage=stages[n % len(stages)],
                 channel=channels[n % len(channels)], visit_id=text, event_index=(0, 7, 2**31, 2**70)[n % 4],
                 canonical=n % 2 == 0,
             ))
-    return findings
+    return findings, CookieJar(history=history)
 
 
 def test_findings_encoder_matches_json_dumps():
     """detect's findings on the demo and 100 random ecosystems, and awkward ones: identical bytes."""
     demo = cookietrail.simulator.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
     runs = [run_pipeline(demo, 7)] + [run_pipeline(random_config(random.Random(seed)), seed) for seed in range(100)]
-    batches = [result.findings for _events, _jar, result in runs] + [_hand_built_findings()]
-    for n, findings in enumerate(batches):
+    batches = [(result.findings, jar) for _events, jar, result in runs] + [_hand_built_findings()]
+    for n, (findings, jar) in enumerate(batches):
         setters: dict = {}
-        assert [cli.encode_finding(f, setters) for f in findings] == [
-            json.dumps(_ref_finding_to_record(f), sort_keys=True, separators=(",", ":")) for f in findings
+        assert [cli.encode_finding(f, jar, setters) for f in findings] == [
+            json.dumps(_ref_finding_to_record(f, jar), sort_keys=True, separators=(",", ":")) for f in findings
         ], n
-    detected = [f for batch in batches[:-1] for f in batch]
+        # The memo encodes each cookie's setter list once.
+        assert len(setters) == len({f.key for f in findings}), n
+    detected = [f for findings, _jar in batches[:-1] for f in findings]
     assert len(detected) > 1000
     assert {f.canonical for f in detected} == {True, False}
-    assert {f.key.partition is None for batch in batches for f in batch} == {True, False}
-    # The memo encodes each distinct setter list once: at most once per cookie.
-    for _events, jar, result in runs:
-        setters = {}
-        for finding in result.findings:
-            cli.encode_finding(finding, setters)
-        assert len(setters) <= len({f.key for f in result.findings})
+    assert {f.key.partition is None for findings, _jar in batches for f in findings} == {True, False}
 
 
 def _snapshot(path: Path, header, payload: str) -> Path:

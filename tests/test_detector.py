@@ -203,7 +203,6 @@ class TestDetect:
         assert finding.key == CookieKey("id", "tracker.net")
         assert finding.sender_site == "new.com"
         assert finding.tracker_domain == "tracker.net"
-        assert finding.setter_sites == ("basic.com",)
         assert finding.stage is InteractionStage.BEFORE_INTERACTION
 
     def test_empty_jar_no_findings(self):
@@ -359,7 +358,6 @@ class TestDetectReset:
             value_at_send="123",
             sender_site="new.com",
             tracker_domain="tracker.net",
-            setter_sites=("basic.com",),
             stage=InteractionStage.BEFORE_INTERACTION,
             channel=Channel.RESOURCE_FETCH,
             visit_id="v1",
@@ -414,7 +412,6 @@ class TestDetectSync:
             value_at_send=value,
             sender_site="new.com",
             tracker_domain="tracker.net",
-            setter_sites=("basic.com",),
             stage=InteractionStage.BEFORE_INTERACTION,
             channel=Channel.RESOURCE_FETCH,
             visit_id="v1",
@@ -572,7 +569,6 @@ class TestChannelSplit:
             value_at_send="x",
             sender_site="s.com",
             tracker_domain="tracker.net",
-            setter_sites=(),
             stage=InteractionStage.BEFORE_INTERACTION,
             channel=channel,
             visit_id=f"v{i}",

@@ -257,10 +257,23 @@ class TestGroundTruth:
             assert set(jar.entries) == set(truth.expected_jar_keys), f"seed {seed}"
 
 
-# --- the grouped oracle against the scan it replaced ----------------------------------------
+# --- the grouped oracle against the scans it replaced ---------------------------------------
 #
 # A copy of ``ground_truth`` as it was when every phase-2 send scanned the
-# whole phase-1 jar, partitioned entries included, for attachable cookies.
+# whole phase-1 jar, partitioned entries included, for attachable cookies,
+# and resolved each attached cookie by scanning every cookie the send attached.
+
+
+def _ref_resolve_like_detector(name, value, candidates, jar_values):
+    best = None
+    for key in candidates:
+        if key.name != name:
+            continue
+        rank = (0 if jar_values[key] == value else 1, -len(key.host), key.host)
+        if best is None or rank < best[0]:
+            best = (rank, key)
+    assert best is not None
+    return best[1]
 
 
 def _ref_ground_truth(config: sim.EcosystemConfig, seed: int) -> sim.GroundTruth:
@@ -295,7 +308,7 @@ def _ref_ground_truth(config: sim.EcosystemConfig, seed: int) -> sim.GroundTruth
         attached = attachable(target)
         candidates = [key for key, _ in attached]
         for key, value in attached:
-            resolved = sim._resolve_like_detector(key.name, value, candidates, jar_values)
+            resolved = _ref_resolve_like_detector(key.name, value, candidates, jar_values)
             if any(domain_match(resolved.host, entry) for entry in listed):
                 findings.add((resolved, sender, InteractionStage.BEFORE_INTERACTION))
 
