@@ -275,19 +275,21 @@ def banner_type_report(
     paywalled = {
         key for key in {f.key for f in canonical} if not paywall_setters.isdisjoint(jar.setters_of(key))
     }
-    site_count = len(rejected_sites)
+    paywall_per_site = Counter(f.sender_site for f in canonical if f.key in paywalled)
+    at_count: dict[int, list[int]] = {}  # per-site finding count -> [its sites, their paywall-set findings]
+    for s in set(rejected_sites):
+        tally = at_count.setdefault(per_site[s], [0, 0])
+        tally[0] += 1
+        tally[1] += paywall_per_site[s]
     shares: list[PaywallShareRow] = []
-    if site_count:
-        thresholds = sorted({per_site[s] for s in rejected_sites})
-        for threshold in thresholds:
-            covered = {s for s in rejected_sites if per_site[s] <= threshold}
-            their_findings = [f for f in canonical if f.sender_site in covered]
-            if their_findings:
-                with_paywall = sum(1 for f in their_findings if f.key in paywalled)
-                share = with_paywall / len(their_findings)
-            else:
-                share = None
-            shares.append(PaywallShareRow(threshold, len(covered) / site_count, share))
+    covered = sent = with_paywall = 0  # over the sites sending at most the threshold
+    for threshold in sorted(at_count):
+        sites, paywall_set = at_count[threshold]
+        covered += sites
+        sent += threshold * sites
+        with_paywall += paywall_set
+        share = with_paywall / sent if sent else None
+        shares.append(PaywallShareRow(threshold, covered / len(rejected_sites), share))
     return BannerTypeReport(cmp_avg, native_avg, ratio, len(cmp_counts), len(native_counts), shares)
 
 

@@ -33,10 +33,9 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import crawllog, filterlist, reports, simulator
 from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
@@ -48,77 +47,77 @@ from .psl import EMPTY_RULESET, PslRuleSet, load_psl
 DEFAULT_TIERS = (50, 500, 1000, 5000, 10000)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Shared path/parameter defaults for build-jar, detect, and report.
+class _ConfigField(NamedTuple):
+    """One ``--config`` field: its exact JSON type and the option it fills."""
 
-    Loaded from a JSON file via ``--config``; explicit flags override any
-    value it provides.  Input paths are checked for existence at load time.
+    kind: type
+    item: type | None  # a list's item type
+    option: str | None  # the option it fills, if the command has it
+    is_input: bool  # names a file the command reads, which must exist
+    out_for: str | None = None  # the command whose ``--out`` it fills instead of ``option``
+    default: object = None  # the option's value when neither a flag nor the file sets it
+
+
+# The --config pipeline file's fields by dotted key (a dot nests a key in an
+# object): the file's only schema.  Any other key is INVALID_CONFIG.
+PIPELINE_FIELDS = {
+    "psl_path": _ConfigField(str, None, "psl", True),
+    "filter_lists.plain": _ConfigField(list, str, "trackers", True),
+    "filter_lists.adblock": _ConfigField(list, str, "adblock", True),
+    "jar_path": _ConfigField(str, None, "jar", True, out_for="build-jar"),
+    "log_paths": _ConfigField(list, str, "log", True),
+    "report_dir": _ConfigField(str, None, None, False, out_for="report"),
+    "sample.n": _ConfigField(int, None, "sample_n", False),
+    "sample.seed": _ConfigField(int, None, "sample_seed", False, default=0),
+    "tier_cutoffs": _ConfigField(list, int, "tiers", False, default=DEFAULT_TIERS),
+}
+
+
+def _config_field(path: str, key: str, value, kind: type, item: type | None = None):
+    """``value`` of the config field ``key``, checked to be null or a ``kind`` (a list: of ``item``)."""
+    if value is None or (type(value) is kind and (item is None or all(type(v) is item for v in value))):
+        return value
+    expected = f"a list of {item.__name__}" if item else kind.__name__
+    raise InputError("INVALID_CONFIG", f"{path}: field {key!r} must be {expected}, got {value!r}")
+
+
+def _apply_config(args) -> None:
+    """Fill each option the command line left unset from the ``--config`` file, else from its default.
+
+    The whole file is checked whichever command reads it: a key that is not
+    in ``PIPELINE_FIELDS``, a value of the wrong JSON type, or an input file
+    that does not exist is ``INVALID_CONFIG``.  A null, absent or empty-list
+    value leaves its option unset; so does an empty list on the command line.
     """
-
-    psl_path: str | None = None
-    plain_filter_lists: tuple[str, ...] = ()
-    adblock_filter_lists: tuple[str, ...] = ()
-    extra_tracker_domains_path: str | None = None
-    jar_path: str | None = None
-    log_paths: tuple[str, ...] = ()
-    report_dir: str | None = None
-    sample_n: int | None = None
-    sample_seed: int = 0
-    tier_cutoffs: tuple[int, ...] = DEFAULT_TIERS
-
-
-def load_pipeline_config(path: str, *, jar_is_output: bool = False) -> PipelineConfig:
-    """Load and validate a pipeline config file.
-
-    Every field must have its JSON type, or be null or absent.  Every
-    referenced input path must exist; ``jar_is_output`` exempts the jar path
-    for build-jar, which writes it.
-    """
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError("INVALID_CONFIG", f"{path}: not valid JSON ({exc.msg})") from None
-    except RecursionError:
-        raise InputError("INVALID_CONFIG", f"{path}: not valid JSON (nested too deeply)") from None
-
-    def field(owner: dict, name: str, kind: type, item: type | None = None):
-        """The field ``name`` (a dotted path) of ``owner``, checked to be null or a ``kind`` (a list: of ``item``)."""
-        value = owner.get(name.rpartition(".")[2])
-        if value is None or (type(value) is kind and (item is None or all(type(v) is item for v in value))):
-            return value
-        expected = f"a list of {item.__name__}" if item else kind.__name__
-        raise InputError("INVALID_CONFIG", f"{path}: field {name!r} must be {expected}, got {value!r}")
-
-    if type(obj) is not dict:
-        raise InputError("INVALID_CONFIG", f"{path}: bad pipeline config (not an object)")
-    filter_lists = field(obj, "filter_lists", dict) or {}
-    sample = field(obj, "sample", dict) or {}
-    config = PipelineConfig(
-        psl_path=field(obj, "psl_path", str),
-        plain_filter_lists=tuple(field(filter_lists, "filter_lists.plain", list, str) or ()),
-        adblock_filter_lists=tuple(field(filter_lists, "filter_lists.adblock", list, str) or ()),
-        extra_tracker_domains_path=field(obj, "extra_tracker_domains_path", str),
-        jar_path=field(obj, "jar_path", str),
-        log_paths=tuple(field(obj, "log_paths", list, str) or ()),
-        report_dir=field(obj, "report_dir", str),
-        sample_n=field(sample, "sample.n", int),
-        sample_seed=field(sample, "sample.seed", int) or 0,
-        tier_cutoffs=tuple(field(obj, "tier_cutoffs", list, int) or DEFAULT_TIERS),
-    )
-    inputs = [
-        config.psl_path,
-        config.extra_tracker_domains_path,
-        *config.plain_filter_lists,
-        *config.adblock_filter_lists,
-        *config.log_paths,
-    ]
-    if not jar_is_output:
-        inputs.append(config.jar_path)
-    for referenced in inputs:
-        if referenced is not None and not Path(referenced).exists():
-            raise InputError("INVALID_CONFIG", f"{path}: referenced path does not exist: {referenced}")
-    return config
+    path = args.config
+    obj = {}
+    if path:
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise InputError("INVALID_CONFIG", f"{path}: not valid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise InputError("INVALID_CONFIG", f"{path}: not valid JSON (nested too deeply)") from None
+        if type(obj) is not dict:
+            raise InputError("INVALID_CONFIG", f"{path}: bad pipeline config (not an object)")
+    unread = {"": dict(obj)}  # each object's keys not yet read, by its dotted key
+    for key, spec in PIPELINE_FIELDS.items():
+        section, _, name = key.rpartition(".")
+        if section not in unread:
+            unread[section] = dict(_config_field(path, section, unread[""].pop(section, None), dict) or {})
+        value = _config_field(path, key, unread[section].pop(name, None), spec.kind, spec.item)
+        option = "out" if args.command == spec.out_for else spec.option
+        if value is not None and spec.is_input and option != "out":
+            for referenced in value if spec.item else [value]:
+                if not Path(referenced).exists():
+                    raise InputError("INVALID_CONFIG", f"{path}: referenced path does not exist: {referenced}")
+        if value in (None, []):
+            value = spec.default
+        if value is not None and option and hasattr(args, option) and getattr(args, option) in (None, []):
+            setattr(args, option, value)
+    unknown = [f"{section}.{name}" if section else name for section, rest in unread.items() for name in rest]
+    if unknown:
+        raise InputError("INVALID_CONFIG", f"{path}: unknown field {unknown[0]!r}")
 
 
 def _emit_error(exc: PipelineError, error_format: str) -> None:
@@ -137,33 +136,6 @@ def _emit_issues(issues, error_format: str) -> None:
             print(f"warning: {issue.code}: {issue.detail}{line}", file=sys.stderr)
 
 
-def _apply_config(args) -> None:
-    """Fill unset per-command options from the --config pipeline file."""
-    if getattr(args, "config", None):
-        config = load_pipeline_config(args.config, jar_is_output=args.command == "build-jar")
-    else:
-        config = PipelineConfig()
-    defaults = {
-        "psl": config.psl_path,
-        "trackers": list(config.plain_filter_lists) or None,
-        "adblock": list(config.adblock_filter_lists) or None,
-        "extra_domains": config.extra_tracker_domains_path,
-        "jar": config.jar_path,
-        "log": list(config.log_paths) or None,
-        "out": None,
-        "sample_n": config.sample_n,
-        "sample_seed": config.sample_seed,
-        "tiers": config.tier_cutoffs,
-    }
-    for name, value in defaults.items():
-        if hasattr(args, name) and getattr(args, name) in (None, []) and value is not None:
-            setattr(args, name, value)
-    if hasattr(args, "out") and args.out is None and config.report_dir and args.command == "report":
-        args.out = config.report_dir
-    if hasattr(args, "out") and args.out is None and config.jar_path and args.command == "build-jar":
-        args.out = config.jar_path
-
-
 def _require_option(args, name: str, flag: str):
     value = getattr(args, name, None)
     if value in (None, []):
@@ -180,8 +152,9 @@ def _load_logs(paths) -> list[crawllog.CrawlEvent]:
     events: list[crawllog.CrawlEvent] = []
     seen_visits: set[str] = set()
     for path in paths:
-        parsed = crawllog.parse_log_text(Path(path).read_text(encoding="utf-8"), first_index=len(events))
-        file_visits = {e.visit_id for e in parsed if isinstance(e, crawllog.VisitStart)}
+        file_visits: set[str] = set()
+        text = Path(path).read_text(encoding="utf-8")
+        parsed = crawllog.parse_log_text(text, first_index=len(events), visit_ids=file_visits)
         overlap = file_visits & seen_visits
         if overlap:
             raise InvariantError(
@@ -213,11 +186,6 @@ def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
         extraction = filterlist.extract_domains_from_adblock(Path(path).read_text(encoding="utf-8"))
         _emit_issues(extraction.issues, error_format)
         sets.append(extraction.domains)
-    if getattr(args, "extra_domains", None):
-        issues = []
-        text = Path(args.extra_domains).read_text(encoding="utf-8")
-        sets.append(filterlist.parse_domain_list(text, issues=issues))
-        _emit_issues(issues, error_format)
     return filterlist.merge(sets) if sets else filterlist.EMPTY_TRACKER_SET
 
 
@@ -453,7 +421,7 @@ def _cmd_build_jar(args, error_format: str) -> int:
     jar = build_jar(index, issues=issues)
     _emit_issues(issues, error_format)
     if args.sample_n is not None:
-        jar = jar.normalize_sample(args.sample_n, args.sample_seed or 0)
+        jar = jar.normalize_sample(args.sample_n, args.sample_seed)
     jar.save(_require_option(args, "out", "--out"))
     print(
         f"jar: {len(jar.entries)} entries, {len(jar.history)} history rows, "
@@ -589,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore the private-domains section of the suffix list")
         p.add_argument("--trackers", action="append", help="plain tracker domain list (repeatable)")
         p.add_argument("--adblock", action="append", help="adblock-syntax list (repeatable)")
-        p.add_argument("--extra-domains", help="explicit extra tracker domains file")
 
     p = sub.add_parser("detect", help="match measure-phase sends against a jar")
     p.add_argument("--config", help="pipeline config file supplying path defaults")

@@ -474,13 +474,14 @@ def serialize(events: Iterable[CrawlEvent]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_log(lines: Iterable[str], first_index: int = 0) -> list[CrawlEvent]:
+def parse_log(lines: Iterable[str], first_index: int = 0, visit_ids: set[str] | None = None) -> list[CrawlEvent]:
     """Parse an NDJSON crawl log into events, checking every record and every visit's sequence.
 
     Each line is decoded, checked and built into its event once, in one pass.
     Events are numbered consecutively from ``first_index``, so several logs
     loaded one after another share one index.  Hosts (``site``,
     ``target_host``, ``setter_context_host``) are canonical from here on.
+    ``visit_ids``, if given, receives the id of every visit in the log.
 
     Raises:
         InputError: ``MALFORMED_RECORD``, ``UNPARSABLE_URL``, or a host's
@@ -532,11 +533,13 @@ def parse_log(lines: Iterable[str], first_index: int = 0) -> list[CrawlEvent]:
     if parser.open_visits:
         visit_id = next(iter(parser.open_visits))
         raise InvariantError("SEQUENCE_VIOLATION", f"visit {visit_id!r} has no VISIT_END")
+    if visit_ids is not None:
+        visit_ids |= parser.closed
     return events
 
 
-def parse_log_text(text: str, first_index: int = 0) -> list[CrawlEvent]:
-    return parse_log(text.splitlines(), first_index)
+def parse_log_text(text: str, first_index: int = 0, visit_ids: set[str] | None = None) -> list[CrawlEvent]:
+    return parse_log(text.splitlines(), first_index, visit_ids)
 
 
 # --- cookie headers ---------------------------------------------------------

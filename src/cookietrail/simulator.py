@@ -299,7 +299,7 @@ class EcosystemConfig:
                         )
                         for e in s.get("embeds", [])
                     ),
-                    paywall=bool(s.get("paywall", False)),
+                    paywall=_typed(s.get("paywall", False), bool, "paywall"),
                 )
                 for s in obj["sites"]
             )
@@ -314,19 +314,21 @@ class EcosystemConfig:
                         )
                         for c in t["cookies"]
                     ),
-                    honors_gpc=bool(t.get("honors_gpc", False)),
-                    sets_partitioned=bool(t.get("sets_partitioned", False)),
+                    honors_gpc=_typed(t.get("honors_gpc", False), bool, "honors_gpc"),
+                    sets_partitioned=_typed(t.get("sets_partitioned", False), bool, "sets_partitioned"),
                     sync_partners=tuple(_config_host(p, "sync partner") for p in t.get("sync_partners", [])),
-                    drop_after_reject_prob=float(t.get("drop_after_reject_prob", 0.0)),
-                    resets_on_send=bool(t.get("resets_on_send", False)),
-                    listed=bool(t.get("listed", True)),
+                    drop_after_reject_prob=float(
+                        _typed(t.get("drop_after_reject_prob", 0.0), (int, float), "drop_after_reject_prob")
+                    ),
+                    resets_on_send=_typed(t.get("resets_on_send", False), bool, "resets_on_send"),
+                    listed=_typed(t.get("listed", True), bool, "listed"),
                 )
                 for t in obj["trackers"]
             )
             schedule = Schedule(
                 phase1=tuple(_config_host(s, "scheduled site") for s in obj["schedule"]["phase1"]),
                 phase2=tuple(_config_host(s, "scheduled site") for s in obj["schedule"]["phase2"]),
-                gpc_enabled=bool(obj["schedule"].get("gpc_enabled", False)),
+                gpc_enabled=_typed(obj["schedule"].get("gpc_enabled", False), bool, "gpc_enabled"),
             )
         except InputError:
             raise
@@ -379,10 +381,11 @@ class EcosystemConfig:
         }
 
 
-def _typed(value, kind: type, field: str):
-    """``value`` if it is a ``kind`` (a bool is not an int), else ``INVALID_CONFIG``."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise InputError("INVALID_CONFIG", f"{field} must be of type {kind.__name__}, got {value!r}")
+def _typed(value, kind: type | tuple[type, ...], field: str):
+    """``value`` if it is a ``kind``, or one of a tuple of kinds (a bool is only a bool), else ``INVALID_CONFIG``."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise InputError("INVALID_CONFIG", f"{field} must be of type {names}, got {value!r}")
     return value
 
 

@@ -78,6 +78,35 @@ class TestSimulate:
         bad.write_text("{}")
         assert _run(["simulate", "--config", bad, "--seed", 1, "--out", tmp_path / "x.log"]) == 1
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("sites", 0, "paywall"), "false"),
+            (("trackers", 0, "honors_gpc"), "no"),
+            (("trackers", 0, "sets_partitioned"), 1),
+            (("trackers", 0, "resets_on_send"), None),
+            (("trackers", 0, "listed"), "false"),
+            (("trackers", 0, "drop_after_reject_prob"), "0.5"),
+            (("trackers", 0, "drop_after_reject_prob"), True),
+            (("schedule", "gpc_enabled"), "false"),
+        ],
+    )
+    def test_config_flag_of_the_wrong_type_is_invalid_config(self, tmp_path, capsys, path, value):
+        """A flag must be a JSON boolean and a probability a number, not a string that reads as one."""
+        config = json.loads((DEMO / "ecosystem.json").read_text())
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "x.log"
+        assert _run(["--errors", "json", "simulate", "--config", bad, "--seed", 1, "--out", out]) == 1
+        record = _json_error(capsys)
+        assert record["error"] == "INVALID_CONFIG"
+        assert record["message"].startswith(f"{path[-1]} must be of type "), record
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_full_pipeline_and_determinism(self, workspace):
@@ -807,6 +836,92 @@ class TestReportTiersAndConfigTypes:
         assert _run([*self._argv(analyzed, "report"), "--config", path]) == 0
         rows = (analyzed / "report" / "rank_tiers.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["2", "6"]
+
+
+def _config_field_cases(d: Path, out: Path) -> dict:
+    """Each pipeline-config key -> (a command's argv writing under ``out``, the key's flag in it, its config value)."""
+    jar, log, psl, trackers, adblock = d / "jar.snap", d / "run.log", d / "psl.dat", d / "plain.txt", d / "adblock.txt"
+    build = ["build-jar", "--log", log, "--out", out / "jar.snap", "--sample-n", "1", "--sample-seed", "5"]
+    detect = ["detect", "--jar", jar, "--log", log, "--psl", psl, "--trackers", trackers, "--adblock", adblock,
+              "--out", out / "findings.jsonl"]
+    report = ["report", "--findings", d / "findings.jsonl", "--jar", jar, "--log", log, "--psl", psl,
+              "--trackers", trackers, "--tiers", "2,6", "--out", out / "report"]
+    return {
+        "psl_path": (detect, ["--psl", psl], str(psl)),
+        "filter_lists.plain": (detect, ["--trackers", trackers], [str(trackers)]),
+        "filter_lists.adblock": (detect, ["--adblock", adblock], [str(adblock)]),
+        "jar_path": (build, ["--out", out / "jar.snap"], str(out / "jar.snap")),
+        "log_paths": (build, ["--log", log], [str(log)]),
+        "report_dir": (report, ["--out", out / "report"], str(out / "report")),
+        "sample.n": (build, ["--sample-n", "1"], 1),
+        "sample.seed": (build, ["--sample-seed", "5"], 5),
+        "tier_cutoffs": (report, ["--tiers", "2,6"], [2, 6]),
+    }
+
+
+class TestConfigFieldTable:
+    """Each ``--config`` field does what its flag does; any other key, and ``--extra-domains``, is rejected."""
+
+    @staticmethod
+    def _artifacts(out: Path) -> list:
+        return sorted((str(p.relative_to(out)), p.read_bytes()) for p in out.rglob("*") if p.is_file())
+
+    @pytest.mark.parametrize("key", list(_config_field_cases(Path(), Path())))
+    def test_config_field_writes_what_its_flag_writes(self, analyzed, key):
+        # Each list and the suffix list change the findings: the suffix list makes a tracker a public suffix.
+        trackers = (analyzed / "trackers.txt").read_text().split()
+        (analyzed / "plain.txt").write_text("".join(f"{domain}\n" for domain in trackers[::2]))
+        (analyzed / "adblock.txt").write_text("".join(f"||{domain}^\n" for domain in trackers[1::2]))
+        (analyzed / "psl.dat").write_text(f"com\nexample\n{trackers[1]}\n")
+        artifacts = {}
+        for source in ("flag", "config", "neither"):
+            out = analyzed / source
+            out.mkdir()
+            argv, flag, value = _config_field_cases(analyzed, out)[key]
+            if source != "flag":
+                at = next(i for i in range(len(argv)) if argv[i:i + 2] == flag)
+                argv = argv[:at] + argv[at + 2:]
+            if source == "config":
+                section, _, name = key.rpartition(".")
+                config = out / "pipeline.json"
+                config.write_text(json.dumps({section: {name: value}} if section else {key: value}))
+                argv += ["--config", config]
+            code = _run(argv)
+            (out / "pipeline.json").unlink(missing_ok=True)
+            artifacts[source] = self._artifacts(out) if code == 0 else code
+        assert artifacts["flag"] and artifacts["config"] == artifacts["flag"]
+        # Without the field the command fails or writes something else, so the field was read.
+        assert artifacts["neither"] != artifacts["flag"]
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"psl_pth": "psl.dat"}, "psl_pth"),
+            ({"filter_lists": {"plain": [], "adblok": []}}, "filter_lists.adblok"),
+            ({"sample": {"N": 1}}, "sample.N"),
+            ({"sample.n": 1}, "sample.n"),
+            ({"extra_tracker_domains_path": "extra.txt"}, "extra_tracker_domains_path"),
+        ],
+    )
+    def test_unknown_key_is_invalid_config(self, analyzed, capsys, config, key):
+        path = analyzed / "pipeline.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert _run(["--errors", "json", "detect", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
+                     "--config", path, "--out", analyzed / "again.jsonl"]) == 1
+        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": f"{path}: unknown field {key!r}"}
+        assert not (analyzed / "again.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "report"])
+    def test_extra_domains_is_a_usage_error(self, analyzed, capsys, command):
+        argv = {"detect": ["detect", "--jar", analyzed / "jar.snap", "--out", analyzed / "again.jsonl"],
+                "report": ["report", "--findings", analyzed / "findings.jsonl", "--out", analyzed / "report"]}[command]
+        capsys.readouterr()
+        assert _run(["--errors", "json", *argv, "--log", analyzed / "run.log",
+                     "--extra-domains", analyzed / "trackers.txt"]) == 1
+        record = _json_error(capsys)
+        assert record["error"] == "USAGE_ERROR"
+        assert "--extra-domains" in record["message"]
 
 
 class TestFindingsReader:
