@@ -28,7 +28,6 @@ from .crawllog import (
     extract_sent,
     index_run,
     parse_cookie_header,
-    parse_log,
     parse_log_text,
     parse_set_cookie,
     serialize,

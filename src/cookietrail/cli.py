@@ -333,8 +333,9 @@ def _read_ndjson(path: str) -> Iterator:
             except RecursionError:
                 raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: nested too deeply") from None
             if not header_seen:
-                if not isinstance(obj, dict) or obj.get("format_version") != NDJSON_VERSION:
-                    raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: missing format_version header")
+                version = obj.get("format_version") if isinstance(obj, dict) else None
+                if type(version) is not int or version != NDJSON_VERSION:  # true and 1.0 are not 1
+                    raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: bad format_version header {obj!r}")
                 header_seen = True
                 continue
             yield obj

@@ -198,11 +198,33 @@ def banner_to_obj(banner: BannerDescriptor) -> dict:
     }
 
 
+def _exact(value, kind: type, field: str):
+    """``value`` if its type is exactly ``kind`` (a 0 is not a bool, nor a "false"), else ``TypeError``."""
+    if type(value) is not kind:
+        raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def banner_from_obj(obj: dict) -> BannerDescriptor:
+    """The banner of a config or log record: labels and categories are strings, toggle flags booleans.
+
+    A field of the wrong type raises ``TypeError``; other malformed shapes
+    raise ``KeyError``, ``ValueError``, ``TypeError`` or ``AttributeError``.
+    """
     layers = tuple(
         BannerLayer(
-            buttons=tuple(BannerButton(lbl, ButtonAction(act)) for lbl, act in layer.get("buttons", [])),
-            toggles=tuple(BannerToggle(cat, bool(pre), bool(ess)) for cat, pre, ess in layer.get("toggles", [])),
+            buttons=tuple(
+                BannerButton(_exact(label, str, "button label"), ButtonAction(action))
+                for label, action in layer.get("buttons", [])
+            ),
+            toggles=tuple(
+                BannerToggle(
+                    _exact(category, str, "toggle category"),
+                    _exact(preselected, bool, "toggle preselected"),
+                    _exact(essential, bool, "toggle essential"),
+                )
+                for category, preselected, essential in layer.get("toggles", [])
+            ),
         )
         for layer in obj.get("layers", [])
     )
@@ -474,8 +496,8 @@ def serialize(events: Iterable[CrawlEvent]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_log(lines: Iterable[str], first_index: int = 0, visit_ids: set[str] | None = None) -> list[CrawlEvent]:
-    """Parse an NDJSON crawl log into events, checking every record and every visit's sequence.
+def parse_log_text(text: str, first_index: int = 0, visit_ids: set[str] | None = None) -> list[CrawlEvent]:
+    """Parse the text of an NDJSON crawl log into events, checking every record and every visit's sequence.
 
     Each line is decoded, checked and built into its event once, in one pass.
     Events are numbered consecutively from ``first_index``, so several logs
@@ -492,7 +514,7 @@ def parse_log(lines: Iterable[str], first_index: int = 0, visit_ids: set[str] | 
     events: list[CrawlEvent] = []
     header_seen = False
     index = first_index
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -512,7 +534,7 @@ def parse_log(lines: Iterable[str], first_index: int = 0, visit_ids: set[str] | 
             raise InputError("MALFORMED_RECORD", f"line {lineno}: record is not an object")
         if not header_seen:
             version = obj.get("format_version")
-            if version != FORMAT_VERSION:
+            if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 are not 1
                 raise InputError(
                     "MALFORMED_RECORD",
                     f"line {lineno}: expected header record {{'format_version': {FORMAT_VERSION}}}, got {obj!r}",
@@ -536,10 +558,6 @@ def parse_log(lines: Iterable[str], first_index: int = 0, visit_ids: set[str] | 
     if visit_ids is not None:
         visit_ids |= parser.closed
     return events
-
-
-def parse_log_text(text: str, first_index: int = 0, visit_ids: set[str] | None = None) -> list[CrawlEvent]:
-    return parse_log(text.splitlines(), first_index, visit_ids)
 
 
 # --- cookie headers ---------------------------------------------------------
@@ -648,7 +666,7 @@ def record_from_cookie_set(
 
 
 def index_run(events: Iterable[CrawlEvent]) -> RunIndex:
-    """Index a run in one walk over its events, which hold whole visits, as ``parse_log`` returns them."""
+    """Index a run in one walk over its events, which hold whole visits, as ``parse_log_text`` returns them."""
     starts: dict[str, VisitStart] = {}
     banners: dict[str, BannerType] = {}
     visits: dict = {}

@@ -199,6 +199,7 @@ class CookieJar:
             if (
                 type(header) is not dict
                 or header.get("format") != SNAPSHOT_FORMAT
+                or type(header.get("format_version")) is not int  # true and 1.0 are not 1
                 or header.get("format_version") != SNAPSHOT_VERSION
             ):
                 raise InputError("CORRUPT_SNAPSHOT", f"{path}: unrecognized snapshot header")

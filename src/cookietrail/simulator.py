@@ -2,8 +2,27 @@
 
 ``generate`` turns a declarative ecosystem description into a crawl log:
 an accept-everything stateful pass over the phase-1 sites, then per phase-2
-site a reject iteration (reject, reload) and an accept iteration.  The
-simulated browser attaches stored cookies whose host domain-matches the
+site a reject iteration (reject, reload) and an accept iteration.  One
+``_Run`` writes every visit, one method per visit kind, and each visit is
+``VISIT_START``, ``BANNER_OBSERVED`` unless the site has no banner, then:
+
+- accept phase (``p1-``): ``ACCEPT_CLICKED``, then per embed a request and
+  the tracker's cookie writes, which reach the browser's store.
+- reject iteration (``p2r-``): the pre-consent requests, ``REJECT_CLICKED``,
+  ``RELOAD``, and the pre-consent requests that survive the seeded reload drop.
+- accept iteration (``p2a-``, sites with a banner): the pre-consent requests,
+  ``ACCEPT_CLICKED``, the consented requests, then the consented trackers'
+  cookie writes, which do not reach the store.
+
+A visit whose banner is missing, or offers no way to accept (reject), ends
+there with ``NO_BANNER`` (``INTERACTION_FAILED``), after the pre-consent
+requests in the measure phase.  The accept phase loads every embed.  The
+measure phase skips GPC-honoring trackers when GPC is on, and
+``POST_ACCEPT_ONLY`` embeds before consent or ``PRE_CONSENT_ONLY`` ones after
+it.  Each measure-phase request may be followed by its tracker's resets and
+sync redirects.
+
+The simulated browser attaches stored cookies whose host domain-matches the
 request target and whose partition, if any, equals the visited site.  Its
 cookie store (``_CookieStore``) is indexed by (host, partition), so a request
 reads only the buckets of the target's label suffixes with partition None or
@@ -548,14 +567,6 @@ def _resolve_like_detector(value: str, same_name: list[CookieKey], jar_values: d
 # --- log generation ----------------------------------------------------------------
 
 
-class _Emitter:
-    def __init__(self):
-        self.events: list[CrawlEvent] = []
-
-    def emit(self, cls, **kwargs) -> None:
-        self.events.append(cls(event_index=len(self.events), **kwargs))
-
-
 class _CookieStore:
     """The simulated browser's cookies, bucketed by (host, partition).
 
@@ -625,225 +636,182 @@ def generate(config: EcosystemConfig, seed: int, *, run_label: str = "") -> list
     merged without visit-id collisions.
     """
     config.validate()
-    emitter = _Emitter()
-    store = _CookieStore()
-    gpc = config.schedule.gpc_enabled
+    run = _Run(config, seed)
     prefix = f"{run_label}-" if run_label else ""
-
     for position, site_name in enumerate(config.schedule.phase1):
-        site = config.site(site_name)
-        visit_id = f"{prefix}p1-{position:05d}"
-        emitter.emit(
-            VisitStart,
-            visit_id=visit_id,
-            site=site.site,
-            rank=site.rank,
-            phase=Phase.STATEFUL_ACCEPT,
-            iteration=Iteration.ACCEPT_ITER,
-            gpc_enabled=gpc,
-        )
-        if site.banner.banner_type is BannerType.NONE:
-            emitter.emit(VisitEnd, visit_id=visit_id, outcome=VisitOutcome.NO_BANNER)
-            continue
-        emitter.emit(BannerObserved, visit_id=visit_id, banner=site.banner)
-        if not can_accept(site.banner):
-            emitter.emit(VisitEnd, visit_id=visit_id, outcome=VisitOutcome.INTERACTION_FAILED)
-            continue
-        emitter.emit(
-            Interaction,
-            visit_id=visit_id,
-            action=InteractionAction.ACCEPT_CLICKED,
-            resulting_stage=InteractionStage.AFTER_ACCEPT,
-        )
-        for embed in site.embeds:
-            tracker = config.tracker(embed.tracker)
-            target = _embed_target(tracker.domain)
-            emitter.emit(
-                HttpRequest,
-                visit_id=visit_id,
-                stage=InteractionStage.AFTER_ACCEPT,
-                target_host=target,
-                target_url=f"https://{target}/collect?site={site.site}",
-                channel=embed.channel,
-                cookie_header=_attach_header(store.attached(target, site.site)),
-            )
-            partition = site.site if tracker.sets_partitioned else None
-            for cookie in tracker.cookies:
-                value = cookie.value.generate(seed, tracker.domain, cookie.name, site.site)
-                emitter.emit(
-                    CookieSet,
-                    visit_id=visit_id,
-                    stage=InteractionStage.AFTER_ACCEPT,
-                    set_cookie_header=_set_cookie_header(cookie, value, tracker),
-                    setter_context_host=target,
-                )
-                key = CookieKey(cookie.name, tracker.domain, partition)
-                if cookie.lifetime is not None and cookie.lifetime <= 0:
-                    store.delete(key)
-                else:
-                    store.set(key, value)
-        emitter.emit(VisitEnd, visit_id=visit_id, outcome=VisitOutcome.ACCEPTED)
-
+        run.accept_phase_visit(config.site(site_name), f"{prefix}p1-{position:05d}")
     for position, site_name in enumerate(config.schedule.phase2):
         site = config.site(site_name)
-        _generate_reject_visit(config, seed, emitter, store, site, f"{prefix}p2r-{position:05d}")
+        run.reject_iteration(site, f"{prefix}p2r-{position:05d}")
         if site.banner.banner_type is not BannerType.NONE:
-            _generate_accept_visit(config, seed, emitter, store, site, f"{prefix}p2a-{position:05d}")
-    return emitter.events
+            run.accept_iteration(site, f"{prefix}p2a-{position:05d}")
+    return run.events
 
 
-def _pre_consent_embeds(config: EcosystemConfig, site: SiteSpec) -> list[EmbedSpec]:
-    embeds = []
-    for embed in site.embeds:
-        tracker = config.tracker(embed.tracker)
-        if embed.policy is EmbedLoadPolicy.POST_ACCEPT_ONLY:
-            continue
-        if config.schedule.gpc_enabled and tracker.honors_gpc:
-            continue
-        embeds.append(embed)
-    return embeds
+class _Run:
+    """One crawl being written: its config and seed, the events so far and the browser's cookie store.
 
+    There is one method per visit kind.  A visit is written one event at a
+    time, and the run keeps the open visit's id, its site and its stage, which
+    is the stage the last click moved it to; every request and cookie write
+    of the visit carries that stage.
+    """
 
-def _emit_embed_requests(
-    config: EcosystemConfig,
-    emitter: _Emitter,
-    store: _CookieStore,
-    site: SiteSpec,
-    visit_id: str,
-    stage: InteractionStage,
-    embeds: list[EmbedSpec],
-) -> None:
-    for embed in embeds:
-        tracker = config.tracker(embed.tracker)
-        target = _embed_target(tracker.domain)
-        origin_url = f"https://{target}/px?site={site.site}"
-        attached = store.attached(target, site.site)
-        emitter.emit(
-            HttpRequest,
-            visit_id=visit_id,
-            stage=stage,
-            target_host=target,
-            target_url=origin_url,
-            channel=embed.channel,
-            cookie_header=_attach_header(attached),
+    def __init__(self, config: EcosystemConfig, seed: int):
+        self.config = config
+        self.seed = seed
+        self.events: list[CrawlEvent] = []
+        self.store = _CookieStore()
+        self.visit_id = ""
+        self.site: SiteSpec | None = None
+        self.stage = InteractionStage.BEFORE_INTERACTION
+
+    def accept_phase_visit(self, site: SiteSpec, visit_id: str) -> None:
+        """Accept the banner, then load every embed; each tracker's cookie writes reach the store."""
+        self._start(site, visit_id, Phase.STATEFUL_ACCEPT, Iteration.ACCEPT_ITER)
+        if site.banner.banner_type is BannerType.NONE:
+            self._end(VisitOutcome.NO_BANNER)
+            return
+        if not can_accept(site.banner):
+            self._end(VisitOutcome.INTERACTION_FAILED)
+            return
+        self._click(InteractionAction.ACCEPT_CLICKED, InteractionStage.AFTER_ACCEPT)
+        for embed in site.embeds:
+            tracker = self.config.tracker(embed.tracker)
+            target = _embed_target(tracker.domain)
+            self._request(target, f"https://{target}/collect?site={site.site}", embed.channel)
+            self._write_cookies(tracker, stored=True)
+        self._end(VisitOutcome.ACCEPTED)
+
+    def reject_iteration(self, site: SiteSpec, visit_id: str) -> None:
+        """Load the page, reject the banner and reload it, which drops some embeds, seeded per (site, tracker)."""
+        self._start(site, visit_id, Phase.STATELESS_MEASURE, Iteration.REJECT_ITER)
+        embeds = self._measured_embeds(EmbedLoadPolicy.POST_ACCEPT_ONLY)
+        self._embed_requests(embeds)
+        if site.banner.banner_type is BannerType.NONE:
+            self._end(VisitOutcome.NO_BANNER)
+            return
+        if plan_rejection(site.banner).outcome is not RejectionOutcome.REJECTED:
+            self._end(VisitOutcome.INTERACTION_FAILED)
+            return
+        self._click(InteractionAction.REJECT_CLICKED, InteractionStage.AFTER_REJECT)
+        # Rejection triggers no additional sends; the reload re-issues the
+        # pre-consent embeds minus the seeded per-(site, tracker) drops.
+        self._click(InteractionAction.RELOAD, InteractionStage.AFTER_RELOADED_REJECT)
+        self._embed_requests(
+            [(embed, tracker) for embed, tracker in embeds if not _reload_dropped(self.seed, site.site, tracker)]
         )
-        attached_own = sorted(attached, key=lambda kv: (kv[0].name, kv[0].host))
-        if tracker.resets_on_send:
-            for key, value in attached_own:
-                spec = next((c for c in tracker.cookies if c.name == key.name), None)
-                if spec is None or key.host != tracker.domain:
-                    continue
-                emitter.emit(
-                    CookieSet,
-                    visit_id=visit_id,
-                    stage=stage,
-                    set_cookie_header=_set_cookie_header(spec, value, tracker),
-                    setter_context_host=target,
-                )
-        if tracker.sync_partners and attached_own:
-            # Redirect chains carry the most identifier-like (longest) value.
-            carried = max(attached_own, key=lambda kv: (len(kv[1]), kv[0].name, kv[0].host))[1]
-            for partner in tracker.sync_partners:
-                partner_host = f"sync.{partner}"
-                emitter.emit(
-                    HttpRequest,
-                    visit_id=visit_id,
-                    stage=stage,
-                    target_host=partner_host,
-                    target_url=f"https://{partner_host}/match?uid={carried}",
-                    channel=Channel.RESOURCE_FETCH,
-                    cookie_header=_attach_header(store.attached(partner_host, site.site)),
-                    redirect_parent_url=origin_url,
-                )
+        self._end(VisitOutcome.REJECTED)
 
+    def accept_iteration(self, site: SiteSpec, visit_id: str) -> None:
+        """Load the page and accept its banner; the consented trackers' cookie writes never reach the store."""
+        self._start(site, visit_id, Phase.STATELESS_MEASURE, Iteration.ACCEPT_ITER)
+        self._embed_requests(self._measured_embeds(EmbedLoadPolicy.POST_ACCEPT_ONLY))
+        if not can_accept(site.banner):
+            self._end(VisitOutcome.INTERACTION_FAILED)
+            return
+        self._click(InteractionAction.ACCEPT_CLICKED, InteractionStage.AFTER_ACCEPT)
+        consented = self._measured_embeds(EmbedLoadPolicy.PRE_CONSENT_ONLY)
+        self._embed_requests(consented)
+        # Accepting triggers fresh cookie writes from every consented tracker;
+        # these happen outside the accept phase and never reach the jar.
+        for _, tracker in consented:
+            self._write_cookies(tracker, stored=False)
+        self._end(VisitOutcome.ACCEPTED)
 
-def _generate_reject_visit(config, seed, emitter, store, site: SiteSpec, visit_id: str) -> None:
-    emitter.emit(
-        VisitStart,
-        visit_id=visit_id,
-        site=site.site,
-        rank=site.rank,
-        phase=Phase.STATELESS_MEASURE,
-        iteration=Iteration.REJECT_ITER,
-        gpc_enabled=config.schedule.gpc_enabled,
-    )
-    if site.banner.banner_type is not BannerType.NONE:
-        emitter.emit(BannerObserved, visit_id=visit_id, banner=site.banner)
-    pre_embeds = _pre_consent_embeds(config, site)
-    _emit_embed_requests(config, emitter, store, site, visit_id, InteractionStage.BEFORE_INTERACTION, pre_embeds)
-    if site.banner.banner_type is BannerType.NONE:
-        emitter.emit(VisitEnd, visit_id=visit_id, outcome=VisitOutcome.NO_BANNER)
-        return
-    plan = plan_rejection(site.banner)
-    if plan.outcome is not RejectionOutcome.REJECTED:
-        emitter.emit(VisitEnd, visit_id=visit_id, outcome=VisitOutcome.INTERACTION_FAILED)
-        return
-    emitter.emit(
-        Interaction,
-        visit_id=visit_id,
-        action=InteractionAction.REJECT_CLICKED,
-        resulting_stage=InteractionStage.AFTER_REJECT,
-    )
-    # Rejection triggers no additional sends; the reload re-issues the
-    # pre-consent embeds minus the seeded per-(site, tracker) drops.
-    emitter.emit(
-        Interaction,
-        visit_id=visit_id,
-        action=InteractionAction.RELOAD,
-        resulting_stage=InteractionStage.AFTER_RELOADED_REJECT,
-    )
-    surviving = [
-        embed
-        for embed in pre_embeds
-        if not _reload_dropped(seed, site.site, config.tracker(embed.tracker))
-    ]
-    _emit_embed_requests(
-        config, emitter, store, site, visit_id, InteractionStage.AFTER_RELOADED_REJECT, surviving
-    )
-    emitter.emit(VisitEnd, visit_id=visit_id, outcome=VisitOutcome.REJECTED)
+    # --- the steps the visits share ---------------------------------------------
 
+    def _emit(self, cls, **fields) -> None:
+        self.events.append(cls(visit_id=self.visit_id, event_index=len(self.events), **fields))
 
-def _generate_accept_visit(config, seed, emitter, store, site: SiteSpec, visit_id: str) -> None:
-    emitter.emit(
-        VisitStart,
-        visit_id=visit_id,
-        site=site.site,
-        rank=site.rank,
-        phase=Phase.STATELESS_MEASURE,
-        iteration=Iteration.ACCEPT_ITER,
-        gpc_enabled=config.schedule.gpc_enabled,
-    )
-    emitter.emit(BannerObserved, visit_id=visit_id, banner=site.banner)
-    pre_embeds = _pre_consent_embeds(config, site)
-    _emit_embed_requests(config, emitter, store, site, visit_id, InteractionStage.BEFORE_INTERACTION, pre_embeds)
-    if not can_accept(site.banner):
-        emitter.emit(VisitEnd, visit_id=visit_id, outcome=VisitOutcome.INTERACTION_FAILED)
-        return
-    emitter.emit(
-        Interaction,
-        visit_id=visit_id,
-        action=InteractionAction.ACCEPT_CLICKED,
-        resulting_stage=InteractionStage.AFTER_ACCEPT,
-    )
-    consented = [
-        embed
-        for embed in site.embeds
-        if embed.policy is not EmbedLoadPolicy.PRE_CONSENT_ONLY
-        and not (config.schedule.gpc_enabled and config.tracker(embed.tracker).honors_gpc)
-    ]
-    _emit_embed_requests(config, emitter, store, site, visit_id, InteractionStage.AFTER_ACCEPT, consented)
-    # Accepting triggers fresh cookie writes from every consented tracker;
-    # these happen outside the accept phase and never reach the jar.
-    for embed in consented:
-        tracker = config.tracker(embed.tracker)
-        target = _embed_target(tracker.domain)
-        for cookie in tracker.cookies:
-            value = cookie.value.generate(seed, tracker.domain, cookie.name, site.site)
-            emitter.emit(
-                CookieSet,
-                visit_id=visit_id,
-                stage=InteractionStage.AFTER_ACCEPT,
-                set_cookie_header=_set_cookie_header(cookie, value, tracker),
-                setter_context_host=target,
+    def _start(self, site: SiteSpec, visit_id: str, phase: Phase, iteration: Iteration) -> None:
+        """Open a visit: VISIT_START, then BANNER_OBSERVED unless the site has no banner."""
+        self.visit_id, self.site, self.stage = visit_id, site, InteractionStage.BEFORE_INTERACTION
+        self._emit(
+            VisitStart,
+            site=site.site,
+            rank=site.rank,
+            phase=phase,
+            iteration=iteration,
+            gpc_enabled=self.config.schedule.gpc_enabled,
+        )
+        if site.banner.banner_type is not BannerType.NONE:
+            self._emit(BannerObserved, banner=site.banner)
+
+    def _click(self, action: InteractionAction, stage: InteractionStage) -> None:
+        self.stage = stage
+        self._emit(Interaction, action=action, resulting_stage=stage)
+
+    def _end(self, outcome: VisitOutcome) -> None:
+        self._emit(VisitEnd, outcome=outcome)
+
+    def _measured_embeds(self, skipped: EmbedLoadPolicy) -> list[tuple[EmbedSpec, TrackerSpec]]:
+        """The measure-phase embeds that load, with their trackers: all but ``skipped`` and GPC-honoring ones."""
+        gpc = self.config.schedule.gpc_enabled
+        embeds = []
+        for embed in self.site.embeds:
+            tracker = self.config.tracker(embed.tracker)
+            if embed.policy is not skipped and not (gpc and tracker.honors_gpc):
+                embeds.append((embed, tracker))
+        return embeds
+
+    def _request(
+        self, target: str, url: str, channel: Channel, parent_url: str | None = None
+    ) -> list[tuple[CookieKey, str]]:
+        """Write a request to ``target`` with the stored cookies it carries, and return those pairs."""
+        attached = self.store.attached(target, self.site.site)
+        self._emit(
+            HttpRequest,
+            stage=self.stage,
+            target_host=target,
+            target_url=url,
+            channel=channel,
+            cookie_header=_attach_header(attached),
+            redirect_parent_url=parent_url,
+        )
+        return attached
+
+    def _embed_requests(self, embeds: list[tuple[EmbedSpec, TrackerSpec]]) -> None:
+        """One measure-phase request per embed, each followed by its tracker's resets and sync redirects."""
+        for embed, tracker in embeds:
+            target = _embed_target(tracker.domain)
+            origin_url = f"https://{target}/px?site={self.site.site}"
+            attached_own = sorted(
+                self._request(target, origin_url, embed.channel), key=lambda kv: (kv[0].name, kv[0].host)
             )
-    emitter.emit(VisitEnd, visit_id=visit_id, outcome=VisitOutcome.ACCEPTED)
+            if tracker.resets_on_send:
+                for key, value in attached_own:
+                    spec = next((c for c in tracker.cookies if c.name == key.name), None)
+                    if spec is not None and key.host == tracker.domain:
+                        self._set_cookie(spec, value, tracker)
+            if tracker.sync_partners and attached_own:
+                # Redirect chains carry the most identifier-like (longest) value.
+                carried = max(attached_own, key=lambda kv: (len(kv[1]), kv[0].name, kv[0].host))[1]
+                for partner in tracker.sync_partners:
+                    partner_host = f"sync.{partner}"
+                    self._request(
+                        partner_host, f"https://{partner_host}/match?uid={carried}", Channel.RESOURCE_FETCH, origin_url
+                    )
+
+    def _set_cookie(self, cookie: CookieSpec, value: str, tracker: TrackerSpec) -> None:
+        self._emit(
+            CookieSet,
+            stage=self.stage,
+            set_cookie_header=_set_cookie_header(cookie, value, tracker),
+            setter_context_host=_embed_target(tracker.domain),
+        )
+
+    def _write_cookies(self, tracker: TrackerSpec, *, stored: bool) -> None:
+        """The tracker's cookie writes on the visited site after an accept; ``stored`` applies them to the store."""
+        site = self.site.site
+        partition = site if tracker.sets_partitioned else None
+        for cookie in tracker.cookies:
+            value = cookie.value.generate(self.seed, tracker.domain, cookie.name, site)
+            self._set_cookie(cookie, value, tracker)
+            if not stored:
+                continue
+            key = CookieKey(cookie.name, tracker.domain, partition)
+            if cookie.lifetime is not None and cookie.lifetime <= 0:
+                self.store.delete(key)
+            else:
+                self.store.set(key, value)

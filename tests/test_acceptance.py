@@ -323,6 +323,15 @@ _FIELD_TYPE_MUTATIONS = (
     ("HTTP_REQUEST", "cookie_header", 3),
 )
 
+# (path into a banner, value): a label or category that is not a string, a toggle flag that is not a
+# bool.  Each path exists in a two-layer banner whose settings layer has a toggle.
+_BANNER_TYPE_MUTATIONS = (
+    (("layers", 0, "buttons", 0, 0), 5),
+    (("layers", 1, "toggles", 0, 0), 5),
+    (("layers", 1, "toggles", 0, 1), "false"),
+    (("layers", 1, "toggles", 0, 2), 1),
+)
+
 
 def _mutants(lines: list[str]):
     """Yield (mutated_text, expected_error_class, expected_exit) tuples."""
@@ -423,6 +432,19 @@ def _mutants(lines: list[str]):
             record[field] = value
             yield "\n".join(lines[:i] + [json.dumps(record)] + lines[i + 1:]), "MALFORMED_RECORD", 1
 
+    # p) a banner field of the wrong type.
+    for i in positions("BANNER_OBSERVED", limit=10):
+        layers = records[i]["banner"]["layers"]
+        if len(layers) < 2 or not layers[1]["toggles"]:
+            continue
+        for (*path, last), value in _BANNER_TYPE_MUTATIONS:
+            record = json.loads(lines[i])
+            parent = record["banner"]
+            for key in path:
+                parent = parent[key]
+            parent[last] = value
+            yield "\n".join(lines[:i] + [json.dumps(record)] + lines[i + 1:]), "MALFORMED_RECORD", 1
+
 
 def c8_corpus() -> list[tuple[str, str, int]]:
     """Every C8 mutant: of the demo log, and of the logs of two larger randomized ecosystems."""
@@ -499,6 +521,10 @@ _CONFIG_TYPE_MUTATIONS = (
     (("trackers", 0, "cookies", 0, "value", "length"), "z"),
     (("trackers", 0, "cookies", 0, "lifetime"), float("inf")),
     (("sites", 0, "banner"), 5),
+    (("sites", 4, "banner", "layers", 0, "buttons", 0, 0), 5),
+    (("sites", 4, "banner", "layers", 1, "toggles", 0, 0), 5),
+    (("sites", 4, "banner", "layers", 1, "toggles", 0, 1), "false"),
+    (("sites", 4, "banner", "layers", 1, "toggles", 0, 2), 1),
 )
 
 

@@ -775,6 +775,27 @@ class TestDeeplyNestedJson:
                                        "message": f"{deep}: not valid JSON (nested too deeply)"}
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("reader, error", [
+    ("run.log", "MALFORMED_RECORD"), ("findings.jsonl", "MALFORMED_RECORD"), ("jar.snap", "CORRUPT_SNAPSHOT"),
+])
+def test_format_version_must_be_the_integer_1(analyzed, tmp_path, capsys, reader, error, version):
+    """A header version that only equals 1 is an input error for the log, NDJSON and snapshot readers."""
+    path = analyzed / reader
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "format_version": version})
+    path.write_text("\n".join(lines) + "\n")
+    inputs = ["--jar", analyzed / "jar.snap", "--log", analyzed / "run.log"]
+    command = {
+        "run.log": ["validate-log", "--log", path],
+        "findings.jsonl": ["report", "--findings", path, *inputs, "--out", tmp_path / "report"],
+        "jar.snap": ["detect", *inputs, "--out", tmp_path / "f.jsonl"],
+    }[reader]
+    capsys.readouterr()
+    assert _run(["--errors", "json", *command]) == 1
+    assert _json_error(capsys)["error"] == error
+
+
 class TestReportTiersAndConfigTypes:
     """A bad ``--tiers``, a negative sample size or a mistyped pipeline-config field.
 

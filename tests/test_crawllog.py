@@ -198,11 +198,12 @@ class TestParseLog:
         parsed = [e.banner for e in parse_log_text(text) if isinstance(e, BannerObserved)]
         assert parsed == banners
         assert parsed[0] is parsed[2] and parsed[0] is not parsed[1]
-        # A toggle written as 1 / 0 and as true / false: different records, equal descriptors.
+        # A layer with its keys in two orders: different records, equal descriptors.
         lines = text.splitlines()
-        for lineno, toggle in ((2, ["ads", 1, 0]), (14, ["ads", True, False])):
+        for lineno, keys in ((2, ("toggles", "buttons")), (14, ("buttons", "toggles"))):
             record = json.loads(lines[lineno])
-            record["banner"]["layers"][0]["toggles"] = [toggle]
+            layer = {**record["banner"]["layers"][0], "toggles": [["ads", True, False]]}
+            record["banner"]["layers"][0] = {key: layer[key] for key in keys}
             lines[lineno] = json.dumps(record)
         parsed = [e.banner for e in parse_log_text("\n".join(lines)) if isinstance(e, BannerObserved)]
         assert parsed == [banner_from_obj(json.loads(lines[n])["banner"]) for n in (2, 8, 14)]
@@ -251,8 +252,12 @@ class TestParseLog:
             else:
                 low = mid
         assert parse(low + 1) == "line 3: invalid JSON (nested too deeply)"
-        # The visit has no VISIT_END: the banner itself was accepted.
-        assert parse(low) == parse(low - 1) == "visit 'v1' has no VISIT_END"
+        # The banner was keyed: the visit has no VISIT_END, or else the nested label is not a string.
+        if '"buttons"' in template:
+            outcome = "line 3: bad banner object (button label must be a str, got [[["
+            assert parse(low).startswith(outcome) and parse(low - 1).startswith(outcome)
+        else:
+            assert parse(low) == parse(low - 1) == "visit 'v1' has no VISIT_END"
 
     def test_invalid_banner_is_a_bad_banner_object(self):
         """A banner the descriptor rejects (NONE with layers) is reported on its line, like any bad banner."""

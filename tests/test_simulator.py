@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import importlib.util
 import json
 import random
@@ -31,6 +33,8 @@ from helpers import (
     run_pipeline,
     simple_config,
 )
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 class TestPlanRejection:
@@ -203,6 +207,43 @@ class TestGenerate:
                 trackers=(),
                 schedule=sim.Schedule(phase1=("a.com",), phase2=()),
             ).validate()
+
+
+# SHA-256 of ``serialize(generate(config, seed, run_label=label))`` by (config, gpc_enabled, seed,
+# label), where the config is the demo ecosystem or ``random_config`` of that seed.  Seeds 0, 5
+# and 9 each have resets, syncs, partitioned and GPC-honoring trackers, reload drops, deletions
+# and both one-sided load policies.  A change to the generator that keeps its output keeps these.
+_LOG_DIGESTS = {
+    ("demo", False, 7, ""): "03501f4f4b77d98d5a46150f9d184b2abcae3058acb95f976516a221aec13ab2",
+    ("demo", False, 7, "run-b"): "d9ae7c80efc415d71972032e4c494528949b518c164e24378d2289a8bc9ffd36",
+    ("demo", True, 7, ""): "4f074c33757d467b4dc97e6bbff78313dd831d48624cc4910a0601a9a3e517d8",
+    ("demo", True, 7, "run-b"): "fda4a410e9ea4327e4c9e1cc7de4358af0d73c0ad110f8df8efb0ee8fdcc5089",
+    ("0", False, 0, ""): "65b1a017aa844a715211d710a5387ee044003a4ee722d365f57a8745740111ce",
+    ("0", False, 0, "run-b"): "ba0a46dd58a8fa32f20195e355ce57794e477c95d9b24e187371eddd5566c475",
+    ("0", True, 0, ""): "9e1e268164f86b6bb59479e6609a368c29f5677728fbf3a2d2c539ddd84ea96d",
+    ("0", True, 0, "run-b"): "89b1667f88e5d23a96658b610d3df9760a05b029cd40847e31378dfbacacafe2",
+    ("5", False, 5, ""): "445509d991c66990fd42418918037f9beab54b8f95ab54571483a57f97e0cfdf",
+    ("5", False, 5, "run-b"): "e796ecaa445e1f43ad55edb2ae11167bae3e672f25a1ab443cafb3aabfa2e1b9",
+    ("5", True, 5, ""): "8fa2b0eafa92a715c5d393a1c95e1a9d32b5c4012d91c9481ce250827e71588b",
+    ("5", True, 5, "run-b"): "002df6d1914f1b4db98ff951c0c5380e11b824fb9913f98bd3100cd3c24fe694",
+    ("9", False, 9, ""): "d1eb93e6f16a8010d27e3f2a4f9fe49fce9d4b96fe3af18f9977c3c5f33bc628",
+    ("9", False, 9, "run-b"): "14b5a4820099001a684385fb2230a02633841a2056384ca2840ebc85e2b084a8",
+    ("9", True, 9, ""): "6fdac7490473e35087658a2f08d2552df9eb2b581468240001d79e8be996bb75",
+    ("9", True, 9, "run-b"): "526627ff2a62b19bfbffcb2f3c4e4a403a6544d4ac2b847d9ad659d3698fbd40",
+}
+
+
+def _pinned_config(name: str, gpc: bool) -> sim.EcosystemConfig:
+    if name != "demo":
+        return random_config(random.Random(int(name)), gpc=gpc)
+    config = sim.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+    return dataclasses.replace(config, schedule=dataclasses.replace(config.schedule, gpc_enabled=gpc))
+
+
+@pytest.mark.parametrize("name, gpc, seed, label", sorted(_LOG_DIGESTS))
+def test_generated_log_bytes_are_pinned(name, gpc, seed, label):
+    text = serialize(sim.generate(_pinned_config(name, gpc), seed, run_label=label))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _LOG_DIGESTS[name, gpc, seed, label]
 
 
 class TestGroundTruth:
