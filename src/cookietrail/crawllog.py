@@ -12,15 +12,27 @@ Each record kind has one encoder and one decoder, side by side in
 directly, and the bytes are exactly those of ``json.dumps(record,
 sort_keys=True, separators=(",", ":"))``.
 
+Records end at ``\\n`` only.  JSON allows U+2028, U+2029 and U+0085 raw
+inside a string, so they do not end a record, as ``str.splitlines`` would
+have them do.
+
 Parsing builds each event once, in one pass: a decoder per record kind checks
 the record's fields and its place in its visit's sequence, then constructs the
 event with its final index (``first_index`` lets logs loaded one after another
 share one index).  Hosts (``site``, ``target_host``, ``setter_context_host``)
 are canonicalized at parse time, so every later stage sees canonical hosts.
+A URL field must be one that ``urlsplit`` accepts; ``urlsplit`` raises only
+on a bracket or a non-ASCII netloc, so an ASCII URL without brackets is
+accepted without the call.
 
 ``index_run`` then walks the parsed events once into a ``RunIndex``: one
 ``VisitSummary`` per visit, the requests and the cookie sets.  Later stages
 read the index and do not walk the events again.
+
+Events and the records derived from them are immutable ``NamedTuple``s,
+cheaper to build than frozen dataclasses.  Tell kinds apart by
+``type(event) is``: a record equals any tuple of equal fields, whatever its
+kind.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ import json
 from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
 from json.encoder import encode_basestring_ascii as _string
-from typing import Iterable
+from typing import Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from .errors import InputError, InvariantError, ParseIssue
@@ -64,8 +76,7 @@ _ACTION_STAGE = {
 }
 
 
-@dataclass(frozen=True)
-class VisitStart:
+class VisitStart(NamedTuple):
     visit_id: str
     site: SiteId
     rank: int
@@ -75,23 +86,20 @@ class VisitStart:
     event_index: int = -1
 
 
-@dataclass(frozen=True)
-class BannerObserved:
+class BannerObserved(NamedTuple):
     visit_id: str
     banner: BannerDescriptor
     event_index: int = -1
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(NamedTuple):
     visit_id: str
     action: InteractionAction
     resulting_stage: InteractionStage
     event_index: int = -1
 
 
-@dataclass(frozen=True)
-class HttpRequest:
+class HttpRequest(NamedTuple):
     visit_id: str
     stage: InteractionStage
     target_host: str
@@ -102,8 +110,7 @@ class HttpRequest:
     event_index: int = -1
 
 
-@dataclass(frozen=True)
-class CookieSet:
+class CookieSet(NamedTuple):
     visit_id: str
     stage: InteractionStage
     set_cookie_header: str
@@ -111,8 +118,7 @@ class CookieSet:
     event_index: int = -1
 
 
-@dataclass(frozen=True)
-class VisitEnd:
+class VisitEnd(NamedTuple):
     visit_id: str
     outcome: VisitOutcome
     event_index: int = -1
@@ -120,8 +126,7 @@ class VisitEnd:
 
 CrawlEvent = VisitStart | BannerObserved | Interaction | HttpRequest | CookieSet | VisitEnd
 
-@dataclass(frozen=True)
-class SentCookieObservation:
+class SentCookieObservation(NamedTuple):
     """One cookie name/value pair observed in an outgoing request."""
 
     name: str
@@ -134,8 +139,7 @@ class SentCookieObservation:
     event_index: int
 
 
-@dataclass(frozen=True)
-class SetCookieFragment:
+class SetCookieFragment(NamedTuple):
     """The pieces of a Set-Cookie header the pipeline cares about."""
 
     name: str
@@ -145,8 +149,7 @@ class SetCookieFragment:
     partitioned: bool
 
 
-@dataclass(frozen=True)
-class VisitSummary:
+class VisitSummary(NamedTuple):
     visit_id: str
     site: SiteId
     rank: int
@@ -241,7 +244,9 @@ _STAGES = dict(InteractionStage.__members__)
 _CHANNELS = dict(Channel.__members__)
 _OUTCOMES = dict(VisitOutcome.__members__)
 
-_decode_json = json.JSONDecoder().raw_decode
+# The scanner ``raw_decode`` wraps: (value, end) of the JSON value at an index,
+# ``StopIteration`` if none starts there.
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _field_error(obj: dict, key: str, lineno: int, problem: str = "") -> InputError:
@@ -260,9 +265,16 @@ def _member(table: dict, obj: dict, key: str, lineno: int):
 
 
 def _check_url(value, key: str, lineno: int) -> None:
-    """A URL field must be a string that ``urlsplit`` accepts, as detection splits it."""
+    """A URL field must be a string that ``urlsplit`` accepts, as detection splits it.
+
+    ``urlsplit`` raises only on a ``[`` or ``]`` in the netloc or on a
+    non-ASCII netloc (Python 3.10 to 3.13, as the tests check), so an ASCII
+    string without brackets cannot fail and skips the call.
+    """
     if not isinstance(value, str):
         raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
+    if value.isascii() and "[" not in value and "]" not in value:
+        return
     try:
         urlsplit(value)
     except ValueError as exc:
@@ -514,13 +526,13 @@ def parse_log_text(text: str, first_index: int = 0, visit_ids: set[str] | None =
     events: list[CrawlEvent] = []
     header_seen = False
     index = first_index
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            obj, end = _decode_json(line)
-        except json.JSONDecodeError:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, json.JSONDecodeError):
             end = -1
         except RecursionError:
             raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON (nested too deeply)") from None

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import random
 from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cookietrail import crawllog
 from cookietrail import simulator as sim
@@ -17,8 +16,11 @@ from cookietrail.crawllog import (
     CookieSet,
     HttpRequest,
     Interaction,
+    SentCookieObservation,
+    SetCookieFragment,
     VisitEnd,
     VisitStart,
+    VisitSummary,
     banner_from_obj,
     extract_sent,
     index_run,
@@ -279,6 +281,135 @@ class TestParseLog:
         events[3] = Interaction("v1", InteractionAction.REJECT_CLICKED, InteractionStage.AFTER_ACCEPT)
         with pytest.raises(InvariantError):
             parse_log_text(serialize(events))
+
+
+# --- line splitting, decode errors, the URL check and the records themselves ---------------------
+
+
+def _with_request_field(key: str, value, *, ensure_ascii: bool = True) -> list[str]:
+    """The single visit's log lines with its HTTP_REQUEST record's ``key`` (line 4) set to ``value``."""
+    lines = serialize(_single_visit_events()).splitlines()
+    record = json.loads(lines[3])
+    record[key] = value
+    lines[3] = json.dumps(record, ensure_ascii=ensure_ascii)
+    return lines
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+def test_records_split_only_at_newline(separator, tmp_path):
+    """JSON allows U+2028, U+2029 and U+0085 raw in a string: they neither end a record nor shift line numbers."""
+    header = f"id=1{separator}2"
+    lines = _with_request_field("cookie_header", header, ensure_ascii=False)
+    assert separator in lines[3]
+    path = tmp_path / "run.log"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for events in (parse_log_text(path.read_text(encoding="utf-8")), _load_logs([path])):
+        assert [type(e) for e in events] == [type(e) for e in _single_visit_events()]
+        assert events[2].cookie_header == header
+    lines[5] = lines[5][:-1]
+    with pytest.raises(InputError) as exc:
+        parse_log_text("\n".join(lines))
+    assert exc.value.message == "line 6: invalid JSON (Expecting ',' delimiter)"
+
+
+_DEEP = 100_000  # deeper than any JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("line, problem", [
+    pytest.param('{"kind":"VISIT_END"} x', "invalid JSON (Extra data)", id="trailing-junk"),
+    pytest.param('{"kind":"VISIT_END"}{"kind":"VISIT_END"}', "invalid JSON (Extra data)", id="two-objects"),
+    pytest.param('x{"kind":"VISIT_END"}', "invalid JSON (Expecting value)", id="leading-junk"),
+    pytest.param("[", "invalid JSON (Expecting value)", id="open-bracket"),
+    pytest.param("nul", "invalid JSON (Expecting value)", id="nul"),
+    pytest.param('{"kind":"VISIT_END', "invalid JSON (Unterminated string starting at)", id="unterminated"),
+    pytest.param('"VISIT_END"', "record is not an object", id="bare-string"),
+    pytest.param('[{"kind":"VISIT_END"}]', "record is not an object", id="array"),
+    pytest.param("[" * _DEEP, "invalid JSON (nested too deeply)", id="deep-array"),
+    pytest.param('{"a":' * _DEEP, "invalid JSON (nested too deeply)", id="deep-object"),
+])
+@pytest.mark.parametrize("lineno", [1, 2])
+def test_decode_errors_keep_their_wording(line, problem, lineno):
+    """Each line that is not one JSON object fails with the code and message pinned here."""
+    header = ['{"format_version":1}'] if lineno == 2 else []
+    with pytest.raises(InputError) as exc:
+        parse_log_text("\n".join([*header, line, '{"format_version":1}']) + "\n")
+    assert (exc.value.code, exc.value.message) == ("MALFORMED_RECORD", f"line {lineno}: {problem}")
+
+
+def _url_outcome(key: str, url: str):
+    """The parser's verdict on a request whose ``key`` is ``url``: None, or the error's code and message."""
+    try:
+        parse_log_text("\n".join(_with_request_field(key, url)))
+    except PipelineError as exc:
+        return exc.code, exc.message
+    return None
+
+
+def _urlsplit_outcome(key: str, url: str):
+    """The verdict ``urlsplit`` implies: UNPARSABLE_URL, with its message, exactly when it raises."""
+    try:
+        urlsplit(url)
+    except ValueError as exc:
+        return "UNPARSABLE_URL", f"line 4: bad {key} {url!r} ({exc})"
+    return None
+
+
+_URL_KEYS = ("target_url", "redirect_parent_url")
+_URL_CORPUS = [
+    "https://[::1/x", "https://a]b/", "https://[zz]/", "https://[::1]/", "https://[v1.x]/", "https://[1.2.3.4]/",
+    "https://a℀b.example/", "https://℀/", "https://ｅｘａｍｐｌｅ.com/",
+    "https://a／b.example/", "https://café.example/", "https://example.com/café?q=[1]",
+    "https://cdn.tracker.net/px", "http://a.example:8080/p?q=1#f", "//sync.example/match?uid=1", "", "not a url",
+]
+# Characters that steer urlsplit: delimiters, brackets, and non-ASCII letters and symbols, some of
+# which NFKC-normalize to delimiters.
+_URL_ALPHABET = st.sampled_from(list("ab1.-:@[]/?#% ") + ["℀", "／", "？", "ａ", "é", "ª"])
+_URL_SHAPED = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["https://", "http://", "//", "x:", ""]),
+    st.text(_URL_ALPHABET, max_size=12),
+    st.text(_URL_ALPHABET, max_size=6),
+)
+
+
+@pytest.mark.parametrize("key", _URL_KEYS)
+@pytest.mark.parametrize("url", _URL_CORPUS)
+def test_url_check_matches_urlsplit_on_corpus(url, key):
+    assert _url_outcome(key, url) == _urlsplit_outcome(key, url)
+
+
+@pytest.mark.parametrize("key", _URL_KEYS)
+@settings(max_examples=400)
+@given(url=st.one_of(st.text(), _URL_SHAPED))
+def test_url_check_matches_urlsplit(key, url):
+    """A URL is rejected exactly when ``urlsplit`` raises, so skipping the call where it cannot raise is safe."""
+    assert _url_outcome(key, url) == _urlsplit_outcome(key, url)
+
+
+def test_records_are_immutable_hashable_and_round_trip():
+    """Every record type refuses assignment, hashes, and comes back from serialize + parse as it went in."""
+    events = _single_visit_events()
+    events[5:5] = [
+        HttpRequest("v1", InteractionStage.AFTER_RELOADED_REJECT, "sync.example", "https://sync.example/m",
+                    Channel.RESOURCE_FETCH, "", "https://cdn.tracker.net/px"),
+        CookieSet("v1", InteractionStage.AFTER_RELOADED_REJECT, "id=1; Partitioned", "cdn.tracker.net"),
+    ]
+    events = [e._replace(event_index=i) for i, e in enumerate(events)]
+    parsed = parse_log_text(serialize(events))
+    assert parsed == events and [type(e) for e in parsed] == [type(e) for e in events]
+    index = index_run(parsed)
+    assert index == index_run(events)
+    fragment = parse_set_cookie(index.cookie_sets[0].set_cookie_header, index.cookie_sets[0].setter_context_host)
+    records = [*parsed, *index.visits.values(), *extract_sent(index), fragment]
+    assert {type(r) for r in records} == {
+        VisitStart, BannerObserved, Interaction, HttpRequest, CookieSet, VisitEnd,
+        VisitSummary, SentCookieObservation, SetCookieFragment,
+    }
+    for record in records:
+        hash(record)
+        for name in (record._fields[0], "event_index", "unknown_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, "x")
 
 
 class TestParseCookieHeader:
@@ -678,7 +809,7 @@ def _ref_load(texts):
         if overlap:
             raise InvariantError("SEQUENCE_VIOLATION", f"visit ids repeat across merged logs: {sorted(overlap)[:5]}")
         seen_visits |= file_visits
-        merged += [dataclasses.replace(e, event_index=len(merged) + i) for i, e in enumerate(events)]
+        merged += [e._replace(event_index=len(merged) + i) for i, e in enumerate(events)]
     return merged
 
 
@@ -695,7 +826,7 @@ def _load_outcome(load, *, fold_hosts=False):
         for i, event in enumerate(events):
             field = _HOST_FIELDS.get(type(event))
             if field and not getattr(event, field).islower():
-                events[i] = dataclasses.replace(event, **{field: getattr(event, field).lower()})
+                events[i] = event._replace(**{field: getattr(event, field).lower()})
     return "ok", events
 
 
@@ -768,15 +899,15 @@ _REF_KIND_NAMES = {cls: kind for kind, cls in _REF_KINDS.items()}
 
 def _ref_event_to_record(event):
     record = {"kind": _REF_KIND_NAMES[type(event)]}
-    for f in dataclasses.fields(event):
-        if f.name == "event_index":
+    for name in event._fields:
+        if name == "event_index":
             continue
-        value = getattr(event, f.name)
-        if f.name == "banner":
+        value = getattr(event, name)
+        if name == "banner":
             value = _ref_banner_to_obj(value)
         elif isinstance(value, enum.Enum):
             value = value.name
-        record[f.name] = value
+        record[name] = value
     return record
 
 
