@@ -21,16 +21,20 @@ into a fresh namespace.
 Findings are NDJSON, one line per finding.  ``detect`` writes each line with
 the hand encoder ``encode_finding``, byte for byte what ``json.dumps`` wrote.
 A record's ``setter_sites`` is the jar's setter list of its cookie
-(``CookieJar.setters_of``), encoded once per cookie.  ``report`` reads the
-file as a stream and checks every record; with ``--jar``, each record's list
-must equal the jar's, and is then dropped.
+(``CookieJar.setters_of``), encoded once per cookie, so the file still
+repeats every list.  ``report`` reads the file as a stream and checks every
+record; with ``--jar``, each record's list must equal the jar's, and is then
+dropped.  It checks a list with one string comparison against the text
+``encode_finding`` writes for the jar's list, decoding only the rest of the
+line; a line where that comparison does not settle it (other spacing, other
+escapes, a list other than the jar's, a cookie not in the jar, extra keys)
+is decoded in full and checked as before.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _string
@@ -192,18 +196,28 @@ def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
 # --- findings NDJSON ---------------------------------------------------------
 
 
+def _setters_json(jar: CookieJar, key: CookieKey, memo: dict) -> str:
+    """The jar's setter list of ``key`` as a findings record holds it, memoised per cookie in ``memo``.
+
+    The one encoding of the list: ``encode_finding`` writes it and
+    ``_read_findings`` compares records with it.
+    """
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = f"[{','.join(map(_string, jar.setters_of(key)))}]"
+    return text
+
+
 def encode_finding(finding: IntractableFinding, jar: CookieJar, setters: dict) -> str:
     """A finding's record line, byte for byte ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.
 
     Keys are written in sorted order, enums by member name and strings through
     the escaper ``json.dumps`` applies under ``ensure_ascii``.  ``setter_sites``
     is the jar's setter list of the cookie; ``setters``, a memo local to one
-    file, holds its JSON per cookie.
+    file, holds its JSON per cookie (``_setters_json``).
     """
     key = finding.key
-    sites_json = setters.get(key)
-    if sites_json is None:
-        sites_json = setters[key] = f"[{','.join(map(_string, jar.setters_of(key)))}]"
+    sites_json = _setters_json(jar, key, setters)
     partition = key.partition
     return (
         f'{{"canonical":{"true" if finding.canonical else "false"},"channel":"{finding.channel._name_}",'
@@ -314,11 +328,21 @@ def _write_ndjson(path: str, lines: Iterable[str]) -> None:
             handle.write("\n")
 
 
-def _read_ndjson(path: str) -> Iterator:
-    """Yield the records of a versioned NDJSON file one at a time, after its header record.
+def _decode_line(path: str, lineno: int, line: str):
+    """The JSON value of one NDJSON line; ``InputError`` naming the line if it is not JSON."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: nested too deeply") from None
 
-    A line that is not JSON, or a missing header, raises ``InputError`` when
-    the stream reaches it.
+
+def _read_ndjson(path: str) -> Iterator[tuple[int, str]]:
+    """Yield each record line of a versioned NDJSON file, stripped, with its line number, after its header record.
+
+    A header line that is not JSON, a bad header or a missing one raises
+    ``InputError`` when the stream reaches it.
     """
     header_seen = False
     with open(path, encoding="utf-8") as handle:
@@ -326,40 +350,50 @@ def _read_ndjson(path: str) -> Iterator:
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: {exc.msg}") from None
-            except RecursionError:
-                raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: nested too deeply") from None
-            if not header_seen:
-                version = obj.get("format_version") if isinstance(obj, dict) else None
-                if type(version) is not int or version != NDJSON_VERSION:  # true and 1.0 are not 1
-                    raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: bad format_version header {obj!r}")
-                header_seen = True
+            if header_seen:
+                yield lineno, line
                 continue
-            yield obj
+            obj = _decode_line(path, lineno, line)
+            version = obj.get("format_version") if isinstance(obj, dict) else None
+            if type(version) is not int or version != NDJSON_VERSION:  # true and 1.0 are not 1
+                raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: bad format_version header {obj!r}")
+            header_seen = True
     if not header_seen:
         raise InputError("MALFORMED_RECORD", f"{path}: missing format_version header")
 
 
-def _read_records(path: str, from_record) -> list:
+def _read_records(path: str, from_record, from_line=None) -> list:
     """Read an NDJSON file of one record kind, building each record with ``from_record``.
+
+    ``from_line``, if given, is tried on each record line first.  It returns
+    the record built straight from the line's text, or None to have the line
+    decoded and built by ``from_record``; it may return a record only for a
+    line that is JSON which ``from_record`` builds into an equal record.
 
     The first bad record is reported only once the whole file has been read,
     so a line that is not JSON wins over it wherever it is.
     """
     built = []
     error = None
-    for index, obj in enumerate(_read_ndjson(path)):
-        if error is None:
+    for index, (lineno, line) in enumerate(_read_ndjson(path)):
+        record = from_line(line) if from_line else None
+        if record is None:
+            obj = _decode_line(path, lineno, line)
+            if error is not None:
+                continue
             try:
-                built.append(from_record(obj))
+                record = from_record(obj)
             except ValueError as exc:
                 error = InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}")
+                continue
+        built.append(record)
     if error is not None:
         raise error
     return built
+
+
+_SETTER_SITES_KEY = ',"setter_sites":'
+_STAGE_KEY = ',"stage":'
 
 
 def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableFinding]:
@@ -370,15 +404,51 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
     (``--gpc-findings``, written from another run's jar) the lists are only
     type-checked.  The first disagreement is reported once every record has
     been decoded, so a bad record wins over it.
+
+    With a jar, each line is first checked without decoding its list
+    (``without_list``); a line that check does not accept is decoded in full.
     """
     if jar is None:
         return _read_records(path, finding_from_record)
+    setters: dict = {}  # each cookie's setter list as a record holds it (_setters_json)
     jar_sites: dict[CookieKey, list[str]] = {}  # each cookie's setter list, read from the jar once
-    indices = itertools.count()
-    mismatches: list[str] = []
+    mismatches: list[tuple[IntractableFinding, str]] = []
+
+    def without_list(line: str) -> IntractableFinding | None:
+        """The line's finding if it is JSON that ``checked`` accepts with the jar's list, else None.
+
+        Let ``i`` be the first ``,"setter_sites":`` and ``j`` the last
+        ``,"stage":``.  Only ``line[:i] + line[j:]`` is decoded.  If that is an
+        object of exactly the 11 other fields and ``finding_from_record``
+        accepts it, every value is a scalar, and ``i`` falls between two of
+        its members: inside a string the ``"`` after the comma would close it,
+        and ``s`` cannot follow a closed string.  So when ``line[i+16:j]`` is
+        the text the jar's list is written as, the line is that object plus
+        the jar's list.
+        """
+        i = line.find(_SETTER_SITES_KEY)
+        j = line.rfind(_STAGE_KEY)
+        if i < 0 or j < i:
+            return None
+        try:
+            obj = json.loads(line[:i] + line[j:])
+        except (ValueError, RecursionError):
+            return None
+        if type(obj) is not dict or len(obj) != 11 or "setter_sites" in obj:
+            return None
+        obj["setter_sites"] = []  # stands in for the jar's list, a list of strings
+        try:
+            finding = finding_from_record(obj)
+        except ValueError:
+            return None
+        key = finding.key
+        if key not in jar.entries:
+            return None
+        text = _setters_json(jar, key, setters)
+        start = i + len(_SETTER_SITES_KEY)
+        return finding if j - start == len(text) and line.startswith(text, start) else None
 
     def checked(obj) -> IntractableFinding:
-        index = next(indices)
         finding = finding_from_record(obj)
         key = finding.key
         sites = jar_sites.get(key)
@@ -386,13 +456,16 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
             sites = jar_sites[key] = list(jar.setters_of(key))
         if sites != obj["setter_sites"] and not mismatches:
             problem = "is not in the jar" if sites is None else "has setter_sites other than the jar's"
-            mismatches.append(f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
-                              f"(partition {key.partition!r}) {problem}")
+            mismatches.append((finding, problem))
         return finding
 
-    findings = _read_records(path, checked)
+    findings = _read_records(path, checked, without_list)
     if mismatches:
-        raise InputError("FINDING_NOT_IN_JAR", mismatches[0])
+        finding, problem = mismatches[0]
+        index = next(n for n, built in enumerate(findings) if built is finding)
+        key = finding.key
+        raise InputError("FINDING_NOT_IN_JAR", f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
+                                               f"(partition {key.partition!r}) {problem}")
     return findings
 
 

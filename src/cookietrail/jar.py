@@ -190,7 +190,10 @@ class CookieJar:
                 mismatch.  I/O failures propagate as ``OSError``.
         """
         text = Path(path).read_text(encoding="utf-8")
-        lines = text.splitlines()
+        # Lines end at "\n" only (``read_text`` turns "\r\n" and "\r" into it):
+        # JSON allows U+2028, U+2029 and U+0085 raw inside a string, and
+        # ``str.splitlines`` would split the payload at them.
+        lines = text.removesuffix("\n").split("\n")
         if len(lines) < 2:
             raise InputError("CORRUPT_SNAPSHOT", f"{path}: truncated snapshot")
         try:

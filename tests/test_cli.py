@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cookietrail
 from cookietrail import cli
@@ -19,6 +23,7 @@ from cookietrail.crawllog import (
     BannerObserved, CookieSet, HttpRequest, Interaction, VisitEnd, VisitStart, parse_log_text, serialize
 )
 from cookietrail.detector import IntractableFinding
+from cookietrail.errors import InputError, PipelineError
 from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar, HistoryEntry
 from cookietrail.model import (
     Channel, CookieKey, InteractionAction, InteractionStage, Iteration, Phase, VisitOutcome
@@ -994,14 +999,20 @@ class TestFindingsReader:
 
 
 class TestFindingsSharing:
-    """Findings share their setter lists with the jar: ``report`` checks each record's list against ``--jar``."""
+    """Findings share their setter lists with the jar: ``report`` checks each record's list against ``--jar``.
+
+    The file is rewritten with ``json.dumps``'s default separators, so every
+    record is decoded in full.
+    """
+
+    separators = None
 
     def _findings_file(self, analyzed, tmp_path, mutate) -> Path:
         lines = (analyzed / "findings.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines[1:]]
         mutate(records)
         path = tmp_path / "mutated.jsonl"
-        path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+        path.write_text("\n".join([lines[0], *(json.dumps(r, separators=self.separators) for r in records)]) + "\n")
         return path
 
     def test_detect_writes_the_jars_setter_lists(self, analyzed):
@@ -1084,6 +1095,12 @@ class TestFindingsSharing:
         assert _json_error(capsys)["message"].startswith(f"{path}:{lineno}: ")
 
 
+class TestFindingsSharingCompact(TestFindingsSharing):
+    """The same, with the file rewritten compactly as ``detect`` writes it: unedited records skip the decode."""
+
+    separators = (",", ":")
+
+
 # --- the findings encoder against the path it replaced ------------------------------------
 
 
@@ -1141,6 +1158,252 @@ def test_findings_encoder_matches_json_dumps():
     assert len(detected) > 1000
     assert {f.canonical for f in detected} == {True, False}
     assert {f.key.partition is None for findings, _jar in batches for f in findings} == {True, False}
+
+
+# --- the findings reader against the path it replaced ------------------------------------
+#
+# A copy of ``_read_findings`` before it compared setter lists as text: every
+# record line decoded in full and its list compared with the jar's as a list.
+# The reader must give equal findings, or the same error, on every input.
+
+
+def _ref_read_ndjson(path: str):
+    header_seen = False
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: {exc.msg}") from None
+            except RecursionError:
+                raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: nested too deeply") from None
+            if not header_seen:
+                version = obj.get("format_version") if isinstance(obj, dict) else None
+                if type(version) is not int or version != cli.NDJSON_VERSION:
+                    raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: bad format_version header {obj!r}")
+                header_seen = True
+                continue
+            yield obj
+    if not header_seen:
+        raise InputError("MALFORMED_RECORD", f"{path}: missing format_version header")
+
+
+def _ref_read_findings(path: str, jar: CookieJar) -> list[IntractableFinding]:
+    jar_sites: dict = {}
+    indices = itertools.count()
+    mismatches: list[str] = []
+
+    def checked(obj) -> IntractableFinding:
+        index = next(indices)
+        finding = cli.finding_from_record(obj)
+        key = finding.key
+        sites = jar_sites.get(key)
+        if sites is None and key in jar.entries:
+            sites = jar_sites[key] = list(jar.setters_of(key))
+        if sites != obj["setter_sites"] and not mismatches:
+            problem = "is not in the jar" if sites is None else "has setter_sites other than the jar's"
+            mismatches.append(f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
+                              f"(partition {key.partition!r}) {problem}")
+        return finding
+
+    built = []
+    error = None
+    for index, obj in enumerate(_ref_read_ndjson(path)):
+        if error is None:
+            try:
+                built.append(checked(obj))
+            except ValueError as exc:
+                error = InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}")
+    if error is not None:
+        raise error
+    if mismatches:
+        raise InputError("FINDING_NOT_IN_JAR", mismatches[0])
+    return built
+
+
+def _read_outcome(read, path: Path, jar: CookieJar):
+    """("ok", findings) or ("error", (type, code, message))."""
+    try:
+        return "ok", read(str(path), jar)
+    except PipelineError as exc:
+        return "error", (type(exc), exc.code, exc.message)
+
+
+def _write_findings(path: Path, lines: list[str]) -> Path:
+    path.write_text("".join(f"{line}\n" for line in ['{"format_version":1}', *lines]), encoding="utf-8")
+    return path
+
+
+@functools.cache
+def _detected() -> list[tuple[str, CookieJar, list[IntractableFinding], list[str]]]:
+    """(name, jar, findings, record lines as ``detect`` writes them): the demo, 50 random seeds, crawl-scale seed 1."""
+    from test_simulator import _benchmark_workloads
+
+    demo = cookietrail.simulator.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+    cases = [("demo", demo, 7)] + [(f"random {seed}", random_config(random.Random(seed)), seed) for seed in range(50)]
+    cases.append(("crawl-scale 1", _benchmark_workloads().crawl_scale(1)[0], 1000))
+    runs = []
+    for name, config, seed in cases:
+        _events, jar, result = run_pipeline(config, seed)
+        setters: dict = {}
+        runs.append((name, jar, result.findings, [cli.encode_finding(f, jar, setters) for f in result.findings]))
+    return runs
+
+
+@pytest.fixture
+def full_decodes(monkeypatch) -> list:
+    """The line numbers ``cli`` decoded in full, header lines included."""
+    decoded = []
+    decode = cli._decode_line
+
+    def counting(path, lineno, line):
+        decoded.append(lineno)
+        return decode(path, lineno, line)
+
+    monkeypatch.setattr(cli, "_decode_line", counting)
+    return decoded
+
+
+def test_findings_reader_matches_the_full_decode_on_detect_output(tmp_path, full_decodes):
+    """detect's own files: the same findings, and no record line is decoded in full."""
+    runs = _detected()
+    assert sum(len(lines) for _name, _jar, _findings, lines in runs) > 3000
+    for name, jar, findings, lines in runs:
+        path = _write_findings(tmp_path / "findings.jsonl", lines)
+        full_decodes.clear()
+        assert _read_outcome(cli._read_findings, path, jar) == _read_outcome(_ref_read_findings, path, jar) == (
+            "ok", findings), name
+        assert full_decodes == [1], name
+
+
+def _split_list(line: str) -> tuple[str, str, str]:
+    """The line before ``,"setter_sites":``, its list's text and the line from ``,"stage":`` on."""
+    i, j = line.index(',"setter_sites":'), line.index(',"stage":')
+    return line[:i], line[i + len(',"setter_sites":'):j], line[j:]
+
+
+def _after_stage(tail: str, text: str) -> str:
+    """``tail`` (from ``,"stage":`` on) with ``text`` inserted after the stage's value."""
+    k = tail.index(',"tracker_domain":')
+    return tail[:k] + text + tail[k:]
+
+
+def _renamed(line: str, sites: str) -> str:
+    head, _sites, tail = _split_list(line.replace('"name":"', '"name":"elsewhere-', 1))
+    return f'{head},"setter_sites":{sites}{tail}'
+
+
+def _with_value(line: str, value: str) -> str:
+    record = json.loads(line)
+    record["value_at_send"] = value
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+# (what the edit does, the edit, the error code it must give or None, whether the edited line
+# is still read without decoding its list)
+_LINE_EDITS = [
+    ("list with default separators", lambda h, s, t: h + ',"setter_sites":' + json.dumps(json.loads(s)) + t,
+     None, False),
+    ("site with an escaped dot", lambda h, s, t: h + ',"setter_sites":' + s.replace(".", "\\u002e", 1) + t,
+     None, False),
+    ("list after stage", lambda h, s, t: h + _after_stage(t, ',"setter_sites":' + s), None, False),
+    ("duplicate key, the jar's list before stage", lambda h, s, t: h + f',"setter_sites":{s}' * 2 + t,
+     None, False),
+    ("duplicate key, the jar's list after stage",
+     lambda h, s, t: h + ',"setter_sites":' + s + _after_stage(t, ',"setter_sites":' + s), None, False),
+    ("duplicate key, another list after stage",
+     lambda h, s, t: h + ',"setter_sites":' + s + _after_stage(t, ',"setter_sites":["elsewhere.com"]'),
+     "FINDING_NOT_IN_JAR", False),
+    ("extra top-level key at the end", lambda h, s, t: h + ',"setter_sites":' + s + t[:-1] + ',"zz":1}',
+     None, False),
+    ("extra top-level key before stage", lambda h, s, t: h + ',"setter_sites":' + s + ',"extra":[1]' + t,
+     None, False),
+    ("spaces after the keys' colons", lambda h, s, t: (h + ',"setter_sites":' + s + t).replace('":', '": '),
+     None, False),
+    ("whitespace around the line", lambda h, s, t: " " + h + ',"setter_sites":' + s + t + "\t", None, True),
+    ("another list", lambda h, s, t: h + ',"setter_sites":["elsewhere.com"]' + t, "FINDING_NOT_IN_JAR", False),
+    ("another list of the same length",
+     lambda h, s, t: h + ',"setter_sites":' + s.replace('["', '["x', 1) + t, "FINDING_NOT_IN_JAR", False),
+    ("an empty list", lambda h, s, t: h + ',"setter_sites":[]' + t, "FINDING_NOT_IN_JAR", False),
+    ("a list that is not a list", lambda h, s, t: h + ',"setter_sites":"abc"' + t, "MALFORMED_RECORD", False),
+    ("a mistyped field", lambda h, s, t: re.sub(r'"event_index":(\d+)', r'"event_index":"\1"', h)
+     + ',"setter_sites":' + s + t, "MALFORMED_RECORD", False),
+    ("not JSON", lambda h, s, t: h + ',"setter_sites":' + s + t[:-1], "MALFORMED_RECORD", False),
+    ("a raw ,\"stage\": inside value_at_send",
+     lambda h, s, t: h + ',"setter_sites":' + s + t.replace('"value_at_send":"', '"value_at_send":"x,"stage":1,"', 1),
+     "MALFORMED_RECORD", False),
+]
+
+
+@pytest.mark.parametrize("what, edit, code, unlisted", _LINE_EDITS, ids=[case[0] for case in _LINE_EDITS])
+def test_findings_reader_matches_the_full_decode_on_edited_lines(tmp_path, full_decodes, what, edit, code,
+                                                                 unlisted):
+    """One record edited among records read without decoding their lists: the same findings or error."""
+    _name, jar, _findings, lines = _detected()[0]
+    edited = edit(*_split_list(lines[1]))
+    assert edited != lines[1]
+    path = _write_findings(tmp_path / "findings.jsonl", [lines[0], edited, *lines[2:]])
+    full_decodes.clear()
+    got = _read_outcome(cli._read_findings, path, jar)
+    assert got == _read_outcome(_ref_read_findings, path, jar)
+    assert (got[1][1] if got[0] == "error" else None) == code
+    if code is None:
+        assert full_decodes == ([1] if unlisted else [1, 3])
+
+
+@pytest.mark.parametrize(
+    "what, edit, problem",
+    [
+        ("a cookie not in the jar, with an empty list", lambda line: _renamed(line, "[]"), "is not in the jar"),
+        ("a cookie not in the jar, with its list", lambda line: _renamed(line, _split_list(line)[1]),
+         "is not in the jar"),
+        ("a ,\"stage\": escaped inside value_at_send", lambda line: _with_value(line, 'a,"stage":"b'), None),
+        ("a ,\"setter_sites\": escaped inside value_at_send",
+         lambda line: _with_value(line, ',"setter_sites":[],"stage":'), None),
+    ],
+)
+def test_findings_reader_matches_the_full_decode_on_edited_records(tmp_path, what, edit, problem):
+    _name, jar, findings, lines = _detected()[0]
+    path = _write_findings(tmp_path / "findings.jsonl", [lines[0], edit(lines[1]), *lines[2:]])
+    got = _read_outcome(cli._read_findings, path, jar)
+    assert got == _read_outcome(_ref_read_findings, path, jar)
+    if problem is None:
+        assert got[0] == "ok" and got[1][1].value_at_send != findings[1].value_at_send
+    else:
+        assert got[0] == "error" and got[1][2].startswith(f"{path}: record 1: cookie 'elsewhere-")
+        assert got[1][2].endswith(problem)
+
+
+def test_a_list_nested_under_an_extra_key_is_still_a_missing_field(tmp_path):
+    """The real list removed, and the jar's list with a ``stage`` nested under an extra last key."""
+    _name, jar, _findings, lines = _detected()[0]
+    head, sites, tail = _split_list(lines[1])
+    path = _write_findings(tmp_path / "findings.jsonl",
+                           [lines[0], head + tail[:-1] + ',"zz":{"a":0,"setter_sites":' + sites + ',"stage":1}}'])
+    got = _read_outcome(cli._read_findings, path, jar)
+    assert got == _read_outcome(_ref_read_findings, path, jar) == (
+        "error", (InputError, "MALFORMED_RECORD", f"{path}: record 1: missing field 'setter_sites'"))
+
+
+_EDIT_CHARACTERS = st.sampled_from(list('"\\,:[]{} \t\nsa1.-eu') + ["\u2028", "\x00"]) | st.characters()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_findings_reader_matches_the_full_decode_on_one_character_edits(tmp_path, data):
+    """A compact record line with one character deleted, inserted or replaced: the same findings or error."""
+    _name, jar, _findings, lines = _detected()[0]
+    index = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    at = data.draw(st.integers(0, len(line)))
+    how = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+    character = "" if how == "delete" else data.draw(_EDIT_CHARACTERS)
+    edited = line[:at] + character + line[at + (how != "insert"):]
+    path = _write_findings(tmp_path / "findings.jsonl", [*lines[:index], edited, *lines[index + 1:]])
+    assert _read_outcome(cli._read_findings, path, jar) == _read_outcome(_ref_read_findings, path, jar)
 
 
 def _snapshot(path: Path, header, payload: str) -> Path:

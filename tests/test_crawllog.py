@@ -817,7 +817,11 @@ _HOST_FIELDS = {VisitStart: "site", HttpRequest: "target_host", CookieSet: "sett
 
 
 def _load_outcome(load, *, fold_hosts=False):
-    """("ok", events) or ("error", (type, code, message)); the reference's hosts are case-folded."""
+    """("ok", [(type, event), ...]) or ("error", (type, code, message)); the reference's hosts are case-folded.
+
+    Each event is paired with its type: records are NamedTuples, which equal
+    any tuple of equal fields, so ``==`` alone does not tell two kinds apart.
+    """
     try:
         events = load()
     except PipelineError as exc:
@@ -827,7 +831,7 @@ def _load_outcome(load, *, fold_hosts=False):
             field = _HOST_FIELDS.get(type(event))
             if field and not getattr(event, field).islower():
                 events[i] = event._replace(**{field: getattr(event, field).lower()})
-    return "ok", events
+    return "ok", [(type(event), event) for event in events]
 
 
 def _upper_case_hosts(text):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from cookietrail.errors import InputError
-from cookietrail.jar import CookieJar, build_jar
+from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar, build_jar
 from cookietrail.model import (
     FIXED_EXPIRY,
     ConsentState,
@@ -263,6 +265,33 @@ class TestSnapshot:
         with pytest.raises(InputError) as exc:
             CookieJar.load(path)
         assert exc.value.code == "CORRUPT_SNAPSHOT"
+
+    @pytest.mark.parametrize("text", ["", "\n", "{}", "{}\n", "{}\r\n", "{}\u2028{}\n"])
+    def test_one_line_is_a_truncated_snapshot(self, tmp_path, text):
+        path = tmp_path / "t.jar"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(InputError) as exc:
+            CookieJar.load(path)
+        assert exc.value.message == f"{path}: truncated snapshot"
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_a_raw_line_separator_in_the_payload_loads(self, tmp_path, separator):
+        """JSON allows U+2028, U+2029 and U+0085 raw inside a string: such a snapshot loads as its escaped twin."""
+        jar = CookieJar()
+        jar.mark_accepted(f"shop{separator}.com")
+        jar.upsert(make_record(value=f"a{separator}b", setter=f"shop{separator}.com"))
+        escaped = tmp_path / "escaped.jar"
+        jar.save(escaped)
+        header, payload = escaped.read_text(encoding="utf-8").split("\n")[:2]
+        assert separator not in payload  # save escapes it, and its bytes stay as they were
+        payload = json.dumps(json.loads(payload), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert separator in payload
+        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
+                             "payload_sha256": hashlib.sha256(payload.encode()).hexdigest()})
+        for newline in ("\n", "\r\n"):
+            raw = tmp_path / "raw.jar"
+            raw.write_text(f"{header}{newline}{payload}{newline}", encoding="utf-8", newline="")
+            assert CookieJar.load(raw) == CookieJar.load(escaped) == jar
 
     def test_bit_flip_detected(self, tmp_path):
         jar = CookieJar()
