@@ -38,7 +38,6 @@ from .detector import (
     IntractableFinding,
     ResetFinding,
     SyncFinding,
-    channel_split,
     detect_intractable,
     detect_reset,
     detect_sync,

@@ -4,6 +4,11 @@ All reports are deterministic functions of their inputs.  Unless a report
 says otherwise, "unique" means grouped by cookie (name, host), averages are
 means, and five-number summaries accompany any mean that summarizes a
 per-site distribution.
+
+The reports take the views of the findings that ``reports.write_report_suite``
+builds once: the canonical findings, the per-sender tally (canonical findings
+per rejected sender site, zero-send sites included, so its keys are the
+rejected sites) and the set of unique canonical cookie keys.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .detector import IntractableFinding
 from .errors import InputError
 from .filterlist import TrackerDomainSet, is_tracker
 from .jar import CookieJar
-from .model import BannerType, SiteId
+from .model import BannerType, CookieKey, SiteId
 from .psl import PslRuleSet, etld_plus_one
 
 DAY = 86400.0
@@ -119,23 +124,19 @@ class HeatmapCell:
     count: int
 
 
-def renewal_heatmap(
-    jar: CookieJar,
-    findings: Iterable[IntractableFinding],
-    accepted_count: int,
-) -> list[HeatmapCell]:
+def renewal_heatmap(jar: CookieJar, keys: Collection[CookieKey]) -> list[HeatmapCell]:
     """Unique intractable cookies by lifetime and by how many sites set them.
 
-    Emits the full grid (zero cells included); cell counts sum to the number
-    of unique intractable keys.
+    Setter counts are bucketed by their share of the jar's accepted sites.
+    Emits the full grid (zero cells included); cell counts sum to
+    ``len(keys)``.
     """
-    unique_keys = {f.key for f in findings if f.canonical}
     counts: Counter[tuple[ExpiryBucket, SetterBucket]] = Counter()
-    for key in unique_keys:
+    for key in keys:
         record = jar.entries[key]
         cell = (
             expiry_bucket(record.original_expiry),
-            setter_bucket(len(jar.setters_of(key)), accepted_count),
+            setter_bucket(len(jar.setters_of(key)), len(jar.accepted_sites)),
         )
         counts[cell] += 1
     return [
@@ -156,14 +157,12 @@ class TrackerRow:
     senders: int
 
 
-def tracker_table(findings: Iterable[IntractableFinding]) -> list[TrackerRow]:
-    """Per-tracker totals over canonical findings, sorted by sender count."""
+def tracker_table(canonical: Iterable[IntractableFinding]) -> list[TrackerRow]:
+    """Per-tracker totals over the canonical findings, sorted by sender count."""
     total: Counter[SiteId] = Counter()
     uniques: dict[SiteId, set[tuple[str, str]]] = defaultdict(set)
     senders: dict[SiteId, set[SiteId]] = defaultdict(set)
-    for f in findings:
-        if not f.canonical:
-            continue
+    for f in canonical:
         total[f.tracker_domain] += 1
         uniques[f.tracker_domain].add((f.key.name, f.key.host))
         senders[f.tracker_domain].add(f.sender_site)
@@ -192,33 +191,28 @@ class RankTierRow:
 
 
 def rank_tier_averages(
-    findings: Iterable[IntractableFinding],
+    per_sender: Mapping[SiteId, int],
+    keys: Collection[CookieKey],
     jar: CookieJar,
     tiers: Sequence[int],
     *,
     site_ranks: Mapping[SiteId, int],
-    rejected_sites: Collection[SiteId],
 ) -> list[RankTierRow]:
     """Average cookies sent per rejected site and set per accepted site, per top-N tier.
 
-    ``avg_sent`` averages canonical findings over rejected sites whose rank is
-    within the cutoff; ``avg_set`` averages intractable-cookie writes (jar
-    history rows for intractable keys) over accepted sites in the cutoff.
+    ``avg_sent`` averages the per-sender tally over rejected sites whose rank
+    is within the cutoff; ``avg_set`` averages intractable-cookie writes (jar
+    history rows for ``keys``) over accepted sites in the cutoff.
     """
-    canonical = [f for f in findings if f.canonical]
-    sent_per_site: Counter[SiteId] = Counter()
-    for f in canonical:
-        sent_per_site[f.sender_site] += 1
-    intractable_keys = {f.key for f in canonical}
     set_per_site: Counter[SiteId] = Counter()
     for row in jar.history:
-        if not row.deleted and row.key in intractable_keys:
+        if not row.deleted and row.key in keys:
             set_per_site[row.setter_site] += 1
     rows = []
     for cutoff in tiers:
-        senders = [s for s in rejected_sites if s in site_ranks and site_ranks[s] <= cutoff]
+        senders = [s for s in per_sender if s in site_ranks and site_ranks[s] <= cutoff]
         setters = [s for s in jar.accepted_sites if s in site_ranks and site_ranks[s] <= cutoff]
-        avg_sent = statistics.fmean(sent_per_site[s] for s in senders) if senders else None
+        avg_sent = statistics.fmean(per_sender[s] for s in senders) if senders else None
         avg_set = statistics.fmean(set_per_site[s] for s in setters) if setters else None
         rows.append(RankTierRow(cutoff, avg_sent, avg_set, len(senders), len(setters)))
     return rows
@@ -245,11 +239,12 @@ class BannerTypeReport:
 
 
 def banner_type_report(
-    findings: Iterable[IntractableFinding],
+    per_sender: Mapping[SiteId, int],
+    canonical: Iterable[IntractableFinding],
+    keys: Collection[CookieKey],
     jar: CookieJar,
     *,
     sender_banner_types: Mapping[SiteId, BannerType],
-    rejected_sites: Collection[SiteId],
     paywall_setters: Collection[SiteId],
 ) -> BannerTypeReport:
     """Compare cookie volume across banner types of the rejected sender sites.
@@ -259,12 +254,8 @@ def banner_type_report(
     whose cookie the jar records as set (at least once) by a site with a
     cookie-paywall banner.
     """
-    canonical = [f for f in findings if f.canonical]
-    per_site: Counter[SiteId] = Counter()
-    for f in canonical:
-        per_site[f.sender_site] += 1
-    cmp_counts = [per_site[s] for s in rejected_sites if sender_banner_types.get(s) is BannerType.CMP]
-    native_counts = [per_site[s] for s in rejected_sites if sender_banner_types.get(s) is BannerType.NATIVE]
+    cmp_counts = [n for s, n in per_sender.items() if sender_banner_types.get(s) is BannerType.CMP]
+    native_counts = [n for s, n in per_sender.items() if sender_banner_types.get(s) is BannerType.NATIVE]
     cmp_avg = statistics.fmean(cmp_counts) if cmp_counts else None
     native_avg = statistics.fmean(native_counts) if native_counts else None
     ratio = None
@@ -272,13 +263,11 @@ def banner_type_report(
         ratio = cmp_avg / native_avg
 
     paywall_setters = set(paywall_setters)
-    paywalled = {
-        key for key in {f.key for f in canonical} if not paywall_setters.isdisjoint(jar.setters_of(key))
-    }
+    paywalled = {key for key in keys if not paywall_setters.isdisjoint(jar.setters_of(key))}
     paywall_per_site = Counter(f.sender_site for f in canonical if f.key in paywalled)
     at_count: dict[int, list[int]] = {}  # per-site finding count -> [its sites, their paywall-set findings]
-    for s in set(rejected_sites):
-        tally = at_count.setdefault(per_site[s], [0, 0])
+    for s, n in per_sender.items():
+        tally = at_count.setdefault(n, [0, 0])
         tally[0] += 1
         tally[1] += paywall_per_site[s]
     shares: list[PaywallShareRow] = []
@@ -289,7 +278,7 @@ def banner_type_report(
         sent += threshold * sites
         with_paywall += paywall_set
         share = with_paywall / sent if sent else None
-        shares.append(PaywallShareRow(threshold, covered / len(rejected_sites), share))
+        shares.append(PaywallShareRow(threshold, covered / len(per_sender), share))
     return BannerTypeReport(cmp_avg, native_avg, ratio, len(cmp_counts), len(native_counts), shares)
 
 
@@ -308,26 +297,24 @@ def _unique_keys(findings: Iterable[IntractableFinding]) -> set[tuple[str, str]]
 
 
 def gpc_report(
-    baseline_findings: Iterable[IntractableFinding],
-    gpc_findings: Iterable[IntractableFinding],
+    baseline: Sequence[IntractableFinding],
+    gpc: Sequence[IntractableFinding],
     reloaded_reject_findings: Iterable[IntractableFinding],
 ) -> GpcReport:
     """Reduction from enabling the do-not-share signal, plus reload overlap.
 
-    Reduction compares canonical finding counts between a matched baseline
-    run and the signal-enabled run; overlap is on unique keys between the
-    signal run and the baseline's after-reload sends.
+    Reduction compares the canonical finding counts of a matched baseline
+    run and the signal-enabled run (``baseline`` and ``gpc`` hold canonical
+    findings only); overlap is on unique keys between the signal run and
+    the baseline's after-reload sends.
     """
-    baseline = [f for f in baseline_findings if f.canonical]
-    gpc = [f for f in gpc_findings if f.canonical]
-    reloaded = list(reloaded_reject_findings)
     if not baseline:
         return GpcReport(0.0, None, empty_baseline=True)
     reduction = 1.0 - len(gpc) / len(baseline)
     gpc_keys = _unique_keys(gpc)
     overlap = None
     if gpc_keys:
-        overlap = len(gpc_keys & _unique_keys(reloaded)) / len(gpc_keys)
+        overlap = len(gpc_keys & _unique_keys(reloaded_reject_findings)) / len(gpc_keys)
     return GpcReport(reduction, overlap)
 
 

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import crawllog, filterlist, reports, simulator
 from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
-from .errors import InputError, InvariantError, PipelineError
+from .errors import InputError, InvariantError, PipelineError, json_problem
 from .jar import CookieJar, build_jar
 from .model import OPTIONAL_STR, Channel, CookieKey, InteractionStage, RecordFields
 from .psl import EMPTY_RULESET, PslRuleSet, load_psl
@@ -96,12 +96,11 @@ def _apply_config(args) -> None:
     path = args.config
     obj = {}
     if path:
+        text = Path(path).read_text(encoding="utf-8")
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InputError("INVALID_CONFIG", f"{path}: not valid JSON ({exc.msg})") from None
-        except RecursionError:
-            raise InputError("INVALID_CONFIG", f"{path}: not valid JSON (nested too deeply)") from None
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise InputError("INVALID_CONFIG", f"{path}: not valid JSON ({json_problem(exc)})") from None
         if type(obj) is not dict:
             raise InputError("INVALID_CONFIG", f"{path}: bad pipeline config (not an object)")
     unread = {"": dict(obj)}  # each object's keys not yet read, by its dotted key
@@ -332,10 +331,8 @@ def _decode_line(path: str, lineno: int, line: str):
     """The JSON value of one NDJSON line; ``InputError`` naming the line if it is not JSON."""
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: {exc.msg}") from None
-    except RecursionError:
-        raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: nested too deeply") from None
+    except (ValueError, RecursionError) as exc:
+        raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: {json_problem(exc)}") from None
 
 
 def _read_ndjson(path: str) -> Iterator[tuple[int, str]]:

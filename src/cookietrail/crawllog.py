@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import Iterable, NamedTuple
 from urllib.parse import urlsplit
 
-from .errors import InputError, InvariantError, ParseIssue
+from .errors import InputError, InvariantError, ParseIssue, json_problem
 from .model import (
     CRAWL_EPOCH,
     BannerButton,
@@ -534,14 +534,14 @@ def parse_log_text(text: str, first_index: int = 0, visit_ids: set[str] | None =
             obj, end = _scan_json(line, 0)
         except (StopIteration, json.JSONDecodeError):
             end = -1
-        except RecursionError:
-            raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON (nested too deeply)") from None
+        except (ValueError, RecursionError) as exc:
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({json_problem(exc)})") from None
         if end != len(line):
             # Decode again as json.loads does, for its error message.
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:
+                raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({json_problem(exc)})") from None
         if not isinstance(obj, dict):
             raise InputError("MALFORMED_RECORD", f"line {lineno}: record is not an object")
         if not header_seen:
@@ -641,13 +641,13 @@ def parse_set_cookie(
         elif attr == "max-age":
             try:
                 max_age = float(int(attr_value))
-            except ValueError:
+            except (ValueError, OverflowError):  # OverflowError: past the largest float
                 if issues is not None:
                     issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Max-Age {attr_value!r}"))
         elif attr == "expires":
             try:
                 expires = _parse_expires(attr_value)
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, OverflowError):
                 if issues is not None:
                     issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Expires {attr_value!r}"))
         elif attr == "partitioned":

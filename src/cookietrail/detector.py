@@ -244,27 +244,6 @@ def detect_sync(
     return syncs
 
 
-@dataclass(frozen=True)
-class ChannelSplit:
-    resource_fraction: float
-    api_fraction: float
-    empty: bool = False
-
-
-def channel_split(findings: Iterable[IntractableFinding]) -> ChannelSplit:
-    """Fraction of findings sent while fetching resources vs. script API calls."""
-    resource = api = 0
-    for finding in findings:
-        if finding.channel is Channel.RESOURCE_FETCH:
-            resource += 1
-        else:
-            api += 1
-    total = resource + api
-    if total == 0:
-        return ChannelSplit(0.0, 0.0, empty=True)
-    return ChannelSplit(resource / total, api / total)
-
-
 class Detector:
     """Bundles the rule inputs and runs the full detection pass over a log."""
 

@@ -8,6 +8,7 @@ error records.  Recoverable problems found while parsing are collected as
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 
@@ -29,6 +30,21 @@ class InputError(PipelineError):
 
 class InvariantError(PipelineError):
     """Structural invariant violated by otherwise well-formed input (CLI exit code 2)."""
+
+
+def json_problem(exc: ValueError | RecursionError) -> str:
+    """Why ``json.loads`` or its scanner rejected a text, for an error message.
+
+    Besides a ``JSONDecodeError``, decoding raises ``RecursionError`` for
+    nesting deeper than the interpreter's recursion limit, and a plain
+    ``ValueError`` for an integer of more digits than ``int()`` converts
+    (4,300 by default).
+    """
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return "integer too long"
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,17 @@ import csv
 import hashlib
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import analytics
 from .crawllog import VisitSummary
-from .detector import IntractableFinding, ResetFinding, SyncFinding, channel_split
+from .detector import IntractableFinding, ResetFinding, SyncFinding
 from .filterlist import TrackerDomainSet
 from .jar import CookieJar
-from .model import BannerType, InteractionStage, SiteId
+from .model import BannerType, Channel, CookieKey, InteractionStage, SiteId
 from .psl import PslRuleSet
 
 DAY = analytics.DAY
@@ -91,43 +92,43 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
     """Write every report CSV and the manifest; returns the manifest object."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    canonical = [f for f in inputs.findings if f.canonical]
     rejected_sites, site_ranks, sender_banner_types, paywall_setters = _site_views(inputs.visits)
     files: list[tuple[str, int, str]] = []
 
-    # Findings per rejected sender site (zero-send sites included).
-    per_site = {site: 0 for site in rejected_sites}
+    # The views every table reads, each built once: the canonical findings;
+    # per rejected sender site (zero-send sites included), its canonical
+    # findings and the distinct trackers they went to; the unique cookies.
+    canonical = [f for f in inputs.findings if f.canonical]
+    per_sender = dict.fromkeys(rejected_sites, 0)
+    trackers_per_sender: dict[SiteId, set[SiteId]] = {site: set() for site in rejected_sites}
+    keys: set[CookieKey] = set()
     for f in canonical:
-        if f.sender_site in per_site:
-            per_site[f.sender_site] += 1
+        keys.add(f.key)
+        if f.sender_site in per_sender:
+            per_sender[f.sender_site] += 1
+            trackers_per_sender[f.sender_site].add(f.tracker_domain)
+
     files.append(
         _write_csv(
             directory,
             "ecdf_findings_per_sender.csv",
             ["findings", "cumulative_fraction"],
-            analytics.ecdf(list(per_site.values())),
+            analytics.ecdf(per_sender.values()),
         )
     )
-
-    # Distinct trackers contacted per sender site.
-    trackers_per_site: dict[SiteId, set[SiteId]] = {site: set() for site in rejected_sites}
-    for f in canonical:
-        if f.sender_site in trackers_per_site:
-            trackers_per_site[f.sender_site].add(f.tracker_domain)
     files.append(
         _write_csv(
             directory,
             "ecdf_trackers_per_sender.csv",
             ["trackers", "cumulative_fraction"],
-            analytics.ecdf([len(v) for v in trackers_per_site.values()]),
+            analytics.ecdf([len(v) for v in trackers_per_sender.values()]),
         )
     )
 
     # Lifetime distribution of unique intractable cookies, in days.
-    unique_keys = {f.key for f in canonical}
     lifetimes = []
     session_count = 0
-    for key in unique_keys:
+    for key in keys:
         expiry = inputs.jar.entries[key].original_expiry
         if expiry is None:
             session_count += 1
@@ -143,36 +144,29 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
     )
 
     # Stage and iteration breakdown of every matched send.
-    stage_counts: dict[tuple[str, str], int] = {}
-    for f in inputs.findings:
-        stage_counts[(f.stage.name, "canonical" if f.canonical else "staged")] = (
-            stage_counts.get((f.stage.name, "canonical" if f.canonical else "staged"), 0) + 1
-        )
+    stage_counts = Counter((f.stage, "canonical" if f.canonical else "staged") for f in inputs.findings)
     files.append(
         _write_csv(
             directory,
             "stage_counts.csv",
             ["stage", "classification", "count"],
-            [
-                (stage, label, count)
-                for (stage, label), count in sorted(
-                    stage_counts.items(), key=lambda kv: (InteractionStage[kv[0][0]], kv[0][1])
-                )
-            ],
+            [(stage.name, label, count) for (stage, label), count in sorted(stage_counts.items())],
         )
     )
 
-    split = channel_split(canonical)
+    # Fraction of canonical findings sent while fetching resources vs. by script API calls.
+    resource = sum(f.channel is Channel.RESOURCE_FETCH for f in canonical)
+    total = len(canonical)
     files.append(
         _write_csv(
             directory,
             "channel_split.csv",
             ["resource_fraction", "api_fraction", "empty"],
-            [(split.resource_fraction, split.api_fraction, split.empty)],
+            [(resource / total, (total - resource) / total, False) if total else (0.0, 0.0, True)],
         )
     )
 
-    heatmap = analytics.renewal_heatmap(inputs.jar, inputs.findings, len(inputs.jar.accepted_sites))
+    heatmap = analytics.renewal_heatmap(inputs.jar, keys)
     files.append(
         _write_csv(
             directory,
@@ -189,17 +183,13 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
             ["tracker_domain", "total_cookies", "unique_cookies", "senders"],
             [
                 (row.tracker_domain, row.total_cookies, row.unique_cookies, row.senders)
-                for row in analytics.tracker_table(inputs.findings)
+                for row in analytics.tracker_table(canonical)
             ],
         )
     )
 
     tier_rows = analytics.rank_tier_averages(
-        inputs.findings,
-        inputs.jar,
-        inputs.tier_cutoffs,
-        site_ranks=site_ranks,
-        rejected_sites=rejected_sites,
+        per_sender, keys, inputs.jar, inputs.tier_cutoffs, site_ranks=site_ranks
     )
     files.append(
         _write_csv(
@@ -211,10 +201,11 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
     )
 
     banner = analytics.banner_type_report(
-        inputs.findings,
+        per_sender,
+        canonical,
+        keys,
         inputs.jar,
         sender_banner_types=sender_banner_types,
-        rejected_sites=rejected_sites,
         paywall_setters=paywall_setters,
     )
     files.append(
@@ -238,7 +229,8 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
         reloaded = [
             f for f in inputs.findings if f.stage is InteractionStage.AFTER_RELOADED_REJECT
         ]
-        gpc = analytics.gpc_report(inputs.findings, inputs.gpc_findings, reloaded)
+        gpc_canonical = [f for f in inputs.gpc_findings if f.canonical]
+        gpc = analytics.gpc_report(canonical, gpc_canonical, reloaded)
         files.append(
             _write_csv(
                 directory,
@@ -264,8 +256,8 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
     # Mean plus five-number summaries for the per-site distributions.
     summary_rows = []
     for metric, values in (
-        ("findings_per_rejected_site", list(per_site.values())),
-        ("trackers_per_rejected_site", [len(v) for v in trackers_per_site.values()]),
+        ("findings_per_rejected_site", list(per_sender.values())),
+        ("trackers_per_rejected_site", [len(v) for v in trackers_per_sender.values()]),
     ):
         summary = analytics.five_number_summary(values)
         if summary is not None:
@@ -285,7 +277,7 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
     counts_row = [
         len(inputs.findings),
         len(canonical),
-        len({(f.key.name, f.key.host) for f in canonical}),
+        len({(key.name, key.host) for key in keys}),
         len(inputs.resets) if inputs.resets is not None else None,
         len(inputs.syncs) if inputs.syncs is not None else None,
         session_count,

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import _rand
-from .errors import InputError
+from .errors import InputError, json_problem
 from .model import (
     BannerDescriptor,
     BannerLayer,
@@ -296,10 +296,8 @@ class EcosystemConfig:
     def from_json(cls, text: str) -> "EcosystemConfig":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError("INVALID_CONFIG", f"config is not valid JSON: {exc.msg}") from None
-        except RecursionError:
-            raise InputError("INVALID_CONFIG", "config is not valid JSON: nested too deeply") from None
+        except (ValueError, RecursionError) as exc:
+            raise InputError("INVALID_CONFIG", f"config is not valid JSON: {json_problem(exc)}") from None
         return cls.from_obj(obj)
 
     @classmethod

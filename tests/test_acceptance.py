@@ -7,6 +7,7 @@ one PASS/FAIL line per criterion.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -16,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from cookietrail import analytics, simulator as sim
+from cookietrail import analytics, reports, simulator as sim
 from cookietrail.cli import main
-from cookietrail.crawllog import parse_log_text, serialize, strict_issues
+from cookietrail.crawllog import index_run, parse_log_text, serialize, strict_issues
 from cookietrail.errors import InputError, InvariantError
 from cookietrail.filterlist import TrackerDomainSet, is_tracker
 from cookietrail.jar import CookieJar
@@ -32,7 +33,7 @@ from cookietrail.model import (
     Phase,
 )
 
-from helpers import native_banner, random_config, run_pipeline
+from helpers import SIM_PSL, native_banner, random_config, run_pipeline
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -547,20 +548,26 @@ def test_c8_config_type_mutations_exit_1_with_invalid_config(tmp_path):
 # --- criterion 9: report conservation laws -----------------------------------------------------
 
 
-def test_c9_report_conservation():
+def test_c9_report_conservation(tmp_path):
+    """The report's tables, written from every matched send, sum to the canonical findings."""
     for seed in range(25):
         config = random_config(random.Random(7000 + seed))
-        _, jar, result = run_pipeline(config, seed)
+        events, jar, result = run_pipeline(config, seed)
         canonical = result.canonical_findings
-        cells = analytics.renewal_heatmap(jar, result.findings, len(jar.accepted_sites))
-        assert sum(c.count for c in cells) == len({f.key for f in canonical})
-        rows = analytics.tracker_table(result.findings)
-        assert sum(r.total_cookies for r in rows) == len(canonical)
-        per_site: dict[str, int] = {}
-        for f in canonical:
-            per_site[f.sender_site] = per_site.get(f.sender_site, 0) + 1
-        points = analytics.ecdf(list(per_site.values()))
-        if points:
-            fractions = [fraction for _, fraction in points]
+        inputs = reports.ReportInputs(
+            findings=result.findings, jar=jar, rules=SIM_PSL,
+            trackers=TrackerDomainSet(frozenset(config.listed_tracker_domains())),
+            visits=index_run(events).visits, tier_cutoffs=[10],
+        )
+        reports.write_report_suite(tmp_path / str(seed), inputs)
+
+        def rows(name: str) -> list[list[str]]:
+            with open(tmp_path / str(seed) / name, encoding="utf-8", newline="") as handle:
+                return list(csv.reader(handle))[1:]
+
+        assert sum(int(count) for *_cell, count in rows("expiry_renewal_heatmap.csv")) == len({f.key for f in canonical})
+        assert sum(int(row[1]) for row in rows("tracker_table.csv")) == len(canonical)
+        fractions = [float(fraction) for _, fraction in rows("ecdf_findings_per_sender.csv")]
+        if fractions:
             assert fractions == sorted(fractions)
             assert fractions[-1] == 1.0

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
 import math
 import random
+import statistics
 from collections import Counter
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from cookietrail.model import BannerType, Channel, CookieKey, InteractionStage
 from cookietrail.psl import load_psl
 from cookietrail.simulator import EcosystemConfig
 
-from helpers import random_config, run_pipeline
+from helpers import SIM_PSL, random_config, run_pipeline
 from test_jar import make_record
 
 DAY = 86400.0
@@ -53,6 +56,42 @@ def finding(name="id", host="tracker.net", sender="s.com", value="x", *,
         event_index=event_index,
         canonical=canonical,
     )
+
+
+def keys_of(findings) -> set[CookieKey]:
+    return {f.key for f in findings}
+
+
+def report_tables(directory: Path, inputs: reports.ReportInputs) -> dict[str, list[list[str]]]:
+    """Write the report suite and read back each CSV's data rows, by file name."""
+    manifest = reports.write_report_suite(directory, inputs)
+    tables = {}
+    for entry in manifest["files"]:
+        with open(directory / entry["name"], encoding="utf-8", newline="") as handle:
+            tables[entry["name"]] = list(csv.reader(handle))[1:]
+    return tables
+
+
+def hand_built_inputs(findings, jar) -> reports.ReportInputs:
+    """Report inputs over hand-built findings: no visits, so no rejected sender sites."""
+    return reports.ReportInputs(findings=findings, jar=jar, rules=RULES, trackers=TrackerDomainSet(frozenset()),
+                                visits={}, tier_cutoffs=[10])
+
+
+def pipeline_inputs(config, seed) -> tuple[reports.ReportInputs, list[str]]:
+    """Report inputs over a simulated run, and the rejected sender sites the report counts on."""
+    events, jar, result = run_pipeline(config, seed)
+    visits = index_run(events).visits
+    inputs = reports.ReportInputs(findings=result.findings, jar=jar, rules=SIM_PSL,
+                                  trackers=TrackerDomainSet(frozenset(config.listed_tracker_domains())),
+                                  visits=visits, tier_cutoffs=[5, max(site.rank for site in config.sites)])
+    return inputs, reports._site_views(visits)[0]
+
+
+def report_cases() -> list:
+    """The demo at seed 7 and 30 random ecosystems, each with its seed."""
+    demo = EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+    return [(demo, 7)] + [(random_config(random.Random(seed)), seed) for seed in range(30)]
 
 
 class TestEcdf:
@@ -105,8 +144,7 @@ class TestRenewalHeatmap:
 
     def test_set_once_over_y1_cell(self):
         jar = self._jar()
-        findings = [finding("once", "t.net")]
-        cells = renewal_heatmap(jar, findings, accepted_count=1000)
+        cells = renewal_heatmap(jar, {CookieKey("once", "t.net")})
         nonzero = [c for c in cells if c.count]
         assert len(nonzero) == 1
         cell = nonzero[0]
@@ -116,13 +154,17 @@ class TestRenewalHeatmap:
     def test_percentage_bucketing(self):
         jar = CookieJar()
         for site in ("a.com", "b.com"):
-            jar.mark_accepted(site)
             jar.upsert(make_record("id", "t.net", expiry=30 * DAY, setter=site))
-        findings = [finding("id", "t.net")]
-        cells = renewal_heatmap(jar, findings, accepted_count=1000)
+        for i in range(1000):
+            jar.mark_accepted(f"s{i}.com")
+        cells = renewal_heatmap(jar, {CookieKey("id", "t.net")})
         nonzero = [c for c in cells if c.count]
-        assert nonzero[0].setter_bucket is SetterBucket.LE_1_PCT  # 2 of 1000 = 0.2%
+        assert nonzero[0].setter_bucket is SetterBucket.LE_1_PCT  # 2 of the jar's 1000 accepted sites = 0.2%
         assert nonzero[0].expiry_bucket is ExpiryBucket.M3
+        jar.accepted_sites = {"a.com", "b.com"}
+        assert [c.setter_bucket for c in renewal_heatmap(jar, {CookieKey("id", "t.net")}) if c.count] == [
+            SetterBucket.GT_10_PCT
+        ]
 
     def test_conservation(self):
         jar = CookieJar()
@@ -131,8 +173,8 @@ class TestRenewalHeatmap:
         for i in range(7):
             jar.upsert(make_record(f"c{i}", "t.net", expiry=(i + 1) * 20 * DAY, setter="a.com", set_at=i))
             findings.append(finding(f"c{i}", "t.net"))
-        cells = renewal_heatmap(jar, findings, accepted_count=1)
-        assert sum(c.count for c in cells) == len({f.key for f in findings}) == 7
+        cells = renewal_heatmap(jar, keys_of(findings))
+        assert sum(c.count for c in cells) == len(keys_of(findings)) == 7
         assert len(cells) == len(ExpiryBucket) * len(SetterBucket)
 
 
@@ -166,19 +208,17 @@ class TestTrackerTable:
 
 class TestRankTiers:
     def test_avg_sent_counts_zero_sites(self):
-        jar = CookieJar()
-        findings = [finding("id", "t.net", sender="top.com", event_index=i) for i in range(4)]
         rows = rank_tier_averages(
-            findings,
-            jar,
+            {"top.com": 4, "quiet.com": 0},
+            set(),
+            CookieJar(),
             [100],
             site_ranks={"top.com": 10, "quiet.com": 20},
-            rejected_sites=["top.com", "quiet.com"],
         )
         assert rows[0].avg_sent == 2.0  # (4 + 0) / 2
 
     def test_empty_tier_flagged(self):
-        rows = rank_tier_averages([], CookieJar(), [50], site_ranks={}, rejected_sites=[])
+        rows = rank_tier_averages({}, set(), CookieJar(), [50], site_ranks={})
         assert rows[0].empty_tier and rows[0].avg_sent is None and rows[0].avg_set is None
 
     def test_avg_set_counts_history_writes(self):
@@ -186,21 +226,17 @@ class TestRankTiers:
         jar.mark_accepted("setter.com")
         for i in range(5):
             jar.upsert(make_record(f"c{i}", "t.net", setter="setter.com", set_at=i))
-        findings = [finding(f"c{i}", "t.net") for i in range(5)]
-        rows = rank_tier_averages(
-            findings, jar, [100], site_ranks={"setter.com": 3}, rejected_sites=[]
-        )
-        assert rows[0].avg_set == 5.0
+        keys = {CookieKey(f"c{i}", "t.net") for i in range(4)}  # c4 was not sent intractably
+        rows = rank_tier_averages({}, keys, jar, [100], site_ranks={"setter.com": 3})
+        assert rows[0].avg_set == 4.0
 
     def test_cumulative_tiers(self):
-        jar = CookieJar()
-        findings = [finding("id", "t.net", sender="a.com", event_index=0)]
         rows = rank_tier_averages(
-            findings,
-            jar,
+            {"a.com": 1, "b.com": 0},
+            {CookieKey("id", "t.net")},
+            CookieJar(),
             [10, 100],
             site_ranks={"a.com": 50, "b.com": 5},
-            rejected_sites=["a.com", "b.com"],
         )
         assert rows[0].avg_sent == 0.0  # only b.com within top 10
         assert rows[1].avg_sent == 0.5
@@ -216,10 +252,11 @@ class TestBannerTypeReport:
         for i in range(2):
             findings.append(finding("id", "t.net", sender="nat.com", event_index=10 + i))
         report = banner_type_report(
+            Counter(f.sender_site for f in findings),
             findings,
+            keys_of(findings),
             CookieJar(),
             sender_banner_types={"cmp.com": BannerType.CMP, "nat.com": BannerType.NATIVE},
-            rejected_sites=["cmp.com", "nat.com"],
             paywall_setters=set(),
         )
         assert report.ratio == 2.0
@@ -227,10 +264,11 @@ class TestBannerTypeReport:
     def test_ratio_none_without_native(self):
         findings = [finding("id", "t.net", sender="cmp.com")]
         report = banner_type_report(
+            {"cmp.com": 1},
             findings,
+            keys_of(findings),
             CookieJar(),
             sender_banner_types={"cmp.com": BannerType.CMP},
-            rejected_sites=["cmp.com"],
             paywall_setters=set(),
         )
         assert report.ratio is None and report.native_avg is None
@@ -241,10 +279,11 @@ class TestBannerTypeReport:
             finding("id", "t.net", sender="nat.com", event_index=1),
         ]
         report = banner_type_report(
+            {"cmp.com": 1, "nat.com": 1},
             findings,
+            keys_of(findings),
             CookieJar(),
             sender_banner_types={"cmp.com": BannerType.CMP, "nat.com": BannerType.NATIVE},
-            rejected_sites=["cmp.com", "nat.com"],
             paywall_setters=set(),
         )
         assert report.ratio == 1.0
@@ -259,10 +298,11 @@ class TestBannerTypeReport:
         for name, setter in (("a", "pay.com"), ("b", "plain.com"), ("c", "plain.com")):
             jar.upsert(make_record(name, "t.net", setter=setter))
         report = banner_type_report(
+            {"low.com": 1, "high.com": 2},
             findings,
+            keys_of(findings),
             jar,
             sender_banner_types={"low.com": BannerType.NATIVE, "high.com": BannerType.NATIVE},
-            rejected_sites=["low.com", "high.com"],
             paywall_setters={"pay.com"},
         )
         by_threshold = {row.threshold: row for row in report.paywall_shares}
@@ -272,28 +312,28 @@ class TestBannerTypeReport:
 
     def test_zero_send_threshold_has_no_share(self):
         report = banner_type_report(
+            {"quiet.com": 0},
             [],
+            set(),
             CookieJar(),
             sender_banner_types={"quiet.com": BannerType.NATIVE},
-            rejected_sites=["quiet.com"],
             paywall_setters=set(),
         )
         assert report.paywall_shares[0].threshold == 0
         assert report.paywall_shares[0].paywall_share is None
 
-    def test_paywall_shares_match_the_per_finding_intersection(self):
-        """The demo and 50 random ecosystems: the same shares as one setter-list intersection per finding."""
+    def test_paywall_shares_match_the_per_finding_intersection(self, tmp_path):
+        """The demo and 50 random ecosystems: the report's shares are one setter-list intersection per finding."""
         demo = EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
         cases = [(demo, 7)] + [(random_config(random.Random(seed)), seed) for seed in range(50)]
         with_paywall = 0
         for n, (config, seed) in enumerate(cases):
-            events, jar, result = run_pipeline(config, seed)
-            rejected, _ranks, banner_types, paywall_setters = reports._site_views(index_run(events).visits)
-            report = banner_type_report(result.findings, jar, sender_banner_types=banner_types,
-                                        rejected_sites=rejected, paywall_setters=paywall_setters)
-            got = [(row.threshold, row.site_fraction, row.paywall_share) for row in report.paywall_shares]
-            assert got == _ref_paywall_shares(result.findings, jar, rejected, paywall_setters), n
-            with_paywall += any(row.paywall_share for row in report.paywall_shares)
+            inputs, rejected = pipeline_inputs(config, seed)
+            paywall_setters = reports._site_views(inputs.visits)[3]
+            rows = report_tables(tmp_path / str(n), inputs)["paywall_share.csv"]
+            got = [(int(t), float(fraction), float(share) if share else None) for t, fraction, share in rows]
+            assert got == _ref_paywall_shares(inputs.findings, inputs.jar, rejected, paywall_setters), n
+            with_paywall += any(share for _t, _fraction, share in got)
         assert with_paywall >= 5, with_paywall
 
 
@@ -337,6 +377,79 @@ class TestGpcReport:
     def test_empty_baseline_flagged(self):
         report = gpc_report([], [], [])
         assert report.empty_baseline and report.reduction_fraction == 0.0
+
+
+class TestChannelSplit:
+    """channel_split.csv: the shares of canonical findings sent by resource fetch and by script API call."""
+
+    def _split(self, tmp_path, channels, staged=()) -> list[str]:
+        jar = CookieJar()
+        jar.upsert(make_record("id", "tracker.net"))
+        findings = [finding(channel=channel, visit_id=f"v{i}", event_index=i) for i, channel in enumerate(channels)]
+        findings += [
+            finding(channel=channel, stage=InteractionStage.AFTER_REJECT, canonical=False, event_index=1000 + i)
+            for i, channel in enumerate(staged)
+        ]
+        (row,) = report_tables(tmp_path, hand_built_inputs(findings, jar))["channel_split.csv"]
+        return row
+
+    def test_all_resource(self, tmp_path):
+        assert self._split(tmp_path, [Channel.RESOURCE_FETCH] * 4) == ["1.0", "0.0", "false"]
+
+    def test_empty(self, tmp_path):
+        assert self._split(tmp_path / "none", []) == ["0.0", "0.0", "true"]
+        assert self._split(tmp_path / "staged", [], staged=[Channel.API_CALL]) == ["0.0", "0.0", "true"]
+
+    def test_73_27_mix(self, tmp_path):
+        channels = [Channel.RESOURCE_FETCH] * 73 + [Channel.API_CALL] * 27
+        resource, api, empty = self._split(tmp_path, channels, staged=[Channel.API_CALL] * 10)
+        assert (round(float(resource), 2), round(float(api), 2), empty) == (0.73, 0.27, "false")
+        assert float(resource) + float(api) == 1.0
+
+
+class TestReportViews:
+    """The views the report builds once: canonical findings, the per-sender tally and the key set."""
+
+    # Tables of matched sends, which count staged findings too.
+    ALL_SENDS = ("stage_counts.csv", "totals.csv")
+
+    def test_staged_findings_never_reach_the_analytics_tables(self, tmp_path):
+        staged_seen = 0
+        for n, (config, seed) in enumerate(report_cases()):
+            inputs, _rejected = pipeline_inputs(config, seed)
+            canonical = [f for f in inputs.findings if f.canonical]
+            staged_seen += len(inputs.findings) - len(canonical)
+            every = report_tables(tmp_path / f"{n}-all", inputs)
+            only = report_tables(tmp_path / f"{n}-canonical", dataclasses.replace(inputs, findings=canonical))
+            assert every.keys() == only.keys()
+            for name in every.keys() - set(self.ALL_SENDS):
+                assert every[name] == only[name], (n, name)
+            # Each findings input is filtered: staged signal-run findings do not count either.
+            with_gpc = report_tables(tmp_path / f"{n}-gpc", dataclasses.replace(inputs, gpc_findings=inputs.findings))
+            gpc_only = report_tables(tmp_path / f"{n}-gpc-canonical", dataclasses.replace(inputs, gpc_findings=canonical))
+            assert with_gpc["gpc_report.csv"] == gpc_only["gpc_report.csv"], n
+        assert staged_seen > 100, staged_seen
+
+    def test_conservation_and_zero_send_sites(self, tmp_path):
+        """Heatmap and tracker totals sum to the canonical views; every rejected site is tallied, sending or not."""
+        zero_send_sites = 0
+        for n, (config, seed) in enumerate(report_cases()):
+            inputs, rejected = pipeline_inputs(config, seed)
+            canonical = [f for f in inputs.findings if f.canonical]
+            tables = report_tables(tmp_path / str(n), inputs)
+            assert sum(int(count) for *_cell, count in tables["expiry_renewal_heatmap.csv"]) == len(keys_of(canonical))
+            assert sum(int(row[1]) for row in tables["tracker_table.csv"]) == len(canonical)
+            sent = Counter(f.sender_site for f in canonical)
+            tally = [sent[site] for site in rejected]
+            zero_send_sites += tally.count(0)
+            summary = {row[0]: row for row in tables["summary_stats.csv"]}
+            if rejected:
+                assert int(summary["findings_per_rejected_site"][1]) == len(rejected)
+            *_, widest = tables["rank_tiers.csv"]
+            cutoff, avg_sent, _avg_set, sent_sites, *_ = widest
+            assert int(sent_sites) == len(rejected), n
+            assert (float(avg_sent) if avg_sent else None) == (statistics.fmean(tally) if tally else None), n
+        assert zero_send_sites >= 10, zero_send_sites
 
 
 class TestPartitionedSummary:

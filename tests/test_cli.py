@@ -550,6 +550,63 @@ class TestInterleavedVisits:
         assert [(r["name"], r["sender_site"]) for r in resets] == [("id", "third.com"), ("uid", "fourth.com")]
 
 
+def _analyzed_run(directory: Path, config: dict, seed: int) -> list:
+    """Simulate ``config`` at ``seed``, build its jar and detect; the report's input options."""
+    directory.mkdir()
+    (directory / "config.json").write_text(json.dumps(config))
+    log, jar, trackers = directory / "run.log", directory / "jar.snap", directory / "trackers.txt"
+    findings, resets, syncs = directory / "findings.jsonl", directory / "resets.jsonl", directory / "syncs.jsonl"
+    rules = ["--psl", DEMO / "psl.dat", "--trackers", trackers]
+    assert _run(["simulate", "--config", directory / "config.json", "--seed", seed, "--out", log,
+                 "--trackers-out", trackers]) == 0
+    assert _run(["build-jar", "--log", log, "--out", jar]) == 0
+    assert _run(["detect", "--jar", jar, "--log", log, *rules, "--out", findings,
+                 "--resets-out", resets, "--syncs-out", syncs]) == 0
+    return ["--findings", findings, "--jar", jar, "--log", log, *rules, "--resets", resets, "--syncs", syncs]
+
+
+def _manifest_digest(report_args: list, out: Path) -> str:
+    assert _run(["report", *report_args, "--tiers", "2,5,10,20", "--out", out]) == 0
+    return hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+
+
+class TestReportBytes:
+    """The report manifest, which holds every CSV's SHA-256, keeps its bytes."""
+
+    # The digests as the report wrote them while each analytics table still
+    # filtered and tallied the findings itself.
+    DEMO_PINNED = {
+        "plain": "d7fea2afec1ecd00194614ed6921434e97f46b9320e97cc288d6ecabb84b1a05",
+        "gpc": "d07445b7453a5d55772678c0c03d7a2775f404001e1c90a2bbbe44d5babf43c4",
+    }
+    # random_config(random.Random(seed)) at that seed.
+    RANDOM_PINNED = {
+        0: "69b166a3ed531fd2ac3713ec0fd519c94966af05a23c9fe76efe8a61789dbe1e",
+        1: "ddb7f047f6f0c366a1c2ab861d5c059093d8ef3db49fa9ea13d07423a47aff67",
+        2: "4b3bbc82151503b8d10b1a7299d837b5c61a7842ef6ada56bc9a80da2453c725",
+        3: "c7468a92111ca5673bec6a67a7e92f4879fac7bcc0ace98aab7f3a66a315e931",
+        4: "8d6eb4fb08b5e7bf46279ec1bbdbf4e20f249c9b384139fdb568188b135f3ed5",
+    }
+
+    def test_demo_with_and_without_gpc_findings(self, tmp_path):
+        config = json.loads((DEMO / "ecosystem.json").read_text())
+        report_args = _analyzed_run(tmp_path / "baseline", config, 7)
+        config["schedule"]["gpc_enabled"] = True
+        gpc_findings = _analyzed_run(tmp_path / "gpc", config, 7)[1]
+        got = {
+            "plain": _manifest_digest(report_args, tmp_path / "plain"),
+            "gpc": _manifest_digest([*report_args, "--gpc-findings", gpc_findings], tmp_path / "with-gpc"),
+        }
+        assert got == self.DEMO_PINNED
+
+    def test_random_configs(self, tmp_path):
+        got = {}
+        for seed in self.RANDOM_PINNED:
+            report_args = _analyzed_run(tmp_path / f"run{seed}", random_config(random.Random(seed)).to_obj(), seed)
+            got[seed] = _manifest_digest(report_args, tmp_path / f"report{seed}")
+        assert got == self.RANDOM_PINNED
+
+
 class TestFilterConvert:
     def test_conversion(self, tmp_path, capsys):
         adblock = tmp_path / "list.txt"
@@ -734,10 +791,13 @@ def analyzed(workspace):
 class TestDeeplyNestedJson:
     """JSON nested past the decoder's recursion limit is the reader's input error, not a traceback."""
 
+    BAD = DEEP  # a JSON text the decoder rejects
+    PROBLEM = "nested too deeply"  # what the error record says of it
+
     def test_log_readers(self, analyzed, tmp_path, capsys):
         header = (analyzed / "run.log").read_text().splitlines()[0]
         deep = tmp_path / "deep.log"
-        deep.write_text(f"{header}\n{DEEP}\n")
+        deep.write_text(f"{header}\n{self.BAD}\n")
         capsys.readouterr()
         for command in (
             ["validate-log", "--log", deep],
@@ -746,17 +806,17 @@ class TestDeeplyNestedJson:
         ):
             assert _run(["--errors", "json", *command]) == 1, command[0]
             assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
-                                           "message": "line 2: invalid JSON (nested too deeply)"}
+                                           "message": f"line 2: invalid JSON ({self.PROBLEM})"}
 
     @pytest.mark.parametrize("option", ["--findings", "--resets", "--syncs"])
     def test_ndjson_readers(self, analyzed, tmp_path, capsys, option):
         deep = tmp_path / "deep.jsonl"
-        deep.write_text(f'{{"format_version":1}}\n{DEEP}\n')
+        deep.write_text(f'{{"format_version":1}}\n{self.BAD}\n')
         inputs = {"--findings": analyzed / "findings.jsonl", option: deep}
         capsys.readouterr()
         assert _run(["--errors", "json", "report", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
                      *(arg for pair in inputs.items() for arg in pair), "--out", tmp_path / "report"]) == 1
-        assert _json_error(capsys) == {"error": "MALFORMED_RECORD", "message": f"{deep}:2: nested too deeply"}
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD", "message": f"{deep}:2: {self.PROBLEM}"}
 
     @pytest.mark.parametrize("line", [0, 1])
     def test_jar_snapshot(self, analyzed, tmp_path, capsys, line):
@@ -771,13 +831,56 @@ class TestDeeplyNestedJson:
 
     def test_configs(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
-        deep.write_text(DEEP)
+        deep.write_text(self.BAD)
         assert _run(["--errors", "json", "simulate", "--config", deep, "--seed", 1, "--out", tmp_path / "x.log"]) == 1
         assert _json_error(capsys) == {"error": "INVALID_CONFIG",
-                                       "message": "config is not valid JSON: nested too deeply"}
+                                       "message": f"config is not valid JSON: {self.PROBLEM}"}
         assert _run(["--errors", "json", "detect", "--config", deep, "--out", tmp_path / "f.jsonl"]) == 1
         assert _json_error(capsys) == {"error": "INVALID_CONFIG",
-                                       "message": f"{deep}: not valid JSON (nested too deeply)"}
+                                       "message": f"{deep}: not valid JSON ({self.PROBLEM})"}
+
+
+class TestOversizedExpiry:
+    """A Max-Age past the largest float is a malformed expiry: the cookie is kept as a session cookie."""
+
+    def test_readers(self, analyzed, tmp_path, capsys):
+        lines = (analyzed / "run.log").read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if '"kind":"COOKIE_SET"' in line)
+        lines[first] = re.sub(r"Max-Age=\d+", "Max-Age=1" + "0" * 400, lines[first])
+        long = tmp_path / "long.log"
+        long.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert _run(["--errors", "json", "validate-log", "--log", long]) == 1
+        record = _json_error(capsys)
+        assert record["error"] == "MALFORMED_EXPIRES" and record["message"].startswith("bad Max-Age '1000")
+        jar = tmp_path / "jar.snap"
+        assert _run(["--errors", "json", "build-jar", "--log", long, "--out", jar]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [json.loads(line)["error"] for line in err.splitlines() if line.startswith("{")] == ["MALFORMED_EXPIRES"]
+        assert _run(["--errors", "json", "detect", "--jar", jar, "--log", long, "--psl", DEMO / "psl.dat",
+                     "--trackers", analyzed / "trackers.txt", "--out", tmp_path / "f.jsonl"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestOversizedIntegers(TestDeeplyNestedJson):
+    """A JSON integer of more digits than int() converts is the reader's input error, not a traceback."""
+
+    BAD = "9" * 5000
+    PROBLEM = "integer too long"
+
+    @pytest.mark.parametrize("line", [0, 1])
+    def test_jar_snapshot(self, analyzed, tmp_path, capsys, line):
+        payload = f'{{"accepted_sites":[],"entries":[],"history":[],"n":{self.BAD}}}'
+        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
+                             "payload_sha256": hashlib.sha256(payload.encode()).hexdigest()})
+        snapshot = tmp_path / "long.snap"
+        snapshot.write_text(f"{self.BAD}\n{payload}\n" if line == 0 else f"{header}\n{payload}\n")
+        capsys.readouterr()
+        assert _run(["--errors", "json", "detect", "--jar", snapshot, "--log", analyzed / "run.log",
+                     "--out", tmp_path / "f.jsonl"]) == 1
+        record = _json_error(capsys)
+        assert record["error"] == "CORRUPT_SNAPSHOT" and record["message"].startswith(f"{snapshot}: ")
 
 
 @pytest.mark.parametrize("version", [True, 1.0])

@@ -483,6 +483,17 @@ class TestParseSetCookie:
         assert fragment.original_expiry is None
         assert issues and issues[0].code == "MALFORMED_EXPIRES"
 
+    @pytest.mark.parametrize("attribute", [
+        "Max-Age=1" + "0" * 400,  # an int past the largest float
+        "Expires=Wed, 21 Oct 2026 99999999999999999999:00:00 GMT",  # an hour past a C long
+        "Expires=Wed, 99999999999999999999 Oct 2026 00:00:00 GMT",
+    ], ids=["max-age", "expires-hour", "expires-day"])
+    def test_oversized_expiry_falls_back_to_session(self, attribute):
+        issues: list[ParseIssue] = []
+        fragment = parse_set_cookie(f"id=1; {attribute}", "t.net", issues=issues)
+        assert fragment.original_expiry is None
+        assert [issue.code for issue in issues] == ["MALFORMED_EXPIRES"]
+
     def test_missing_name(self):
         with pytest.raises(InputError) as exc:
             parse_set_cookie("=1; Max-Age=5", "t.net")

@@ -20,7 +20,6 @@ from cookietrail.detector import (
     Detector,
     IntractableFinding,
     SyncFinding,
-    channel_split,
     detect_reset,
     detect_sync,
     is_simple_value,
@@ -560,33 +559,3 @@ class TestSimpleValues:
     def test_syncable_requires_length(self):
         assert not syncable_value("shortvalue")
         assert syncable_value("AbCdEf123456")
-
-
-class TestChannelSplit:
-    def _finding(self, channel, i):
-        return IntractableFinding(
-            key=CookieKey("id", "tracker.net"),
-            value_at_send="x",
-            sender_site="s.com",
-            tracker_domain="tracker.net",
-            stage=InteractionStage.BEFORE_INTERACTION,
-            channel=channel,
-            visit_id=f"v{i}",
-            event_index=i,
-            canonical=True,
-        )
-
-    def test_all_resource(self):
-        split = channel_split([self._finding(Channel.RESOURCE_FETCH, i) for i in range(4)])
-        assert (split.resource_fraction, split.api_fraction) == (1.0, 0.0)
-
-    def test_empty(self):
-        split = channel_split([])
-        assert split.empty and split.resource_fraction == 0.0 and split.api_fraction == 0.0
-
-    def test_73_27_mix(self):
-        findings = [self._finding(Channel.RESOURCE_FETCH, i) for i in range(73)]
-        findings += [self._finding(Channel.API_CALL, 100 + i) for i in range(27)]
-        split = channel_split(findings)
-        assert (round(split.resource_fraction, 2), round(split.api_fraction, 2)) == (0.73, 0.27)
-        assert split.resource_fraction + split.api_fraction == 1.0
