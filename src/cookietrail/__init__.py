@@ -26,7 +26,6 @@ from .crawllog import (
     RunIndex,
     SentCookieObservation,
     extract_sent,
-    index_run,
     parse_cookie_header,
     parse_log_text,
     parse_set_cookie,

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import crawllog, filterlist, reports, simulator
 from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
-from .errors import InputError, InvariantError, PipelineError, json_problem
+from .errors import InputError, InvariantError, PipelineError, json_problem, not_utf8, read_utf8
 from .jar import CookieJar, build_jar
 from .model import OPTIONAL_STR, Channel, CookieKey, InteractionStage, RecordFields
 from .psl import EMPTY_RULESET, PslRuleSet, load_psl
@@ -96,7 +96,7 @@ def _apply_config(args) -> None:
     path = args.config
     obj = {}
     if path:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path, "INVALID_CONFIG")
         try:
             obj = json.loads(text)
         except (ValueError, RecursionError) as exc:
@@ -146,36 +146,40 @@ def _require_option(args, name: str, flag: str):
     return value
 
 
-def _load_logs(paths) -> list[crawllog.CrawlEvent]:
-    """Parse the logs in turn into one stream, indexed 0..n-1 across all of them.
+def _load_logs(paths) -> crawllog.RunIndex:
+    """Parse the logs in turn into one run index, its events numbered 0..n-1 across all of them.
 
     Visit ids must be disjoint across the inputs; a collision would silently
     conflate two visits, so it is rejected as a sequencing violation.
     """
-    events: list[crawllog.CrawlEvent] = []
+    indexes: list[crawllog.RunIndex] = []
     seen_visits: set[str] = set()
     for path in paths:
-        file_visits: set[str] = set()
-        text = Path(path).read_text(encoding="utf-8")
-        parsed = crawllog.parse_log_text(text, first_index=len(events), visit_ids=file_visits)
-        overlap = file_visits & seen_visits
+        index = crawllog.parse_log_text(read_utf8(path, "MALFORMED_RECORD"), first_index=sum(map(len, indexes)))
+        overlap = index.visits.keys() & seen_visits
         if overlap:
             raise InvariantError(
                 "SEQUENCE_VIOLATION", f"visit ids repeat across merged logs: {sorted(overlap)[:5]}"
             )
-        seen_visits |= file_visits
-        events += parsed
-    return events
+        seen_visits |= index.visits.keys()
+        indexes.append(index)
+    return crawllog.RunIndex(
+        visits={visit_id: row for index in indexes for visit_id, row in index.visits.items()},
+        ended=[row for index in indexes for row in index.ended],
+        requests=[event for index in indexes for event in index.requests],
+        cookie_sets=[event for index in indexes for event in index.cookie_sets],
+        event_count=sum(map(len, indexes)),
+    )
 
 
 def _index_logs(args) -> crawllog.RunIndex:
-    """The run in the command's ``--log`` files: one parse per file, then one walk over the events."""
-    return crawllog.index_run(_load_logs(_require_option(args, "log", "--log")))
+    """The run in the command's ``--log`` files: one pass over each file."""
+    return _load_logs(_require_option(args, "log", "--log"))
 
 
 def _load_rules(args) -> PslRuleSet:
     if args.psl:
-        return load_psl(Path(args.psl).read_text(encoding="utf-8"), include_private=not args.no_private_psl)
+        return load_psl(read_utf8(args.psl, "MALFORMED_RULE"), include_private=not args.no_private_psl)
     return EMPTY_RULESET
 
 
@@ -183,10 +187,10 @@ def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
     sets = []
     for path in args.trackers or []:
         issues: list = []
-        sets.append(filterlist.parse_domain_list(Path(path).read_text(encoding="utf-8"), issues=issues))
+        sets.append(filterlist.parse_domain_list(read_utf8(path, "MALFORMED_DOMAIN"), issues=issues))
         _emit_issues(issues, error_format)
     for path in args.adblock or []:
-        extraction = filterlist.extract_domains_from_adblock(Path(path).read_text(encoding="utf-8"))
+        extraction = filterlist.extract_domains_from_adblock(read_utf8(path, "MALFORMED_DOMAIN"))
         _emit_issues(extraction.issues, error_format)
         sets.append(extraction.domains)
     return filterlist.merge(sets) if sets else filterlist.EMPTY_TRACKER_SET
@@ -342,19 +346,22 @@ def _read_ndjson(path: str) -> Iterator[tuple[int, str]]:
     ``InputError`` when the stream reaches it.
     """
     header_seen = False
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if header_seen:
-                yield lineno, line
-                continue
-            obj = _decode_line(path, lineno, line)
-            version = obj.get("format_version") if isinstance(obj, dict) else None
-            if type(version) is not int or version != NDJSON_VERSION:  # true and 1.0 are not 1
-                raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: bad format_version header {obj!r}")
-            header_seen = True
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if header_seen:
+                    yield lineno, line
+                    continue
+                obj = _decode_line(path, lineno, line)
+                version = obj.get("format_version") if isinstance(obj, dict) else None
+                if type(version) is not int or version != NDJSON_VERSION:  # true and 1.0 are not 1
+                    raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: bad format_version header {obj!r}")
+                header_seen = True
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, "MALFORMED_RECORD", exc) from None
     if not header_seen:
         raise InputError("MALFORMED_RECORD", f"{path}: missing format_version header")
 
@@ -470,7 +477,7 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
 
 
 def _cmd_simulate(args, error_format: str) -> int:
-    config = simulator.EcosystemConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    config = simulator.EcosystemConfig.from_json(read_utf8(args.config, "INVALID_CONFIG"))
     events = simulator.generate(config, args.seed, run_label=args.run_id or "")
     Path(args.out).write_text(crawllog.serialize(events), encoding="utf-8")
     if args.trackers_out:
@@ -552,7 +559,7 @@ def _cmd_filter_convert(args, error_format: str) -> int:
     sets = []
     ignored = 0
     for path in args.adblock:
-        extraction = filterlist.extract_domains_from_adblock(Path(path).read_text(encoding="utf-8"))
+        extraction = filterlist.extract_domains_from_adblock(read_utf8(path, "MALFORMED_DOMAIN"))
         _emit_issues(extraction.issues, error_format)
         ignored += extraction.ignored_rules
         sets.append(extraction.domains)
@@ -567,12 +574,12 @@ def _cmd_filter_convert(args, error_format: str) -> int:
 
 
 def _cmd_validate_log(args, error_format: str) -> int:
-    events = _load_logs([args.log])
-    issues = crawllog.strict_issues(events)
+    index = _load_logs([args.log])
+    issues = crawllog.strict_issues(index)
     if issues:
         _emit_issues(issues, error_format)
         return 1
-    print(f"validate-log: {len(events)} events OK", file=sys.stderr)
+    print(f"validate-log: {len(index)} events OK", file=sys.stderr)
     return 0
 
 

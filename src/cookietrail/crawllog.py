@@ -16,18 +16,19 @@ Records end at ``\\n`` only.  JSON allows U+2028, U+2029 and U+0085 raw
 inside a string, so they do not end a record, as ``str.splitlines`` would
 have them do.
 
-Parsing builds each event once, in one pass: a decoder per record kind checks
-the record's fields and its place in its visit's sequence, then constructs the
-event with its final index (``first_index`` lets logs loaded one after another
-share one index).  Hosts (``site``, ``target_host``, ``setter_context_host``)
+Parsing builds the run index (``RunIndex``) as it reads, in one pass over the
+lines and with no event list in between: a decoder per record kind checks the
+record's fields and its place in its visit's sequence, then files it.  An
+HTTP_REQUEST or COOKIE_SET becomes its event, appended to the index's requests
+or cookie sets with its final index (``first_index`` lets logs loaded one after
+another share one index).  VISIT_START, BANNER_OBSERVED, INTERACTION and
+VISIT_END are checked in full but never built: the open visit keeps its
+VISIT_START fields and banner type, and VISIT_END turns them into the visit's
+``VisitSummary``.  Hosts (``site``, ``target_host``, ``setter_context_host``)
 are canonicalized at parse time, so every later stage sees canonical hosts.
 A URL field must be one that ``urlsplit`` accepts; ``urlsplit`` raises only
 on a bracket or a non-ASCII netloc, so an ASCII URL without brackets is
-accepted without the call.
-
-``index_run`` then walks the parsed events once into a ``RunIndex``: one
-``VisitSummary`` per visit, the requests and the cookie sets.  Later stages
-read the index and do not walk the events again.
+accepted without the call.  Later stages read the index and walk no events.
 
 Events and the records derived from them are immutable ``NamedTuple``s,
 cheaper to build than frozen dataclasses.  Tell kinds apart by
@@ -37,10 +38,13 @@ kind.
 
 from __future__ import annotations
 
+import heapq
 import json
+import marshal
 from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
 from json.encoder import encode_basestring_ascii as _string
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 from urllib.parse import urlsplit
 
@@ -177,12 +181,16 @@ class VisitSummary(NamedTuple):
 
 @dataclass(frozen=True)
 class RunIndex:
-    """What the stages read of a run, built by ``index_run`` in one walk over its events."""
+    """What the stages read of a run, built by ``parse_log_text`` as it parses; ``len()`` counts its events."""
 
     visits: dict[str, VisitSummary]  # by visit id, in VISIT_START order
     ended: list[VisitSummary]  # the same rows, in VISIT_END order
     requests: list[HttpRequest]  # in event order
     cookie_sets: list[CookieSet]  # in event order
+    event_count: int  # the run's events, of every kind
+
+    def __len__(self) -> int:
+        return self.event_count
 
 
 # --- banner serialization -------------------------------------------------
@@ -286,30 +294,39 @@ def _violation(visit_id: str, detail: str):
 
 
 class _VisitState:
-    __slots__ = ("stage", "saw_body", "saw_banner")
+    """An open visit: its VISIT_START fields, its banner type once seen, and where its sequence stands."""
 
-    def __init__(self):
+    __slots__ = ("start", "banner_type", "stage", "saw_body")
+
+    def __init__(self, start: tuple):
+        self.start = start  # visit_id, site, rank, phase, iteration, gpc_enabled
+        self.banner_type: BannerType | None = None  # None until BANNER_OBSERVED
         self.stage = InteractionStage.BEFORE_INTERACTION
         self.saw_body = False  # any event beyond VISIT_START/BANNER_OBSERVED
-        self.saw_banner = False
 
 
 class _LogParser:
-    """The state of one parse: open and closed visits, each host's canonical form and each banner.
+    """The state of one parse: the index being built, the open visits, each host's canonical form and each banner.
 
     Each decoder checks one record's fields in a fixed order, then the
-    record's place in its visit, and only then builds the event.
+    record's place in its visit, and only then files the record.
     """
 
-    __slots__ = ("open_visits", "closed", "hosts", "banners")
+    __slots__ = ("visits", "ended", "requests", "cookie_sets", "open_visits", "hosts", "banners")
 
     def __init__(self):
+        # Every visit seen so far, by id: a visit takes its slot at VISIT_START (holding None
+        # while open), so the table stays in VISIT_START order.
+        self.visits: dict[str, VisitSummary | None] = {}
+        self.ended: list[VisitSummary] = []
+        self.requests: list[HttpRequest] = []
+        self.cookie_sets: list[CookieSet] = []
         self.open_visits: dict[str, _VisitState] = {}
-        self.closed: set[str] = set()
         self.hosts: dict[str, str] = {}  # raw -> canonical: each distinct host is canonicalized once
-        # repr of the fields ``banner_from_obj`` reads -> descriptor: each distinct banner is decoded
-        # once.  Equal reprs of JSON values mean equal values of equal types, so equal descriptors.
-        self.banners: dict[str, BannerDescriptor] = {}
+        # The fields ``banner_from_obj`` reads, marshalled (or, past marshal's depth, their repr) ->
+        # descriptor: each distinct banner is decoded once.  Equal marshal bytes, like equal reprs of
+        # JSON values, mean equal values of equal types, so equal descriptors.
+        self.banners: dict[bytes | str, BannerDescriptor] = {}
 
     def _host(self, obj: dict, key: str, lineno: int) -> str:
         raw = obj.get(key)
@@ -328,7 +345,7 @@ class _LogParser:
         """The open visit an event after VISIT_START belongs to."""
         state = self.open_visits.get(visit_id)
         if state is None:
-            detail = "event after VISIT_END" if visit_id in self.closed else "event before VISIT_START"
+            detail = "event after VISIT_END" if visit_id in self.visits else "event before VISIT_START"
             _violation(visit_id, f"{detail} ({event_name})")
         return state
 
@@ -339,7 +356,7 @@ class _LogParser:
         if stage is not state.stage:
             _violation(visit_id, f"{event_name} at stage {stage.name} while visit is at {state.stage.name}")
 
-    def visit_start(self, obj: dict, lineno: int, visit_id: str, index: int) -> VisitStart:
+    def visit_start(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
         rank = obj.get("rank")
         if type(rank) is not int or rank < 1:  # a bool is not a rank
             raise _field_error(obj, "rank", lineno, "rank must be a positive int")
@@ -349,18 +366,22 @@ class _LogParser:
         site = self._host(obj, "site", lineno)
         phase = _member(_PHASES, obj, "phase", lineno)
         iteration = _member(_ITERATIONS, obj, "iteration", lineno)
-        if visit_id in self.open_visits or visit_id in self.closed:
+        if visit_id in self.visits:
             _violation(visit_id, "duplicate VISIT_START")
-        self.open_visits[visit_id] = _VisitState()
-        return VisitStart(visit_id, site, rank, phase, iteration, gpc, index)
+        self.visits[visit_id] = None
+        self.open_visits[visit_id] = _VisitState((visit_id, site, rank, phase, iteration, gpc))
 
-    def banner_observed(self, obj: dict, lineno: int, visit_id: str, index: int) -> BannerObserved:
+    def banner_observed(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
         raw = obj.get("banner")
         if raw is None:
             raise _field_error(obj, "banner", lineno)
         try:
             # The two fields banner_from_obj reads; a banner that is not an object fails on get, as there.
-            key = repr((raw.get("banner_type"), raw.get("layers", [])))
+            fields = (raw.get("banner_type"), raw.get("layers", []))
+            try:
+                key = marshal.dumps(fields)  # a quarter of repr's cost
+            except ValueError:  # nested deeper than marshal goes, which JSON allows on Python 3.12+
+                key = repr(fields)
             banner = self.banners.get(key)
             if banner is None:
                 banner = self.banners[key] = banner_from_obj(raw)
@@ -369,12 +390,11 @@ class _LogParser:
         except AttributeError as exc:
             raise InputError("MALFORMED_RECORD", f"line {lineno}: malformed record ({exc})") from None
         state = self._state(visit_id, "BannerObserved")
-        if state.saw_body or state.saw_banner:
+        if state.saw_body or state.banner_type is not None:
             _violation(visit_id, "BANNER_OBSERVED not immediately after VISIT_START")
-        state.saw_banner = True
-        return BannerObserved(visit_id, banner, index)
+        state.banner_type = banner.banner_type
 
-    def interaction(self, obj: dict, lineno: int, visit_id: str, index: int) -> Interaction:
+    def interaction(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
         action = _member(_ACTIONS, obj, "action", lineno)
         resulting = _member(_STAGES, obj, "resulting_stage", lineno)
         state = self._state(visit_id, "Interaction")
@@ -384,9 +404,8 @@ class _LogParser:
         if resulting <= state.stage:
             _violation(visit_id, f"stage {resulting.name} does not advance past {state.stage.name}")
         state.stage = resulting
-        return Interaction(visit_id, action, resulting, index)
 
-    def http_request(self, obj: dict, lineno: int, visit_id: str, index: int) -> HttpRequest:
+    def http_request(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
         cookie_header = obj.get("cookie_header", "")
         if not isinstance(cookie_header, str):
             raise InputError("MALFORMED_RECORD", f"line {lineno}: cookie_header must be a string")
@@ -401,25 +420,26 @@ class _LogParser:
         _check_url(target_url, "target_url", lineno)
         channel = _member(_CHANNELS, obj, "channel", lineno)
         self._at_stage(visit_id, "HttpRequest", stage)
-        return HttpRequest(
+        self.requests.append(HttpRequest(
             visit_id, stage, target_host, target_url, channel, cookie_header, redirect_parent_url, index
-        )
+        ))
 
-    def cookie_set(self, obj: dict, lineno: int, visit_id: str, index: int) -> CookieSet:
+    def cookie_set(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
         stage = _member(_STAGES, obj, "stage", lineno)
         header = obj.get("set_cookie_header")
         if not isinstance(header, str):
             raise _field_error(obj, "set_cookie_header", lineno, "set_cookie_header must be a string")
         setter_context_host = self._host(obj, "setter_context_host", lineno)
         self._at_stage(visit_id, "CookieSet", stage)
-        return CookieSet(visit_id, stage, header, setter_context_host, index)
+        self.cookie_sets.append(CookieSet(visit_id, stage, header, setter_context_host, index))
 
-    def visit_end(self, obj: dict, lineno: int, visit_id: str, index: int) -> VisitEnd:
+    def visit_end(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
         outcome = _member(_OUTCOMES, obj, "outcome", lineno)
-        self._state(visit_id, "VisitEnd")
+        state = self._state(visit_id, "VisitEnd")
         del self.open_visits[visit_id]
-        self.closed.add(visit_id)
-        return VisitEnd(visit_id, outcome, index)
+        banner_type = BannerType.NONE if state.banner_type is None else state.banner_type
+        self.visits[visit_id] = summary = VisitSummary(*state.start, banner_type, outcome)
+        self.ended.append(summary)
 
 
 # --- writing: one encoder per kind ---------------------------------------------
@@ -508,14 +528,14 @@ def serialize(events: Iterable[CrawlEvent]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_log_text(text: str, first_index: int = 0, visit_ids: set[str] | None = None) -> list[CrawlEvent]:
-    """Parse the text of an NDJSON crawl log into events, checking every record and every visit's sequence.
+def parse_log_text(text: str, first_index: int = 0) -> RunIndex:
+    """Parse the text of an NDJSON crawl log into its run index, checking every record and every visit's sequence.
 
-    Each line is decoded, checked and built into its event once, in one pass.
-    Events are numbered consecutively from ``first_index``, so several logs
-    loaded one after another share one index.  Hosts (``site``,
+    One pass over the lines decodes, checks and files each record; no event
+    list is built.  Events are numbered consecutively from ``first_index``, so
+    several logs loaded one after another share one index; ``len()`` of the
+    result is the number of events in this log.  Hosts (``site``,
     ``target_host``, ``setter_context_host``) are canonical from here on.
-    ``visit_ids``, if given, receives the id of every visit in the log.
 
     Raises:
         InputError: ``MALFORMED_RECORD``, ``UNPARSABLE_URL``, or a host's
@@ -523,7 +543,6 @@ def parse_log_text(text: str, first_index: int = 0, visit_ids: set[str] | None =
         InvariantError: ``SEQUENCE_VIOLATION`` naming the visit and event.
     """
     parser = _LogParser()
-    events: list[CrawlEvent] = []
     header_seen = False
     index = first_index
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -560,16 +579,14 @@ def parse_log_text(text: str, first_index: int = 0, visit_ids: set[str] | None =
         visit_id = obj.get("visit_id")
         if not isinstance(visit_id, str) or not visit_id:
             raise _field_error(obj, "visit_id", lineno, f"bad visit_id {visit_id!r}")
-        events.append(decode(parser, obj, lineno, visit_id, index))
+        decode(parser, obj, lineno, visit_id, index)
         index += 1
     if not header_seen:
         raise InputError("MALFORMED_RECORD", "missing format_version header record")
     if parser.open_visits:
         visit_id = next(iter(parser.open_visits))
         raise InvariantError("SEQUENCE_VIOLATION", f"visit {visit_id!r} has no VISIT_END")
-    if visit_ids is not None:
-        visit_ids |= parser.closed
-    return events
+    return RunIndex(parser.visits, parser.ended, parser.requests, parser.cookie_sets, index - first_index)
 
 
 # --- cookie headers ---------------------------------------------------------
@@ -643,13 +660,13 @@ def parse_set_cookie(
                 max_age = float(int(attr_value))
             except (ValueError, OverflowError):  # OverflowError: past the largest float
                 if issues is not None:
-                    issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Max-Age {attr_value!r}"))
+                    issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Max-Age {attr_value[:60]!r}"))
         elif attr == "expires":
             try:
                 expires = _parse_expires(attr_value)
             except (ValueError, TypeError, OverflowError):
                 if issues is not None:
-                    issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Expires {attr_value!r}"))
+                    issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Expires {attr_value[:60]!r}"))
         elif attr == "partitioned":
             partitioned = True
     host = canonicalize_host(domain) if domain else canonicalize_host(context_host)
@@ -674,43 +691,7 @@ def record_from_cookie_set(
     )
 
 
-# --- the run index -----------------------------------------------------------
-
-
-def index_run(events: Iterable[CrawlEvent]) -> RunIndex:
-    """Index a run in one walk over its events, which hold whole visits, as ``parse_log_text`` returns them."""
-    starts: dict[str, VisitStart] = {}
-    banners: dict[str, BannerType] = {}
-    visits: dict = {}
-    ended: list[VisitSummary] = []
-    requests: list[HttpRequest] = []
-    cookie_sets: list[CookieSet] = []
-    for event in events:
-        kind = type(event)
-        if kind is HttpRequest:
-            requests.append(event)
-        elif kind is CookieSet:
-            cookie_sets.append(event)
-        elif kind is VisitStart:
-            starts[event.visit_id] = event
-            visits[event.visit_id] = None  # holds the visit's VISIT_START place until its row is built
-        elif kind is BannerObserved:
-            banners[event.visit_id] = event.banner.banner_type
-        elif kind is VisitEnd:
-            visit_id = event.visit_id
-            start = starts.pop(visit_id)
-            visits[visit_id] = summary = VisitSummary(
-                visit_id=visit_id,
-                site=start.site,
-                rank=start.rank,
-                phase=start.phase,
-                iteration=start.iteration,
-                gpc_enabled=start.gpc_enabled,
-                banner_type=banners.pop(visit_id, BannerType.NONE),
-                outcome=event.outcome,
-            )
-            ended.append(summary)
-    return RunIndex(visits, ended, requests, cookie_sets)
+# --- reading the run index ----------------------------------------------------
 
 
 def extract_sent(index: RunIndex, *, issues: list[ParseIssue] | None = None) -> list[SentCookieObservation]:
@@ -735,18 +716,21 @@ def extract_sent(index: RunIndex, *, issues: list[ParseIssue] | None = None) -> 
     return observations
 
 
-def strict_issues(events: Iterable[CrawlEvent]) -> list[ParseIssue]:
-    """Re-parse every cookie header in the stream, collecting all issues.
+_event_index = attrgetter("event_index")
+
+
+def strict_issues(index: RunIndex) -> list[ParseIssue]:
+    """Re-parse every cookie header of the run, in event order, collecting all issues.
 
     Used by strict validation: a log that parses cleanly may still carry
     malformed cookie headers, which are tolerated during detection but
     rejected by ``validate-log``.
     """
     issues: list[ParseIssue] = []
-    for event in events:
-        if isinstance(event, HttpRequest):
+    for event in heapq.merge(index.requests, index.cookie_sets, key=_event_index):
+        if type(event) is HttpRequest:
             parse_cookie_header(event.cookie_header, issues=issues)
-        elif isinstance(event, CookieSet):
+        else:
             try:
                 parse_set_cookie(event.set_cookie_header, event.setter_context_host, issues=issues)
             except InputError as exc:

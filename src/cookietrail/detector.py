@@ -124,8 +124,12 @@ def detect_intractable(
     measure-phase observation lands in exactly one of ``stats``'
     ``unmatched_observations``, ``non_tracking_matches`` and ``psl_failures``,
     or in the findings.
+
+    Each cookie host's verdict (not a tracker, its tracker domain, or the PSL
+    error) is reached once per call and reused for every later send.
     """
     findings: list[IntractableFinding] = []
+    verdicts: dict[str, SiteId | InputError | None] = {}  # cookie host -> tracker domain, None if not a tracker
     for obs in observations:
         visit = visits[obs.visit_id]
         if visit.phase is not Phase.STATELESS_MEASURE:
@@ -135,14 +139,23 @@ def detect_intractable(
         if key is None:
             stats.unmatched_observations += 1
             continue
-        if not is_tracker(key.host, trackers):
+        host = key.host
+        if host in verdicts:
+            tracker_domain = verdicts[host]
+        elif not is_tracker(host, trackers):
+            tracker_domain = verdicts[host] = None
+        else:
+            try:
+                tracker_domain = etld_plus_one(host, rules)
+            except InputError as exc:
+                tracker_domain = exc
+            verdicts[host] = tracker_domain
+        if tracker_domain is None:
             stats.non_tracking_matches += 1
             continue
-        try:
-            tracker_domain = etld_plus_one(key.host, rules)
-        except InputError as exc:
+        if type(tracker_domain) is not str:
             stats.psl_failures += 1
-            issues.append(ParseIssue(exc.code, f"cookie host {key.host!r}: {exc.message}"))
+            issues.append(ParseIssue(tracker_domain.code, f"cookie host {host!r}: {tracker_domain.message}"))
             continue
         findings.append(
             IntractableFinding(

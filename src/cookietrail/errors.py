@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 
 class PipelineError(Exception):
@@ -45,6 +46,19 @@ def json_problem(exc: ValueError | RecursionError) -> str:
     if isinstance(exc, RecursionError):
         return "nested too deeply"
     return "integer too long"
+
+
+def not_utf8(path, code: str, exc: UnicodeDecodeError) -> InputError:
+    """The error for an input file that is not UTF-8, under its reader's own ``code``."""
+    return InputError(code, f"{path}: not UTF-8 ({exc.reason})")
+
+
+def read_utf8(path, code: str) -> str:
+    """The text of the UTF-8 file at ``path``; a file that is not UTF-8 is ``InputError(code)``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, code, exc) from None
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
 from . import crawllog
-from .errors import InputError, ParseIssue
+from .errors import InputError, ParseIssue, read_utf8
 from .model import (
     FIXED_EXPIRY,
     OPTIONAL_STR,
@@ -88,7 +89,9 @@ class CookieJar:
             self.entries.pop(record.key, None)
             self.history.append(HistoryEntry(record.key, record.setter_site, record.set_at, deleted=True))
             return
-        self.entries[record.key] = dataclasses.replace(record, effective_expiry=FIXED_EXPIRY)
+        if record.effective_expiry is not FIXED_EXPIRY:  # the default, so most records are stored as given
+            record = dataclasses.replace(record, effective_expiry=FIXED_EXPIRY)
+        self.entries[record.key] = record
         row = HistoryEntry(record.key, record.setter_site, record.set_at)
         self.history.append(row)
         self._index(row)
@@ -189,7 +192,7 @@ class CookieJar:
             InputError: ``CORRUPT_SNAPSHOT`` on any structural or checksum
                 mismatch.  I/O failures propagate as ``OSError``.
         """
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_utf8(path, "CORRUPT_SNAPSHOT")
         # Lines end at "\n" only (``read_text`` turns "\r\n" and "\r" into it):
         # JSON allows U+2028, U+2029 and U+0085 raw inside a string, and
         # ``str.splitlines`` would split the payload at them.
@@ -215,9 +218,12 @@ class CookieJar:
                 if type(payload[field]) is not list or not all(type(obj) is dict for obj in payload[field]):
                     raise InputError("CORRUPT_SNAPSHOT", f"{path}: {field} is not a list of objects")
             entries = {}
-            for name, host, partition, value, original_expiry, setter_site, set_at, consent, phase, expiry in _rows(
-                _ENTRY_FIELDS, payload, "entries"
+            for index, (name, host, partition, value, original_expiry, setter_site, set_at, consent, phase, expiry) in (
+                enumerate(_rows(_ENTRY_FIELDS, payload, "entries"))
             ):
+                # Readers divide it as a float; a NaN fails this comparison too.
+                if original_expiry is not None and not abs(original_expiry) <= sys.float_info.max:
+                    raise ValueError(f"entries[{index}]: original_expiry is not a finite number a float holds")
                 key = CookieKey(name, host, partition)
                 entries[key] = CookieRecord(
                     key=key,

@@ -56,7 +56,7 @@ class ReportInputs:
     jar: CookieJar
     rules: PslRuleSet
     trackers: TrackerDomainSet
-    visits: Mapping[str, VisitSummary]  # in VISIT_START order, as ``crawllog.index_run`` builds them
+    visits: Mapping[str, VisitSummary]  # in VISIT_START order, as ``crawllog.parse_log_text`` builds them
     tier_cutoffs: Sequence[int]
     gpc_findings: list[IntractableFinding] | None = None
     # Only counted in the totals table; None means "not supplied" (blank

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from cookietrail import crawllog, simulator as sim
+from cookietrail.crawllog import BannerObserved, CookieSet, HttpRequest, RunIndex, VisitEnd, VisitStart, VisitSummary
 from cookietrail.detector import DetectionResult, Detector
 from cookietrail.filterlist import TrackerDomainSet
 from cookietrail.jar import CookieJar, build_jar
@@ -200,15 +201,62 @@ def random_config(rng: random.Random, *, n_sites: int | None = None, gpc: bool |
     )
 
 
-def run_pipeline(config: sim.EcosystemConfig, seed: int) -> tuple[list, CookieJar, DetectionResult]:
+def index_run(events) -> RunIndex:
+    """The run index of whole visits' events, built by a walk over an event list.
+
+    The reference ``crawllog.parse_log_text`` must agree with: it builds the
+    index as it parses, with no event list.  Events keep the ``event_index``
+    they carry, so number them first to compare with a parse.
+    """
+    starts: dict[str, VisitStart] = {}
+    banners: dict[str, BannerType] = {}
+    visits: dict = {}
+    ended: list[VisitSummary] = []
+    requests: list[HttpRequest] = []
+    cookie_sets: list[CookieSet] = []
+    count = 0
+    for event in events:
+        count += 1
+        kind = type(event)
+        if kind is HttpRequest:
+            requests.append(event)
+        elif kind is CookieSet:
+            cookie_sets.append(event)
+        elif kind is VisitStart:
+            starts[event.visit_id] = event
+            visits[event.visit_id] = None  # holds the visit's VISIT_START place until its row is built
+        elif kind is BannerObserved:
+            banners[event.visit_id] = event.banner.banner_type
+        elif kind is VisitEnd:
+            visit_id = event.visit_id
+            start = starts.pop(visit_id)
+            visits[visit_id] = summary = VisitSummary(
+                visit_id=visit_id,
+                site=start.site,
+                rank=start.rank,
+                phase=start.phase,
+                iteration=start.iteration,
+                gpc_enabled=start.gpc_enabled,
+                banner_type=banners.pop(visit_id, BannerType.NONE),
+                outcome=event.outcome,
+            )
+            ended.append(summary)
+    return RunIndex(visits, ended, requests, cookie_sets, count)
+
+
+def numbered(events, first_index: int = 0) -> list:
+    """The events with their ``event_index`` set to their position, counted from ``first_index``."""
+    return [event._replace(event_index=first_index + n) for n, event in enumerate(events)]
+
+
+def run_pipeline(config: sim.EcosystemConfig, seed: int) -> tuple[RunIndex, CookieJar, DetectionResult]:
     """simulate -> serialize -> parse -> build jar -> detect, all in process.
 
     Going through the wire format means every pipeline run also validates
     the generated log's sequencing invariants.
     """
-    events = crawllog.parse_log_text(crawllog.serialize(sim.generate(config, seed)))
-    index = crawllog.index_run(events)
+    index = crawllog.parse_log_text(crawllog.serialize(sim.generate(config, seed)))
     jar = build_jar(index)
     trackers = TrackerDomainSet(frozenset(config.listed_tracker_domains()))
     result = Detector(SIM_PSL, trackers).detect(jar, index)
-    return events, jar, result
+    return index, jar, result

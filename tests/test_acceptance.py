@@ -19,7 +19,7 @@ import pytest
 
 from cookietrail import analytics, reports, simulator as sim
 from cookietrail.cli import main
-from cookietrail.crawllog import index_run, parse_log_text, serialize, strict_issues
+from cookietrail.crawllog import parse_log_text, serialize, strict_issues
 from cookietrail.errors import InputError, InvariantError
 from cookietrail.filterlist import TrackerDomainSet, is_tracker
 from cookietrail.jar import CookieJar
@@ -62,7 +62,7 @@ def test_c1_oracle_equivalence_randomized():
         coverage["gpc"] += config.schedule.gpc_enabled
         coverage["partitioned"] += any(t.sets_partitioned for t in config.trackers)
         coverage["drop"] += any(t.drop_after_reject_prob > 0 for t in config.trackers)
-        events, jar, result = run_pipeline(config, seed)
+        _, jar, result = run_pipeline(config, seed)
         truth = sim.ground_truth(config, seed)
         got = {(f.key, f.sender_site, f.stage) for f in result.canonical_findings}
         assert got == truth.expected_findings, f"findings mismatch at seed {seed}"
@@ -466,13 +466,13 @@ def test_c8_corrupted_log_corpus(tmp_path):
         got_class = None
         got_exit = 0
         try:
-            events = parse_log_text(text)
+            index = parse_log_text(text)
         except InvariantError as exc:
             got_class, got_exit = exc.code, 2
         except InputError as exc:
             got_class, got_exit = exc.code, 1
         else:
-            issues = strict_issues(events)
+            issues = strict_issues(index)
             if issues:
                 got_class, got_exit = issues[0].code, 1
         if got_class is None:
@@ -552,12 +552,12 @@ def test_c9_report_conservation(tmp_path):
     """The report's tables, written from every matched send, sum to the canonical findings."""
     for seed in range(25):
         config = random_config(random.Random(7000 + seed))
-        events, jar, result = run_pipeline(config, seed)
+        index, jar, result = run_pipeline(config, seed)
         canonical = result.canonical_findings
         inputs = reports.ReportInputs(
             findings=result.findings, jar=jar, rules=SIM_PSL,
             trackers=TrackerDomainSet(frozenset(config.listed_tracker_domains())),
-            visits=index_run(events).visits, tier_cutoffs=[10],
+            visits=index.visits, tier_cutoffs=[10],
         )
         reports.write_report_suite(tmp_path / str(seed), inputs)
 

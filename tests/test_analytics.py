@@ -25,7 +25,6 @@ from cookietrail.analytics import (
     setter_bucket,
     tracker_table,
 )
-from cookietrail.crawllog import index_run
 from cookietrail.detector import IntractableFinding
 from cookietrail.filterlist import TrackerDomainSet
 from cookietrail.jar import CookieJar
@@ -80,8 +79,8 @@ def hand_built_inputs(findings, jar) -> reports.ReportInputs:
 
 def pipeline_inputs(config, seed) -> tuple[reports.ReportInputs, list[str]]:
     """Report inputs over a simulated run, and the rejected sender sites the report counts on."""
-    events, jar, result = run_pipeline(config, seed)
-    visits = index_run(events).visits
+    index, jar, result = run_pipeline(config, seed)
+    visits = index.visits
     inputs = reports.ReportInputs(findings=result.findings, jar=jar, rules=SIM_PSL,
                                   trackers=TrackerDomainSet(frozenset(config.listed_tracker_domains())),
                                   visits=visits, tier_cutoffs=[5, max(site.rank for site in config.sites)])

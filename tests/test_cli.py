@@ -444,9 +444,19 @@ class TestMergedLogs:
             logs.append(tmp_path / f"{run_id}.log")
             assert _run(["simulate", "--config", DEMO / "ecosystem.json", "--seed", seed,
                          "--out", logs[-1], "--run-id", run_id]) == 0
-        # Each file parsed on its own is indexed from 0; concatenated, position i is event i.
-        stream = [event for path in logs for event in parse_log_text(path.read_text())]
-        assert [e.event_index for e in _load_logs(logs)] == list(range(len(stream)))
+        # Each file parsed on its own is numbered from 0; merged, a file's events follow the previous file's,
+        # and its visits follow the previous file's visits.
+        parts = [parse_log_text(path.read_text()) for path in logs]
+        merged = _load_logs(logs)
+        first, requests, cookie_sets = 0, [], []
+        for part in parts:
+            requests += [e._replace(event_index=first + e.event_index) for e in part.requests]
+            cookie_sets += [e._replace(event_index=first + e.event_index) for e in part.cookie_sets]
+            first += len(part)
+        assert (merged.requests, merged.cookie_sets, len(merged)) == (requests, cookie_sets, first)
+        assert list(merged.visits.items()) == [row for part in parts for row in part.visits.items()]
+        assert merged.ended == [row for part in parts for row in part.ended]
+        stream = {e.event_index: e for e in merged.requests + merged.cookie_sets}
 
         log_args = [arg for path in logs for arg in ("--log", path)]
         jar, findings = tmp_path / "jar.snap", tmp_path / "findings.jsonl"
@@ -861,6 +871,65 @@ class TestOversizedExpiry:
         assert _run(["--errors", "json", "detect", "--jar", jar, "--log", long, "--psl", DEMO / "psl.dat",
                      "--trackers", analyzed / "trackers.txt", "--out", tmp_path / "f.jsonl"]) == 0
         assert "Traceback" not in capsys.readouterr().err
+
+
+    def test_snapshot_expiry_past_the_largest_float(self, analyzed, tmp_path, capsys):
+        """A snapshot whose integer lifetime no float holds is corrupt, not an overflow in the report."""
+        header, payload = (analyzed / "jar.snap").read_text().splitlines()
+        payload = json.loads(payload)
+        payload["entries"][0]["original_expiry"] = 10**400
+        payload = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        header = json.dumps({**json.loads(header), "payload_sha256": hashlib.sha256(payload.encode()).hexdigest()})
+        jar = tmp_path / "long.snap"
+        jar.write_text(f"{header}\n{payload}\n")
+        capsys.readouterr()
+        assert _run(["--errors", "json", "report", "--findings", analyzed / "findings.jsonl", "--jar", jar,
+                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        problem = "entries[0]: original_expiry is not a finite number a float holds"
+        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT", "message": f"{jar}: {problem}"}
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 (here UTF-16, which starts ff fe) exits 1 with its reader's own code."""
+
+    @pytest.mark.parametrize("command, flag, code", [
+        ("validate-log", "--log", "MALFORMED_RECORD"),
+        ("build-jar", "--log", "MALFORMED_RECORD"),
+        ("detect", "--log", "MALFORMED_RECORD"),
+        ("report", "--log", "MALFORMED_RECORD"),
+        ("simulate", "--config", "INVALID_CONFIG"),
+        ("detect", "--config", "INVALID_CONFIG"),
+        ("detect", "--jar", "CORRUPT_SNAPSHOT"),
+        ("report", "--jar", "CORRUPT_SNAPSHOT"),
+        ("report", "--findings", "MALFORMED_RECORD"),
+        ("report", "--gpc-findings", "MALFORMED_RECORD"),
+        ("report", "--resets", "MALFORMED_RECORD"),
+        ("report", "--syncs", "MALFORMED_RECORD"),
+        ("detect", "--psl", "MALFORMED_RULE"),
+        ("detect", "--trackers", "MALFORMED_DOMAIN"),
+        ("detect", "--adblock", "MALFORMED_DOMAIN"),
+        ("filter-convert", "--adblock", "MALFORMED_DOMAIN"),
+    ])
+    def test_reader(self, analyzed, tmp_path, capsys, command, flag, code):
+        d = analyzed
+        rules = {"--psl": DEMO / "psl.dat", "--trackers": d / "trackers.txt"}
+        args = {
+            "simulate": {"--config": DEMO / "ecosystem.json", "--seed": 7, "--out": tmp_path / "x.log"},
+            "validate-log": {"--log": d / "run.log"},
+            "build-jar": {"--log": d / "run.log", "--out": tmp_path / "jar.snap"},
+            "detect": {"--jar": d / "jar.snap", "--log": d / "run.log", **rules, "--out": tmp_path / "f.jsonl"},
+            "report": {"--findings": d / "findings.jsonl", "--jar": d / "jar.snap", "--log": d / "run.log", **rules,
+                       "--out": tmp_path / "report"},
+            "filter-convert": {},
+        }[command]
+        source = args.get(flag)
+        text = source.read_text(encoding="utf-8") if source else '{"format_version":1}\n'
+        bad = tmp_path / "utf16"
+        bad.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+        args[flag] = bad
+        capsys.readouterr()
+        assert _run(["--errors", "json", command, *(arg for pair in args.items() for arg in pair)]) == 1
+        assert _json_error(capsys) == {"error": code, "message": f"{bad}: not UTF-8 (invalid start byte)"}
 
 
 class TestOversizedIntegers(TestDeeplyNestedJson):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import enum
 import json
 import random
+from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
@@ -23,7 +24,6 @@ from cookietrail.crawllog import (
     VisitSummary,
     banner_from_obj,
     extract_sent,
-    index_run,
     parse_cookie_header,
     parse_log_text,
     parse_set_cookie,
@@ -48,7 +48,9 @@ from cookietrail.model import (
     VisitOutcome,
 )
 
-from helpers import native_banner, random_config
+from helpers import index_run, native_banner, numbered, random_config
+
+DEMO = Path(__file__).parent.parent / "demo"
 
 
 def _single_visit_events(visit_id="v1", site="new.com", phase=Phase.STATELESS_MEASURE):
@@ -72,15 +74,16 @@ def _single_visit_events(visit_id="v1", site="new.com", phase=Phase.STATELESS_ME
 class TestParseLog:
     def test_well_formed_single_visit(self):
         text = serialize(_single_visit_events())
-        events = parse_log_text(text)
-        assert len(events) == 6
-        assert [e.event_index for e in events] == list(range(6))
+        index = parse_log_text(text)
+        assert len(index) == 6
+        assert [e.event_index for e in index.requests] == [2]
 
     def test_round_trip_identity(self):
-        events = _single_visit_events()
-        reparsed = parse_log_text(serialize(events))
-        assert [type(e) for e in reparsed] == [type(e) for e in events]
-        assert parse_log_text(serialize(reparsed)) == reparsed
+        """Parsing a serialized log gives the index of the events that were serialized."""
+        events = numbered(_single_visit_events())
+        index = parse_log_text(serialize(events))
+        assert index == index_run(events)
+        assert [type(e) for e in index.requests] == [HttpRequest]
 
     def test_end_before_start(self):
         text = serialize([VisitEnd("v9", VisitOutcome.REJECTED)])
@@ -153,8 +156,7 @@ class TestParseLog:
         record = json.loads(lines[1])
         record["future_field"] = {"x": 1}
         lines[1] = json.dumps(record)
-        events = parse_log_text("\n".join(lines))
-        assert len(events) == 6
+        assert len(parse_log_text("\n".join(lines))) == 6
 
     def test_bad_enum_value(self):
         text = serialize(_single_visit_events())
@@ -188,8 +190,10 @@ class TestParseLog:
             parse_log_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]))
         assert exc.value.message == "line 3: missing field 'banner'"
 
-    def test_equal_banners_share_one_descriptor(self):
+    def test_equal_banners_share_one_descriptor(self, monkeypatch):
         """Each distinct banner is decoded once per parse; banners that decode differently stay apart."""
+        decoded = []  # the banner objects the parser decoded, in order
+        monkeypatch.setattr(crawllog, "banner_from_obj", lambda obj: decoded.append(obj) or banner_from_obj(obj))
         events = []
         banners = [native_banner(reject=True), native_banner(reject=False), native_banner(reject=True)]
         for n, banner in enumerate(banners):
@@ -197,18 +201,20 @@ class TestParseLog:
             visit[1] = BannerObserved(f"v{n}", banner)
             events += visit
         text = serialize(events)
-        parsed = [e.banner for e in parse_log_text(text) if isinstance(e, BannerObserved)]
-        assert parsed == banners
-        assert parsed[0] is parsed[2] and parsed[0] is not parsed[1]
-        # A layer with its keys in two orders: different records, equal descriptors.
+        index = parse_log_text(text)
+        assert [row.banner_type for row in index.visits.values()] == [BannerType.NATIVE] * 3
+        assert [banner_from_obj(obj) for obj in decoded] == banners[:2]
+        # A layer with its keys in two orders: different records, each decoded, to equal descriptors.
         lines = text.splitlines()
         for lineno, keys in ((2, ("toggles", "buttons")), (14, ("buttons", "toggles"))):
             record = json.loads(lines[lineno])
             layer = {**record["banner"]["layers"][0], "toggles": [["ads", True, False]]}
             record["banner"]["layers"][0] = {key: layer[key] for key in keys}
             lines[lineno] = json.dumps(record)
-        parsed = [e.banner for e in parse_log_text("\n".join(lines)) if isinstance(e, BannerObserved)]
-        assert parsed == [banner_from_obj(json.loads(lines[n])["banner"]) for n in (2, 8, 14)]
+        decoded.clear()
+        parse_log_text("\n".join(lines))
+        assert decoded == [json.loads(lines[n])["banner"] for n in (2, 8, 14)]
+        parsed = [banner_from_obj(obj) for obj in decoded]
         assert parsed[0] == parsed[2] != banners[0]
         # Absent layers decode as none; null layers are a bad banner, even after an absent one.
         records = [json.loads(lines[n]) for n in (2, 8)]
@@ -219,14 +225,16 @@ class TestParseLog:
             parse_log_text("\n".join(lines))
         assert exc.value.message.startswith("line 9: bad banner object (")
 
-    def test_banner_key_is_the_fields_the_decoder_reads(self):
+    def test_banner_key_is_the_fields_the_decoder_reads(self, monkeypatch):
         """A key the decoder ignores, however large, does not split a banner."""
+        decoded = []
+        monkeypatch.setattr(crawllog, "banner_from_obj", lambda obj: decoded.append(obj) or banner_from_obj(obj))
         lines = serialize(_single_visit_events("v0") + _single_visit_events("v1")).splitlines()
         record = json.loads(lines[8])
         record["banner"]["ignored"] = [list(range(1000))] * 100
         lines[8] = json.dumps(record)
-        parsed = [e.banner for e in parse_log_text("\n".join(lines)) if isinstance(e, BannerObserved)]
-        assert parsed[0] is parsed[1]
+        parse_log_text("\n".join(lines))
+        assert len(decoded) == 1
 
     @pytest.mark.parametrize("template", [
         '{"banner_type":"NONE","ignored":%s}',
@@ -273,14 +281,41 @@ class TestParseLog:
         )
 
     def test_first_index_offsets_every_event(self):
-        events = parse_log_text(serialize(_single_visit_events()), first_index=10)
-        assert [e.event_index for e in events] == list(range(10, 16))
+        index = parse_log_text(serialize(_single_visit_events()), first_index=10)
+        assert index == index_run(numbered(_single_visit_events(), first_index=10))
+        assert len(index) == 6 and [e.event_index for e in index.requests] == [12]
 
     def test_interaction_action_stage_consistency(self):
         events = _single_visit_events()
         events[3] = Interaction("v1", InteractionAction.REJECT_CLICKED, InteractionStage.AFTER_ACCEPT)
         with pytest.raises(InvariantError):
             parse_log_text(serialize(events))
+
+
+def test_parse_builds_the_reference_index():
+    """One pass over the text gives the index the reference builds from the event list: demo and 50 random runs."""
+    demo = sim.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+    runs = [sim.generate(demo, 7)] + [sim.generate(random_config(random.Random(seed)), seed) for seed in range(50)]
+    for n, events in enumerate(runs):
+        index = parse_log_text(serialize(events))
+        assert index == index_run(numbered(events)), n
+        assert len(index) == len(events) and list(index.visits) == [e.visit_id for e in events if type(e) is VisitStart]
+        assert [row.visit_id for row in index.ended] == [e.visit_id for e in events if type(e) is VisitEnd]
+
+
+def test_merged_logs_number_events_across_files_and_keep_visits_in_file_order(tmp_path):
+    """Two logs load as the reference index of their concatenated events."""
+    config = random_config(random.Random(3))
+    runs = [sim.generate(config, seed, run_label=label) for seed, label in ((3, "a"), (4, "b"))]
+    paths = []
+    for label, events in zip("ab", runs):
+        paths.append(tmp_path / f"{label}.log")
+        paths[-1].write_text(serialize(events), encoding="utf-8")
+    index = _load_logs(paths)
+    assert index == index_run(numbered(runs[0] + runs[1]))
+    indexes = sorted(e.event_index for e in index.requests + index.cookie_sets)
+    assert indexes[0] < len(runs[0]) <= indexes[-1] < len(index) == len(runs[0]) + len(runs[1])
+    assert [visit_id[0] for visit_id in index.visits] == sorted(visit_id[0] for visit_id in index.visits)
 
 
 # --- line splitting, decode errors, the URL check and the records themselves ---------------------
@@ -303,9 +338,9 @@ def test_records_split_only_at_newline(separator, tmp_path):
     assert separator in lines[3]
     path = tmp_path / "run.log"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for events in (parse_log_text(path.read_text(encoding="utf-8")), _load_logs([path])):
-        assert [type(e) for e in events] == [type(e) for e in _single_visit_events()]
-        assert events[2].cookie_header == header
+    for index in (parse_log_text(path.read_text(encoding="utf-8")), _load_logs([path])):
+        assert len(index) == len(_single_visit_events())
+        assert [e.cookie_header for e in index.requests] == [header]
     lines[5] = lines[5][:-1]
     with pytest.raises(InputError) as exc:
         parse_log_text("\n".join(lines))
@@ -394,13 +429,12 @@ def test_records_are_immutable_hashable_and_round_trip():
                     Channel.RESOURCE_FETCH, "", "https://cdn.tracker.net/px"),
         CookieSet("v1", InteractionStage.AFTER_RELOADED_REJECT, "id=1; Partitioned", "cdn.tracker.net"),
     ]
-    events = [e._replace(event_index=i) for i, e in enumerate(events)]
-    parsed = parse_log_text(serialize(events))
-    assert parsed == events and [type(e) for e in parsed] == [type(e) for e in events]
-    index = index_run(parsed)
+    events = numbered(events)
+    index = parse_log_text(serialize(events))
     assert index == index_run(events)
+    assert [type(e) for e in index.requests + index.cookie_sets] == [HttpRequest, HttpRequest, CookieSet]
     fragment = parse_set_cookie(index.cookie_sets[0].set_cookie_header, index.cookie_sets[0].setter_context_host)
-    records = [*parsed, *index.visits.values(), *extract_sent(index), fragment]
+    records = [*events, *index.visits.values(), *extract_sent(index), fragment]
     assert {type(r) for r in records} == {
         VisitStart, BannerObserved, Interaction, HttpRequest, CookieSet, VisitEnd,
         VisitSummary, SentCookieObservation, SetCookieFragment,
@@ -494,6 +528,15 @@ class TestParseSetCookie:
         assert fragment.original_expiry is None
         assert [issue.code for issue in issues] == ["MALFORMED_EXPIRES"]
 
+    @pytest.mark.parametrize("attribute, detail", [
+        ("Max-Age=" + "9" * 400, "bad Max-Age " + repr("9" * 60)),
+        ("Expires=" + "x" * 400, "bad Expires " + repr("x" * 60)),
+    ], ids=["max-age", "expires"])
+    def test_malformed_expiry_detail_quotes_at_most_60_characters(self, attribute, detail):
+        issues: list[ParseIssue] = []
+        parse_set_cookie(f"id=1; {attribute}", "t.net", issues=issues)
+        assert issues == [ParseIssue("MALFORMED_EXPIRES", detail)]
+
     def test_missing_name(self):
         with pytest.raises(InputError) as exc:
             parse_set_cookie("=1; Max-Age=5", "t.net")
@@ -525,8 +568,7 @@ class TestRecordFromCookieSet:
 
 class TestExtractSent:
     def test_one_observation_per_pair(self):
-        events = parse_log_text(serialize(_single_visit_events()))
-        observations = extract_sent(index_run(events))
+        observations = extract_sent(parse_log_text(serialize(_single_visit_events())))
         assert len(observations) == 1
         obs = observations[0]
         assert obs.name == "id"
@@ -538,7 +580,7 @@ class TestExtractSent:
         events[2] = HttpRequest(
             "v1", InteractionStage.BEFORE_INTERACTION, "t.net", "https://t.net/", Channel.API_CALL, ""
         )
-        assert extract_sent(index_run(parse_log_text(serialize(events)))) == []
+        assert extract_sent(parse_log_text(serialize(events))) == []
 
     def test_conservation_total_equals_pair_sum(self):
         events = _single_visit_events()
@@ -553,11 +595,9 @@ class TestExtractSent:
                 "id=123; t=9",
             ),
         )
-        parsed = parse_log_text(serialize(events))
-        observations = extract_sent(index_run(parsed))
-        expected = sum(
-            len(parse_cookie_header(e.cookie_header)) for e in parsed if isinstance(e, HttpRequest)
-        )
+        index = parse_log_text(serialize(events))
+        observations = extract_sent(index)
+        expected = sum(len(parse_cookie_header(e.cookie_header)) for e in index.requests)
         assert len(observations) == expected == 3
 
     def test_same_cookie_to_two_trackers_distinct(self):
@@ -573,15 +613,14 @@ class TestExtractSent:
                 "id=123",
             ),
         )
-        observations = extract_sent(index_run(parse_log_text(serialize(events))))
+        observations = extract_sent(parse_log_text(serialize(events)))
         assert len(observations) == 2
         assert {o.target_host for o in observations} == {"cdn.tracker.net", "other.net"}
 
 
 class TestSummaries:
     def test_summary_fields(self):
-        events = parse_log_text(serialize(_single_visit_events()))
-        summary = index_run(events).visits["v1"]
+        summary = parse_log_text(serialize(_single_visit_events())).visits["v1"]
         assert summary.site == "new.com"
         assert summary.banner_type is BannerType.NATIVE
         assert summary.outcome is VisitOutcome.REJECTED
@@ -591,7 +630,7 @@ class TestSummaries:
             VisitStart("v1", "a.com", 1, Phase.STATELESS_MEASURE, Iteration.REJECT_ITER, False),
             VisitEnd("v1", VisitOutcome.NO_BANNER),
         ]
-        summary = index_run(parse_log_text(serialize(events))).visits["v1"]
+        summary = parse_log_text(serialize(events)).visits["v1"]
         assert summary.banner_type is BannerType.NONE
 
     def test_strict_issues_flags_bad_cookie_headers(self):
@@ -827,22 +866,27 @@ def _ref_load(texts):
 _HOST_FIELDS = {VisitStart: "site", HttpRequest: "target_host", CookieSet: "setter_context_host"}
 
 
-def _load_outcome(load, *, fold_hosts=False):
-    """("ok", [(type, event), ...]) or ("error", (type, code, message)); the reference's hosts are case-folded.
+def _fold_hosts(events):
+    """The events with every host field case-folded, as the parser canonicalizes them."""
+    for i, event in enumerate(events):
+        field = _HOST_FIELDS.get(type(event))
+        if field and not getattr(event, field).islower():
+            events[i] = event._replace(**{field: getattr(event, field).lower()})
+    return events
 
-    Each event is paired with its type: records are NamedTuples, which equal
-    any tuple of equal fields, so ``==`` alone does not tell two kinds apart.
+
+def _load_outcome(load):
+    """("ok", run index) or ("error", (type, code, message)).
+
+    The index's request and cookie-set lists each hold one record kind, so
+    equal lists hold equal records of equal kinds.
     """
     try:
-        events = load()
+        index = load()
     except PipelineError as exc:
         return "error", (type(exc), exc.code, exc.message)
-    if fold_hosts:
-        for i, event in enumerate(events):
-            field = _HOST_FIELDS.get(type(event))
-            if field and not getattr(event, field).islower():
-                events[i] = event._replace(**{field: getattr(event, field).lower()})
-    return "ok", [(type(event), event) for event in events]
+    assert {type(e) for e in index.requests} <= {HttpRequest} and {type(e) for e in index.cookie_sets} <= {CookieSet}
+    return "ok", index
 
 
 def _upper_case_hosts(text):
@@ -858,7 +902,7 @@ def _upper_case_hosts(text):
 
 
 def test_single_pass_loader_matches_two_pass_reference(tmp_path):
-    """Random ecosystems merged from 1-3 logs, and every C8 mutant: same events or same error."""
+    """Random ecosystems merged from 1-3 logs, and every C8 mutant: the reference's index or its error."""
     from test_acceptance import c8_corpus
 
     cases = []  # (what the case covers, the texts of its logs)
@@ -880,7 +924,7 @@ def test_single_pass_loader_matches_two_pass_reference(tmp_path):
         for j, text in enumerate(texts):
             paths.append(tmp_path / f"{n}-{j}.log")
             paths[-1].write_text(text, encoding="utf-8")
-        expected = _load_outcome(lambda: _ref_load(texts), fold_hosts=True)
+        expected = _load_outcome(lambda: index_run(_fold_hosts(_ref_load(texts))))
         got = _load_outcome(lambda: _load_logs(paths))
         assert got[0] == expected[0], (n, what, expected[1] if expected[0] == "error" else got[1])
         assert got == expected, (n, what)
@@ -980,9 +1024,10 @@ def test_encoders_match_generic_encoder():
     logs += [sim.generate(random_config(random.Random(seed)), seed) for seed in range(200)]
     for text, _code, _exit in c8_corpus():
         try:
-            logs.append(parse_log_text(text))
+            parse_log_text(text)
         except PipelineError:
-            pass
+            continue
+        logs.append(_ref_parse_log_text(text))
     for n, events in enumerate(logs):
         assert serialize(events) == _ref_serialize(events), n
     assert serialize([]) == _ref_serialize([])

@@ -12,7 +12,6 @@ from cookietrail.crawllog import (
     SentCookieObservation,
     VisitEnd,
     VisitStart,
-    index_run,
     parse_log_text,
     serialize,
 )
@@ -43,7 +42,7 @@ from cookietrail.model import (
 )
 from cookietrail.psl import etld_plus_one, load_psl
 
-from helpers import random_config, run_pipeline
+from helpers import index_run, random_config, run_pipeline
 from test_jar import make_record
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -195,8 +194,8 @@ class TestDetect:
     def test_definitional_case_yields_one_finding(self):
         jar = jar_with(make_record("id", "tracker.net", value="123", setter="basic.com"))
         jar.mark_accepted("basic.com")
-        events = parse_log_text(serialize(_reject_visit_events()))
-        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
+        index = parse_log_text(serialize(_reject_visit_events()))
+        result = Detector(RULES, TRACKERS).detect(jar, index)
         assert len(result.canonical_findings) == 1
         finding = result.canonical_findings[0]
         assert finding.key == CookieKey("id", "tracker.net")
@@ -205,18 +204,18 @@ class TestDetect:
         assert finding.stage is InteractionStage.BEFORE_INTERACTION
 
     def test_empty_jar_no_findings(self):
-        events = parse_log_text(serialize(_reject_visit_events()))
-        result = Detector(RULES, TRACKERS).detect(CookieJar(), index_run(events))
+        index = parse_log_text(serialize(_reject_visit_events()))
+        result = Detector(RULES, TRACKERS).detect(CookieJar(), index)
         assert result.findings == []
 
     def test_send_only_after_reload_is_staged_not_canonical(self):
         jar = jar_with(make_record("id", "tracker.net", value="123"))
-        events = parse_log_text(
+        index = parse_log_text(
             serialize(_reject_visit_events(stage=InteractionStage.AFTER_RELOADED_REJECT))
         )
         # The builder emits a BEFORE request only for BEFORE stage, so here the
         # only send happens after reload.
-        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
+        result = Detector(RULES, TRACKERS).detect(jar, index)
         canonical = result.canonical_findings
         staged = result.staged_findings
         assert canonical == []
@@ -224,20 +223,20 @@ class TestDetect:
 
     def test_failed_rejection_excluded_from_canonical(self):
         jar = jar_with(make_record("id", "tracker.net", value="123"))
-        events = parse_log_text(
+        index = parse_log_text(
             serialize(_reject_visit_events(outcome=VisitOutcome.INTERACTION_FAILED))
         )
-        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
+        result = Detector(RULES, TRACKERS).detect(jar, index)
         assert result.canonical_findings == []
         assert len(result.staged_findings) == 1
         assert result.stats.failed_rejections == 1
 
     def test_non_tracking_match_not_a_finding(self):
         jar = jar_with(make_record("pref", "benign.example", value="1"))
-        events = parse_log_text(
+        index = parse_log_text(
             serialize(_reject_visit_events(header="pref=1", target="benign.example"))
         )
-        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
+        result = Detector(RULES, TRACKERS).detect(jar, index)
         assert result.findings == []
         assert result.stats.non_tracking_matches == 1
 
@@ -256,7 +255,7 @@ class TestDetect:
             ),
             VisitEnd("a1", VisitOutcome.ACCEPTED),
         ]
-        result = Detector(RULES, TRACKERS).detect(jar, index_run(parse_log_text(serialize(events))))
+        result = Detector(RULES, TRACKERS).detect(jar, parse_log_text(serialize(events)))
         assert result.canonical_findings == []
         assert [f.stage for f in result.staged_findings] == [InteractionStage.AFTER_ACCEPT]
 
@@ -275,7 +274,7 @@ class TestDetect:
             Interaction("a1", InteractionAction.ACCEPT_CLICKED, InteractionStage.AFTER_ACCEPT),
             VisitEnd("a1", VisitOutcome.ACCEPTED),
         ]
-        result = Detector(RULES, TRACKERS).detect(jar, index_run(parse_log_text(serialize(events))))
+        result = Detector(RULES, TRACKERS).detect(jar, parse_log_text(serialize(events)))
         assert result.canonical_findings == []
         assert len(result.staged_findings) == 1
 
@@ -285,8 +284,8 @@ class TestDetect:
             make_record("sid", "tracker.net", value="2", setter="a.com", set_at=1),
             make_record("unsent", "tracker.net", value="3", setter="a.com", set_at=2),
         )
-        events = parse_log_text(serialize(_reject_visit_events(header="id=1; sid=2")))
-        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
+        index = parse_log_text(serialize(_reject_visit_events(header="id=1; sid=2")))
+        result = Detector(RULES, TRACKERS).detect(jar, index)
         canonical = result.canonical_findings
         finding_keys = {f.key for f in canonical}
         assert finding_keys <= set(jar.entries)
@@ -300,8 +299,8 @@ class TestDetect:
     def test_first_party_tracking_permitted(self):
         # A tracker host that is also the sending site is first-party there, and still a finding.
         jar = jar_with(make_record("id", "shop.com", value="123", setter="basic.com"))
-        events = parse_log_text(serialize(_reject_visit_events(site="shop.com", target="www.shop.com")))
-        result = Detector(RULES, TRACKERS).detect(jar, index_run(events))
+        index = parse_log_text(serialize(_reject_visit_events(site="shop.com", target="www.shop.com")))
+        result = Detector(RULES, TRACKERS).detect(jar, index)
         [finding] = result.canonical_findings
         assert finding.key == CookieKey("id", "shop.com")
         assert finding.sender_site == finding.tracker_domain == "shop.com"
@@ -318,7 +317,7 @@ class TestDetectionStatsIdentity:
 
     def test_demo_log(self):
         config = sim.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text())
-        index = index_run(parse_log_text(serialize(sim.generate(config, 7))))
+        index = parse_log_text(serialize(sim.generate(config, 7)))
         rules = load_psl((DEMO / "psl.dat").read_text())
         trackers = TrackerDomainSet(frozenset(config.listed_tracker_domains()))
         result = Detector(rules, trackers).detect(build_jar(index), index)
@@ -334,8 +333,8 @@ class TestDetectionStatsIdentity:
         # With tracker.net a public suffix, the matched tracking cookie has no registrable domain.
         rules = load_psl("com\nnet\nexample\ntracker.net\n")
         jar = jar_with(make_record("id", "tracker.net", value="123"))
-        events = parse_log_text(serialize(_reject_visit_events(header="id=123; other=1")))
-        result = Detector(rules, TRACKERS).detect(jar, index_run(events))
+        index = parse_log_text(serialize(_reject_visit_events(header="id=123; other=1")))
+        result = Detector(rules, TRACKERS).detect(jar, index)
         assert result.findings == []
         assert (result.stats.observations, result.stats.psl_failures) == (2, 1)
         assert [issue.code for issue in result.issues] == ["HOST_IS_PUBLIC_SUFFIX"]
@@ -343,7 +342,7 @@ class TestDetectionStatsIdentity:
 
 
 class TestDetectReset:
-    def _events_with_set(self, set_header="id=123; Domain=.tracker.net; Max-Age=60", context="cdn.tracker.net"):
+    def _index_with_set(self, set_header="id=123; Domain=.tracker.net; Max-Age=60", context="cdn.tracker.net"):
         events = _reject_visit_events()
         events.insert(
             2,
@@ -367,15 +366,15 @@ class TestDetectReset:
         return IntractableFinding(**base)
 
     def test_reset_detected(self):
-        events = self._events_with_set()
-        resets = detect_reset([self._finding()], index_run(events))
+        index = self._index_with_set()
+        resets = detect_reset([self._finding()], index)
         assert len(resets) == 1
         assert resets[0].key == CookieKey("id", "tracker.net")
         assert resets[0].sender_site == "new.com"
 
     def test_unrelated_set_ignored(self):
-        events = self._events_with_set(set_header="unrelated=1")
-        assert detect_reset([self._finding()], index_run(events)) == []
+        index = self._index_with_set(set_header="unrelated=1")
+        assert detect_reset([self._finding()], index) == []
 
     def test_two_senders_two_resets(self):
         first = _reject_visit_events(visit_id="v1", site="s1.com")
@@ -390,18 +389,18 @@ class TestDetectReset:
                     "cdn.tracker.net",
                 ),
             )
-        events = parse_log_text(serialize(first + second))
+        index = parse_log_text(serialize(first + second))
         findings = [
             self._finding(visit_id="v1", sender_site="s1.com"),
             self._finding(visit_id="v2", sender_site="s2.com"),
         ]
-        resets = detect_reset(findings, index_run(events))
+        resets = detect_reset(findings, index)
         assert len(resets) == 2
         assert {r.sender_site for r in resets} == {"s1.com", "s2.com"}
 
     def test_non_canonical_findings_ignored(self):
-        events = self._events_with_set()
-        assert detect_reset([self._finding(canonical=False)], index_run(events)) == []
+        index = self._index_with_set()
+        assert detect_reset([self._finding(canonical=False)], index) == []
 
 
 class TestDetectSync:
@@ -420,7 +419,7 @@ class TestDetectSync:
         base.update(kwargs)
         return IntractableFinding(**base)
 
-    def _events_with_redirect(self, url, target_host):
+    def _index_with_redirect(self, url, target_host):
         events = _reject_visit_events()
         events.insert(
             2,
@@ -438,10 +437,10 @@ class TestDetectSync:
 
     def test_sync_to_other_tracker(self):
         value = "AbCdEf123456"
-        events = self._events_with_redirect(
+        index = self._index_with_redirect(
             f"https://other-tracker.com/?uid={value}", "other-tracker.com"
         )
-        syncs = detect_sync([self._finding(value)], index_run(events), RULES, TRACKERS)
+        syncs = detect_sync([self._finding(value)], index, RULES, TRACKERS)
         assert len(syncs) == 1
         sync = syncs[0]
         assert sync.origin_tracker == "tracker.net"
@@ -449,13 +448,13 @@ class TestDetectSync:
         assert sync.parameter_name == "uid"
 
     def test_simple_values_excluded(self):
-        events = self._events_with_redirect("https://other-tracker.com/?uid=true", "other-tracker.com")
-        assert detect_sync([self._finding("true")], index_run(events), RULES, TRACKERS) == []
+        index = self._index_with_redirect("https://other-tracker.com/?uid=true", "other-tracker.com")
+        assert detect_sync([self._finding("true")], index, RULES, TRACKERS) == []
 
     def test_same_tracker_destination_excluded(self):
         value = "AbCdEf123456"
-        events = self._events_with_redirect(f"https://a.tracker.net/?uid={value}", "a.tracker.net")
-        assert detect_sync([self._finding(value)], index_run(events), RULES, TRACKERS) == []
+        index = self._index_with_redirect(f"https://a.tracker.net/?uid={value}", "a.tracker.net")
+        assert detect_sync([self._finding(value)], index, RULES, TRACKERS) == []
 
     def test_non_redirect_requests_ignored(self):
         value = "AbCdEf123456"
@@ -471,14 +470,14 @@ class TestDetectSync:
                 "",
             ),
         )
-        parsed = parse_log_text(serialize(events))
-        assert detect_sync([self._finding(value)], index_run(parsed), RULES, TRACKERS) == []
+        index = parse_log_text(serialize(events))
+        assert detect_sync([self._finding(value)], index, RULES, TRACKERS) == []
 
     def test_long_digit_values_still_sync(self):
         # Longer than ten characters is identifier-like even when numeric.
         value = "123456789012345"
-        events = self._events_with_redirect(f"https://other-tracker.com/?x={value}", "other-tracker.com")
-        assert len(detect_sync([self._finding(value)], index_run(events), RULES, TRACKERS)) == 1
+        index = self._index_with_redirect(f"https://other-tracker.com/?x={value}", "other-tracker.com")
+        assert len(detect_sync([self._finding(value)], index, RULES, TRACKERS)) == 1
 
 
     def test_repeat_sends_of_one_value_match_brute_force(self):

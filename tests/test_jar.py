@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
+from datetime import datetime, timezone
 
 import pytest
 
@@ -45,6 +47,17 @@ class TestUpsert:
         record = jar.entries[CookieKey("id", "tracker.net")]
         assert record.effective_expiry == FIXED_EXPIRY
         assert record.original_expiry == 365 * 86400.0
+
+    def test_record_with_the_fixed_expiry_is_stored_as_given(self):
+        """Only a record whose effective expiry is not the fixed one is copied with it."""
+        jar = CookieJar()
+        given = make_record()
+        jar.upsert(given)
+        assert jar.entries[given.key] is given
+        # The same instant in another zone compares equal but writes another isoformat: it is replaced.
+        for other in (datetime(2030, 1, 1, tzinfo=timezone.utc), FIXED_EXPIRY.astimezone(timezone.max)):
+            jar.upsert(dataclasses.replace(given, effective_expiry=other))
+            assert jar.entries[given.key].effective_expiry is FIXED_EXPIRY
 
     def test_latest_write_wins_history_grows(self):
         jar = CookieJar()
@@ -304,6 +317,30 @@ class TestSnapshot:
             CookieJar.load(path)
         assert exc.value.code == "CORRUPT_SNAPSHOT"
 
+    @pytest.mark.parametrize("literal, loads", [
+        ("1" + "0" * 400, False), ("-1" + "0" * 400, False), ("1e400", False), ("NaN", False), ("-Infinity", False),
+        ("1" + "0" * 300, True), ("-1e300", True), ("-1", True),
+    ])
+    def test_original_expiry_must_be_a_finite_float(self, tmp_path, literal, loads):
+        """A lifetime that no finite float holds is rejected on load, as every reader divides it as a float."""
+        jar = CookieJar()
+        jar.upsert(make_record())
+        path = tmp_path / "t.jar"
+        jar.save(path)
+        header, payload = path.read_text(encoding="utf-8").splitlines()
+        assert payload.count('"original_expiry":31536000.0') == 1
+        payload = payload.replace('"original_expiry":31536000.0', f'"original_expiry":{literal}')
+        header = json.dumps({**json.loads(header), "payload_sha256": hashlib.sha256(payload.encode()).hexdigest()})
+        path.write_text(f"{header}\n{payload}\n", encoding="utf-8")
+        if loads:
+            assert CookieJar.load(path).entries[CookieKey("id", "tracker.net")].original_expiry == json.loads(literal)
+            return
+        with pytest.raises(InputError) as exc:
+            CookieJar.load(path)
+        assert (exc.value.code, exc.value.message) == (
+            "CORRUPT_SNAPSHOT", f"{path}: entries[0]: original_expiry is not a finite number a float holds"
+        )
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             CookieJar.load(tmp_path / "nope.jar")
@@ -312,7 +349,7 @@ class TestSnapshot:
 class TestBuildJar:
     def test_only_accepted_visits_contribute(self):
         from cookietrail import simulator as sim
-        from cookietrail.crawllog import index_run, parse_log_text, serialize
+        from cookietrail.crawllog import parse_log_text, serialize
         from cookietrail.model import BannerButton, BannerDescriptor, BannerLayer, BannerType, ButtonAction
         from helpers import simple_config
 
@@ -326,7 +363,6 @@ class TestBuildJar:
         sites = list(config.sites)
         sites[1] = sim.SiteSpec(sites[1].site, sites[1].rank, reject_only, sites[1].embeds)
         config = sim.EcosystemConfig(tuple(sites), config.trackers, config.schedule)
-        events = parse_log_text(serialize(sim.generate(config, 1)))
-        jar = build_jar(index_run(events))
+        jar = build_jar(parse_log_text(serialize(sim.generate(config, 1))))
         assert jar.accepted_sites == {"site0.com"}
         assert all(r.setter_site == "site0.com" for r in jar.entries.values())

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cookietrail import simulator as sim
-from cookietrail.crawllog import HttpRequest, index_run, parse_cookie_header, parse_log_text, serialize
+from cookietrail.crawllog import HttpRequest, parse_cookie_header, parse_log_text, serialize
 from cookietrail.errors import InputError
 from cookietrail.jar import build_jar
 from cookietrail.model import (
@@ -27,6 +27,7 @@ from cookietrail.model import (
 
 from helpers import (
     cmp_banner,
+    index_run,
     native_banner,
     paywall_banner,
     random_config,
@@ -119,8 +120,7 @@ class TestGenerate:
         for seed in range(5):
             config = random_config(random.Random(seed))
             text = serialize(sim.generate(config, seed))
-            events = parse_log_text(text)
-            assert events
+            assert parse_log_text(text)
 
     def test_definitional_scenario(self):
         config = sim.EcosystemConfig(
@@ -291,7 +291,7 @@ class TestGroundTruth:
     def test_matches_detector_on_simple_configs(self):
         for seed in range(10):
             config = random_config(random.Random(1000 + seed))
-            events, jar, result = run_pipeline(config, seed)
+            _, jar, result = run_pipeline(config, seed)
             truth = sim.ground_truth(config, seed)
             got = {(f.key, f.sender_site, f.stage) for f in result.canonical_findings}
             assert got == truth.expected_findings, f"seed {seed}"
