@@ -434,11 +434,12 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
         j = line.rfind(_STAGE_KEY)
         if i < 0 or j < i:
             return None
+        short = line[:i] + line[j:]
         try:
-            obj = json.loads(line[:i] + line[j:])
-        except (ValueError, RecursionError):
+            obj, end = crawllog._scan_json(short, 0)
+        except (StopIteration, ValueError, RecursionError):
             return None
-        if type(obj) is not dict or len(obj) != 11 or "setter_sites" in obj:
+        if end != len(short) or type(obj) is not dict or len(obj) != 11 or "setter_sites" in obj:
             return None
         obj["setter_sites"] = []  # stands in for the jar's list, a list of strings
         try:

@@ -9,7 +9,7 @@ with ``canonical=False``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 from urllib.parse import parse_qsl, urlsplit
 
 from .crawllog import RunIndex, SentCookieObservation, VisitSummary, extract_sent, parse_set_cookie
@@ -44,8 +44,7 @@ def match_sent_to_jar(obs: SentCookieObservation, jar: CookieJar) -> CookieKey |
     return longest
 
 
-@dataclass(frozen=True)
-class IntractableFinding:
+class IntractableFinding(NamedTuple):
     """One matched (jar entry, transmission) pair.
 
     The sites that set the cookie are the jar's: ``CookieJar.setters_of(key)``.
@@ -62,15 +61,13 @@ class IntractableFinding:
     canonical: bool
 
 
-@dataclass(frozen=True)
-class ResetFinding:
+class ResetFinding(NamedTuple):
     key: CookieKey
     sender_site: SiteId
     event_index: int
 
 
-@dataclass(frozen=True)
-class SyncFinding:
+class SyncFinding(NamedTuple):
     source_key: CookieKey
     carrying_url: str
     origin_tracker: SiteId
@@ -217,7 +214,8 @@ def detect_sync(
 
     A sync is recorded when a canonical finding's value shows up verbatim as
     a query-parameter value of a redirect target whose registrable domain is
-    a different tracker.
+    a different tracker.  Each redirect target host's destination (its
+    tracker domain, or None) is reached once per call.
     """
     # value -> distinct (key, tracker domain) in first-seen order: the only
     # finding fields a sync carries, so repeat sends of one cookie collapse.
@@ -230,14 +228,22 @@ def detect_sync(
         return []
     syncs: list[SyncFinding] = []
     seen: set[SyncFinding] = set()
+    destinations: dict[str, SiteId | None] = {}  # target host -> its tracker domain, None if not a tracker
     for event in index.requests:
         if event.redirect_parent_url is None:
             continue
-        try:
-            destination = etld_plus_one(event.target_host, rules)
-        except InputError:
-            continue
-        if not is_tracker(event.target_host, trackers):
+        host = event.target_host
+        if host in destinations:
+            destination = destinations[host]
+        else:
+            try:
+                destination = etld_plus_one(host, rules)
+            except InputError:
+                destination = None
+            if destination is not None and not is_tracker(host, trackers):
+                destination = None
+            destinations[host] = destination
+        if destination is None:
             continue
         params = parse_qsl(urlsplit(event.target_url).query, keep_blank_values=True)
         for name, value in params:

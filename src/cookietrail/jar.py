@@ -9,13 +9,13 @@ whose banners were successfully accepted.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 from . import crawllog
 from .errors import InputError, ParseIssue, read_utf8
@@ -42,8 +42,7 @@ _HISTORY_FIELDS = RecordFields(
 )
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     key: CookieKey
     setter_site: SiteId
     event_index: int
@@ -90,7 +89,7 @@ class CookieJar:
             self.history.append(HistoryEntry(record.key, record.setter_site, record.set_at, deleted=True))
             return
         if record.effective_expiry is not FIXED_EXPIRY:  # the default, so most records are stored as given
-            record = dataclasses.replace(record, effective_expiry=FIXED_EXPIRY)
+            record = record._replace(effective_expiry=FIXED_EXPIRY)
         self.entries[record.key] = record
         row = HistoryEntry(record.key, record.setter_site, record.set_at)
         self.history.append(row)

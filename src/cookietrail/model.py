@@ -5,6 +5,11 @@ Hosts and site identities are plain lowercase strings and
 virtual throughout: event ordering uses monotonic event indices assigned at
 log-parse time, and cookie lifetimes are carried as seconds relative to
 :data:`CRAWL_EPOCH` rather than wall-clock instants.
+
+Cookie keys and jar records here, like the jar's history rows and the
+detector's findings, are immutable ``NamedTuple``s: built, hashed and
+compared in C on every jar lookup.  A record equals any tuple of equal
+fields, whatever its kind, so kinds are told apart by ``type()``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import operator
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -120,8 +126,7 @@ class BannerDescriptor:
             raise InputError("INVALID_CONFIG", "banner_type NONE must have no layers")
 
 
-@dataclass(frozen=True)
-class CookieKey:
+class CookieKey(NamedTuple):
     """Identity of a stored cookie.
 
     The partition label participates in identity: a partitioned and a
@@ -134,8 +139,7 @@ class CookieKey:
     partition: SiteId | None = None
 
 
-@dataclass(frozen=True)
-class CookieRecord:
+class CookieRecord(NamedTuple):
     """One cookie observation with its provenance.
 
     ``original_expiry`` is the lifetime carried by the Set-Cookie header:

@@ -851,9 +851,29 @@ def _ref_parse_log_text(text):
     return events
 
 
-def _ref_load(texts):
+def _ref_outcome(text):
+    """The reference parser's events of one log, or the ``PipelineError`` it raises."""
+    try:
+        return _ref_parse_log_text(text)
+    except PipelineError as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def c8_reference():
+    """Every C8 mutant with the reference parser's outcome: the corpus is built and parsed once for this module."""
+    from test_acceptance import c8_corpus
+
+    return [(text, _ref_outcome(text)) for text, _code, _exit in c8_corpus()]
+
+
+def _ref_load(outcomes):
+    """Merge the reference outcomes of one run's logs as the loader merges logs; the first error is raised."""
+    for events in outcomes:
+        if isinstance(events, PipelineError):
+            raise events
     merged, seen_visits = [], set()
-    for events in [_ref_parse_log_text(text) for text in texts]:
+    for events in outcomes:
         file_visits = {e.visit_id for e in events}
         overlap = file_visits & seen_visits
         if overlap:
@@ -901,11 +921,9 @@ def _upper_case_hosts(text):
     return "\n".join(lines) + "\n"
 
 
-def test_single_pass_loader_matches_two_pass_reference(tmp_path):
+def test_single_pass_loader_matches_two_pass_reference(tmp_path, c8_reference):
     """Random ecosystems merged from 1-3 logs, and every C8 mutant: the reference's index or its error."""
-    from test_acceptance import c8_corpus
-
-    cases = []  # (what the case covers, the texts of its logs)
+    cases = []  # (what the case covers, the texts of its logs, the reference's outcome of each)
     for seed in range(200):
         config = random_config(random.Random(seed))
         labels = [f"r{j}" for j in range(1 + seed % 3)]
@@ -915,16 +933,16 @@ def test_single_pass_loader_matches_two_pass_reference(tmp_path):
         texts = [serialize(sim.generate(config, seed + j, run_label=label)) for j, label in enumerate(labels)]
         if seed % 20 == 0:
             texts[-1], what = _upper_case_hosts(texts[-1]), "upper-case"
-        cases.append((what, texts))
-    cases += [("mutant", [text]) for text, _code, _exit in c8_corpus()]
+        cases.append((what, texts, [_ref_outcome(text) for text in texts]))
+    cases += [("mutant", [text], [outcome]) for text, outcome in c8_reference]
 
     seen = {}
-    for n, (what, texts) in enumerate(cases):
+    for n, (what, texts, outcomes) in enumerate(cases):
         paths = []
         for j, text in enumerate(texts):
             paths.append(tmp_path / f"{n}-{j}.log")
             paths[-1].write_text(text, encoding="utf-8")
-        expected = _load_outcome(lambda: index_run(_fold_hosts(_ref_load(texts))))
+        expected = _load_outcome(lambda: index_run(_fold_hosts(_ref_load(outcomes))))
         got = _load_outcome(lambda: _load_logs(paths))
         assert got[0] == expected[0], (n, what, expected[1] if expected[0] == "error" else got[1])
         assert got == expected, (n, what)
@@ -1016,18 +1034,13 @@ def _hand_built_events():
     return events
 
 
-def test_encoders_match_generic_encoder():
+def test_encoders_match_generic_encoder(c8_reference):
     """C8 logs that parse, 200 random ecosystems and hand-built awkward events: identical bytes."""
-    from test_acceptance import c8_corpus
-
     logs = [_hand_built_events()]
     logs += [sim.generate(random_config(random.Random(seed)), seed) for seed in range(200)]
-    for text, _code, _exit in c8_corpus():
-        try:
-            parse_log_text(text)
-        except PipelineError:
-            continue
-        logs.append(_ref_parse_log_text(text))
+    # The C8 logs the reference parses, which are the ones ``parse_log_text`` parses
+    # (test_single_pass_loader_matches_two_pass_reference).
+    logs += [events for _text, events in c8_reference if not isinstance(events, PipelineError)]
     for n, events in enumerate(logs):
         assert serialize(events) == _ref_serialize(events), n
     assert serialize([]) == _ref_serialize([])

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -56,7 +55,7 @@ class TestUpsert:
         assert jar.entries[given.key] is given
         # The same instant in another zone compares equal but writes another isoformat: it is replaced.
         for other in (datetime(2030, 1, 1, tzinfo=timezone.utc), FIXED_EXPIRY.astimezone(timezone.max)):
-            jar.upsert(dataclasses.replace(given, effective_expiry=other))
+            jar.upsert(given._replace(effective_expiry=other))
             assert jar.entries[given.key].effective_expiry is FIXED_EXPIRY
 
     def test_latest_write_wins_history_grows(self):

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from cookietrail.detector import IntractableFinding, ResetFinding, SyncFinding
 from cookietrail.errors import InputError
+from cookietrail.jar import CookieJar, HistoryEntry
 from cookietrail.model import (
+    FIXED_EXPIRY,
     BannerDescriptor,
     BannerLayer,
     BannerType,
     CookieKey,
+    CookieRecord,
     canonicalize_host,
     domain_match,
 )
+from helpers import random_config, run_pipeline
 
 
 class TestCanonicalizeHost:
@@ -79,6 +86,26 @@ class TestCookieKey:
     def test_stable_under_canonicalization(self):
         key = CookieKey("id", canonicalize_host(".Tracker.NET"))
         assert key == CookieKey("id", canonicalize_host("tracker.net"))
+
+
+def test_cookie_records_are_immutable_and_hash_as_their_fields(tmp_path):
+    """Keys, jar records, history rows and findings of a run, and of its reloaded jar, refuse assignment
+    and hash as the tuple of their fields (the hash a frozen dataclass had), so dict and set order hold."""
+    _, jar, result = run_pipeline(random_config(random.Random(34)), 34)
+    jar.save(tmp_path / "jar.json")
+    loaded = CookieJar.load(tmp_path / "jar.json")
+    records = [*jar.entries, *jar.entries.values(), *jar.history, *loaded.entries.values(), *loaded.history,
+               *result.findings, *result.resets, *result.syncs]
+    assert {type(r) for r in records} == {
+        CookieKey, CookieRecord, HistoryEntry, IntractableFinding, ResetFinding, SyncFinding,
+    }
+    assert {row.deleted for row in loaded.history} == {True, False}
+    assert all(r.effective_expiry is FIXED_EXPIRY for r in jar.entries.values())
+    for record in records:
+        assert hash(record) == hash(tuple(record))
+        for name in (record._fields[0], record._fields[-1], "unknown_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, "x")
 
 
 class TestDomainMatch:
