@@ -27,12 +27,12 @@ def unit_float(seed: int, *labels: str) -> float:
 
 def hex_token(seed: int, *labels: str, length: int = 16) -> str:
     """Deterministic lowercase hex string of the given length."""
-    out = []
+    out = ""
     block = 0
-    while sum(len(part) for part in out) < length:
-        out.append(digest(seed, *labels, f"block{block}").hex())
+    while len(out) < length:
+        out += digest(seed, *labels, f"block{block}").hex()
         block += 1
-    return "".join(out)[:length]
+    return out[:length]
 
 
 def digit_token(seed: int, *labels: str, length: int = 16) -> str:

@@ -34,12 +34,15 @@ is decoded in full and checked as before.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
+import secrets
 import sys
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from . import crawllog, filterlist, reports, simulator
 from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
@@ -322,6 +325,46 @@ def _record_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+@contextlib.contextmanager
+def _staged_outputs() -> Iterator[Callable[[str], TextIO]]:
+    """Stage a command's output files, so that they appear together or not at all.
+
+    ``open_output(path)`` opens a new temporary file in ``path``'s directory
+    for writing.  When the block ends normally, each temporary file replaces
+    its target, in the order opened.  On any other exit every temporary file
+    is removed, and each target keeps its old bytes, or stays absent.  An
+    ``OSError`` names the target, not the temporary file.
+    """
+    staged: list[tuple[str, str]] = []  # (temporary file, target), not yet moved into place
+
+    def open_output(path: str) -> TextIO:
+        directory, name = os.path.split(path)
+        while True:
+            temporary = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+            try:
+                handle = open(temporary, "x", encoding="utf-8")
+            except FileExistsError:
+                continue
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append((temporary, path))
+            return handle
+
+    try:
+        yield open_output
+        while staged:
+            temporary, target = staged[0]
+            try:
+                os.replace(temporary, target)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, target) from None
+            del staged[0]
+    finally:
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
+
+
 def _write_ndjson(path: str, lines: Iterable[str]) -> None:
     """Write a versioned NDJSON file: its header record, then the given record lines."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -478,18 +521,18 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
 
 
 def _cmd_simulate(args, error_format: str) -> int:
+    """Stream the log to ``--out`` as the crawl runs; all outputs appear together, or none does."""
     config = simulator.EcosystemConfig.from_json(read_utf8(args.config, "INVALID_CONFIG"))
-    events = simulator.generate(config, args.seed, run_label=args.run_id or "")
-    Path(args.out).write_text(crawllog.serialize(events), encoding="utf-8")
-    if args.trackers_out:
-        Path(args.trackers_out).write_text(
-            "".join(f"{d}\n" for d in config.listed_tracker_domains()), encoding="utf-8"
-        )
-    if args.truth_out:
-        truth = simulator.ground_truth(config, args.seed)
-        Path(args.truth_out).write_text(
-            json.dumps(truth.to_obj(), sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-        )
+    with _staged_outputs() as open_output:
+        with open_output(args.out) as handle:
+            simulator.crawl(config, args.seed, crawllog.log_writer(handle.write), run_label=args.run_id or "")
+        if args.trackers_out:
+            with open_output(args.trackers_out) as handle:
+                handle.write("".join(f"{d}\n" for d in config.listed_tracker_domains()))
+        if args.truth_out:
+            truth = simulator.ground_truth(config, args.seed)
+            with open_output(args.truth_out) as handle:
+                handle.write(json.dumps(truth.to_obj(), sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
 

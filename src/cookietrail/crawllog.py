@@ -10,7 +10,9 @@ equal the stage established by the most recent interaction (initially
 Each record kind has one encoder and one decoder, side by side in
 ``_ENCODERS`` and ``_DECODERS``.  An encoder writes its record's line
 directly, and the bytes are exactly those of ``json.dumps(record,
-sort_keys=True, separators=(",", ":"))``.
+sort_keys=True, separators=(",", ":"))``.  ``log_writer`` is the one loop over
+the encoders: it writes each event's line as it is handed the event, so a log
+is written as it is made (``simulate``); ``serialize`` joins the same lines.
 
 Records end at ``\\n`` only.  JSON allows U+2028, U+2029 and U+0085 raw
 inside a string, so they do not end a record, as ``str.splitlines`` would
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
 from json.encoder import encode_basestring_ascii as _string
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from .errors import InputError, InvariantError, ParseIssue, json_problem
@@ -242,6 +244,29 @@ def banner_from_obj(obj: dict) -> BannerDescriptor:
     return BannerDescriptor(BannerType(obj["banner_type"]), layers)
 
 
+def decode_banner(obj: dict, memo: dict) -> BannerDescriptor:
+    """``banner_from_obj(obj)``, decoded once per distinct banner that ``memo`` has seen.
+
+    The config loader and the log parser each keep one ``memo`` per load, so
+    config and log decode banners through this one path.  ``memo`` maps the
+    fields ``banner_from_obj`` reads, marshalled (or, past marshal's depth,
+    their repr), to the descriptor.  Equal marshal bytes, like equal reprs of
+    JSON values, mean equal values of equal types, so equal descriptors; a key
+    that the decoder ignores, however large, does not split a banner.  Raises
+    what ``banner_from_obj`` raises; a banner that is not an object fails on
+    ``get``, as there.
+    """
+    fields = (obj.get("banner_type"), obj.get("layers", []))
+    try:
+        key = marshal.dumps(fields)  # a quarter of repr's cost
+    except ValueError:  # nested deeper than marshal goes, which JSON allows on Python 3.12+
+        key = repr(fields)
+    banner = memo.get(key)
+    if banner is None:
+        banner = memo[key] = banner_from_obj(obj)
+    return banner
+
+
 # --- parsing: one decoder per kind, sequencing checked as each event is built ---
 
 # name -> member tables, one dictionary lookup per enum field.
@@ -323,10 +348,7 @@ class _LogParser:
         self.cookie_sets: list[CookieSet] = []
         self.open_visits: dict[str, _VisitState] = {}
         self.hosts: dict[str, str] = {}  # raw -> canonical: each distinct host is canonicalized once
-        # The fields ``banner_from_obj`` reads, marshalled (or, past marshal's depth, their repr) ->
-        # descriptor: each distinct banner is decoded once.  Equal marshal bytes, like equal reprs of
-        # JSON values, mean equal values of equal types, so equal descriptors.
-        self.banners: dict[bytes | str, BannerDescriptor] = {}
+        self.banners: dict[bytes | str, BannerDescriptor] = {}  # ``decode_banner``'s memo
 
     def _host(self, obj: dict, key: str, lineno: int) -> str:
         raw = obj.get(key)
@@ -376,15 +398,7 @@ class _LogParser:
         if raw is None:
             raise _field_error(obj, "banner", lineno)
         try:
-            # The two fields banner_from_obj reads; a banner that is not an object fails on get, as there.
-            fields = (raw.get("banner_type"), raw.get("layers", []))
-            try:
-                key = marshal.dumps(fields)  # a quarter of repr's cost
-            except ValueError:  # nested deeper than marshal goes, which JSON allows on Python 3.12+
-                key = repr(fields)
-            banner = self.banners.get(key)
-            if banner is None:
-                banner = self.banners[key] = banner_from_obj(raw)
+            banner = decode_banner(raw, self.banners)
         except (InputError, KeyError, ValueError, TypeError) as exc:
             raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
         except AttributeError as exc:
@@ -463,13 +477,18 @@ def _encode_visit_start(e: VisitStart, banners: dict) -> str:
 
 
 def _encode_banner_observed(e: BannerObserved, banners: dict) -> str:
-    """``banners`` memoizes each distinct banner's JSON for one ``serialize`` call."""
+    """``banners`` memoizes each banner object's JSON for one log being written.
+
+    It is keyed by ``id(banner)``, which hashes no nested dataclass, and holds
+    the banner itself beside its JSON, so no id is reused while it is a key.
+    Equal banners from one config load are one object (``decode_banner``).
+    """
     banner = e.banner
-    key = (banner.banner_type, banner.layers)
-    text = banners.get(key)
-    if text is None:
-        text = banners[key] = json.dumps(banner_to_obj(banner), sort_keys=True, separators=(",", ":"))
-    return f'{{"banner":{text},"kind":"BANNER_OBSERVED","visit_id":{_string(e.visit_id)}}}'
+    entry = banners.get(id(banner))
+    if entry is None:
+        text = json.dumps(banner_to_obj(banner), sort_keys=True, separators=(",", ":"))
+        entry = banners[id(banner)] = (banner, text)
+    return f'{{"banner":{entry[1]},"kind":"BANNER_OBSERVED","visit_id":{_string(e.visit_id)}}}'
 
 
 def _encode_interaction(e: Interaction, banners: dict) -> str:
@@ -520,12 +539,29 @@ _DECODERS = {
 }
 
 
-def serialize(events: Iterable[CrawlEvent]) -> str:
-    """Serialize events to the NDJSON wire format, header record first."""
+def log_writer(write: Callable[[str], object]) -> Callable[[CrawlEvent], None]:
+    """Write a log's header record through ``write``, and return the sink that writes each event's line.
+
+    The log's one encoder loop: the sink encodes each event it is handed
+    through ``_ENCODERS`` and writes its line, newline included, at once, so a
+    log can be written as its events are made, with no event list.
+    """
+    write(f'{{"format_version":{FORMAT_VERSION}}}\n')
     banners: dict = {}
-    lines = [f'{{"format_version":{FORMAT_VERSION}}}']
-    lines += [_ENCODERS[type(event)](event, banners) for event in events]
-    return "\n".join(lines) + "\n"
+
+    def write_event(event: CrawlEvent) -> None:
+        write(_ENCODERS[type(event)](event, banners) + "\n")
+
+    return write_event
+
+
+def serialize(events: Iterable[CrawlEvent]) -> str:
+    """Serialize events to the NDJSON wire format, header record first: ``log_writer``'s lines, joined."""
+    lines: list[str] = []
+    write_event = log_writer(lines.append)
+    for event in events:
+        write_event(event)
+    return "".join(lines)
 
 
 def parse_log_text(text: str, first_index: int = 0) -> RunIndex:

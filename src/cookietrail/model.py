@@ -174,16 +174,23 @@ def consent_state_for_stage(stage: InteractionStage) -> ConsentState:
 
 
 _LABEL_RE = re.compile(r"[a-z0-9_-]+\Z")
+# A host that is already canonical: lowercase ASCII labels of 1 to 63 octets,
+# none empty.  Such a host is a fixed point of the full normalization.
+_CANONICAL_HOST_RE = re.compile(r"[a-z0-9_-]{1,63}(\.[a-z0-9_-]{1,63})*\Z")
 
 
 def canonicalize_host(raw: str) -> str:
     """Normalize a hostname: lowercase, strip surrounding dots, punycode IDNA labels.
+
+    A host that is already canonical is returned as is, after one match.
 
     Raises:
         InputError: ``EMPTY_HOST`` for empty input, ``INVALID_LABEL`` for a
             label over 63 octets, an empty interior label, or an illegal
             character.
     """
+    if type(raw) is str and _CANONICAL_HOST_RE.fullmatch(raw):
+        return raw
     if not raw or not raw.strip():
         raise InputError("EMPTY_HOST", "empty hostname")
     host = raw.strip().lower().strip(".")

@@ -1,8 +1,9 @@
 """Deterministic web-ecosystem simulator with an independent ground-truth oracle.
 
-``generate`` turns a declarative ecosystem description into a crawl log:
-an accept-everything stateful pass over the phase-1 sites, then per phase-2
-site a reject iteration (reject, reload) and an accept iteration.  One
+``crawl`` turns a declarative ecosystem description into a crawl log, and
+hands each event to a sink as it is made (``generate`` collects them into a
+list): an accept-everything stateful pass over the phase-1 sites, then per
+phase-2 site a reject iteration (reject, reload) and an accept iteration.  One
 ``_Run`` writes every visit, one method per visit kind, and each visit is
 ``VISIT_START``, ``BANNER_OBSERVED`` unless the site has no banner, then:
 
@@ -39,6 +40,7 @@ import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable
 
 from . import _rand
 from .errors import InputError, json_problem
@@ -66,8 +68,8 @@ from .crawllog import (
     Interaction,
     VisitEnd,
     VisitStart,
-    banner_from_obj,
     banner_to_obj,
+    decode_banner,
 )
 
 # --- banner interaction planning ---------------------------------------------
@@ -179,9 +181,12 @@ class EmbedLoadPolicy(enum.Enum):
     POST_ACCEPT_ONLY = "POST_ACCEPT_ONLY"  # consent-gated, never pre-consent
 
 
+VALUE_KINDS = ("hex", "digits", "const")
+
+
 @dataclass(frozen=True)
 class ValueGenerator:
-    kind: str = "hex"  # hex | digits | const
+    kind: str = "hex"  # one of VALUE_KINDS
     length: int = 16
     const: str = ""
 
@@ -302,15 +307,21 @@ class EcosystemConfig:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "EcosystemConfig":
+        """Load a config, canonicalizing each distinct raw host and decoding each distinct banner once.
+
+        Sites with equal banners share one ``BannerDescriptor``.
+        """
+        hosts: dict[str, SiteId] = {}
+        banners: dict = {}
         try:
             sites = tuple(
                 SiteSpec(
-                    site=_config_host(s["site"], "site"),
+                    site=_config_host(s["site"], "site", hosts),
                     rank=_typed(s["rank"], int, "rank"),
-                    banner=banner_from_obj(s["banner"]),
+                    banner=decode_banner(s["banner"], banners),
                     embeds=tuple(
                         EmbedSpec(
-                            tracker=_config_host(e["tracker"], "embedded tracker"),
+                            tracker=_config_host(e["tracker"], "embedded tracker", hosts),
                             policy=EmbedLoadPolicy[e.get("policy", "ALWAYS")],
                             channel=Channel[e.get("channel", "RESOURCE_FETCH")],
                         )
@@ -322,7 +333,7 @@ class EcosystemConfig:
             )
             trackers = tuple(
                 TrackerSpec(
-                    domain=_config_host(t["domain"], "tracker domain"),
+                    domain=_config_host(t["domain"], "tracker domain", hosts),
                     cookies=tuple(
                         CookieSpec(
                             name=_typed(c["name"], str, "cookie name"),
@@ -333,7 +344,7 @@ class EcosystemConfig:
                     ),
                     honors_gpc=_typed(t.get("honors_gpc", False), bool, "honors_gpc"),
                     sets_partitioned=_typed(t.get("sets_partitioned", False), bool, "sets_partitioned"),
-                    sync_partners=tuple(_config_host(p, "sync partner") for p in t.get("sync_partners", [])),
+                    sync_partners=tuple(_config_host(p, "sync partner", hosts) for p in t.get("sync_partners", [])),
                     drop_after_reject_prob=float(
                         _typed(t.get("drop_after_reject_prob", 0.0), (int, float), "drop_after_reject_prob")
                     ),
@@ -343,8 +354,8 @@ class EcosystemConfig:
                 for t in obj["trackers"]
             )
             schedule = Schedule(
-                phase1=tuple(_config_host(s, "scheduled site") for s in obj["schedule"]["phase1"]),
-                phase2=tuple(_config_host(s, "scheduled site") for s in obj["schedule"]["phase2"]),
+                phase1=tuple(_config_host(s, "scheduled site", hosts) for s in obj["schedule"]["phase1"]),
+                phase2=tuple(_config_host(s, "scheduled site", hosts) for s in obj["schedule"]["phase2"]),
                 gpc_enabled=_typed(obj["schedule"].get("gpc_enabled", False), bool, "gpc_enabled"),
             )
         except InputError:
@@ -406,14 +417,21 @@ def _typed(value, kind: type | tuple[type, ...], field: str):
     return value
 
 
-def _config_host(value, field: str) -> SiteId:
-    return canonicalize_host(_typed(value, str, field))
+def _config_host(value, field: str, hosts: dict[str, SiteId]) -> SiteId:
+    """The canonical form of a config host; ``hosts`` remembers each distinct raw host's, for one load."""
+    host = hosts.get(_typed(value, str, field))
+    if host is None:
+        host = hosts[value] = canonicalize_host(value)
+    return host
 
 
 def _checked_generator(generator: ValueGenerator) -> ValueGenerator:
+    """A value generator whose fields have their types and whose kind is one ``ValueGenerator.generate`` knows."""
     _typed(generator.kind, str, "value kind")
     _typed(generator.length, int, "value length")
     _typed(generator.const, str, "value const")
+    if generator.kind not in VALUE_KINDS:
+        raise InputError("INVALID_CONFIG", f"unknown value generator kind {generator.kind!r}")
     return generator
 
 
@@ -586,6 +604,7 @@ class _CookieStore:
 
     def __init__(self):
         self._buckets: dict[tuple[str, SiteId | None], dict[CookieKey, str]] = {}
+        self._suffixes: dict[str, tuple[str, ...]] = {}  # target -> its label suffixes, longest first
 
     def set(self, key: CookieKey, value: str) -> None:
         self._buckets.setdefault((key.host, key.partition), {})[key] = value
@@ -597,12 +616,15 @@ class _CookieStore:
 
     def attached(self, target: str, visited_site: SiteId) -> list[tuple[CookieKey, str]]:
         """The (key, value) pairs a request to ``target`` from ``visited_site`` carries, unsorted."""
+        suffixes = self._suffixes.get(target)
+        if suffixes is None:
+            labels = target.split(".")
+            suffixes = self._suffixes[target] = tuple(".".join(labels[i:]) for i in range(len(labels)))
         found: list[tuple[CookieKey, str]] = []
-        labels = target.split(".")
-        for i in range(len(labels)):
-            suffix = ".".join(labels[i:])
+        buckets = self._buckets
+        for suffix in suffixes:
             for partition in (None, visited_site):
-                bucket = self._buckets.get((suffix, partition))
+                bucket = buckets.get((suffix, partition))
                 if bucket:
                     found.extend(bucket.items())
         return found
@@ -628,13 +650,26 @@ def _set_cookie_header(cookie: CookieSpec, value: str, tracker: TrackerSpec) -> 
 
 
 def generate(config: EcosystemConfig, seed: int, *, run_label: str = "") -> list[CrawlEvent]:
-    """Produce the crawl log for one run; byte-identical for equal (config, seed).
+    """The crawl log of one run as a list of its events, collected from ``crawl``; equal for equal (config, seed).
 
+    ``serialize(generate(...))`` is byte for byte the log that ``crawl`` writes
+    through ``crawllog.log_writer``.
+    """
+    events: list[CrawlEvent] = []
+    crawl(config, seed, events.append, run_label=run_label)
+    return events
+
+
+def crawl(config: EcosystemConfig, seed: int, sink: Callable[[CrawlEvent], object], *, run_label: str = "") -> None:
+    """Hand the crawl log of one run to ``sink``, one event at a time, in log order; deterministic in (config, seed).
+
+    No event is kept once ``sink`` has it, so a log written through
+    ``crawllog.log_writer`` takes memory per visit, not per crawl.
     ``run_label`` prefixes every visit id so logs from several runs can be
     merged without visit-id collisions.
     """
     config.validate()
-    run = _Run(config, seed)
+    run = _Run(config, seed, sink)
     prefix = f"{run_label}-" if run_label else ""
     for position, site_name in enumerate(config.schedule.phase1):
         run.accept_phase_visit(config.site(site_name), f"{prefix}p1-{position:05d}")
@@ -643,22 +678,23 @@ def generate(config: EcosystemConfig, seed: int, *, run_label: str = "") -> list
         run.reject_iteration(site, f"{prefix}p2r-{position:05d}")
         if site.banner.banner_type is not BannerType.NONE:
             run.accept_iteration(site, f"{prefix}p2a-{position:05d}")
-    return run.events
 
 
 class _Run:
-    """One crawl being written: its config and seed, the events so far and the browser's cookie store.
+    """One crawl being written: its config and seed, its sink, the events emitted so far and the browser's store.
 
     There is one method per visit kind.  A visit is written one event at a
-    time, and the run keeps the open visit's id, its site and its stage, which
-    is the stage the last click moved it to; every request and cookie write
-    of the visit carries that stage.
+    time: each event goes to the sink as it is made, numbered by a counter,
+    and no event list is kept.  The run keeps the open visit's id, its site
+    and its stage, which is the stage the last click moved it to; every
+    request and cookie write of the visit carries that stage.
     """
 
-    def __init__(self, config: EcosystemConfig, seed: int):
+    def __init__(self, config: EcosystemConfig, seed: int, sink: Callable[[CrawlEvent], object]):
         self.config = config
         self.seed = seed
-        self.events: list[CrawlEvent] = []
+        self.sink = sink
+        self.emitted = 0  # the events handed to the sink, so the next one's event_index
         self.store = _CookieStore()
         self.visit_id = ""
         self.site: SiteSpec | None = None
@@ -719,29 +755,24 @@ class _Run:
 
     # --- the steps the visits share ---------------------------------------------
 
-    def _emit(self, cls, **fields) -> None:
-        self.events.append(cls(visit_id=self.visit_id, event_index=len(self.events), **fields))
+    def _emit(self, cls, *fields) -> None:
+        """Hand the sink a ``cls`` record of the open visit; ``fields`` are those between its visit id and index."""
+        self.sink(cls(self.visit_id, *fields, self.emitted))
+        self.emitted += 1
 
     def _start(self, site: SiteSpec, visit_id: str, phase: Phase, iteration: Iteration) -> None:
         """Open a visit: VISIT_START, then BANNER_OBSERVED unless the site has no banner."""
         self.visit_id, self.site, self.stage = visit_id, site, InteractionStage.BEFORE_INTERACTION
-        self._emit(
-            VisitStart,
-            site=site.site,
-            rank=site.rank,
-            phase=phase,
-            iteration=iteration,
-            gpc_enabled=self.config.schedule.gpc_enabled,
-        )
+        self._emit(VisitStart, site.site, site.rank, phase, iteration, self.config.schedule.gpc_enabled)
         if site.banner.banner_type is not BannerType.NONE:
-            self._emit(BannerObserved, banner=site.banner)
+            self._emit(BannerObserved, site.banner)
 
     def _click(self, action: InteractionAction, stage: InteractionStage) -> None:
         self.stage = stage
-        self._emit(Interaction, action=action, resulting_stage=stage)
+        self._emit(Interaction, action, stage)
 
     def _end(self, outcome: VisitOutcome) -> None:
-        self._emit(VisitEnd, outcome=outcome)
+        self._emit(VisitEnd, outcome)
 
     def _measured_embeds(self, skipped: EmbedLoadPolicy) -> list[tuple[EmbedSpec, TrackerSpec]]:
         """The measure-phase embeds that load, with their trackers: all but ``skipped`` and GPC-honoring ones."""
@@ -758,15 +789,7 @@ class _Run:
     ) -> list[tuple[CookieKey, str]]:
         """Write a request to ``target`` with the stored cookies it carries, and return those pairs."""
         attached = self.store.attached(target, self.site.site)
-        self._emit(
-            HttpRequest,
-            stage=self.stage,
-            target_host=target,
-            target_url=url,
-            channel=channel,
-            cookie_header=_attach_header(attached),
-            redirect_parent_url=parent_url,
-        )
+        self._emit(HttpRequest, self.stage, target, url, channel, _attach_header(attached), parent_url)
         return attached
 
     def _embed_requests(self, embeds: list[tuple[EmbedSpec, TrackerSpec]]) -> None:
@@ -792,12 +815,7 @@ class _Run:
                     )
 
     def _set_cookie(self, cookie: CookieSpec, value: str, tracker: TrackerSpec) -> None:
-        self._emit(
-            CookieSet,
-            stage=self.stage,
-            set_cookie_header=_set_cookie_header(cookie, value, tracker),
-            setter_context_host=_embed_target(tracker.domain),
-        )
+        self._emit(CookieSet, self.stage, _set_cookie_header(cookie, value, tracker), _embed_target(tracker.domain))
 
     def _write_cookies(self, tracker: TrackerSpec, *, stored: bool) -> None:
         """The tracker's cookie writes on the visited site after an accept; ``stored`` applies them to the store."""

@@ -112,6 +112,108 @@ class TestSimulate:
         assert record["message"].startswith(f"{path[-1]} must be of type "), record
         assert not out.exists()
 
+    @pytest.mark.parametrize("embedded", [True, False])
+    def test_unknown_value_kind_is_invalid_config_at_load(self, tmp_path, capsys, embedded):
+        """A value generator of unknown kind fails the load, whether or not any site embeds its tracker."""
+        config = json.loads((DEMO / "ecosystem.json").read_text())
+        if embedded:
+            tracker = config["trackers"][0]
+            assert any(e["tracker"] == tracker["domain"] for s in config["sites"] for e in s.get("embeds", []))
+        else:
+            tracker = {"domain": "unembedded.example", "cookies": [{"name": "u"}]}
+            config["trackers"].append(tracker)
+        tracker["cookies"][0]["value"] = {"kind": "bogus"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "x.log"
+        assert _run(["--errors", "json", "simulate", "--config", bad, "--seed", 1, "--out", out]) == 1
+        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": "unknown value generator kind 'bogus'"}
+        assert os.listdir(tmp_path) == ["bad.json"]
+
+    # SHA-256 of the demo's --trackers-out and --truth-out at seed 7, with and without --run-id.
+    DEMO_TRACKERS = "106eeea17f0aa2adaeb677d16bbdd64499e2fc8342a254ec246fcb77c5055f6d"
+    DEMO_TRUTH = "eb508d051e19e19ba4e6be4a3dad8f6a0744f7269a7c8d8c2af073a77e611a0b"
+
+    def test_outputs_equal_the_library_path(self, tmp_path):
+        """--out is ``serialize(generate(...))`` byte for byte; --trackers-out and --truth-out are as written before."""
+        simulator = cookietrail.simulator
+        demo = simulator.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+        cases = [("demo", demo, 7)] + [(str(seed), random_config(random.Random(seed)), seed) for seed in range(50)]
+        for name, config, seed in cases:
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(config.to_obj()), encoding="utf-8")
+            truth = json.dumps(simulator.ground_truth(config, seed).to_obj(), sort_keys=True, separators=(",", ":"))
+            for label in ("", "run-b"):
+                out = tmp_path / name / (label or "none")
+                out.mkdir(parents=True)
+                argv = ["simulate", "--config", config_path, "--seed", seed, "--out", out / "run.log",
+                        "--trackers-out", out / "trackers.txt", "--truth-out", out / "truth.json"]
+                assert _run(argv + (["--run-id", label] if label else [])) == 0
+                log = serialize(simulator.generate(config, seed, run_label=label))
+                assert (out / "run.log").read_bytes() == log.encode("utf-8"), (name, label)
+                trackers = "".join(f"{d}\n" for d in config.listed_tracker_domains())
+                assert (out / "trackers.txt").read_bytes() == trackers.encode("utf-8"), (name, label)
+                assert (out / "truth.json").read_bytes() == f"{truth}\n".encode("utf-8"), (name, label)
+                assert sorted(os.listdir(out)) == ["run.log", "trackers.txt", "truth.json"]
+                if name == "demo":
+                    assert hashlib.sha256((out / "trackers.txt").read_bytes()).hexdigest() == self.DEMO_TRACKERS
+                    assert hashlib.sha256((out / "truth.json").read_bytes()).hexdigest() == self.DEMO_TRUTH
+
+    def test_failure_mid_crawl_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        """The log streams to a temporary file; a failure after the first visit removes it, and old outputs stay."""
+        directory = tmp_path / "out"
+        directory.mkdir()
+        visits = []
+        start = cookietrail.simulator._Run._start
+
+        def failing_start(run, *args):
+            if visits:
+                # The first visit has gone to the sink: the log is open beside its target.
+                staged = [p for p in os.listdir(directory) if p.startswith(".run.log.") and p.endswith(".tmp")]
+                assert len(staged) == 1, staged
+                raise InputError("INVALID_CONFIG", "planted failure")
+            visits.append(args)
+            start(run, *args)
+
+        monkeypatch.setattr(cookietrail.simulator._Run, "_start", failing_start)
+        argv = ["--errors", "json", "simulate", "--config", DEMO / "ecosystem.json", "--seed", 7,
+                "--out", directory / "run.log", "--truth-out", directory / "truth.json"]
+        assert _run(argv) == 1
+        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": "planted failure"}
+        assert os.listdir(directory) == []
+        (directory / "run.log").write_bytes(b"old log\n")
+        (directory / "truth.json").write_bytes(b"old truth\n")
+        visits.clear()
+        assert _run(argv) == 1
+        _json_error(capsys)
+        assert sorted(os.listdir(directory)) == ["run.log", "truth.json"]
+        assert (directory / "run.log").read_bytes() == b"old log\n"
+        assert (directory / "truth.json").read_bytes() == b"old truth\n"
+
+    @pytest.mark.parametrize("flag", ["--trackers-out", "--truth-out"])
+    def test_unwritable_later_output_leaves_no_log(self, tmp_path, capsys, flag):
+        """An output that cannot be written fails the command before any output takes its place."""
+        missing = tmp_path / "missing" / "file"
+        argv = ["--errors", "json", "simulate", "--config", DEMO / "ecosystem.json", "--seed", 7,
+                "--out", tmp_path / "run.log", flag, missing]
+        assert _run(argv) == 1
+        problem = f"[Errno 2] No such file or directory: '{missing}'"
+        assert _json_error(capsys) == {"error": "IO_ERROR", "message": problem}
+        assert os.listdir(tmp_path) == []
+        (tmp_path / "run.log").write_bytes(b"old log\n")
+        assert _run(argv) == 1
+        _json_error(capsys)
+        assert os.listdir(tmp_path) == ["run.log"]
+        assert (tmp_path / "run.log").read_bytes() == b"old log\n"
+
+    def test_target_that_is_a_directory_is_io_error_naming_it(self, tmp_path, capsys):
+        (tmp_path / "run.log").mkdir()
+        assert _run(["--errors", "json", "simulate", "--config", DEMO / "ecosystem.json", "--seed", 7,
+                     "--out", tmp_path / "run.log"]) == 1
+        problem = f"[Errno 21] Is a directory: '{tmp_path / 'run.log'}'"
+        assert _json_error(capsys) == {"error": "IO_ERROR", "message": problem}
+        assert os.listdir(tmp_path) == ["run.log"]
+
 
 class TestPipeline:
     def test_full_pipeline_and_determinism(self, workspace):

@@ -24,6 +24,7 @@ from cookietrail.crawllog import (
     VisitSummary,
     banner_from_obj,
     extract_sent,
+    log_writer,
     parse_cookie_header,
     parse_log_text,
     parse_set_cookie,
@@ -1032,6 +1033,28 @@ def _hand_built_events():
     for rank, gpc in ((True, False), (False, True), (2**70, True), (1, False)):
         events.append(VisitStart("r", "r.com", rank, Phase.STATEFUL_ACCEPT, Iteration.ACCEPT_ITER, gpc))
     return events
+
+
+def test_log_writer_streams_the_lines_serialize_joins():
+    """Each event's line is written as the sink gets it.  Banners made and dropped one by one
+    never share a memo entry, though a freed banner's id may be reused by the next."""
+    events = _hand_built_events()
+    lines = []
+    write_event = log_writer(lines.append)
+    assert lines == ['{"format_version":1}\n']
+    for n, event in enumerate(events):
+        write_event(event)
+        assert len(lines) == n + 2 and lines[-1].endswith("\n")
+    assert "".join(lines) == serialize(events) == _ref_serialize(events)
+    lines.clear()
+    write_event = log_writer(lines.append)
+    expected = []
+    for n in range(200):
+        event = BannerObserved(f"v{n}", native_banner(reject=n % 3 == 0))
+        write_event(event)
+        expected.append(_ref_serialize([event]).splitlines()[1] + "\n")
+        del event  # the writer alone may still hold its banner
+    assert lines[1:] == expected
 
 
 def test_encoders_match_generic_encoder(c8_reference):

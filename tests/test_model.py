@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cookietrail import model
 from cookietrail.detector import IntractableFinding, ResetFinding, SyncFinding
 from cookietrail.errors import InputError
 from cookietrail.jar import CookieJar, HistoryEntry
@@ -71,6 +73,39 @@ class TestCanonicalizeHost:
         host = ".".join(labels)
         once = canonicalize_host(host)
         assert canonicalize_host(once) == once
+
+    # Labels that reach every branch: canonical, upper case, IDNA (good and failing), too long,
+    # illegal characters and empty.
+    LABELS = ("a", "z9", "ab-c_d", "x" * 63, "x" * 64, "Shop", "ABC", "bücher", "ÄÖ", "☃", "á",
+              "ß", "�", "a b", "a/b", "", "ü" * 60, "é" * 70)
+    EDGES = ("", ".", "..", " ", "\t", "\n", " \n", ". ")
+
+    def _result(self, raw):
+        try:
+            return canonicalize_host(raw)
+        except InputError as exc:
+            return exc.code, exc.message
+
+    def test_fast_path_matches_full_path(self, monkeypatch):
+        """Seeded hosts: the fast path changes no result, error code or message."""
+        rng = random.Random(17)
+        hosts = ["", " ", "\n", "a.b\n", "a.b ", " a.b", ".a.b", "a.b.", "a..b", "A.b", "x" * 63 + ".com",
+                 "x" * 64 + ".com", "a." * 200 + "b"]
+        for _ in range(3000):
+            labels = [rng.choice(self.LABELS) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:  # mostly canonical labels, so both paths are hit often
+                labels = [rng.choice(self.LABELS[:4]) for _ in labels]
+            edges = [rng.choice(self.EDGES) if rng.random() < 0.3 else "" for _ in range(2)]
+            hosts.append(edges[0] + ".".join(labels) + edges[1])
+        fast = [self._result(raw) for raw in hosts]
+        monkeypatch.setattr(model, "_CANONICAL_HOST_RE", re.compile(r"(?!)"))  # never matches: the full path
+        assert [self._result(raw) for raw in hosts] == fast
+        monkeypatch.undo()
+        taken = sum(model._CANONICAL_HOST_RE.fullmatch(raw) is not None for raw in hosts)
+        failed = sum(isinstance(result, tuple) for result in fast)
+        assert taken >= 500 and len(hosts) - taken - failed >= 500 and failed >= 500, (taken, failed)
+        # Every fast-path input is already canonical: returned as the same object.
+        assert all(canonicalize_host(raw) is raw for raw in hosts if model._CANONICAL_HOST_RE.fullmatch(raw))
 
 
 class TestCookieKey:

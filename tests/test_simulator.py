@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from cookietrail import crawllog
 from cookietrail import simulator as sim
-from cookietrail.crawllog import HttpRequest, parse_cookie_header, parse_log_text, serialize
+from cookietrail.crawllog import HttpRequest, banner_from_obj, parse_cookie_header, parse_log_text, serialize
 from cookietrail.errors import InputError
 from cookietrail.jar import build_jar
 from cookietrail.model import (
@@ -22,6 +23,7 @@ from cookietrail.model import (
     ButtonAction,
     CookieKey,
     InteractionStage,
+    canonicalize_host,
     domain_match,
 )
 
@@ -122,6 +124,30 @@ class TestGenerate:
             text = serialize(sim.generate(config, seed))
             assert parse_log_text(text)
 
+    def test_crawl_hands_each_event_to_the_sink_as_it_is_made(self, monkeypatch):
+        """``crawl`` keeps no event list: the sink gets each event once, in order, as ``generate`` lists them."""
+        runs = []
+
+        class RecordedRun(sim._Run):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
+        monkeypatch.setattr(sim, "_Run", RecordedRun)
+        config = random_config(random.Random(3))
+        seen = []
+
+        def sink(event):
+            assert event.event_index == len(seen)
+            # The run holds no list, nor any event: only the sink has them.
+            assert not any(isinstance(value, (list, *sim.CrawlEvent.__args__)) for value in vars(runs[0]).values())
+            seen.append(event)
+
+        sim.crawl(config, 3, sink, run_label="r")
+        assert len(runs) == 1 and len(seen) > 100
+        assert seen == sim.generate(config, 3, run_label="r")
+
+
     def test_definitional_scenario(self):
         config = sim.EcosystemConfig(
             sites=(
@@ -207,6 +233,44 @@ class TestGenerate:
                 trackers=(),
                 schedule=sim.Schedule(phase1=("a.com",), phase2=()),
             ).validate()
+
+
+class TestConfigLoad:
+    def test_each_distinct_host_and_banner_is_decoded_once(self, monkeypatch):
+        """Equal banners share one descriptor; hosts and banners decode once per load, not once per use."""
+        obj = json.loads(json.dumps(random_config(random.Random(8), n_sites=40).to_obj()))
+        hosts, banners = [], []
+        monkeypatch.setattr(sim, "canonicalize_host", lambda raw: hosts.append(raw) or canonicalize_host(raw))
+        monkeypatch.setattr(crawllog, "banner_from_obj", lambda raw: banners.append(raw) or banner_from_obj(raw))
+        config = sim.EcosystemConfig.from_obj(obj)
+        assert config.to_obj() == obj
+        assert sorted(hosts) == sorted([s.site for s in config.sites] + [t.domain for t in config.trackers])
+        distinct = {json.dumps(s["banner"]) for s in obj["sites"]}
+        assert sorted(map(json.dumps, banners)) == sorted(distinct) and len(distinct) < len(config.sites) // 2
+        first_of_value = {}
+        for site in config.sites:
+            assert first_of_value.setdefault(site.banner, site.banner) is site.banner
+
+    def test_loads_a_host_to_its_canonical_form(self):
+        obj = simple_config().to_obj()
+        obj["trackers"][0]["domain"] = "." + obj["trackers"][0]["domain"].upper()
+        for site in obj["sites"]:
+            for embed in site["embeds"]:
+                embed["tracker"] = embed["tracker"].upper() + "."
+        assert sim.EcosystemConfig.from_obj(obj) == simple_config()
+
+    @pytest.mark.parametrize("embedded", [True, False])
+    def test_unknown_value_kind_fails_the_load(self, embedded):
+        obj = simple_config().to_obj()
+        tracker = {"domain": "unused.net", "cookies": [{"name": "u"}]}
+        if embedded:
+            tracker = obj["trackers"][0]
+        else:
+            obj["trackers"].append(tracker)
+        tracker["cookies"][0]["value"] = {"kind": "Hex"}
+        with pytest.raises(InputError) as exc:
+            sim.EcosystemConfig.from_obj(obj)
+        assert (exc.value.code, exc.value.message) == ("INVALID_CONFIG", "unknown value generator kind 'Hex'")
 
 
 # SHA-256 of ``serialize(generate(config, seed, run_label=label))`` by (config, gpc_enabled, seed,
