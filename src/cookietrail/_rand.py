@@ -38,9 +38,11 @@ def hex_token(seed: int, *labels: str, length: int = 16) -> str:
 def digit_token(seed: int, *labels: str, length: int = 16) -> str:
     """Deterministic decimal-digit string of the given length."""
     out = []
+    digits = 0
     block = 0
-    while sum(len(part) for part in out) < length:
+    while digits < length:
         raw = digest(seed, *labels, f"digits{block}")
         out.append("".join(str(byte % 10) for byte in raw))
+        digits += len(raw)
         block += 1
     return "".join(out)[:length]

@@ -3,7 +3,9 @@
 All reports are deterministic functions of their inputs.  Unless a report
 says otherwise, "unique" means grouped by cookie (name, host), averages are
 means, and five-number summaries accompany any mean that summarizes a
-per-site distribution.
+per-site distribution.  Each row type is a ``NamedTuple`` whose fields are
+its CSV's columns, in order, so ``reports.write_report_suite`` writes rows as
+they come.
 
 The reports take the views of the findings that ``reports.write_report_suite``
 builds once: the canonical findings, the per-sender tally (canonical findings
@@ -16,8 +18,7 @@ from __future__ import annotations
 import enum
 import statistics
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .detector import IntractableFinding
 from .errors import InputError
@@ -90,15 +91,14 @@ def ecdf(values: Iterable[float]) -> list[tuple[float, float]]:
     return points
 
 
-@dataclass(frozen=True)
-class FiveNumberSummary:
+class FiveNumberSummary(NamedTuple):
     count: int
     mean: float
-    minimum: float
+    min: float
     q1: float
     median: float
     q3: float
-    maximum: float
+    max: float
 
 
 def five_number_summary(values: Sequence[float]) -> FiveNumberSummary | None:
@@ -117,8 +117,7 @@ def five_number_summary(values: Sequence[float]) -> FiveNumberSummary | None:
 # --- expiry / renewal heatmap ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeatmapCell:
+class HeatmapCell(NamedTuple):
     expiry_bucket: ExpiryBucket
     setter_bucket: SetterBucket
     count: int
@@ -149,8 +148,7 @@ def renewal_heatmap(jar: CookieJar, keys: Collection[CookieKey]) -> list[Heatmap
 # --- tracker table ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrackerRow:
+class TrackerRow(NamedTuple):
     tracker_domain: SiteId
     total_cookies: int
     unique_cookies: int
@@ -177,17 +175,13 @@ def tracker_table(canonical: Iterable[IntractableFinding]) -> list[TrackerRow]:
 # --- rank tiers ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankTierRow:
+class RankTierRow(NamedTuple):
     cutoff: int
     avg_sent: float | None
     avg_set: float | None
     sent_sites: int
     set_sites: int
-
-    @property
-    def empty_tier(self) -> bool:
-        return self.sent_sites == 0 and self.set_sites == 0
+    empty_tier: bool  # no rejected and no accepted site within the cutoff
 
 
 def rank_tier_averages(
@@ -214,28 +208,26 @@ def rank_tier_averages(
         setters = [s for s in jar.accepted_sites if s in site_ranks and site_ranks[s] <= cutoff]
         avg_sent = statistics.fmean(per_sender[s] for s in senders) if senders else None
         avg_set = statistics.fmean(set_per_site[s] for s in setters) if setters else None
-        rows.append(RankTierRow(cutoff, avg_sent, avg_set, len(senders), len(setters)))
+        empty = not senders and not setters
+        rows.append(RankTierRow(cutoff, avg_sent, avg_set, len(senders), len(setters), empty))
     return rows
 
 
 # --- banner types ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PaywallShareRow:
-    threshold: int  # sites sending <= threshold canonical findings
-    site_fraction: float
-    paywall_share: float | None  # None when those sites sent nothing
-
-
-@dataclass(frozen=True)
-class BannerTypeReport:
+class BannerTypeAverages(NamedTuple):
     cmp_avg: float | None
     native_avg: float | None
     ratio: float | None  # None when either average is unavailable or native is 0
     cmp_sites: int
     native_sites: int
-    paywall_shares: list[PaywallShareRow]
+
+
+class PaywallShareRow(NamedTuple):
+    threshold: int  # sites sending <= threshold canonical findings
+    site_fraction: float
+    paywall_share: float | None  # None when those sites sent nothing
 
 
 def banner_type_report(
@@ -246,13 +238,13 @@ def banner_type_report(
     *,
     sender_banner_types: Mapping[SiteId, BannerType],
     paywall_setters: Collection[SiteId],
-) -> BannerTypeReport:
+) -> tuple[BannerTypeAverages, list[PaywallShareRow]]:
     """Compare cookie volume across banner types of the rejected sender sites.
 
-    ``paywall_shares``: for each distinct per-site finding count k, among the
-    rejected sites sending at most k cookies, the fraction of their findings
-    whose cookie the jar records as set (at least once) by a site with a
-    cookie-paywall banner.
+    Returns the CMP and native averages, and the paywall shares: for each
+    distinct per-site finding count k, among the rejected sites sending at
+    most k cookies, the fraction of their findings whose cookie the jar
+    records as set (at least once) by a site with a cookie-paywall banner.
     """
     cmp_counts = [n for s, n in per_sender.items() if sender_banner_types.get(s) is BannerType.CMP]
     native_counts = [n for s, n in per_sender.items() if sender_banner_types.get(s) is BannerType.NATIVE]
@@ -279,14 +271,13 @@ def banner_type_report(
         with_paywall += paywall_set
         share = with_paywall / sent if sent else None
         shares.append(PaywallShareRow(threshold, covered / len(per_sender), share))
-    return BannerTypeReport(cmp_avg, native_avg, ratio, len(cmp_counts), len(native_counts), shares)
+    return BannerTypeAverages(cmp_avg, native_avg, ratio, len(cmp_counts), len(native_counts)), shares
 
 
 # --- GPC -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GpcReport:
+class GpcReport(NamedTuple):
     reduction_fraction: float
     overlap_with_reloaded_reject: float | None
     empty_baseline: bool = False
@@ -321,21 +312,19 @@ def gpc_report(
 # --- partitioned cookies -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionedSummary:
+class PartitionedRow(NamedTuple):
+    cookie_type: str  # "all" or "tracking"
     total_unique: int
     partitioned: int
-    tracking_unique: int
-    tracking_partitioned: int
-    along_with_np: int
+    along_with_np: int | None  # counted for tracking cookies only
 
 
 def partitioned_summary(
     jar: CookieJar,
     trackers: TrackerDomainSet,
     rules: PslRuleSet,
-) -> PartitionedSummary:
-    """Unique-cookie counts by partitioned and tracking status.
+) -> list[PartitionedRow]:
+    """Unique-cookie counts by partitioned status: all cookies, then tracking cookies.
 
     ``along_with_np`` counts partitioned tracking cookies accompanied by a
     non-partitioned tracking cookie from the same registrable domain.
@@ -356,15 +345,11 @@ def partitioned_summary(
             domain = registrable(key.host)
             if domain is not None:
                 np_tracking_domains.add(domain)
-    total_unique = len(groups)
     partitioned_count = sum(1 for flagged in groups.values() if flagged)
     tracking_groups = {g: flagged for g, flagged in groups.items() if is_tracker(g[1], trackers)}
     tracking_partitioned = [g for g, flagged in tracking_groups.items() if flagged]
     along = sum(1 for _, host in tracking_partitioned if registrable(host) in np_tracking_domains)
-    return PartitionedSummary(
-        total_unique=total_unique,
-        partitioned=partitioned_count,
-        tracking_unique=len(tracking_groups),
-        tracking_partitioned=len(tracking_partitioned),
-        along_with_np=along,
-    )
+    return [
+        PartitionedRow("all", len(groups), partitioned_count, None),
+        PartitionedRow("tracking", len(tracking_groups), len(tracking_partitioned), along),
+    ]

@@ -1,20 +1,23 @@
 """Write the full report suite as CSV files plus a machine-readable manifest.
 
-Each table or figure dataset becomes one CSV with a fixed column order; the
-manifest lists every file with its row count and SHA-256 so reruns can be
-compared byte-for-byte.  Plotting is downstream of these files.
+Each table or figure dataset becomes one CSV.  Its columns are its row
+type's fields in order (the ``NamedTuple``s of ``analytics``), or, for the
+few tables built here, one header tuple in ``write_report_suite``'s table
+list.  The manifest lists every file with its row count and SHA-256 so
+reruns can be compared byte-for-byte.  Plotting is downstream of these files.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import hashlib
 import io
 import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import analytics
 from .crawllog import VisitSummary
@@ -24,8 +27,6 @@ from .jar import CookieJar
 from .model import BannerType, Channel, CookieKey, InteractionStage, SiteId
 from .psl import PslRuleSet
 
-DAY = analytics.DAY
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -34,20 +35,9 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, enum.Enum):
+        return value.value
     return str(value)
-
-
-def _write_csv(directory: Path, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> tuple[str, int, str]:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    count = 0
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-        count += 1
-    data = buffer.getvalue().encode("utf-8")
-    (directory / name).write_bytes(data)
-    return name, count, hashlib.sha256(data).hexdigest()
 
 
 @dataclass
@@ -93,7 +83,6 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     rejected_sites, site_ranks, sender_banner_types, paywall_setters = _site_views(inputs.visits)
-    files: list[tuple[str, int, str]] = []
 
     # The views every table reads, each built once: the canonical findings;
     # per rejected sender site (zero-send sites included), its canonical
@@ -107,23 +96,7 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
         if f.sender_site in per_sender:
             per_sender[f.sender_site] += 1
             trackers_per_sender[f.sender_site].add(f.tracker_domain)
-
-    files.append(
-        _write_csv(
-            directory,
-            "ecdf_findings_per_sender.csv",
-            ["findings", "cumulative_fraction"],
-            analytics.ecdf(per_sender.values()),
-        )
-    )
-    files.append(
-        _write_csv(
-            directory,
-            "ecdf_trackers_per_sender.csv",
-            ["trackers", "cumulative_fraction"],
-            analytics.ecdf([len(v) for v in trackers_per_sender.values()]),
-        )
-    )
+    trackers_per_site = [len(v) for v in trackers_per_sender.values()]
 
     # Lifetime distribution of unique intractable cookies, in days.
     lifetimes = []
@@ -133,171 +106,90 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
         if expiry is None:
             session_count += 1
         else:
-            lifetimes.append(expiry / DAY)
-    files.append(
-        _write_csv(
-            directory,
-            "ecdf_expiry_days.csv",
-            ["days", "cumulative_fraction"],
-            analytics.ecdf(lifetimes),
-        )
-    )
+            lifetimes.append(expiry / analytics.DAY)
 
     # Stage and iteration breakdown of every matched send.
     stage_counts = Counter((f.stage, "canonical" if f.canonical else "staged") for f in inputs.findings)
-    files.append(
-        _write_csv(
-            directory,
-            "stage_counts.csv",
-            ["stage", "classification", "count"],
-            [(stage.name, label, count) for (stage, label), count in sorted(stage_counts.items())],
-        )
-    )
 
     # Fraction of canonical findings sent while fetching resources vs. by script API calls.
     resource = sum(f.channel is Channel.RESOURCE_FETCH for f in canonical)
     total = len(canonical)
-    files.append(
-        _write_csv(
-            directory,
-            "channel_split.csv",
-            ["resource_fraction", "api_fraction", "empty"],
-            [(resource / total, (total - resource) / total, False) if total else (0.0, 0.0, True)],
-        )
-    )
-
-    heatmap = analytics.renewal_heatmap(inputs.jar, keys)
-    files.append(
-        _write_csv(
-            directory,
-            "expiry_renewal_heatmap.csv",
-            ["expiry_bucket", "setter_bucket", "count"],
-            [(cell.expiry_bucket.value, cell.setter_bucket.value, cell.count) for cell in heatmap],
-        )
-    )
-
-    files.append(
-        _write_csv(
-            directory,
-            "tracker_table.csv",
-            ["tracker_domain", "total_cookies", "unique_cookies", "senders"],
-            [
-                (row.tracker_domain, row.total_cookies, row.unique_cookies, row.senders)
-                for row in analytics.tracker_table(canonical)
-            ],
-        )
-    )
-
-    tier_rows = analytics.rank_tier_averages(
-        per_sender, keys, inputs.jar, inputs.tier_cutoffs, site_ranks=site_ranks
-    )
-    files.append(
-        _write_csv(
-            directory,
-            "rank_tiers.csv",
-            ["cutoff", "avg_sent", "avg_set", "sent_sites", "set_sites", "empty_tier"],
-            [(r.cutoff, r.avg_sent, r.avg_set, r.sent_sites, r.set_sites, r.empty_tier) for r in tier_rows],
-        )
-    )
-
-    banner = analytics.banner_type_report(
-        per_sender,
-        canonical,
-        keys,
-        inputs.jar,
-        sender_banner_types=sender_banner_types,
-        paywall_setters=paywall_setters,
-    )
-    files.append(
-        _write_csv(
-            directory,
-            "banner_type_averages.csv",
-            ["cmp_avg", "native_avg", "ratio", "cmp_sites", "native_sites"],
-            [(banner.cmp_avg, banner.native_avg, banner.ratio, banner.cmp_sites, banner.native_sites)],
-        )
-    )
-    files.append(
-        _write_csv(
-            directory,
-            "paywall_share.csv",
-            ["threshold", "site_fraction", "paywall_share"],
-            [(row.threshold, row.site_fraction, row.paywall_share) for row in banner.paywall_shares],
-        )
-    )
-
-    if inputs.gpc_findings is not None:
-        reloaded = [
-            f for f in inputs.findings if f.stage is InteractionStage.AFTER_RELOADED_REJECT
-        ]
-        gpc_canonical = [f for f in inputs.gpc_findings if f.canonical]
-        gpc = analytics.gpc_report(canonical, gpc_canonical, reloaded)
-        files.append(
-            _write_csv(
-                directory,
-                "gpc_report.csv",
-                ["reduction_fraction", "overlap_with_reloaded_reject", "empty_baseline"],
-                [(gpc.reduction_fraction, gpc.overlap_with_reloaded_reject, gpc.empty_baseline)],
-            )
-        )
-
-    part = analytics.partitioned_summary(inputs.jar, inputs.trackers, inputs.rules)
-    files.append(
-        _write_csv(
-            directory,
-            "partitioned_summary.csv",
-            ["cookie_type", "total_unique", "partitioned", "along_with_np"],
-            [
-                ("all", part.total_unique, part.partitioned, None),
-                ("tracking", part.tracking_unique, part.tracking_partitioned, part.along_with_np),
-            ],
-        )
-    )
 
     # Mean plus five-number summaries for the per-site distributions.
-    summary_rows = []
+    summaries = []
     for metric, values in (
         ("findings_per_rejected_site", list(per_sender.values())),
-        ("trackers_per_rejected_site", [len(v) for v in trackers_per_sender.values()]),
+        ("trackers_per_rejected_site", trackers_per_site),
     ):
         summary = analytics.five_number_summary(values)
         if summary is not None:
-            summary_rows.append(
-                (metric, summary.count, summary.mean, summary.minimum, summary.q1,
-                 summary.median, summary.q3, summary.maximum)
-            )
-    files.append(
-        _write_csv(
-            directory,
-            "summary_stats.csv",
-            ["metric", "count", "mean", "min", "q1", "median", "q3", "max"],
-            summary_rows,
-        )
+            summaries.append((metric, *summary))
+
+    averages, paywall_shares = analytics.banner_type_report(
+        per_sender, canonical, keys, inputs.jar,
+        sender_banner_types=sender_banner_types, paywall_setters=paywall_setters,
     )
 
-    counts_row = [
-        len(inputs.findings),
-        len(canonical),
-        len({(key.name, key.host) for key in keys}),
-        len(inputs.resets) if inputs.resets is not None else None,
-        len(inputs.syncs) if inputs.syncs is not None else None,
-        session_count,
-    ]
-    files.append(
-        _write_csv(
-            directory,
+    # (file name, header, rows), one entry per CSV.
+    tables: list[tuple[str, Sequence[str], list]] = [
+        ("banner_type_averages.csv", analytics.BannerTypeAverages._fields, [averages]),
+        (
+            "channel_split.csv",
+            ("resource_fraction", "api_fraction", "empty"),
+            [(resource / total, (total - resource) / total, False) if total else (0.0, 0.0, True)],
+        ),
+        ("ecdf_expiry_days.csv", ("days", "cumulative_fraction"), analytics.ecdf(lifetimes)),
+        ("ecdf_findings_per_sender.csv", ("findings", "cumulative_fraction"), analytics.ecdf(per_sender.values())),
+        ("ecdf_trackers_per_sender.csv", ("trackers", "cumulative_fraction"), analytics.ecdf(trackers_per_site)),
+        ("expiry_renewal_heatmap.csv", analytics.HeatmapCell._fields, analytics.renewal_heatmap(inputs.jar, keys)),
+        (
+            "partitioned_summary.csv",
+            analytics.PartitionedRow._fields,
+            analytics.partitioned_summary(inputs.jar, inputs.trackers, inputs.rules),
+        ),
+        ("paywall_share.csv", analytics.PaywallShareRow._fields, paywall_shares),
+        (
+            "rank_tiers.csv",
+            analytics.RankTierRow._fields,
+            analytics.rank_tier_averages(per_sender, keys, inputs.jar, inputs.tier_cutoffs, site_ranks=site_ranks),
+        ),
+        (
+            "stage_counts.csv",
+            ("stage", "classification", "count"),
+            [(stage.name, label, count) for (stage, label), count in sorted(stage_counts.items())],
+        ),
+        ("summary_stats.csv", ("metric", *analytics.FiveNumberSummary._fields), summaries),
+        (
             "totals.csv",
-            ["matched_sends", "canonical_findings", "unique_canonical", "resets", "syncs", "session_cookies"],
-            [counts_row],
-        )
-    )
+            ("matched_sends", "canonical_findings", "unique_canonical", "resets", "syncs", "session_cookies"),
+            [(
+                len(inputs.findings),
+                len(canonical),
+                len({(key.name, key.host) for key in keys}),
+                len(inputs.resets) if inputs.resets is not None else None,
+                len(inputs.syncs) if inputs.syncs is not None else None,
+                session_count,
+            )],
+        ),
+        ("tracker_table.csv", analytics.TrackerRow._fields, analytics.tracker_table(canonical)),
+    ]
+    if inputs.gpc_findings is not None:
+        reloaded = [f for f in inputs.findings if f.stage is InteractionStage.AFTER_RELOADED_REJECT]
+        gpc_canonical = [f for f in inputs.gpc_findings if f.canonical]
+        gpc = analytics.gpc_report(canonical, gpc_canonical, reloaded)
+        tables.append(("gpc_report.csv", analytics.GpcReport._fields, [gpc]))
 
-    manifest = {
-        "format_version": 1,
-        "files": [
-            {"name": name, "rows": rows, "sha256": digest}
-            for name, rows, digest in sorted(files)
-        ],
-    }
+    entries = []
+    for name, header, rows in sorted(tables, key=lambda table: table[0]):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+        data = buffer.getvalue().encode("utf-8")
+        (directory / name).write_bytes(data)
+        entries.append({"name": name, "rows": len(rows), "sha256": hashlib.sha256(data).hexdigest()})
+
+    manifest = {"format_version": 1, "files": entries}
     (directory / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
     )

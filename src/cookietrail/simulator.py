@@ -289,6 +289,7 @@ class EcosystemConfig:
         return self._tracker_index[name]
 
     def __post_init__(self):
+        self.validate()  # once per construction, ``dataclasses.replace`` included
         object.__setattr__(self, "_site_index", {s.site: s for s in self.sites})
         object.__setattr__(self, "_tracker_index", {t.domain: t for t in self.trackers})
 
@@ -362,9 +363,7 @@ class EcosystemConfig:
             raise
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise InputError("INVALID_CONFIG", f"bad ecosystem config: {exc!r}") from None
-        config = cls(sites=sites, trackers=trackers, schedule=schedule)
-        config.validate()
-        return config
+        return cls(sites=sites, trackers=trackers, schedule=schedule)
 
     def to_obj(self) -> dict:
         return {
@@ -505,7 +504,6 @@ def ground_truth(config: EcosystemConfig, seed: int) -> GroundTruth:
     before interaction, and ambiguous same-name sends resolve exactly like
     the detector's documented value-then-longest-host preference.
     """
-    config.validate()
     jar_values: dict[CookieKey, str] = {}
     for site_name in config.schedule.phase1:
         site = config.site(site_name)
@@ -668,7 +666,6 @@ def crawl(config: EcosystemConfig, seed: int, sink: Callable[[CrawlEvent], objec
     ``run_label`` prefixes every visit id so logs from several runs can be
     merged without visit-id collisions.
     """
-    config.validate()
     run = _Run(config, seed, sink)
     prefix = f"{run_label}-" if run_label else ""
     for position, site_name in enumerate(config.schedule.phase1):

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from cookietrail import reports
 from cookietrail.analytics import (
     ExpiryBucket,
+    PartitionedRow,
     SetterBucket,
     banner_type_report,
     ecdf,
@@ -250,7 +251,7 @@ class TestBannerTypeReport:
             findings.append(finding("id", "t.net", sender="cmp.com", event_index=i))
         for i in range(2):
             findings.append(finding("id", "t.net", sender="nat.com", event_index=10 + i))
-        report = banner_type_report(
+        averages, _shares = banner_type_report(
             Counter(f.sender_site for f in findings),
             findings,
             keys_of(findings),
@@ -258,11 +259,11 @@ class TestBannerTypeReport:
             sender_banner_types={"cmp.com": BannerType.CMP, "nat.com": BannerType.NATIVE},
             paywall_setters=set(),
         )
-        assert report.ratio == 2.0
+        assert averages.ratio == 2.0
 
     def test_ratio_none_without_native(self):
         findings = [finding("id", "t.net", sender="cmp.com")]
-        report = banner_type_report(
+        averages, _shares = banner_type_report(
             {"cmp.com": 1},
             findings,
             keys_of(findings),
@@ -270,14 +271,14 @@ class TestBannerTypeReport:
             sender_banner_types={"cmp.com": BannerType.CMP},
             paywall_setters=set(),
         )
-        assert report.ratio is None and report.native_avg is None
+        assert averages.ratio is None and averages.native_avg is None
 
     def test_equal_averages_ratio_one(self):
         findings = [
             finding("id", "t.net", sender="cmp.com"),
             finding("id", "t.net", sender="nat.com", event_index=1),
         ]
-        report = banner_type_report(
+        averages, _shares = banner_type_report(
             {"cmp.com": 1, "nat.com": 1},
             findings,
             keys_of(findings),
@@ -285,7 +286,7 @@ class TestBannerTypeReport:
             sender_banner_types={"cmp.com": BannerType.CMP, "nat.com": BannerType.NATIVE},
             paywall_setters=set(),
         )
-        assert report.ratio == 1.0
+        assert averages.ratio == 1.0
 
     def test_paywall_share_by_threshold(self):
         findings = [
@@ -296,7 +297,7 @@ class TestBannerTypeReport:
         jar = CookieJar()
         for name, setter in (("a", "pay.com"), ("b", "plain.com"), ("c", "plain.com")):
             jar.upsert(make_record(name, "t.net", setter=setter))
-        report = banner_type_report(
+        _averages, shares = banner_type_report(
             {"low.com": 1, "high.com": 2},
             findings,
             keys_of(findings),
@@ -304,13 +305,13 @@ class TestBannerTypeReport:
             sender_banner_types={"low.com": BannerType.NATIVE, "high.com": BannerType.NATIVE},
             paywall_setters={"pay.com"},
         )
-        by_threshold = {row.threshold: row for row in report.paywall_shares}
+        by_threshold = {row.threshold: row for row in shares}
         assert by_threshold[1].paywall_share == 1.0  # only low.com (1 finding, paywall-set)
         assert by_threshold[1].site_fraction == 0.5
         assert by_threshold[2].paywall_share == 1 / 3
 
     def test_zero_send_threshold_has_no_share(self):
-        report = banner_type_report(
+        _averages, shares = banner_type_report(
             {"quiet.com": 0},
             [],
             set(),
@@ -318,8 +319,8 @@ class TestBannerTypeReport:
             sender_banner_types={"quiet.com": BannerType.NATIVE},
             paywall_setters=set(),
         )
-        assert report.paywall_shares[0].threshold == 0
-        assert report.paywall_shares[0].paywall_share is None
+        assert shares[0].threshold == 0
+        assert shares[0].paywall_share is None
 
     def test_paywall_shares_match_the_per_finding_intersection(self, tmp_path):
         """The demo and 50 random ecosystems: the report's shares are one setter-list intersection per finding."""
@@ -457,42 +458,44 @@ class TestPartitionedSummary:
         jar = CookieJar()
         jar.upsert(make_record("id_p", "t.net", partition="a.com"))
         jar.upsert(make_record("id", "t.net", set_at=1))
-        summary = partitioned_summary(jar, trackers, RULES)
-        assert summary.total_unique == 2
-        assert summary.partitioned == 1
-        assert summary.tracking_unique == 2
-        assert summary.tracking_partitioned == 1
-        assert summary.along_with_np == 1
+        every, tracking = partitioned_summary(jar, trackers, RULES)
+        assert every.total_unique == 2
+        assert every.partitioned == 1
+        assert tracking.total_unique == 2
+        assert tracking.partitioned == 1
+        assert tracking.along_with_np == 1
 
     def test_no_partitioned(self):
         trackers = TrackerDomainSet(frozenset({"t.net"}))
         jar = CookieJar()
         jar.upsert(make_record("id", "t.net"))
         jar.upsert(make_record("x", "benign.com", set_at=1))
-        summary = partitioned_summary(jar, trackers, RULES)
-        assert summary == summary.__class__(2, 0, 1, 0, 0)
+        assert partitioned_summary(jar, trackers, RULES) == [
+            PartitionedRow("all", 2, 0, None),
+            PartitionedRow("tracking", 1, 0, 0),
+        ]
 
     def test_same_key_both_ways_counts_once_per_group(self):
         trackers = TrackerDomainSet(frozenset({"t.net"}))
         jar = CookieJar()
         jar.upsert(make_record("id", "t.net", partition="a.com"))
         jar.upsert(make_record("id", "t.net", set_at=1))
-        summary = partitioned_summary(jar, trackers, RULES)
-        assert summary.total_unique == 1
-        assert summary.partitioned == 1
-        assert summary.along_with_np == 1
+        every, tracking = partitioned_summary(jar, trackers, RULES)
+        assert every.total_unique == 1
+        assert every.partitioned == 1
+        assert tracking.along_with_np == 1
 
     def test_np_from_different_tracker_does_not_count(self):
         trackers = TrackerDomainSet(frozenset({"t.net", "u.net"}))
         jar = CookieJar()
         jar.upsert(make_record("id", "t.net", partition="a.com"))
         jar.upsert(make_record("other", "u.net", set_at=1))
-        summary = partitioned_summary(jar, trackers, RULES)
-        assert summary.along_with_np == 0
+        _every, tracking = partitioned_summary(jar, trackers, RULES)
+        assert tracking.along_with_np == 0
 
 
 def test_five_number_summary():
     summary = five_number_summary([1, 2, 3, 4, 5])
-    assert (summary.minimum, summary.median, summary.maximum) == (1, 3, 5)
+    assert (summary.min, summary.median, summary.max) == (1, 3, 5)
     assert summary.mean == 3.0
     assert five_number_summary([]) is None

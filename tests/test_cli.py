@@ -677,8 +677,8 @@ def _analyzed_run(directory: Path, config: dict, seed: int) -> list:
     return ["--findings", findings, "--jar", jar, "--log", log, *rules, "--resets", resets, "--syncs", syncs]
 
 
-def _manifest_digest(report_args: list, out: Path) -> str:
-    assert _run(["report", *report_args, "--tiers", "2,5,10,20", "--out", out]) == 0
+def _manifest_digest(report_args: list, out: Path, tiers: str = "2,5,10,20") -> str:
+    assert _run(["report", *report_args, "--tiers", tiers, "--out", out]) == 0
     return hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
 
 
@@ -717,6 +717,30 @@ class TestReportBytes:
             report_args = _analyzed_run(tmp_path / f"run{seed}", random_config(random.Random(seed)).to_obj(), seed)
             got[seed] = _manifest_digest(report_args, tmp_path / f"report{seed}")
         assert got == self.RANDOM_PINNED
+
+    # The demo's jar and log at seed 7 with no findings at all, in both
+    # findings inputs, no resets or syncs, and a tier that holds no site:
+    # every blank and boolean cell the report writes.
+    EMPTY_PINNED = "86ef50f1725b57e2a41e295c846aec5032c641d523cacabf5a6e596aefa64fc1"
+
+    def test_header_only_findings_blank_and_boolean_cells(self, tmp_path):
+        config = json.loads((DEMO / "ecosystem.json").read_text())
+        jar_log_rules = _analyzed_run(tmp_path / "run", config, 7)[2:10]
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text('{"format_version":1}\n')
+        out = tmp_path / "report"
+        digest = _manifest_digest(
+            ["--findings", empty, "--gpc-findings", empty, *jar_log_rules], out, tiers="0,5"
+        )
+        rows = {p.name: p.read_text().splitlines()[1:] for p in out.glob("*.csv")}
+        assert rows["channel_split.csv"] == ["0.0,0.0,true"]
+        assert rows["gpc_report.csv"] == ["0.0,,true"]
+        assert rows["rank_tiers.csv"][0] == "0,,,0,0,true"
+        assert rows["banner_type_averages.csv"][0].split(",")[2] == ""
+        assert rows["tracker_table.csv"] == []
+        assert rows["totals.csv"][0].split(",")[3:5] == ["", ""]
+        assert any(row.endswith(",") for row in rows["paywall_share.csv"])
+        assert digest == self.EMPTY_PINNED
 
 
 class TestFilterConvert:

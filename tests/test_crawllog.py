@@ -922,16 +922,30 @@ def _upper_case_hosts(text):
     return "\n".join(lines) + "\n"
 
 
-def test_single_pass_loader_matches_two_pass_reference(tmp_path, c8_reference):
-    """Random ecosystems merged from 1-3 logs, and every C8 mutant: the reference's index or its error."""
-    cases = []  # (what the case covers, the texts of its logs, the reference's outcome of each)
+@pytest.fixture(scope="module")
+def random_runs():
+    """200 random ecosystems, each with its seed, its first run's events (labelled ``r0``) and their log text.
+
+    Built once for this module: the loader and encoder tests share them.
+    """
+    runs = []
     for seed in range(200):
         config = random_config(random.Random(seed))
+        events = sim.generate(config, seed, run_label="r0")
+        runs.append((seed, config, events, serialize(events)))
+    return runs
+
+
+def test_single_pass_loader_matches_two_pass_reference(tmp_path, c8_reference, random_runs):
+    """Random ecosystems merged from 1-3 logs, and every C8 mutant: the reference's index or its error."""
+    cases = []  # (what the case covers, the texts of its logs, the reference's outcome of each)
+    for seed, config, _events, first in random_runs:
         labels = [f"r{j}" for j in range(1 + seed % 3)]
         what = "merged" if len(labels) > 1 else "single"
         if seed % 25 == 1:
             labels, what = ["r0"] * len(labels), "collision"
-        texts = [serialize(sim.generate(config, seed + j, run_label=label)) for j, label in enumerate(labels)]
+        later = enumerate(labels[1:], start=1)
+        texts = [first, *(serialize(sim.generate(config, seed + j, run_label=label)) for j, label in later)]
         if seed % 20 == 0:
             texts[-1], what = _upper_case_hosts(texts[-1]), "upper-case"
         cases.append((what, texts, [_ref_outcome(text) for text in texts]))
@@ -1057,10 +1071,10 @@ def test_log_writer_streams_the_lines_serialize_joins():
     assert lines[1:] == expected
 
 
-def test_encoders_match_generic_encoder(c8_reference):
+def test_encoders_match_generic_encoder(c8_reference, random_runs):
     """C8 logs that parse, 200 random ecosystems and hand-built awkward events: identical bytes."""
     logs = [_hand_built_events()]
-    logs += [sim.generate(random_config(random.Random(seed)), seed) for seed in range(200)]
+    logs += [events for _seed, _config, events, _text in random_runs]
     # The C8 logs the reference parses, which are the ones ``parse_log_text`` parses
     # (test_single_pass_loader_matches_two_pass_reference).
     logs += [events for _text, events in c8_reference if not isinstance(events, PipelineError)]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cookietrail import crawllog
+from cookietrail import _rand, crawllog
 from cookietrail import simulator as sim
 from cookietrail.crawllog import HttpRequest, banner_from_obj, parse_cookie_header, parse_log_text, serialize
 from cookietrail.errors import InputError
@@ -271,6 +271,21 @@ class TestConfigLoad:
         with pytest.raises(InputError) as exc:
             sim.EcosystemConfig.from_obj(obj)
         assert (exc.value.code, exc.value.message) == ("INVALID_CONFIG", "unknown value generator kind 'Hex'")
+
+    def test_validated_once_per_construction(self, monkeypatch):
+        """A load checks the config once; crawling it and its ground truth check nothing again."""
+        obj = random_config(random.Random(3)).to_obj()
+        calls = []
+        check = sim.EcosystemConfig.validate
+        monkeypatch.setattr(sim.EcosystemConfig, "validate", lambda self: calls.append(1) or check(self))
+        config = sim.EcosystemConfig.from_obj(obj)
+        sim.crawl(config, 3, lambda event: None)
+        sim.ground_truth(config, 3)
+        assert len(calls) == 1
+        overlapping = sim.Schedule(phase1=config.schedule.phase1, phase2=config.schedule.phase1)
+        with pytest.raises(InputError) as exc:
+            dataclasses.replace(config, schedule=overlapping)
+        assert exc.value.code == "INVALID_CONFIG" and len(calls) == 2
 
 
 # SHA-256 of ``serialize(generate(config, seed, run_label=label))`` by (config, gpc_enabled, seed,
@@ -630,3 +645,31 @@ class TestIndexedStore:
                     for site in ("s.com", "o.com", "n.com"):
                         store.attached(target, site)
         assert store.partitioned_hits and store.resets_after_delete
+
+
+def _quadratic_digit_token(seed: int, *labels: str, length: int = 16) -> str:
+    """``_rand.digit_token`` as it was when it re-summed its parts on every block."""
+    out = []
+    block = 0
+    while sum(len(part) for part in out) < length:
+        raw = _rand.digest(seed, *labels, f"digits{block}")
+        out.append("".join(str(byte % 10) for byte in raw))
+        block += 1
+    return "".join(out)[:length]
+
+
+class TestDigitToken:
+    def test_matches_the_quadratic_version(self):
+        for length in range(301):
+            assert _rand.digit_token(4, "site.com", "id", length=length) == _quadratic_digit_token(
+                4, "site.com", "id", length=length
+            ), length
+
+    def test_one_digest_per_32_digits(self, monkeypatch):
+        calls = []
+        digest = _rand.digest
+        monkeypatch.setattr(_rand, "digest", lambda *args: calls.append(1) or digest(*args))
+        length = 1_000_000
+        token = _rand.digit_token(1, "long", length=length)
+        assert len(token) == length and token.isdigit()
+        assert len(calls) == -(-length // 32)
