@@ -18,23 +18,33 @@ A usage error is reported as text when ``--errors`` itself is the problem.
 built on the first call and shared by the later ones, and each call parses
 into a fresh namespace.
 
-Findings are NDJSON, one line per finding.  ``detect`` writes each line with
-the hand encoder ``encode_finding``, byte for byte what ``json.dumps`` wrote.
-A record's ``setter_sites`` is the jar's setter list of its cookie
+Findings, resets and syncs are NDJSON: a ``format_version`` header, then one
+record per line.  Each kind's wire record is declared once, as a
+``model.RecordFields`` (``_FINDING_FIELDS``, ``_RESET_FIELDS``,
+``_SYNC_FIELDS``), which builds every record read back and gives the object
+``json.dumps`` writes for each reset and sync.  ``detect`` writes each finding
+with the hand encoder ``encode_finding``, byte for byte ``json.dumps`` of the
+schema's object plus ``setter_sites``, the jar's setter list of its cookie
 (``CookieJar.setters_of``), encoded once per cookie, so the file still
-repeats every list.  ``report`` reads the file as a stream and checks every
-record; with ``--jar``, each record's list must equal the jar's, and is then
-dropped.  It checks a list with one string comparison against the text
-``encode_finding`` writes for the jar's list, decoding only the rest of the
-line; a line where that comparison does not settle it (other spacing, other
-escapes, a list other than the jar's, a cookie not in the jar, extra keys)
-is decoded in full and checked as before.
+repeats every list.  ``setter_sites`` is wire-only: the finding does not hold
+it.  ``report`` reads the file as a stream and checks every record; with
+``--jar``, each record's list must equal the jar's, and is then dropped.  It
+checks a list with one string comparison against the text ``encode_finding``
+writes for the jar's list, decoding only the rest of the line; a line where
+that comparison does not settle it (other spacing, other escapes, a list
+other than the jar's, a cookie not in the jar, extra keys) is decoded in full
+and checked as before.
+
+``simulate``, ``build-jar``, ``detect`` and ``filter-convert --out`` write
+their files through ``_staged_outputs``: all of a command's outputs appear
+together, or none does and each keeps its old bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -153,12 +163,17 @@ def _load_logs(paths) -> crawllog.RunIndex:
     """Parse the logs in turn into one run index, its events numbered 0..n-1 across all of them.
 
     Visit ids must be disjoint across the inputs; a collision would silently
-    conflate two visits, so it is rejected as a sequencing violation.
+    conflate two visits, so it is rejected as a sequencing violation.  An
+    error in one file's records names that file.
     """
     indexes: list[crawllog.RunIndex] = []
     seen_visits: set[str] = set()
     for path in paths:
-        index = crawllog.parse_log_text(read_utf8(path, "MALFORMED_RECORD"), first_index=sum(map(len, indexes)))
+        text = read_utf8(path, "MALFORMED_RECORD")
+        try:
+            index = crawllog.parse_log_text(text, first_index=sum(map(len, indexes)))
+        except (InputError, InvariantError) as exc:
+            raise type(exc)(exc.code, f"{path}: {exc.message}") from None
         overlap = index.visits.keys() & seen_visits
         if overlap:
             raise InvariantError(
@@ -235,87 +250,36 @@ def encode_finding(finding: IntractableFinding, jar: CookieJar, setters: dict) -
     )
 
 
+# The wire records of findings, resets and syncs.  A finding's ``setter_sites``
+# is wire-only: its setter sites are its jar's (``_read_findings``).
 _FINDING_FIELDS = RecordFields(
-    name={str}, host={str}, partition=OPTIONAL_STR, value_at_send={str}, sender_site={str},
-    tracker_domain={str}, setter_sites={list}, stage={str}, channel={str}, visit_id={str},
-    event_index={int}, canonical={bool},
+    IntractableFinding, name={str}, host={str}, partition=OPTIONAL_STR, value_at_send={str}, sender_site={str},
+    tracker_domain={str}, setter_sites={list}, stage=InteractionStage, channel=Channel, visit_id={str},
+    event_index={int}, canonical={bool}, wire_only=("setter_sites",),
 )
-_STAGES = InteractionStage.__members__
-_CHANNELS = Channel.__members__
+_RESET_FIELDS = RecordFields(ResetFinding, name={str}, host={str}, partition=OPTIONAL_STR, sender_site={str},
+                             event_index={int})
+_SYNC_FIELDS = RecordFields(
+    SyncFinding, name={str}, host={str}, partition=OPTIONAL_STR, carrying_url={str}, origin_tracker={str},
+    destination_tracker={str}, parameter_name={str},
+)
 
 
 def finding_from_record(obj) -> IntractableFinding:
     """Build a finding from its record, checking every field.
 
-    ``setter_sites`` is checked to be a list of strings and then dropped: a
-    finding's setter sites are its jar's (``_read_findings``).
+    ``setter_sites`` is checked to be a list of strings and then dropped.
 
     Raises:
         ValueError: naming the first field that is missing, of the wrong
             type, or (``stage``, ``channel``) not a member name.
     """
-    (name, host, partition, value_at_send, sender_site, tracker_domain, setter_sites,
-     stage, channel, visit_id, event_index, canonical) = _FINDING_FIELDS.values(obj)
+    values = _FINDING_FIELDS.values(obj)
     try:
-        "".join(setter_sites)  # checks in one C loop that every item is a string
+        "".join(obj["setter_sites"])  # checks in one C loop that every item is a string
     except TypeError:
-        raise ValueError(f"bad setter_sites {setter_sites!r}") from None
-    stage_member = _STAGES.get(stage)
-    if stage_member is None:
-        raise ValueError(f"bad stage {stage!r}")
-    channel_member = _CHANNELS.get(channel)
-    if channel_member is None:
-        raise ValueError(f"bad channel {channel!r}")
-    return IntractableFinding(
-        key=CookieKey(name, host, partition),
-        value_at_send=value_at_send,
-        sender_site=sender_site,
-        tracker_domain=tracker_domain,
-        stage=stage_member,
-        channel=channel_member,
-        visit_id=visit_id,
-        event_index=event_index,
-        canonical=canonical,
-    )
-
-
-# --- resets and syncs NDJSON -------------------------------------------------
-
-
-def reset_to_record(reset: ResetFinding) -> dict:
-    key = reset.key
-    return {"name": key.name, "host": key.host, "partition": key.partition,
-            "sender_site": reset.sender_site, "event_index": reset.event_index}
-
-
-_RESET_FIELDS = RecordFields(
-    name={str}, host={str}, partition=OPTIONAL_STR, sender_site={str}, event_index={int}
-)
-
-
-def reset_from_record(obj) -> ResetFinding:
-    """Build a reset from its record; raises ``ValueError`` as ``finding_from_record`` does."""
-    name, host, partition, sender_site, event_index = _RESET_FIELDS.values(obj)
-    return ResetFinding(CookieKey(name, host, partition), sender_site, event_index)
-
-
-def sync_to_record(sync: SyncFinding) -> dict:
-    key = sync.source_key
-    return {"name": key.name, "host": key.host, "partition": key.partition,
-            "carrying_url": sync.carrying_url, "origin_tracker": sync.origin_tracker,
-            "destination_tracker": sync.destination_tracker, "parameter_name": sync.parameter_name}
-
-
-_SYNC_FIELDS = RecordFields(
-    name={str}, host={str}, partition=OPTIONAL_STR, carrying_url={str}, origin_tracker={str},
-    destination_tracker={str}, parameter_name={str},
-)
-
-
-def sync_from_record(obj) -> SyncFinding:
-    """Build a sync from its record; raises ``ValueError`` as ``finding_from_record`` does."""
-    name, host, partition, carrying_url, origin, destination, parameter = _SYNC_FIELDS.values(obj)
-    return SyncFinding(CookieKey(name, host, partition), carrying_url, origin, destination, parameter)
+        raise ValueError(f"bad setter_sites {obj['setter_sites']!r}") from None
+    return _FINDING_FIELDS.build(values)
 
 
 NDJSON_VERSION = 1
@@ -332,12 +296,15 @@ def _staged_outputs() -> Iterator[Callable[[str], TextIO]]:
     ``open_output(path)`` opens a new temporary file in ``path``'s directory
     for writing.  When the block ends normally, each temporary file replaces
     its target, in the order opened.  On any other exit every temporary file
-    is removed, and each target keeps its old bytes, or stays absent.  An
-    ``OSError`` names the target, not the temporary file.
+    is removed, and each target keeps its old bytes, or stays absent.  A
+    target that is a directory is refused when it is opened.  An ``OSError``
+    names the target, not the temporary file.
     """
     staged: list[tuple[str, str]] = []  # (temporary file, target), not yet moved into place
 
     def open_output(path: str) -> TextIO:
+        if os.path.isdir(path):  # replacing it would fail after the earlier outputs had moved
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         directory, name = os.path.split(path)
         while True:
             temporary = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
@@ -365,13 +332,12 @@ def _staged_outputs() -> Iterator[Callable[[str], TextIO]]:
                 os.remove(temporary)
 
 
-def _write_ndjson(path: str, lines: Iterable[str]) -> None:
+def _write_ndjson(handle: TextIO, lines: Iterable[str]) -> None:
     """Write a versioned NDJSON file: its header record, then the given record lines."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f'{{"format_version":{NDJSON_VERSION}}}\n')
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
+    handle.write(f'{{"format_version":{NDJSON_VERSION}}}\n')
+    for line in lines:
+        handle.write(line)
+        handle.write("\n")
 
 
 def _decode_line(path: str, lineno: int, line: str):
@@ -544,7 +510,8 @@ def _cmd_build_jar(args, error_format: str) -> int:
     _emit_issues(issues, error_format)
     if args.sample_n is not None:
         jar = jar.normalize_sample(args.sample_n, args.sample_seed)
-    jar.save(_require_option(args, "out", "--out"))
+    with _staged_outputs() as open_output, open_output(_require_option(args, "out", "--out")) as handle:
+        jar.save(handle)
     print(
         f"jar: {len(jar.entries)} entries, {len(jar.history)} history rows, "
         f"{len(jar.accepted_sites)} accepted sites",
@@ -561,11 +528,16 @@ def _cmd_detect(args, error_format: str) -> int:
     result = detector.detect(jar, index)
     _emit_issues(result.issues, error_format)
     setters: dict = {}
-    _write_ndjson(args.out, (encode_finding(f, jar, setters) for f in result.findings))
-    if args.resets_out:
-        _write_ndjson(args.resets_out, map(_record_line, map(reset_to_record, result.resets)))
-    if args.syncs_out:
-        _write_ndjson(args.syncs_out, map(_record_line, map(sync_to_record, result.syncs)))
+    outputs = [
+        (args.out, (encode_finding(f, jar, setters) for f in result.findings)),
+        (args.resets_out, map(_record_line, map(_RESET_FIELDS.obj, result.resets))),
+        (args.syncs_out, map(_record_line, map(_SYNC_FIELDS.obj, result.syncs))),
+    ]
+    with _staged_outputs() as open_output:
+        for path, lines in outputs:
+            if path:
+                with open_output(path) as handle:
+                    _write_ndjson(handle, lines)
     stats = result.stats
     print(
         f"detect: {len(result.canonical_findings)} canonical findings over "
@@ -590,8 +562,8 @@ def _cmd_report(args, error_format: str) -> int:
         visits=index.visits,
         tier_cutoffs=args.tiers,
         gpc_findings=gpc_findings,
-        resets=_read_records(args.resets, reset_from_record) if args.resets else None,
-        syncs=_read_records(args.syncs, sync_from_record) if args.syncs else None,
+        resets=_read_records(args.resets, _RESET_FIELDS.record) if args.resets else None,
+        syncs=_read_records(args.syncs, _SYNC_FIELDS.record) if args.syncs else None,
     )
     out_dir = _require_option(args, "out", "--out")
     manifest = reports.write_report_suite(out_dir, inputs)
@@ -610,7 +582,8 @@ def _cmd_filter_convert(args, error_format: str) -> int:
     merged = filterlist.merge(sets)
     text = "".join(f"{d}\n" for d in sorted(merged.domains))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _staged_outputs() as open_output, open_output(args.out) as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
     print(f"filter-convert: {len(merged.domains)} domains, {ignored} rules ignored", file=sys.stderr)

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from . import crawllog
 from .errors import InputError, ParseIssue, read_utf8
@@ -32,14 +32,6 @@ from .model import (
 
 SNAPSHOT_FORMAT = "cookietrail-jar"
 SNAPSHOT_VERSION = 1
-# The exact JSON types of a snapshot's entry and history fields, in the order the loader reads them.
-_ENTRY_FIELDS = RecordFields(
-    name={str}, host={str}, partition=OPTIONAL_STR, value={str}, original_expiry={float, int, type(None)},
-    setter_site={str}, set_at={int}, consent_state_at_set={str}, phase={str}, effective_expiry={str},
-)
-_HISTORY_FIELDS = RecordFields(
-    name={str}, host={str}, partition=OPTIONAL_STR, setter_site={str}, event_index={int}, deleted={bool},
-)
 
 
 class HistoryEntry(NamedTuple):
@@ -47,6 +39,18 @@ class HistoryEntry(NamedTuple):
     setter_site: SiteId
     event_index: int
     deleted: bool = False
+
+
+# A snapshot's entry and history rows.
+_ENTRY_FIELDS = RecordFields(
+    CookieRecord, name={str}, host={str}, partition=OPTIONAL_STR, value={str},
+    original_expiry={float, int, type(None)}, setter_site={str}, set_at={int}, consent_state_at_set=ConsentState,
+    phase=Phase, effective_expiry=datetime,
+)
+_HISTORY_FIELDS = RecordFields(
+    HistoryEntry, name={str}, host={str}, partition=OPTIONAL_STR, setter_site={str}, event_index={int},
+    deleted={bool},
+)
 
 
 @dataclass
@@ -134,44 +138,18 @@ class CookieJar:
 
     # --- persistence --------------------------------------------------------
 
-    def _payload(self) -> dict:
-        entry_objs = []
-        for key in sorted(self.entries, key=lambda k: (k.name, k.host, k.partition or "")):
-            record = self.entries[key]
-            entry_objs.append(
-                {
-                    "name": key.name,
-                    "host": key.host,
-                    "partition": key.partition,
-                    "value": record.value,
-                    "original_expiry": record.original_expiry,
-                    "effective_expiry": record.effective_expiry.isoformat(),
-                    "setter_site": record.setter_site,
-                    "set_at": record.set_at,
-                    "consent_state_at_set": record.consent_state_at_set.name,
-                    "phase": record.phase.name,
-                }
-            )
-        history_objs = [
+    def save(self, out: TextIO) -> None:
+        """Write a checksummed snapshot to the text file ``out``; byte-identical for equal jars."""
+        keys = sorted(self.entries, key=lambda k: (k.name, k.host, k.partition or ""))
+        payload = json.dumps(
             {
-                "name": row.key.name,
-                "host": row.key.host,
-                "partition": row.key.partition,
-                "setter_site": row.setter_site,
-                "event_index": row.event_index,
-                "deleted": row.deleted,
-            }
-            for row in self.history
-        ]
-        return {
-            "entries": entry_objs,
-            "history": history_objs,
-            "accepted_sites": sorted(self.accepted_sites),
-        }
-
-    def save(self, path: str | Path) -> None:
-        """Write a checksummed snapshot; byte-identical for equal jars."""
-        payload = json.dumps(self._payload(), sort_keys=True, separators=(",", ":"))
+                "entries": [_ENTRY_FIELDS.obj(self.entries[key]) for key in keys],
+                "history": list(map(_HISTORY_FIELDS.obj, self.history)),
+                "accepted_sites": sorted(self.accepted_sites),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
         header = json.dumps(
             {
                 "format": SNAPSHOT_FORMAT,
@@ -181,7 +159,7 @@ class CookieJar:
             sort_keys=True,
             separators=(",", ":"),
         )
-        Path(path).write_text(header + "\n" + payload + "\n", encoding="utf-8")
+        out.write(header + "\n" + payload + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "CookieJar":
@@ -217,29 +195,13 @@ class CookieJar:
                 if type(payload[field]) is not list or not all(type(obj) is dict for obj in payload[field]):
                     raise InputError("CORRUPT_SNAPSHOT", f"{path}: {field} is not a list of objects")
             entries = {}
-            for index, (name, host, partition, value, original_expiry, setter_site, set_at, consent, phase, expiry) in (
-                enumerate(_rows(_ENTRY_FIELDS, payload, "entries"))
-            ):
+            for index, record in enumerate(_rows(_ENTRY_FIELDS, payload, "entries")):
+                expiry = record.original_expiry
                 # Readers divide it as a float; a NaN fails this comparison too.
-                if original_expiry is not None and not abs(original_expiry) <= sys.float_info.max:
+                if expiry is not None and not abs(expiry) <= sys.float_info.max:
                     raise ValueError(f"entries[{index}]: original_expiry is not a finite number a float holds")
-                key = CookieKey(name, host, partition)
-                entries[key] = CookieRecord(
-                    key=key,
-                    value=value,
-                    original_expiry=original_expiry,
-                    setter_site=setter_site,
-                    set_at=set_at,
-                    consent_state_at_set=ConsentState[consent],
-                    phase=Phase[phase],
-                    effective_expiry=datetime.fromisoformat(expiry),
-                )
-            history = [
-                HistoryEntry(CookieKey(name, host, partition), setter_site, event_index, deleted)
-                for name, host, partition, setter_site, event_index, deleted in _rows(
-                    _HISTORY_FIELDS, payload, "history"
-                )
-            ]
+                entries[record.key] = record
+            history = list(_rows(_HISTORY_FIELDS, payload, "history"))
             accepted = payload["accepted_sites"]
             if type(accepted) is not list or not all(type(site) is str for site in accepted):
                 raise InputError("CORRUPT_SNAPSHOT", f"{path}: accepted_sites is not a list of strings")
@@ -254,12 +216,13 @@ class CookieJar:
 
 
 def _rows(fields: RecordFields, payload: dict, name: str):
-    """Each object of ``payload[name]`` as its checked field values; ``ValueError`` names the object."""
+    """Each object of ``payload[name]`` as its record; ``ValueError`` names the object and the field."""
     for index, obj in enumerate(payload[name]):
         try:
-            yield fields.values(obj)
+            record = fields.record(obj)
         except ValueError as exc:
             raise ValueError(f"{name}[{index}]: {exc}") from None
+        yield record
 
 
 def build_jar(index: crawllog.RunIndex, *, issues: list[ParseIssue] | None = None) -> CookieJar:

@@ -224,20 +224,38 @@ def domain_match(target_host: str, cookie_host: str) -> bool:
 
 
 class RecordFields:
-    """The exact JSON types each field of one record kind may have, in record order.
+    """The wire codec of one record kind: each field's JSON type, in record order.
 
-    ``values`` checks a record against them in one set lookup: every allowed
-    combination of field types is precomputed.  Types are exact: a boolean is
-    not an ``event_index``.
+    The kind is a ``NamedTuple`` whose first field is a ``CookieKey``.  On the
+    wire the key is flattened to ``name``, ``host`` and ``partition``, and every
+    other field keeps its name, so the declared names must be the key's fields
+    followed by the kind's others; construction raises ``TypeError`` otherwise.
+    A field is declared by the set of exact JSON types it may have, by an
+    ``Enum`` class (a string: the member's name) or by ``datetime`` (a string:
+    its ``isoformat()``).  A ``wire_only`` field is checked on read and
+    dropped: the record does not hold it, and ``obj`` does not write it.
+
+    ``values`` checks an object in one set lookup: every allowed combination
+    of field types is precomputed.  Types are exact: a boolean is not an
+    ``event_index``.  Only enum and date fields are converted, by index.
     """
 
-    def __init__(self, **types: set[type]):
-        self.types = types
-        self.get = operator.itemgetter(*types)
-        self.rows = frozenset(itertools.product(*types.values()))
+    def __init__(self, kind: type, /, *, wire_only: tuple[str, ...] = (), **fields):
+        held = [name for name in fields if name not in wire_only]
+        if held != [*CookieKey._fields, *kind._fields[1:]]:
+            raise TypeError(f"{kind.__name__} is declared as {held}: not the key's fields, then its own")
+        self.kind = kind
+        self.names = tuple(held)
+        self.types = {name: {str} if isinstance(spec, type) else spec for name, spec in fields.items()}
+        self.get = operator.itemgetter(*fields)
+        self.rows = frozenset(itertools.product(*self.types.values()))
+        self.held = operator.itemgetter(*map(list(fields).index, held)) if wire_only else None
+        # (index in the flattened record, name, read, write) of each enum or date field
+        self.converted = [(i, name, *_converters(fields[name])) for i, name in enumerate(held)
+                          if isinstance(fields[name], type)]
 
     def values(self, obj) -> tuple:
-        """The record's field values in order; ``ValueError`` names the first missing or mistyped one."""
+        """The object's field values in declared order; ``ValueError`` names the first missing or mistyped one."""
         if not isinstance(obj, dict):
             raise ValueError("record is not an object")
         try:
@@ -249,6 +267,42 @@ class RecordFields:
                 if type(value) not in types:
                     raise ValueError(f"bad {name} {value!r}")
         return values
+
+    def build(self, values: tuple):
+        """The record of what ``values`` returned: wire-only fields dropped, enums and dates read.
+
+        Raises:
+            ValueError: ``bad <field> <value>`` for an unknown member name or
+                an unparsable date.
+        """
+        if self.held is not None:
+            values = self.held(values)
+        if self.converted:
+            values = list(values)
+            for i, name, read, _write in self.converted:
+                try:
+                    values[i] = read(values[i])
+                except (KeyError, ValueError):
+                    raise ValueError(f"bad {name} {values[i]!r}") from None
+        return self.kind(CookieKey(*values[:3]), *values[3:])
+
+    def record(self, obj):
+        """The record a decoded JSON object holds; ``ValueError`` names the first bad field."""
+        return self.build(self.values(obj))
+
+    def obj(self, record) -> dict:
+        """The JSON object that writes ``record``, for ``json.dumps``."""
+        values = [*record[0], *record[1:]]
+        for i, _name, _read, write in self.converted:
+            values[i] = write(values[i])
+        return dict(zip(self.names, values))
+
+
+def _converters(declared: type) -> tuple:
+    """(read, write) of a field declared by a type: an ``Enum`` by member name, a ``datetime`` in ISO format."""
+    if declared is datetime:
+        return datetime.fromisoformat, datetime.isoformat
+    return declared.__members__.__getitem__, operator.attrgetter("_name_")
 
 
 OPTIONAL_STR = {str, type(None)}

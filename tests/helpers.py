@@ -22,6 +22,12 @@ from cookietrail.psl import load_psl
 SIM_PSL = load_psl("com\nnet\norg\nexample\nio\n")
 
 
+def save_jar(jar: CookieJar, path) -> None:
+    """Write ``jar``'s snapshot to the file at ``path``."""
+    with open(path, "w", encoding="utf-8") as out:
+        jar.save(out)
+
+
 def native_banner(*, reject: bool = True) -> BannerDescriptor:
     buttons = [BannerButton("Accept All", ButtonAction.ACCEPT)]
     if reject:

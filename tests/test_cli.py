@@ -28,7 +28,7 @@ from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar, Histor
 from cookietrail.model import (
     Channel, CookieKey, InteractionAction, InteractionStage, Iteration, Phase, VisitOutcome
 )
-from helpers import cmp_banner, native_banner, paywall_banner, random_config, run_pipeline
+from helpers import cmp_banner, native_banner, paywall_banner, random_config, run_pipeline, save_jar
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -215,6 +215,68 @@ class TestSimulate:
         assert os.listdir(tmp_path) == ["run.log"]
 
 
+# Each command's output flags in the order it opens them, after simulate's.
+_STAGED_FLAGS = {"build-jar": ["--out"], "detect": ["--out", "--resets-out", "--syncs-out"],
+                 "filter-convert": ["--out"]}
+
+
+class TestStagedOutputs:
+    """build-jar, detect and filter-convert stage their outputs as simulate does: a failed run replaces none."""
+
+    @staticmethod
+    def _inputs(analyzed, command) -> list:
+        if command == "filter-convert":
+            (analyzed / "list.txt").write_text("||tracker.net^\n")
+            return ["--adblock", analyzed / "list.txt"]
+        if command == "build-jar":
+            return ["--log", analyzed / "run.log"]
+        return ["--jar", analyzed / "jar.snap", "--log", analyzed / "run.log", "--psl", DEMO / "psl.dat",
+                "--trackers", analyzed / "trackers.txt"]
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _STAGED_FLAGS.items() for f in flags])
+    @pytest.mark.parametrize("unwritable", ["in a missing directory", "a directory"])
+    def test_unwritable_output_leaves_the_others_as_they_were(self, analyzed, tmp_path, capsys, command, flag,
+                                                              unwritable):
+        out = tmp_path / "out"
+        out.mkdir()
+        if unwritable == "a directory":
+            blocked = tmp_path / "blocked"
+            blocked.mkdir()
+            problem = f"[Errno 21] Is a directory: '{blocked}'"
+        else:
+            blocked = tmp_path / "missing" / "file"
+            problem = f"[Errno 2] No such file or directory: '{blocked}'"
+        paths = {f: blocked if f == flag else out / f.strip("-") for f in _STAGED_FLAGS[command]}
+        argv = ["--errors", "json", command, *self._inputs(analyzed, command),
+                *(arg for pair in paths.items() for arg in pair)]
+        capsys.readouterr()
+        assert _run(argv) == 1
+        assert _json_error(capsys) == {"error": "IO_ERROR", "message": problem}
+        assert os.listdir(out) == []
+        others = [path for path in paths.values() if path != blocked]
+        for path in others:
+            path.write_bytes(b"old\n")
+        assert _run(argv) == 1
+        _json_error(capsys)
+        assert sorted(os.listdir(out)) == sorted(path.name for path in others)
+        assert all(path.read_bytes() == b"old\n" for path in others)
+
+    def test_failure_while_saving_the_jar_keeps_the_old_snapshot(self, analyzed, tmp_path, capsys, monkeypatch):
+        def failing_save(jar, out):
+            out.write("partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(CookieJar, "save", failing_save)
+        target = tmp_path / "out" / "jar.snap"
+        target.parent.mkdir()
+        target.write_bytes(b"old\n")
+        capsys.readouterr()
+        assert _run(["--errors", "json", "build-jar", "--log", analyzed / "run.log", "--out", target]) == 1
+        assert _json_error(capsys) == {"error": "IO_ERROR", "message": "[Errno 28] No space left on device"}
+        assert os.listdir(target.parent) == ["jar.snap"]
+        assert target.read_bytes() == b"old\n"
+
+
 class TestPipeline:
     def test_full_pipeline_and_determinism(self, workspace):
         log = workspace / "run.log"
@@ -297,7 +359,7 @@ class TestPipeline:
         from cookietrail.jar import CookieJar
 
         empty = tmp_path / "empty.snap"
-        CookieJar().save(empty)
+        save_jar(CookieJar(), empty)
         out = tmp_path / "findings.jsonl"
         code = _run(
             [
@@ -516,7 +578,7 @@ class TestCanonicalHosts:
             assert _run(["--errors", "json", *command]) == 1, command[0]
             record = json.loads(capsys.readouterr().err)
             assert record["error"] == code, command[0]
-            assert record["message"].startswith("line 2: bad site"), command[0]
+            assert record["message"].startswith(f"{bad}: line 2: bad site"), command[0]
 
 
 class TestMergedLogs:
@@ -942,7 +1004,7 @@ class TestDeeplyNestedJson:
         ):
             assert _run(["--errors", "json", *command]) == 1, command[0]
             assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
-                                           "message": f"line 2: invalid JSON ({self.PROBLEM})"}
+                                           "message": f"{deep}: line 2: invalid JSON ({self.PROBLEM})"}
 
     @pytest.mark.parametrize("option", ["--findings", "--resets", "--syncs"])
     def test_ndjson_readers(self, analyzed, tmp_path, capsys, option):
@@ -1450,6 +1512,11 @@ def test_findings_encoder_matches_json_dumps():
         assert [cli.encode_finding(f, jar, setters) for f in findings] == [
             json.dumps(_ref_finding_to_record(f, jar), sort_keys=True, separators=(",", ":")) for f in findings
         ], n
+        # The schema writes every field but the wire-only list, and reads the record back.
+        assert [cli._FINDING_FIELDS.obj(f) | {"setter_sites": list(jar.setters_of(f.key))} for f in findings] == [
+            _ref_finding_to_record(f, jar) for f in findings
+        ], n
+        assert [cli.finding_from_record(_ref_finding_to_record(f, jar)) for f in findings] == findings, n
         # The memo encodes each cookie's setter list once.
         assert len(setters) == len({f.key for f in findings}), n
     detected = [f for findings, _jar in batches[:-1] for f in findings]
@@ -1749,6 +1816,8 @@ class TestSnapshotReader:
             ("history", "name", 5), ("history", "host", {}), ("history", "partition", 0),
             ("history", "setter_site", 5), ("history", "event_index", "3"), ("history", "event_index", True),
             ("history", "deleted", 0), ("history", "deleted", "no"),
+            ("entries", "phase", "BOGUS"), ("entries", "consent_state_at_set", "name"),
+            ("entries", "effective_expiry", "soon"),
         ],
     )
     @pytest.mark.parametrize("command", ["detect", "report"])
@@ -1808,9 +1877,8 @@ class TestResetsAndSyncsReaders:
     def test_records_decode_to_what_detect_found(self, detected, kind):
         records = [json.loads(line) for line in (detected / f"{kind}.jsonl").read_text().splitlines()[1:]]
         assert records
-        to_record, from_record = {"resets": (cli.reset_to_record, cli.reset_from_record),
-                                  "syncs": (cli.sync_to_record, cli.sync_from_record)}[kind]
-        assert [to_record(from_record(record)) for record in records] == records
+        fields = {"resets": cli._RESET_FIELDS, "syncs": cli._SYNC_FIELDS}[kind]
+        assert [fields.obj(fields.record(record)) for record in records] == records
         assert self._report(detected, kind, detected / f"{kind}.jsonl") == 0
         header, row = (detected / "report" / "totals.csv").read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))[kind] == str(len(records))

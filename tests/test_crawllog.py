@@ -868,11 +868,14 @@ def c8_reference():
     return [(text, _ref_outcome(text)) for text, _code, _exit in c8_corpus()]
 
 
-def _ref_load(outcomes):
-    """Merge the reference outcomes of one run's logs as the loader merges logs; the first error is raised."""
-    for events in outcomes:
+def _ref_load(paths, outcomes):
+    """Merge the reference outcomes of one run's logs as the loader merges logs; the first error is raised.
+
+    An error in one file's records names that file, as the loader's do.
+    """
+    for path, events in zip(paths, outcomes):
         if isinstance(events, PipelineError):
-            raise events
+            raise type(events)(events.code, f"{path}: {events.message}")
     merged, seen_visits = [], set()
     for events in outcomes:
         file_visits = {e.visit_id for e in events}
@@ -957,7 +960,7 @@ def test_single_pass_loader_matches_two_pass_reference(tmp_path, c8_reference, r
         for j, text in enumerate(texts):
             paths.append(tmp_path / f"{n}-{j}.log")
             paths[-1].write_text(text, encoding="utf-8")
-        expected = _load_outcome(lambda: index_run(_fold_hosts(_ref_load(outcomes))))
+        expected = _load_outcome(lambda: index_run(_fold_hosts(_ref_load(paths, outcomes))))
         got = _load_outcome(lambda: _load_logs(paths))
         assert got[0] == expected[0], (n, what, expected[1] if expected[0] == "error" else got[1])
         assert got == expected, (n, what)

@@ -17,6 +17,8 @@ from cookietrail.model import (
     Phase,
 )
 
+from helpers import save_jar
+
 
 def make_record(
     name="id",
@@ -170,7 +172,7 @@ class TestJarProperties:
                 for probe in probe_keys:
                     assert jar.setters_of(probe) == rescan(jar, probe)
             path = tmp_path / f"{trial}.jar"
-            jar.save(path)
+            save_jar(jar, path)
             loaded = CookieJar.load(path)
             sampled = jar.normalize_sample(rng.randint(0, len(jar.accepted_sites)), seed=trial)
             for probe in probe_keys:
@@ -237,7 +239,7 @@ class TestSnapshot:
     def test_round_trip_empty(self, tmp_path):
         jar = CookieJar()
         path = tmp_path / "empty.jar"
-        jar.save(path)
+        save_jar(jar, path)
         loaded = CookieJar.load(path)
         assert loaded.entries == {} and loaded.history == [] and loaded.accepted_sites == set()
 
@@ -260,9 +262,9 @@ class TestSnapshot:
             )
         first = tmp_path / "a.jar"
         second = tmp_path / "b.jar"
-        jar.save(first)
+        save_jar(jar, first)
         loaded = CookieJar.load(first)
-        loaded.save(second)
+        save_jar(loaded, second)
         assert first.read_bytes() == second.read_bytes()
         assert loaded.entries == jar.entries
         assert loaded.history == jar.history
@@ -271,7 +273,7 @@ class TestSnapshot:
         jar = self_jar = CookieJar()
         self_jar.upsert(make_record())
         path = tmp_path / "t.jar"
-        jar.save(path)
+        save_jar(jar, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 20])
         with pytest.raises(InputError) as exc:
@@ -293,7 +295,7 @@ class TestSnapshot:
         jar.mark_accepted(f"shop{separator}.com")
         jar.upsert(make_record(value=f"a{separator}b", setter=f"shop{separator}.com"))
         escaped = tmp_path / "escaped.jar"
-        jar.save(escaped)
+        save_jar(jar, escaped)
         header, payload = escaped.read_text(encoding="utf-8").split("\n")[:2]
         assert separator not in payload  # save escapes it, and its bytes stay as they were
         payload = json.dumps(json.loads(payload), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
@@ -309,7 +311,7 @@ class TestSnapshot:
         jar = CookieJar()
         jar.upsert(make_record())
         path = tmp_path / "t.jar"
-        jar.save(path)
+        save_jar(jar, path)
         data = path.read_text(encoding="utf-8").replace('"value":"123"', '"value":"124"')
         path.write_text(data, encoding="utf-8")
         with pytest.raises(InputError) as exc:
@@ -325,7 +327,7 @@ class TestSnapshot:
         jar = CookieJar()
         jar.upsert(make_record())
         path = tmp_path / "t.jar"
-        jar.save(path)
+        save_jar(jar, path)
         header, payload = path.read_text(encoding="utf-8").splitlines()
         assert payload.count('"original_expiry":31536000.0') == 1
         payload = payload.replace('"original_expiry":31536000.0', f'"original_expiry":{literal}')

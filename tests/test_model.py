@@ -20,7 +20,7 @@ from cookietrail.model import (
     canonicalize_host,
     domain_match,
 )
-from helpers import random_config, run_pipeline
+from helpers import random_config, run_pipeline, save_jar
 
 
 class TestCanonicalizeHost:
@@ -127,7 +127,7 @@ def test_cookie_records_are_immutable_and_hash_as_their_fields(tmp_path):
     """Keys, jar records, history rows and findings of a run, and of its reloaded jar, refuse assignment
     and hash as the tuple of their fields (the hash a frozen dataclass had), so dict and set order hold."""
     _, jar, result = run_pipeline(random_config(random.Random(34)), 34)
-    jar.save(tmp_path / "jar.json")
+    save_jar(jar, tmp_path / "jar.json")
     loaded = CookieJar.load(tmp_path / "jar.json")
     records = [*jar.entries, *jar.entries.values(), *jar.history, *loaded.entries.values(), *loaded.history,
                *result.findings, *result.resets, *result.syncs]
@@ -141,6 +141,24 @@ def test_cookie_records_are_immutable_and_hash_as_their_fields(tmp_path):
         for name in (record._fields[0], record._fields[-1], "unknown_field"):
             with pytest.raises(AttributeError):
                 setattr(record, name, "x")
+
+
+@pytest.mark.parametrize(
+    "fields, wire_only",
+    [
+        (["name", "host", "partition", "event_index", "sender_site"], ()),  # out of record order
+        (["name", "host", "partition", "sender", "event_index"], ()),  # a field renamed on one side
+        (["name", "host", "sender_site", "event_index"], ()),  # the key not flattened in full
+        (["name", "host", "partition", "sender_site", "event_index", "extra"], ()),  # an undeclared extra
+        (["name", "host", "partition", "sender_site", "event_index"], ("sender_site",)),  # a held field dropped
+    ],
+)
+def test_a_declaration_must_name_the_key_then_the_record_fields(fields, wire_only):
+    """A record kind's wire declaration that drifts from its ``NamedTuple`` fails when it is made."""
+    model.RecordFields(ResetFinding, **dict.fromkeys(["name", "host", "partition", "sender_site", "event_index"],
+                                                     {str}))
+    with pytest.raises(TypeError, match=r"^ResetFinding is declared as "):
+        model.RecordFields(ResetFinding, wire_only=wire_only, **dict.fromkeys(fields, {str}))
 
 
 class TestDomainMatch:
