@@ -35,9 +35,9 @@ that comparison does not settle it (other spacing, other escapes, a list
 other than the jar's, a cookie not in the jar, extra keys) is decoded in full
 and checked as before.
 
-``simulate``, ``build-jar``, ``detect`` and ``filter-convert --out`` write
-their files through ``_staged_outputs``: all of a command's outputs appear
-together, or none does and each keeps its old bytes.
+``simulate``, ``build-jar``, ``detect``, ``report`` and ``filter-convert
+--out`` write their files through ``_staged_outputs``: all of a command's
+outputs appear together, or none does and each keeps its old bytes.
 """
 
 from __future__ import annotations
@@ -159,40 +159,29 @@ def _require_option(args, name: str, flag: str):
     return value
 
 
+@contextlib.contextmanager
+def _reading(path) -> Iterator[None]:
+    """Start every pipeline error that reading ``path`` raises with ``<path>: ``; text not UTF-8 is MALFORMED_RECORD."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, "MALFORMED_RECORD", exc) from None
+    except (InputError, InvariantError) as exc:
+        raise type(exc)(exc.code, f"{path}: {exc.message}") from None
+
+
 def _load_logs(paths) -> crawllog.RunIndex:
     """Parse the logs in turn into one run index, its events numbered 0..n-1 across all of them.
 
-    Visit ids must be disjoint across the inputs; a collision would silently
-    conflate two visits, so it is rejected as a sequencing violation.  An
-    error in one file's records names that file.
+    Each parse continues the index of the files before it, so visit ids must
+    be disjoint across the files: a visit id that a later file starts again
+    is that file's duplicate VISIT_START.  An error names its file.
     """
-    indexes: list[crawllog.RunIndex] = []
-    seen_visits: set[str] = set()
+    index = None
     for path in paths:
-        text = read_utf8(path, "MALFORMED_RECORD")
-        try:
-            index = crawllog.parse_log_text(text, first_index=sum(map(len, indexes)))
-        except (InputError, InvariantError) as exc:
-            raise type(exc)(exc.code, f"{path}: {exc.message}") from None
-        overlap = index.visits.keys() & seen_visits
-        if overlap:
-            raise InvariantError(
-                "SEQUENCE_VIOLATION", f"visit ids repeat across merged logs: {sorted(overlap)[:5]}"
-            )
-        seen_visits |= index.visits.keys()
-        indexes.append(index)
-    return crawllog.RunIndex(
-        visits={visit_id: row for index in indexes for visit_id, row in index.visits.items()},
-        ended=[row for index in indexes for row in index.ended],
-        requests=[event for index in indexes for event in index.requests],
-        cookie_sets=[event for index in indexes for event in index.cookie_sets],
-        event_count=sum(map(len, indexes)),
-    )
-
-
-def _index_logs(args) -> crawllog.RunIndex:
-    """The run in the command's ``--log`` files: one pass over each file."""
-    return _load_logs(_require_option(args, "log", "--log"))
+        with _reading(path):
+            index = crawllog.parse_log_text(Path(path).read_text(encoding="utf-8"), index)
+    return index
 
 
 def _load_rules(args) -> PslRuleSet:
@@ -201,16 +190,24 @@ def _load_rules(args) -> PslRuleSet:
     return EMPTY_RULESET
 
 
+def _adblock_domains(paths, error_format: str) -> tuple[list[filterlist.TrackerDomainSet], int]:
+    """Each ``--adblock`` list's domains, its issues emitted as it is read, and the rules they all ignored."""
+    sets, ignored = [], 0
+    for path in paths:
+        extraction = filterlist.extract_domains_from_adblock(read_utf8(path, "MALFORMED_DOMAIN"))
+        _emit_issues(extraction.issues, error_format)
+        sets.append(extraction.domains)
+        ignored += extraction.ignored_rules
+    return sets, ignored
+
+
 def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
     sets = []
     for path in args.trackers or []:
         issues: list = []
         sets.append(filterlist.parse_domain_list(read_utf8(path, "MALFORMED_DOMAIN"), issues=issues))
         _emit_issues(issues, error_format)
-    for path in args.adblock or []:
-        extraction = filterlist.extract_domains_from_adblock(read_utf8(path, "MALFORMED_DOMAIN"))
-        _emit_issues(extraction.issues, error_format)
-        sets.append(extraction.domains)
+    sets += _adblock_domains(args.adblock or [], error_format)[0]
     return filterlist.merge(sets) if sets else filterlist.EMPTY_TRACKER_SET
 
 
@@ -282,15 +279,12 @@ def finding_from_record(obj) -> IntractableFinding:
     return _FINDING_FIELDS.build(values)
 
 
-NDJSON_VERSION = 1
-
-
 def _record_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 @contextlib.contextmanager
-def _staged_outputs() -> Iterator[Callable[[str], TextIO]]:
+def _staged_outputs() -> Iterator[Callable[[str | os.PathLike], TextIO]]:
     """Stage a command's output files, so that they appear together or not at all.
 
     ``open_output(path)`` opens a new temporary file in ``path``'s directory
@@ -302,7 +296,8 @@ def _staged_outputs() -> Iterator[Callable[[str], TextIO]]:
     """
     staged: list[tuple[str, str]] = []  # (temporary file, target), not yet moved into place
 
-    def open_output(path: str) -> TextIO:
+    def open_output(path: str | os.PathLike) -> TextIO:
+        path = os.fspath(path)
         if os.path.isdir(path):  # replacing it would fail after the earlier outputs had moved
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         directory, name = os.path.split(path)
@@ -334,74 +329,34 @@ def _staged_outputs() -> Iterator[Callable[[str], TextIO]]:
 
 def _write_ndjson(handle: TextIO, lines: Iterable[str]) -> None:
     """Write a versioned NDJSON file: its header record, then the given record lines."""
-    handle.write(f'{{"format_version":{NDJSON_VERSION}}}\n')
+    handle.write(f'{{"format_version":{crawllog.FORMAT_VERSION}}}\n')
     for line in lines:
         handle.write(line)
         handle.write("\n")
 
 
-def _decode_line(path: str, lineno: int, line: str):
-    """The JSON value of one NDJSON line; ``InputError`` naming the line if it is not JSON."""
-    try:
-        return json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: {json_problem(exc)}") from None
-
-
-def _read_ndjson(path: str) -> Iterator[tuple[int, str]]:
-    """Yield each record line of a versioned NDJSON file, stripped, with its line number, after its header record.
-
-    A header line that is not JSON, a bad header or a missing one raises
-    ``InputError`` when the stream reaches it.
-    """
-    header_seen = False
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if header_seen:
-                    yield lineno, line
-                    continue
-                obj = _decode_line(path, lineno, line)
-                version = obj.get("format_version") if isinstance(obj, dict) else None
-                if type(version) is not int or version != NDJSON_VERSION:  # true and 1.0 are not 1
-                    raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: bad format_version header {obj!r}")
-                header_seen = True
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, "MALFORMED_RECORD", exc) from None
-    if not header_seen:
-        raise InputError("MALFORMED_RECORD", f"{path}: missing format_version header")
-
-
 def _read_records(path: str, from_record, from_line=None) -> list:
-    """Read an NDJSON file of one record kind, building each record with ``from_record``.
+    """Stream a line-record file of one kind through ``crawllog.read_records``, building records with ``from_record``.
 
     ``from_line``, if given, is tried on each record line first.  It returns
     the record built straight from the line's text, or None to have the line
     decoded and built by ``from_record``; it may return a record only for a
-    line that is JSON which ``from_record`` builds into an equal record.
-
-    The first bad record is reported only once the whole file has been read,
-    so a line that is not JSON wins over it wherever it is.
+    line that is JSON which ``from_record`` builds into an equal record.  The
+    first bad line is the error.  A record that ``from_record`` refuses, with
+    ``ValueError`` (``MALFORMED_RECORD``) or an ``InputError`` of its own, is
+    named ``record <i>``, counting records from 0.
     """
     built = []
-    error = None
-    for index, (lineno, line) in enumerate(_read_ndjson(path)):
-        record = from_line(line) if from_line else None
-        if record is None:
-            obj = _decode_line(path, lineno, line)
-            if error is not None:
-                continue
-            try:
-                record = from_record(obj)
-            except ValueError as exc:
-                error = InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}")
-                continue
-        built.append(record)
-    if error is not None:
-        raise error
+    with _reading(path), open(path, encoding="utf-8") as handle:
+        for number, (_lineno, value) in enumerate(crawllog.read_records(handle, from_line)):
+            if type(value) is dict:  # not built by ``from_line``
+                try:
+                    value = from_record(value)
+                except ValueError as exc:
+                    raise InputError("MALFORMED_RECORD", f"record {number}: {exc}") from None
+                except InputError as exc:
+                    raise InputError(exc.code, f"record {number}: {exc.message}") from None
+            built.append(value)
     return built
 
 
@@ -415,8 +370,8 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
     A record's cookie must be one of the jar's entries, and its
     ``setter_sites`` the jar's setter list of that cookie.  Without a jar
     (``--gpc-findings``, written from another run's jar) the lists are only
-    type-checked.  The first disagreement is reported once every record has
-    been decoded, so a bad record wins over it.
+    type-checked.  A disagreement is ``FINDING_NOT_IN_JAR``; like any other
+    bad line, the first in the file is the error.
 
     With a jar, each line is first checked without decoding its list
     (``without_list``); a line that check does not accept is decoded in full.
@@ -425,7 +380,6 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
         return _read_records(path, finding_from_record)
     setters: dict = {}  # each cookie's setter list as a record holds it (_setters_json)
     jar_sites: dict[CookieKey, list[str]] = {}  # each cookie's setter list, read from the jar once
-    mismatches: list[tuple[IntractableFinding, str]] = []
 
     def without_list(line: str) -> IntractableFinding | None:
         """The line's finding if it is JSON that ``checked`` accepts with the jar's list, else None.
@@ -468,19 +422,13 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
         sites = jar_sites.get(key)
         if sites is None and key in jar.entries:
             sites = jar_sites[key] = list(jar.setters_of(key))
-        if sites != obj["setter_sites"] and not mismatches:
+        if sites != obj["setter_sites"]:
             problem = "is not in the jar" if sites is None else "has setter_sites other than the jar's"
-            mismatches.append((finding, problem))
+            raise InputError("FINDING_NOT_IN_JAR",
+                             f"cookie {key.name!r} of {key.host!r} (partition {key.partition!r}) {problem}")
         return finding
 
-    findings = _read_records(path, checked, without_list)
-    if mismatches:
-        finding, problem = mismatches[0]
-        index = next(n for n, built in enumerate(findings) if built is finding)
-        key = finding.key
-        raise InputError("FINDING_NOT_IN_JAR", f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
-                                               f"(partition {key.partition!r}) {problem}")
-    return findings
+    return _read_records(path, checked, without_list)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -504,7 +452,7 @@ def _cmd_simulate(args, error_format: str) -> int:
 
 def _cmd_build_jar(args, error_format: str) -> int:
     _apply_config(args)
-    index = _index_logs(args)
+    index = _load_logs(_require_option(args, "log", "--log"))
     issues: list = []
     jar = build_jar(index, issues=issues)
     _emit_issues(issues, error_format)
@@ -523,7 +471,7 @@ def _cmd_build_jar(args, error_format: str) -> int:
 def _cmd_detect(args, error_format: str) -> int:
     _apply_config(args)
     jar = CookieJar.load(_require_option(args, "jar", "--jar"))
-    index = _index_logs(args)
+    index = _load_logs(_require_option(args, "log", "--log"))
     detector = Detector(_load_rules(args), _load_trackers(args, error_format))
     result = detector.detect(jar, index)
     _emit_issues(result.issues, error_format)
@@ -552,7 +500,7 @@ def _cmd_report(args, error_format: str) -> int:
     _apply_config(args)
     jar = CookieJar.load(_require_option(args, "jar", "--jar"))
     findings = _read_findings(args.findings, jar)
-    index = _index_logs(args)
+    index = _load_logs(_require_option(args, "log", "--log"))
     gpc_findings = _read_findings(args.gpc_findings) if args.gpc_findings else None
     inputs = reports.ReportInputs(
         findings=findings,
@@ -566,19 +514,14 @@ def _cmd_report(args, error_format: str) -> int:
         syncs=_read_records(args.syncs, _SYNC_FIELDS.record) if args.syncs else None,
     )
     out_dir = _require_option(args, "out", "--out")
-    manifest = reports.write_report_suite(out_dir, inputs)
+    with _staged_outputs() as open_output:
+        manifest = reports.write_report_suite(out_dir, inputs, open_output)
     print(f"report: wrote {len(manifest['files'])} files to {out_dir}", file=sys.stderr)
     return 0
 
 
 def _cmd_filter_convert(args, error_format: str) -> int:
-    sets = []
-    ignored = 0
-    for path in args.adblock:
-        extraction = filterlist.extract_domains_from_adblock(read_utf8(path, "MALFORMED_DOMAIN"))
-        _emit_issues(extraction.issues, error_format)
-        ignored += extraction.ignored_rules
-        sets.append(extraction.domains)
+    sets, ignored = _adblock_domains(args.adblock, error_format)
     merged = filterlist.merge(sets)
     text = "".join(f"{d}\n" for d in sorted(merged.domains))
     if args.out:

@@ -18,19 +18,24 @@ Records end at ``\\n`` only.  JSON allows U+2028, U+2029 and U+0085 raw
 inside a string, so they do not end a record, as ``str.splitlines`` would
 have them do.
 
+Logs, findings, resets and syncs are all read through ``read_records``: the
+header checked once, each record line decoded with the JSON scanner, and the
+first bad line in file order the error, worded ``line <n>: ...``.
+
 Parsing builds the run index (``RunIndex``) as it reads, in one pass over the
 lines and with no event list in between: a decoder per record kind checks the
 record's fields and its place in its visit's sequence, then files it.  An
 HTTP_REQUEST or COOKIE_SET becomes its event, appended to the index's requests
-or cookie sets with its final index (``first_index`` lets logs loaded one after
-another share one index).  VISIT_START, BANNER_OBSERVED, INTERACTION and
-VISIT_END are checked in full but never built: the open visit keeps its
-VISIT_START fields and banner type, and VISIT_END turns them into the visit's
-``VisitSummary``.  Hosts (``site``, ``target_host``, ``setter_context_host``)
-are canonicalized at parse time, so every later stage sees canonical hosts.
-A URL field must be one that ``urlsplit`` accepts; ``urlsplit`` raises only
-on a bracket or a non-ASCII netloc, so an ASCII URL without brackets is
-accepted without the call.  Later stages read the index and walk no events.
+or cookie sets with its final index (a parse can continue the index of the
+logs parsed before it, so several logs form one run).  VISIT_START,
+BANNER_OBSERVED, INTERACTION and VISIT_END are checked in full but never
+built: the open visit keeps its VISIT_START fields and banner type, and
+VISIT_END turns them into the visit's ``VisitSummary``.  Hosts (``site``,
+``target_host``, ``setter_context_host``) are canonicalized at parse time, so
+every later stage sees canonical hosts.  A URL field must be one that
+``urlsplit`` accepts; ``urlsplit`` raises only on a bracket or a non-ASCII
+netloc, so an ASCII URL without brackets is accepted without the call.  Later
+stages read the index and walk no events.
 
 Events and the records derived from them are immutable ``NamedTuple``s,
 cheaper to build than frozen dataclasses.  Tell kinds apart by
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
 from json.encoder import encode_basestring_ascii as _string
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from .errors import InputError, InvariantError, ParseIssue, json_problem
@@ -339,13 +344,13 @@ class _LogParser:
 
     __slots__ = ("visits", "ended", "requests", "cookie_sets", "open_visits", "hosts", "banners")
 
-    def __init__(self):
+    def __init__(self, run: RunIndex | None):
         # Every visit seen so far, by id: a visit takes its slot at VISIT_START (holding None
         # while open), so the table stays in VISIT_START order.
-        self.visits: dict[str, VisitSummary | None] = {}
-        self.ended: list[VisitSummary] = []
-        self.requests: list[HttpRequest] = []
-        self.cookie_sets: list[CookieSet] = []
+        self.visits: dict[str, VisitSummary | None] = {} if run is None else run.visits
+        self.ended: list[VisitSummary] = [] if run is None else run.ended
+        self.requests: list[HttpRequest] = [] if run is None else run.requests
+        self.cookie_sets: list[CookieSet] = [] if run is None else run.cookie_sets
         self.open_visits: dict[str, _VisitState] = {}
         self.hosts: dict[str, str] = {}  # raw -> canonical: each distinct host is canonicalized once
         self.banners: dict[bytes | str, BannerDescriptor] = {}  # ``decode_banner``'s memo
@@ -564,13 +569,67 @@ def serialize(events: Iterable[CrawlEvent]) -> str:
     return "".join(lines)
 
 
-def parse_log_text(text: str, first_index: int = 0) -> RunIndex:
+def _record_object(line: str, lineno: int) -> dict:
+    """The JSON object a stripped, non-blank line holds, decoded with the scanner; ``InputError`` naming the line."""
+    try:
+        try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            obj = json.loads(line)  # decoded again as json.loads does, for its error message
+    except (ValueError, RecursionError) as exc:
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({json_problem(exc)})") from None
+    if type(obj) is not dict:
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: record is not an object")
+    return obj
+
+
+def read_records(lines: Iterable[str], from_line: Callable[[str], object] | None = None) -> Iterator[tuple]:
+    """Yield ``(line number, JSON object)`` for each record after the header of a log, findings, resets or syncs.
+
+    ``lines`` are the file's lines, split at ``\\n`` only (its text's
+    ``split("\\n")``, or the open text file); blank ones are skipped.
+    ``from_line``, if given, is first handed each stripped record line: what
+    it returns, if not None, is yielded in place of the object, undecoded.
+    The first bad line raises ``InputError("MALFORMED_RECORD", "line <n>:
+    ...")`` when the stream reaches it.
+    """
+    numbered = enumerate(lines, start=1)
+    for lineno, raw in numbered:
+        line = raw.strip()
+        if line:
+            obj = _record_object(line, lineno)
+            version = obj.get("format_version")
+            if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 are not 1
+                raise InputError(
+                    "MALFORMED_RECORD",
+                    f"line {lineno}: expected header record {{'format_version': {FORMAT_VERSION}}}, got {obj!r}",
+                )
+            break
+    else:
+        raise InputError("MALFORMED_RECORD", "missing format_version header record")
+    for lineno, raw in numbered:
+        line = raw.strip()
+        if not line:
+            continue
+        if from_line is not None:
+            record = from_line(line)
+            if record is not None:
+                yield lineno, record
+                continue
+        yield lineno, _record_object(line, lineno)
+
+
+def parse_log_text(text: str, run: RunIndex | None = None) -> RunIndex:
     """Parse the text of an NDJSON crawl log into its run index, checking every record and every visit's sequence.
 
-    One pass over the lines decodes, checks and files each record; no event
-    list is built.  Events are numbered consecutively from ``first_index``, so
-    several logs loaded one after another share one index; ``len()`` of the
-    result is the number of events in this log.  Hosts (``site``,
+    One pass over the lines (``read_records``) decodes, checks and files each
+    record; no event list is built.  With ``run``, the index of the logs
+    parsed before this one, the parse continues it: events are numbered after
+    its events, its tables are extended in place (so ``run`` itself is not to
+    be read again) and a visit id it holds cannot start again.  ``len()`` of
+    the result counts the events of every log it holds.  Hosts (``site``,
     ``target_host``, ``setter_context_host``) are canonical from here on.
 
     Raises:
@@ -578,36 +637,9 @@ def parse_log_text(text: str, first_index: int = 0) -> RunIndex:
             ``EMPTY_HOST`` / ``INVALID_LABEL``, with the offending line number.
         InvariantError: ``SEQUENCE_VIOLATION`` naming the visit and event.
     """
-    parser = _LogParser()
-    header_seen = False
-    index = first_index
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj, end = _scan_json(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        except (ValueError, RecursionError) as exc:
-            raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({json_problem(exc)})") from None
-        if end != len(line):
-            # Decode again as json.loads does, for its error message.
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({json_problem(exc)})") from None
-        if not isinstance(obj, dict):
-            raise InputError("MALFORMED_RECORD", f"line {lineno}: record is not an object")
-        if not header_seen:
-            version = obj.get("format_version")
-            if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 are not 1
-                raise InputError(
-                    "MALFORMED_RECORD",
-                    f"line {lineno}: expected header record {{'format_version': {FORMAT_VERSION}}}, got {obj!r}",
-                )
-            header_seen = True
-            continue
+    parser = _LogParser(run)
+    index = 0 if run is None else run.event_count
+    for lineno, obj in read_records(text.split("\n")):
         kind = obj.get("kind")
         decode = _DECODERS.get(kind) if isinstance(kind, str) else None
         if decode is None:
@@ -617,12 +649,10 @@ def parse_log_text(text: str, first_index: int = 0) -> RunIndex:
             raise _field_error(obj, "visit_id", lineno, f"bad visit_id {visit_id!r}")
         decode(parser, obj, lineno, visit_id, index)
         index += 1
-    if not header_seen:
-        raise InputError("MALFORMED_RECORD", "missing format_version header record")
     if parser.open_visits:
         visit_id = next(iter(parser.open_visits))
         raise InvariantError("SEQUENCE_VIOLATION", f"visit {visit_id!r} has no VISIT_END")
-    return RunIndex(parser.visits, parser.ended, parser.requests, parser.cookie_sets, index - first_index)
+    return RunIndex(parser.visits, parser.ended, parser.requests, parser.cookie_sets, index)
 
 
 # --- cookie headers ---------------------------------------------------------

@@ -255,9 +255,7 @@ class RecordFields:
                           if isinstance(fields[name], type)]
 
     def values(self, obj) -> tuple:
-        """The object's field values in declared order; ``ValueError`` names the first missing or mistyped one."""
-        if not isinstance(obj, dict):
-            raise ValueError("record is not an object")
+        """An object's field values in declared order; ``ValueError`` names the first missing or mistyped one."""
         try:
             values = self.get(obj)
         except KeyError as exc:

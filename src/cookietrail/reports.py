@@ -4,7 +4,8 @@ Each table or figure dataset becomes one CSV.  Its columns are its row
 type's fields in order (the ``NamedTuple``s of ``analytics``), or, for the
 few tables built here, one header tuple in ``write_report_suite``'s table
 list.  The manifest lists every file with its row count and SHA-256 so
-reruns can be compared byte-for-byte.  Plotting is downstream of these files.
+reruns can be compared byte-for-byte.  Files are opened by the caller's
+``open_output``.  Plotting is downstream of these files.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TextIO
 
 from . import analytics
 from .crawllog import VisitSummary
@@ -78,8 +79,8 @@ def _site_views(visits: Mapping[str, VisitSummary]):
     return sorted(rejected), ranks, banner_types, paywall
 
 
-def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
-    """Write every report CSV and the manifest; returns the manifest object."""
+def write_report_suite(out_dir: str | Path, inputs: ReportInputs, open_output: Callable[[Path], TextIO]) -> dict:
+    """Write every report CSV, then the manifest, into ``out_dir`` through ``open_output``; returns the manifest."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     rejected_sites, site_ranks, sender_banner_types, paywall_setters = _site_views(inputs.visits)
@@ -185,12 +186,13 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs) -> dict:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_fmt(cell) for cell in row] for row in rows)
-        data = buffer.getvalue().encode("utf-8")
-        (directory / name).write_bytes(data)
-        entries.append({"name": name, "rows": len(rows), "sha256": hashlib.sha256(data).hexdigest()})
+        text = buffer.getvalue()
+        with open_output(directory / name) as handle:
+            handle.write(text)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        entries.append({"name": name, "rows": len(rows), "sha256": digest})
 
     manifest = {"format_version": 1, "files": entries}
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    with open_output(directory / "manifest.json") as handle:
+        handle.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
     return manifest

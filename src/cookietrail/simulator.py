@@ -308,26 +308,21 @@ class EcosystemConfig:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "EcosystemConfig":
-        """Load a config, canonicalizing each distinct raw host and decoding each distinct banner once.
+        """Load a config, canonicalizing each distinct raw host and decoding each distinct banner and embed once.
 
-        Sites with equal banners share one ``BannerDescriptor``.
+        Sites with equal banners share one ``BannerDescriptor``, and equal
+        embeds one ``EmbedSpec``.
         """
         hosts: dict[str, SiteId] = {}
         banners: dict = {}
+        embeds: dict[tuple[str, str, str], EmbedSpec] = {}
         try:
             sites = tuple(
                 SiteSpec(
                     site=_config_host(s["site"], "site", hosts),
                     rank=_typed(s["rank"], int, "rank"),
                     banner=decode_banner(s["banner"], banners),
-                    embeds=tuple(
-                        EmbedSpec(
-                            tracker=_config_host(e["tracker"], "embedded tracker", hosts),
-                            policy=EmbedLoadPolicy[e.get("policy", "ALWAYS")],
-                            channel=Channel[e.get("channel", "RESOURCE_FETCH")],
-                        )
-                        for e in s.get("embeds", [])
-                    ),
+                    embeds=tuple(_config_embed(e, embeds, hosts) for e in s.get("embeds", [])),
                     paywall=_typed(s.get("paywall", False), bool, "paywall"),
                 )
                 for s in obj["sites"]
@@ -422,6 +417,26 @@ def _config_host(value, field: str, hosts: dict[str, SiteId]) -> SiteId:
     if host is None:
         host = hosts[value] = canonicalize_host(value)
     return host
+
+
+def _config_embed(obj: dict, embeds: dict, hosts: dict[str, SiteId]) -> EmbedSpec:
+    """A config site's embed; ``embeds`` remembers each distinct raw (tracker, policy, channel), for one load.
+
+    The raw values key the memo, so each is checked to be a string first: an
+    array or object would not hash.  An unknown policy or channel is ``KeyError``.
+    """
+    raw = (
+        _typed(obj["tracker"], str, "embedded tracker"),
+        _typed(obj.get("policy", "ALWAYS"), str, "embed policy"),
+        _typed(obj.get("channel", "RESOURCE_FETCH"), str, "embed channel"),
+    )
+    embed = embeds.get(raw)
+    if embed is None:
+        tracker, policy, channel = raw
+        embed = embeds[raw] = EmbedSpec(
+            _config_host(tracker, "embedded tracker", hosts), EmbedLoadPolicy[policy], Channel[channel]
+        )
+    return embed
 
 
 def _checked_generator(generator: ValueGenerator) -> ValueGenerator:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from cookietrail import crawllog, simulator as sim
+from cookietrail import crawllog, reports, simulator as sim
+from cookietrail.cli import _staged_outputs
 from cookietrail.crawllog import BannerObserved, CookieSet, HttpRequest, RunIndex, VisitEnd, VisitStart, VisitSummary
 from cookietrail.detector import DetectionResult, Detector
 from cookietrail.filterlist import TrackerDomainSet
@@ -26,6 +27,12 @@ def save_jar(jar: CookieJar, path) -> None:
     """Write ``jar``'s snapshot to the file at ``path``."""
     with open(path, "w", encoding="utf-8") as out:
         jar.save(out)
+
+
+def write_report(directory, inputs: reports.ReportInputs) -> dict:
+    """Write the report suite into ``directory`` through the CLI's staged outputs; returns the manifest."""
+    with _staged_outputs() as open_output:
+        return reports.write_report_suite(directory, inputs, open_output)
 
 
 def native_banner(*, reject: bool = True) -> BannerDescriptor:

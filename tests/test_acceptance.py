@@ -33,7 +33,7 @@ from cookietrail.model import (
     Phase,
 )
 
-from helpers import SIM_PSL, native_banner, random_config, run_pipeline
+from helpers import SIM_PSL, native_banner, random_config, run_pipeline, write_report
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -559,7 +559,7 @@ def test_c9_report_conservation(tmp_path):
             trackers=TrackerDomainSet(frozenset(config.listed_tracker_domains())),
             visits=index.visits, tier_cutoffs=[10],
         )
-        reports.write_report_suite(tmp_path / str(seed), inputs)
+        write_report(tmp_path / str(seed), inputs)
 
         def rows(name: str) -> list[list[str]]:
             with open(tmp_path / str(seed) / name, encoding="utf-8", newline="") as handle:

@@ -33,7 +33,7 @@ from cookietrail.model import BannerType, Channel, CookieKey, InteractionStage
 from cookietrail.psl import load_psl
 from cookietrail.simulator import EcosystemConfig
 
-from helpers import SIM_PSL, random_config, run_pipeline
+from helpers import SIM_PSL, random_config, run_pipeline, write_report
 from test_jar import make_record
 
 DAY = 86400.0
@@ -64,7 +64,7 @@ def keys_of(findings) -> set[CookieKey]:
 
 def report_tables(directory: Path, inputs: reports.ReportInputs) -> dict[str, list[list[str]]]:
     """Write the report suite and read back each CSV's data rows, by file name."""
-    manifest = reports.write_report_suite(directory, inputs)
+    manifest = write_report(directory, inputs)
     tables = {}
     for entry in manifest["files"]:
         with open(directory / entry["name"], encoding="utf-8", newline="") as handle:

@@ -3,7 +3,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import os
 import random
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cookietrail
-from cookietrail import cli
+from cookietrail import cli, crawllog
 from cookietrail.cli import _load_logs, build_parser, main
 from cookietrail.crawllog import (
     BannerObserved, CookieSet, HttpRequest, Interaction, VisitEnd, VisitStart, parse_log_text, serialize
@@ -221,7 +220,7 @@ _STAGED_FLAGS = {"build-jar": ["--out"], "detect": ["--out", "--resets-out", "--
 
 
 class TestStagedOutputs:
-    """build-jar, detect and filter-convert stage their outputs as simulate does: a failed run replaces none."""
+    """build-jar, detect, report and filter-convert stage their outputs as simulate does: a failed run replaces none."""
 
     @staticmethod
     def _inputs(analyzed, command) -> list:
@@ -260,6 +259,33 @@ class TestStagedOutputs:
         _json_error(capsys)
         assert sorted(os.listdir(out)) == sorted(path.name for path in others)
         assert all(path.read_bytes() == b"old\n" for path in others)
+
+    @pytest.mark.parametrize("blocked", ["banner_type_averages.csv", "totals.csv", "tracker_table.csv",
+                                         "manifest.json"])
+    def test_unwritable_report_file_leaves_the_directory_as_it_was(self, analyzed, tmp_path, capsys, blocked):
+        """report stages its CSVs and manifest too: one that cannot be written replaces none of the others."""
+        def report(out):
+            return _run(["--errors", "json", "report", "--findings", analyzed / "findings.jsonl",
+                         "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log", "--psl", DEMO / "psl.dat",
+                         "--trackers", analyzed / "trackers.txt", "--out", out])
+
+        fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+        (fresh / blocked).mkdir(parents=True)
+        assert report(earlier) == 0
+        names = sorted(os.listdir(earlier))
+        assert len(names) == 14 and "manifest.json" in names
+        for name in names:
+            (earlier / name).write_bytes(b"old\n")
+        (earlier / blocked).unlink()
+        (earlier / blocked).mkdir()
+        capsys.readouterr()
+        for out in (fresh, earlier):
+            assert report(out) == 1
+            assert _json_error(capsys) == {"error": "IO_ERROR",
+                                           "message": f"[Errno 21] Is a directory: '{out / blocked}'"}
+        assert os.listdir(fresh) == [blocked]
+        assert sorted(os.listdir(earlier)) == names
+        assert all((earlier / name).read_bytes() == b"old\n" for name in names if name != blocked)
 
     def test_failure_while_saving_the_jar_keeps_the_old_snapshot(self, analyzed, tmp_path, capsys, monkeypatch):
         def failing_save(jar, out):
@@ -590,6 +616,9 @@ class TestMergedLogs:
         rules = ["--psl", DEMO / "psl.dat", "--trackers", workspace / "trackers.txt"]
         assert _run(["build-jar", "--log", log, "--out", jar]) == 0
         assert _run(["detect", "--jar", jar, "--log", log, *rules, "--out", findings]) == 0
+        # The second log's first visit is the first whose id the first log holds.
+        colliding = json.loads(other.read_text().splitlines()[1])["visit_id"]
+        assert colliding in parse_log_text(log.read_text()).visits
         capsys.readouterr()
         logs = ["--log", log, "--log", other]
         for command in (
@@ -598,9 +627,9 @@ class TestMergedLogs:
             ["report", "--findings", findings, "--jar", jar, *logs, *rules, "--out", tmp_path / "report"],
         ):
             assert _run(["--errors", "json", *command]) == 2, command[0]
-            record = json.loads(capsys.readouterr().err)
-            assert record["error"] == "SEQUENCE_VIOLATION", command[0]
-            assert "visit ids repeat across merged logs" in record["message"], command[0]
+            assert _json_error(capsys) == {
+                "error": "SEQUENCE_VIOLATION", "message": f"{other}: visit {colliding!r}: duplicate VISIT_START"
+            }, command[0]
 
     def test_three_logs_form_one_indexed_stream(self, workspace, tmp_path):
         logs = []
@@ -1014,7 +1043,8 @@ class TestDeeplyNestedJson:
         capsys.readouterr()
         assert _run(["--errors", "json", "report", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
                      *(arg for pair in inputs.items() for arg in pair), "--out", tmp_path / "report"]) == 1
-        assert _json_error(capsys) == {"error": "MALFORMED_RECORD", "message": f"{deep}:2: {self.PROBLEM}"}
+        assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
+                                       "message": f"{deep}: line 2: invalid JSON ({self.PROBLEM})"}
 
     @pytest.mark.parametrize("line", [0, 1])
     def test_jar_snapshot(self, analyzed, tmp_path, capsys, line):
@@ -1436,23 +1466,34 @@ class TestFindingsSharing:
         assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
                                        "message": f"{findings}: record 0: bad setter_sites [5]"}
 
-    def test_a_bad_record_wins_over_one_not_in_the_jar_and_bad_json_over_both(self, analyzed, tmp_path, capsys):
+    def _first_error(self, analyzed, tmp_path, capsys, path: Path) -> dict:
+        capsys.readouterr()
+        assert _run(["--errors", "json", "report", "--findings", path, "--jar", analyzed / "jar.snap",
+                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        return _json_error(capsys)
+
+    def test_a_record_not_in_the_jar_before_a_bad_record_is_the_error(self, analyzed, tmp_path, capsys):
+        """The first bad line in the file is the error, whichever check it fails."""
         def mutate(records):
-            records[0]["name"] = "elsewhere"
-            records[1]["setter_sites"] = ["elsewhere.com"]
+            records[1]["name"] = "elsewhere"
             records[2]["event_index"] = "x"
 
         path = self._findings_file(analyzed, tmp_path, mutate)
-        args = ["--errors", "json", "report", "--findings", path, "--jar", analyzed / "jar.snap",
-                "--log", analyzed / "run.log", "--out", tmp_path / "report"]
-        capsys.readouterr()
-        assert _run(args) == 1
-        assert _json_error(capsys) == {"error": "MALFORMED_RECORD", "message": f"{path}: record 2: bad event_index 'x'"}
+        record = self._first_error(analyzed, tmp_path, capsys, path)
+        assert record["error"] == "FINDING_NOT_IN_JAR"
+        assert record["message"].startswith(f"{path}: record 1: cookie 'elsewhere' of ")
+
+    def test_a_bad_record_before_a_line_that_is_not_json_is_the_error(self, analyzed, tmp_path, capsys):
+        path = self._findings_file(analyzed, tmp_path, lambda records: records[2].__setitem__("event_index", "x"))
         with path.open("a") as handle:
             handle.write("{not json\n")
-        lineno = len(path.read_text().splitlines())
-        assert _run(args) == 1
-        assert _json_error(capsys)["message"].startswith(f"{path}:{lineno}: ")
+        assert self._first_error(analyzed, tmp_path, capsys, path) == {
+            "error": "MALFORMED_RECORD", "message": f"{path}: record 2: bad event_index 'x'"}
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], lines[1], "{not json", *lines[2:]]) + "\n")
+        assert self._first_error(analyzed, tmp_path, capsys, path) == {
+            "error": "MALFORMED_RECORD", "message": f"{path}: line 3: invalid JSON (Expecting property name enclosed "
+                                                   "in double quotes)"}
 
 
 class TestFindingsSharingCompact(TestFindingsSharing):
@@ -1527,9 +1568,11 @@ def test_findings_encoder_matches_json_dumps():
 
 # --- the findings reader against the path it replaced ------------------------------------
 #
-# A copy of ``_read_findings`` before it compared setter lists as text: every
-# record line decoded in full and its list compared with the jar's as a list.
-# The reader must give equal findings, or the same error, on every input.
+# A reader that decodes every line in full with ``json.loads`` and compares
+# each record's list with the jar's as a list, as ``_read_findings`` did
+# before it compared setter lists as text.  Like the reader, it stops at the
+# first bad line.  The reader must give equal findings, or the same error, on
+# every input.
 
 
 def _ref_read_ndjson(path: str):
@@ -1541,51 +1584,37 @@ def _ref_read_ndjson(path: str):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: {exc.msg}") from None
-            except RecursionError:
-                raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: nested too deeply") from None
+            except (json.JSONDecodeError, RecursionError) as exc:
+                problem = exc.msg if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
+                raise InputError("MALFORMED_RECORD", f"{path}: line {lineno}: invalid JSON ({problem})") from None
+            if not isinstance(obj, dict):
+                raise InputError("MALFORMED_RECORD", f"{path}: line {lineno}: record is not an object")
             if not header_seen:
-                version = obj.get("format_version") if isinstance(obj, dict) else None
-                if type(version) is not int or version != cli.NDJSON_VERSION:
-                    raise InputError("MALFORMED_RECORD", f"{path}:{lineno}: bad format_version header {obj!r}")
+                version = obj.get("format_version")
+                if type(version) is not int or version != 1:
+                    expected = "expected header record {'format_version': 1}"
+                    raise InputError("MALFORMED_RECORD", f"{path}: line {lineno}: {expected}, got {obj!r}")
                 header_seen = True
                 continue
             yield obj
     if not header_seen:
-        raise InputError("MALFORMED_RECORD", f"{path}: missing format_version header")
+        raise InputError("MALFORMED_RECORD", f"{path}: missing format_version header record")
 
 
 def _ref_read_findings(path: str, jar: CookieJar) -> list[IntractableFinding]:
-    jar_sites: dict = {}
-    indices = itertools.count()
-    mismatches: list[str] = []
-
-    def checked(obj) -> IntractableFinding:
-        index = next(indices)
-        finding = cli.finding_from_record(obj)
-        key = finding.key
-        sites = jar_sites.get(key)
-        if sites is None and key in jar.entries:
-            sites = jar_sites[key] = list(jar.setters_of(key))
-        if sites != obj["setter_sites"] and not mismatches:
-            problem = "is not in the jar" if sites is None else "has setter_sites other than the jar's"
-            mismatches.append(f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
-                              f"(partition {key.partition!r}) {problem}")
-        return finding
-
     built = []
-    error = None
     for index, obj in enumerate(_ref_read_ndjson(path)):
-        if error is None:
-            try:
-                built.append(checked(obj))
-            except ValueError as exc:
-                error = InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}")
-    if error is not None:
-        raise error
-    if mismatches:
-        raise InputError("FINDING_NOT_IN_JAR", mismatches[0])
+        try:
+            finding = cli.finding_from_record(obj)
+        except ValueError as exc:
+            raise InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}") from None
+        key = finding.key
+        sites = list(jar.setters_of(key)) if key in jar.entries else None
+        if sites != obj["setter_sites"]:
+            problem = "is not in the jar" if sites is None else "has setter_sites other than the jar's"
+            raise InputError("FINDING_NOT_IN_JAR", f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
+                                                   f"(partition {key.partition!r}) {problem}")
+        built.append(finding)
     return built
 
 
@@ -1620,15 +1649,15 @@ def _detected() -> list[tuple[str, CookieJar, list[IntractableFinding], list[str
 
 @pytest.fixture
 def full_decodes(monkeypatch) -> list:
-    """The line numbers ``cli`` decoded in full, header lines included."""
+    """The line numbers the reader decoded in full, header lines included."""
     decoded = []
-    decode = cli._decode_line
+    decode = crawllog._record_object
 
-    def counting(path, lineno, line):
+    def counting(line, lineno):
         decoded.append(lineno)
-        return decode(path, lineno, line)
+        return decode(line, lineno)
 
-    monkeypatch.setattr(cli, "_decode_line", counting)
+    monkeypatch.setattr(crawllog, "_record_object", counting)
     return decoded
 
 
@@ -1887,8 +1916,8 @@ class TestResetsAndSyncsReaders:
     @pytest.mark.parametrize(
         "mutate, problem",
         [
-            (lambda records: [[1, 2], "x"], "record 0: record is not an object"),
-            (lambda records: [records[0], 7], "record 1: record is not an object"),
+            (lambda records: [[1, 2], "x"], "line 2: record is not an object"),
+            (lambda records: [records[0], 7], "line 3: record is not an object"),
             (lambda records: [{k: v for k, v in records[0].items() if k != "name"}], "record 0: missing field 'name'"),
             (lambda records: [records[0], {**records[0], "host": 5}], "record 1: bad host 5"),
             (lambda records: [{**records[0], "partition": False}], "record 0: bad partition False"),

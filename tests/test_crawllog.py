@@ -281,10 +281,14 @@ class TestParseLog:
             "MALFORMED_RECORD", "line 3: bad banner object (INVALID_CONFIG: banner_type NONE must have no layers)"
         )
 
-    def test_first_index_offsets_every_event(self):
-        index = parse_log_text(serialize(_single_visit_events()), first_index=10)
-        assert index == index_run(numbered(_single_visit_events(), first_index=10))
-        assert len(index) == 6 and [e.event_index for e in index.requests] == [12]
+    def test_a_continued_parse_numbers_events_after_the_run_it_continues(self):
+        first, second = _single_visit_events("v1"), _single_visit_events("v2")
+        index = parse_log_text(serialize(second), parse_log_text(serialize(first)))
+        assert index == index_run(numbered(first + second))
+        assert len(index) == 12 and [e.event_index for e in index.requests] == [2, 8]
+        with pytest.raises(InvariantError) as exc:
+            parse_log_text(serialize(first), index)
+        assert exc.value.message == "visit 'v1': duplicate VISIT_START"
 
     def test_interaction_action_stage_consistency(self):
         events = _single_visit_events()
@@ -821,9 +825,10 @@ def _ref_check_sequence(event, open_visits, closed):
         )
 
 
-def _ref_parse_log_text(text):
+def _ref_parse_log_text(text, ended=()):
+    """The events of one log; ``ended`` holds the visit ids of the logs read before it, as ended visits."""
     events = []
-    open_visits, closed = {}, set()
+    open_visits, closed = {}, set(ended)
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -852,10 +857,10 @@ def _ref_parse_log_text(text):
     return events
 
 
-def _ref_outcome(text):
+def _ref_outcome(text, ended=()):
     """The reference parser's events of one log, or the ``PipelineError`` it raises."""
     try:
-        return _ref_parse_log_text(text)
+        return _ref_parse_log_text(text, ended)
     except PipelineError as exc:
         return exc
 
@@ -868,21 +873,19 @@ def c8_reference():
     return [(text, _ref_outcome(text)) for text, _code, _exit in c8_corpus()]
 
 
-def _ref_load(paths, outcomes):
-    """Merge the reference outcomes of one run's logs as the loader merges logs; the first error is raised.
+def _ref_load(paths, texts, first):
+    """The reference's events of one run's logs read in turn, numbered across them; the first error is raised.
 
-    An error in one file's records names that file, as the loader's do.
+    ``first`` is the reference's outcome of the first log, which no other log
+    affects.  Each later log is parsed with the visit ids of the logs before
+    it as ended visits, so an id it starts again is its duplicate VISIT_START.
+    An error names its file, as the loader's do.
     """
-    for path, events in zip(paths, outcomes):
+    merged = []
+    for n, (path, text) in enumerate(zip(paths, texts)):
+        events = first if n == 0 else _ref_outcome(text, {e.visit_id for e in merged})
         if isinstance(events, PipelineError):
             raise type(events)(events.code, f"{path}: {events.message}")
-    merged, seen_visits = [], set()
-    for events in outcomes:
-        file_visits = {e.visit_id for e in events}
-        overlap = file_visits & seen_visits
-        if overlap:
-            raise InvariantError("SEQUENCE_VIOLATION", f"visit ids repeat across merged logs: {sorted(overlap)[:5]}")
-        seen_visits |= file_visits
         merged += [e._replace(event_index=len(merged) + i) for i, e in enumerate(events)]
     return merged
 
@@ -941,7 +944,7 @@ def random_runs():
 
 def test_single_pass_loader_matches_two_pass_reference(tmp_path, c8_reference, random_runs):
     """Random ecosystems merged from 1-3 logs, and every C8 mutant: the reference's index or its error."""
-    cases = []  # (what the case covers, the texts of its logs, the reference's outcome of each)
+    cases = []  # (what the case covers, the texts of its logs, the reference's outcome of the first)
     for seed, config, _events, first in random_runs:
         labels = [f"r{j}" for j in range(1 + seed % 3)]
         what = "merged" if len(labels) > 1 else "single"
@@ -951,16 +954,16 @@ def test_single_pass_loader_matches_two_pass_reference(tmp_path, c8_reference, r
         texts = [first, *(serialize(sim.generate(config, seed + j, run_label=label)) for j, label in later)]
         if seed % 20 == 0:
             texts[-1], what = _upper_case_hosts(texts[-1]), "upper-case"
-        cases.append((what, texts, [_ref_outcome(text) for text in texts]))
-    cases += [("mutant", [text], [outcome]) for text, outcome in c8_reference]
+        cases.append((what, texts, _ref_outcome(first)))
+    cases += [("mutant", [text], outcome) for text, outcome in c8_reference]
 
     seen = {}
-    for n, (what, texts, outcomes) in enumerate(cases):
+    for n, (what, texts, first_outcome) in enumerate(cases):
         paths = []
         for j, text in enumerate(texts):
             paths.append(tmp_path / f"{n}-{j}.log")
             paths[-1].write_text(text, encoding="utf-8")
-        expected = _load_outcome(lambda: index_run(_fold_hosts(_ref_load(paths, outcomes))))
+        expected = _load_outcome(lambda: index_run(_fold_hosts(_ref_load(paths, texts, first_outcome))))
         got = _load_outcome(lambda: _load_logs(paths))
         assert got[0] == expected[0], (n, what, expected[1] if expected[0] == "error" else got[1])
         assert got == expected, (n, what)

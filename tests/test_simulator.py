@@ -21,6 +21,7 @@ from cookietrail.model import (
     BannerLayer,
     BannerType,
     ButtonAction,
+    Channel,
     CookieKey,
     InteractionStage,
     canonicalize_host,
@@ -250,6 +251,23 @@ class TestConfigLoad:
         first_of_value = {}
         for site in config.sites:
             assert first_of_value.setdefault(site.banner, site.banner) is site.banner
+
+    def test_sites_with_the_same_embed_share_one_embed_spec(self):
+        """Each distinct (tracker, policy, channel) is built once per load; a bad policy or channel is still caught."""
+        obj = simple_config().to_obj()
+        embed = {"tracker": obj["trackers"][0]["domain"], "policy": "PRE_CONSENT_ONLY", "channel": "API_CALL"}
+        for site in obj["sites"][:2]:
+            site["embeds"] = [dict(embed)]
+        obj["sites"][1]["embeds"][0]["tracker"] = embed["tracker"].upper()  # another raw host: another spec
+        obj["sites"][2]["embeds"] = [dict(embed)]
+        first, second, third = (site.embeds[0] for site in sim.EcosystemConfig.from_obj(obj).sites[:3])
+        assert first is third and first == second and first is not second
+        assert (first.policy, first.channel) == (sim.EmbedLoadPolicy.PRE_CONSENT_ONLY, Channel.API_CALL)
+        for key, value in (("policy", "NEVER"), ("channel", "SCRIPT"), ("policy", ["ALWAYS"]), ("channel", 1)):
+            obj["sites"][2]["embeds"] = [{**embed, key: value}]
+            with pytest.raises(InputError) as exc:
+                sim.EcosystemConfig.from_obj(obj)
+            assert exc.value.code == "INVALID_CONFIG", (key, value)
 
     def test_loads_a_host_to_its_canonical_form(self):
         obj = simple_config().to_obj()
