@@ -21,19 +21,18 @@ into a fresh namespace.
 Findings, resets and syncs are NDJSON: a ``format_version`` header, then one
 record per line.  Each kind's wire record is declared once, as a
 ``model.RecordFields`` (``_FINDING_FIELDS``, ``_RESET_FIELDS``,
-``_SYNC_FIELDS``), which builds every record read back and gives the object
-``json.dumps`` writes for each reset and sync.  ``detect`` writes each finding
-with the hand encoder ``encode_finding``, byte for byte ``json.dumps`` of the
-schema's object plus ``setter_sites``, the jar's setter list of its cookie
-(``CookieJar.setters_of``), encoded once per cookie, so the file still
-repeats every list.  ``setter_sites`` is wire-only: the finding does not hold
-it.  ``report`` reads the file as a stream and checks every record; with
-``--jar``, each record's list must equal the jar's, and is then dropped.  It
-checks a list with one string comparison against the text ``encode_finding``
-writes for the jar's list, decoding only the rest of the line; a line where
-that comparison does not settle it (other spacing, other escapes, a list
-other than the jar's, a cookie not in the jar, extra keys) is decoded in full
-and checked as before.
+``_SYNC_FIELDS``), whose compiled ``encode`` writes each line, byte for byte
+``json.dumps`` of the record's object, and whose compiled ``decode`` checks
+and builds every record read back.  A finding's ``setter_sites`` is
+wire-only: the finding does not hold it.  ``detect`` hands the finding's
+``encode`` the jar's setter list of its cookie (``CookieJar.setters_of``),
+encoded once per cookie, so the file still repeats every list.  ``report``
+reads the file as a stream and checks every record; with ``--jar``, each
+record's list must equal the jar's, and is then dropped.  It checks a list
+with one string comparison against the text ``detect`` writes for the jar's
+list, decoding only the rest of the line; a line where that comparison does
+not settle it (other spacing, other escapes, a list other than the jar's, a
+cookie not in the jar, extra keys) is decoded in full and checked as before.
 
 ``simulate``, ``build-jar``, ``detect``, ``report`` and ``filter-convert
 --out`` write their files through ``_staged_outputs``: all of a command's
@@ -58,7 +57,7 @@ from . import crawllog, filterlist, reports, simulator
 from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
 from .errors import InputError, InvariantError, PipelineError, json_problem, not_utf8, read_utf8
 from .jar import CookieJar, build_jar
-from .model import OPTIONAL_STR, Channel, CookieKey, InteractionStage, RecordFields
+from .model import OPTIONAL_STR, Channel, CookieKey, Field, InteractionStage, RecordFields
 from .psl import EMPTY_RULESET, PslRuleSet, load_psl
 
 DEFAULT_TIERS = (50, 500, 1000, 5000, 10000)
@@ -217,7 +216,7 @@ def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
 def _setters_json(jar: CookieJar, key: CookieKey, memo: dict) -> str:
     """The jar's setter list of ``key`` as a findings record holds it, memoised per cookie in ``memo``.
 
-    The one encoding of the list: ``encode_finding`` writes it and
+    The one encoding of the list: ``detect`` writes it with each finding and
     ``_read_findings`` compares records with it.
     """
     text = memo.get(key)
@@ -226,33 +225,21 @@ def _setters_json(jar: CookieJar, key: CookieKey, memo: dict) -> str:
     return text
 
 
-def encode_finding(finding: IntractableFinding, jar: CookieJar, setters: dict) -> str:
-    """A finding's record line, byte for byte ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.
-
-    Keys are written in sorted order, enums by member name and strings through
-    the escaper ``json.dumps`` applies under ``ensure_ascii``.  ``setter_sites``
-    is the jar's setter list of the cookie; ``setters``, a memo local to one
-    file, holds its JSON per cookie (``_setters_json``).
-    """
-    key = finding.key
-    sites_json = _setters_json(jar, key, setters)
-    partition = key.partition
-    return (
-        f'{{"canonical":{"true" if finding.canonical else "false"},"channel":"{finding.channel._name_}",'
-        f'"event_index":{int.__repr__(finding.event_index)},"host":{_string(key.host)},'
-        f'"name":{_string(key.name)},"partition":{"null" if partition is None else _string(partition)},'
-        f'"sender_site":{_string(finding.sender_site)},"setter_sites":{sites_json},'
-        f'"stage":"{finding.stage._name_}","tracker_domain":{_string(finding.tracker_domain)},'
-        f'"value_at_send":{_string(finding.value_at_send)},"visit_id":{_string(finding.visit_id)}}}'
-    )
+def _strings(value: list, name: str) -> list:
+    """A list whose items are all strings, checked in one C loop."""
+    try:
+        "".join(value)
+    except TypeError:
+        raise ValueError(f"bad {name} {value!r}") from None
+    return value
 
 
 # The wire records of findings, resets and syncs.  A finding's ``setter_sites``
 # is wire-only: its setter sites are its jar's (``_read_findings``).
 _FINDING_FIELDS = RecordFields(
     IntractableFinding, name={str}, host={str}, partition=OPTIONAL_STR, value_at_send={str}, sender_site={str},
-    tracker_domain={str}, setter_sites={list}, stage=InteractionStage, channel=Channel, visit_id={str},
-    event_index={int}, canonical={bool}, wire_only=("setter_sites",),
+    tracker_domain={str}, setter_sites=Field({list}, read=_strings), stage=InteractionStage, channel=Channel,
+    visit_id={str}, event_index={int}, canonical={bool}, wire_only=("setter_sites",),
 )
 _RESET_FIELDS = RecordFields(ResetFinding, name={str}, host={str}, partition=OPTIONAL_STR, sender_site={str},
                              event_index={int})
@@ -260,27 +247,6 @@ _SYNC_FIELDS = RecordFields(
     SyncFinding, name={str}, host={str}, partition=OPTIONAL_STR, carrying_url={str}, origin_tracker={str},
     destination_tracker={str}, parameter_name={str},
 )
-
-
-def finding_from_record(obj) -> IntractableFinding:
-    """Build a finding from its record, checking every field.
-
-    ``setter_sites`` is checked to be a list of strings and then dropped.
-
-    Raises:
-        ValueError: naming the first field that is missing, of the wrong
-            type, or (``stage``, ``channel``) not a member name.
-    """
-    values = _FINDING_FIELDS.values(obj)
-    try:
-        "".join(obj["setter_sites"])  # checks in one C loop that every item is a string
-    except TypeError:
-        raise ValueError(f"bad setter_sites {obj['setter_sites']!r}") from None
-    return _FINDING_FIELDS.build(values)
-
-
-def _record_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 @contextlib.contextmanager
@@ -377,7 +343,7 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
     (``without_list``); a line that check does not accept is decoded in full.
     """
     if jar is None:
-        return _read_records(path, finding_from_record)
+        return _read_records(path, _FINDING_FIELDS.decode)
     setters: dict = {}  # each cookie's setter list as a record holds it (_setters_json)
     jar_sites: dict[CookieKey, list[str]] = {}  # each cookie's setter list, read from the jar once
 
@@ -386,7 +352,7 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
 
         Let ``i`` be the first ``,"setter_sites":`` and ``j`` the last
         ``,"stage":``.  Only ``line[:i] + line[j:]`` is decoded.  If that is an
-        object of exactly the 11 other fields and ``finding_from_record``
+        object of exactly the 11 other fields and ``_FINDING_FIELDS.decode``
         accepts it, every value is a scalar, and ``i`` falls between two of
         its members: inside a string the ``"`` after the comma would close it,
         and ``s`` cannot follow a closed string.  So when ``line[i+16:j]`` is
@@ -406,7 +372,7 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
             return None
         obj["setter_sites"] = []  # stands in for the jar's list, a list of strings
         try:
-            finding = finding_from_record(obj)
+            finding = _FINDING_FIELDS.decode(obj)
         except ValueError:
             return None
         key = finding.key
@@ -417,7 +383,7 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
         return finding if j - start == len(text) and line.startswith(text, start) else None
 
     def checked(obj) -> IntractableFinding:
-        finding = finding_from_record(obj)
+        finding = _FINDING_FIELDS.decode(obj)
         key = finding.key
         sites = jar_sites.get(key)
         if sites is None and key in jar.entries:
@@ -477,9 +443,9 @@ def _cmd_detect(args, error_format: str) -> int:
     _emit_issues(result.issues, error_format)
     setters: dict = {}
     outputs = [
-        (args.out, (encode_finding(f, jar, setters) for f in result.findings)),
-        (args.resets_out, map(_record_line, map(_RESET_FIELDS.obj, result.resets))),
-        (args.syncs_out, map(_record_line, map(_SYNC_FIELDS.obj, result.syncs))),
+        (args.out, (_FINDING_FIELDS.encode(f, _setters_json(jar, f.key, setters)) for f in result.findings)),
+        (args.resets_out, map(_RESET_FIELDS.encode, result.resets)),
+        (args.syncs_out, map(_SYNC_FIELDS.encode, result.syncs)),
     ]
     with _staged_outputs() as open_output:
         for path, lines in outputs:
@@ -510,8 +476,8 @@ def _cmd_report(args, error_format: str) -> int:
         visits=index.visits,
         tier_cutoffs=args.tiers,
         gpc_findings=gpc_findings,
-        resets=_read_records(args.resets, _RESET_FIELDS.record) if args.resets else None,
-        syncs=_read_records(args.syncs, _SYNC_FIELDS.record) if args.syncs else None,
+        resets=_read_records(args.resets, _RESET_FIELDS.decode) if args.resets else None,
+        syncs=_read_records(args.syncs, _SYNC_FIELDS.decode) if args.syncs else None,
     )
     out_dir = _require_option(args, "out", "--out")
     with _staged_outputs() as open_output:

@@ -7,12 +7,13 @@ INTERACTION, VISIT_END``.  The stage of a request or cookie-set event must
 equal the stage established by the most recent interaction (initially
 ``BEFORE_INTERACTION``), so stages are non-decreasing by construction.
 
-Each record kind has one encoder and one decoder, side by side in
-``_ENCODERS`` and ``_DECODERS``.  An encoder writes its record's line
-directly, and the bytes are exactly those of ``json.dumps(record,
-sort_keys=True, separators=(",", ":"))``.  ``log_writer`` is the one loop over
-the encoders: it writes each event's line as it is handed the event, so a log
-is written as it is made (``simulate``); ``serialize`` joins the same lines.
+Each event kind's wire record is declared once, in ``_EVENT_FIELDS``: a
+``model.RecordFields`` whose ``encode`` and ``decode`` are compiled from the
+declaration.  ``encode`` writes the event's line directly, and the bytes are
+exactly those of ``json.dumps(record, sort_keys=True, separators=(",",
+":"))``.  ``log_writer`` writes each event's line as it is handed the event,
+so a log is written as it is made (``simulate``); ``serialize`` joins the same
+lines.
 
 Records end at ``\\n`` only.  JSON allows U+2028, U+2029 and U+0085 raw
 inside a string, so they do not end a record, as ``str.splitlines`` would
@@ -23,19 +24,20 @@ header checked once, each record line decoded with the JSON scanner, and the
 first bad line in file order the error, worded ``line <n>: ...``.
 
 Parsing builds the run index (``RunIndex``) as it reads, in one pass over the
-lines and with no event list in between: a decoder per record kind checks the
-record's fields and its place in its visit's sequence, then files it.  An
-HTTP_REQUEST or COOKIE_SET becomes its event, appended to the index's requests
-or cookie sets with its final index (a parse can continue the index of the
-logs parsed before it, so several logs form one run).  VISIT_START,
-BANNER_OBSERVED, INTERACTION and VISIT_END are checked in full but never
-built: the open visit keeps its VISIT_START fields and banner type, and
-VISIT_END turns them into the visit's ``VisitSummary``.  Hosts (``site``,
-``target_host``, ``setter_context_host``) are canonicalized at parse time, so
-every later stage sees canonical hosts.  A URL field must be one that
-``urlsplit`` accepts; ``urlsplit`` raises only on a bracket or a non-ASCII
-netloc, so an ASCII URL without brackets is accepted without the call.  Later
-stages read the index and walk no events.
+lines and with no event list in between: the decoder of the record's kind
+checks its fields, in the event's field order, and builds the event, numbered
+with its final index (a parse can continue the index of the logs parsed
+before it, so several logs form one run); then a filer checks the event's
+place in its visit's sequence and files it.  An HTTP_REQUEST or COOKIE_SET is
+appended to the index's requests or cookie sets.  The open visit keeps its
+VISIT_START and banner type, and VISIT_END turns them into the visit's
+``VisitSummary``.  A field error reads ``line <n>: missing field '<f>'`` or
+``line <n>: bad <f> <value>``.  Hosts (``site``, ``target_host``,
+``setter_context_host``) are canonicalized at parse time, so every later stage
+sees canonical hosts.  A URL field must be one that ``urlsplit`` accepts;
+``urlsplit`` raises only on a bracket or a non-ASCII netloc, so an ASCII URL
+without brackets is accepted without the call.  Later stages read the index
+and walk no events.
 
 Events and the records derived from them are immutable ``NamedTuple``s,
 cheaper to build than frozen dataclasses.  Tell kinds apart by
@@ -50,7 +52,6 @@ import json
 import marshal
 from dataclasses import dataclass
 from email.utils import parsedate_to_datetime
-from json.encoder import encode_basestring_ascii as _string
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
@@ -58,6 +59,9 @@ from urllib.parse import urlsplit
 from .errors import InputError, InvariantError, ParseIssue, json_problem
 from .model import (
     CRAWL_EPOCH,
+    HOST,
+    OPTIONAL_STR,
+    POSITIVE_INT,
     BannerButton,
     BannerDescriptor,
     BannerLayer,
@@ -67,10 +71,12 @@ from .model import (
     Channel,
     CookieKey,
     CookieRecord,
+    Field,
     InteractionAction,
     InteractionStage,
     Iteration,
     Phase,
+    RecordFields,
     SiteId,
     VisitOutcome,
     canonicalize_host,
@@ -272,51 +278,78 @@ def decode_banner(obj: dict, memo: dict) -> BannerDescriptor:
     return banner
 
 
-# --- parsing: one decoder per kind, sequencing checked as each event is built ---
-
-# name -> member tables, one dictionary lookup per enum field.
-_PHASES = dict(Phase.__members__)
-_ITERATIONS = dict(Iteration.__members__)
-_ACTIONS = dict(InteractionAction.__members__)
-_STAGES = dict(InteractionStage.__members__)
-_CHANNELS = dict(Channel.__members__)
-_OUTCOMES = dict(VisitOutcome.__members__)
-
-# The scanner ``raw_decode`` wraps: (value, end) of the JSON value at an index,
-# ``StopIteration`` if none starts there.
-_scan_json = json.JSONDecoder().scan_once
+# --- the wire records: one compiled codec per event kind ------------------------
 
 
-def _field_error(obj: dict, key: str, lineno: int, problem: str = "") -> InputError:
-    """The error for a field that failed its check; an absent or null field is missing."""
-    raw = obj.get(key)
-    if raw is None:
-        return InputError("MALFORMED_RECORD", f"line {lineno}: missing field {key!r}")
-    return InputError("MALFORMED_RECORD", f"line {lineno}: {problem or f'bad {key} value {raw!r}'}")
-
-
-def _member(table: dict, obj: dict, key: str, lineno: int):
-    try:
-        return table[obj[key]]
-    except (KeyError, TypeError):  # TypeError: an unhashable value
-        raise _field_error(obj, key, lineno) from None
-
-
-def _check_url(value, key: str, lineno: int) -> None:
+def _check_url(value: str, name: str) -> str:
     """A URL field must be a string that ``urlsplit`` accepts, as detection splits it.
 
     ``urlsplit`` raises only on a ``[`` or ``]`` in the netloc or on a
     non-ASCII netloc (Python 3.10 to 3.13, as the tests check), so an ASCII
     string without brackets cannot fail and skips the call.
     """
-    if not isinstance(value, str):
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
     if value.isascii() and "[" not in value and "]" not in value:
-        return
+        return value
     try:
         urlsplit(value)
     except ValueError as exc:
-        raise InputError("UNPARSABLE_URL", f"line {lineno}: bad {key} {value!r} ({exc})") from None
+        raise InputError("UNPARSABLE_URL", f"bad {name} {value!r} ({exc})") from None
+    return value
+
+
+def _read_banner(obj: dict, name: str, banners: dict) -> BannerDescriptor:
+    try:
+        return decode_banner(obj, banners)
+    except (InputError, KeyError, ValueError, TypeError) as exc:
+        raise ValueError(f"bad {name} object ({exc})") from None
+    except AttributeError as exc:
+        raise ValueError(f"malformed record ({exc})") from None
+
+
+def _banner_json(banner: BannerDescriptor, banners: dict) -> str:
+    """A banner's JSON, memoized in ``banners`` for one log being written.
+
+    The memo is keyed by ``id(banner)``, which hashes no nested dataclass, and
+    holds the banner itself beside its JSON, so no id is reused while it is a
+    key.  Equal banners from one config load are one object (``decode_banner``).
+    """
+    entry = banners.get(id(banner))
+    if entry is None:
+        text = json.dumps(banner_to_obj(banner), sort_keys=True, separators=(",", ":"))
+        entry = banners[id(banner)] = (banner, text)
+    return entry[1]
+
+
+VISIT_ID = Field({str}, test="{}")  # not empty
+URL = Field({str}, read=_check_url)
+BANNER = Field({dict}, read=_read_banner, memo="banners", write=_banner_json)
+
+# The wire record of each event kind.  A request's cookie header and redirect
+# parent may be omitted.
+_EVENT_FIELDS = {
+    VisitStart: RecordFields(
+        VisitStart, kind="VISIT_START", visit_id=VISIT_ID, site=HOST, rank=POSITIVE_INT, phase=Phase,
+        iteration=Iteration, gpc_enabled={bool},
+    ),
+    BannerObserved: RecordFields(BannerObserved, kind="BANNER_OBSERVED", visit_id=VISIT_ID, banner=BANNER),
+    Interaction: RecordFields(
+        Interaction, kind="INTERACTION", visit_id=VISIT_ID, action=InteractionAction, resulting_stage=InteractionStage,
+    ),
+    HttpRequest: RecordFields(
+        HttpRequest, kind="HTTP_REQUEST", visit_id=VISIT_ID, stage=InteractionStage, target_host=HOST,
+        target_url=URL, channel=Channel, cookie_header=Field({str}, default=""),
+        redirect_parent_url=URL._replace(types=OPTIONAL_STR, default=None),
+    ),
+    CookieSet: RecordFields(
+        CookieSet, kind="COOKIE_SET", visit_id=VISIT_ID, stage=InteractionStage, set_cookie_header={str},
+        setter_context_host=HOST,
+    ),
+    VisitEnd: RecordFields(VisitEnd, kind="VISIT_END", visit_id=VISIT_ID, outcome=VisitOutcome),
+}
+
+# The scanner ``raw_decode`` wraps: (value, end) of the JSON value at an index,
+# ``StopIteration`` if none starts there.
+_scan_json = json.JSONDecoder().scan_once
 
 
 def _violation(visit_id: str, detail: str):
@@ -324,12 +357,12 @@ def _violation(visit_id: str, detail: str):
 
 
 class _VisitState:
-    """An open visit: its VISIT_START fields, its banner type once seen, and where its sequence stands."""
+    """An open visit: its VISIT_START, its banner type once seen, and where its sequence stands."""
 
     __slots__ = ("start", "banner_type", "stage", "saw_body")
 
-    def __init__(self, start: tuple):
-        self.start = start  # visit_id, site, rank, phase, iteration, gpc_enabled
+    def __init__(self, start: VisitStart):
+        self.start = start
         self.banner_type: BannerType | None = None  # None until BANNER_OBSERVED
         self.stage = InteractionStage.BEFORE_INTERACTION
         self.saw_body = False  # any event beyond VISIT_START/BANNER_OBSERVED
@@ -338,8 +371,8 @@ class _VisitState:
 class _LogParser:
     """The state of one parse: the index being built, the open visits, each host's canonical form and each banner.
 
-    Each decoder checks one record's fields in a fixed order, then the
-    record's place in its visit, and only then files the record.
+    Each filer takes one decoded event, checks its place in its visit, and
+    only then files it.
     """
 
     __slots__ = ("visits", "ended", "requests", "cookie_sets", "open_visits", "hosts", "banners")
@@ -355,207 +388,76 @@ class _LogParser:
         self.hosts: dict[str, str] = {}  # raw -> canonical: each distinct host is canonicalized once
         self.banners: dict[bytes | str, BannerDescriptor] = {}  # ``decode_banner``'s memo
 
-    def _host(self, obj: dict, key: str, lineno: int) -> str:
-        raw = obj.get(key)
-        if not isinstance(raw, str):
-            raise _field_error(obj, key, lineno, f"{key} must be a string")
-        host = self.hosts.get(raw)
-        if host is None:
-            try:
-                host = canonicalize_host(raw)
-            except InputError as exc:
-                raise InputError(exc.code, f"line {lineno}: bad {key} {raw!r} ({exc.message})") from None
-            self.hosts[raw] = host
-        return host
-
-    def _state(self, visit_id: str, event_name: str) -> _VisitState:
+    def _state(self, event: CrawlEvent) -> _VisitState:
         """The open visit an event after VISIT_START belongs to."""
-        state = self.open_visits.get(visit_id)
+        state = self.open_visits.get(event.visit_id)
         if state is None:
-            detail = "event after VISIT_END" if visit_id in self.visits else "event before VISIT_START"
-            _violation(visit_id, f"{detail} ({event_name})")
+            detail = "event after VISIT_END" if event.visit_id in self.visits else "event before VISIT_START"
+            _violation(event.visit_id, f"{detail} ({type(event).__name__})")
         return state
 
-    def _at_stage(self, visit_id: str, event_name: str, stage: InteractionStage) -> None:
+    def _at_stage(self, event: HttpRequest | CookieSet) -> None:
         """HTTP_REQUEST / COOKIE_SET carry the stage the visit is currently in."""
-        state = self._state(visit_id, event_name)
+        state = self._state(event)
         state.saw_body = True
-        if stage is not state.stage:
-            _violation(visit_id, f"{event_name} at stage {stage.name} while visit is at {state.stage.name}")
+        if event.stage is not state.stage:
+            _violation(event.visit_id, f"{type(event).__name__} at stage {event.stage.name} "
+                                       f"while visit is at {state.stage.name}")
 
-    def visit_start(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
-        rank = obj.get("rank")
-        if type(rank) is not int or rank < 1:  # a bool is not a rank
-            raise _field_error(obj, "rank", lineno, "rank must be a positive int")
-        gpc = obj.get("gpc_enabled")
-        if type(gpc) is not bool:
-            raise _field_error(obj, "gpc_enabled", lineno, "gpc_enabled must be a bool")
-        site = self._host(obj, "site", lineno)
-        phase = _member(_PHASES, obj, "phase", lineno)
-        iteration = _member(_ITERATIONS, obj, "iteration", lineno)
-        if visit_id in self.visits:
-            _violation(visit_id, "duplicate VISIT_START")
-        self.visits[visit_id] = None
-        self.open_visits[visit_id] = _VisitState((visit_id, site, rank, phase, iteration, gpc))
+    def visit_start(self, event: VisitStart) -> None:
+        if event.visit_id in self.visits:
+            _violation(event.visit_id, "duplicate VISIT_START")
+        self.visits[event.visit_id] = None
+        self.open_visits[event.visit_id] = _VisitState(event)
 
-    def banner_observed(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
-        raw = obj.get("banner")
-        if raw is None:
-            raise _field_error(obj, "banner", lineno)
-        try:
-            banner = decode_banner(raw, self.banners)
-        except (InputError, KeyError, ValueError, TypeError) as exc:
-            raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
-        except AttributeError as exc:
-            raise InputError("MALFORMED_RECORD", f"line {lineno}: malformed record ({exc})") from None
-        state = self._state(visit_id, "BannerObserved")
+    def banner_observed(self, event: BannerObserved) -> None:
+        state = self._state(event)
         if state.saw_body or state.banner_type is not None:
-            _violation(visit_id, "BANNER_OBSERVED not immediately after VISIT_START")
-        state.banner_type = banner.banner_type
+            _violation(event.visit_id, "BANNER_OBSERVED not immediately after VISIT_START")
+        state.banner_type = event.banner.banner_type
 
-    def interaction(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
-        action = _member(_ACTIONS, obj, "action", lineno)
-        resulting = _member(_STAGES, obj, "resulting_stage", lineno)
-        state = self._state(visit_id, "Interaction")
+    def interaction(self, event: Interaction) -> None:
+        state = self._state(event)
         state.saw_body = True
-        if resulting is not _ACTION_STAGE[action]:
-            _violation(visit_id, f"{action.value} cannot result in stage {resulting.name}")
+        resulting = event.resulting_stage
+        if resulting is not _ACTION_STAGE[event.action]:
+            _violation(event.visit_id, f"{event.action.value} cannot result in stage {resulting.name}")
         if resulting <= state.stage:
-            _violation(visit_id, f"stage {resulting.name} does not advance past {state.stage.name}")
+            _violation(event.visit_id, f"stage {resulting.name} does not advance past {state.stage.name}")
         state.stage = resulting
 
-    def http_request(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
-        cookie_header = obj.get("cookie_header", "")
-        if not isinstance(cookie_header, str):
-            raise InputError("MALFORMED_RECORD", f"line {lineno}: cookie_header must be a string")
-        redirect_parent_url = obj.get("redirect_parent_url")
-        if redirect_parent_url is not None:
-            _check_url(redirect_parent_url, "redirect_parent_url", lineno)
-        stage = _member(_STAGES, obj, "stage", lineno)
-        target_host = self._host(obj, "target_host", lineno)
-        target_url = obj.get("target_url")
-        if target_url is None:
-            raise _field_error(obj, "target_url", lineno)
-        _check_url(target_url, "target_url", lineno)
-        channel = _member(_CHANNELS, obj, "channel", lineno)
-        self._at_stage(visit_id, "HttpRequest", stage)
-        self.requests.append(HttpRequest(
-            visit_id, stage, target_host, target_url, channel, cookie_header, redirect_parent_url, index
-        ))
+    def http_request(self, event: HttpRequest) -> None:
+        self._at_stage(event)
+        self.requests.append(event)
 
-    def cookie_set(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
-        stage = _member(_STAGES, obj, "stage", lineno)
-        header = obj.get("set_cookie_header")
-        if not isinstance(header, str):
-            raise _field_error(obj, "set_cookie_header", lineno, "set_cookie_header must be a string")
-        setter_context_host = self._host(obj, "setter_context_host", lineno)
-        self._at_stage(visit_id, "CookieSet", stage)
-        self.cookie_sets.append(CookieSet(visit_id, stage, header, setter_context_host, index))
+    def cookie_set(self, event: CookieSet) -> None:
+        self._at_stage(event)
+        self.cookie_sets.append(event)
 
-    def visit_end(self, obj: dict, lineno: int, visit_id: str, index: int) -> None:
-        outcome = _member(_OUTCOMES, obj, "outcome", lineno)
-        state = self._state(visit_id, "VisitEnd")
-        del self.open_visits[visit_id]
+    def visit_end(self, event: VisitEnd) -> None:
+        state = self._state(event)
+        del self.open_visits[event.visit_id]
         banner_type = BannerType.NONE if state.banner_type is None else state.banner_type
-        self.visits[visit_id] = summary = VisitSummary(*state.start, banner_type, outcome)
+        self.visits[event.visit_id] = summary = VisitSummary(*state.start[:6], banner_type, event.outcome)
         self.ended.append(summary)
 
 
-# --- writing: one encoder per kind ---------------------------------------------
-#
-# Keys are written in sorted order, enum fields as member names (read from the
-# plain ``_name_`` attribute, cheaper than the ``name`` property), and strings
-# through the escaper ``json.dumps`` applies under ``ensure_ascii`` (``_string``).
-
-
-def _int(value: int) -> str:
-    """An int as ``json.dumps`` writes it: a bool, an int subclass, as ``true`` / ``false``."""
-    return "true" if value is True else "false" if value is False else int.__repr__(value)
-
-
-def _encode_visit_start(e: VisitStart, banners: dict) -> str:
-    return (
-        f'{{"gpc_enabled":{_int(e.gpc_enabled)},"iteration":"{e.iteration._name_}","kind":"VISIT_START",'
-        f'"phase":"{e.phase._name_}","rank":{_int(e.rank)},"site":{_string(e.site)},'
-        f'"visit_id":{_string(e.visit_id)}}}'
-    )
-
-
-def _encode_banner_observed(e: BannerObserved, banners: dict) -> str:
-    """``banners`` memoizes each banner object's JSON for one log being written.
-
-    It is keyed by ``id(banner)``, which hashes no nested dataclass, and holds
-    the banner itself beside its JSON, so no id is reused while it is a key.
-    Equal banners from one config load are one object (``decode_banner``).
-    """
-    banner = e.banner
-    entry = banners.get(id(banner))
-    if entry is None:
-        text = json.dumps(banner_to_obj(banner), sort_keys=True, separators=(",", ":"))
-        entry = banners[id(banner)] = (banner, text)
-    return f'{{"banner":{entry[1]},"kind":"BANNER_OBSERVED","visit_id":{_string(e.visit_id)}}}'
-
-
-def _encode_interaction(e: Interaction, banners: dict) -> str:
-    return (
-        f'{{"action":"{e.action._name_}","kind":"INTERACTION",'
-        f'"resulting_stage":"{e.resulting_stage._name_}","visit_id":{_string(e.visit_id)}}}'
-    )
-
-
-def _encode_http_request(e: HttpRequest, banners: dict) -> str:
-    parent = e.redirect_parent_url
-    return (
-        f'{{"channel":"{e.channel._name_}","cookie_header":{_string(e.cookie_header)},"kind":"HTTP_REQUEST",'
-        f'"redirect_parent_url":{"null" if parent is None else _string(parent)},"stage":"{e.stage._name_}",'
-        f'"target_host":{_string(e.target_host)},"target_url":{_string(e.target_url)},'
-        f'"visit_id":{_string(e.visit_id)}}}'
-    )
-
-
-def _encode_cookie_set(e: CookieSet, banners: dict) -> str:
-    return (
-        f'{{"kind":"COOKIE_SET","set_cookie_header":{_string(e.set_cookie_header)},'
-        f'"setter_context_host":{_string(e.setter_context_host)},"stage":"{e.stage._name_}",'
-        f'"visit_id":{_string(e.visit_id)}}}'
-    )
-
-
-def _encode_visit_end(e: VisitEnd, banners: dict) -> str:
-    return f'{{"kind":"VISIT_END","outcome":"{e.outcome._name_}","visit_id":{_string(e.visit_id)}}}'
-
-
-# Each record kind's encoder and decoder, side by side.
-_ENCODERS = {
-    VisitStart: _encode_visit_start,
-    BannerObserved: _encode_banner_observed,
-    Interaction: _encode_interaction,
-    HttpRequest: _encode_http_request,
-    CookieSet: _encode_cookie_set,
-    VisitEnd: _encode_visit_end,
-}
-_DECODERS = {
-    "VISIT_START": _LogParser.visit_start,
-    "BANNER_OBSERVED": _LogParser.banner_observed,
-    "INTERACTION": _LogParser.interaction,
-    "HTTP_REQUEST": _LogParser.http_request,
-    "COOKIE_SET": _LogParser.cookie_set,
-    "VISIT_END": _LogParser.visit_end,
-}
+# Each event tag's decoder, and the filer named after the tag that takes what it decodes.
+_READERS = {fields.tag: (fields.decode, getattr(_LogParser, fields.tag.lower())) for fields in _EVENT_FIELDS.values()}
 
 
 def log_writer(write: Callable[[str], object]) -> Callable[[CrawlEvent], None]:
     """Write a log's header record through ``write``, and return the sink that writes each event's line.
 
-    The log's one encoder loop: the sink encodes each event it is handed
-    through ``_ENCODERS`` and writes its line, newline included, at once, so a
-    log can be written as its events are made, with no event list.
+    The sink encodes each event it is handed with its kind's codec and writes
+    its line, newline included, at once, so a log can be written as its
+    events are made, with no event list.
     """
     write(f'{{"format_version":{FORMAT_VERSION}}}\n')
     banners: dict = {}
 
     def write_event(event: CrawlEvent) -> None:
-        write(_ENCODERS[type(event)](event, banners) + "\n")
+        write(_EVENT_FIELDS[type(event)].encode(event, banners) + "\n")
 
     return write_event
 
@@ -638,16 +540,22 @@ def parse_log_text(text: str, run: RunIndex | None = None) -> RunIndex:
         InvariantError: ``SEQUENCE_VIOLATION`` naming the visit and event.
     """
     parser = _LogParser(run)
+    hosts, banners = parser.hosts, parser.banners
     index = 0 if run is None else run.event_count
     for lineno, obj in read_records(text.split("\n")):
         kind = obj.get("kind")
-        decode = _DECODERS.get(kind) if isinstance(kind, str) else None
-        if decode is None:
-            raise _field_error(obj, "kind", lineno, f"unknown kind {kind!r}")
-        visit_id = obj.get("visit_id")
-        if not isinstance(visit_id, str) or not visit_id:
-            raise _field_error(obj, "visit_id", lineno, f"bad visit_id {visit_id!r}")
-        decode(parser, obj, lineno, visit_id, index)
+        reader = _READERS.get(kind) if isinstance(kind, str) else None
+        if reader is None:
+            problem = f"unknown kind {kind!r}" if "kind" in obj else "missing field 'kind'"
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: {problem}")
+        decode, file = reader
+        try:
+            event = decode(obj, index, hosts, banners)
+        except ValueError as exc:
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: {exc}") from None
+        except InputError as exc:
+            raise InputError(exc.code, f"line {lineno}: {exc.message}") from None
+        file(parser, event)
         index += 1
     if parser.open_visits:
         visit_id = next(iter(parser.open_visits))
@@ -786,7 +694,7 @@ _event_index = attrgetter("event_index")
 
 
 def strict_issues(index: RunIndex) -> list[ParseIssue]:
-    """Re-parse every cookie header of the run, in event order, collecting all issues.
+    """Re-parse every cookie header of the run, in event order, collecting all issues, each naming its visit.
 
     Used by strict validation: a log that parses cleanly may still carry
     malformed cookie headers, which are tolerated during detection but
@@ -794,11 +702,13 @@ def strict_issues(index: RunIndex) -> list[ParseIssue]:
     """
     issues: list[ParseIssue] = []
     for event in heapq.merge(index.requests, index.cookie_sets, key=_event_index):
+        found: list[ParseIssue] = []
         if type(event) is HttpRequest:
-            parse_cookie_header(event.cookie_header, issues=issues)
+            parse_cookie_header(event.cookie_header, issues=found)
         else:
             try:
-                parse_set_cookie(event.set_cookie_header, event.setter_context_host, issues=issues)
+                parse_set_cookie(event.set_cookie_header, event.setter_context_host, issues=found)
             except InputError as exc:
-                issues.append(ParseIssue(exc.code, exc.message))
+                found.append(ParseIssue(exc.code, exc.message))
+        issues += [ParseIssue(issue.code, f"visit {event.visit_id!r}: {issue.detail}") for issue in found]
     return issues

@@ -141,14 +141,11 @@ class CookieJar:
     def save(self, out: TextIO) -> None:
         """Write a checksummed snapshot to the text file ``out``; byte-identical for equal jars."""
         keys = sorted(self.entries, key=lambda k: (k.name, k.host, k.partition or ""))
-        payload = json.dumps(
-            {
-                "entries": [_ENTRY_FIELDS.obj(self.entries[key]) for key in keys],
-                "history": list(map(_HISTORY_FIELDS.obj, self.history)),
-                "accepted_sites": sorted(self.accepted_sites),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        # ``json.dumps`` of the payload object, its keys sorted, written from the rows' encoders.
+        payload = (
+            f'{{"accepted_sites":{json.dumps(sorted(self.accepted_sites), separators=(",", ":"))},'
+            f'"entries":[{",".join(_ENTRY_FIELDS.encode(self.entries[key]) for key in keys)}],'
+            f'"history":[{",".join(map(_HISTORY_FIELDS.encode, self.history))}]}}'
         )
         header = json.dumps(
             {
@@ -219,7 +216,7 @@ def _rows(fields: RecordFields, payload: dict, name: str):
     """Each object of ``payload[name]`` as its record; ``ValueError`` names the object and the field."""
     for index, obj in enumerate(payload[name]):
         try:
-            record = fields.record(obj)
+            record = fields.decode(obj)
         except ValueError as exc:
             raise ValueError(f"{name}[{index}]: {exc}") from None
         yield record
@@ -231,6 +228,10 @@ def build_jar(index: crawllog.RunIndex, *, issues: list[ParseIssue] | None = Non
     Only accept-phase visits that ended with outcome ACCEPTED contribute:
     each one's site joins the accepted set and its cookie writes are applied,
     in event order, at its VISIT_END, so visits apply in VISIT_END order.
+
+    Raises:
+        InputError: a cookie header's error (``MISSING_NAME``, a host's
+            ``EMPTY_HOST`` or ``INVALID_LABEL``), its message naming the visit.
     """
     writes: dict[str, list[crawllog.CookieSet]] = {}
     for cookie_set in index.cookie_sets:
@@ -239,6 +240,9 @@ def build_jar(index: crawllog.RunIndex, *, issues: list[ParseIssue] | None = Non
     for visit in index.ended:
         if visit.accepted_setter:
             jar.mark_accepted(visit.site)
-            for cookie_set in writes.get(visit.visit_id, ()):
-                jar.upsert(crawllog.record_from_cookie_set(cookie_set, visit, issues=issues))
+            try:
+                for cookie_set in writes.get(visit.visit_id, ()):
+                    jar.upsert(crawllog.record_from_cookie_set(cookie_set, visit, issues=issues))
+            except InputError as exc:
+                raise InputError(exc.code, f"visit {visit.visit_id!r}: {exc.message}") from None
     return jar

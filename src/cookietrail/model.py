@@ -15,12 +15,12 @@ fields, whatever its kind, so kinds are told apart by ``type()``.
 from __future__ import annotations
 
 import enum
-import itertools
-import operator
+import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import NamedTuple
+from json.encoder import encode_basestring_ascii as _string
+from typing import Callable, NamedTuple
 
 from .errors import InputError
 
@@ -222,85 +222,172 @@ def domain_match(target_host: str, cookie_host: str) -> bool:
 
 # --- wire records ----------------------------------------------------------------
 
+_REQUIRED = object()  # the default of a field the wire may not omit
 
-class RecordFields:
-    """The wire codec of one record kind: each field's JSON type, in record order.
+# A JSON value as ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` writes it.
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    The kind is a ``NamedTuple`` whose first field is a ``CookieKey``.  On the
-    wire the key is flattened to ``name``, ``host`` and ``partition``, and every
-    other field keeps its name, so the declared names must be the key's fields
-    followed by the kind's others; construction raises ``TypeError`` otherwise.
-    A field is declared by the set of exact JSON types it may have, by an
-    ``Enum`` class (a string: the member's name) or by ``datetime`` (a string:
-    its ``isoformat()``).  A ``wire_only`` field is checked on read and
-    dropped: the record does not hold it, and ``obj`` does not write it.
 
-    ``values`` checks an object in one set lookup: every allowed combination
-    of field types is precomputed.  Types are exact: a boolean is not an
-    ``event_index``.  Only enum and date fields are converted, by index.
+class Field(NamedTuple):
+    """A wire field that is more than a set of JSON types or an ``Enum``.
+
+    ``types`` are the exact JSON types the field may have, and ``test`` a
+    further check of such a value, as source with ``{}`` for the value.
+    ``read``, if given, checks or converts every value but null once each
+    field's type has passed: ``read(value, name)``, or ``read(value, name,
+    memo)`` with the memo of one log that ``memo`` names (``"hosts"`` or
+    ``"banners"``).  It raises ``ValueError`` or ``InputError`` itself.
+    ``write(value, banners)``, if given, is the value's JSON; otherwise its
+    type decides how it is written.  A field the wire may omit reads as its
+    ``default``.
     """
 
-    def __init__(self, kind: type, /, *, wire_only: tuple[str, ...] = (), **fields):
-        held = [name for name in fields if name not in wire_only]
-        if held != [*CookieKey._fields, *kind._fields[1:]]:
-            raise TypeError(f"{kind.__name__} is declared as {held}: not the key's fields, then its own")
-        self.kind = kind
-        self.names = tuple(held)
-        self.types = {name: {str} if isinstance(spec, type) else spec for name, spec in fields.items()}
-        self.get = operator.itemgetter(*fields)
-        self.rows = frozenset(itertools.product(*self.types.values()))
-        self.held = operator.itemgetter(*map(list(fields).index, held)) if wire_only else None
-        # (index in the flattened record, name, read, write) of each enum or date field
-        self.converted = [(i, name, *_converters(fields[name])) for i, name in enumerate(held)
-                          if isinstance(fields[name], type)]
+    types: set
+    test: str = ""
+    read: Callable | None = None
+    memo: str = ""
+    write: Callable | None = None
+    default: object = _REQUIRED
 
-    def values(self, obj) -> tuple:
-        """An object's field values in declared order; ``ValueError`` names the first missing or mistyped one."""
+
+def _canonical_host(raw: str, name: str, hosts: dict) -> str:
+    """``canonicalize_host(raw)``, once per distinct host that one log's ``hosts`` memo has seen."""
+    host = hosts.get(raw)
+    if host is None:
         try:
-            values = self.get(obj)
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc}") from None
-        if tuple(map(type, values)) not in self.rows:
-            for (name, types), value in zip(self.types.items(), values):
-                if type(value) not in types:
-                    raise ValueError(f"bad {name} {value!r}")
-        return values
-
-    def build(self, values: tuple):
-        """The record of what ``values`` returned: wire-only fields dropped, enums and dates read.
-
-        Raises:
-            ValueError: ``bad <field> <value>`` for an unknown member name or
-                an unparsable date.
-        """
-        if self.held is not None:
-            values = self.held(values)
-        if self.converted:
-            values = list(values)
-            for i, name, read, _write in self.converted:
-                try:
-                    values[i] = read(values[i])
-                except (KeyError, ValueError):
-                    raise ValueError(f"bad {name} {values[i]!r}") from None
-        return self.kind(CookieKey(*values[:3]), *values[3:])
-
-    def record(self, obj):
-        """The record a decoded JSON object holds; ``ValueError`` names the first bad field."""
-        return self.build(self.values(obj))
-
-    def obj(self, record) -> dict:
-        """The JSON object that writes ``record``, for ``json.dumps``."""
-        values = [*record[0], *record[1:]]
-        for i, _name, _read, write in self.converted:
-            values[i] = write(values[i])
-        return dict(zip(self.names, values))
+            host = hosts[raw] = canonicalize_host(raw)
+        except InputError as exc:
+            raise InputError(exc.code, f"bad {name} {raw!r} ({exc.message})") from None
+    return host
 
 
-def _converters(declared: type) -> tuple:
-    """(read, write) of a field declared by a type: an ``Enum`` by member name, a ``datetime`` in ISO format."""
-    if declared is datetime:
-        return datetime.fromisoformat, datetime.isoformat
-    return declared.__members__.__getitem__, operator.attrgetter("_name_")
+def _iso_date(value: str, name: str) -> datetime:
+    try:
+        return datetime.fromisoformat(value)
+    except ValueError:
+        raise ValueError(f"bad {name} {value!r}") from None
 
 
 OPTIONAL_STR = {str, type(None)}
+POSITIVE_INT = Field({int}, test="{} >= 1")
+HOST = Field({str}, read=_canonical_host, memo="hosts")  # read as its canonical form
+_DATE = Field({str}, read=_iso_date)  # a ``datetime`` in ISO format
+
+
+class RecordFields:
+    """The wire codec of one record kind: ``encode`` and ``decode``, compiled from its declaration.
+
+    The kind is a ``NamedTuple``, and each keyword declares one of its fields
+    on the wire, in the kind's field order.  A field is declared by the set of
+    exact JSON types it may have, by an ``Enum`` class (a string: the member's
+    name), by ``datetime`` (a string: its ``isoformat()``) or by a ``Field``.
+    A string declares the constant tag of a crawl-log event (``kind``),
+    written but not held; an event's last field, ``event_index``, is not on
+    the wire but numbered by its reader.  Names that start with ``CookieKey``'s
+    are the kind's first field, flattened.  A ``wire_only`` field is checked
+    on read and not held.  Construction raises ``TypeError`` unless the names
+    held are the kind's fields.
+
+    ``encode(record, *wire_only)``, given the JSON text of each wire-only
+    field, is the record's line, byte for byte ``json.dumps(obj,
+    sort_keys=True, separators=(",", ":"))`` of its object.  ``decode(obj)``
+    checks a decoded object in three passes over the fields in declared
+    order (each field the wire may not omit is present, each field has its
+    type, each value reads) and returns the record.  A failed check raises
+    ``ValueError("missing field '<f>'")`` or ``ValueError("bad <f>
+    <value!r>")``, or what the field's ``read`` raises.  A log event's codec takes the memos of one log:
+    ``encode(event, banners)`` and ``decode(obj, event_index, hosts,
+    banners)``.
+    """
+
+    def __init__(self, kind: type, /, *, wire_only: tuple[str, ...] = (), **fields):
+        tags = [spec for spec in fields.values() if isinstance(spec, str)]
+        held = [name for name, spec in fields.items() if name not in wire_only and not isinstance(spec, str)]
+        flat = held[:3] == list(CookieKey._fields)
+        expected = [*CookieKey._fields, *kind._fields[1:]] if flat else list(kind._fields)
+        if tags and expected[-1] == "event_index":
+            expected.pop()
+        if held != expected or len(tags) > 1 or not all(map(str.isidentifier, [*fields, *tags])):
+            raise TypeError(f"{kind.__name__} is declared as {held}, not as its fields {expected}")
+        self.tag = tags[0] if tags else None
+        namespace = {"_new": tuple.__new__, "_kind": kind, "_key": CookieKey, "_string": _string, "_json": _json,
+                     "_int": int.__repr__}
+        exec(_compile(fields, wire_only, held, flat, self.tag, namespace), namespace)
+        self.decode = namespace["decode"]
+        self.encode = namespace["encode"]
+
+
+def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | None, namespace: dict) -> str:
+    """The source of a declaration's ``decode`` and ``encode``; the objects they use go into ``namespace``."""
+    fetched, omitted, typed, valued = [], [], [], []
+    texts = {}  # each field's JSON text in ``encode``'s f-string, by name
+    for i, (name, spec) in enumerate(fields.items()):
+        v = f"f{i}"
+        if isinstance(spec, str):
+            texts[name] = _string(spec)
+            continue
+        if isinstance(spec, Field):
+            field = spec
+        elif spec is datetime:
+            field = _DATE
+        else:  # a set of JSON types, or an Enum read from its member's name
+            field = Field({str} if isinstance(spec, enum.EnumMeta) else spec)
+        nullable = type(None) in field.types
+        types = field.types - {type(None)}
+        namespace[f"_t{i}"] = next(iter(types)) if len(types) == 1 else frozenset(types)
+        namespace[f"_r{i}"], namespace[f"_d{i}"], namespace[f"_w{i}"] = field.read, field.default, field.write
+
+        if field.default is _REQUIRED:
+            fetched.append(f"        {v} = obj[{name!r}]")
+        else:
+            omitted.append(f"    {v} = obj.get({name!r}, _d{i})")
+        bad = f"type({v}) {'is not' if len(types) == 1 else 'not in'} _t{i}"
+        if field.test:
+            bad += f" or not {field.test.format(v)}"
+        if nullable:
+            bad = f"{v} is not None and ({bad})"
+        typed.append(f'    if {bad}:\n        raise ValueError(f"bad {name} {{{v}!r}}")')
+        if isinstance(spec, enum.EnumMeta):
+            namespace[f"_r{i}"] = dict(spec.__members__)
+            valued.append(f'    try:\n        {v} = _r{i}[{v}]\n    except KeyError:\n'
+                          f'        raise ValueError(f"bad {name} {{{v}!r}}") from None')
+        elif field.read is not None:
+            read = f"{v} = _r{i}({v}, {name!r}{', ' + field.memo if field.memo else ''})"
+            valued.append(f"    if {v} is not None:\n        {read}" if nullable else f"    {read}")
+
+        if name in wire_only:
+            texts[name] = f"{{{name}}}"
+        elif field.write is not None:
+            texts[name] = f"{{_w{i}({v}, banners)}}"
+        elif isinstance(spec, enum.EnumMeta):
+            texts[name] = f'"{{{v}._name_}}"'
+        elif spec is datetime:
+            texts[name] = f'"{{{v}.isoformat()}}"'
+        elif types in ({str}, {int}, {bool}):
+            # An int as ``json.dumps`` writes it, a bool included.
+            text = f'"true" if {v} is True else "false" if {v} is False else _int({v})'
+            text = f"_string({v})" if types == {str} else text
+            texts[name] = f'{{"null" if {v} is None else {text}}}' if nullable else f"{{{text}}}"
+        else:
+            texts[name] = f"{{_json({v})}}"
+
+    variables = [f"f{list(fields).index(name)}" for name in held]
+    built, unpacked = list(variables), list(variables)
+    if flat:
+        built[:3] = [f"_new(_key, ({', '.join(variables[:3])}))"]
+        unpacked[:3] = [f"({', '.join(variables[:3])})"]
+    if tag:
+        built.append("event_index")
+        unpacked.append("_")
+    members = ",".join(f"{_string(name)}:{texts[name]}" for name in sorted(texts))
+    return "\n".join([
+        f"def decode({', '.join(['obj', *(['event_index', 'hosts', 'banners'] if tag else [])])}):",
+        "    try:", *fetched,
+        "    except KeyError as exc:", '        raise ValueError(f"missing field {exc}") from None',
+        *omitted, *typed, *valued,
+        f"    return _new(_kind, ({', '.join(built)},))",
+        f"def encode({', '.join(['r', *(['banners'] if tag else wire_only)])}):",
+        f"    {', '.join(unpacked)}, = r",
+        f"    return f'{{{{{members}}}}}'",
+        "",
+    ])

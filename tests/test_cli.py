@@ -444,6 +444,25 @@ class TestPipeline:
         assert len(jar.accepted_sites) == 1
 
 
+# Set-Cookie headers that no cookie can be read from: the code and message each raises.
+_BAD_SET_COOKIES = [
+    ("=novalue; Domain=.x.com", "MISSING_NAME", "Set-Cookie without a cookie name: '=novalue; Domain=.x.com'"),
+    ("id=1; Domain=a..b", "INVALID_LABEL", "empty label in 'a..b'"),
+]
+
+
+def _bad_set_cookie_log(workspace: Path, header: str) -> tuple[Path, str]:
+    """The demo log with its first COOKIE_SET's header replaced, which an accepted visit sets, and that visit's id."""
+    lines = (workspace / "run.log").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if '"kind":"COOKIE_SET"' in line)
+    record = json.loads(lines[first])
+    record["set_cookie_header"] = header
+    lines[first] = json.dumps(record)
+    bad = workspace / "bad-set-cookie.log"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad, record["visit_id"]
+
+
 class TestValidateLog:
     def test_valid_log(self, workspace):
         assert _run(["validate-log", "--log", workspace / "run.log"]) == 0
@@ -482,6 +501,22 @@ class TestValidateLog:
 
     def test_missing_file_io_error(self, tmp_path):
         assert _run(["validate-log", "--log", tmp_path / "nope.log"]) == 1
+
+    @pytest.mark.parametrize("header, code, problem", _BAD_SET_COOKIES)
+    def test_bad_set_cookie_names_its_visit(self, workspace, capsys, header, code, problem):
+        bad, visit_id = _bad_set_cookie_log(workspace, header)
+        capsys.readouterr()
+        assert _run(["--errors", "json", "validate-log", "--log", bad]) == 1
+        assert _json_error(capsys) == {"error": code, "message": f"visit {visit_id!r}: {problem}"}
+
+
+@pytest.mark.parametrize("header, code, problem", _BAD_SET_COOKIES)
+def test_build_jar_names_the_visit_of_a_bad_set_cookie(workspace, capsys, header, code, problem):
+    bad, visit_id = _bad_set_cookie_log(workspace, header)
+    capsys.readouterr()
+    assert _run(["--errors", "json", "build-jar", "--log", bad, "--out", workspace / "bad.snap"]) == 1
+    assert _json_error(capsys) == {"error": code, "message": f"visit {visit_id!r}: {problem}"}
+    assert not (workspace / "bad.snap").exists()
 
 
 class TestPipelineConfig:
@@ -1080,7 +1115,8 @@ class TestOversizedExpiry:
         capsys.readouterr()
         assert _run(["--errors", "json", "validate-log", "--log", long]) == 1
         record = _json_error(capsys)
-        assert record["error"] == "MALFORMED_EXPIRES" and record["message"].startswith("bad Max-Age '1000")
+        assert record["error"] == "MALFORMED_EXPIRES" and record["message"].startswith("visit 'p1-")
+        assert record["message"].split(": ", 1)[1].startswith("bad Max-Age '1000")
         jar = tmp_path / "jar.snap"
         assert _run(["--errors", "json", "build-jar", "--log", long, "--out", jar]) == 0
         err = capsys.readouterr().err
@@ -1550,14 +1586,11 @@ def test_findings_encoder_matches_json_dumps():
     batches = [(result.findings, jar) for _events, jar, result in runs] + [_hand_built_findings()]
     for n, (findings, jar) in enumerate(batches):
         setters: dict = {}
-        assert [cli.encode_finding(f, jar, setters) for f in findings] == [
+        assert [cli._FINDING_FIELDS.encode(f, cli._setters_json(jar, f.key, setters)) for f in findings] == [
             json.dumps(_ref_finding_to_record(f, jar), sort_keys=True, separators=(",", ":")) for f in findings
         ], n
-        # The schema writes every field but the wire-only list, and reads the record back.
-        assert [cli._FINDING_FIELDS.obj(f) | {"setter_sites": list(jar.setters_of(f.key))} for f in findings] == [
-            _ref_finding_to_record(f, jar) for f in findings
-        ], n
-        assert [cli.finding_from_record(_ref_finding_to_record(f, jar)) for f in findings] == findings, n
+        # The schema reads the record back.
+        assert [cli._FINDING_FIELDS.decode(_ref_finding_to_record(f, jar)) for f in findings] == findings, n
         # The memo encodes each cookie's setter list once.
         assert len(setters) == len({f.key for f in findings}), n
     detected = [f for findings, _jar in batches[:-1] for f in findings]
@@ -1605,7 +1638,7 @@ def _ref_read_findings(path: str, jar: CookieJar) -> list[IntractableFinding]:
     built = []
     for index, obj in enumerate(_ref_read_ndjson(path)):
         try:
-            finding = cli.finding_from_record(obj)
+            finding = cli._FINDING_FIELDS.decode(obj)
         except ValueError as exc:
             raise InputError("MALFORMED_RECORD", f"{path}: record {index}: {exc}") from None
         key = finding.key
@@ -1643,7 +1676,8 @@ def _detected() -> list[tuple[str, CookieJar, list[IntractableFinding], list[str
     for name, config, seed in cases:
         _events, jar, result = run_pipeline(config, seed)
         setters: dict = {}
-        runs.append((name, jar, result.findings, [cli.encode_finding(f, jar, setters) for f in result.findings]))
+        lines = [cli._FINDING_FIELDS.encode(f, cli._setters_json(jar, f.key, setters)) for f in result.findings]
+        runs.append((name, jar, result.findings, lines))
     return runs
 
 
@@ -1907,7 +1941,7 @@ class TestResetsAndSyncsReaders:
         records = [json.loads(line) for line in (detected / f"{kind}.jsonl").read_text().splitlines()[1:]]
         assert records
         fields = {"resets": cli._RESET_FIELDS, "syncs": cli._SYNC_FIELDS}[kind]
-        assert [fields.obj(fields.record(record)) for record in records] == records
+        assert [json.loads(fields.encode(fields.decode(record))) for record in records] == records
         assert self._report(detected, kind, detected / f"{kind}.jsonl") == 0
         header, row = (detected / "report" / "totals.csv").read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))[kind] == str(len(records))

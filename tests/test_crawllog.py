@@ -179,8 +179,8 @@ class TestParseLog:
             assert exc.value.code == "MALFORMED_RECORD"
             assert exc.value.message.startswith("line 4: "), exc.value.message
 
-    @pytest.mark.parametrize("banner", [None, "drop"])
-    def test_missing_banner_names_the_field_once(self, banner):
+    @pytest.mark.parametrize("banner, message", [(None, "bad banner None"), ("drop", "missing field 'banner'")])
+    def test_missing_banner_names_the_field_once(self, banner, message):
         lines = serialize(_single_visit_events()).splitlines()
         record = json.loads(lines[2])
         if banner == "drop":
@@ -189,7 +189,7 @@ class TestParseLog:
             record["banner"] = banner
         with pytest.raises(InputError) as exc:
             parse_log_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]))
-        assert exc.value.message == "line 3: missing field 'banner'"
+        assert exc.value.message == f"line 3: {message}"
 
     def test_equal_banners_share_one_descriptor(self, monkeypatch):
         """Each distinct banner is decoded once per parse; banners that decode differently stay apart."""
@@ -659,30 +659,27 @@ class TestSummaries:
 # single-pass loader must agree with, event for event and error for error.
 
 
-def _ref_require(obj, key, lineno):
-    if key not in obj or obj[key] is None:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: missing field {key!r}")
-    return obj[key]
+def _ref_require(obj, keys, lineno):
+    """The values of ``keys``, every one of which must be present: the first absent one is missing."""
+    for key in keys:
+        if key not in obj:
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: missing field {key!r}")
+    return [obj[key] for key in keys]
 
 
-def _ref_str_field(obj, key, lineno):
-    raw = _ref_require(obj, key, lineno)
-    if not isinstance(raw, str):
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
-    return raw
+def _ref_check(ok, key, value, lineno):
+    if not ok:
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} {value!r}")
 
 
-def _ref_enum_field(enum_cls, obj, key, lineno):
-    raw = _ref_require(obj, key, lineno)
+def _ref_enum(enum_cls, key, raw, lineno):
     try:
         return enum_cls[raw]
-    except (KeyError, TypeError):
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} value {raw!r}") from None
+    except KeyError:
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} {raw!r}") from None
 
 
 def _ref_url_field(value, key, lineno):
-    if not isinstance(value, str):
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: {key} must be a string")
     try:
         urlsplit(value)
     except ValueError as exc:
@@ -701,72 +698,99 @@ _REF_KINDS = {
 
 
 def _ref_record_to_event(obj, lineno, event_index):
-    kind = _ref_require(obj, "kind", lineno)
-    cls = _REF_KINDS.get(kind)
+    """The event a record holds.  Its fields are checked in their event's order: all present, then typed, then
+    valued."""
+    kind = _ref_require(obj, ["kind"], lineno)[0]
+    cls = _REF_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InputError("MALFORMED_RECORD", f"line {lineno}: unknown kind {kind!r}")
-    visit_id = _ref_require(obj, "visit_id", lineno)
-    if not isinstance(visit_id, str) or not visit_id:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad visit_id {visit_id!r}")
     try:
         if cls is VisitStart:
-            rank = _ref_require(obj, "rank", lineno)
-            if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: rank must be a positive int")
-            gpc = _ref_require(obj, "gpc_enabled", lineno)
-            if not isinstance(gpc, bool):
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: gpc_enabled must be a bool")
+            visit_id, site, rank, phase, iteration, gpc = _ref_require(
+                obj, ["visit_id", "site", "rank", "phase", "iteration", "gpc_enabled"], lineno
+            )
+            _ref_check(isinstance(visit_id, str) and visit_id, "visit_id", visit_id, lineno)
+            _ref_check(isinstance(site, str), "site", site, lineno)
+            _ref_check(isinstance(rank, int) and not isinstance(rank, bool) and rank >= 1, "rank", rank, lineno)
+            _ref_check(isinstance(phase, str), "phase", phase, lineno)
+            _ref_check(isinstance(iteration, str), "iteration", iteration, lineno)
+            _ref_check(isinstance(gpc, bool), "gpc_enabled", gpc, lineno)
             return VisitStart(
                 visit_id=visit_id,
-                site=_ref_str_field(obj, "site", lineno),
+                site=site,
                 rank=rank,
-                phase=_ref_enum_field(Phase, obj, "phase", lineno),
-                iteration=_ref_enum_field(Iteration, obj, "iteration", lineno),
+                phase=_ref_enum(Phase, "phase", phase, lineno),
+                iteration=_ref_enum(Iteration, "iteration", iteration, lineno),
                 gpc_enabled=gpc,
                 event_index=event_index,
             )
         if cls is BannerObserved:
-            raw_banner = _ref_require(obj, "banner", lineno)
+            visit_id, raw_banner = _ref_require(obj, ["visit_id", "banner"], lineno)
+            _ref_check(isinstance(visit_id, str) and visit_id, "visit_id", visit_id, lineno)
+            _ref_check(isinstance(raw_banner, dict), "banner", raw_banner, lineno)
             try:
                 banner = banner_from_obj(raw_banner)
             except (InputError, KeyError, ValueError, TypeError) as exc:
                 raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
             return BannerObserved(visit_id=visit_id, banner=banner, event_index=event_index)
         if cls is Interaction:
+            visit_id, action, resulting_stage = _ref_require(obj, ["visit_id", "action", "resulting_stage"], lineno)
+            _ref_check(isinstance(visit_id, str) and visit_id, "visit_id", visit_id, lineno)
+            _ref_check(isinstance(action, str), "action", action, lineno)
+            _ref_check(isinstance(resulting_stage, str), "resulting_stage", resulting_stage, lineno)
             return Interaction(
                 visit_id=visit_id,
-                action=_ref_enum_field(InteractionAction, obj, "action", lineno),
-                resulting_stage=_ref_enum_field(InteractionStage, obj, "resulting_stage", lineno),
+                action=_ref_enum(InteractionAction, "action", action, lineno),
+                resulting_stage=_ref_enum(InteractionStage, "resulting_stage", resulting_stage, lineno),
                 event_index=event_index,
             )
         if cls is HttpRequest:
+            visit_id, stage, target_host, target_url, channel = _ref_require(
+                obj, ["visit_id", "stage", "target_host", "target_url", "channel"], lineno
+            )
             cookie_header = obj.get("cookie_header", "")
-            if not isinstance(cookie_header, str):
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: cookie_header must be a string")
             redirect_parent_url = obj.get("redirect_parent_url")
-            if redirect_parent_url is not None:
-                _ref_url_field(redirect_parent_url, "redirect_parent_url", lineno)
+            _ref_check(isinstance(visit_id, str) and visit_id, "visit_id", visit_id, lineno)
+            _ref_check(isinstance(stage, str), "stage", stage, lineno)
+            _ref_check(isinstance(target_host, str), "target_host", target_host, lineno)
+            _ref_check(isinstance(target_url, str), "target_url", target_url, lineno)
+            _ref_check(isinstance(channel, str), "channel", channel, lineno)
+            _ref_check(isinstance(cookie_header, str), "cookie_header", cookie_header, lineno)
+            _ref_check(redirect_parent_url is None or isinstance(redirect_parent_url, str), "redirect_parent_url",
+                       redirect_parent_url, lineno)
             return HttpRequest(
                 visit_id=visit_id,
-                stage=_ref_enum_field(InteractionStage, obj, "stage", lineno),
-                target_host=_ref_str_field(obj, "target_host", lineno),
-                target_url=_ref_url_field(_ref_require(obj, "target_url", lineno), "target_url", lineno),
-                channel=_ref_enum_field(Channel, obj, "channel", lineno),
+                stage=_ref_enum(InteractionStage, "stage", stage, lineno),
+                target_host=target_host,
+                target_url=_ref_url_field(target_url, "target_url", lineno),
+                channel=_ref_enum(Channel, "channel", channel, lineno),
                 cookie_header=cookie_header,
-                redirect_parent_url=redirect_parent_url,
+                redirect_parent_url=redirect_parent_url and _ref_url_field(
+                    redirect_parent_url, "redirect_parent_url", lineno
+                ),
                 event_index=event_index,
             )
         if cls is CookieSet:
+            visit_id, stage, header, context_host = _ref_require(
+                obj, ["visit_id", "stage", "set_cookie_header", "setter_context_host"], lineno
+            )
+            _ref_check(isinstance(visit_id, str) and visit_id, "visit_id", visit_id, lineno)
+            _ref_check(isinstance(stage, str), "stage", stage, lineno)
+            _ref_check(isinstance(header, str), "set_cookie_header", header, lineno)
+            _ref_check(isinstance(context_host, str), "setter_context_host", context_host, lineno)
             return CookieSet(
                 visit_id=visit_id,
-                stage=_ref_enum_field(InteractionStage, obj, "stage", lineno),
-                set_cookie_header=_ref_str_field(obj, "set_cookie_header", lineno),
-                setter_context_host=_ref_str_field(obj, "setter_context_host", lineno),
+                stage=_ref_enum(InteractionStage, "stage", stage, lineno),
+                set_cookie_header=header,
+                setter_context_host=context_host,
                 event_index=event_index,
             )
+        visit_id, outcome = _ref_require(obj, ["visit_id", "outcome"], lineno)
+        _ref_check(isinstance(visit_id, str) and visit_id, "visit_id", visit_id, lineno)
+        _ref_check(isinstance(outcome, str), "outcome", outcome, lineno)
         return VisitEnd(
             visit_id=visit_id,
-            outcome=_ref_enum_field(VisitOutcome, obj, "outcome", lineno),
+            outcome=_ref_enum(VisitOutcome, "outcome", outcome, lineno),
             event_index=event_index,
         )
     except (TypeError, AttributeError) as exc:

@@ -1,22 +1,36 @@
 from __future__ import annotations
 
+import enum
+import json
 import random
 import re
+from datetime import datetime
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cookietrail import model
+from cookietrail import cli, crawllog, model
+from cookietrail.crawllog import BannerObserved, CookieSet, HttpRequest, Interaction, VisitEnd, VisitStart
 from cookietrail.detector import IntractableFinding, ResetFinding, SyncFinding
 from cookietrail.errors import InputError
-from cookietrail.jar import CookieJar, HistoryEntry
+from cookietrail.jar import _ENTRY_FIELDS, _HISTORY_FIELDS, CookieJar, HistoryEntry
 from cookietrail.model import (
     FIXED_EXPIRY,
+    BannerButton,
     BannerDescriptor,
     BannerLayer,
+    BannerToggle,
     BannerType,
+    ButtonAction,
+    Channel,
+    ConsentState,
     CookieKey,
     CookieRecord,
+    InteractionAction,
+    InteractionStage,
+    Iteration,
+    Phase,
+    VisitOutcome,
     canonicalize_host,
     domain_match,
 )
@@ -143,22 +157,131 @@ def test_cookie_records_are_immutable_and_hash_as_their_fields(tmp_path):
                 setattr(record, name, "x")
 
 
+# Each kind's declared wire names, the tag (``kind``) included: one reads "TAG" in ``_declare``.
+_DECLARED = {
+    ResetFinding: ["name", "host", "partition", "sender_site", "event_index"],
+    VisitStart: ["kind", "visit_id", "site", "rank", "phase", "iteration", "gpc_enabled"],
+}
+
+
+def _declare(kind, names, wire_only=()):
+    return model.RecordFields(kind, wire_only=wire_only, **{name: "TAG" if name == "kind" else {str} for name in names})
+
+
 @pytest.mark.parametrize(
-    "fields, wire_only",
+    "kind, fields, wire_only",
     [
-        (["name", "host", "partition", "event_index", "sender_site"], ()),  # out of record order
-        (["name", "host", "partition", "sender", "event_index"], ()),  # a field renamed on one side
-        (["name", "host", "sender_site", "event_index"], ()),  # the key not flattened in full
-        (["name", "host", "partition", "sender_site", "event_index", "extra"], ()),  # an undeclared extra
-        (["name", "host", "partition", "sender_site", "event_index"], ("sender_site",)),  # a held field dropped
+        (ResetFinding, ["name", "host", "partition", "event_index", "sender_site"], ()),  # out of record order
+        (ResetFinding, ["name", "host", "partition", "sender", "event_index"], ()),  # a field renamed on one side
+        (ResetFinding, ["name", "host", "sender_site", "event_index"], ()),  # the key not flattened in full
+        (ResetFinding, ["name", "host", "partition", "sender_site", "event_index", "extra"], ()),  # an undeclared extra
+        # a held field dropped
+        (ResetFinding, ["name", "host", "partition", "sender_site", "event_index"], ("sender_site",)),
+        (VisitStart, ["kind", "visit_id", "rank", "site", "phase", "iteration", "gpc_enabled"], ()),  # out of order
+        (VisitStart, [*_DECLARED[VisitStart], "event_index"], ()),  # event_index, which the reader numbers, on the wire
+        (VisitStart, ["kind", "visit_id", "host", "rank", "phase", "iteration", "gpc_enabled"], ()),  # a field renamed
     ],
 )
-def test_a_declaration_must_name_the_key_then_the_record_fields(fields, wire_only):
+def test_a_declaration_must_name_the_key_then_the_record_fields(kind, fields, wire_only):
     """A record kind's wire declaration that drifts from its ``NamedTuple`` fails when it is made."""
-    model.RecordFields(ResetFinding, **dict.fromkeys(["name", "host", "partition", "sender_site", "event_index"],
-                                                     {str}))
-    with pytest.raises(TypeError, match=r"^ResetFinding is declared as "):
-        model.RecordFields(ResetFinding, wire_only=wire_only, **dict.fromkeys(fields, {str}))
+    _declare(kind, _DECLARED[kind])
+    with pytest.raises(TypeError, match=rf"^{kind.__name__} is declared as "):
+        _declare(kind, fields, wire_only)
+
+
+# --- every compiled codec against json.dumps ----------------------------------------------------
+
+_CODECS = {
+    **crawllog._EVENT_FIELDS,
+    IntractableFinding: cli._FINDING_FIELDS,
+    ResetFinding: cli._RESET_FIELDS,
+    SyncFinding: cli._SYNC_FIELDS,
+    CookieRecord: _ENTRY_FIELDS,
+    HistoryEntry: _HISTORY_FIELDS,
+}
+
+
+def _awkward_records() -> list:
+    """(record, its wire-only fields) of every declared kind: awkward strings, None, "" and awkward partitions,
+    bools, and ints past 64 bits.  Hosts are canonical and visit ids not empty, as a decoded record's are."""
+    from test_crawllog import _AWKWARD
+
+    def pick(values, n):
+        values = list(values)
+        return values[n % len(values)]
+
+    records = []
+    for n, text in enumerate(_AWKWARD):
+        visit_id, host, big = text or "v", pick(["a.com", "x-1.b_c.example"], n), pick([1, 7, 2**31, 2**70], n)
+        flag = n % 2 == 0
+        banner = BannerDescriptor(BannerType.CMP, (
+            BannerLayer(buttons=(BannerButton(text, ButtonAction.ACCEPT),)),
+            BannerLayer(toggles=(BannerToggle(text, flag, not flag),)),
+        ))
+        records += [(event, {}) for event in [
+            VisitStart(visit_id, host, big, pick(Phase, n), pick(Iteration, n), flag, n),
+            BannerObserved(visit_id, banner, big),
+            BannerObserved(visit_id, BannerDescriptor(BannerType.NONE), n),
+            Interaction(visit_id, pick(InteractionAction, n), pick(InteractionStage, n), n),
+            HttpRequest(visit_id, pick(InteractionStage, n), host, text, pick(Channel, n), text, pick([None, text], n),
+                        n),
+            CookieSet(visit_id, pick(InteractionStage, n), text, host, n),
+            VisitEnd(visit_id, pick(VisitOutcome, n), n),
+        ]]
+        for partition in (None, "", text):
+            key = CookieKey(text, text, partition)
+            records += [
+                (IntractableFinding(key, text, text, text, pick(InteractionStage, n), pick(Channel, n), text, big,
+                                    flag), {"setter_sites": pick([[], [text], _AWKWARD], n)}),
+                (ResetFinding(key, text, big), {}),
+                (SyncFinding(key, text, text, text, text), {}),
+                (CookieRecord(key, text, pick([None, 3600.5, -1, 0.0, 2**70, 1e300], n), text, big,
+                              pick(ConsentState, n), pick(Phase, n), pick([FIXED_EXPIRY, datetime(2026, 1, 1, 5)], n)),
+                 {}),
+                (HistoryEntry(key, text, big, flag), {}),
+            ]
+    return records
+
+
+def _ref_object(record, wire_only: dict) -> dict:
+    """The object that writes ``record``: a key flattened, enums by name, dates in ISO format, banners as objects;
+    a log event's tag in place of its event_index."""
+    from test_crawllog import _REF_KIND_NAMES, _ref_banner_to_obj
+
+    obj = dict(wire_only)
+    for name, value in zip(record._fields, record):
+        if type(value) is CookieKey:
+            obj.update(value._asdict())
+        elif isinstance(value, enum.Enum):
+            obj[name] = value.name
+        elif isinstance(value, datetime):
+            obj[name] = value.isoformat()
+        elif isinstance(value, BannerDescriptor):
+            obj[name] = _ref_banner_to_obj(value)
+        else:
+            obj[name] = value
+    if type(record) in _REF_KIND_NAMES:
+        obj["kind"] = _REF_KIND_NAMES[type(record)]
+        del obj["event_index"]
+    return obj
+
+
+@pytest.mark.parametrize("kind", list(_CODECS), ids=lambda kind: kind.__name__)
+def test_every_codec_writes_json_dumps_bytes_and_reads_them_back(kind):
+    """Each declared kind's ``encode`` writes the bytes of ``json.dumps`` of its object, which ``decode`` reads
+    back into the record, of its kind and with a key of its own."""
+    codec = _CODECS[kind]
+    cases = [(record, wire_only) for record, wire_only in _awkward_records() if type(record) is kind]
+    assert len(_CODECS) == 11 and len(cases) >= 8
+    for record, wire_only in cases:
+        if codec.tag:
+            line = codec.encode(record, {})
+        else:
+            line = codec.encode(record, *(json.dumps(value, separators=(",", ":")) for value in wire_only.values()))
+        assert line == json.dumps(_ref_object(record, wire_only), sort_keys=True, separators=(",", ":")), record
+        obj = json.loads(line)
+        decoded = codec.decode(obj, record.event_index, {}, {}) if codec.tag else codec.decode(obj)
+        assert decoded == record and type(decoded) is kind and type(decoded[0]) is type(record[0]), record
 
 
 class TestDomainMatch:
