@@ -51,13 +51,13 @@ import secrets
 import sys
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from . import crawllog, filterlist, reports, simulator
 from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
-from .errors import InputError, InvariantError, PipelineError, json_problem, not_utf8, read_utf8
+from .errors import InputError, InvariantError, PipelineError, json_object, quoted, reading
 from .jar import CookieJar, build_jar
-from .model import OPTIONAL_STR, Channel, CookieKey, Field, InteractionStage, RecordFields
+from .model import OPTIONAL_STR, Channel, CookieKey, Field, InteractionStage, RecordFields, canonical_json
 from .psl import EMPTY_RULESET, PslRuleSet, load_psl
 
 DEFAULT_TIERS = (50, 500, 1000, 5000, 10000)
@@ -89,12 +89,12 @@ PIPELINE_FIELDS = {
 }
 
 
-def _config_field(path: str, key: str, value, kind: type, item: type | None = None):
+def _config_field(key: str, value, kind: type, item: type | None = None):
     """``value`` of the config field ``key``, checked to be null or a ``kind`` (a list: of ``item``)."""
     if value is None or (type(value) is kind and (item is None or all(type(v) is item for v in value))):
         return value
     expected = f"a list of {item.__name__}" if item else kind.__name__
-    raise InputError("INVALID_CONFIG", f"{path}: field {key!r} must be {expected}, got {value!r}")
+    raise InputError("INVALID_CONFIG", f"field {key!r} must be {expected}, got {quoted(value)}")
 
 
 def _apply_config(args) -> None:
@@ -106,33 +106,26 @@ def _apply_config(args) -> None:
     value leaves its option unset; so does an empty list on the command line.
     """
     path = args.config
-    obj = {}
-    if path:
-        text = read_utf8(path, "INVALID_CONFIG")
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise InputError("INVALID_CONFIG", f"{path}: not valid JSON ({json_problem(exc)})") from None
-        if type(obj) is not dict:
-            raise InputError("INVALID_CONFIG", f"{path}: bad pipeline config (not an object)")
-    unread = {"": dict(obj)}  # each object's keys not yet read, by its dotted key
-    for key, spec in PIPELINE_FIELDS.items():
-        section, _, name = key.rpartition(".")
-        if section not in unread:
-            unread[section] = dict(_config_field(path, section, unread[""].pop(section, None), dict) or {})
-        value = _config_field(path, key, unread[section].pop(name, None), spec.kind, spec.item)
-        option = "out" if args.command == spec.out_for else spec.option
-        if value is not None and spec.is_input and option != "out":
-            for referenced in value if spec.item else [value]:
-                if not Path(referenced).exists():
-                    raise InputError("INVALID_CONFIG", f"{path}: referenced path does not exist: {referenced}")
-        if value in (None, []):
-            value = spec.default
-        if value is not None and option and hasattr(args, option) and getattr(args, option) in (None, []):
-            setattr(args, option, value)
-    unknown = [f"{section}.{name}" if section else name for section, rest in unread.items() for name in rest]
-    if unknown:
-        raise InputError("INVALID_CONFIG", f"{path}: unknown field {unknown[0]!r}")
+    with reading(path, "INVALID_CONFIG"):  # without a file, nothing in the block raises
+        obj = json_object(Path(path).read_text(encoding="utf-8"), "INVALID_CONFIG") if path else {}
+        unread = {"": obj}  # each object's keys not yet read, by its dotted key
+        for key, spec in PIPELINE_FIELDS.items():
+            section, _, name = key.rpartition(".")
+            if section not in unread:
+                unread[section] = dict(_config_field(section, unread[""].pop(section, None), dict) or {})
+            value = _config_field(key, unread[section].pop(name, None), spec.kind, spec.item)
+            option = "out" if args.command == spec.out_for else spec.option
+            if value is not None and spec.is_input and option != "out":
+                for referenced in value if spec.item else [value]:
+                    if not Path(referenced).exists():
+                        raise InputError("INVALID_CONFIG", f"referenced path does not exist: {referenced}")
+            if value in (None, []):
+                value = spec.default
+            if value is not None and option and hasattr(args, option) and getattr(args, option) in (None, []):
+                setattr(args, option, value)
+        unknown = [f"{section}.{name}" if section else name for section, rest in unread.items() for name in rest]
+        if unknown:
+            raise InputError("INVALID_CONFIG", f"unknown field {quoted(unknown[0])}")
 
 
 def _emit_error(exc: PipelineError, error_format: str) -> None:
@@ -158,17 +151,6 @@ def _require_option(args, name: str, flag: str):
     return value
 
 
-@contextlib.contextmanager
-def _reading(path) -> Iterator[None]:
-    """Start every pipeline error that reading ``path`` raises with ``<path>: ``; text not UTF-8 is MALFORMED_RECORD."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, "MALFORMED_RECORD", exc) from None
-    except (InputError, InvariantError) as exc:
-        raise type(exc)(exc.code, f"{path}: {exc.message}") from None
-
-
 def _load_logs(paths) -> crawllog.RunIndex:
     """Parse the logs in turn into one run index, its events numbered 0..n-1 across all of them.
 
@@ -178,14 +160,15 @@ def _load_logs(paths) -> crawllog.RunIndex:
     """
     index = None
     for path in paths:
-        with _reading(path):
+        with reading(path, "MALFORMED_RECORD"):
             index = crawllog.parse_log_text(Path(path).read_text(encoding="utf-8"), index)
     return index
 
 
 def _load_rules(args) -> PslRuleSet:
     if args.psl:
-        return load_psl(read_utf8(args.psl, "MALFORMED_RULE"), include_private=not args.no_private_psl)
+        with reading(args.psl, "MALFORMED_RULE"):
+            return load_psl(Path(args.psl).read_text(encoding="utf-8"), include_private=not args.no_private_psl)
     return EMPTY_RULESET
 
 
@@ -193,8 +176,9 @@ def _adblock_domains(paths, error_format: str) -> tuple[list[filterlist.TrackerD
     """Each ``--adblock`` list's domains, its issues emitted as it is read, and the rules they all ignored."""
     sets, ignored = [], 0
     for path in paths:
-        extraction = filterlist.extract_domains_from_adblock(read_utf8(path, "MALFORMED_DOMAIN"))
-        _emit_issues(extraction.issues, error_format)
+        with reading(path, "MALFORMED_DOMAIN") as named:
+            extraction = filterlist.extract_domains_from_adblock(Path(path).read_text(encoding="utf-8"))
+        _emit_issues(named(extraction.issues), error_format)
         sets.append(extraction.domains)
         ignored += extraction.ignored_rules
     return sets, ignored
@@ -204,8 +188,9 @@ def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
     sets = []
     for path in args.trackers or []:
         issues: list = []
-        sets.append(filterlist.parse_domain_list(read_utf8(path, "MALFORMED_DOMAIN"), issues=issues))
-        _emit_issues(issues, error_format)
+        with reading(path, "MALFORMED_DOMAIN") as named:
+            sets.append(filterlist.parse_domain_list(Path(path).read_text(encoding="utf-8"), issues=issues))
+        _emit_issues(named(issues), error_format)
     sets += _adblock_domains(args.adblock or [], error_format)[0]
     return filterlist.merge(sets) if sets else filterlist.EMPTY_TRACKER_SET
 
@@ -230,7 +215,7 @@ def _strings(value: list, name: str) -> list:
     try:
         "".join(value)
     except TypeError:
-        raise ValueError(f"bad {name} {value!r}") from None
+        raise ValueError(f"bad {name} {quoted(value)}") from None
     return value
 
 
@@ -293,14 +278,6 @@ def _staged_outputs() -> Iterator[Callable[[str | os.PathLike], TextIO]]:
                 os.remove(temporary)
 
 
-def _write_ndjson(handle: TextIO, lines: Iterable[str]) -> None:
-    """Write a versioned NDJSON file: its header record, then the given record lines."""
-    handle.write(f'{{"format_version":{crawllog.FORMAT_VERSION}}}\n')
-    for line in lines:
-        handle.write(line)
-        handle.write("\n")
-
-
 def _read_records(path: str, from_record, from_line=None) -> list:
     """Stream a line-record file of one kind through ``crawllog.read_records``, building records with ``from_record``.
 
@@ -313,7 +290,7 @@ def _read_records(path: str, from_record, from_line=None) -> list:
     named ``record <i>``, counting records from 0.
     """
     built = []
-    with _reading(path), open(path, encoding="utf-8") as handle:
+    with reading(path, "MALFORMED_RECORD"), open(path, encoding="utf-8") as handle:
         for number, (_lineno, value) in enumerate(crawllog.read_records(handle, from_line)):
             if type(value) is dict:  # not built by ``from_line``
                 try:
@@ -390,8 +367,8 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
             sites = jar_sites[key] = list(jar.setters_of(key))
         if sites != obj["setter_sites"]:
             problem = "is not in the jar" if sites is None else "has setter_sites other than the jar's"
-            raise InputError("FINDING_NOT_IN_JAR",
-                             f"cookie {key.name!r} of {key.host!r} (partition {key.partition!r}) {problem}")
+            cookie = f"cookie {quoted(key.name)} of {quoted(key.host)} (partition {quoted(key.partition)})"
+            raise InputError("FINDING_NOT_IN_JAR", f"{cookie} {problem}")
         return finding
 
     return _read_records(path, checked, without_list)
@@ -402,7 +379,8 @@ def _read_findings(path: str, jar: CookieJar | None = None) -> list[IntractableF
 
 def _cmd_simulate(args, error_format: str) -> int:
     """Stream the log to ``--out`` as the crawl runs; all outputs appear together, or none does."""
-    config = simulator.EcosystemConfig.from_json(read_utf8(args.config, "INVALID_CONFIG"))
+    with reading(args.config, "INVALID_CONFIG"):
+        config = simulator.EcosystemConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     with _staged_outputs() as open_output:
         with open_output(args.out) as handle:
             simulator.crawl(config, args.seed, crawllog.log_writer(handle.write), run_label=args.run_id or "")
@@ -412,7 +390,7 @@ def _cmd_simulate(args, error_format: str) -> int:
         if args.truth_out:
             truth = simulator.ground_truth(config, args.seed)
             with open_output(args.truth_out) as handle:
-                handle.write(json.dumps(truth.to_obj(), sort_keys=True, separators=(",", ":")) + "\n")
+                handle.write(canonical_json(truth.to_obj()) + "\n")
     return 0
 
 
@@ -451,7 +429,8 @@ def _cmd_detect(args, error_format: str) -> int:
         for path, lines in outputs:
             if path:
                 with open_output(path) as handle:
-                    _write_ndjson(handle, lines)
+                    handle.write(crawllog.HEADER_LINE)
+                    handle.writelines(f"{line}\n" for line in lines)
     stats = result.stats
     print(
         f"detect: {len(result.canonical_findings)} canonical findings over "

@@ -56,7 +56,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
-from .errors import InputError, InvariantError, ParseIssue, json_problem
+from .errors import InputError, InvariantError, ParseIssue, json_object, quoted
 from .model import (
     CRAWL_EPOCH,
     HOST,
@@ -79,11 +79,13 @@ from .model import (
     RecordFields,
     SiteId,
     VisitOutcome,
+    canonical_json,
     canonicalize_host,
     consent_state_for_stage,
 )
 
 FORMAT_VERSION = 1
+HEADER_LINE = canonical_json({"format_version": FORMAT_VERSION}) + "\n"  # of a log, findings, resets or syncs
 
 # The stage each interaction action transitions a visit into.
 _ACTION_STAGE = {
@@ -225,7 +227,7 @@ def banner_to_obj(banner: BannerDescriptor) -> dict:
 def _exact(value, kind: type, field: str):
     """``value`` if its type is exactly ``kind`` (a 0 is not a bool, nor a "false"), else ``TypeError``."""
     if type(value) is not kind:
-        raise TypeError(f"{field} must be a {kind.__name__}, got {value!r}")
+        raise TypeError(f"{field} must be a {kind.__name__}, got {quoted(value)}")
     return value
 
 
@@ -293,7 +295,7 @@ def _check_url(value: str, name: str) -> str:
     try:
         urlsplit(value)
     except ValueError as exc:
-        raise InputError("UNPARSABLE_URL", f"bad {name} {value!r} ({exc})") from None
+        raise InputError("UNPARSABLE_URL", f"bad {name} {quoted(value)} ({exc})") from None
     return value
 
 
@@ -315,8 +317,7 @@ def _banner_json(banner: BannerDescriptor, banners: dict) -> str:
     """
     entry = banners.get(id(banner))
     if entry is None:
-        text = json.dumps(banner_to_obj(banner), sort_keys=True, separators=(",", ":"))
-        entry = banners[id(banner)] = (banner, text)
+        entry = banners[id(banner)] = (banner, canonical_json(banner_to_obj(banner)))
     return entry[1]
 
 
@@ -453,7 +454,7 @@ def log_writer(write: Callable[[str], object]) -> Callable[[CrawlEvent], None]:
     its line, newline included, at once, so a log can be written as its
     events are made, with no event list.
     """
-    write(f'{{"format_version":{FORMAT_VERSION}}}\n')
+    write(HEADER_LINE)
     banners: dict = {}
 
     def write_event(event: CrawlEvent) -> None:
@@ -472,18 +473,13 @@ def serialize(events: Iterable[CrawlEvent]) -> str:
 
 
 def _record_object(line: str, lineno: int) -> dict:
-    """The JSON object a stripped, non-blank line holds, decoded with the scanner; ``InputError`` naming the line."""
+    """The JSON object a stripped, non-blank line holds, decoded with the scanner (``json_object`` words errors)."""
     try:
-        try:
-            obj, end = _scan_json(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(line):
-            obj = json.loads(line)  # decoded again as json.loads does, for its error message
-    except (ValueError, RecursionError) as exc:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({json_problem(exc)})") from None
-    if type(obj) is not dict:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: record is not an object")
+        obj, end = _scan_json(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(line) or type(obj) is not dict:
+        obj = json_object(line, "MALFORMED_RECORD", f"line {lineno}: ")
     return obj
 
 
@@ -504,10 +500,8 @@ def read_records(lines: Iterable[str], from_line: Callable[[str], object] | None
             obj = _record_object(line, lineno)
             version = obj.get("format_version")
             if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 are not 1
-                raise InputError(
-                    "MALFORMED_RECORD",
-                    f"line {lineno}: expected header record {{'format_version': {FORMAT_VERSION}}}, got {obj!r}",
-                )
+                expected = f"expected header record {{'format_version': {FORMAT_VERSION}}}"
+                raise InputError("MALFORMED_RECORD", f"line {lineno}: {expected}, got {quoted(obj)}")
             break
     else:
         raise InputError("MALFORMED_RECORD", "missing format_version header record")
@@ -546,7 +540,7 @@ def parse_log_text(text: str, run: RunIndex | None = None) -> RunIndex:
         kind = obj.get("kind")
         reader = _READERS.get(kind) if isinstance(kind, str) else None
         if reader is None:
-            problem = f"unknown kind {kind!r}" if "kind" in obj else "missing field 'kind'"
+            problem = f"unknown kind {quoted(kind)}" if "kind" in obj else "missing field 'kind'"
             raise InputError("MALFORMED_RECORD", f"line {lineno}: {problem}")
         decode, file = reader
         try:
@@ -583,7 +577,7 @@ def parse_cookie_header(header: str, *, issues: list[ParseIssue] | None = None) 
         name, sep, value = segment.partition("=")
         if not sep or not name:
             if issues is not None:
-                issues.append(ParseIssue("MALFORMED_PAIR", f"cookie pair without '=': {segment!r}"))
+                issues.append(ParseIssue("MALFORMED_PAIR", f"cookie pair without '=': {quoted(segment)}"))
             continue
         pairs.append((name, value))
     return pairs
@@ -616,7 +610,7 @@ def parse_set_cookie(
     name, sep, value = segments[0].partition("=")
     name = name.strip()
     if not sep or not name:
-        raise InputError("MISSING_NAME", f"Set-Cookie without a cookie name: {header[:60]!r}")
+        raise InputError("MISSING_NAME", f"Set-Cookie without a cookie name: {quoted(header)}")
     domain: str | None = None
     max_age: float | None = None
     expires: float | None = None
@@ -634,13 +628,13 @@ def parse_set_cookie(
                 max_age = float(int(attr_value))
             except (ValueError, OverflowError):  # OverflowError: past the largest float
                 if issues is not None:
-                    issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Max-Age {attr_value[:60]!r}"))
+                    issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Max-Age {quoted(attr_value)}"))
         elif attr == "expires":
             try:
                 expires = _parse_expires(attr_value)
             except (ValueError, TypeError, OverflowError):
                 if issues is not None:
-                    issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Expires {attr_value[:60]!r}"))
+                    issues.append(ParseIssue("MALFORMED_EXPIRES", f"bad Expires {quoted(attr_value)}"))
         elif attr == "partitioned":
             partitioned = True
     host = canonicalize_host(domain) if domain else canonicalize_host(context_host)
@@ -668,13 +662,23 @@ def record_from_cookie_set(
 # --- reading the run index ----------------------------------------------------
 
 
+def in_visit(issues: list[ParseIssue], start: int, visit_id: str) -> None:
+    """Start the message of each issue from ``issues[start]`` on with ``visit '<id>': ``; cheap if there is none."""
+    issues[start:] = [ParseIssue(i.code, f"visit {visit_id!r}: {i.detail}", i.line) for i in issues[start:]]
+
+
 def extract_sent(index: RunIndex, *, issues: list[ParseIssue] | None = None) -> list[SentCookieObservation]:
-    """One observation per (HTTP_REQUEST, cookie pair), in event order."""
+    """One observation per (HTTP_REQUEST, cookie pair), in event order; each issue collected names its visit."""
     visits = index.visits
     observations: list[SentCookieObservation] = []
+    issues = [] if issues is None else issues
     for event in index.requests:
         site = visits[event.visit_id].site
-        for name, value in parse_cookie_header(event.cookie_header, issues=issues):
+        start = len(issues)
+        pairs = parse_cookie_header(event.cookie_header, issues=issues)
+        if len(issues) > start:
+            in_visit(issues, start, event.visit_id)
+        for name, value in pairs:
             observations.append(
                 SentCookieObservation(
                     name=name,
@@ -702,13 +706,13 @@ def strict_issues(index: RunIndex) -> list[ParseIssue]:
     """
     issues: list[ParseIssue] = []
     for event in heapq.merge(index.requests, index.cookie_sets, key=_event_index):
-        found: list[ParseIssue] = []
+        start = len(issues)
         if type(event) is HttpRequest:
-            parse_cookie_header(event.cookie_header, issues=found)
+            parse_cookie_header(event.cookie_header, issues=issues)
         else:
             try:
-                parse_set_cookie(event.set_cookie_header, event.setter_context_host, issues=found)
+                parse_set_cookie(event.set_cookie_header, event.setter_context_host, issues=issues)
             except InputError as exc:
-                found.append(ParseIssue(exc.code, exc.message))
-        issues += [ParseIssue(issue.code, f"visit {event.visit_id!r}: {issue.detail}") for issue in found]
+                issues.append(ParseIssue(exc.code, exc.message))
+        in_visit(issues, start, event.visit_id)
     return issues

@@ -1,16 +1,21 @@
-"""Error types shared across the pipeline.
+"""Error types shared across the pipeline, and the one way an input file is read.
 
 Fatal problems raise :class:`InputError` or :class:`InvariantError`; both
 carry a stable machine-readable ``code`` so the CLI can emit structured
 error records.  Recoverable problems found while parsing are collected as
 :class:`ParseIssue` values instead of raising.
+
+Every input file is read inside :func:`reading`, the one place that starts an
+error with its file's ``<path>: ``; :func:`json_object` is the one decoder
+that words bad JSON, and :func:`quoted` shows an input value in a message.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Callable, Iterator
 
 
 class PipelineError(Exception):
@@ -33,32 +38,35 @@ class InvariantError(PipelineError):
     """Structural invariant violated by otherwise well-formed input (CLI exit code 2)."""
 
 
-def json_problem(exc: ValueError | RecursionError) -> str:
-    """Why ``json.loads`` or its scanner rejected a text, for an error message.
+def json_object(text: str, code: str, where: str = "") -> dict:
+    """The object a JSON text holds, as ``json.loads`` decodes it; else ``InputError(code)``.
 
-    Besides a ``JSONDecodeError``, decoding raises ``RecursionError`` for
-    nesting deeper than the interpreter's recursion limit, and a plain
-    ``ValueError`` for an integer of more digits than ``int()`` converts
-    (4,300 by default).
+    The message is ``<where>not a JSON object`` or ``<where>invalid JSON
+    (<problem>)``, ``where`` being a line-framed file's ``line <n>: ``.  Past
+    the recursion limit the problem is ``nested too deeply``, and for an
+    integer of more digits than ``int()`` converts ``integer too long``.
     """
-    if isinstance(exc, json.JSONDecodeError):
-        return exc.msg
-    if isinstance(exc, RecursionError):
-        return "nested too deeply"
-    return "integer too long"
-
-
-def not_utf8(path, code: str, exc: UnicodeDecodeError) -> InputError:
-    """The error for an input file that is not UTF-8, under its reader's own ``code``."""
-    return InputError(code, f"{path}: not UTF-8 ({exc.reason})")
-
-
-def read_utf8(path, code: str) -> str:
-    """The text of the UTF-8 file at ``path``; a file that is not UTF-8 is ``InputError(code)``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, code, exc) from None
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        problem = exc.msg
+    except RecursionError:
+        problem = "nested too deeply"
+    except ValueError:
+        problem = "integer too long"
+    else:
+        if type(obj) is dict:
+            return obj
+        raise InputError(code, f"{where}not a JSON object")
+    raise InputError(code, f"{where}invalid JSON ({problem})")
+
+
+def quoted(value) -> str:
+    """``repr(value)``, cut to about 60 characters: a string's first 60, or any other value's repr's."""
+    if type(value) is str:
+        return repr(value[:60])
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}..."
 
 
 @dataclass(frozen=True)
@@ -77,3 +85,20 @@ class ParseIssue:
         if self.line is not None:
             record["line"] = self.line
         return record
+
+
+@contextlib.contextmanager
+def reading(path, code: str) -> Iterator[Callable]:
+    """Read the file at ``path`` in the block; each error it raises starts with ``<path>: ``.
+
+    A ``PipelineError`` is raised again with that prefix, and a
+    ``UnicodeDecodeError`` as ``InputError(code, "<path>: not UTF-8
+    (<reason>)")``; an ``OSError`` names the file itself.  The block is handed
+    a function that prefixes the issues collected from the file alike.
+    """
+    try:
+        yield lambda issues: [ParseIssue(issue.code, f"{path}: {issue.detail}", issue.line) for issue in issues]
+    except UnicodeDecodeError as exc:
+        raise InputError(code, f"{path}: not UTF-8 ({exc.reason})") from None
+    except PipelineError as exc:
+        raise type(exc)(exc.code, f"{path}: {exc.message}") from None

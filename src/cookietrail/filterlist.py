@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import InputError, ParseIssue
+from .errors import InputError, ParseIssue, quoted
 from .model import canonicalize_host
 
 _TRIE_END = ""  # terminal marker inside trie nodes; "" can never be a label
@@ -84,7 +84,7 @@ def parse_domain_list(text: str, *, issues: list[ParseIssue] | None = None) -> T
             domains.add(canonicalize_host(line))
         except InputError as exc:
             if issues is not None:
-                issues.append(ParseIssue("MALFORMED_DOMAIN", f"{line!r}: {exc.message}", lineno))
+                issues.append(ParseIssue("MALFORMED_DOMAIN", f"{quoted(line)}: {exc.message}", lineno))
     return TrackerDomainSet(frozenset(domains))
 
 
@@ -122,5 +122,5 @@ def extract_domains_from_adblock(text: str) -> AdblockExtraction:
         try:
             domains.add(canonicalize_host(match.group(1)))
         except InputError as exc:
-            issues.append(ParseIssue("MALFORMED_DOMAIN", f"{line!r}: {exc.message}", lineno))
+            issues.append(ParseIssue("MALFORMED_DOMAIN", f"{quoted(line)}: {exc.message}", lineno))
     return AdblockExtraction(TrackerDomainSet(frozenset(domains)), ignored, tuple(issues))

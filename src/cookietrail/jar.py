@@ -10,7 +10,6 @@ whose banners were successfully accepted.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, TextIO
 
 from . import crawllog
-from .errors import InputError, ParseIssue, read_utf8
+from .errors import InputError, ParseIssue, json_object, reading
 from .model import (
     FIXED_EXPIRY,
     OPTIONAL_STR,
@@ -28,6 +27,7 @@ from .model import (
     Phase,
     RecordFields,
     SiteId,
+    canonical_json,
 )
 
 SNAPSHOT_FORMAT = "cookietrail-jar"
@@ -141,75 +141,59 @@ class CookieJar:
     def save(self, out: TextIO) -> None:
         """Write a checksummed snapshot to the text file ``out``; byte-identical for equal jars."""
         keys = sorted(self.entries, key=lambda k: (k.name, k.host, k.partition or ""))
-        # ``json.dumps`` of the payload object, its keys sorted, written from the rows' encoders.
+        # ``canonical_json`` of the payload object, written from the rows' encoders.
         payload = (
-            f'{{"accepted_sites":{json.dumps(sorted(self.accepted_sites), separators=(",", ":"))},'
+            f'{{"accepted_sites":{canonical_json(sorted(self.accepted_sites))},'
             f'"entries":[{",".join(_ENTRY_FIELDS.encode(self.entries[key]) for key in keys)}],'
             f'"history":[{",".join(map(_HISTORY_FIELDS.encode, self.history))}]}}'
         )
-        header = json.dumps(
-            {
-                "format": SNAPSHOT_FORMAT,
-                "format_version": SNAPSHOT_VERSION,
-                "payload_sha256": hashlib.sha256(payload.encode()).hexdigest(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        header = canonical_json({
+            "format": SNAPSHOT_FORMAT,
+            "format_version": SNAPSHOT_VERSION,
+            "payload_sha256": hashlib.sha256(payload.encode()).hexdigest(),
+        })
         out.write(header + "\n" + payload + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "CookieJar":
-        """Load a snapshot, verifying format and checksum.
+        """Load a snapshot, verifying format and checksum; every error names ``path``.
 
         Raises:
             InputError: ``CORRUPT_SNAPSHOT`` on any structural or checksum
                 mismatch.  I/O failures propagate as ``OSError``.
         """
-        text = read_utf8(path, "CORRUPT_SNAPSHOT")
-        # Lines end at "\n" only (``read_text`` turns "\r\n" and "\r" into it):
-        # JSON allows U+2028, U+2029 and U+0085 raw inside a string, and
-        # ``str.splitlines`` would split the payload at them.
-        lines = text.removesuffix("\n").split("\n")
-        if len(lines) < 2:
-            raise InputError("CORRUPT_SNAPSHOT", f"{path}: truncated snapshot")
-        try:
-            header = json.loads(lines[0])
-            payload_line = lines[1]
-            if (
-                type(header) is not dict
-                or header.get("format") != SNAPSHOT_FORMAT
-                or type(header.get("format_version")) is not int  # true and 1.0 are not 1
-                or header.get("format_version") != SNAPSHOT_VERSION
-            ):
-                raise InputError("CORRUPT_SNAPSHOT", f"{path}: unrecognized snapshot header")
-            if hashlib.sha256(payload_line.encode()).hexdigest() != header.get("payload_sha256"):
-                raise InputError("CORRUPT_SNAPSHOT", f"{path}: checksum mismatch")
-            payload = json.loads(payload_line)
-            if type(payload) is not dict:
-                raise InputError("CORRUPT_SNAPSHOT", f"{path}: payload is not an object")
-            for field in ("entries", "history"):
-                if type(payload[field]) is not list or not all(type(obj) is dict for obj in payload[field]):
-                    raise InputError("CORRUPT_SNAPSHOT", f"{path}: {field} is not a list of objects")
-            entries = {}
-            for index, record in enumerate(_rows(_ENTRY_FIELDS, payload, "entries")):
-                expiry = record.original_expiry
-                # Readers divide it as a float; a NaN fails this comparison too.
-                if expiry is not None and not abs(expiry) <= sys.float_info.max:
-                    raise ValueError(f"entries[{index}]: original_expiry is not a finite number a float holds")
-                entries[record.key] = record
-            history = list(_rows(_HISTORY_FIELDS, payload, "history"))
-            accepted = payload["accepted_sites"]
-            if type(accepted) is not list or not all(type(site) is str for site in accepted):
-                raise InputError("CORRUPT_SNAPSHOT", f"{path}: accepted_sites is not a list of strings")
-            accepted = set(accepted)
-        except InputError:
-            raise
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise InputError("CORRUPT_SNAPSHOT", f"{path}: {exc}") from None
-        except RecursionError:
-            raise InputError("CORRUPT_SNAPSHOT", f"{path}: JSON nested too deeply") from None
-        return cls(entries=entries, history=history, accepted_sites=accepted)
+        with reading(path, "CORRUPT_SNAPSHOT"):
+            # Lines end at "\n" only (``read_text`` turns "\r\n" and "\r" into it):
+            # JSON allows U+2028, U+2029 and U+0085 raw inside a string, and
+            # ``str.splitlines`` would split the payload at them.
+            lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+            if len(lines) < 2:
+                raise InputError("CORRUPT_SNAPSHOT", "truncated snapshot")
+            header = json_object(lines[0], "CORRUPT_SNAPSHOT", "line 1: ")  # the payload is line 2
+            version = header.get("format_version")  # true and 1.0 are not 1
+            if header.get("format") != SNAPSHOT_FORMAT or type(version) is not int or version != SNAPSHOT_VERSION:
+                raise InputError("CORRUPT_SNAPSHOT", "unrecognized snapshot header")
+            if hashlib.sha256(lines[1].encode()).hexdigest() != header.get("payload_sha256"):
+                raise InputError("CORRUPT_SNAPSHOT", "checksum mismatch")
+            payload = json_object(lines[1], "CORRUPT_SNAPSHOT", "line 2: ")
+            try:
+                for field in ("entries", "history"):
+                    if type(payload[field]) is not list or not all(type(obj) is dict for obj in payload[field]):
+                        raise InputError("CORRUPT_SNAPSHOT", f"{field} is not a list of objects")
+                entries = {}
+                for index, record in enumerate(_rows(_ENTRY_FIELDS, payload, "entries")):
+                    expiry = record.original_expiry
+                    # Readers divide it as a float; a NaN fails this comparison too.
+                    if expiry is not None and not abs(expiry) <= sys.float_info.max:
+                        raise ValueError(f"entries[{index}]: original_expiry is not a finite number a float holds")
+                    entries[record.key] = record
+                history = list(_rows(_HISTORY_FIELDS, payload, "history"))
+                accepted = payload["accepted_sites"]
+                if type(accepted) is not list or not all(type(site) is str for site in accepted):
+                    raise InputError("CORRUPT_SNAPSHOT", "accepted_sites is not a list of strings")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError("CORRUPT_SNAPSHOT", str(exc)) from None
+        return cls(entries=entries, history=history, accepted_sites=set(accepted))
 
 
 def _rows(fields: RecordFields, payload: dict, name: str):
@@ -229,6 +213,8 @@ def build_jar(index: crawllog.RunIndex, *, issues: list[ParseIssue] | None = Non
     each one's site joins the accepted set and its cookie writes are applied,
     in event order, at its VISIT_END, so visits apply in VISIT_END order.
 
+    Each issue collected in ``issues`` names its visit.
+
     Raises:
         InputError: a cookie header's error (``MISSING_NAME``, a host's
             ``EMPTY_HOST`` or ``INVALID_LABEL``), its message naming the visit.
@@ -237,12 +223,15 @@ def build_jar(index: crawllog.RunIndex, *, issues: list[ParseIssue] | None = Non
     for cookie_set in index.cookie_sets:
         writes.setdefault(cookie_set.visit_id, []).append(cookie_set)
     jar = CookieJar()
+    issues = [] if issues is None else issues
     for visit in index.ended:
         if visit.accepted_setter:
             jar.mark_accepted(visit.site)
+            start = len(issues)
             try:
                 for cookie_set in writes.get(visit.visit_id, ()):
                     jar.upsert(crawllog.record_from_cookie_set(cookie_set, visit, issues=issues))
             except InputError as exc:
                 raise InputError(exc.code, f"visit {visit.visit_id!r}: {exc.message}") from None
+            crawllog.in_visit(issues, start, visit.visit_id)
     return jar

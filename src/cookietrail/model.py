@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, quoted
 
 # A registrable domain (public suffix plus one label), lowercase.
 SiteId = str
@@ -195,20 +195,20 @@ def canonicalize_host(raw: str) -> str:
         raise InputError("EMPTY_HOST", "empty hostname")
     host = raw.strip().lower().strip(".")
     if not host:
-        raise InputError("EMPTY_HOST", f"hostname {raw!r} has no labels")
+        raise InputError("EMPTY_HOST", f"hostname {quoted(raw)} has no labels")
     out = []
     for label in host.split("."):
         if not label:
-            raise InputError("INVALID_LABEL", f"empty label in {raw!r}")
+            raise InputError("INVALID_LABEL", f"empty label in {quoted(raw)}")
         if label.isascii():
             if not _LABEL_RE.fullmatch(label):
-                raise InputError("INVALID_LABEL", f"illegal character in label {label!r}")
+                raise InputError("INVALID_LABEL", f"illegal character in label {quoted(label)}")
             encoded = label
         else:
             try:
                 encoded = label.encode("idna").decode("ascii")
             except UnicodeError as exc:
-                raise InputError("INVALID_LABEL", f"IDNA conversion failed for {label!r}: {exc}") from None
+                raise InputError("INVALID_LABEL", f"IDNA conversion failed for {quoted(label)}: {exc}") from None
         if len(encoded) > 63:
             raise InputError("INVALID_LABEL", f"label longer than 63 octets: {encoded[:20]}...")
         out.append(encoded)
@@ -224,8 +224,8 @@ def domain_match(target_host: str, cookie_host: str) -> bool:
 
 _REQUIRED = object()  # the default of a field the wire may not omit
 
-# A JSON value as ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` writes it.
-_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The one canonical JSON encoder: a value as ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` writes it.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Field(NamedTuple):
@@ -257,7 +257,7 @@ def _canonical_host(raw: str, name: str, hosts: dict) -> str:
         try:
             host = hosts[raw] = canonicalize_host(raw)
         except InputError as exc:
-            raise InputError(exc.code, f"bad {name} {raw!r} ({exc.message})") from None
+            raise InputError(exc.code, f"bad {name} {quoted(raw)} ({exc.message})") from None
     return host
 
 
@@ -265,7 +265,7 @@ def _iso_date(value: str, name: str) -> datetime:
     try:
         return datetime.fromisoformat(value)
     except ValueError:
-        raise ValueError(f"bad {name} {value!r}") from None
+        raise ValueError(f"bad {name} {quoted(value)}") from None
 
 
 OPTIONAL_STR = {str, type(None)}
@@ -294,10 +294,10 @@ class RecordFields:
     checks a decoded object in three passes over the fields in declared
     order (each field the wire may not omit is present, each field has its
     type, each value reads) and returns the record.  A failed check raises
-    ``ValueError("missing field '<f>'")`` or ``ValueError("bad <f>
-    <value!r>")``, or what the field's ``read`` raises.  A log event's codec takes the memos of one log:
-    ``encode(event, banners)`` and ``decode(obj, event_index, hosts,
-    banners)``.
+    ``ValueError("missing field '<f>'")`` or ``ValueError("bad <f> <value>")``
+    (``errors.quoted``), or what the field's ``read`` raises.  A log event's
+    codec takes the memos of one log: ``encode(event, banners)`` and
+    ``decode(obj, event_index, hosts, banners)``.
     """
 
     def __init__(self, kind: type, /, *, wire_only: tuple[str, ...] = (), **fields):
@@ -310,8 +310,8 @@ class RecordFields:
         if held != expected or len(tags) > 1 or not all(map(str.isidentifier, [*fields, *tags])):
             raise TypeError(f"{kind.__name__} is declared as {held}, not as its fields {expected}")
         self.tag = tags[0] if tags else None
-        namespace = {"_new": tuple.__new__, "_kind": kind, "_key": CookieKey, "_string": _string, "_json": _json,
-                     "_int": int.__repr__}
+        namespace = {"_new": tuple.__new__, "_kind": kind, "_key": CookieKey, "_string": _string,
+                     "_json": canonical_json, "_int": int.__repr__, "_quoted": quoted}
         exec(_compile(fields, wire_only, held, flat, self.tag, namespace), namespace)
         self.decode = namespace["decode"]
         self.encode = namespace["encode"]
@@ -346,11 +346,11 @@ def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | 
             bad += f" or not {field.test.format(v)}"
         if nullable:
             bad = f"{v} is not None and ({bad})"
-        typed.append(f'    if {bad}:\n        raise ValueError(f"bad {name} {{{v}!r}}")')
+        typed.append(f'    if {bad}:\n        raise ValueError(f"bad {name} {{_quoted({v})}}")')
         if isinstance(spec, enum.EnumMeta):
             namespace[f"_r{i}"] = dict(spec.__members__)
             valued.append(f'    try:\n        {v} = _r{i}[{v}]\n    except KeyError:\n'
-                          f'        raise ValueError(f"bad {name} {{{v}!r}}") from None')
+                          f'        raise ValueError(f"bad {name} {{_quoted({v})}}") from None')
         elif field.read is not None:
             read = f"{v} = _r{i}({v}, {name!r}{', ' + field.memo if field.memo else ''})"
             valued.append(f"    if {v} is not None:\n        {read}" if nullable else f"    {read}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, quoted
 from .model import SiteId, canonicalize_host
 
 _PRIVATE_BEGIN = "===BEGIN PRIVATE DOMAINS==="
@@ -66,7 +66,7 @@ def load_psl(text: str, *, include_private: bool = True) -> PslRuleSet:
         try:
             bucket.add(canonicalize_host(body))
         except InputError as exc:
-            raise InputError("MALFORMED_RULE", f"line {lineno}: bad rule {rule!r} ({exc.message})") from None
+            raise InputError("MALFORMED_RULE", f"line {lineno}: bad rule {quoted(rule)} ({exc.message})") from None
     return PslRuleSet(frozenset(normal), frozenset(wildcard), frozenset(exception))
 
 

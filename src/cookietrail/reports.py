@@ -14,7 +14,6 @@ import csv
 import enum
 import hashlib
 import io
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from .crawllog import VisitSummary
 from .detector import IntractableFinding, ResetFinding, SyncFinding
 from .filterlist import TrackerDomainSet
 from .jar import CookieJar
-from .model import BannerType, Channel, CookieKey, InteractionStage, SiteId
+from .model import BannerType, Channel, CookieKey, InteractionStage, SiteId, canonical_json
 from .psl import PslRuleSet
 
 
@@ -194,5 +193,5 @@ def write_report_suite(out_dir: str | Path, inputs: ReportInputs, open_output: C
 
     manifest = {"format_version": 1, "files": entries}
     with open_output(directory / "manifest.json") as handle:
-        handle.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
+        handle.write(canonical_json(manifest) + "\n")
     return manifest

@@ -43,7 +43,7 @@ from importlib import resources
 from typing import Callable
 
 from . import _rand
-from .errors import InputError, json_problem
+from .errors import InputError, json_object, quoted
 from .model import (
     BannerDescriptor,
     BannerLayer,
@@ -57,7 +57,7 @@ from .model import (
     Phase,
     SiteId,
     VisitOutcome,
-    canonicalize_host,
+    _canonical_host,
     domain_match,
 )
 from .crawllog import (
@@ -300,26 +300,28 @@ class EcosystemConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "EcosystemConfig":
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise InputError("INVALID_CONFIG", f"config is not valid JSON: {json_problem(exc)}") from None
-        return cls.from_obj(obj)
+        """The config a JSON text holds; text that is not a JSON object is ``INVALID_CONFIG``."""
+        return cls.from_obj(json_object(text, "INVALID_CONFIG"))
 
     @classmethod
     def from_obj(cls, obj: dict) -> "EcosystemConfig":
         """Load a config, canonicalizing each distinct raw host and decoding each distinct banner and embed once.
 
         Sites with equal banners share one ``BannerDescriptor``, and equal
-        embeds one ``EmbedSpec``.
+        embeds one ``EmbedSpec``.  A host is type-checked, then canonicalized
+        as a log's is (``model._canonical_host``): ``bad site 'a..b' (...)``.
         """
         hosts: dict[str, SiteId] = {}
         banners: dict = {}
         embeds: dict[tuple[str, str, str], EmbedSpec] = {}
+
+        def host(value, field: str) -> SiteId:
+            return _canonical_host(_typed(value, str, field), field, hosts)
+
         try:
             sites = tuple(
                 SiteSpec(
-                    site=_config_host(s["site"], "site", hosts),
+                    site=host(s["site"], "site"),
                     rank=_typed(s["rank"], int, "rank"),
                     banner=decode_banner(s["banner"], banners),
                     embeds=tuple(_config_embed(e, embeds, hosts) for e in s.get("embeds", [])),
@@ -329,7 +331,7 @@ class EcosystemConfig:
             )
             trackers = tuple(
                 TrackerSpec(
-                    domain=_config_host(t["domain"], "tracker domain", hosts),
+                    domain=host(t["domain"], "tracker domain"),
                     cookies=tuple(
                         CookieSpec(
                             name=_typed(c["name"], str, "cookie name"),
@@ -340,7 +342,7 @@ class EcosystemConfig:
                     ),
                     honors_gpc=_typed(t.get("honors_gpc", False), bool, "honors_gpc"),
                     sets_partitioned=_typed(t.get("sets_partitioned", False), bool, "sets_partitioned"),
-                    sync_partners=tuple(_config_host(p, "sync partner", hosts) for p in t.get("sync_partners", [])),
+                    sync_partners=tuple(host(p, "sync partner") for p in t.get("sync_partners", [])),
                     drop_after_reject_prob=float(
                         _typed(t.get("drop_after_reject_prob", 0.0), (int, float), "drop_after_reject_prob")
                     ),
@@ -350,8 +352,8 @@ class EcosystemConfig:
                 for t in obj["trackers"]
             )
             schedule = Schedule(
-                phase1=tuple(_config_host(s, "scheduled site", hosts) for s in obj["schedule"]["phase1"]),
-                phase2=tuple(_config_host(s, "scheduled site", hosts) for s in obj["schedule"]["phase2"]),
+                phase1=tuple(host(s, "scheduled site") for s in obj["schedule"]["phase1"]),
+                phase2=tuple(host(s, "scheduled site") for s in obj["schedule"]["phase2"]),
                 gpc_enabled=_typed(obj["schedule"].get("gpc_enabled", False), bool, "gpc_enabled"),
             )
         except InputError:
@@ -407,16 +409,10 @@ def _typed(value, kind: type | tuple[type, ...], field: str):
     """``value`` if it is a ``kind``, or one of a tuple of kinds (a bool is only a bool), else ``INVALID_CONFIG``."""
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise InputError("INVALID_CONFIG", f"{field} must be of type {names}, got {value!r}")
+        raise InputError("INVALID_CONFIG", f"{field} must be of type {names}, got {quoted(value)}")
     return value
 
 
-def _config_host(value, field: str, hosts: dict[str, SiteId]) -> SiteId:
-    """The canonical form of a config host; ``hosts`` remembers each distinct raw host's, for one load."""
-    host = hosts.get(_typed(value, str, field))
-    if host is None:
-        host = hosts[value] = canonicalize_host(value)
-    return host
 
 
 def _config_embed(obj: dict, embeds: dict, hosts: dict[str, SiteId]) -> EmbedSpec:
@@ -434,7 +430,7 @@ def _config_embed(obj: dict, embeds: dict, hosts: dict[str, SiteId]) -> EmbedSpe
     if embed is None:
         tracker, policy, channel = raw
         embed = embeds[raw] = EmbedSpec(
-            _config_host(tracker, "embedded tracker", hosts), EmbedLoadPolicy[policy], Channel[channel]
+            _canonical_host(tracker, "embedded tracker", hosts), EmbedLoadPolicy[policy], Channel[channel]
         )
     return embed
 
@@ -445,7 +441,7 @@ def _checked_generator(generator: ValueGenerator) -> ValueGenerator:
     _typed(generator.length, int, "value length")
     _typed(generator.const, str, "value const")
     if generator.kind not in VALUE_KINDS:
-        raise InputError("INVALID_CONFIG", f"unknown value generator kind {generator.kind!r}")
+        raise InputError("INVALID_CONFIG", f"unknown value generator kind {quoted(generator.kind)}")
     return generator
 
 
@@ -470,7 +466,7 @@ def _parse_lifetime(raw) -> int | None:
             return int(float(text) * unit)
         except ValueError:
             pass
-    raise InputError("INVALID_CONFIG", f"bad lifetime {raw!r}")
+    raise InputError("INVALID_CONFIG", f"bad lifetime {quoted(raw)}")
 
 
 # --- ground truth ----------------------------------------------------------------

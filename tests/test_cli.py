@@ -22,7 +22,7 @@ from cookietrail.crawllog import (
     BannerObserved, CookieSet, HttpRequest, Interaction, VisitEnd, VisitStart, parse_log_text, serialize
 )
 from cookietrail.detector import IntractableFinding
-from cookietrail.errors import InputError, PipelineError
+from cookietrail.errors import InputError, PipelineError, quoted
 from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar, HistoryEntry
 from cookietrail.model import (
     Channel, CookieKey, InteractionAction, InteractionStage, Iteration, Phase, VisitOutcome
@@ -108,7 +108,7 @@ class TestSimulate:
         assert _run(["--errors", "json", "simulate", "--config", bad, "--seed", 1, "--out", out]) == 1
         record = _json_error(capsys)
         assert record["error"] == "INVALID_CONFIG"
-        assert record["message"].startswith(f"{path[-1]} must be of type "), record
+        assert record["message"].startswith(f"{bad}: {path[-1]} must be of type "), record
         assert not out.exists()
 
     @pytest.mark.parametrize("embedded", [True, False])
@@ -126,7 +126,8 @@ class TestSimulate:
         bad.write_text(json.dumps(config))
         out = tmp_path / "x.log"
         assert _run(["--errors", "json", "simulate", "--config", bad, "--seed", 1, "--out", out]) == 1
-        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": "unknown value generator kind 'bogus'"}
+        assert _json_error(capsys) == {"error": "INVALID_CONFIG",
+                                       "message": f"{bad}: unknown value generator kind 'bogus'"}
         assert os.listdir(tmp_path) == ["bad.json"]
 
     # SHA-256 of the demo's --trackers-out and --truth-out at seed 7, with and without --run-id.
@@ -1090,17 +1091,16 @@ class TestDeeplyNestedJson:
         capsys.readouterr()
         assert _run(["--errors", "json", "detect", "--jar", deep, "--log", analyzed / "run.log",
                      "--out", tmp_path / "f.jsonl"]) == 1
-        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT", "message": f"{deep}: JSON nested too deeply"}
+        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
+                                       "message": f"{deep}: line {line + 1}: invalid JSON ({self.PROBLEM})"}
 
     def test_configs(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text(self.BAD)
         assert _run(["--errors", "json", "simulate", "--config", deep, "--seed", 1, "--out", tmp_path / "x.log"]) == 1
-        assert _json_error(capsys) == {"error": "INVALID_CONFIG",
-                                       "message": f"config is not valid JSON: {self.PROBLEM}"}
+        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": f"{deep}: invalid JSON ({self.PROBLEM})"}
         assert _run(["--errors", "json", "detect", "--config", deep, "--out", tmp_path / "f.jsonl"]) == 1
-        assert _json_error(capsys) == {"error": "INVALID_CONFIG",
-                                       "message": f"{deep}: not valid JSON ({self.PROBLEM})"}
+        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": f"{deep}: invalid JSON ({self.PROBLEM})"}
 
 
 class TestOversizedExpiry:
@@ -1121,7 +1121,10 @@ class TestOversizedExpiry:
         assert _run(["--errors", "json", "build-jar", "--log", long, "--out", jar]) == 0
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert [json.loads(line)["error"] for line in err.splitlines() if line.startswith("{")] == ["MALFORMED_EXPIRES"]
+        records = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [record["error"] for record in records] == ["MALFORMED_EXPIRES"]
+        assert records[0]["message"].startswith("visit 'p1-")
+        assert records[0]["message"].split(": ", 1)[1].startswith("bad Max-Age '1000")
         assert _run(["--errors", "json", "detect", "--jar", jar, "--log", long, "--psl", DEMO / "psl.dat",
                      "--trackers", analyzed / "trackers.txt", "--out", tmp_path / "f.jsonl"]) == 0
         assert "Traceback" not in capsys.readouterr().err
@@ -1141,6 +1144,81 @@ class TestOversizedExpiry:
                      "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
         problem = "entries[0]: original_expiry is not a finite number a float holds"
         assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT", "message": f"{jar}: {problem}"}
+
+
+def test_detect_warning_names_its_visit(analyzed, tmp_path, capsys):
+    """A measure-phase cookie pair without '=' is a warning of detect that names its visit, as validate-log's does."""
+    lines = (analyzed / "run.log").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if '"kind":"HTTP_REQUEST"' in line and '"visit_id":"p2' in line)
+    record = json.loads(lines[i])
+    record["cookie_header"] += "; brokenpair"
+    lines[i] = json.dumps(record)
+    log = tmp_path / "pair.log"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _run(["--errors", "json", "detect", "--jar", analyzed / "jar.snap", "--log", log, "--psl", DEMO / "psl.dat",
+                 "--trackers", analyzed / "trackers.txt", "--out", tmp_path / "f.jsonl"]) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert [r for r in records if r["error"] == "MALFORMED_PAIR"] == [
+        {"error": "MALFORMED_PAIR", "message": f"visit {record['visit_id']!r}: cookie pair without '=': 'brokenpair'"}
+    ]
+
+
+def test_list_warnings_name_their_file(analyzed, tmp_path, capsys):
+    """Each tracker or adblock list's MALFORMED_DOMAIN warning names its own file and keeps its line."""
+    plain_a, plain_b, adblock = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "ad.txt"
+    plain_a.write_text("good.example\nbad..example\n")
+    plain_b.write_text("# comment\nx y\n")
+    adblock.write_text("||ok.example^\n||c..d^\n")
+    expected = [
+        {"error": "MALFORMED_DOMAIN", "message": message, "line": 2}
+        for message in (f"{plain_a}: 'bad..example': empty label in 'bad..example'",
+                        f"{plain_b}: 'x y': whitespace inside entry", f"{adblock}: '||c..d^': empty label in 'c..d'")
+    ]
+    capsys.readouterr()
+    assert _run(["--errors", "json", "detect", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
+                 "--psl", DEMO / "psl.dat", "--trackers", plain_a, "--trackers", plain_b, "--adblock", adblock,
+                 "--out", tmp_path / "f.jsonl"]) == 0
+    err = capsys.readouterr().err
+    assert [json.loads(line) for line in err.splitlines() if '"MALFORMED_DOMAIN"' in line] == expected
+    assert _run(["--errors", "json", "filter-convert", "--adblock", adblock, "--out", tmp_path / "plain.txt"]) == 0
+    err = capsys.readouterr().err
+    assert [json.loads(line) for line in err.splitlines() if line.startswith("{")] == expected[2:]
+
+
+@pytest.mark.parametrize("flag, text, code, problem", [
+    pytest.param("simulate --config", "{}", "INVALID_CONFIG", "bad ecosystem config: KeyError('sites')",
+                 id="ecosystem-config-empty"),
+    pytest.param("simulate --config", "[]", "INVALID_CONFIG", "not a JSON object", id="ecosystem-config-list"),
+    pytest.param("detect --config", "[1]", "INVALID_CONFIG", "not a JSON object", id="pipeline-config"),
+    pytest.param("detect --jar", "[1]\n{}\n", "CORRUPT_SNAPSHOT", "line 1: not a JSON object", id="jar-header"),
+    pytest.param("validate-log --log", '{"format_version":1}\n[1]\n', "MALFORMED_RECORD", "line 2: not a JSON object",
+                 id="log"),
+    *(pytest.param(f"report {flag}", '{"format_version":1}\n[1]\n', "MALFORMED_RECORD", "line 2: not a JSON object",
+                   id=flag[2:]) for flag in ("--findings", "--resets", "--syncs", "--gpc-findings")),
+    pytest.param("detect --psl", "// rules\nfoo..bar\n", "MALFORMED_RULE",
+                 "line 2: bad rule 'foo..bar' (empty label in 'foo..bar')", id="suffix-list"),
+])
+def test_a_content_error_of_every_reader_names_its_file(analyzed, tmp_path, capsys, flag, text, code, problem):
+    """Whatever a reader finds wrong inside its file, the error record starts with the file's path."""
+    command, flag = flag.split()
+    d = analyzed
+    args = {
+        "simulate": {"--config": DEMO / "ecosystem.json", "--seed": 7, "--out": tmp_path / "x.log"},
+        "validate-log": {"--log": d / "run.log"},
+        "detect": {"--jar": d / "jar.snap", "--log": d / "run.log", "--psl": DEMO / "psl.dat",
+                   "--out": tmp_path / "f.jsonl"},
+        "report": {"--findings": d / "findings.jsonl", "--jar": d / "jar.snap", "--log": d / "run.log",
+                   "--out": tmp_path / "report"},
+    }[command]
+    bad = tmp_path / "bad.input"
+    bad.write_text(text)
+    args[flag] = bad
+    capsys.readouterr()
+    assert _run(["--errors", "json", command, *(arg for pair in args.items() for arg in pair)]) == 1
+    assert _json_error(capsys) == {"error": code, "message": f"{bad}: {problem}"}
 
 
 class TestNotUtf8:
@@ -1202,8 +1280,8 @@ class TestOversizedIntegers(TestDeeplyNestedJson):
         capsys.readouterr()
         assert _run(["--errors", "json", "detect", "--jar", snapshot, "--log", analyzed / "run.log",
                      "--out", tmp_path / "f.jsonl"]) == 1
-        record = _json_error(capsys)
-        assert record["error"] == "CORRUPT_SNAPSHOT" and record["message"].startswith(f"{snapshot}: ")
+        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
+                                       "message": f"{snapshot}: line {line + 1}: invalid JSON ({self.PROBLEM})"}
 
 
 @pytest.mark.parametrize("version", [True, 1.0])
@@ -1621,12 +1699,12 @@ def _ref_read_ndjson(path: str):
                 problem = exc.msg if isinstance(exc, json.JSONDecodeError) else "nested too deeply"
                 raise InputError("MALFORMED_RECORD", f"{path}: line {lineno}: invalid JSON ({problem})") from None
             if not isinstance(obj, dict):
-                raise InputError("MALFORMED_RECORD", f"{path}: line {lineno}: record is not an object")
+                raise InputError("MALFORMED_RECORD", f"{path}: line {lineno}: not a JSON object")
             if not header_seen:
                 version = obj.get("format_version")
                 if type(version) is not int or version != 1:
                     expected = "expected header record {'format_version': 1}"
-                    raise InputError("MALFORMED_RECORD", f"{path}: line {lineno}: {expected}, got {obj!r}")
+                    raise InputError("MALFORMED_RECORD", f"{path}: line {lineno}: {expected}, got {quoted(obj)}")
                 header_seen = True
                 continue
             yield obj
@@ -1645,8 +1723,8 @@ def _ref_read_findings(path: str, jar: CookieJar) -> list[IntractableFinding]:
         sites = list(jar.setters_of(key)) if key in jar.entries else None
         if sites != obj["setter_sites"]:
             problem = "is not in the jar" if sites is None else "has setter_sites other than the jar's"
-            raise InputError("FINDING_NOT_IN_JAR", f"{path}: record {index}: cookie {key.name!r} of {key.host!r} "
-                                                   f"(partition {key.partition!r}) {problem}")
+            raise InputError("FINDING_NOT_IN_JAR", f"{path}: record {index}: cookie {quoted(key.name)} of "
+                                                   f"{quoted(key.host)} (partition {quoted(key.partition)}) {problem}")
         built.append(finding)
     return built
 
@@ -1847,9 +1925,10 @@ class TestSnapshotReader:
     @pytest.mark.parametrize(
         "header, payload, problem",
         [
-            ("[1]", "{}", "unrecognized snapshot header"),
-            ('"x"', "{}", "unrecognized snapshot header"),
-            (None, "[]", "payload is not an object"),
+            ("[1]", "{}", "line 1: not a JSON object"),
+            ('"x"', "{}", "line 1: not a JSON object"),
+            ('{"format":"x"}', "{}", "unrecognized snapshot header"),
+            (None, "[]", "line 2: not a JSON object"),
             (None, '{"entries":[1],"history":[],"accepted_sites":[]}', "entries is not a list of objects"),
             (None, '{"entries":{},"history":[],"accepted_sites":[]}', "entries is not a list of objects"),
             (None, '{"entries":[],"history":["x"],"accepted_sites":[]}', "history is not a list of objects"),
@@ -1950,8 +2029,8 @@ class TestResetsAndSyncsReaders:
     @pytest.mark.parametrize(
         "mutate, problem",
         [
-            (lambda records: [[1, 2], "x"], "line 2: record is not an object"),
-            (lambda records: [records[0], 7], "line 3: record is not an object"),
+            (lambda records: [[1, 2], "x"], "line 2: not a JSON object"),
+            (lambda records: [records[0], 7], "line 3: not a JSON object"),
             (lambda records: [{k: v for k, v in records[0].items() if k != "name"}], "record 0: missing field 'name'"),
             (lambda records: [records[0], {**records[0], "host": 5}], "record 1: bad host 5"),
             (lambda records: [{**records[0], "partition": False}], "record 0: bad partition False"),

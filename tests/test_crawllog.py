@@ -32,7 +32,7 @@ from cookietrail.crawllog import (
     serialize,
     strict_issues,
 )
-from cookietrail.errors import InputError, InvariantError, ParseIssue, PipelineError
+from cookietrail.errors import InputError, InvariantError, ParseIssue, PipelineError, quoted
 from cookietrail.model import (
     BannerButton,
     BannerDescriptor,
@@ -362,8 +362,8 @@ _DEEP = 100_000  # deeper than any JSON decoder's recursion limit
     pytest.param("[", "invalid JSON (Expecting value)", id="open-bracket"),
     pytest.param("nul", "invalid JSON (Expecting value)", id="nul"),
     pytest.param('{"kind":"VISIT_END', "invalid JSON (Unterminated string starting at)", id="unterminated"),
-    pytest.param('"VISIT_END"', "record is not an object", id="bare-string"),
-    pytest.param('[{"kind":"VISIT_END"}]', "record is not an object", id="array"),
+    pytest.param('"VISIT_END"', "not a JSON object", id="bare-string"),
+    pytest.param('[{"kind":"VISIT_END"}]', "not a JSON object", id="array"),
     pytest.param("[" * _DEEP, "invalid JSON (nested too deeply)", id="deep-array"),
     pytest.param('{"a":' * _DEEP, "invalid JSON (nested too deeply)", id="deep-object"),
 ])
@@ -374,6 +374,20 @@ def test_decode_errors_keep_their_wording(line, problem, lineno):
     with pytest.raises(InputError) as exc:
         parse_log_text("\n".join([*header, line, '{"format_version":1}']) + "\n")
     assert (exc.value.code, exc.value.message) == ("MALFORMED_RECORD", f"line {lineno}: {problem}")
+
+
+def test_a_quoted_value_is_cut():
+    """An error quotes at most about 60 characters of a value, however large; a short value reads as its repr."""
+    short = (0, "BOGUS", None, [1, 2], "x" * 60)
+    assert [quoted(v) for v in short] == [repr(v) for v in short] == ["0", "'BOGUS'", "None", "[1, 2]", repr("x" * 60)]
+    assert quoted("x" * 61) == repr("x" * 60)
+    assert quoted([1] * 30) == repr([1] * 30)[:60] + "..."
+    record = {"kind": "VISIT_START", "visit_id": "v1", "site": "a.com", "rank": [1] * 100_000,
+              "phase": "STATEFUL_ACCEPT", "iteration": "REJECT_ITER", "gpc_enabled": False}
+    with pytest.raises(InputError) as exc:
+        parse_log_text(f'{{"format_version":1}}\n{json.dumps(record)}\n')
+    assert (exc.value.code, exc.value.message) == ("MALFORMED_RECORD", f"line 2: bad rank {quoted([1] * 100_000)}")
+    assert len(exc.value.message) < 100
 
 
 def _url_outcome(key: str, url: str):
@@ -390,7 +404,7 @@ def _urlsplit_outcome(key: str, url: str):
     try:
         urlsplit(url)
     except ValueError as exc:
-        return "UNPARSABLE_URL", f"line 4: bad {key} {url!r} ({exc})"
+        return "UNPARSABLE_URL", f"line 4: bad {key} {quoted(url)} ({exc})"
     return None
 
 
@@ -669,21 +683,21 @@ def _ref_require(obj, keys, lineno):
 
 def _ref_check(ok, key, value, lineno):
     if not ok:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} {value!r}")
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} {quoted(value)}")
 
 
 def _ref_enum(enum_cls, key, raw, lineno):
     try:
         return enum_cls[raw]
     except KeyError:
-        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} {raw!r}") from None
+        raise InputError("MALFORMED_RECORD", f"line {lineno}: bad {key} {quoted(raw)}") from None
 
 
 def _ref_url_field(value, key, lineno):
     try:
         urlsplit(value)
     except ValueError as exc:
-        raise InputError("UNPARSABLE_URL", f"line {lineno}: bad {key} {value!r} ({exc})") from None
+        raise InputError("UNPARSABLE_URL", f"line {lineno}: bad {key} {quoted(value)} ({exc})") from None
     return value
 
 
@@ -863,12 +877,11 @@ def _ref_parse_log_text(text, ended=()):
         except json.JSONDecodeError as exc:
             raise InputError("MALFORMED_RECORD", f"line {lineno}: invalid JSON ({exc.msg})") from None
         if not isinstance(obj, dict):
-            raise InputError("MALFORMED_RECORD", f"line {lineno}: record is not an object")
+            raise InputError("MALFORMED_RECORD", f"line {lineno}: not a JSON object")
         if not header_seen:
             if obj.get("format_version") != 1:
-                raise InputError(
-                    "MALFORMED_RECORD", f"line {lineno}: expected header record {{'format_version': 1}}, got {obj!r}"
-                )
+                expected = "expected header record {'format_version': 1}"
+                raise InputError("MALFORMED_RECORD", f"line {lineno}: {expected}, got {quoted(obj)}")
             header_seen = True
             continue
         event = _ref_record_to_event(obj, lineno, len(events))

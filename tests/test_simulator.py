@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cookietrail import _rand, crawllog
+from cookietrail import _rand, crawllog, model
 from cookietrail import simulator as sim
 from cookietrail.crawllog import HttpRequest, banner_from_obj, parse_cookie_header, parse_log_text, serialize
 from cookietrail.errors import InputError
@@ -241,7 +241,7 @@ class TestConfigLoad:
         """Equal banners share one descriptor; hosts and banners decode once per load, not once per use."""
         obj = json.loads(json.dumps(random_config(random.Random(8), n_sites=40).to_obj()))
         hosts, banners = [], []
-        monkeypatch.setattr(sim, "canonicalize_host", lambda raw: hosts.append(raw) or canonicalize_host(raw))
+        monkeypatch.setattr(model, "canonicalize_host", lambda raw: hosts.append(raw) or canonicalize_host(raw))
         monkeypatch.setattr(crawllog, "banner_from_obj", lambda raw: banners.append(raw) or banner_from_obj(raw))
         config = sim.EcosystemConfig.from_obj(obj)
         assert config.to_obj() == obj
@@ -251,6 +251,19 @@ class TestConfigLoad:
         first_of_value = {}
         for site in config.sites:
             assert first_of_value.setdefault(site.banner, site.banner) is site.banner
+
+    @pytest.mark.parametrize("where, field", [
+        (lambda obj: obj["sites"][0], "site"), (lambda obj: obj["trackers"][0], "domain"),
+        (lambda obj: obj["schedule"]["phase1"], 0), (lambda obj: obj["sites"][0]["embeds"][0], "tracker"),
+    ])
+    def test_a_bad_config_host_names_its_field_and_value(self, where, field):
+        """A config host is canonicalized as a log's is, and its error quotes the field and the raw host."""
+        obj = simple_config().to_obj()
+        where(obj)[field] = "a..b"
+        with pytest.raises(InputError) as exc:
+            sim.EcosystemConfig.from_obj(obj)
+        name = {"site": "site", "domain": "tracker domain", 0: "scheduled site", "tracker": "embedded tracker"}[field]
+        assert (exc.value.code, exc.value.message) == ("INVALID_LABEL", f"bad {name} 'a..b' (empty label in 'a..b')")
 
     def test_sites_with_the_same_embed_share_one_embed_spec(self):
         """Each distinct (tracker, policy, channel) is built once per load; a bad policy or channel is still caught."""
