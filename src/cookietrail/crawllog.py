@@ -231,16 +231,24 @@ def _exact(value, kind: type, field: str):
     return value
 
 
+def _member(kind: type, value, field: str):
+    """The member that ``value`` names, read as a declared enum field is; else ``ValueError("bad <field> <value>")``."""
+    if type(value) is str and value in kind.__members__:
+        return kind.__members__[value]
+    raise ValueError(f"bad {field} {quoted(value)}")
+
+
 def banner_from_obj(obj: dict) -> BannerDescriptor:
     """The banner of a config or log record: labels and categories are strings, toggle flags booleans.
 
-    A field of the wrong type raises ``TypeError``; other malformed shapes
-    raise ``KeyError``, ``ValueError``, ``TypeError`` or ``AttributeError``.
+    A field of the wrong type raises ``TypeError`` (an action or banner type
+    that names no member ``ValueError``); other malformed shapes raise
+    ``KeyError``, ``ValueError``, ``TypeError`` or ``AttributeError``.
     """
     layers = tuple(
         BannerLayer(
             buttons=tuple(
-                BannerButton(_exact(label, str, "button label"), ButtonAction(action))
+                BannerButton(_exact(label, str, "button label"), _member(ButtonAction, action, "button action"))
                 for label, action in layer.get("buttons", [])
             ),
             toggles=tuple(
@@ -254,7 +262,7 @@ def banner_from_obj(obj: dict) -> BannerDescriptor:
         )
         for layer in obj.get("layers", [])
     )
-    return BannerDescriptor(BannerType(obj["banner_type"]), layers)
+    return BannerDescriptor(_member(BannerType, obj["banner_type"], "banner_type"), layers)
 
 
 def decode_banner(obj: dict, memo: dict) -> BannerDescriptor:

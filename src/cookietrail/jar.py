@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, TextIO
 
 from . import crawllog
-from .errors import InputError, ParseIssue, json_object, reading
+from .errors import InputError, ParseIssue, json_object, quoted, reading
 from .model import (
     FIXED_EXPIRY,
     OPTIONAL_STR,
@@ -160,7 +160,8 @@ class CookieJar:
 
         Raises:
             InputError: ``CORRUPT_SNAPSHOT`` on any structural or checksum
-                mismatch.  I/O failures propagate as ``OSError``.
+                mismatch, or for an entry whose cookie an earlier entry holds.
+                I/O failures propagate as ``OSError``.
         """
         with reading(path, "CORRUPT_SNAPSHOT"):
             # Lines end at "\n" only (``read_text`` turns "\r\n" and "\r" into it):
@@ -181,29 +182,21 @@ class CookieJar:
                     if type(payload[field]) is not list or not all(type(obj) is dict for obj in payload[field]):
                         raise InputError("CORRUPT_SNAPSHOT", f"{field} is not a list of objects")
                 entries = {}
-                for index, record in enumerate(_rows(_ENTRY_FIELDS, payload, "entries")):
+                for index, record in enumerate(_ENTRY_FIELDS.rows(payload["entries"], "entries")):
                     expiry = record.original_expiry
                     # Readers divide it as a float; a NaN fails this comparison too.
                     if expiry is not None and not abs(expiry) <= sys.float_info.max:
                         raise ValueError(f"entries[{index}]: original_expiry is not a finite number a float holds")
+                    if record.key in entries:  # ``save`` writes each key once
+                        raise ValueError(f"entries[{index}]: duplicate cookie {quoted(tuple(record.key))}")
                     entries[record.key] = record
-                history = list(_rows(_HISTORY_FIELDS, payload, "history"))
+                history = list(_HISTORY_FIELDS.rows(payload["history"], "history"))
                 accepted = payload["accepted_sites"]
                 if type(accepted) is not list or not all(type(site) is str for site in accepted):
                     raise InputError("CORRUPT_SNAPSHOT", "accepted_sites is not a list of strings")
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError("CORRUPT_SNAPSHOT", str(exc)) from None
         return cls(entries=entries, history=history, accepted_sites=set(accepted))
-
-
-def _rows(fields: RecordFields, payload: dict, name: str):
-    """Each object of ``payload[name]`` as its record; ``ValueError`` names the object and the field."""
-    for index, obj in enumerate(payload[name]):
-        try:
-            record = fields.decode(obj)
-        except ValueError as exc:
-            raise ValueError(f"{name}[{index}]: {exc}") from None
-        yield record
 
 
 def build_jar(index: crawllog.RunIndex, *, issues: list[ParseIssue] | None = None) -> CookieJar:

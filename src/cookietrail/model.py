@@ -231,18 +231,18 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 class Field(NamedTuple):
     """A wire field that is more than a set of JSON types or an ``Enum``.
 
-    ``types`` are the exact JSON types the field may have, and ``test`` a
-    further check of such a value, as source with ``{}`` for the value.
-    ``read``, if given, checks or converts every value but null once each
-    field's type has passed: ``read(value, name)``, or ``read(value, name,
-    memo)`` with the memo of one log that ``memo`` names (``"hosts"`` or
-    ``"banners"``).  It raises ``ValueError`` or ``InputError`` itself.
-    ``write(value, banners)``, if given, is the value's JSON; otherwise its
-    type decides how it is written.  A field the wire may omit reads as its
-    ``default``.
+    ``types`` are the exact JSON types the field may have, or an ``Enum``
+    (a member's name), and ``test`` a further check of such a value, as source
+    with ``{}`` for the value.  ``read``, if given, checks or converts every
+    value but null once each field's type has passed: ``read(value, name)``,
+    or ``read(value, name, *memos)`` with the memos of one load that ``memo``
+    names (``"hosts"``, ``"banners"`` or ``"hosts, banners"``).  It raises
+    ``ValueError`` or ``InputError`` itself.  ``write(value, banners)``, if
+    given, is the value's JSON; otherwise its type decides how it is written.
+    A field the wire may omit reads as its ``default``, a wire value.
     """
 
-    types: set
+    types: set | enum.EnumMeta
     test: str = ""
     read: Callable | None = None
     memo: str = ""
@@ -297,7 +297,9 @@ class RecordFields:
     ``ValueError("missing field '<f>'")`` or ``ValueError("bad <f> <value>")``
     (``errors.quoted``), or what the field's ``read`` raises.  A log event's
     codec takes the memos of one log: ``encode(event, banners)`` and
-    ``decode(obj, event_index, hosts, banners)``.
+    ``decode(obj, event_index, hosts, banners)``, and another kind with a
+    field that takes a memo ``decode(obj, hosts, banners)``.  ``nested`` and
+    ``rows`` read a field that holds an object or a list of objects.
     """
 
     def __init__(self, kind: type, /, *, wire_only: tuple[str, ...] = (), **fields):
@@ -316,6 +318,21 @@ class RecordFields:
         self.decode = namespace["decode"]
         self.encode = namespace["encode"]
 
+    def nested(self, obj, name: str, *memos):
+        """``decode(obj, *memos)`` of the object that ``name`` holds; each error starts ``<name>: ``."""
+        try:
+            if type(obj) is not dict:
+                raise ValueError("not an object")
+            return self.decode(obj, *memos)
+        except InputError as exc:
+            raise InputError(exc.code, f"{name}: {exc.message}") from None
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+
+    def rows(self, objs: list, name: str, *memos) -> tuple:
+        """Each object of the list ``objs`` that ``name`` holds, read by ``nested`` as ``<name>[<i>]``, from 0."""
+        return tuple([self.nested(obj, f"{name}[{index}]", *memos) for index, obj in enumerate(objs)])
+
 
 def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | None, namespace: dict) -> str:
     """The source of a declaration's ``decode`` and ``encode``; the objects they use go into ``namespace``."""
@@ -331,9 +348,10 @@ def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | 
         elif spec is datetime:
             field = _DATE
         else:  # a set of JSON types, or an Enum read from its member's name
-            field = Field({str} if isinstance(spec, enum.EnumMeta) else spec)
-        nullable = type(None) in field.types
-        types = field.types - {type(None)}
+            field = Field(spec)
+        enum_kind = field.types if isinstance(field.types, enum.EnumMeta) else None
+        nullable = enum_kind is None and type(None) in field.types
+        types = {str} if enum_kind else field.types - {type(None)}
         namespace[f"_t{i}"] = next(iter(types)) if len(types) == 1 else frozenset(types)
         namespace[f"_r{i}"], namespace[f"_d{i}"], namespace[f"_w{i}"] = field.read, field.default, field.write
 
@@ -347,8 +365,8 @@ def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | 
         if nullable:
             bad = f"{v} is not None and ({bad})"
         typed.append(f'    if {bad}:\n        raise ValueError(f"bad {name} {{_quoted({v})}}")')
-        if isinstance(spec, enum.EnumMeta):
-            namespace[f"_r{i}"] = dict(spec.__members__)
+        if enum_kind:
+            namespace[f"_r{i}"] = dict(enum_kind.__members__)
             valued.append(f'    try:\n        {v} = _r{i}[{v}]\n    except KeyError:\n'
                           f'        raise ValueError(f"bad {name} {{_quoted({v})}}") from None')
         elif field.read is not None:
@@ -359,7 +377,7 @@ def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | 
             texts[name] = f"{{{name}}}"
         elif field.write is not None:
             texts[name] = f"{{_w{i}({v}, banners)}}"
-        elif isinstance(spec, enum.EnumMeta):
+        elif enum_kind:
             texts[name] = f'"{{{v}._name_}}"'
         elif spec is datetime:
             texts[name] = f'"{{{v}.isoformat()}}"'
@@ -380,10 +398,11 @@ def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | 
         built.append("event_index")
         unpacked.append("_")
     members = ",".join(f"{_string(name)}:{texts[name]}" for name in sorted(texts))
+    memos = ["hosts", "banners"] if tag or any(type(spec) is Field and spec.memo for spec in fields.values()) else []
     return "\n".join([
-        f"def decode({', '.join(['obj', *(['event_index', 'hosts', 'banners'] if tag else [])])}):",
-        "    try:", *fetched,
-        "    except KeyError as exc:", '        raise ValueError(f"missing field {exc}") from None',
+        f"def decode({', '.join(['obj', *(['event_index'] if tag else []), *memos])}):",
+        *(["    try:", *fetched, "    except KeyError as exc:",
+           '        raise ValueError(f"missing field {exc}") from None'] if fetched else []),
         *omitted, *typed, *valued,
         f"    return _new(_kind, ({', '.join(built)},))",
         f"def encode({', '.join(['r', *(['banners'] if tag else wire_only)])}):",

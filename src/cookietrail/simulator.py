@@ -32,6 +32,10 @@ the visited site, and the cost of a request does not grow with the store.
 ``ground_truth`` computes the cookies the detector must report by direct
 enumeration over the configuration, sharing only the seeded derivation
 discipline (and the banner-planning rules) with ``generate``.
+
+A config's records are ``NamedTuple``s read through one ``model.RecordFields``
+declaration per kind, and ``validate`` checks what relates them; an error
+names its object by its path: ``sites[0]: embeds[1]: bad channel 'SCRIPT'``.
 """
 
 from __future__ import annotations
@@ -40,27 +44,31 @@ import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import _rand
 from .errors import InputError, json_object, quoted
 from .model import (
+    HOST,
     BannerDescriptor,
     BannerLayer,
     BannerType,
     ButtonAction,
     Channel,
     CookieKey,
+    Field,
     InteractionAction,
     InteractionStage,
     Iteration,
     Phase,
+    RecordFields,
     SiteId,
     VisitOutcome,
     _canonical_host,
     domain_match,
 )
 from .crawllog import (
+    BANNER,
     BannerObserved,
     CookieSet,
     CrawlEvent,
@@ -69,7 +77,6 @@ from .crawllog import (
     VisitEnd,
     VisitStart,
     banner_to_obj,
-    decode_banner,
 )
 
 # --- banner interaction planning ---------------------------------------------
@@ -184,8 +191,7 @@ class EmbedLoadPolicy(enum.Enum):
 VALUE_KINDS = ("hex", "digits", "const")
 
 
-@dataclass(frozen=True)
-class ValueGenerator:
+class ValueGenerator(NamedTuple):
     kind: str = "hex"  # one of VALUE_KINDS
     length: int = 16
     const: str = ""
@@ -197,18 +203,16 @@ class ValueGenerator:
             return _rand.digit_token(seed, "cookie-value", tracker, name, setter, length=self.length)
         if self.kind == "const":
             return self.const
-        raise InputError("INVALID_CONFIG", f"unknown value generator kind {self.kind!r}")
+        raise InputError("INVALID_CONFIG", f"unknown value generator kind {quoted(self.kind)}")
 
 
-@dataclass(frozen=True)
-class CookieSpec:
+class CookieSpec(NamedTuple):
     name: str
     value: ValueGenerator = ValueGenerator()
     lifetime: int | None = 365 * 86400  # whole seconds; None = session cookie
 
 
-@dataclass(frozen=True)
-class TrackerSpec:
+class TrackerSpec(NamedTuple):
     domain: SiteId
     cookies: tuple[CookieSpec, ...]
     honors_gpc: bool = False
@@ -219,15 +223,13 @@ class TrackerSpec:
     listed: bool = True  # present in the tracker filter list handed to the detector
 
 
-@dataclass(frozen=True)
-class EmbedSpec:
+class EmbedSpec(NamedTuple):
     tracker: SiteId
     policy: EmbedLoadPolicy = EmbedLoadPolicy.ALWAYS
     channel: Channel = Channel.RESOURCE_FETCH
 
 
-@dataclass(frozen=True)
-class SiteSpec:
+class SiteSpec(NamedTuple):
     site: SiteId
     rank: int
     banner: BannerDescriptor
@@ -235,11 +237,89 @@ class SiteSpec:
     paywall: bool = False
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     phase1: tuple[SiteId, ...]
     phase2: tuple[SiteId, ...]
     gpc_enabled: bool = False
+
+
+class _Sections(NamedTuple):  # the top-level object of a config's JSON
+    sites: tuple[SiteSpec, ...]
+    trackers: tuple[TrackerSpec, ...]
+    schedule: Schedule
+
+
+_LIFETIME_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "y": 365 * 86400}
+
+
+def _parse_lifetime(raw: int | float | str, name: str) -> int | None:
+    """A number is whole seconds, a string may end in a d/h/m/s/y unit, and "session" is a session cookie."""
+    try:
+        if type(raw) is not str:
+            return int(raw)
+        text = raw.strip().lower()
+        if text == "session":
+            return None
+        unit = 1
+        if text and text[-1] in _LIFETIME_UNITS:
+            unit = _LIFETIME_UNITS[text[-1]]
+            text = text[:-1]
+        return int(float(text) * unit)
+    except (ValueError, OverflowError):  # not a number, or NaN or infinite
+        raise ValueError(f"bad {name} {quoted(raw)}") from None
+
+
+def _hosts(values: list, name: str, hosts: dict[str, SiteId]) -> tuple[SiteId, ...]:
+    """Each string of a list as a canonical host, as ``model.HOST`` reads one; item ``i`` is named ``<name>[<i>]``."""
+    canonical = []
+    for index, value in enumerate(values):
+        where = f"{name}[{index}]"
+        if type(value) is not str:
+            raise ValueError(f"bad {where} {quoted(value)}")
+        canonical.append(_canonical_host(value, where, hosts))
+    return tuple(canonical)
+
+
+def _value_generator(obj: dict, name: str) -> ValueGenerator:
+    """A cookie's value generator, which refuses a key it does not know."""
+    for key in obj:
+        if key not in ValueGenerator._fields:
+            raise ValueError(f"{name}: unknown field {quoted(key)}")
+    return _GENERATOR_FIELDS.nested(obj, name)
+
+
+# The wire record of each object in a config.  A field with a default may be
+# omitted; a list of objects is read by its kind's ``rows``.
+_OFF = Field({bool}, default=False)
+_HOSTS = Field({list}, read=_hosts, memo="hosts")
+_GENERATOR_FIELDS = RecordFields(
+    ValueGenerator, kind=Field({str}, test=f"{{}} in {VALUE_KINDS}", default="hex"), length=Field({int}, default=16),
+    const=Field({str}, default=""),
+)
+_COOKIE_FIELDS = RecordFields(
+    CookieSpec, name={str}, value=Field({dict}, read=_value_generator, default={}),
+    lifetime=Field({int, float, str, type(None)}, read=_parse_lifetime, default="365d"),
+)
+_TRACKER_FIELDS = RecordFields(
+    TrackerSpec, domain=HOST, cookies=Field({list}, read=_COOKIE_FIELDS.rows), honors_gpc=_OFF,
+    sets_partitioned=_OFF, sync_partners=_HOSTS._replace(default=[]),
+    drop_after_reject_prob=Field({int, float}, default=0.0), resets_on_send=_OFF,
+    listed=_OFF._replace(default=True),
+)
+_EMBED_FIELDS = RecordFields(
+    EmbedSpec, tracker=HOST, policy=Field(EmbedLoadPolicy, default="ALWAYS"),
+    channel=Field(Channel, default="RESOURCE_FETCH"),
+)
+_SITE_FIELDS = RecordFields(
+    SiteSpec, site=HOST, rank={int}, banner=BANNER,
+    embeds=Field({list}, read=_EMBED_FIELDS.rows, memo="hosts, banners", default=[]), paywall=_OFF,
+)
+_SCHEDULE_FIELDS = RecordFields(Schedule, phase1=_HOSTS, phase2=_HOSTS, gpc_enabled=_OFF)
+_SECTIONS_FIELDS = RecordFields(
+    _Sections, sites=Field({list}, read=_SITE_FIELDS.rows, memo="hosts, banners"),
+    trackers=Field({list}, read=_TRACKER_FIELDS.rows, memo="hosts, banners"),
+    schedule=Field({dict}, read=_SCHEDULE_FIELDS.nested, memo="hosts, banners"),
+)
 
 
 @dataclass(frozen=True)
@@ -249,38 +329,46 @@ class EcosystemConfig:
     schedule: Schedule
 
     def validate(self) -> None:
-        site_names = [s.site for s in self.sites]
-        if len(set(site_names)) != len(site_names):
-            raise InputError("INVALID_CONFIG", "duplicate site entries")
-        tracker_names = [t.domain for t in self.trackers]
-        if len(set(tracker_names)) != len(tracker_names):
-            raise InputError("INVALID_CONFIG", "duplicate tracker entries")
-        known_sites = set(site_names)
-        known_trackers = set(tracker_names)
-        overlap = set(self.schedule.phase1) & set(self.schedule.phase2)
-        if overlap:
-            raise InputError("INVALID_CONFIG", f"phase lists overlap: {sorted(overlap)}")
-        for scheduled in (*self.schedule.phase1, *self.schedule.phase2):
-            if scheduled not in known_sites:
-                raise InputError("INVALID_CONFIG", f"scheduled site {scheduled!r} is not defined")
-        for site in self.sites:
-            if site.rank < 1:
-                raise InputError("INVALID_CONFIG", f"{site.site}: rank must be positive")
-            if site.paywall != (site.banner.banner_type is BannerType.PAYWALL):
-                raise InputError("INVALID_CONFIG", f"{site.site}: paywall flag disagrees with banner type")
-            for embed in site.embeds:
-                if embed.tracker not in known_trackers:
-                    raise InputError("INVALID_CONFIG", f"{site.site}: embedded tracker {embed.tracker!r} is not defined")
-            if len({e.tracker for e in site.embeds}) != len(site.embeds):
-                raise InputError("INVALID_CONFIG", f"{site.site}: duplicate tracker embeds")
-        for tracker in self.trackers:
+        """Check what relates records, and the ranges, of a loaded config or one built in code (``INVALID_CONFIG``)."""
+
+        def fail(message: str):
+            raise InputError("INVALID_CONFIG", message)
+
+        known_trackers, seen = {t.domain for t in self.trackers}, set()
+        for index, tracker in enumerate(self.trackers):
+            if tracker.domain in seen:
+                fail(f"trackers[{index}]: duplicate domain {quoted(tracker.domain)}")
+            seen.add(tracker.domain)
             if not 0.0 <= tracker.drop_after_reject_prob <= 1.0:
-                raise InputError("INVALID_CONFIG", f"{tracker.domain}: drop probability outside [0, 1]")
+                fail(f"trackers[{index}]: drop_after_reject_prob {quoted(tracker.drop_after_reject_prob)} "
+                     "is outside [0, 1]")
             if not tracker.cookies:
-                raise InputError("INVALID_CONFIG", f"{tracker.domain}: tracker defines no cookies")
-            for partner in tracker.sync_partners:
+                fail(f"trackers[{index}]: no cookies")
+            for position, partner in enumerate(tracker.sync_partners):
                 if partner not in known_trackers:
-                    raise InputError("INVALID_CONFIG", f"{tracker.domain}: sync partner {partner!r} is not defined")
+                    fail(f"trackers[{index}]: sync_partners[{position}]: undefined tracker {quoted(partner)}")
+        known_sites = set()
+        for index, site in enumerate(self.sites):
+            if site.site in known_sites:
+                fail(f"sites[{index}]: duplicate site {quoted(site.site)}")
+            known_sites.add(site.site)
+            if site.rank < 1:
+                fail(f"sites[{index}]: rank {quoted(site.rank)} is not positive")
+            if site.paywall != (site.banner.banner_type is BannerType.PAYWALL):
+                fail(f"sites[{index}]: paywall flag disagrees with banner type")
+            embedded = set()
+            for position, embed in enumerate(site.embeds):
+                if embed.tracker not in known_trackers or embed.tracker in embedded:
+                    problem = "duplicate" if embed.tracker in embedded else "undefined"
+                    fail(f"sites[{index}]: embeds[{position}]: {problem} tracker {quoted(embed.tracker)}")
+                embedded.add(embed.tracker)
+        phase1 = set(self.schedule.phase1)
+        for phase, scheduled in (("phase1", self.schedule.phase1), ("phase2", self.schedule.phase2)):
+            for index, name in enumerate(scheduled):
+                if name not in known_sites:
+                    fail(f"schedule: {phase}[{index}]: undefined site {quoted(name)}")
+                if phase == "phase2" and name in phase1:
+                    fail(f"schedule: phase2[{index}]: site {quoted(name)} is in phase1 too")
 
     def site(self, name: SiteId) -> SiteSpec:
         return self._site_index[name]
@@ -305,62 +393,15 @@ class EcosystemConfig:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "EcosystemConfig":
-        """Load a config, canonicalizing each distinct raw host and decoding each distinct banner and embed once.
+        """Load a config by its declarations; each distinct raw host and banner is read once per load.
 
-        Sites with equal banners share one ``BannerDescriptor``, and equal
-        embeds one ``EmbedSpec``.  A host is type-checked, then canonicalized
-        as a log's is (``model._canonical_host``): ``bad site 'a..b' (...)``.
+        A field error is ``INVALID_CONFIG``, and a bad host keeps its own code.
         """
-        hosts: dict[str, SiteId] = {}
-        banners: dict = {}
-        embeds: dict[tuple[str, str, str], EmbedSpec] = {}
-
-        def host(value, field: str) -> SiteId:
-            return _canonical_host(_typed(value, str, field), field, hosts)
-
         try:
-            sites = tuple(
-                SiteSpec(
-                    site=host(s["site"], "site"),
-                    rank=_typed(s["rank"], int, "rank"),
-                    banner=decode_banner(s["banner"], banners),
-                    embeds=tuple(_config_embed(e, embeds, hosts) for e in s.get("embeds", [])),
-                    paywall=_typed(s.get("paywall", False), bool, "paywall"),
-                )
-                for s in obj["sites"]
-            )
-            trackers = tuple(
-                TrackerSpec(
-                    domain=host(t["domain"], "tracker domain"),
-                    cookies=tuple(
-                        CookieSpec(
-                            name=_typed(c["name"], str, "cookie name"),
-                            value=_checked_generator(ValueGenerator(**c.get("value", {}))),
-                            lifetime=_parse_lifetime(c.get("lifetime", "365d")),
-                        )
-                        for c in t["cookies"]
-                    ),
-                    honors_gpc=_typed(t.get("honors_gpc", False), bool, "honors_gpc"),
-                    sets_partitioned=_typed(t.get("sets_partitioned", False), bool, "sets_partitioned"),
-                    sync_partners=tuple(host(p, "sync partner") for p in t.get("sync_partners", [])),
-                    drop_after_reject_prob=float(
-                        _typed(t.get("drop_after_reject_prob", 0.0), (int, float), "drop_after_reject_prob")
-                    ),
-                    resets_on_send=_typed(t.get("resets_on_send", False), bool, "resets_on_send"),
-                    listed=_typed(t.get("listed", True), bool, "listed"),
-                )
-                for t in obj["trackers"]
-            )
-            schedule = Schedule(
-                phase1=tuple(host(s, "scheduled site") for s in obj["schedule"]["phase1"]),
-                phase2=tuple(host(s, "scheduled site") for s in obj["schedule"]["phase2"]),
-                gpc_enabled=_typed(obj["schedule"].get("gpc_enabled", False), bool, "gpc_enabled"),
-            )
-        except InputError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise InputError("INVALID_CONFIG", f"bad ecosystem config: {exc!r}") from None
-        return cls(sites=sites, trackers=trackers, schedule=schedule)
+            sections = _SECTIONS_FIELDS.decode(obj, {}, {})
+        except ValueError as exc:
+            raise InputError("INVALID_CONFIG", str(exc)) from None
+        return cls(*sections)
 
     def to_obj(self) -> dict:
         return {
@@ -403,70 +444,6 @@ class EcosystemConfig:
                 "gpc_enabled": self.schedule.gpc_enabled,
             },
         }
-
-
-def _typed(value, kind: type | tuple[type, ...], field: str):
-    """``value`` if it is a ``kind``, or one of a tuple of kinds (a bool is only a bool), else ``INVALID_CONFIG``."""
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise InputError("INVALID_CONFIG", f"{field} must be of type {names}, got {quoted(value)}")
-    return value
-
-
-
-
-def _config_embed(obj: dict, embeds: dict, hosts: dict[str, SiteId]) -> EmbedSpec:
-    """A config site's embed; ``embeds`` remembers each distinct raw (tracker, policy, channel), for one load.
-
-    The raw values key the memo, so each is checked to be a string first: an
-    array or object would not hash.  An unknown policy or channel is ``KeyError``.
-    """
-    raw = (
-        _typed(obj["tracker"], str, "embedded tracker"),
-        _typed(obj.get("policy", "ALWAYS"), str, "embed policy"),
-        _typed(obj.get("channel", "RESOURCE_FETCH"), str, "embed channel"),
-    )
-    embed = embeds.get(raw)
-    if embed is None:
-        tracker, policy, channel = raw
-        embed = embeds[raw] = EmbedSpec(
-            _canonical_host(tracker, "embedded tracker", hosts), EmbedLoadPolicy[policy], Channel[channel]
-        )
-    return embed
-
-
-def _checked_generator(generator: ValueGenerator) -> ValueGenerator:
-    """A value generator whose fields have their types and whose kind is one ``ValueGenerator.generate`` knows."""
-    _typed(generator.kind, str, "value kind")
-    _typed(generator.length, int, "value length")
-    _typed(generator.const, str, "value const")
-    if generator.kind not in VALUE_KINDS:
-        raise InputError("INVALID_CONFIG", f"unknown value generator kind {quoted(generator.kind)}")
-    return generator
-
-
-_LIFETIME_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "y": 365 * 86400}
-
-
-def _parse_lifetime(raw) -> int | None:
-    """None or "session" = session cookie; numbers are whole seconds; strings allow d/h/m/s/y suffixes."""
-    if raw is None:
-        return None
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return int(raw)
-    if isinstance(raw, str):
-        text = raw.strip().lower()
-        if text == "session":
-            return None
-        unit = 1
-        if text and text[-1] in _LIFETIME_UNITS:
-            unit = _LIFETIME_UNITS[text[-1]]
-            text = text[:-1]
-        try:
-            return int(float(text) * unit)
-        except ValueError:
-            pass
-    raise InputError("INVALID_CONFIG", f"bad lifetime {quoted(raw)}")
 
 
 # --- ground truth ----------------------------------------------------------------

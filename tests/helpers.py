@@ -23,6 +23,17 @@ from cookietrail.psl import load_psl
 SIM_PSL = load_psl("com\nnet\norg\nexample\nio\n")
 
 
+def object_path(path: tuple) -> str:
+    """The object path that an ecosystem config's error gives the field at ``path``: ``sites[0]: ``, ``schedule: ``."""
+    names = []
+    for key in path[:-1]:
+        if type(key) is int:
+            names[-1] += f"[{key}]"
+        else:
+            names.append(key)
+    return "".join(f"{name}: " for name in names)
+
+
 def save_jar(jar: CookieJar, path) -> None:
     """Write ``jar``'s snapshot to the file at ``path``."""
     with open(path, "w", encoding="utf-8") as out:

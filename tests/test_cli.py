@@ -27,7 +27,7 @@ from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar, Histor
 from cookietrail.model import (
     Channel, CookieKey, InteractionAction, InteractionStage, Iteration, Phase, VisitOutcome
 )
-from helpers import cmp_banner, native_banner, paywall_banner, random_config, run_pipeline, save_jar
+from helpers import cmp_banner, native_banner, object_path, paywall_banner, random_config, run_pipeline, save_jar
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -96,7 +96,8 @@ class TestSimulate:
         ],
     )
     def test_config_flag_of_the_wrong_type_is_invalid_config(self, tmp_path, capsys, path, value):
-        """A flag must be a JSON boolean and a probability a number, not a string that reads as one."""
+        """A flag must be a JSON boolean and a probability a number, not a string that reads as one; the error
+        names the object and the field."""
         config = json.loads((DEMO / "ecosystem.json").read_text())
         parent = config
         for key in path[:-1]:
@@ -108,7 +109,7 @@ class TestSimulate:
         assert _run(["--errors", "json", "simulate", "--config", bad, "--seed", 1, "--out", out]) == 1
         record = _json_error(capsys)
         assert record["error"] == "INVALID_CONFIG"
-        assert record["message"].startswith(f"{bad}: {path[-1]} must be of type "), record
+        assert record["message"] == f"{bad}: {object_path(path)}bad {path[-1]} {quoted(value)}", record
         assert not out.exists()
 
     @pytest.mark.parametrize("embedded", [True, False])
@@ -126,8 +127,8 @@ class TestSimulate:
         bad.write_text(json.dumps(config))
         out = tmp_path / "x.log"
         assert _run(["--errors", "json", "simulate", "--config", bad, "--seed", 1, "--out", out]) == 1
-        assert _json_error(capsys) == {"error": "INVALID_CONFIG",
-                                       "message": f"{bad}: unknown value generator kind 'bogus'"}
+        where = f"trackers[{config['trackers'].index(tracker)}]: cookies[0]: value"
+        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": f"{bad}: {where}: bad kind 'bogus'"}
         assert os.listdir(tmp_path) == ["bad.json"]
 
     # SHA-256 of the demo's --trackers-out and --truth-out at seed 7, with and without --run-id.
@@ -1189,8 +1190,7 @@ def test_list_warnings_name_their_file(analyzed, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, text, code, problem", [
-    pytest.param("simulate --config", "{}", "INVALID_CONFIG", "bad ecosystem config: KeyError('sites')",
-                 id="ecosystem-config-empty"),
+    pytest.param("simulate --config", "{}", "INVALID_CONFIG", "missing field 'sites'", id="ecosystem-config-empty"),
     pytest.param("simulate --config", "[]", "INVALID_CONFIG", "not a JSON object", id="ecosystem-config-list"),
     pytest.param("detect --config", "[1]", "INVALID_CONFIG", "not a JSON object", id="pipeline-config"),
     pytest.param("detect --jar", "[1]\n{}\n", "CORRUPT_SNAPSHOT", "line 1: not a JSON object", id="jar-header"),
@@ -1219,6 +1219,115 @@ def test_a_content_error_of_every_reader_names_its_file(analyzed, tmp_path, caps
     capsys.readouterr()
     assert _run(["--errors", "json", command, *(arg for pair in args.items() for arg in pair)]) == 1
     assert _json_error(capsys) == {"error": code, "message": f"{bad}: {problem}"}
+
+
+HUGE = "X" * 100_000  # a value that no member, number or host field accepts
+
+
+def _line_edit(lineno: int, edit):
+    """An edit of a line-framed file: ``edit`` changes the JSON object on line ``lineno`` (from 1) in place."""
+    def apply(text: str) -> str:
+        lines = text.split("\n")
+        obj = json.loads(lines[lineno - 1])
+        edit(obj)
+        lines[lineno - 1] = json.dumps(obj)
+        return "\n".join(lines)
+    return apply
+
+
+def _json_edit(edit):
+    """An edit of a JSON file: ``edit`` changes its object in place."""
+    def apply(text: str) -> str:
+        obj = json.loads(text)
+        edit(obj)
+        return json.dumps(obj)
+    return apply
+
+
+def _jar_edit(edit):
+    """An edit of a jar snapshot's payload, checksummed again so that only the edit is wrong."""
+    def apply(text: str) -> str:
+        payload = json.loads(text.split("\n")[1])
+        edit(payload)
+        line = json.dumps(payload)
+        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
+                             "payload_sha256": hashlib.sha256(line.encode()).hexdigest()})
+        return f"{header}\n{line}\n"
+    return apply
+
+
+_HEADER = '{"format_version":1}\n'
+_RESET = {"name": "n", "host": "t.net", "partition": None, "sender_site": "s.com", "event_index": 1}
+_SYNC = {"name": "n", "host": "t.net", "partition": None, "carrying_url": "https://sync.t.net/?u=1",
+         "origin_tracker": "t.net", "destination_tracker": "u.net", "parameter_name": "u"}
+
+
+def _set(*path_and_value):
+    """An edit that sets the item at a path of keys and indices to the last argument."""
+    *path, value = path_and_value
+
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+# (the command and the flag of the input, the input: a file of the demo run to edit or a text, exit code, code).
+# Each puts a huge value that its field refuses into one field: a 100,000-character string where a member,
+# number or host is due, or a list of 100,000 strings where any string is.
+_HUGE_VALUES = {
+    "log-phase": ("validate-log --log", ("run.log", _line_edit(2, _set("phase", HUGE))), 1, "MALFORMED_RECORD"),
+    "log-banner-action": ("validate-log --log", ("run.log", _line_edit(3, _set("banner", "layers", 0, "buttons", 0, 1,
+                                                                               HUGE))), 1, "MALFORMED_RECORD"),
+    "findings-stage": ("report --findings", ("findings.jsonl", _line_edit(2, _set("stage", HUGE))), 1,
+                       "MALFORMED_RECORD"),
+    "resets-event-index": ("report --resets", _HEADER + json.dumps({**_RESET, "event_index": HUGE}), 1,
+                           "MALFORMED_RECORD"),
+    "syncs-parameter-name": ("report --syncs", _HEADER + json.dumps({**_SYNC, "parameter_name": ["u"] * 100_000}), 1,
+                             "MALFORMED_RECORD"),
+    "jar-entry-phase": ("detect --jar", ("jar.snap", _jar_edit(_set("entries", 0, "phase", HUGE))), 1,
+                        "CORRUPT_SNAPSHOT"),
+    "config-embed-channel": ("simulate --config", ("ecosystem.json", _json_edit(_set("sites", 0, "embeds", 0,
+                                                                                     "channel", HUGE))),
+                             1, "INVALID_CONFIG"),
+    "config-value-key": ("simulate --config", ("ecosystem.json", _json_edit(_set("trackers", 0, "cookies", 0, "value",
+                                                                                 {HUGE: 1}))), 1, "INVALID_CONFIG"),
+    "config-rank": ("simulate --config", ("ecosystem.json", _json_edit(_set("sites", 0, "rank", HUGE))), 1,
+                    "INVALID_CONFIG"),
+    "pipeline-config-key": ("detect --config", json.dumps({HUGE: 1}), 1, "INVALID_CONFIG"),
+    "suffix-list-rule": ("detect --psl", f"// rules\ncom\n{HUGE}.com\n", 1, "MALFORMED_RULE"),
+    "tracker-list-line": ("detect --trackers", f"adnet.example\n{HUGE}.example\n", 0, "MALFORMED_DOMAIN"),
+}
+
+
+@pytest.mark.parametrize("case", list(_HUGE_VALUES))
+def test_every_error_record_is_bounded(analyzed, tmp_path, capsys, case):
+    """A huge value in one field of any input keeps its exit code and code, and each record on stderr is short."""
+    flag, given, code, error = _HUGE_VALUES[case]
+    command, flag = flag.split()
+    d = analyzed
+    args = {
+        "simulate": {"--config": DEMO / "ecosystem.json", "--seed": 7, "--out": tmp_path / "x.log"},
+        "validate-log": {"--log": d / "run.log"},
+        "detect": {"--jar": d / "jar.snap", "--log": d / "run.log", "--psl": DEMO / "psl.dat",
+                   "--trackers": d / "trackers.txt", "--out": tmp_path / "f.jsonl"},
+        "report": {"--findings": d / "findings.jsonl", "--jar": d / "jar.snap", "--log": d / "run.log",
+                   "--out": tmp_path / "report"},
+    }[command]
+    if isinstance(given, tuple):
+        name, edit = given
+        text = edit(((DEMO if name == "ecosystem.json" else d) / name).read_text(encoding="utf-8"))
+    else:
+        text = given
+    bad = tmp_path / "bad.input"
+    bad.write_text(text, encoding="utf-8")
+    args[flag] = bad
+    capsys.readouterr()
+    assert _run(["--errors", "json", command, *(arg for pair in args.items() for arg in pair)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert all(len(line.encode()) <= 1000 for line in lines), [line[:200] for line in lines]
+    assert error in {json.loads(line)["error"] for line in lines if line.startswith("{")}
 
 
 class TestNotUtf8:
@@ -1894,7 +2003,9 @@ def test_a_list_nested_under_an_extra_key_is_still_a_missing_field(tmp_path):
         "error", (InputError, "MALFORMED_RECORD", f"{path}: record 1: missing field 'setter_sites'"))
 
 
-_EDIT_CHARACTERS = st.sampled_from(list('"\\,:[]{} \t\nsa1.-eu') + ["\u2028", "\x00"]) | st.characters()
+# Any character a UTF-8 file can hold: a lone surrogate (category Cs) cannot be written.
+_EDIT_CHARACTERS = st.sampled_from(list('"\\,:[]{} \t\nsa1.-eu') + ["\u2028", "\x00"]) | st.characters(
+    exclude_categories=("Cs",))
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

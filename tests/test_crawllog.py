@@ -281,6 +281,37 @@ class TestParseLog:
             "MALFORMED_RECORD", "line 3: bad banner object (INVALID_CONFIG: banner_type NONE must have no layers)"
         )
 
+    @pytest.mark.parametrize("field", ["button action", "banner_type"])
+    @pytest.mark.parametrize("source", ["log", "config"])
+    def test_a_banner_enum_value_is_read_by_name_and_quoted_cut(self, source, field):
+        """A button action or banner type that names no member is ``bad <field> <value>``, the value cut short, in a
+        log's BANNER_OBSERVED and in a config's site alike: both decode banners through ``decode_banner``."""
+        huge = "X" * 100_000
+
+        def spoil(banner: dict) -> None:
+            if field == "banner_type":
+                banner["banner_type"] = huge
+            else:
+                banner["layers"][0]["buttons"][0][1] = huge
+
+        problem = f"bad banner object (bad {field} {quoted(huge)})"
+        if source == "log":
+            lines = serialize(sim.generate(sim.EcosystemConfig.from_json(
+                (DEMO / "ecosystem.json").read_text(encoding="utf-8")), 7)).splitlines()
+            record = json.loads(lines[2])
+            assert record["kind"] == "BANNER_OBSERVED"
+            spoil(record["banner"])
+            with pytest.raises(InputError) as exc:
+                parse_log_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]))
+            expected = ("MALFORMED_RECORD", f"line 3: {problem}")
+        else:
+            obj = json.loads((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+            spoil(obj["sites"][0]["banner"])
+            with pytest.raises(InputError) as exc:
+                sim.EcosystemConfig.from_obj(obj)
+            expected = ("INVALID_CONFIG", f"sites[0]: {problem}")
+        assert (exc.value.code, exc.value.message) == expected and len(exc.value.message) < 150
+
     def test_a_continued_parse_numbers_events_after_the_run_it_continues(self):
         first, second = _single_visit_events("v1"), _single_visit_events("v2")
         index = parse_log_text(serialize(second), parse_log_text(serialize(first)))

@@ -4,9 +4,12 @@ import hashlib
 import json
 import random
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
+from cookietrail import simulator
+from cookietrail.crawllog import parse_log_text, serialize
 from cookietrail.errors import InputError
 from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar, build_jar
 from cookietrail.model import (
@@ -18,6 +21,8 @@ from cookietrail.model import (
 )
 
 from helpers import save_jar
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def make_record(
@@ -341,6 +346,25 @@ class TestSnapshot:
         assert (exc.value.code, exc.value.message) == (
             "CORRUPT_SNAPSHOT", f"{path}: entries[0]: original_expiry is not a finite number a float holds"
         )
+
+    def test_an_entry_that_repeats_a_cookie_is_corrupt(self, tmp_path):
+        """``save`` writes each cookie once, so a snapshot that lists one twice is refused though its checksum holds."""
+        config = simulator.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+        path = tmp_path / "t.jar"
+        save_jar(build_jar(parse_log_text(serialize(simulator.generate(config, 7)))), path)
+        payload = json.loads(path.read_text(encoding="utf-8").split("\n")[1])
+        assert len(payload["entries"]) == 5
+        first = payload["entries"][0]
+        payload["entries"].insert(1, {**first, "value": "tampered"})
+        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
+                             "payload_sha256": hashlib.sha256(line.encode()).hexdigest()})
+        path.write_text(f"{header}\n{line}\n", encoding="utf-8")
+        with pytest.raises(InputError) as exc:
+            CookieJar.load(path)
+        key = (first["name"], first["host"], first["partition"])
+        assert (exc.value.code, exc.value.message) == (
+            "CORRUPT_SNAPSHOT", f"{path}: entries[1]: duplicate cookie {key!r}")
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

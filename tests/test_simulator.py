@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import importlib.util
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from cookietrail import _rand, crawllog, model
 from cookietrail import simulator as sim
 from cookietrail.crawllog import HttpRequest, banner_from_obj, parse_cookie_header, parse_log_text, serialize
-from cookietrail.errors import InputError
+from cookietrail.errors import InputError, quoted
 from cookietrail.jar import build_jar
 from cookietrail.model import (
     BannerButton,
@@ -32,6 +34,7 @@ from helpers import (
     cmp_banner,
     index_run,
     native_banner,
+    object_path,
     paywall_banner,
     random_config,
     run_pipeline,
@@ -212,10 +215,10 @@ class TestGenerate:
         assert sim.ground_truth(config, 3).expected_findings == frozenset()
 
     def test_config_json_round_trip(self):
-        config = random_config(random.Random(4))
-        text = json.dumps(config.to_obj())
-        again = sim.EcosystemConfig.from_json(text)
-        assert again == config
+        for seed in range(200):
+            config = random_config(random.Random(seed))
+            again = sim.EcosystemConfig.from_obj(json.loads(json.dumps(config.to_obj())))
+            assert again == config and type(again.sites[0]) is sim.SiteSpec, seed
 
     def test_invalid_config_overlapping_phases(self):
         config = simple_config()
@@ -234,6 +237,85 @@ class TestGenerate:
                 trackers=(),
                 schedule=sim.Schedule(phase1=("a.com",), phase2=()),
             ).validate()
+
+
+def _field_paths(value, prefix=()):
+    """The path of every value that a JSON object or list holds, at any depth: object keys and list indices."""
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield prefix + (key,)
+        yield from _field_paths(item, prefix + (key,))
+
+
+# How each mutation replaces a value: by one of another JSON type, by null, by nothing, or by a huge string.
+_MUTATIONS = {
+    "wrong type": lambda value: 0 if type(value) in (str, bool, list, dict) else "0",
+    "null": lambda value: None,
+    "missing": None,
+    "huge": lambda value: "X" * 100_000,
+}
+
+# The outcome of each mutation of each demo config path, as loading gave it before the config was read by
+# declared fields: a (mutation, regular expression) that the dotted path matches in full, else INVALID_CONFIG.
+_PINNED_OUTCOMES = {
+    ("huge", r"schedule\.phase[12]\.\d+|sites\.\d+\.(site|embeds\.\d+\.tracker)"
+             r"|trackers\.\d+\.(domain|sync_partners\.\d+)"): "INVALID_LABEL",
+    ("huge", r"sites\.\d+\.banner\.layers\.\d+\.(buttons|toggles)\.\d+\.0"
+             r"|trackers\.\d+\.cookies\.\d+\.(name|value\.const)"): "accepted",
+    ("missing", r"schedule\.(gpc_enabled|phase[12]\.\d+)"
+                r"|sites\.\d+\.(embeds(\.\d+(\.(channel|policy))?)?"
+                r"|banner\.layers(\.\d+(\.(buttons|toggles)(\.\d+)?)?)?)"
+                r"|trackers\.\d+\.(cookies\.\d+\.(lifetime|value(\.(const|kind|length))?)|drop_after_reject_prob"
+                r"|honors_gpc|resets_on_send|sets_partitioned|sync_partners(\.\d+)?)"
+                r"|trackers\.0\.cookies\.\d+"): "accepted",  # the only tracker with two cookies
+    ("null", r"trackers\.\d+\.cookies\.\d+\.lifetime"): "accepted",  # a session cookie
+    ("wrong type", r"trackers\.\d+\.cookies\.\d+\.lifetime"): "accepted",  # "0": a lifetime of 0 s
+}
+
+
+def test_each_field_mutation_of_the_demo_config_has_its_pinned_outcome():
+    """Every field of the demo config, of the wrong JSON type, null, missing or huge: accepted, or refused with
+    the code that loading gave before the config was read by declared fields."""
+    demo = json.loads((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+    outcomes = collections.Counter()
+    for path in _field_paths(demo):
+        dotted = ".".join(map(str, path))
+        for how, mutate in _MUTATIONS.items():
+            obj = json.loads(json.dumps(demo))
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if mutate is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = mutate(parent[path[-1]])
+            try:
+                sim.EcosystemConfig.from_obj(obj)
+                got = "accepted"
+            except InputError as exc:
+                got = exc.code
+                assert len(exc.message) < 200 and "Error(" not in exc.message, (how, dotted, exc.message)
+            expected = next((outcome for (mutation, pattern), outcome in _PINNED_OUTCOMES.items()
+                             if mutation == how and re.fullmatch(pattern, dotted)), "INVALID_CONFIG")
+            assert got == expected, (how, dotted)
+            outcomes[got] += 1
+    assert outcomes == {"INVALID_CONFIG": 704, "accepted": 145, "INVALID_LABEL": 31}
+
+
+@pytest.mark.parametrize("field", [("sites",), ("trackers",), ("schedule", "phase2"), ("sites", 0, "embeds"),
+                                   ("trackers", 0, "sync_partners")])
+@pytest.mark.parametrize("value", [{}, ""])
+def test_a_list_field_must_be_a_json_list(field, value):
+    """An object or a string where a list is due is refused, even an empty one that iterates as no items."""
+    obj = simple_config().to_obj()
+    obj["schedule"]["phase2"] = []
+    parent = obj
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    with pytest.raises(InputError) as exc:
+        sim.EcosystemConfig.from_obj(obj)
+    assert (exc.value.code, exc.value.message) == ("INVALID_CONFIG", f"{object_path(field)}bad {field[-1]} {value!r}")
 
 
 class TestConfigLoad:
@@ -257,30 +339,30 @@ class TestConfigLoad:
         (lambda obj: obj["schedule"]["phase1"], 0), (lambda obj: obj["sites"][0]["embeds"][0], "tracker"),
     ])
     def test_a_bad_config_host_names_its_field_and_value(self, where, field):
-        """A config host is canonicalized as a log's is, and its error quotes the field and the raw host."""
+        """A config host is canonicalized as a log's is, and its error quotes the object, the field and the raw host."""
         obj = simple_config().to_obj()
         where(obj)[field] = "a..b"
         with pytest.raises(InputError) as exc:
             sim.EcosystemConfig.from_obj(obj)
-        name = {"site": "site", "domain": "tracker domain", 0: "scheduled site", "tracker": "embedded tracker"}[field]
-        assert (exc.value.code, exc.value.message) == ("INVALID_LABEL", f"bad {name} 'a..b' (empty label in 'a..b')")
+        name = {"site": "sites[0]: bad site", "domain": "trackers[0]: bad domain", 0: "schedule: bad phase1[0]",
+                "tracker": "sites[0]: embeds[0]: bad tracker"}[field]
+        assert (exc.value.code, exc.value.message) == ("INVALID_LABEL", f"{name} 'a..b' (empty label in 'a..b')")
 
-    def test_sites_with_the_same_embed_share_one_embed_spec(self):
-        """Each distinct (tracker, policy, channel) is built once per load; a bad policy or channel is still caught."""
+    def test_an_embed_reads_its_policy_and_channel_by_name(self):
+        """Sites with equal embeds get equal specs; a bad policy or channel names the embed and its site."""
         obj = simple_config().to_obj()
         embed = {"tracker": obj["trackers"][0]["domain"], "policy": "PRE_CONSENT_ONLY", "channel": "API_CALL"}
         for site in obj["sites"][:2]:
             site["embeds"] = [dict(embed)]
-        obj["sites"][1]["embeds"][0]["tracker"] = embed["tracker"].upper()  # another raw host: another spec
-        obj["sites"][2]["embeds"] = [dict(embed)]
-        first, second, third = (site.embeds[0] for site in sim.EcosystemConfig.from_obj(obj).sites[:3])
-        assert first is third and first == second and first is not second
-        assert (first.policy, first.channel) == (sim.EmbedLoadPolicy.PRE_CONSENT_ONLY, Channel.API_CALL)
+        obj["sites"][1]["embeds"][0]["tracker"] = embed["tracker"].upper()
+        first, second = (site.embeds[0] for site in sim.EcosystemConfig.from_obj(obj).sites[:2])
+        assert first == second == (embed["tracker"], sim.EmbedLoadPolicy.PRE_CONSENT_ONLY, Channel.API_CALL)
         for key, value in (("policy", "NEVER"), ("channel", "SCRIPT"), ("policy", ["ALWAYS"]), ("channel", 1)):
             obj["sites"][2]["embeds"] = [{**embed, key: value}]
             with pytest.raises(InputError) as exc:
                 sim.EcosystemConfig.from_obj(obj)
-            assert exc.value.code == "INVALID_CONFIG", (key, value)
+            assert (exc.value.code, exc.value.message) == (
+                "INVALID_CONFIG", f"sites[2]: embeds[0]: bad {key} {quoted(value)}"), (key, value)
 
     def test_loads_a_host_to_its_canonical_form(self):
         obj = simple_config().to_obj()
@@ -301,7 +383,8 @@ class TestConfigLoad:
         tracker["cookies"][0]["value"] = {"kind": "Hex"}
         with pytest.raises(InputError) as exc:
             sim.EcosystemConfig.from_obj(obj)
-        assert (exc.value.code, exc.value.message) == ("INVALID_CONFIG", "unknown value generator kind 'Hex'")
+        where = f"trackers[{obj['trackers'].index(tracker)}]: cookies[0]: value"
+        assert (exc.value.code, exc.value.message) == ("INVALID_CONFIG", f"{where}: bad kind 'Hex'")
 
     def test_validated_once_per_construction(self, monkeypatch):
         """A load checks the config once; crawling it and its ground truth check nothing again."""
@@ -347,7 +430,7 @@ def _pinned_config(name: str, gpc: bool) -> sim.EcosystemConfig:
     if name != "demo":
         return random_config(random.Random(int(name)), gpc=gpc)
     config = sim.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
-    return dataclasses.replace(config, schedule=dataclasses.replace(config.schedule, gpc_enabled=gpc))
+    return dataclasses.replace(config, schedule=config.schedule._replace(gpc_enabled=gpc))
 
 
 @pytest.mark.parametrize("name, gpc, seed, label", sorted(_LOG_DIGESTS))
