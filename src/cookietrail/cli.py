@@ -47,6 +47,7 @@ import errno
 import functools
 import json
 import os
+import re
 import secrets
 import sys
 from json.encoder import encode_basestring_ascii as _string
@@ -57,7 +58,7 @@ from . import crawllog, filterlist, reports, simulator
 from .detector import Detector, IntractableFinding, ResetFinding, SyncFinding
 from .errors import InputError, InvariantError, PipelineError, json_object, quoted, reading
 from .jar import CookieJar, build_jar
-from .model import OPTIONAL_STR, Channel, CookieKey, Field, InteractionStage, RecordFields, canonical_json
+from .model import OPTIONAL_STR, STRINGS, Channel, CookieKey, InteractionStage, RecordFields, canonical_json
 from .psl import EMPTY_RULESET, PslRuleSet, load_psl
 
 DEFAULT_TIERS = (50, 500, 1000, 5000, 10000)
@@ -117,8 +118,8 @@ def _apply_config(args) -> None:
             option = "out" if args.command == spec.out_for else spec.option
             if value is not None and spec.is_input and option != "out":
                 for referenced in value if spec.item else [value]:
-                    if not Path(referenced).exists():
-                        raise InputError("INVALID_CONFIG", f"referenced path does not exist: {referenced}")
+                    if not os.path.exists(referenced):  # False, not an error, for a name too long to exist
+                        raise InputError("INVALID_CONFIG", f"referenced path does not exist: {quoted(referenced)}")
             if value in (None, []):
                 value = spec.default
             if value is not None and option and hasattr(args, option) and getattr(args, option) in (None, []):
@@ -210,20 +211,11 @@ def _setters_json(jar: CookieJar, key: CookieKey, memo: dict) -> str:
     return text
 
 
-def _strings(value: list, name: str) -> list:
-    """A list whose items are all strings, checked in one C loop."""
-    try:
-        "".join(value)
-    except TypeError:
-        raise ValueError(f"bad {name} {quoted(value)}") from None
-    return value
-
-
 # The wire records of findings, resets and syncs.  A finding's ``setter_sites``
 # is wire-only: its setter sites are its jar's (``_read_findings``).
 _FINDING_FIELDS = RecordFields(
     IntractableFinding, name={str}, host={str}, partition=OPTIONAL_STR, value_at_send={str}, sender_site={str},
-    tracker_domain={str}, setter_sites=Field({list}, read=_strings), stage=InteractionStage, channel=Channel,
+    tracker_domain={str}, setter_sites=STRINGS, stage=InteractionStage, channel=Channel,
     visit_id={str}, event_index={int}, canonical={bool}, wire_only=("setter_sites",),
 )
 _RESET_FIELDS = RecordFields(ResetFinding, name={str}, host={str}, partition=OPTIONAL_STR, sender_site={str},
@@ -493,14 +485,19 @@ def _tier_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(cutoff) for cutoff in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {quoted(text)}") from None
+
+
+# A string that argparse quotes whole, as ``repr`` writes it: its quote, its first 60 characters, and the rest.
+_ECHOED = re.compile(r"""(['"])((?:\\.|(?!\1)[^\\]){60})(?:\\.|(?!\1)[^\\])+\1""")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argparse parser whose usage errors raise ``InputError`` instead of exiting 2."""
 
     def error(self, message: str):
-        raise InputError("USAGE_ERROR", f"{self.prog}: {message}")
+        # argparse echoes a refused value whole (``invalid int value: 'xxx'``): cut each as ``quoted`` does.
+        raise InputError("USAGE_ERROR", f"{self.prog}: " + _ECHOED.sub(r"\1\2\1", message))
 
 
 @functools.cache

@@ -9,11 +9,13 @@ equal the stage established by the most recent interaction (initially
 
 Each event kind's wire record is declared once, in ``_EVENT_FIELDS``: a
 ``model.RecordFields`` whose ``encode`` and ``decode`` are compiled from the
-declaration.  ``encode`` writes the event's line directly, and the bytes are
-exactly those of ``json.dumps(record, sort_keys=True, separators=(",",
-":"))``.  ``log_writer`` writes each event's line as it is handed the event,
-so a log is written as it is made (``simulate``); ``serialize`` joins the same
-lines.
+declaration, and every codec's ``encode`` writes what its ``decode`` reads.
+``encode`` writes the event's line directly, and the bytes are exactly those
+of ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.  A banner
+(``_BANNER_FIELDS``, its layers, buttons and toggles) is declared the same way,
+and ``decode_banner`` reads it once per distinct banner of a load.
+``log_writer`` writes each event's line as it is handed the event, so a log is
+written as it is made (``simulate``); ``serialize`` joins the same lines.
 
 Records end at ``\\n`` only.  JSON allows U+2028, U+2029 and U+0085 raw
 inside a string, so they do not end a record, as ``str.splitlines`` would
@@ -32,11 +34,12 @@ place in its visit's sequence and files it.  An HTTP_REQUEST or COOKIE_SET is
 appended to the index's requests or cookie sets.  The open visit keeps its
 VISIT_START and banner type, and VISIT_END turns them into the visit's
 ``VisitSummary``.  A field error reads ``line <n>: missing field '<f>'`` or
-``line <n>: bad <f> <value>``.  Hosts (``site``, ``target_host``,
-``setter_context_host``) are canonicalized at parse time, so every later stage
-sees canonical hosts.  A URL field must be one that ``urlsplit`` accepts;
-``urlsplit`` raises only on a bracket or a non-ASCII netloc, so an ASCII URL
-without brackets is accepted without the call.  Later stages read the index
+``line <n>: bad <f> <value>``, a banner's naming its path, as ``line <n>:
+banner: layers[0]: buttons[1]: bad action <value>``.  Hosts (``site``,
+``target_host``, ``setter_context_host``) are canonicalized at parse time, so
+every later stage sees canonical hosts.  A URL field must be one that
+``urlsplit`` accepts; ``urlsplit`` raises only on a bracket or a non-ASCII
+netloc, so an ASCII URL without brackets is accepted without the call.  Later stages read the index
 and walk no events.
 
 Events and the records derived from them are immutable ``NamedTuple``s,
@@ -212,79 +215,50 @@ class RunIndex:
 
 
 def banner_to_obj(banner: BannerDescriptor) -> dict:
+    """The object of a banner's JSON, which ``_BANNER_FIELDS.encode`` writes, for ``EcosystemConfig.to_obj``."""
+    banner_type, layers = banner  # unpacked, and enums by ``_name_``: cheaper than attributes
     return {
-        "banner_type": banner.banner_type.value,
+        "banner_type": banner_type._name_,
         "layers": [
-            {
-                "buttons": [[b.label, b.action.value] for b in layer.buttons],
-                "toggles": [[t.category, t.preselected, t.essential] for t in layer.toggles],
-            }
-            for layer in banner.layers
+            {"buttons": [[label, action._name_] for label, action in buttons], "toggles": [list(t) for t in toggles]}
+            for buttons, toggles in layers
         ],
     }
 
 
-def _exact(value, kind: type, field: str):
-    """``value`` if its type is exactly ``kind`` (a 0 is not a bool, nor a "false"), else ``TypeError``."""
-    if type(value) is not kind:
-        raise TypeError(f"{field} must be a {kind.__name__}, got {quoted(value)}")
-    return value
+# A banner's wire record: a button is ``[label, action]`` and a toggle ``[category,
+# preselected, essential]``; a layer's lists and a banner's layers may be omitted.
+_BUTTON_FIELDS = RecordFields(BannerButton, positional=True, label={str}, action=ButtonAction)
+_TOGGLE_FIELDS = RecordFields(BannerToggle, positional=True, category={str}, preselected={bool}, essential={bool})
+_LAYER_FIELDS = RecordFields(
+    BannerLayer, buttons=Field({list}, read=_BUTTON_FIELDS.rows, default=[]),
+    toggles=Field({list}, read=_TOGGLE_FIELDS.rows, default=[]),
+)
+_BANNER_FIELDS = RecordFields(
+    BannerDescriptor, banner_type=BannerType, layers=Field({list}, read=_LAYER_FIELDS.rows, default=[]),
+)
 
 
-def _member(kind: type, value, field: str):
-    """The member that ``value`` names, read as a declared enum field is; else ``ValueError("bad <field> <value>")``."""
-    if type(value) is str and value in kind.__members__:
-        return kind.__members__[value]
-    raise ValueError(f"bad {field} {quoted(value)}")
+def decode_banner(obj: dict, name: str, banners: dict) -> BannerDescriptor:
+    """The banner of a config or log record, read by ``_BANNER_FIELDS`` once per distinct banner of one load.
 
-
-def banner_from_obj(obj: dict) -> BannerDescriptor:
-    """The banner of a config or log record: labels and categories are strings, toggle flags booleans.
-
-    A field of the wrong type raises ``TypeError`` (an action or banner type
-    that names no member ``ValueError``); other malformed shapes raise
-    ``KeyError``, ``ValueError``, ``TypeError`` or ``AttributeError``.
-    """
-    layers = tuple(
-        BannerLayer(
-            buttons=tuple(
-                BannerButton(_exact(label, str, "button label"), _member(ButtonAction, action, "button action"))
-                for label, action in layer.get("buttons", [])
-            ),
-            toggles=tuple(
-                BannerToggle(
-                    _exact(category, str, "toggle category"),
-                    _exact(preselected, bool, "toggle preselected"),
-                    _exact(essential, bool, "toggle essential"),
-                )
-                for category, preselected, essential in layer.get("toggles", [])
-            ),
-        )
-        for layer in obj.get("layers", [])
-    )
-    return BannerDescriptor(_member(BannerType, obj["banner_type"], "banner_type"), layers)
-
-
-def decode_banner(obj: dict, memo: dict) -> BannerDescriptor:
-    """``banner_from_obj(obj)``, decoded once per distinct banner that ``memo`` has seen.
-
-    The config loader and the log parser each keep one ``memo`` per load, so
-    config and log decode banners through this one path.  ``memo`` maps the
-    fields ``banner_from_obj`` reads, marshalled (or, past marshal's depth,
-    their repr), to the descriptor.  Equal marshal bytes, like equal reprs of
-    JSON values, mean equal values of equal types, so equal descriptors; a key
-    that the decoder ignores, however large, does not split a banner.  Raises
-    what ``banner_from_obj`` raises; a banner that is not an object fails on
-    ``get``, as there.
+    A NONE banner must have no layers, and each error starts ``<name>: ``.
+    The ``banners`` memo maps the fields the declaration reads, marshalled
+    (or, past marshal's depth, their repr), to the descriptor: equal bytes,
+    like equal reprs of JSON values, mean equal descriptors, and a key that
+    the declaration ignores, however large, does not split a banner.
     """
     fields = (obj.get("banner_type"), obj.get("layers", []))
     try:
         key = marshal.dumps(fields)  # a quarter of repr's cost
     except ValueError:  # nested deeper than marshal goes, which JSON allows on Python 3.12+
         key = repr(fields)
-    banner = memo.get(key)
+    banner = banners.get(key)
     if banner is None:
-        banner = memo[key] = banner_from_obj(obj)
+        banner = _BANNER_FIELDS.nested(obj, name)
+        if banner.banner_type is BannerType.NONE and banner.layers:
+            raise ValueError(f"{name}: banner_type NONE must have no layers")
+        banners[key] = banner
     return banner
 
 
@@ -307,31 +281,22 @@ def _check_url(value: str, name: str) -> str:
     return value
 
 
-def _read_banner(obj: dict, name: str, banners: dict) -> BannerDescriptor:
-    try:
-        return decode_banner(obj, banners)
-    except (InputError, KeyError, ValueError, TypeError) as exc:
-        raise ValueError(f"bad {name} object ({exc})") from None
-    except AttributeError as exc:
-        raise ValueError(f"malformed record ({exc})") from None
-
-
 def _banner_json(banner: BannerDescriptor, banners: dict) -> str:
     """A banner's JSON, memoized in ``banners`` for one log being written.
 
-    The memo is keyed by ``id(banner)``, which hashes no nested dataclass, and
+    The memo is keyed by ``id(banner)``, which hashes no nested record, and
     holds the banner itself beside its JSON, so no id is reused while it is a
     key.  Equal banners from one config load are one object (``decode_banner``).
     """
     entry = banners.get(id(banner))
     if entry is None:
-        entry = banners[id(banner)] = (banner, canonical_json(banner_to_obj(banner)))
+        entry = banners[id(banner)] = (banner, _BANNER_FIELDS.encode(banner))
     return entry[1]
 
 
 VISIT_ID = Field({str}, test="{}")  # not empty
 URL = Field({str}, read=_check_url)
-BANNER = Field({dict}, read=_read_banner, memo="banners", write=_banner_json)
+BANNER = Field({dict}, read=decode_banner, memo="banners", write=_banner_json)
 
 # The wire record of each event kind.  A request's cookie header and redirect
 # parent may be omitted.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -65,7 +66,10 @@ def quoted(value) -> str:
     """``repr(value)``, cut to about 60 characters: a string's first 60, or any other value's repr's."""
     if type(value) is str:
         return repr(value[:60])
-    text = repr(value)
+    try:
+        text = repr(value)
+    except RecursionError:  # nested deeper than ``repr`` goes, as a JSON decoder may nest it
+        text = reprlib.repr(value)
     return text if len(text) <= 60 else f"{text[:60]}..."
 
 

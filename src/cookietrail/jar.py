@@ -5,6 +5,10 @@ instant; a write whose own lifetime is already in the past deletes the entry
 instead (deletions are honored, never extended).  The jar also keeps an
 append-only history of writes for renewal analytics and the set of sites
 whose banners were successfully accepted.
+
+A snapshot is a header line and a payload line, which one declaration,
+``_PAYLOAD_FIELDS``, writes and reads: its codec's ``encode`` writes what its
+``decode`` reads.
 """
 
 from __future__ import annotations
@@ -14,16 +18,18 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from . import crawllog
 from .errors import InputError, ParseIssue, json_object, quoted, reading
 from .model import (
     FIXED_EXPIRY,
     OPTIONAL_STR,
+    STRINGS,
     ConsentState,
     CookieKey,
     CookieRecord,
+    Field,
     Phase,
     RecordFields,
     SiteId,
@@ -50,6 +56,18 @@ _ENTRY_FIELDS = RecordFields(
 _HISTORY_FIELDS = RecordFields(
     HistoryEntry, name={str}, host={str}, partition=OPTIONAL_STR, setter_site={str}, event_index={int},
     deleted={bool},
+)
+
+
+class _Payload(NamedTuple):  # a snapshot's second line
+    accepted_sites: list[SiteId]
+    entries: Sequence[CookieRecord]  # in key order
+    history: Sequence[HistoryEntry]
+
+
+_PAYLOAD_FIELDS = RecordFields(
+    _Payload, accepted_sites=STRINGS, entries=Field({list}, read=_ENTRY_FIELDS.rows),
+    history=Field({list}, read=_HISTORY_FIELDS.rows),
 )
 
 
@@ -141,11 +159,8 @@ class CookieJar:
     def save(self, out: TextIO) -> None:
         """Write a checksummed snapshot to the text file ``out``; byte-identical for equal jars."""
         keys = sorted(self.entries, key=lambda k: (k.name, k.host, k.partition or ""))
-        # ``canonical_json`` of the payload object, written from the rows' encoders.
-        payload = (
-            f'{{"accepted_sites":{canonical_json(sorted(self.accepted_sites))},'
-            f'"entries":[{",".join(_ENTRY_FIELDS.encode(self.entries[key]) for key in keys)}],'
-            f'"history":[{",".join(map(_HISTORY_FIELDS.encode, self.history))}]}}'
+        payload = _PAYLOAD_FIELDS.encode(
+            _Payload(sorted(self.accepted_sites), tuple(map(self.entries.__getitem__, keys)), self.history)
         )
         header = canonical_json({
             "format": SNAPSHOT_FORMAT,
@@ -176,13 +191,10 @@ class CookieJar:
                 raise InputError("CORRUPT_SNAPSHOT", "unrecognized snapshot header")
             if hashlib.sha256(lines[1].encode()).hexdigest() != header.get("payload_sha256"):
                 raise InputError("CORRUPT_SNAPSHOT", "checksum mismatch")
-            payload = json_object(lines[1], "CORRUPT_SNAPSHOT", "line 2: ")
             try:
-                for field in ("entries", "history"):
-                    if type(payload[field]) is not list or not all(type(obj) is dict for obj in payload[field]):
-                        raise InputError("CORRUPT_SNAPSHOT", f"{field} is not a list of objects")
+                payload = _PAYLOAD_FIELDS.decode(json_object(lines[1], "CORRUPT_SNAPSHOT", "line 2: "))
                 entries = {}
-                for index, record in enumerate(_ENTRY_FIELDS.rows(payload["entries"], "entries")):
+                for index, record in enumerate(payload.entries):
                     expiry = record.original_expiry
                     # Readers divide it as a float; a NaN fails this comparison too.
                     if expiry is not None and not abs(expiry) <= sys.float_info.max:
@@ -190,13 +202,9 @@ class CookieJar:
                     if record.key in entries:  # ``save`` writes each key once
                         raise ValueError(f"entries[{index}]: duplicate cookie {quoted(tuple(record.key))}")
                     entries[record.key] = record
-                history = list(_HISTORY_FIELDS.rows(payload["history"], "history"))
-                accepted = payload["accepted_sites"]
-                if type(accepted) is not list or not all(type(site) is str for site in accepted):
-                    raise InputError("CORRUPT_SNAPSHOT", "accepted_sites is not a list of strings")
-            except (KeyError, TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise InputError("CORRUPT_SNAPSHOT", str(exc)) from None
-        return cls(entries=entries, history=history, accepted_sites=set(accepted))
+        return cls(entries=entries, history=list(payload.history), accepted_sites=set(payload.accepted_sites))
 
 
 def build_jar(index: crawllog.RunIndex, *, issues: list[ParseIssue] | None = None) -> CookieJar:

@@ -6,10 +6,12 @@ virtual throughout: event ordering uses monotonic event indices assigned at
 log-parse time, and cookie lifetimes are carried as seconds relative to
 :data:`CRAWL_EPOCH` rather than wall-clock instants.
 
-Cookie keys and jar records here, like the jar's history rows and the
-detector's findings, are immutable ``NamedTuple``s: built, hashed and
+Cookie keys, jar records and banners here, like the jar's history rows and
+the detector's findings, are immutable ``NamedTuple``s: built, hashed and
 compared in C on every jar lookup.  A record equals any tuple of equal
-fields, whatever its kind, so kinds are told apart by ``type()``.
+fields, whatever its kind, so kinds are told apart by ``type()``.  Each wire
+record kind is declared once, as a ``RecordFields``: every codec's ``encode``
+writes what its ``decode`` reads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, NamedTuple
@@ -95,35 +96,27 @@ class InteractionAction(enum.Enum):
     RELOAD = "RELOAD"
 
 
-@dataclass(frozen=True)
-class BannerButton:
+class BannerButton(NamedTuple):
     label: str
     action: ButtonAction
 
 
-@dataclass(frozen=True)
-class BannerToggle:
+class BannerToggle(NamedTuple):
     category: str
     preselected: bool
     essential: bool
 
 
-@dataclass(frozen=True)
-class BannerLayer:
+class BannerLayer(NamedTuple):
     buttons: tuple[BannerButton, ...] = ()
     toggles: tuple[BannerToggle, ...] = ()
 
 
-@dataclass(frozen=True)
-class BannerDescriptor:
-    """Static description of a consent banner as seen by the crawler."""
+class BannerDescriptor(NamedTuple):
+    """Static description of a consent banner as seen by the crawler; a NONE banner has no layers."""
 
     banner_type: BannerType
     layers: tuple[BannerLayer, ...] = ()
-
-    def __post_init__(self):
-        if self.banner_type is BannerType.NONE and self.layers:
-            raise InputError("INVALID_CONFIG", "banner_type NONE must have no layers")
 
 
 class CookieKey(NamedTuple):
@@ -237,9 +230,12 @@ class Field(NamedTuple):
     value but null once each field's type has passed: ``read(value, name)``,
     or ``read(value, name, *memos)`` with the memos of one load that ``memo``
     names (``"hosts"``, ``"banners"`` or ``"hosts, banners"``).  It raises
-    ``ValueError`` or ``InputError`` itself.  ``write(value, banners)``, if
-    given, is the value's JSON; otherwise its type decides how it is written.
-    A field the wire may omit reads as its ``default``, a wire value.
+    ``ValueError`` or ``InputError`` itself.  A field that a declaration's
+    ``rows`` or ``nested`` reads is written by that declaration's ``encode``;
+    one with a ``read`` of its own names its ``write``: ``write(value)``, or
+    ``write(value, banners)`` if ``memo`` names the banners.  Any other value
+    is written as its type decides.  A field the wire may omit reads as its
+    ``default``, a wire value.
     """
 
     types: set | enum.EnumMeta
@@ -268,9 +264,19 @@ def _iso_date(value: str, name: str) -> datetime:
         raise ValueError(f"bad {name} {quoted(value)}") from None
 
 
+def _string_list(value: list, name: str) -> list:
+    """A list whose items are all strings, checked in one C loop."""
+    try:
+        "".join(value)
+    except TypeError:
+        raise ValueError(f"bad {name} {quoted(value)}") from None
+    return value
+
+
 OPTIONAL_STR = {str, type(None)}
 POSITIVE_INT = Field({int}, test="{} >= 1")
 HOST = Field({str}, read=_canonical_host, memo="hosts")  # read as its canonical form
+STRINGS = Field({list}, read=_string_list)  # a list of strings
 _DATE = Field({str}, read=_iso_date)  # a ``datetime`` in ISO format
 
 
@@ -286,23 +292,24 @@ class RecordFields:
     the wire but numbered by its reader.  Names that start with ``CookieKey``'s
     are the kind's first field, flattened.  A ``wire_only`` field is checked
     on read and not held.  Construction raises ``TypeError`` unless the names
-    held are the kind's fields.
+    held are the kind's fields.  A ``positional`` record is on the wire as the
+    list of all its fields' values, in order.
 
     ``encode(record, *wire_only)``, given the JSON text of each wire-only
     field, is the record's line, byte for byte ``json.dumps(obj,
-    sort_keys=True, separators=(",", ":"))`` of its object.  ``decode(obj)``
-    checks a decoded object in three passes over the fields in declared
-    order (each field the wire may not omit is present, each field has its
-    type, each value reads) and returns the record.  A failed check raises
+    sort_keys=True, separators=(",", ":"))`` of its object (or list), which
+    ``decode(obj)`` reads back: it checks the fields in declared order in three
+    passes (each field the wire may not omit is present, each has its type,
+    each value reads) and returns the record.  A failed check raises
     ``ValueError("missing field '<f>'")`` or ``ValueError("bad <f> <value>")``
-    (``errors.quoted``), or what the field's ``read`` raises.  A log event's
-    codec takes the memos of one log: ``encode(event, banners)`` and
-    ``decode(obj, event_index, hosts, banners)``, and another kind with a
-    field that takes a memo ``decode(obj, hosts, banners)``.  ``nested`` and
-    ``rows`` read a field that holds an object or a list of objects.
+    (``errors.quoted``), or what the field's ``read`` raises.  A log event's codec takes the memos of
+    one log: ``encode(event, banners)`` and ``decode(obj, event_index, hosts,
+    banners)``, and another kind with a field that takes a memo
+    ``encode(record, banners)`` and ``decode(obj, hosts, banners)``.
+    ``nested`` and ``rows`` read a field that holds a record or a list of them.
     """
 
-    def __init__(self, kind: type, /, *, wire_only: tuple[str, ...] = (), **fields):
+    def __init__(self, kind: type, /, *, wire_only: tuple[str, ...] = (), positional: bool = False, **fields):
         tags = [spec for spec in fields.values() if isinstance(spec, str)]
         held = [name for name, spec in fields.items() if name not in wire_only and not isinstance(spec, str)]
         flat = held[:3] == list(CookieKey._fields)
@@ -312,17 +319,19 @@ class RecordFields:
         if held != expected or len(tags) > 1 or not all(map(str.isidentifier, [*fields, *tags])):
             raise TypeError(f"{kind.__name__} is declared as {held}, not as its fields {expected}")
         self.tag = tags[0] if tags else None
+        self.arity = len(held) if positional else None  # a positional record's number of values
+        self.memos = bool(tags) or any(type(spec) is Field and spec.memo for spec in fields.values())
         namespace = {"_new": tuple.__new__, "_kind": kind, "_key": CookieKey, "_string": _string,
                      "_json": canonical_json, "_int": int.__repr__, "_quoted": quoted}
-        exec(_compile(fields, wire_only, held, flat, self.tag, namespace), namespace)
+        exec(_compile(fields, wire_only, held, flat, self, namespace), namespace)
         self.decode = namespace["decode"]
         self.encode = namespace["encode"]
 
     def nested(self, obj, name: str, *memos):
-        """``decode(obj, *memos)`` of the object that ``name`` holds; each error starts ``<name>: ``."""
+        """``decode(obj, *memos)`` of the record that ``name`` holds; each error starts ``<name>: ``."""
         try:
-            if type(obj) is not dict:
-                raise ValueError("not an object")
+            if type(obj) is not (list if self.arity else dict) or self.arity and len(obj) != self.arity:
+                raise ValueError(f"not a list of {self.arity} values" if self.arity else "not an object")
             return self.decode(obj, *memos)
         except InputError as exc:
             raise InputError(exc.code, f"{name}: {exc.message}") from None
@@ -330,14 +339,15 @@ class RecordFields:
             raise ValueError(f"{name}: {exc}") from None
 
     def rows(self, objs: list, name: str, *memos) -> tuple:
-        """Each object of the list ``objs`` that ``name`` holds, read by ``nested`` as ``<name>[<i>]``, from 0."""
+        """Each record of the list ``objs`` that ``name`` holds, read by ``nested`` as ``<name>[<i>]``, from 0."""
         return tuple([self.nested(obj, f"{name}[{index}]", *memos) for index, obj in enumerate(objs)])
 
 
-def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | None, namespace: dict) -> str:
+def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, codec: RecordFields, namespace: dict) -> str:
     """The source of a declaration's ``decode`` and ``encode``; the objects they use go into ``namespace``."""
     fetched, omitted, typed, valued = [], [], [], []
     texts = {}  # each field's JSON text in ``encode``'s f-string, by name
+    memos = ["hosts", "banners"] if codec.memos else []
     for i, (name, spec) in enumerate(fields.items()):
         v = f"f{i}"
         if isinstance(spec, str):
@@ -352,10 +362,13 @@ def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | 
         enum_kind = field.types if isinstance(field.types, enum.EnumMeta) else None
         nullable = enum_kind is None and type(None) in field.types
         types = {str} if enum_kind else field.types - {type(None)}
+        inner = getattr(field.read, "__self__", None)  # the declaration whose ``rows`` or ``nested`` reads the field
+        inner = inner if isinstance(inner, RecordFields) else None
         namespace[f"_t{i}"] = next(iter(types)) if len(types) == 1 else frozenset(types)
-        namespace[f"_r{i}"], namespace[f"_d{i}"], namespace[f"_w{i}"] = field.read, field.default, field.write
+        namespace[f"_r{i}"], namespace[f"_d{i}"] = field.read, field.default
+        namespace[f"_w{i}"] = inner.encode if inner else field.write
 
-        if field.default is _REQUIRED:
+        if field.default is _REQUIRED:  # a positional record's values are all unpacked instead
             fetched.append(f"        {v} = obj[{name!r}]")
         else:
             omitted.append(f"    {v} = obj.get({name!r}, _d{i})")
@@ -373,10 +386,14 @@ def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | 
             read = f"{v} = _r{i}({v}, {name!r}{', ' + field.memo if field.memo else ''})"
             valued.append(f"    if {v} is not None:\n        {read}" if nullable else f"    {read}")
 
+        memo = ", banners" if (inner.memos if inner else "banners" in field.memo) else ""  # what ``_w{i}`` takes
         if name in wire_only:
             texts[name] = f"{{{name}}}"
-        elif field.write is not None:
-            texts[name] = f"{{_w{i}({v}, banners)}}"
+        elif inner and field.read.__func__ is RecordFields.rows:
+            rows = f"[_w{i}(x{memo}) for x in {v}]" if memo else f"map(_w{i}, {v})"
+            texts[name] = f'[{{",".join({rows})}}]'
+        elif inner or field.write:
+            texts[name] = f"{{_w{i}({v}{memo})}}"
         elif enum_kind:
             texts[name] = f'"{{{v}._name_}}"'
         elif spec is datetime:
@@ -394,19 +411,23 @@ def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, tag: str | 
     if flat:
         built[:3] = [f"_new(_key, ({', '.join(variables[:3])}))"]
         unpacked[:3] = [f"({', '.join(variables[:3])})"]
-    if tag:
+    if codec.tag:
         built.append("event_index")
         unpacked.append("_")
-    members = ",".join(f"{_string(name)}:{texts[name]}" for name in sorted(texts))
-    memos = ["hosts", "banners"] if tag or any(type(spec) is Field and spec.memo for spec in fields.values()) else []
+    if codec.arity:
+        fetched = [f"    {', '.join(variables)}, = obj"]
+        written = f"[{','.join(texts[name] for name in held)}]"
+    else:
+        if fetched:
+            fetched = ["    try:", *fetched, "    except KeyError as exc:",
+                       '        raise ValueError(f"missing field {exc}") from None']
+        written = f"{{{{{','.join(f'{_string(name)}:{texts[name]}' for name in sorted(texts))}}}}}"
     return "\n".join([
-        f"def decode({', '.join(['obj', *(['event_index'] if tag else []), *memos])}):",
-        *(["    try:", *fetched, "    except KeyError as exc:",
-           '        raise ValueError(f"missing field {exc}") from None'] if fetched else []),
-        *omitted, *typed, *valued,
+        f"def decode({', '.join(['obj', *(['event_index'] if codec.tag else []), *memos])}):",
+        *fetched, *omitted, *typed, *valued,
         f"    return _new(_kind, ({', '.join(built)},))",
-        f"def encode({', '.join(['r', *(['banners'] if tag else wire_only)])}):",
+        f"def encode({', '.join(['r', *(['banners'] if memos else wire_only)])}):",
         f"    {', '.join(unpacked)}, = r",
-        f"    return f'{{{{{members}}}}}'",
+        f"    return f'{written}'",
         "",
     ])

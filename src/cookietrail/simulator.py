@@ -297,7 +297,7 @@ _GENERATOR_FIELDS = RecordFields(
     const=Field({str}, default=""),
 )
 _COOKIE_FIELDS = RecordFields(
-    CookieSpec, name={str}, value=Field({dict}, read=_value_generator, default={}),
+    CookieSpec, name={str}, value=Field({dict}, read=_value_generator, write=_GENERATOR_FIELDS.encode, default={}),
     lifetime=Field({int, float, str, type(None)}, read=_parse_lifetime, default="365d"),
 )
 _TRACKER_FIELDS = RecordFields(
@@ -347,15 +347,18 @@ class EcosystemConfig:
             for position, partner in enumerate(tracker.sync_partners):
                 if partner not in known_trackers:
                     fail(f"trackers[{index}]: sync_partners[{position}]: undefined tracker {quoted(partner)}")
-        known_sites = set()
+        known_sites, none, paywall = set(), BannerType.NONE, BannerType.PAYWALL  # looked up once: ~0.15 µs each
         for index, site in enumerate(self.sites):
             if site.site in known_sites:
                 fail(f"sites[{index}]: duplicate site {quoted(site.site)}")
             known_sites.add(site.site)
             if site.rank < 1:
                 fail(f"sites[{index}]: rank {quoted(site.rank)} is not positive")
-            if site.paywall != (site.banner.banner_type is BannerType.PAYWALL):
+            banner_type, layers = site.banner
+            if site.paywall != (banner_type is paywall):
                 fail(f"sites[{index}]: paywall flag disagrees with banner type")
+            if banner_type is none and layers:
+                fail(f"sites[{index}]: banner: banner_type NONE must have no layers")
             embedded = set()
             for position, embed in enumerate(site.embeds):
                 if embed.tracker not in known_trackers or embed.tracker in embedded:

@@ -34,6 +34,13 @@ def object_path(path: tuple) -> str:
     return "".join(f"{name}: " for name in names)
 
 
+def banner_decodes(monkeypatch) -> list:
+    """The banner objects that ``crawllog.decode_banner`` decodes from here on, in order; a memo hit decodes none."""
+    decoded, nested = [], crawllog._BANNER_FIELDS.nested
+    monkeypatch.setattr(crawllog._BANNER_FIELDS, "nested", lambda obj, name: decoded.append(obj) or nested(obj, name))
+    return decoded
+
+
 def save_jar(jar: CookieJar, path) -> None:
     """Write ``jar``'s snapshot to the file at ``path``."""
     with open(path, "w", encoding="utf-8") as out:

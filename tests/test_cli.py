@@ -1018,6 +1018,22 @@ class TestUsageErrors:
         assert record["error"] == "USAGE_ERROR"
         assert record["message"].startswith(message)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--config", "c", "--seed", "x" * 100_000, "--out", "o"],
+             f"cookietrail simulate: argument --seed: invalid int value: {quoted('x' * 100_000)}"),
+            (["y" * 100_000], f"cookietrail: argument command: invalid choice: {quoted('y' * 100_000)} (choose from "),
+        ],
+        ids=["seed", "command"],
+    )
+    def test_a_refused_value_is_cut_in_its_usage_error(self, capsys, argv, message):
+        """argparse quotes a value it refuses whole; the record quotes it cut, as every other error does."""
+        assert _run(["--errors", "json", *argv]) == 1
+        record = _json_error(capsys)
+        assert record["error"] == "USAGE_ERROR" and record["message"].startswith(message)
+        assert len(json.dumps(record)) < 1000
+
     def test_bad_errors_option_is_reported_as_text(self, capsys):
         assert _run(["--errors", "xml", "validate-log", "--log", "x"]) == 1
         err = capsys.readouterr().err
@@ -1436,6 +1452,29 @@ class TestReportTiersAndConfigTypes:
         record = _json_error(capsys)
         assert record["error"] == "USAGE_ERROR"
         assert record["message"].startswith("cookietrail report: argument --tiers: ")
+
+    def test_a_long_tiers_value_is_cut_in_its_usage_error(self, analyzed, capsys):
+        tiers = "1," + "2x" * 50_000
+        capsys.readouterr()
+        assert _run(["--errors", "json", *self._argv(analyzed, "report"), "--tiers", tiers]) == 1
+        assert _json_error(capsys) == {
+            "error": "USAGE_ERROR",
+            "message": f"cookietrail report: argument --tiers: expected comma-separated integers, got {quoted(tiers)}",
+        }
+
+    @pytest.mark.parametrize("key, missing", [("psl_path", "P" * 100_000), ("log_paths", "L" * 100_000),
+                                              ("psl_path", "missing.dat")], ids=["long-psl", "long-log", "psl"])
+    def test_a_missing_input_path_is_invalid_config_in_a_bounded_record(self, analyzed, capsys, key, missing):
+        """An input path that does not exist, even one too long for a file name, is INVALID_CONFIG, quoted cut."""
+        path = analyzed / "pipeline.json"
+        value = [str(analyzed / "run.log"), missing] if key == "log_paths" else missing
+        path.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert _run(["--errors", "json", *self._argv(analyzed, "detect"), "--config", path]) == 1
+        record = _json_error(capsys)
+        assert record == {"error": "INVALID_CONFIG",
+                          "message": f"{path}: referenced path does not exist: {quoted(missing)}"}
+        assert len(json.dumps(record)) < 1000
 
     @pytest.mark.parametrize(
         "command, config, field",
@@ -2040,10 +2079,11 @@ class TestSnapshotReader:
             ('"x"', "{}", "line 1: not a JSON object"),
             ('{"format":"x"}', "{}", "unrecognized snapshot header"),
             (None, "[]", "line 2: not a JSON object"),
-            (None, '{"entries":[1],"history":[],"accepted_sites":[]}', "entries is not a list of objects"),
-            (None, '{"entries":{},"history":[],"accepted_sites":[]}', "entries is not a list of objects"),
-            (None, '{"entries":[],"history":["x"],"accepted_sites":[]}', "history is not a list of objects"),
-            (None, '{"entries":[],"history":[[]],"accepted_sites":[]}', "history is not a list of objects"),
+            (None, '{"entries":[1],"history":[],"accepted_sites":[]}', "entries[0]: not an object"),
+            (None, '{"entries":{},"history":[],"accepted_sites":[]}', "bad entries {}"),
+            (None, '{"entries":[],"history":["x"],"accepted_sites":[]}', "history[0]: not an object"),
+            (None, '{"entries":[],"history":[[]],"accepted_sites":[]}', "history[0]: not an object"),
+            (None, '{"entries":[],"history":[]}', "missing field 'accepted_sites'"),
         ],
     )
     def test_valid_json_of_the_wrong_shape_is_corrupt(self, analyzed, tmp_path, capsys, header, payload, problem):
@@ -2099,7 +2139,7 @@ class TestSnapshotReader:
         assert _run(["--errors", "json", "detect", "--jar", bad, "--log", analyzed / "run.log",
                      "--out", tmp_path / "f.jsonl"]) == 1
         assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
-                                       "message": f"{bad}: accepted_sites is not a list of strings"}
+                                       "message": f"{bad}: bad accepted_sites {value!r}"}
 
     def test_an_integer_expiry_loads(self, analyzed, tmp_path):
         """JSON does not tell 60 from 60.0 apart by meaning; both are lifetimes."""

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import collections
 import enum
 import json
 import random
+import re
 from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cookietrail import crawllog
 from cookietrail import simulator as sim
 from cookietrail.cli import _load_logs
 from cookietrail.crawllog import (
@@ -22,7 +23,6 @@ from cookietrail.crawllog import (
     VisitEnd,
     VisitStart,
     VisitSummary,
-    banner_from_obj,
     extract_sent,
     log_writer,
     parse_cookie_header,
@@ -49,7 +49,7 @@ from cookietrail.model import (
     VisitOutcome,
 )
 
-from helpers import index_run, native_banner, numbered, random_config
+from helpers import banner_decodes, index_run, native_banner, numbered, random_config
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -193,8 +193,7 @@ class TestParseLog:
 
     def test_equal_banners_share_one_descriptor(self, monkeypatch):
         """Each distinct banner is decoded once per parse; banners that decode differently stay apart."""
-        decoded = []  # the banner objects the parser decoded, in order
-        monkeypatch.setattr(crawllog, "banner_from_obj", lambda obj: decoded.append(obj) or banner_from_obj(obj))
+        decoded = banner_decodes(monkeypatch)  # the banner objects the parser decoded, in order
         events = []
         banners = [native_banner(reject=True), native_banner(reject=False), native_banner(reject=True)]
         for n, banner in enumerate(banners):
@@ -204,7 +203,7 @@ class TestParseLog:
         text = serialize(events)
         index = parse_log_text(text)
         assert [row.banner_type for row in index.visits.values()] == [BannerType.NATIVE] * 3
-        assert [banner_from_obj(obj) for obj in decoded] == banners[:2]
+        assert [_ref_banner(obj) for obj in decoded] == banners[:2]
         # A layer with its keys in two orders: different records, each decoded, to equal descriptors.
         lines = text.splitlines()
         for lineno, keys in ((2, ("toggles", "buttons")), (14, ("buttons", "toggles"))):
@@ -215,7 +214,7 @@ class TestParseLog:
         decoded.clear()
         parse_log_text("\n".join(lines))
         assert decoded == [json.loads(lines[n])["banner"] for n in (2, 8, 14)]
-        parsed = [banner_from_obj(obj) for obj in decoded]
+        parsed = [_ref_banner(obj) for obj in decoded]
         assert parsed[0] == parsed[2] != banners[0]
         # Absent layers decode as none; null layers are a bad banner, even after an absent one.
         records = [json.loads(lines[n]) for n in (2, 8)]
@@ -224,12 +223,11 @@ class TestParseLog:
         lines[2], lines[8] = map(json.dumps, records)
         with pytest.raises(InputError) as exc:
             parse_log_text("\n".join(lines))
-        assert exc.value.message.startswith("line 9: bad banner object (")
+        assert exc.value.message == "line 9: banner: bad layers None"
 
     def test_banner_key_is_the_fields_the_decoder_reads(self, monkeypatch):
         """A key the decoder ignores, however large, does not split a banner."""
-        decoded = []
-        monkeypatch.setattr(crawllog, "banner_from_obj", lambda obj: decoded.append(obj) or banner_from_obj(obj))
+        decoded = banner_decodes(monkeypatch)
         lines = serialize(_single_visit_events("v0") + _single_visit_events("v1")).splitlines()
         record = json.loads(lines[8])
         record["banner"]["ignored"] = [list(range(1000))] * 100
@@ -265,27 +263,28 @@ class TestParseLog:
         assert parse(low + 1) == "line 3: invalid JSON (nested too deeply)"
         # The banner was keyed: the visit has no VISIT_END, or else the nested label is not a string.
         if '"buttons"' in template:
-            outcome = "line 3: bad banner object (button label must be a str, got [[["
+            outcome = "line 3: banner: layers[0]: buttons[0]: bad label [[["
             assert parse(low).startswith(outcome) and parse(low - 1).startswith(outcome)
         else:
             assert parse(low) == parse(low - 1) == "visit 'v1' has no VISIT_END"
 
-    def test_invalid_banner_is_a_bad_banner_object(self):
-        """A banner the descriptor rejects (NONE with layers) is reported on its line, like any bad banner."""
+    def test_a_none_banner_with_layers_is_refused(self):
+        """A NONE banner with layers is reported on its line, like any bad banner."""
         lines = serialize(_single_visit_events()).splitlines()
         record = json.loads(lines[2])
         record["banner"] = {"banner_type": "NONE", "layers": [{}]}
         with pytest.raises(InputError) as exc:
             parse_log_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]))
         assert (exc.value.code, exc.value.message) == (
-            "MALFORMED_RECORD", "line 3: bad banner object (INVALID_CONFIG: banner_type NONE must have no layers)"
+            "MALFORMED_RECORD", "line 3: banner: banner_type NONE must have no layers"
         )
 
-    @pytest.mark.parametrize("field", ["button action", "banner_type"])
+    @pytest.mark.parametrize("field", ["action", "banner_type"])
     @pytest.mark.parametrize("source", ["log", "config"])
     def test_a_banner_enum_value_is_read_by_name_and_quoted_cut(self, source, field):
-        """A button action or banner type that names no member is ``bad <field> <value>``, the value cut short, in a
-        log's BANNER_OBSERVED and in a config's site alike: both decode banners through ``decode_banner``."""
+        """A button action or banner type that names no member is ``bad <field> <value>``, the value cut short and
+        the field named by its path, in a log's BANNER_OBSERVED and in a config's site alike: both decode banners
+        through ``decode_banner``."""
         huge = "X" * 100_000
 
         def spoil(banner: dict) -> None:
@@ -294,7 +293,8 @@ class TestParseLog:
             else:
                 banner["layers"][0]["buttons"][0][1] = huge
 
-        problem = f"bad banner object (bad {field} {quoted(huge)})"
+        where = "banner: " if field == "banner_type" else "banner: layers[0]: buttons[0]: "
+        problem = f"{where}bad {field} {quoted(huge)}"
         if source == "log":
             lines = serialize(sim.generate(sim.EcosystemConfig.from_json(
                 (DEMO / "ecosystem.json").read_text(encoding="utf-8")), 7)).splitlines()
@@ -732,6 +732,55 @@ def _ref_url_field(value, key, lineno):
     return value
 
 
+def _ref_items(raw, where, name, arity=None):
+    """The items of a banner's list field: each a list of ``arity`` values, or else an object."""
+    for index, item in enumerate(raw):
+        at = f"{where}{name}[{index}]: "
+        if arity is None and type(item) is not dict:
+            raise ValueError(f"{at}not an object")
+        if arity is not None and (type(item) is not list or len(item) != arity):
+            raise ValueError(f"{at}not a list of {arity} values")
+        yield at, item
+
+
+def _ref_banner(obj):
+    """The banner an object holds.  Each record's fields are checked in its order: all present, then typed, then
+    valued; an error is ``ValueError("<path>: <problem>")``, as ``layers[0]: buttons[1]: bad action 'X'``."""
+
+    def typed(where, values, types):
+        for name, kind in types.items():
+            if type(values[name]) is not kind:
+                raise ValueError(f"{where}bad {name} {quoted(values[name])}")
+
+    if "banner_type" not in obj:
+        raise ValueError("missing field 'banner_type'")
+    banner = {"banner_type": obj["banner_type"], "layers": obj.get("layers", [])}
+    typed("", banner, {"banner_type": str, "layers": list})
+    banner_type = _ref_enum_value(BannerType, "", "banner_type", banner["banner_type"])
+    layers = []
+    for where, raw in _ref_items(banner["layers"], "", "layers"):
+        layer = {"buttons": raw.get("buttons", []), "toggles": raw.get("toggles", [])}
+        typed(where, layer, {"buttons": list, "toggles": list})
+        buttons, toggles = [], []
+        for at, (label, action) in _ref_items(layer["buttons"], where, "buttons", 2):
+            typed(at, {"label": label, "action": action}, {"label": str, "action": str})
+            buttons.append(BannerButton(label, _ref_enum_value(ButtonAction, at, "action", action)))
+        for at, (category, preselected, essential) in _ref_items(layer["toggles"], where, "toggles", 3):
+            typed(at, {"category": category, "preselected": preselected, "essential": essential},
+                  {"category": str, "preselected": bool, "essential": bool})
+            toggles.append(BannerToggle(category, preselected, essential))
+        layers.append(BannerLayer(tuple(buttons), tuple(toggles)))
+    if banner_type is BannerType.NONE and layers:
+        raise ValueError("banner_type NONE must have no layers")
+    return BannerDescriptor(banner_type, tuple(layers))
+
+
+def _ref_enum_value(enum_cls, where, name, raw):
+    if raw not in enum_cls.__members__:
+        raise ValueError(f"{where}bad {name} {quoted(raw)}")
+    return enum_cls[raw]
+
+
 _REF_KINDS = {
     "VISIT_START": VisitStart,
     "BANNER_OBSERVED": BannerObserved,
@@ -774,9 +823,9 @@ def _ref_record_to_event(obj, lineno, event_index):
             _ref_check(isinstance(visit_id, str) and visit_id, "visit_id", visit_id, lineno)
             _ref_check(isinstance(raw_banner, dict), "banner", raw_banner, lineno)
             try:
-                banner = banner_from_obj(raw_banner)
-            except (InputError, KeyError, ValueError, TypeError) as exc:
-                raise InputError("MALFORMED_RECORD", f"line {lineno}: bad banner object ({exc})") from None
+                banner = _ref_banner(raw_banner)
+            except ValueError as exc:
+                raise InputError("MALFORMED_RECORD", f"line {lineno}: banner: {exc}") from None
             return BannerObserved(visit_id=visit_id, banner=banner, event_index=event_index)
         if cls is Interaction:
             visit_id, action, resulting_stage = _ref_require(obj, ["visit_id", "action", "resulting_stage"], lineno)
@@ -1038,6 +1087,97 @@ def test_single_pass_loader_matches_two_pass_reference(tmp_path, c8_reference, r
         seen[what, got[0]] = seen.get((what, got[0]), 0) + 1
     assert seen[("merged", "ok")] >= 100 and seen[("upper-case", "ok")] == 10, seen
     assert seen[("collision", "error")] >= 5 and seen[("mutant", "error")] >= 500, seen
+
+
+# --- the accepted set of banners, pinned ---------------------------------------------------------
+
+# The outcome of each mutation of each field of the demo config's second banner, in a log's BANNER_OBSERVED and
+# in the config, as loading gave it before banners were read by declared fields: a (mutation, regular
+# expression) that the dotted path in the banner matches in full is accepted, else the source's error code.
+_BANNER_ACCEPTED = {
+    ("missing", r"layers(\.\d+(\.(buttons|toggles)(\.\d+)?)?)?"),  # an omitted list, or one item fewer
+    ("huge", r"layers\.\d+\.(buttons|toggles)\.\d+\.0"),  # a label or category
+}
+
+
+def _banner_sources():
+    """(the demo config, its log's lines, the index of the BANNER_OBSERVED line with the config's second banner,
+    which has two layers and two toggles)."""
+    config = json.loads((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
+    lines = serialize(sim.generate(sim.EcosystemConfig.from_obj(config), 7)).splitlines()
+    line = next(i for i, text in enumerate(lines) if json.loads(text).get("banner") == config["sites"][1]["banner"])
+    return config, lines, line
+
+
+def _banner_outcome(source: str, banner: dict) -> tuple[str, str]:
+    """("accepted", "") or (code, message) of the demo config or log with ``banner`` as its second banner."""
+    config, lines, line = _banner_sources()
+    try:
+        if source == "log":
+            record = {**json.loads(lines[line]), "banner": banner}
+            parse_log_text("\n".join(lines[:line] + [json.dumps(record)] + lines[line + 1:]))
+        else:
+            config["sites"][1]["banner"] = banner
+            sim.EcosystemConfig.from_obj(config)
+    except PipelineError as exc:
+        return exc.code, exc.message
+    return "accepted", ""
+
+
+@pytest.mark.parametrize("source, code", [("log", "MALFORMED_RECORD"), ("config", "INVALID_CONFIG")])
+def test_each_banner_field_mutation_has_its_pinned_outcome(source, code):
+    """Every field of a banner, of the wrong JSON type, null, missing or huge: accepted, or refused with the code
+    and in the bounded wording of its source, naming the field's path."""
+    from test_simulator import _MUTATIONS, _field_paths
+
+    config, lines, line = _banner_sources()
+    banner = config["sites"][1]["banner"]
+    where = f"line {line + 1}: banner: " if source == "log" else "sites[1]: banner: "
+    outcomes = collections.Counter()
+    for path in _field_paths(banner):
+        dotted = ".".join(map(str, path))
+        for how, mutate in _MUTATIONS.items():
+            mutated = json.loads(json.dumps(banner))
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            if mutate is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = mutate(parent[path[-1]])
+            got, message = _banner_outcome(source, mutated)
+            accepted = any(how == mutation and re.fullmatch(pattern, dotted) for mutation, pattern in _BANNER_ACCEPTED)
+            assert got == ("accepted" if accepted else code), (how, dotted, message)
+            assert got == "accepted" or (message.startswith(where) and len(message) < 200), (how, dotted, message)
+            outcomes[got] += 1
+    assert outcomes == {code: 83, "accepted": 17}
+
+
+# The declared tightening: what loading accepted, or refused with another wording, before banners were read by
+# declared fields.  (path in the second banner, value, the problem after its source's ``banner: ``).
+_BANNER_TIGHTENED = [
+    (("layers", 0, "buttons", 0), {"Accept": 1, "ACCEPT": 2}, "layers[0]: buttons[0]: not a list of 2 values"),
+    (("layers", 0, "buttons"), {"ab": 1}, "layers[0]: bad buttons {'ab': 1}"),
+    (("layers", 1, "toggles"), {}, "layers[1]: bad toggles {}"),
+    (("layers", 1, "buttons"), "", "layers[1]: bad buttons ''"),
+    (("layers",), {}, "bad layers {}"),
+    (("layers",), "", "bad layers ''"),
+]
+
+
+@pytest.mark.parametrize("path, value, problem", _BANNER_TIGHTENED)
+@pytest.mark.parametrize("source, code", [("log", "MALFORMED_RECORD"), ("config", "INVALID_CONFIG")])
+def test_a_banner_list_or_record_of_another_json_type_is_refused(source, code, path, value, problem):
+    """A button given as an object, and an object or a string where a banner's list is due, are refused with an
+    error that names the field, even where the object's keys or a string's characters iterate as the items."""
+    config, lines, line = _banner_sources()
+    banner = config["sites"][1]["banner"]
+    parent = banner
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    where = f"line {line + 1}: " if source == "log" else "sites[1]: "
+    assert _banner_outcome(source, banner) == (code, f"{where}banner: {problem}")
 
 
 # --- the per-kind encoders against the generic encoder they replaced --------------------------

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cookietrail import cli, crawllog, model
+from cookietrail import simulator as sim
 from cookietrail.crawllog import BannerObserved, CookieSet, HttpRequest, Interaction, VisitEnd, VisitStart
 from cookietrail.detector import IntractableFinding, ResetFinding, SyncFinding
 from cookietrail.errors import InputError
-from cookietrail.jar import _ENTRY_FIELDS, _HISTORY_FIELDS, CookieJar, HistoryEntry
+from cookietrail.jar import _ENTRY_FIELDS, _HISTORY_FIELDS, _PAYLOAD_FIELDS, CookieJar, HistoryEntry, _Payload
 from cookietrail.model import (
     FIXED_EXPIRY,
     BannerButton,
@@ -198,12 +199,25 @@ _CODECS = {
     SyncFinding: cli._SYNC_FIELDS,
     CookieRecord: _ENTRY_FIELDS,
     HistoryEntry: _HISTORY_FIELDS,
+    _Payload: _PAYLOAD_FIELDS,
+    sim.ValueGenerator: sim._GENERATOR_FIELDS,
+    sim.CookieSpec: sim._COOKIE_FIELDS,
+    sim.TrackerSpec: sim._TRACKER_FIELDS,
+    sim.EmbedSpec: sim._EMBED_FIELDS,
+    sim.SiteSpec: sim._SITE_FIELDS,
+    sim.Schedule: sim._SCHEDULE_FIELDS,
+    sim._Sections: sim._SECTIONS_FIELDS,
+    BannerButton: crawllog._BUTTON_FIELDS,
+    BannerToggle: crawllog._TOGGLE_FIELDS,
+    BannerLayer: crawllog._LAYER_FIELDS,
+    BannerDescriptor: crawllog._BANNER_FIELDS,
 }
 
 
 def _awkward_records() -> list:
     """(record, its wire-only fields) of every declared kind: awkward strings, None, "" and awkward partitions,
-    bools, and ints past 64 bits.  Hosts are canonical and visit ids not empty, as a decoded record's are."""
+    bools, ints past 64 bits, session and deleting lifetimes, float probabilities and default values.  Hosts are
+    canonical and visit ids not empty, as a decoded record's are."""
     from test_crawllog import _AWKWARD
 
     def pick(values, n):
@@ -214,10 +228,9 @@ def _awkward_records() -> list:
     for n, text in enumerate(_AWKWARD):
         visit_id, host, big = text or "v", pick(["a.com", "x-1.b_c.example"], n), pick([1, 7, 2**31, 2**70], n)
         flag = n % 2 == 0
-        banner = BannerDescriptor(BannerType.CMP, (
-            BannerLayer(buttons=(BannerButton(text, ButtonAction.ACCEPT),)),
-            BannerLayer(toggles=(BannerToggle(text, flag, not flag),)),
-        ))
+        button, toggle = BannerButton(text, pick(ButtonAction, n)), BannerToggle(text, flag, not flag)
+        layers = (BannerLayer(buttons=(button, BannerButton("", ButtonAction.ACCEPT))), BannerLayer(toggles=(toggle,)))
+        banner = BannerDescriptor(pick([BannerType.CMP, BannerType.NATIVE, BannerType.PAYWALL], n), layers[:1 + n % 2])
         records += [(event, {}) for event in [
             VisitStart(visit_id, host, big, pick(Phase, n), pick(Iteration, n), flag, n),
             BannerObserved(visit_id, banner, big),
@@ -228,38 +241,75 @@ def _awkward_records() -> list:
             CookieSet(visit_id, pick(InteractionStage, n), text, host, n),
             VisitEnd(visit_id, pick(VisitOutcome, n), n),
         ]]
+        records += [(record, {}) for record in [
+            button, toggle, *layers, BannerLayer(), banner, BannerDescriptor(BannerType.NONE),
+        ]]
+        rows = []
         for partition in (None, "", text):
             key = CookieKey(text, text, partition)
-            records += [
-                (IntractableFinding(key, text, text, text, pick(InteractionStage, n), pick(Channel, n), text, big,
-                                    flag), {"setter_sites": pick([[], [text], _AWKWARD], n)}),
-                (ResetFinding(key, text, big), {}),
-                (SyncFinding(key, text, text, text, text), {}),
+            rows += [
                 (CookieRecord(key, text, pick([None, 3600.5, -1, 0.0, 2**70, 1e300], n), text, big,
                               pick(ConsentState, n), pick(Phase, n), pick([FIXED_EXPIRY, datetime(2026, 1, 1, 5)], n)),
                  {}),
                 (HistoryEntry(key, text, big, flag), {}),
             ]
+            records += [
+                (IntractableFinding(key, text, text, text, pick(InteractionStage, n), pick(Channel, n), text, big,
+                                    flag), {"setter_sites": pick([[], [text], _AWKWARD], n)}),
+                (ResetFinding(key, text, big), {}),
+                (SyncFinding(key, text, text, text, text), {}),
+            ]
+        records += rows
+        entries = tuple(row for row, _ in rows if type(row) is CookieRecord)
+        history = tuple(row for row, _ in rows if type(row) is HistoryEntry)
+        records.append((_Payload(pick([[], [text], [text, host]], n), entries[:n % 4], history[n % 2:]), {}))
+
+        generator = sim.ValueGenerator(pick(sim.VALUE_KINDS, n), big, text)
+        cookies = (sim.CookieSpec(text, generator, pick([None, 0, -1, 365 * 86400, 2**70], n)), sim.CookieSpec(text))
+        tracker = sim.TrackerSpec(host, cookies[:1 + n % 2], flag, not flag, pick([(), (host,), ("a.com", host)], n),
+                                  pick([0.0, 0.25, 1, 1e-300], n), flag, not flag)
+        embeds = (sim.EmbedSpec(host, pick(sim.EmbedLoadPolicy, n), pick(Channel, n)), sim.EmbedSpec("a.com"))
+        site = sim.SiteSpec(host, big, pick([banner, BannerDescriptor(BannerType.NONE)], n), embeds[:n % 3], flag)
+        schedule = sim.Schedule(pick([(), (host,)], n), (host, "a.com"), flag)
+        records += [(record, {}) for record in [
+            sim.ValueGenerator(), generator, *cookies, tracker, sim.TrackerSpec("a.com", cookies[1:]), *embeds, site,
+            schedule, sim._Sections((site,) * (n % 3), (tracker,), schedule),
+        ]]
     return records
 
 
-def _ref_object(record, wire_only: dict) -> dict:
-    """The object that writes ``record``: a key flattened, enums by name, dates in ISO format, banners as objects;
-    a log event's tag in place of its event_index."""
-    from test_crawllog import _REF_KIND_NAMES, _ref_banner_to_obj
+def _ref_value(value):
+    """A field's value on the wire: enums by name, dates in ISO format, banners as objects of lists, a button or
+    toggle as the list of its values, another record as its object, and a tuple as a list."""
+    if isinstance(value, enum.Enum):
+        return value.name
+    if isinstance(value, datetime):
+        return value.isoformat()
+    if isinstance(value, BannerDescriptor):
+        from test_crawllog import _ref_banner_to_obj
 
+        return _ref_banner_to_obj(value)
+    if type(value) in (BannerButton, BannerToggle):
+        return list(map(_ref_value, value))
+    if hasattr(value, "_fields"):
+        return _ref_object(value, {})
+    if type(value) in (tuple, list):
+        return list(map(_ref_value, value))
+    return value
+
+
+def _ref_object(record, wire_only: dict):
+    """The JSON value that writes ``record``: a key flattened, a log event's tag in place of its event_index."""
+    from test_crawllog import _REF_KIND_NAMES
+
+    if type(record) in (BannerButton, BannerToggle):
+        return _ref_value(record)
     obj = dict(wire_only)
     for name, value in zip(record._fields, record):
         if type(value) is CookieKey:
             obj.update(value._asdict())
-        elif isinstance(value, enum.Enum):
-            obj[name] = value.name
-        elif isinstance(value, datetime):
-            obj[name] = value.isoformat()
-        elif isinstance(value, BannerDescriptor):
-            obj[name] = _ref_banner_to_obj(value)
         else:
-            obj[name] = value
+            obj[name] = _ref_value(value)
     if type(record) in _REF_KIND_NAMES:
         obj["kind"] = _REF_KIND_NAMES[type(record)]
         del obj["event_index"]
@@ -269,19 +319,28 @@ def _ref_object(record, wire_only: dict) -> dict:
 @pytest.mark.parametrize("kind", list(_CODECS), ids=lambda kind: kind.__name__)
 def test_every_codec_writes_json_dumps_bytes_and_reads_them_back(kind):
     """Each declared kind's ``encode`` writes the bytes of ``json.dumps`` of its object, which ``decode`` reads
-    back into the record, of its kind and with a key of its own."""
+    back into the record, of its kind and with a first field of its own kind."""
     codec = _CODECS[kind]
     cases = [(record, wire_only) for record, wire_only in _awkward_records() if type(record) is kind]
-    assert len(_CODECS) == 11 and len(cases) >= 8
+    assert len(_CODECS) == 23 and len(cases) >= 8
     for record, wire_only in cases:
-        if codec.tag:
-            line = codec.encode(record, {})
-        else:
-            line = codec.encode(record, *(json.dumps(value, separators=(",", ":")) for value in wire_only.values()))
+        memos = [{}] if codec.memos else []
+        texts = [json.dumps(value, separators=(",", ":")) for value in wire_only.values()]
+        line = codec.encode(record, *memos, *texts)
         assert line == json.dumps(_ref_object(record, wire_only), sort_keys=True, separators=(",", ":")), record
         obj = json.loads(line)
-        decoded = codec.decode(obj, record.event_index, {}, {}) if codec.tag else codec.decode(obj)
+        index = [record.event_index] if codec.tag else []
+        decoded = codec.decode(obj, *index, *memos * 2)
         assert decoded == record and type(decoded) is kind and type(decoded[0]) is type(record[0]), record
+
+
+def test_a_config_writes_what_it_reads():
+    """The declared encoder of a config's sections writes the object of ``EcosystemConfig.to_obj``."""
+    for seed in range(200):
+        config = random_config(random.Random(seed))
+        text = sim._SECTIONS_FIELDS.encode(sim._Sections(config.sites, config.trackers, config.schedule), {})
+        assert json.loads(text) == config.to_obj(), seed
+        assert sim.EcosystemConfig.from_json(text) == config, seed
 
 
 class TestDomainMatch:
@@ -299,5 +358,13 @@ class TestDomainMatch:
 
 
 def test_banner_none_must_have_no_layers():
-    with pytest.raises(InputError):
-        BannerDescriptor(BannerType.NONE, (BannerLayer(),))
+    """A NONE banner with layers is refused by the banner's decode, in a log or a config, and by a config's
+    ``validate``, for a config built in code."""
+    with pytest.raises(ValueError, match=r"^banner: banner_type NONE must have no layers$"):
+        crawllog.decode_banner({"banner_type": "NONE", "layers": [{}]}, "banner", {})
+    site = sim.SiteSpec("a.com", 1, BannerDescriptor(BannerType.NONE, (BannerLayer(),)))
+    with pytest.raises(InputError) as exc:
+        sim.EcosystemConfig((site,), (), sim.Schedule((), ()))
+    assert (exc.value.code, exc.value.message) == (
+        "INVALID_CONFIG", "sites[0]: banner: banner_type NONE must have no layers"
+    )

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from cookietrail import _rand, crawllog, model
+from cookietrail import _rand, model
 from cookietrail import simulator as sim
-from cookietrail.crawllog import HttpRequest, banner_from_obj, parse_cookie_header, parse_log_text, serialize
+from cookietrail.crawllog import HttpRequest, parse_cookie_header, parse_log_text, serialize
 from cookietrail.errors import InputError, quoted
 from cookietrail.jar import build_jar
 from cookietrail.model import (
@@ -31,6 +31,7 @@ from cookietrail.model import (
 )
 
 from helpers import (
+    banner_decodes,
     cmp_banner,
     index_run,
     native_banner,
@@ -322,9 +323,8 @@ class TestConfigLoad:
     def test_each_distinct_host_and_banner_is_decoded_once(self, monkeypatch):
         """Equal banners share one descriptor; hosts and banners decode once per load, not once per use."""
         obj = json.loads(json.dumps(random_config(random.Random(8), n_sites=40).to_obj()))
-        hosts, banners = [], []
+        hosts, banners = [], banner_decodes(monkeypatch)
         monkeypatch.setattr(model, "canonicalize_host", lambda raw: hosts.append(raw) or canonicalize_host(raw))
-        monkeypatch.setattr(crawllog, "banner_from_obj", lambda raw: banners.append(raw) or banner_from_obj(raw))
         config = sim.EcosystemConfig.from_obj(obj)
         assert config.to_obj() == obj
         assert sorted(hosts) == sorted([s.site for s in config.sites] + [t.domain for t in config.trackers])
