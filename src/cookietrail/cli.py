@@ -490,6 +490,9 @@ def _tier_list(text: str) -> tuple[int, ...]:
 
 # A string that argparse quotes whole, as ``repr`` writes it: its quote, its first 60 characters, and the rest.
 _ECHOED = re.compile(r"""(['"])((?:\\.|(?!\1)[^\\]){60})(?:\\.|(?!\1)[^\\])+\1""")
+# What argparse echoes bare: the words it did not use, which end the message, or an ambiguous option, which the
+# parser's own option names follow.  Each is its first 60 characters and the rest.
+_ECHOED_BARE = re.compile(r"^(unrecognized arguments: .{60}).+|^(ambiguous option: .{60}).+(?= could match )", re.S)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -497,7 +500,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message: str):
         # argparse echoes a refused value whole (``invalid int value: 'xxx'``): cut each as ``quoted`` does.
-        raise InputError("USAGE_ERROR", f"{self.prog}: " + _ECHOED.sub(r"\1\2\1", message))
+        message = _ECHOED_BARE.sub(lambda m: f"{m[1] or m[2]}...", _ECHOED.sub(r"\1\2\1", message))
+        raise InputError("USAGE_ERROR", f"{self.prog}: {message}")
 
 
 @functools.cache

@@ -34,6 +34,13 @@ def object_path(path: tuple) -> str:
     return "".join(f"{name}: " for name in names)
 
 
+def set_path(obj, path, value) -> None:
+    """Set the item of ``obj`` at ``path``, a sequence of keys and list indices, to ``value``."""
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
 def banner_decodes(monkeypatch) -> list:
     """The banner objects that ``crawllog.decode_banner`` decodes from here on, in order; a memo hit decodes none."""
     decoded, nested = [], crawllog._BANNER_FIELDS.nested

@@ -33,7 +33,7 @@ from cookietrail.model import (
     Phase,
 )
 
-from helpers import SIM_PSL, native_banner, random_config, run_pipeline, write_report
+from helpers import SIM_PSL, native_banner, random_config, run_pipeline, set_path, write_report
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -438,12 +438,9 @@ def _mutants(lines: list[str]):
         layers = records[i]["banner"]["layers"]
         if len(layers) < 2 or not layers[1]["toggles"]:
             continue
-        for (*path, last), value in _BANNER_TYPE_MUTATIONS:
+        for path, value in _BANNER_TYPE_MUTATIONS:
             record = json.loads(lines[i])
-            parent = record["banner"]
-            for key in path:
-                parent = parent[key]
-            parent[last] = value
+            set_path(record["banner"], path, value)
             yield "\n".join(lines[:i] + [json.dumps(record)] + lines[i + 1:]), "MALFORMED_RECORD", 1
 
 
@@ -533,10 +530,7 @@ def test_c8_config_type_mutations_exit_1_with_invalid_config(tmp_path):
     """simulate rejects a mistyped config field with an INVALID_CONFIG record, not a traceback."""
     for path, value in _CONFIG_TYPE_MUTATIONS:
         config = json.loads((DEMO / "ecosystem.json").read_text())
-        parent = config
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
+        set_path(config, path, value)
         bad = tmp_path / "config.json"
         bad.write_text(json.dumps(config))
         code, stderr = _run_cli(["--errors", "json", "simulate", "--config", bad, "--seed", 1,

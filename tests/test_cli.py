@@ -7,10 +7,12 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from operator import itemgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,7 +29,9 @@ from cookietrail.jar import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, CookieJar, Histor
 from cookietrail.model import (
     Channel, CookieKey, InteractionAction, InteractionStage, Iteration, Phase, VisitOutcome
 )
-from helpers import cmp_banner, native_banner, object_path, paywall_banner, random_config, run_pipeline, save_jar
+from helpers import (
+    cmp_banner, native_banner, object_path, paywall_banner, random_config, run_pipeline, save_jar, set_path
+)
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -36,23 +40,60 @@ def _run(args) -> int:
     return main([str(a) for a in args])
 
 
+def _argv(command: str, d: Path, flags: dict | None = None) -> list:
+    """``command``'s argv over the analyzed demo run in ``d``, its outputs written beside it.
+
+    ``flags`` add options or replace the command's own; a list repeats its flag.
+    """
+    rules = {"--psl": DEMO / "psl.dat", "--trackers": d / "trackers.txt"}
+    options = {
+        "simulate": {"--config": DEMO / "ecosystem.json", "--seed": 7, "--out": d / "x.log"},
+        "validate-log": {"--log": d / "run.log"},
+        "build-jar": {"--log": d / "run.log", "--out": d / "out.snap"},
+        "detect": {"--jar": d / "jar.snap", "--log": d / "run.log", **rules, "--out": d / "out.jsonl"},
+        "report": {"--findings": d / "findings.jsonl", "--jar": d / "jar.snap", "--log": d / "run.log", **rules,
+                   "--out": d / "report"},
+        "filter-convert": {"--adblock": d / "adblock.txt", "--out": d / "out.txt"},
+    }[command] | (flags or {})
+    return [command, *(arg for flag, value in options.items()
+                       for item in (value if isinstance(value, list) else [value]) for arg in (flag, item))]
+
+
+def _run_json(command: str, d: Path, flags: dict | None = None) -> int:
+    """Run ``_argv(command, d, flags)`` with ``--errors json``; its exit code."""
+    return _run(["--errors", "json", *_argv(command, d, flags)])
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory) -> Path:
+    """The demo crawled at seed 7 and analyzed, once per module; tests read copies of it.
+
+    It holds the crawl's log, tracker list and truth, its jar, findings, resets and syncs, an adblock list and an
+    empty pipeline config: a valid input for every reader.
+    """
+    d = tmp_path_factory.mktemp("demo-run")
+    assert _run(_argv("simulate", d, {"--out": d / "run.log", "--trackers-out": d / "trackers.txt",
+                                     "--truth-out": d / "truth.json"})) == 0
+    assert _run(_argv("build-jar", d, {"--out": d / "jar.snap"})) == 0
+    assert _run(_argv("detect", d, {"--out": d / "findings.jsonl", "--resets-out": d / "resets.jsonl",
+                                   "--syncs-out": d / "syncs.jsonl"})) == 0
+    (d / "adblock.txt").write_text("||adnet.example^\n")
+    (d / "pipeline.json").write_text("{}")
+    return d
+
+
 @pytest.fixture
-def workspace(tmp_path):
-    log = tmp_path / "run.log"
-    trackers = tmp_path / "trackers.txt"
-    assert (
-        _run(
-            [
-                "simulate",
-                "--config", DEMO / "ecosystem.json",
-                "--seed", 7,
-                "--out", log,
-                "--trackers-out", trackers,
-                "--truth-out", tmp_path / "truth.json",
-            ]
-        )
-        == 0
-    )
+def workspace(tmp_path, demo_run):
+    """A directory holding the demo crawl's run.log, trackers.txt and truth.json."""
+    for name in ("run.log", "trackers.txt", "truth.json"):
+        shutil.copyfile(demo_run / name, tmp_path / name)
+    return tmp_path
+
+
+@pytest.fixture
+def analyzed(tmp_path, demo_run):
+    """A directory holding all of ``demo_run``."""
+    shutil.copytree(demo_run, tmp_path, dirs_exist_ok=True)
     return tmp_path
 
 
@@ -99,10 +140,7 @@ class TestSimulate:
         """A flag must be a JSON boolean and a probability a number, not a string that reads as one; the error
         names the object and the field."""
         config = json.loads((DEMO / "ecosystem.json").read_text())
-        parent = config
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
+        set_path(config, path, value)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
         out = tmp_path / "x.log"
@@ -224,16 +262,6 @@ _STAGED_FLAGS = {"build-jar": ["--out"], "detect": ["--out", "--resets-out", "--
 class TestStagedOutputs:
     """build-jar, detect, report and filter-convert stage their outputs as simulate does: a failed run replaces none."""
 
-    @staticmethod
-    def _inputs(analyzed, command) -> list:
-        if command == "filter-convert":
-            (analyzed / "list.txt").write_text("||tracker.net^\n")
-            return ["--adblock", analyzed / "list.txt"]
-        if command == "build-jar":
-            return ["--log", analyzed / "run.log"]
-        return ["--jar", analyzed / "jar.snap", "--log", analyzed / "run.log", "--psl", DEMO / "psl.dat",
-                "--trackers", analyzed / "trackers.txt"]
-
     @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _STAGED_FLAGS.items() for f in flags])
     @pytest.mark.parametrize("unwritable", ["in a missing directory", "a directory"])
     def test_unwritable_output_leaves_the_others_as_they_were(self, analyzed, tmp_path, capsys, command, flag,
@@ -248,8 +276,7 @@ class TestStagedOutputs:
             blocked = tmp_path / "missing" / "file"
             problem = f"[Errno 2] No such file or directory: '{blocked}'"
         paths = {f: blocked if f == flag else out / f.strip("-") for f in _STAGED_FLAGS[command]}
-        argv = ["--errors", "json", command, *self._inputs(analyzed, command),
-                *(arg for pair in paths.items() for arg in pair)]
+        argv = ["--errors", "json", *_argv(command, analyzed, paths)]
         capsys.readouterr()
         assert _run(argv) == 1
         assert _json_error(capsys) == {"error": "IO_ERROR", "message": problem}
@@ -267,9 +294,7 @@ class TestStagedOutputs:
     def test_unwritable_report_file_leaves_the_directory_as_it_was(self, analyzed, tmp_path, capsys, blocked):
         """report stages its CSVs and manifest too: one that cannot be written replaces none of the others."""
         def report(out):
-            return _run(["--errors", "json", "report", "--findings", analyzed / "findings.jsonl",
-                         "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log", "--psl", DEMO / "psl.dat",
-                         "--trackers", analyzed / "trackers.txt", "--out", out])
+            return _run_json("report", analyzed, {"--out": out})
 
         fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
         (fresh / blocked).mkdir(parents=True)
@@ -299,7 +324,7 @@ class TestStagedOutputs:
         target.parent.mkdir()
         target.write_bytes(b"old\n")
         capsys.readouterr()
-        assert _run(["--errors", "json", "build-jar", "--log", analyzed / "run.log", "--out", target]) == 1
+        assert _run_json("build-jar", analyzed, {"--out": target}) == 1
         assert _json_error(capsys) == {"error": "IO_ERROR", "message": "[Errno 28] No space left on device"}
         assert os.listdir(target.parent) == ["jar.snap"]
         assert target.read_bytes() == b"old\n"
@@ -307,125 +332,42 @@ class TestStagedOutputs:
 
 class TestPipeline:
     def test_full_pipeline_and_determinism(self, workspace):
-        log = workspace / "run.log"
-        for suffix in ("one", "two"):
-            jar = workspace / f"jar-{suffix}.snap"
-            findings = workspace / f"findings-{suffix}.jsonl"
-            report_dir = workspace / f"report-{suffix}"
-            assert _run(["build-jar", "--log", log, "--out", jar]) == 0
-            assert (
-                _run(
-                    [
-                        "detect",
-                        "--jar", jar,
-                        "--log", log,
-                        "--psl", DEMO / "psl.dat",
-                        "--trackers", workspace / "trackers.txt",
-                        "--out", findings,
-                        "--resets-out", workspace / f"resets-{suffix}.jsonl",
-                        "--syncs-out", workspace / f"syncs-{suffix}.jsonl",
-                    ]
-                )
-                == 0
-            )
-            assert (
-                _run(
-                    [
-                        "report",
-                        "--findings", findings,
-                        "--jar", jar,
-                        "--log", log,
-                        "--psl", DEMO / "psl.dat",
-                        "--trackers", workspace / "trackers.txt",
-                        "--out", report_dir,
-                        "--tiers", "2,4,6",
-                    ]
-                )
-                == 0
-            )
+        d = workspace
+        for run in ("one", "two"):
+            jar, findings = d / f"jar-{run}.snap", d / f"findings-{run}.jsonl"
+            assert _run(_argv("build-jar", d, {"--out": jar})) == 0
+            assert _run(_argv("detect", d, {"--jar": jar, "--out": findings, "--resets-out": d / f"resets-{run}.jsonl",
+                                            "--syncs-out": d / f"syncs-{run}.jsonl"})) == 0
+            assert _run(_argv("report", d, {"--findings": findings, "--jar": jar, "--out": d / f"report-{run}",
+                                            "--tiers": "2,4,6"})) == 0
+
         def digest(path: Path) -> str:
             return hashlib.sha256(path.read_bytes()).hexdigest()
 
-        assert digest(workspace / "jar-one.snap") == digest(workspace / "jar-two.snap")
-        assert digest(workspace / "findings-one.jsonl") == digest(workspace / "findings-two.jsonl")
-        one = sorted((workspace / "report-one").iterdir())
-        two = sorted((workspace / "report-two").iterdir())
+        assert digest(d / "jar-one.snap") == digest(d / "jar-two.snap")
+        assert digest(d / "findings-one.jsonl") == digest(d / "findings-two.jsonl")
+        one = sorted((d / "report-one").iterdir())
+        two = sorted((d / "report-two").iterdir())
         assert [p.name for p in one] == [p.name for p in two]
         for a, b in zip(one, two):
             assert digest(a) == digest(b), a.name
 
-    def test_findings_match_truth(self, workspace):
-        log = workspace / "run.log"
-        jar = workspace / "jar.snap"
-        findings_path = workspace / "findings.jsonl"
-        _run(["build-jar", "--log", log, "--out", jar])
-        _run(
-            [
-                "detect",
-                "--jar", jar,
-                "--log", log,
-                "--psl", DEMO / "psl.dat",
-                "--trackers", workspace / "trackers.txt",
-                "--out", findings_path,
-            ]
-        )
-        truth = json.loads((workspace / "truth.json").read_text())
-        expected = {
-            (f["name"], f["host"], f["sender_site"])
-            for f in truth["expected_findings"]
-        }
-        got = set()
-        for line in findings_path.read_text().splitlines():
-            record = json.loads(line)
-            if "format_version" in record:
-                continue
-            if record["canonical"]:
-                got.add((record["name"], record["host"], record["sender_site"]))
-        assert got == expected
+    def test_findings_match_truth(self, analyzed):
+        truth = json.loads((analyzed / "truth.json").read_text())
+        expected = {(f["name"], f["host"], f["sender_site"]) for f in truth["expected_findings"]}
+        records = [json.loads(line) for line in (analyzed / "findings.jsonl").read_text().splitlines()[1:]]
+        assert {(r["name"], r["host"], r["sender_site"]) for r in records if r["canonical"]} == expected
 
     def test_detect_with_empty_jar_exits_zero(self, workspace, tmp_path):
-        from cookietrail.jar import CookieJar
-
         empty = tmp_path / "empty.snap"
         save_jar(CookieJar(), empty)
         out = tmp_path / "findings.jsonl"
-        code = _run(
-            [
-                "detect",
-                "--jar", empty,
-                "--log", workspace / "run.log",
-                "--psl", DEMO / "psl.dat",
-                "--trackers", workspace / "trackers.txt",
-                "--out", out,
-            ]
-        )
-        assert code == 0
+        assert _run(_argv("detect", workspace, {"--jar": empty, "--out": out})) == 0
         assert out.read_text() == '{"format_version":1}\n'
 
-    def test_report_manifest_lists_files(self, workspace):
-        log = workspace / "run.log"
-        jar = workspace / "jar.snap"
-        findings = workspace / "findings.jsonl"
-        report_dir = workspace / "report"
-        _run(["build-jar", "--log", log, "--out", jar])
-        _run(
-            [
-                "detect",
-                "--jar", jar, "--log", log,
-                "--psl", DEMO / "psl.dat",
-                "--trackers", workspace / "trackers.txt",
-                "--out", findings,
-            ]
-        )
-        _run(
-            [
-                "report",
-                "--findings", findings, "--jar", jar, "--log", log,
-                "--psl", DEMO / "psl.dat",
-                "--trackers", workspace / "trackers.txt",
-                "--out", report_dir,
-            ]
-        )
+    def test_report_manifest_lists_files(self, analyzed):
+        assert _run(_argv("report", analyzed)) == 0
+        report_dir = analyzed / "report"
         manifest = json.loads((report_dir / "manifest.json").read_text())
         names = {f["name"] for f in manifest["files"]}
         assert "tracker_table.csv" in names
@@ -436,33 +378,8 @@ class TestPipeline:
 
     def test_build_jar_sampling_flags(self, workspace, tmp_path):
         out = tmp_path / "sampled.snap"
-        code = _run(
-            ["build-jar", "--log", workspace / "run.log", "--out", out, "--sample-n", 1, "--sample-seed", 3]
-        )
-        assert code == 0
-        from cookietrail.jar import CookieJar
-
-        jar = CookieJar.load(out)
-        assert len(jar.accepted_sites) == 1
-
-
-# Set-Cookie headers that no cookie can be read from: the code and message each raises.
-_BAD_SET_COOKIES = [
-    ("=novalue; Domain=.x.com", "MISSING_NAME", "Set-Cookie without a cookie name: '=novalue; Domain=.x.com'"),
-    ("id=1; Domain=a..b", "INVALID_LABEL", "empty label in 'a..b'"),
-]
-
-
-def _bad_set_cookie_log(workspace: Path, header: str) -> tuple[Path, str]:
-    """The demo log with its first COOKIE_SET's header replaced, which an accepted visit sets, and that visit's id."""
-    lines = (workspace / "run.log").read_text().splitlines()
-    first = next(i for i, line in enumerate(lines) if '"kind":"COOKIE_SET"' in line)
-    record = json.loads(lines[first])
-    record["set_cookie_header"] = header
-    lines[first] = json.dumps(record)
-    bad = workspace / "bad-set-cookie.log"
-    bad.write_text("\n".join(lines) + "\n")
-    return bad, record["visit_id"]
+        assert _run(_argv("build-jar", workspace, {"--out": out, "--sample-n": 1, "--sample-seed": 3})) == 0
+        assert len(CookieJar.load(out).accepted_sites) == 1
 
 
 class TestValidateLog:
@@ -504,21 +421,25 @@ class TestValidateLog:
     def test_missing_file_io_error(self, tmp_path):
         assert _run(["validate-log", "--log", tmp_path / "nope.log"]) == 1
 
-    @pytest.mark.parametrize("header, code, problem", _BAD_SET_COOKIES)
-    def test_bad_set_cookie_names_its_visit(self, workspace, capsys, header, code, problem):
-        bad, visit_id = _bad_set_cookie_log(workspace, header)
-        capsys.readouterr()
-        assert _run(["--errors", "json", "validate-log", "--log", bad]) == 1
-        assert _json_error(capsys) == {"error": code, "message": f"visit {visit_id!r}: {problem}"}
 
-
-@pytest.mark.parametrize("header, code, problem", _BAD_SET_COOKIES)
-def test_build_jar_names_the_visit_of_a_bad_set_cookie(workspace, capsys, header, code, problem):
-    bad, visit_id = _bad_set_cookie_log(workspace, header)
+@pytest.mark.parametrize("command", ["validate-log", "build-jar"])
+@pytest.mark.parametrize("header, code, problem", [
+    ("=novalue; Domain=.x.com", "MISSING_NAME", "Set-Cookie without a cookie name: '=novalue; Domain=.x.com'"),
+    ("id=1; Domain=a..b", "INVALID_LABEL", "empty label in 'a..b'"),
+], ids=["no-name", "bad-domain"])
+def test_a_set_cookie_header_without_a_cookie_names_its_visit(workspace, capsys, command, header, code, problem):
+    """The first COOKIE_SET's header, which an accepted visit sets, replaced by one that no cookie can be read from."""
+    lines = (workspace / "run.log").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if '"kind":"COOKIE_SET"' in line)
+    record = json.loads(lines[first])
+    record["set_cookie_header"] = header
+    lines[first] = json.dumps(record)
+    bad = workspace / "bad-set-cookie.log"
+    bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert _run(["--errors", "json", "build-jar", "--log", bad, "--out", workspace / "bad.snap"]) == 1
-    assert _json_error(capsys) == {"error": code, "message": f"visit {visit_id!r}: {problem}"}
-    assert not (workspace / "bad.snap").exists()
+    assert _run_json(command, workspace, {"--log": bad}) == 1
+    assert _json_error(capsys) == {"error": code, "message": f"visit {record['visit_id']!r}: {problem}"}
+    assert not (workspace / "out.snap").exists()
 
 
 class TestPipelineConfig:
@@ -559,63 +480,26 @@ class TestPipelineConfig:
         code = _run(["detect", "--config", config, "--out", workspace / "f.jsonl"])
         assert code == 1
 
-    @pytest.mark.parametrize("text", ["[]", '{"filter_lists": []}', '{"sample": 5}'])
-    def test_mistyped_config_is_invalid_config(self, tmp_path, capsys, text):
-        config = tmp_path / "pipeline.json"
-        config.write_text(text)
-        assert _run(["--errors", "json", "detect", "--config", config, "--out", tmp_path / "f.jsonl"]) == 1
-        assert _json_error(capsys)["error"] == "INVALID_CONFIG"
-
-    def test_merged_logs(self, workspace, tmp_path):
-        # Colliding visit ids are rejected outright.
-        code = _run(
-            [
-                "build-jar",
-                "--log", workspace / "run.log",
-                "--log", workspace / "run.log",
-                "--out", tmp_path / "dup.snap",
-            ]
-        )
-        assert code == 2
-        # A second run with a distinct run id merges cleanly.
-        second = tmp_path / "second.log"
-        assert (
-            _run(
-                ["simulate", "--config", DEMO / "ecosystem.json", "--seed", 8,
-                 "--out", second, "--run-id", "b"]
-            )
-            == 0
-        )
-        merged = tmp_path / "merged.snap"
-        assert (
-            _run(["build-jar", "--log", workspace / "run.log", "--log", second, "--out", merged])
-            == 0
-        )
-        from cookietrail.jar import CookieJar
-
-        jar = CookieJar.load(merged)
-        assert len(jar.accepted_sites) == 3  # same sites accepted in both runs
-        assert len(jar.history) == 20  # two runs' writes accumulate
 
 
-def _rewrite_hosts(log: Path, out: Path, rewrite) -> Path:
-    """Copy a log with ``rewrite`` applied to every host field."""
-    lines = log.read_text().splitlines()
-    for i, line in enumerate(lines[1:], start=1):
+def _rewrite_hosts(log: str, rewrite) -> str:
+    """A log with ``rewrite`` applied to every host field."""
+    lines = log.split("\n")
+    for i, line in enumerate(lines[1:-1], start=1):
         record = json.loads(line)
         for field in ("site", "target_host", "setter_context_host"):
             if field in record:
                 record[field] = rewrite(record[field])
         lines[i] = json.dumps(record, sort_keys=True)
-    out.write_text("\n".join(lines) + "\n")
-    return out
+    return "\n".join(lines)
 
 
 class TestCanonicalHosts:
     def test_upper_case_log_yields_the_same_artifacts(self, workspace, tmp_path):
         rules = ["--psl", DEMO / "psl.dat", "--trackers", workspace / "trackers.txt"]
-        logs = {"lower": workspace / "run.log",
-                "upper": _rewrite_hosts(workspace / "run.log", tmp_path / "upper.log", str.upper)}
+        upper = tmp_path / "upper.log"
+        upper.write_text(_rewrite_hosts((workspace / "run.log").read_text(), str.upper))
+        logs = {"lower": workspace / "run.log", "upper": upper}
         for name, log in logs.items():
             assert _run(["validate-log", "--log", log]) == 0
             assert _run(["build-jar", "--log", log, "--out", tmp_path / f"{name}.snap"]) == 0
@@ -626,47 +510,44 @@ class TestCanonicalHosts:
         assert any(json.loads(line)["canonical"] for line in findings.splitlines()[1:])
         assert (tmp_path / "upper.snap").read_bytes() == (tmp_path / "lower.snap").read_bytes()
 
-    @pytest.mark.parametrize("host, code", [("a..b.example", "INVALID_LABEL"), ("bad host.example", "INVALID_LABEL"),
-                                            ("...", "EMPTY_HOST")])
-    def test_invalid_host_exit_1_from_every_log_reader(self, workspace, tmp_path, capsys, host, code):
-        log = workspace / "run.log"
-        assert _run(["build-jar", "--log", log, "--out", tmp_path / "jar.snap"]) == 0
-        bad = _rewrite_hosts(log, tmp_path / "bad.log", lambda _host: host)
-        capsys.readouterr()
-        for command in (
-            ["validate-log", "--log", bad],
-            ["build-jar", "--log", bad, "--out", tmp_path / "bad.snap"],
-            ["detect", "--jar", tmp_path / "jar.snap", "--log", bad, "--out", tmp_path / "f.jsonl"],
-        ):
-            assert _run(["--errors", "json", *command]) == 1, command[0]
-            record = json.loads(capsys.readouterr().err)
-            assert record["error"] == code, command[0]
-            assert record["message"].startswith(f"{bad}: line 2: bad site"), command[0]
-
 
 class TestMergedLogs:
-    def test_shared_visit_id_is_a_sequence_violation_for_every_log_reader(self, workspace, tmp_path, capsys):
-        log, other = workspace / "run.log", tmp_path / "other.log"
-        # No --run-id: the second run reuses the first run's visit ids.
-        assert _run(["simulate", "--config", DEMO / "ecosystem.json", "--seed", 8, "--out", other]) == 0
-        jar, findings = tmp_path / "jar.snap", tmp_path / "findings.jsonl"
-        rules = ["--psl", DEMO / "psl.dat", "--trackers", workspace / "trackers.txt"]
-        assert _run(["build-jar", "--log", log, "--out", jar]) == 0
-        assert _run(["detect", "--jar", jar, "--log", log, *rules, "--out", findings]) == 0
-        # The second log's first visit is the first whose id the first log holds.
-        colliding = json.loads(other.read_text().splitlines()[1])["visit_id"]
-        assert colliding in parse_log_text(log.read_text()).visits
+    @pytest.mark.parametrize("second", ["the first again", "reused visit ids", "a cut line"])
+    def test_a_bad_second_log_is_named_by_every_log_reader(self, analyzed, tmp_path, capsys, second):
+        """The second of two logs fails as it would alone, and the record names it.
+
+        A visit id that the first log holds is a sequence violation (exit 2), and a cut line an input error.
+        """
+        log, other = analyzed / "run.log", tmp_path / "other.log"
+        if second == "the first again":
+            other = log
+        else:
+            # Without --run-id, a second run reuses the first run's visit ids.
+            run_id = {"--run-id": "b"} if second == "a cut line" else {}
+            assert _run(_argv("simulate", analyzed, {"--seed": 8, "--out": other, **run_id})) == 0
+        first_visit = json.loads(other.read_text().splitlines()[1])["visit_id"]
+        if second == "a cut line":
+            lines = other.read_text().split("\n")
+            lines[2] = lines[2][:-1]
+            other.write_text("\n".join(lines))
+            problem = "line 3: invalid JSON (Expecting ',' delimiter)"
+            expected = 1, {"error": "MALFORMED_RECORD", "message": f"{other}: {problem}"}
+        else:
+            assert first_visit in parse_log_text(log.read_text()).visits
+            problem = f"visit {first_visit!r}: duplicate VISIT_START"
+            expected = 2, {"error": "SEQUENCE_VIOLATION", "message": f"{other}: {problem}"}
         capsys.readouterr()
-        logs = ["--log", log, "--log", other]
-        for command in (
-            ["build-jar", *logs, "--out", tmp_path / "merged.snap"],
-            ["detect", "--jar", jar, *logs, *rules, "--out", tmp_path / "merged.jsonl"],
-            ["report", "--findings", findings, "--jar", jar, *logs, *rules, "--out", tmp_path / "report"],
-        ):
-            assert _run(["--errors", "json", *command]) == 2, command[0]
-            assert _json_error(capsys) == {
-                "error": "SEQUENCE_VIOLATION", "message": f"{other}: visit {colliding!r}: duplicate VISIT_START"
-            }, command[0]
+        for command in ("build-jar", "detect", "report"):
+            code = _run_json(command, analyzed, {"--log": [log, other]})
+            assert (code, _json_error(capsys)) == expected, command
+
+    def test_runs_with_distinct_ids_merge(self, workspace, tmp_path):
+        second, merged = tmp_path / "second.log", tmp_path / "merged.snap"
+        assert _run(_argv("simulate", workspace, {"--seed": 8, "--out": second, "--run-id": "b"})) == 0
+        assert _run(_argv("build-jar", workspace, {"--log": [workspace / "run.log", second], "--out": merged})) == 0
+        jar = CookieJar.load(merged)
+        assert len(jar.accepted_sites) == 3  # same sites accepted in both runs
+        assert len(jar.history) == 20  # two runs' writes accumulate
 
     def test_three_logs_form_one_indexed_stream(self, workspace, tmp_path):
         logs = []
@@ -688,11 +569,10 @@ class TestMergedLogs:
         assert merged.ended == [row for part in parts for row in part.ended]
         stream = {e.event_index: e for e in merged.requests + merged.cookie_sets}
 
-        log_args = [arg for path in logs for arg in ("--log", path)]
         jar, findings = tmp_path / "jar.snap", tmp_path / "findings.jsonl"
-        assert _run(["build-jar", *log_args, "--out", jar]) == 0
-        assert _run(["detect", "--jar", jar, *log_args, "--psl", DEMO / "psl.dat",
-                     "--trackers", workspace / "trackers.txt", "--out", findings]) == 0
+        assert _run(_argv("build-jar", workspace, {"--log": logs, "--out": jar})) == 0
+        assert _run(_argv("detect", workspace, {"--jar": jar, "--log": logs, "--out": findings})) == 0
+        assert _run(_argv("report", workspace, {"--findings": findings, "--jar": jar, "--log": logs})) == 0
         # A history row's index (the set_at of its write) names the COOKIE_SET in the merged stream.
         written = [row.event_index for row in CookieJar.load(jar).history]
         assert written == sorted(set(written))
@@ -1000,6 +880,255 @@ class TestSharedParser:
         assert (workspace / "a.snap").read_bytes() == (workspace / "b.snap").read_bytes()
 
 
+# --- the reader table: every input reader against every fault it can meet ------------------------------------
+
+
+# Every file the CLI reads, as "command flag": (a valid input of the analyzed run, the code of an error in it).  A
+# path is the demo's file; a name is the analyzed run's.
+_READERS = {
+    "simulate --config": (DEMO / "ecosystem.json", "INVALID_CONFIG"),
+    "build-jar --config": ("pipeline.json", "INVALID_CONFIG"),
+    "detect --config": ("pipeline.json", "INVALID_CONFIG"),
+    "report --config": ("pipeline.json", "INVALID_CONFIG"),
+    "validate-log --log": ("run.log", "MALFORMED_RECORD"),
+    "build-jar --log": ("run.log", "MALFORMED_RECORD"),
+    "detect --log": ("run.log", "MALFORMED_RECORD"),
+    "report --log": ("run.log", "MALFORMED_RECORD"),
+    "detect --jar": ("jar.snap", "CORRUPT_SNAPSHOT"),
+    "report --jar": ("jar.snap", "CORRUPT_SNAPSHOT"),
+    "report --findings": ("findings.jsonl", "MALFORMED_RECORD"),
+    "report --gpc-findings": ("findings.jsonl", "MALFORMED_RECORD"),
+    "report --resets": ("resets.jsonl", "MALFORMED_RECORD"),
+    "report --syncs": ("syncs.jsonl", "MALFORMED_RECORD"),
+    "detect --psl": (DEMO / "psl.dat", "MALFORMED_RULE"),
+    "detect --trackers": ("trackers.txt", "MALFORMED_DOMAIN"),
+    "detect --adblock": ("adblock.txt", "MALFORMED_DOMAIN"),
+    "filter-convert --adblock": ("adblock.txt", "MALFORMED_DOMAIN"),
+}
+LOGS = tuple(reader for reader in _READERS if reader.endswith(" --log"))
+JARS = ("detect --jar", "report --jar")
+NDJSON = ("report --findings", "report --gpc-findings", "report --resets", "report --syncs")
+PIPELINE = ("build-jar --config", "detect --config", "report --config")
+CONFIGS = ("simulate --config", *PIPELINE)
+
+DEEP = "[" * 200_000  # nested past the JSON decoder's recursion limit
+LONG = "9" * 5000  # more digits than int() converts
+HUGE = "X" * 100_000  # a value that no member, number or host field accepts
+
+
+class _Fault(NamedTuple):
+    name: str
+    readers: tuple
+    make: Callable  # the bad input, str or bytes, from the text of the reader's valid input
+    problem: str | None  # its record's message after "<path>: " (None: it has no record)
+    code: str | None = None  # its record's code, if not the reader's
+    exit: int = 1
+
+
+def _after_header(line: str):
+    """A log or NDJSON file whose one record is ``line``."""
+    return lambda text: f"{text.partition(chr(10))[0]}\n{line}\n"
+
+
+def _as_payload(line: str):
+    """A jar snapshot whose payload is ``line``, checksummed so that only the payload is wrong."""
+    header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
+                         "payload_sha256": hashlib.sha256(line.encode()).hexdigest()})
+    return lambda text: f"{header}\n{line}\n"
+
+
+def _line_edit(pattern: str | None, edit):
+    """An edit of a log or NDJSON file: ``edit`` changes its first record that ``pattern`` finds (None: its first)."""
+    def apply(text: str) -> str:
+        lines = text.split("\n")
+        i = next(i for i, line in enumerate(lines) if i and (pattern is None or re.search(pattern, line)))
+        record = json.loads(lines[i])
+        edit(record)
+        lines[i] = json.dumps(record, ensure_ascii=False)
+        return "\n".join(lines)
+    return apply
+
+
+def _payload_edit(edit):
+    """An edit of a jar snapshot: ``edit`` changes its payload, checksummed again."""
+    def apply(text: str) -> str:
+        payload = json.loads(text.split("\n")[1])
+        edit(payload)
+        return _as_payload(json.dumps(payload, ensure_ascii=False))(text)
+    return apply
+
+
+def _config_edit(path: tuple, value):
+    """An edit of a JSON config: ``value`` at ``path``."""
+    def apply(text: str) -> str:
+        config = json.loads(text)
+        set_path(config, path, value)
+        return json.dumps(config)
+    return apply
+
+
+def _header_version(version):
+    """A header whose ``format_version`` is ``version``."""
+    def apply(text: str) -> str:
+        header, rest = text.split("\n", 1)
+        return json.dumps({**json.loads(header), "format_version": version}) + "\n" + rest
+    return apply
+
+
+def _cut_line(text: str) -> str:
+    """The file with its first record's last character cut."""
+    header, record, rest = text.split("\n", 2)
+    return f"{header}\n{record[:-1]}\n{rest}"
+
+
+def _nested_setter_list(text: str) -> str:
+    """The first finding's ``setter_sites`` moved under an extra last key, beside a ``stage``."""
+    header, line, rest = text.split("\n", 2)
+    head, after = line.split(',"setter_sites":', 1)
+    sites, tail = after.split(',"stage":', 1)
+    return f'{header}\n{head},"stage":{tail[:-1]},"zz":{{"a":0,"setter_sites":{sites},"stage":1}}}}\n{rest}'
+
+
+_LABEL_TOO_LONG = f"label longer than 63 octets: {'x' * 20}..."
+_HEADER_WANTED = "line 1: expected header record {'format_version': 1}, got {'format_version': %r}"
+
+# Each fault of an input, and what every reader it applies to makes of it.
+_FAULTS = [
+    _Fault("not-utf8", tuple(_READERS), lambda text: b"\xff\xfe" + text.encode("utf-16-le"),
+           "not UTF-8 (invalid start byte)"),
+    _Fault("nested-too-deep", LOGS + NDJSON, _after_header(DEEP), "line 2: invalid JSON (nested too deeply)"),
+    _Fault("nested-too-deep", JARS, _as_payload(DEEP), "line 2: invalid JSON (nested too deeply)"),
+    _Fault("nested-too-deep-header", JARS, lambda text: f"{DEEP}\n{DEEP}\n",
+           "line 1: invalid JSON (nested too deeply)"),
+    _Fault("nested-too-deep", CONFIGS, lambda text: DEEP, "invalid JSON (nested too deeply)"),
+    _Fault("integer-too-long", LOGS, lambda text: re.sub(r'"rank":\d+', f'"rank":{LONG}', text, count=1),
+           "line 2: invalid JSON (integer too long)"),
+    _Fault("integer-too-long", NDJSON, _after_header(LONG), "line 2: invalid JSON (integer too long)"),
+    _Fault("integer-too-long", JARS, _as_payload(f'{{"accepted_sites":[],"entries":[],"history":[],"n":{LONG}}}'),
+           "line 2: invalid JSON (integer too long)"),
+    _Fault("integer-too-long-header", JARS, lambda text: f"{LONG}\n{{}}\n", "line 1: invalid JSON (integer too long)"),
+    _Fault("integer-too-long", CONFIGS, lambda text: LONG, "invalid JSON (integer too long)"),
+    _Fault("not-an-object", LOGS + NDJSON, _after_header("[1]"), "line 2: not a JSON object"),
+    _Fault("not-an-object", JARS, lambda text: "[1]\n{}\n", "line 1: not a JSON object"),
+    _Fault("not-an-object", CONFIGS, lambda text: "[]", "not a JSON object"),
+    _Fault("missing-field", ("simulate --config",), lambda text: "{}", "missing field 'sites'"),
+    *(_Fault(f"format-version-{version}", LOGS + NDJSON, _header_version(version), _HEADER_WANTED % version)
+      for version in (True, 1.0)),
+    *(_Fault(f"format-version-{version}", JARS, _header_version(version), "unrecognized snapshot header")
+      for version in (True, 1.0)),
+    _Fault("cut-line", LOGS + NDJSON, _cut_line, "line 2: invalid JSON (Expecting ',' delimiter)"),
+    _Fault("rank-0", LOGS, _line_edit('"kind":"VISIT_START"', lambda r: r.update(rank=0)), "line 2: bad rank 0"),
+    _Fault("unparsable-url", LOGS, _line_edit('"kind":"HTTP_REQUEST"', lambda r: r.update(target_url="https://[::1/x")),
+           "line 5: bad target_url 'https://[::1/x' (Invalid IPv6 URL)", "UNPARSABLE_URL"),
+    *(_Fault(f"host-{name}", LOGS, lambda text, host=host: _rewrite_hosts(text, lambda _host: host),
+             f"line 2: bad site {host!r} ({why})", code)
+      for name, host, code, why in [
+          ("empty-label", "a..b.example", "INVALID_LABEL", "empty label in 'a..b.example'"),
+          ("space", "bad host.example", "INVALID_LABEL", "illegal character in label 'bad host'"),
+          ("no-label", "...", "EMPTY_HOST", "hostname '...' has no labels"),
+      ]),
+    # JSON allows U+2028 raw inside a string: it does not end the record.
+    _Fault("raw-u2028", LOGS, _line_edit('"cookie_header":"[^"]', lambda r: r.update(
+        cookie_header=r["cookie_header"].replace("=", "=\u2028", 1))), None, exit=0),
+    _Fault("raw-u2028", JARS, _payload_edit(lambda p: p["entries"][0].update(value="a\u2028b")), None, exit=0),
+    _Fault("cookie-listed-twice", JARS,
+           _payload_edit(lambda p: p["entries"].insert(1, {**p["entries"][0], "value": "tampered"})),
+           "entries[1]: duplicate cookie ('mid', 'metrics.example', None)"),
+    # The jar checks --findings' setter lists; --gpc-findings come from another run's jar, so only their types count.
+    _Fault("setter-list-not-the-jars", ("report --findings",),
+           _line_edit(None, lambda r: r["setter_sites"].append("elsewhere.example")),
+           "record 0: cookie 'pref' of 'adnet.example' (partition None) has setter_sites other than the jar's",
+           "FINDING_NOT_IN_JAR"),
+    _Fault("setter-list-not-the-jars", ("report --gpc-findings",),
+           _line_edit(None, lambda r: r["setter_sites"].append("elsewhere.example")), None, exit=0),
+    _Fault("setter-list-nested", ("report --findings", "report --gpc-findings"), _nested_setter_list,
+           "record 0: missing field 'setter_sites'"),
+    # Every command checks the whole pipeline config, whichever of its fields it uses.
+    *(_Fault(name, PIPELINE, lambda text, config=config: json.dumps(config), problem) for name, config, problem in [
+        ("mistyped-section", {"filter_lists": []}, "field 'filter_lists' must be dict, got []"),
+        ("mistyped-sample", {"sample": 5}, "field 'sample' must be dict, got 5"),
+        ("mistyped-tiers", {"tier_cutoffs": ["a"]}, "field 'tier_cutoffs' must be a list of int, got ['a']"),
+        ("mistyped-sample-n", {"sample": {"n": "5"}}, "field 'sample.n' must be int, got '5'"),
+        ("mistyped-psl", {"psl_path": 5}, "field 'psl_path' must be str, got 5"),
+        ("unknown-key", {"psl_pth": "psl.dat"}, "unknown field 'psl_pth'"),
+        ("unknown-nested-key", {"filter_lists": {"plain": [], "adblok": []}}, "unknown field 'filter_lists.adblok'"),
+        ("unknown-key-case", {"sample": {"N": 1}}, "unknown field 'sample.N'"),
+        ("dotted-key", {"sample.n": 1}, "unknown field 'sample.n'"),
+        ("removed-key", {"extra_tracker_domains_path": "extra.txt"}, "unknown field 'extra_tracker_domains_path'"),
+    ]),
+    _Fault("bad-rule", ("detect --psl",), lambda text: "// rules\nfoo..bar\n",
+           "line 2: bad rule 'foo..bar' (empty label in 'foo..bar')"),
+    # A huge value in one field: a 100,000-character string where a member, number or host is due, or a list of
+    # 100,000 strings where any string is.  Its record quotes it cut.
+    _Fault("huge-phase", LOGS, _line_edit('"kind":"VISIT_START"', lambda r: r.update(phase=HUGE)),
+           f"line 2: bad phase {quoted(HUGE)}"),
+    _Fault("huge-banner-action", LOGS, _line_edit('"kind":"BANNER_OBSERVED"', lambda r: set_path(
+        r, ("banner", "layers", 0, "buttons", 0, 1), HUGE)),
+           f"line 3: banner: layers[0]: buttons[0]: bad action {quoted(HUGE)}"),
+    _Fault("huge-stage", ("report --findings", "report --gpc-findings"),
+           _line_edit(None, lambda r: r.update(stage=HUGE)), f"record 0: bad stage {quoted(HUGE)}"),
+    _Fault("huge-event-index", ("report --resets",), _line_edit(None, lambda r: r.update(event_index=HUGE)),
+           f"record 0: bad event_index {quoted(HUGE)}"),
+    _Fault("huge-parameter-name", ("report --syncs",),
+           _line_edit(None, lambda r: r.update(parameter_name=["u"] * 100_000)),
+           f"record 0: bad parameter_name {quoted(['u'] * 100_000)}"),
+    _Fault("huge-phase", JARS, _payload_edit(lambda p: p["entries"][0].update(phase=HUGE)),
+           f"entries[0]: bad phase {quoted(HUGE)}"),
+    _Fault("label-not-a-string", ("simulate --config",),
+           _config_edit(("sites", 4, "banner", "layers", 0, "buttons", 0, 0), 5),
+           "sites[4]: banner: layers[0]: buttons[0]: bad label 5"),
+    _Fault("huge-channel", ("simulate --config",), _config_edit(("sites", 0, "embeds", 0, "channel"), HUGE),
+           f"sites[0]: embeds[0]: bad channel {quoted(HUGE)}"),
+    _Fault("huge-value-key", ("simulate --config",), _config_edit(("trackers", 0, "cookies", 0, "value"), {HUGE: 1}),
+           f"trackers[0]: cookies[0]: value: unknown field {quoted(HUGE)}"),
+    _Fault("huge-rank", ("simulate --config",), _config_edit(("sites", 0, "rank"), HUGE),
+           f"sites[0]: bad rank {quoted(HUGE)}"),
+    _Fault("huge-key", PIPELINE, lambda text: json.dumps({HUGE: 1}), f"unknown field {quoted(HUGE)}"),
+    _Fault("huge-rule", ("detect --psl",), lambda text: f"// rules\ncom\n{HUGE}.com\n",
+           f"line 3: bad rule {quoted(HUGE)} ({_LABEL_TOO_LONG})"),
+    # A tracker list's bad line is a warning: the command goes on without it.
+    _Fault("huge-domain", ("detect --trackers",), lambda text: f"{text}{HUGE}.example\n",
+           f"{quoted(HUGE)}: {_LABEL_TOO_LONG}", exit=0),
+    _Fault("huge-domain", ("detect --adblock", "filter-convert --adblock"), lambda text: f"{text}||{HUGE}.example^\n",
+           f"{quoted('||' + HUGE)}: {_LABEL_TOO_LONG}", exit=0),
+]
+_PAIRS = [(fault, reader) for fault in _FAULTS for reader in fault.readers]
+
+
+def _bad_input(d: Path, fault: _Fault, reader: str) -> tuple[list, Path, str]:
+    """The argv that gives ``reader`` the input with ``fault``, that input's path, and the code of its record."""
+    command, flag = reader.split()
+    source, code = _READERS[reader]
+    bad = d / f"bad-{Path(source).name}"
+    text = (d / source).read_text(encoding="utf-8")
+    made = fault.make(text)
+    assert made != text, fault.name
+    bad.write_bytes(made if isinstance(made, bytes) else made.encode("utf-8"))
+    return _argv(command, d, {flag: bad}), bad, fault.code or code
+
+
+@pytest.mark.parametrize("fault, reader", _PAIRS, ids=[f"{f.name}-{reader.replace(' ', '')}" for f, reader in _PAIRS])
+def test_every_reader_fault_is_one_bounded_record_naming_the_file(analyzed, capsys, fault, reader):
+    """A fault in any input exits 1, writing nothing, with one JSON record under 1,000 bytes that names the file.
+
+    An input read in spite of its fault exits 0, each of its warning records bounded and naming the file the same way.
+    """
+    argv, bad, code = _bad_input(analyzed, fault, reader)
+    files = sorted(os.listdir(analyzed))
+    capsys.readouterr()
+    assert _run(["--errors", "json", *argv]) == fault.exit
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert all(len(line.encode()) < 1000 for line in lines), [line[:200] for line in lines]
+    records = [json.loads(line) for line in lines if line.startswith("{")]
+    if fault.exit:
+        assert len(lines) == 1, err
+        assert sorted(os.listdir(analyzed)) == files  # it wrote no output
+    expected = [] if fault.problem is None else [(code, f"{bad}: {fault.problem}")]
+    assert [(record["error"], record["message"]) for record in records] == expected
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
@@ -1024,11 +1153,14 @@ class TestUsageErrors:
             (["simulate", "--config", "c", "--seed", "x" * 100_000, "--out", "o"],
              f"cookietrail simulate: argument --seed: invalid int value: {quoted('x' * 100_000)}"),
             (["y" * 100_000], f"cookietrail: argument command: invalid choice: {quoted('y' * 100_000)} (choose from "),
+            (["validate-log", "--log", "x", *["z"] * 100_000], f"cookietrail: unrecognized arguments: {'z ' * 30}..."),
+            (["build-jar", "--sample=" + "x" * 100_000],
+             f"cookietrail build-jar: ambiguous option: --sample={'x' * 51}... could match --sample-n, --sample-seed"),
         ],
-        ids=["seed", "command"],
+        ids=["seed", "command", "unrecognized", "ambiguous"],
     )
     def test_a_refused_value_is_cut_in_its_usage_error(self, capsys, argv, message):
-        """argparse quotes a value it refuses whole; the record quotes it cut, as every other error does."""
+        """argparse echoes a value it refuses whole; the record cuts it to 60 characters, as every other error does."""
         assert _run(["--errors", "json", *argv]) == 1
         record = _json_error(capsys)
         assert record["error"] == "USAGE_ERROR" and record["message"].startswith(message)
@@ -1046,78 +1178,26 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: cookietrail detect")
 
-    def test_usage_error_in_a_fresh_process(self, tmp_path):
-        done = _run_fresh(["--errors", "json", "detect", "--jar", "x"], tmp_path)
+    @pytest.mark.parametrize("case", [
+        "usage", ("not-utf8", "validate-log --log"), ("format-version-True", "validate-log --log"),
+        ("bad-rule", "detect --psl"),
+    ], ids=["usage", "not-utf8-log", "format-version-True-log", "bad-rule-psl"])
+    def test_usage_error_in_a_fresh_process(self, analyzed, case):
+        """A usage error, and rows of the reader table, in a new interpreter: one record on stderr and no traceback.
+
+        A test runner captures warnings, so only a fresh process shows that nothing else reaches stderr.
+        """
+        if case == "usage":
+            argv, record = ["detect", "--jar", "x"], {
+                "error": "USAGE_ERROR", "message": "cookietrail detect: the following arguments are required: --out"}
+        else:
+            fault = next(fault for fault in _FAULTS if fault.name == case[0] and case[1] in fault.readers)
+            argv, bad, code = _bad_input(analyzed, fault, case[1])
+            record = {"error": code, "message": f"{bad}: {fault.problem}"}
+        done = _run_fresh(["--errors", "json", *argv], analyzed)
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "USAGE_ERROR"
-
-
-DEEP = "[" * 200_000
-
-
-@pytest.fixture
-def analyzed(workspace):
-    """The workspace plus its jar.snap and findings.jsonl."""
-    assert _run(["build-jar", "--log", workspace / "run.log", "--out", workspace / "jar.snap"]) == 0
-    assert _run(["detect", "--jar", workspace / "jar.snap", "--log", workspace / "run.log",
-                 "--psl", DEMO / "psl.dat", "--trackers", workspace / "trackers.txt",
-                 "--out", workspace / "findings.jsonl"]) == 0
-    return workspace
-
-
-class TestDeeplyNestedJson:
-    """JSON nested past the decoder's recursion limit is the reader's input error, not a traceback."""
-
-    BAD = DEEP  # a JSON text the decoder rejects
-    PROBLEM = "nested too deeply"  # what the error record says of it
-
-    def test_log_readers(self, analyzed, tmp_path, capsys):
-        header = (analyzed / "run.log").read_text().splitlines()[0]
-        deep = tmp_path / "deep.log"
-        deep.write_text(f"{header}\n{self.BAD}\n")
-        capsys.readouterr()
-        for command in (
-            ["validate-log", "--log", deep],
-            ["build-jar", "--log", deep, "--out", tmp_path / "jar.snap"],
-            ["detect", "--jar", analyzed / "jar.snap", "--log", deep, "--out", tmp_path / "f.jsonl"],
-        ):
-            assert _run(["--errors", "json", *command]) == 1, command[0]
-            assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
-                                           "message": f"{deep}: line 2: invalid JSON ({self.PROBLEM})"}
-
-    @pytest.mark.parametrize("option", ["--findings", "--resets", "--syncs"])
-    def test_ndjson_readers(self, analyzed, tmp_path, capsys, option):
-        deep = tmp_path / "deep.jsonl"
-        deep.write_text(f'{{"format_version":1}}\n{self.BAD}\n')
-        inputs = {"--findings": analyzed / "findings.jsonl", option: deep}
-        capsys.readouterr()
-        assert _run(["--errors", "json", "report", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
-                     *(arg for pair in inputs.items() for arg in pair), "--out", tmp_path / "report"]) == 1
-        assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
-                                       "message": f"{deep}: line 2: invalid JSON ({self.PROBLEM})"}
-
-    @pytest.mark.parametrize("line", [0, 1])
-    def test_jar_snapshot(self, analyzed, tmp_path, capsys, line):
-        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
-                             "payload_sha256": hashlib.sha256(DEEP.encode()).hexdigest()})
-        deep = tmp_path / "deep.snap"
-        deep.write_text(f"{DEEP}\n{DEEP}\n" if line == 0 else f"{header}\n{DEEP}\n")
-        capsys.readouterr()
-        assert _run(["--errors", "json", "detect", "--jar", deep, "--log", analyzed / "run.log",
-                     "--out", tmp_path / "f.jsonl"]) == 1
-        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
-                                       "message": f"{deep}: line {line + 1}: invalid JSON ({self.PROBLEM})"}
-
-    def test_configs(self, tmp_path, capsys):
-        deep = tmp_path / "deep.json"
-        deep.write_text(self.BAD)
-        assert _run(["--errors", "json", "simulate", "--config", deep, "--seed", 1, "--out", tmp_path / "x.log"]) == 1
-        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": f"{deep}: invalid JSON ({self.PROBLEM})"}
-        assert _run(["--errors", "json", "detect", "--config", deep, "--out", tmp_path / "f.jsonl"]) == 1
-        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": f"{deep}: invalid JSON ({self.PROBLEM})"}
+        assert [json.loads(line) for line in done.stderr.splitlines()] == [record]
 
 
 class TestOversizedExpiry:
@@ -1130,20 +1210,19 @@ class TestOversizedExpiry:
         long = tmp_path / "long.log"
         long.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert _run(["--errors", "json", "validate-log", "--log", long]) == 1
+        assert _run_json("validate-log", analyzed, {"--log": long}) == 1
         record = _json_error(capsys)
         assert record["error"] == "MALFORMED_EXPIRES" and record["message"].startswith("visit 'p1-")
         assert record["message"].split(": ", 1)[1].startswith("bad Max-Age '1000")
-        jar = tmp_path / "jar.snap"
-        assert _run(["--errors", "json", "build-jar", "--log", long, "--out", jar]) == 0
+        jar = tmp_path / "long.snap"
+        assert _run_json("build-jar", analyzed, {"--log": long, "--out": jar}) == 0
         err = capsys.readouterr().err
         assert "Traceback" not in err
         records = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert [record["error"] for record in records] == ["MALFORMED_EXPIRES"]
         assert records[0]["message"].startswith("visit 'p1-")
         assert records[0]["message"].split(": ", 1)[1].startswith("bad Max-Age '1000")
-        assert _run(["--errors", "json", "detect", "--jar", jar, "--log", long, "--psl", DEMO / "psl.dat",
-                     "--trackers", analyzed / "trackers.txt", "--out", tmp_path / "f.jsonl"]) == 0
+        assert _run_json("detect", analyzed, {"--jar": jar, "--log": long}) == 0
         assert "Traceback" not in capsys.readouterr().err
 
 
@@ -1157,8 +1236,7 @@ class TestOversizedExpiry:
         jar = tmp_path / "long.snap"
         jar.write_text(f"{header}\n{payload}\n")
         capsys.readouterr()
-        assert _run(["--errors", "json", "report", "--findings", analyzed / "findings.jsonl", "--jar", jar,
-                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        assert _run_json("report", analyzed, {"--jar": jar}) == 1
         problem = "entries[0]: original_expiry is not a finite number a float holds"
         assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT", "message": f"{jar}: {problem}"}
 
@@ -1173,8 +1251,7 @@ def test_detect_warning_names_its_visit(analyzed, tmp_path, capsys):
     log = tmp_path / "pair.log"
     log.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert _run(["--errors", "json", "detect", "--jar", analyzed / "jar.snap", "--log", log, "--psl", DEMO / "psl.dat",
-                 "--trackers", analyzed / "trackers.txt", "--out", tmp_path / "f.jsonl"]) == 0
+    assert _run_json("detect", analyzed, {"--log": log}) == 0
     err = capsys.readouterr().err
     assert "Traceback" not in err
     records = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
@@ -1195,260 +1272,24 @@ def test_list_warnings_name_their_file(analyzed, tmp_path, capsys):
                         f"{plain_b}: 'x y': whitespace inside entry", f"{adblock}: '||c..d^': empty label in 'c..d'")
     ]
     capsys.readouterr()
-    assert _run(["--errors", "json", "detect", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
-                 "--psl", DEMO / "psl.dat", "--trackers", plain_a, "--trackers", plain_b, "--adblock", adblock,
-                 "--out", tmp_path / "f.jsonl"]) == 0
+    assert _run_json("detect", analyzed, {"--trackers": [plain_a, plain_b], "--adblock": adblock}) == 0
     err = capsys.readouterr().err
     assert [json.loads(line) for line in err.splitlines() if '"MALFORMED_DOMAIN"' in line] == expected
-    assert _run(["--errors", "json", "filter-convert", "--adblock", adblock, "--out", tmp_path / "plain.txt"]) == 0
+    assert _run_json("filter-convert", analyzed, {"--adblock": adblock}) == 0
     err = capsys.readouterr().err
     assert [json.loads(line) for line in err.splitlines() if line.startswith("{")] == expected[2:]
 
 
-@pytest.mark.parametrize("flag, text, code, problem", [
-    pytest.param("simulate --config", "{}", "INVALID_CONFIG", "missing field 'sites'", id="ecosystem-config-empty"),
-    pytest.param("simulate --config", "[]", "INVALID_CONFIG", "not a JSON object", id="ecosystem-config-list"),
-    pytest.param("detect --config", "[1]", "INVALID_CONFIG", "not a JSON object", id="pipeline-config"),
-    pytest.param("detect --jar", "[1]\n{}\n", "CORRUPT_SNAPSHOT", "line 1: not a JSON object", id="jar-header"),
-    pytest.param("validate-log --log", '{"format_version":1}\n[1]\n', "MALFORMED_RECORD", "line 2: not a JSON object",
-                 id="log"),
-    *(pytest.param(f"report {flag}", '{"format_version":1}\n[1]\n', "MALFORMED_RECORD", "line 2: not a JSON object",
-                   id=flag[2:]) for flag in ("--findings", "--resets", "--syncs", "--gpc-findings")),
-    pytest.param("detect --psl", "// rules\nfoo..bar\n", "MALFORMED_RULE",
-                 "line 2: bad rule 'foo..bar' (empty label in 'foo..bar')", id="suffix-list"),
-])
-def test_a_content_error_of_every_reader_names_its_file(analyzed, tmp_path, capsys, flag, text, code, problem):
-    """Whatever a reader finds wrong inside its file, the error record starts with the file's path."""
-    command, flag = flag.split()
-    d = analyzed
-    args = {
-        "simulate": {"--config": DEMO / "ecosystem.json", "--seed": 7, "--out": tmp_path / "x.log"},
-        "validate-log": {"--log": d / "run.log"},
-        "detect": {"--jar": d / "jar.snap", "--log": d / "run.log", "--psl": DEMO / "psl.dat",
-                   "--out": tmp_path / "f.jsonl"},
-        "report": {"--findings": d / "findings.jsonl", "--jar": d / "jar.snap", "--log": d / "run.log",
-                   "--out": tmp_path / "report"},
-    }[command]
-    bad = tmp_path / "bad.input"
-    bad.write_text(text)
-    args[flag] = bad
-    capsys.readouterr()
-    assert _run(["--errors", "json", command, *(arg for pair in args.items() for arg in pair)]) == 1
-    assert _json_error(capsys) == {"error": code, "message": f"{bad}: {problem}"}
-
-
-HUGE = "X" * 100_000  # a value that no member, number or host field accepts
-
-
-def _line_edit(lineno: int, edit):
-    """An edit of a line-framed file: ``edit`` changes the JSON object on line ``lineno`` (from 1) in place."""
-    def apply(text: str) -> str:
-        lines = text.split("\n")
-        obj = json.loads(lines[lineno - 1])
-        edit(obj)
-        lines[lineno - 1] = json.dumps(obj)
-        return "\n".join(lines)
-    return apply
-
-
-def _json_edit(edit):
-    """An edit of a JSON file: ``edit`` changes its object in place."""
-    def apply(text: str) -> str:
-        obj = json.loads(text)
-        edit(obj)
-        return json.dumps(obj)
-    return apply
-
-
-def _jar_edit(edit):
-    """An edit of a jar snapshot's payload, checksummed again so that only the edit is wrong."""
-    def apply(text: str) -> str:
-        payload = json.loads(text.split("\n")[1])
-        edit(payload)
-        line = json.dumps(payload)
-        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
-                             "payload_sha256": hashlib.sha256(line.encode()).hexdigest()})
-        return f"{header}\n{line}\n"
-    return apply
-
-
-_HEADER = '{"format_version":1}\n'
-_RESET = {"name": "n", "host": "t.net", "partition": None, "sender_site": "s.com", "event_index": 1}
-_SYNC = {"name": "n", "host": "t.net", "partition": None, "carrying_url": "https://sync.t.net/?u=1",
-         "origin_tracker": "t.net", "destination_tracker": "u.net", "parameter_name": "u"}
-
-
-def _set(*path_and_value):
-    """An edit that sets the item at a path of keys and indices to the last argument."""
-    *path, value = path_and_value
-
-    def edit(obj):
-        for key in path[:-1]:
-            obj = obj[key]
-        obj[path[-1]] = value
-    return edit
-
-
-# (the command and the flag of the input, the input: a file of the demo run to edit or a text, exit code, code).
-# Each puts a huge value that its field refuses into one field: a 100,000-character string where a member,
-# number or host is due, or a list of 100,000 strings where any string is.
-_HUGE_VALUES = {
-    "log-phase": ("validate-log --log", ("run.log", _line_edit(2, _set("phase", HUGE))), 1, "MALFORMED_RECORD"),
-    "log-banner-action": ("validate-log --log", ("run.log", _line_edit(3, _set("banner", "layers", 0, "buttons", 0, 1,
-                                                                               HUGE))), 1, "MALFORMED_RECORD"),
-    "findings-stage": ("report --findings", ("findings.jsonl", _line_edit(2, _set("stage", HUGE))), 1,
-                       "MALFORMED_RECORD"),
-    "resets-event-index": ("report --resets", _HEADER + json.dumps({**_RESET, "event_index": HUGE}), 1,
-                           "MALFORMED_RECORD"),
-    "syncs-parameter-name": ("report --syncs", _HEADER + json.dumps({**_SYNC, "parameter_name": ["u"] * 100_000}), 1,
-                             "MALFORMED_RECORD"),
-    "jar-entry-phase": ("detect --jar", ("jar.snap", _jar_edit(_set("entries", 0, "phase", HUGE))), 1,
-                        "CORRUPT_SNAPSHOT"),
-    "config-embed-channel": ("simulate --config", ("ecosystem.json", _json_edit(_set("sites", 0, "embeds", 0,
-                                                                                     "channel", HUGE))),
-                             1, "INVALID_CONFIG"),
-    "config-value-key": ("simulate --config", ("ecosystem.json", _json_edit(_set("trackers", 0, "cookies", 0, "value",
-                                                                                 {HUGE: 1}))), 1, "INVALID_CONFIG"),
-    "config-rank": ("simulate --config", ("ecosystem.json", _json_edit(_set("sites", 0, "rank", HUGE))), 1,
-                    "INVALID_CONFIG"),
-    "pipeline-config-key": ("detect --config", json.dumps({HUGE: 1}), 1, "INVALID_CONFIG"),
-    "suffix-list-rule": ("detect --psl", f"// rules\ncom\n{HUGE}.com\n", 1, "MALFORMED_RULE"),
-    "tracker-list-line": ("detect --trackers", f"adnet.example\n{HUGE}.example\n", 0, "MALFORMED_DOMAIN"),
-}
-
-
-@pytest.mark.parametrize("case", list(_HUGE_VALUES))
-def test_every_error_record_is_bounded(analyzed, tmp_path, capsys, case):
-    """A huge value in one field of any input keeps its exit code and code, and each record on stderr is short."""
-    flag, given, code, error = _HUGE_VALUES[case]
-    command, flag = flag.split()
-    d = analyzed
-    args = {
-        "simulate": {"--config": DEMO / "ecosystem.json", "--seed": 7, "--out": tmp_path / "x.log"},
-        "validate-log": {"--log": d / "run.log"},
-        "detect": {"--jar": d / "jar.snap", "--log": d / "run.log", "--psl": DEMO / "psl.dat",
-                   "--trackers": d / "trackers.txt", "--out": tmp_path / "f.jsonl"},
-        "report": {"--findings": d / "findings.jsonl", "--jar": d / "jar.snap", "--log": d / "run.log",
-                   "--out": tmp_path / "report"},
-    }[command]
-    if isinstance(given, tuple):
-        name, edit = given
-        text = edit(((DEMO if name == "ecosystem.json" else d) / name).read_text(encoding="utf-8"))
-    else:
-        text = given
-    bad = tmp_path / "bad.input"
-    bad.write_text(text, encoding="utf-8")
-    args[flag] = bad
-    capsys.readouterr()
-    assert _run(["--errors", "json", command, *(arg for pair in args.items() for arg in pair)]) == code
-    lines = capsys.readouterr().err.splitlines()
-    assert all(len(line.encode()) <= 1000 for line in lines), [line[:200] for line in lines]
-    assert error in {json.loads(line)["error"] for line in lines if line.startswith("{")}
-
-
-class TestNotUtf8:
-    """A file that is not UTF-8 (here UTF-16, which starts ff fe) exits 1 with its reader's own code."""
-
-    @pytest.mark.parametrize("command, flag, code", [
-        ("validate-log", "--log", "MALFORMED_RECORD"),
-        ("build-jar", "--log", "MALFORMED_RECORD"),
-        ("detect", "--log", "MALFORMED_RECORD"),
-        ("report", "--log", "MALFORMED_RECORD"),
-        ("simulate", "--config", "INVALID_CONFIG"),
-        ("detect", "--config", "INVALID_CONFIG"),
-        ("detect", "--jar", "CORRUPT_SNAPSHOT"),
-        ("report", "--jar", "CORRUPT_SNAPSHOT"),
-        ("report", "--findings", "MALFORMED_RECORD"),
-        ("report", "--gpc-findings", "MALFORMED_RECORD"),
-        ("report", "--resets", "MALFORMED_RECORD"),
-        ("report", "--syncs", "MALFORMED_RECORD"),
-        ("detect", "--psl", "MALFORMED_RULE"),
-        ("detect", "--trackers", "MALFORMED_DOMAIN"),
-        ("detect", "--adblock", "MALFORMED_DOMAIN"),
-        ("filter-convert", "--adblock", "MALFORMED_DOMAIN"),
-    ])
-    def test_reader(self, analyzed, tmp_path, capsys, command, flag, code):
-        d = analyzed
-        rules = {"--psl": DEMO / "psl.dat", "--trackers": d / "trackers.txt"}
-        args = {
-            "simulate": {"--config": DEMO / "ecosystem.json", "--seed": 7, "--out": tmp_path / "x.log"},
-            "validate-log": {"--log": d / "run.log"},
-            "build-jar": {"--log": d / "run.log", "--out": tmp_path / "jar.snap"},
-            "detect": {"--jar": d / "jar.snap", "--log": d / "run.log", **rules, "--out": tmp_path / "f.jsonl"},
-            "report": {"--findings": d / "findings.jsonl", "--jar": d / "jar.snap", "--log": d / "run.log", **rules,
-                       "--out": tmp_path / "report"},
-            "filter-convert": {},
-        }[command]
-        source = args.get(flag)
-        text = source.read_text(encoding="utf-8") if source else '{"format_version":1}\n'
-        bad = tmp_path / "utf16"
-        bad.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
-        args[flag] = bad
-        capsys.readouterr()
-        assert _run(["--errors", "json", command, *(arg for pair in args.items() for arg in pair)]) == 1
-        assert _json_error(capsys) == {"error": code, "message": f"{bad}: not UTF-8 (invalid start byte)"}
-
-
-class TestOversizedIntegers(TestDeeplyNestedJson):
-    """A JSON integer of more digits than int() converts is the reader's input error, not a traceback."""
-
-    BAD = "9" * 5000
-    PROBLEM = "integer too long"
-
-    @pytest.mark.parametrize("line", [0, 1])
-    def test_jar_snapshot(self, analyzed, tmp_path, capsys, line):
-        payload = f'{{"accepted_sites":[],"entries":[],"history":[],"n":{self.BAD}}}'
-        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
-                             "payload_sha256": hashlib.sha256(payload.encode()).hexdigest()})
-        snapshot = tmp_path / "long.snap"
-        snapshot.write_text(f"{self.BAD}\n{payload}\n" if line == 0 else f"{header}\n{payload}\n")
-        capsys.readouterr()
-        assert _run(["--errors", "json", "detect", "--jar", snapshot, "--log", analyzed / "run.log",
-                     "--out", tmp_path / "f.jsonl"]) == 1
-        assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
-                                       "message": f"{snapshot}: line {line + 1}: invalid JSON ({self.PROBLEM})"}
-
-
-@pytest.mark.parametrize("version", [True, 1.0])
-@pytest.mark.parametrize("reader, error", [
-    ("run.log", "MALFORMED_RECORD"), ("findings.jsonl", "MALFORMED_RECORD"), ("jar.snap", "CORRUPT_SNAPSHOT"),
-])
-def test_format_version_must_be_the_integer_1(analyzed, tmp_path, capsys, reader, error, version):
-    """A header version that only equals 1 is an input error for the log, NDJSON and snapshot readers."""
-    path = analyzed / reader
-    lines = path.read_text().splitlines()
-    lines[0] = json.dumps({**json.loads(lines[0]), "format_version": version})
-    path.write_text("\n".join(lines) + "\n")
-    inputs = ["--jar", analyzed / "jar.snap", "--log", analyzed / "run.log"]
-    command = {
-        "run.log": ["validate-log", "--log", path],
-        "findings.jsonl": ["report", "--findings", path, *inputs, "--out", tmp_path / "report"],
-        "jar.snap": ["detect", *inputs, "--out", tmp_path / "f.jsonl"],
-    }[reader]
-    capsys.readouterr()
-    assert _run(["--errors", "json", *command]) == 1
-    assert _json_error(capsys)["error"] == error
-
-
 class TestReportTiersAndConfigTypes:
-    """A bad ``--tiers``, a negative sample size or a mistyped pipeline-config field.
+    """A bad ``--tiers``, a negative sample size or a missing input named in the pipeline config.
 
     Each exits 1 with one JSON record and no traceback.
     """
 
-    def _argv(self, analyzed, command: str) -> list:
-        jar, log = analyzed / "jar.snap", analyzed / "run.log"
-        return {
-            "build-jar": ["build-jar", "--log", log, "--out", analyzed / "sampled.snap"],
-            "detect": ["detect", "--jar", jar, "--log", log, "--out", analyzed / "again.jsonl"],
-            "report": ["report", "--findings", analyzed / "findings.jsonl", "--jar", jar, "--log", log,
-                       "--out", analyzed / "report"],
-        }[command]
-
     @pytest.mark.parametrize("tiers", ["x", "10,,20", "5.5"])
     def test_bad_tiers_is_a_usage_error(self, analyzed, capsys, tiers):
         capsys.readouterr()
-        assert _run(["--errors", "json", *self._argv(analyzed, "report"), "--tiers", tiers]) == 1
+        assert _run_json("report", analyzed, {"--tiers": tiers}) == 1
         record = _json_error(capsys)
         assert record["error"] == "USAGE_ERROR"
         assert record["message"].startswith("cookietrail report: argument --tiers: ")
@@ -1456,7 +1297,7 @@ class TestReportTiersAndConfigTypes:
     def test_a_long_tiers_value_is_cut_in_its_usage_error(self, analyzed, capsys):
         tiers = "1," + "2x" * 50_000
         capsys.readouterr()
-        assert _run(["--errors", "json", *self._argv(analyzed, "report"), "--tiers", tiers]) == 1
+        assert _run_json("report", analyzed, {"--tiers": tiers}) == 1
         assert _json_error(capsys) == {
             "error": "USAGE_ERROR",
             "message": f"cookietrail report: argument --tiers: expected comma-separated integers, got {quoted(tiers)}",
@@ -1470,48 +1311,26 @@ class TestReportTiersAndConfigTypes:
         value = [str(analyzed / "run.log"), missing] if key == "log_paths" else missing
         path.write_text(json.dumps({key: value}))
         capsys.readouterr()
-        assert _run(["--errors", "json", *self._argv(analyzed, "detect"), "--config", path]) == 1
+        assert _run_json("detect", analyzed, {"--config": path}) == 1
         record = _json_error(capsys)
         assert record == {"error": "INVALID_CONFIG",
                           "message": f"{path}: referenced path does not exist: {quoted(missing)}"}
         assert len(json.dumps(record)) < 1000
 
-    @pytest.mark.parametrize(
-        "command, config, field",
-        [
-            ("report", {"tier_cutoffs": ["a"]}, "tier_cutoffs"),
-            ("build-jar", {"sample": {"n": "5"}}, "sample.n"),
-            ("detect", {"psl_path": 5}, "psl_path"),
-        ],
-    )
-    def test_mistyped_config_field_is_invalid_config(self, analyzed, capsys, command, config, field):
-        path = analyzed / "pipeline.json"
-        path.write_text(json.dumps(config))
-        capsys.readouterr()
-        assert _run(["--errors", "json", *self._argv(analyzed, command), "--config", path]) == 1
-        record = _json_error(capsys)
-        assert record["error"] == "INVALID_CONFIG"
-        assert f"field {field!r}" in record["message"]
-
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_sample_is_invalid(self, analyzed, capsys, source):
-        argv = ["--errors", "json", *self._argv(analyzed, "build-jar")]
-        if source == "flag":
-            argv += ["--sample-n", -1]
-        else:
-            path = analyzed / "pipeline.json"
-            path.write_text(json.dumps({"sample": {"n": -1}}))
-            argv += ["--config", path]
+        (analyzed / "pipeline.json").write_text(json.dumps({"sample": {"n": -1}}))
+        flags = {"--sample-n": -1} if source == "flag" else {"--config": analyzed / "pipeline.json"}
         capsys.readouterr()
-        assert _run(argv) == 1
+        assert _run_json("build-jar", analyzed, flags) == 1
         assert _json_error(capsys) == {"error": "INVALID_SAMPLE",
                                        "message": "sample size must not be negative, got -1"}
-        assert not (analyzed / "sampled.snap").exists()
+        assert not (analyzed / "out.snap").exists()
 
     def test_config_tiers_reach_the_report(self, analyzed):
         path = analyzed / "pipeline.json"
         path.write_text(json.dumps({"tier_cutoffs": [2, 6]}))
-        assert _run([*self._argv(analyzed, "report"), "--config", path]) == 0
+        assert _run(_argv("report", analyzed, {"--config": path})) == 0
         rows = (analyzed / "report" / "rank_tiers.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["2", "6"]
 
@@ -1538,7 +1357,7 @@ def _config_field_cases(d: Path, out: Path) -> dict:
 
 
 class TestConfigFieldTable:
-    """Each ``--config`` field does what its flag does; any other key, and ``--extra-domains``, is rejected."""
+    """Each ``--config`` field does what its flag does, and ``--extra-domains`` is gone."""
 
     @staticmethod
     def _artifacts(out: Path) -> list:
@@ -1571,43 +1390,16 @@ class TestConfigFieldTable:
         # Without the field the command fails or writes something else, so the field was read.
         assert artifacts["neither"] != artifacts["flag"]
 
-    @pytest.mark.parametrize(
-        "config, key",
-        [
-            ({"psl_pth": "psl.dat"}, "psl_pth"),
-            ({"filter_lists": {"plain": [], "adblok": []}}, "filter_lists.adblok"),
-            ({"sample": {"N": 1}}, "sample.N"),
-            ({"sample.n": 1}, "sample.n"),
-            ({"extra_tracker_domains_path": "extra.txt"}, "extra_tracker_domains_path"),
-        ],
-    )
-    def test_unknown_key_is_invalid_config(self, analyzed, capsys, config, key):
-        path = analyzed / "pipeline.json"
-        path.write_text(json.dumps(config))
-        capsys.readouterr()
-        assert _run(["--errors", "json", "detect", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
-                     "--config", path, "--out", analyzed / "again.jsonl"]) == 1
-        assert _json_error(capsys) == {"error": "INVALID_CONFIG", "message": f"{path}: unknown field {key!r}"}
-        assert not (analyzed / "again.jsonl").exists()
-
     @pytest.mark.parametrize("command", ["detect", "report"])
     def test_extra_domains_is_a_usage_error(self, analyzed, capsys, command):
-        argv = {"detect": ["detect", "--jar", analyzed / "jar.snap", "--out", analyzed / "again.jsonl"],
-                "report": ["report", "--findings", analyzed / "findings.jsonl", "--out", analyzed / "report"]}[command]
         capsys.readouterr()
-        assert _run(["--errors", "json", *argv, "--log", analyzed / "run.log",
-                     "--extra-domains", analyzed / "trackers.txt"]) == 1
+        assert _run_json(command, analyzed, {"--extra-domains": analyzed / "trackers.txt"}) == 1
         record = _json_error(capsys)
         assert record["error"] == "USAGE_ERROR"
         assert "--extra-domains" in record["message"]
 
 
 class TestFindingsReader:
-    def _report(self, analyzed, findings: Path) -> int:
-        return _run(["--errors", "json", "report", "--findings", findings, "--jar", analyzed / "jar.snap",
-                     "--log", analyzed / "run.log", "--psl", DEMO / "psl.dat",
-                     "--trackers", analyzed / "trackers.txt", "--out", analyzed / "report"])
-
     def _mutate(self, analyzed, tmp_path, index: int, mutate) -> Path:
         lines = (analyzed / "findings.jsonl").read_text().splitlines()
         assert len(lines) > index + 1
@@ -1630,21 +1422,21 @@ class TestFindingsReader:
     def test_mistyped_field_exits_1(self, analyzed, tmp_path, capsys, field, value):
         bad = self._mutate(analyzed, tmp_path, 1, lambda record: record.__setitem__(field, value))
         capsys.readouterr()
-        assert self._report(analyzed, bad) == 1
+        assert _run_json("report", analyzed, {"--findings": bad}) == 1
         assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
                                        "message": f"{bad}: record 1: bad {field} {value!r}"}
 
     def test_missing_field_exits_1(self, analyzed, tmp_path, capsys):
         bad = self._mutate(analyzed, tmp_path, 0, lambda record: record.pop("partition"))
         capsys.readouterr()
-        assert self._report(analyzed, bad) == 1
+        assert _run_json("report", analyzed, {"--findings": bad}) == 1
         assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
                                        "message": f"{bad}: record 0: missing field 'partition'"}
 
     def test_finding_not_in_jar_exits_1(self, analyzed, tmp_path, capsys):
         bad = self._mutate(analyzed, tmp_path, 2, lambda record: record.__setitem__("name", "elsewhere"))
         capsys.readouterr()
-        assert self._report(analyzed, bad) == 1
+        assert _run_json("report", analyzed, {"--findings": bad}) == 1
         record = _json_error(capsys)
         assert record["error"] == "FINDING_NOT_IN_JAR"
         assert record["message"].startswith(f"{bad}: record 2: cookie 'elsewhere' of ")
@@ -1685,8 +1477,7 @@ class TestFindingsSharing:
         path = self._findings_file(analyzed, tmp_path, mutate)
         record = json.loads(path.read_text().splitlines()[4])
         capsys.readouterr()
-        assert _run(["--errors", "json", "report", "--findings", path, "--jar", analyzed / "jar.snap",
-                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        assert _run_json("report", analyzed, {"--findings": path}) == 1
         assert _json_error(capsys) == {
             "error": "FINDING_NOT_IN_JAR",
             "message": f"{path}: record 3: cookie {record['name']!r} of {record['host']!r} "
@@ -1696,14 +1487,12 @@ class TestFindingsSharing:
     def test_gpc_findings_lists_are_type_checked_and_dropped(self, analyzed, tmp_path, capsys):
         """``--gpc-findings`` come from another run's jar: any list of strings is read, ``[5]`` is not."""
         path = self._findings_file(analyzed, tmp_path, lambda records: records[0].__setitem__("setter_sites", ["x"]))
-        args = ["--errors", "json", "report", "--findings", analyzed / "findings.jsonl", "--gpc-findings", path,
-                "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log", "--out", tmp_path / "report"]
-        assert _run(args) == 0
+        assert _run_json("report", analyzed, {"--gpc-findings": path}) == 0
         assert cli._read_findings(str(path)) == cli._read_findings(str(analyzed / "findings.jsonl"))
         bad = self._findings_file(analyzed, tmp_path, lambda records: records[0].__setitem__("setter_sites", [5]))
         assert bad == path
         capsys.readouterr()
-        assert _run(args) == 1
+        assert _run_json("report", analyzed, {"--gpc-findings": path}) == 1
         assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
                                        "message": f"{path}: record 0: bad setter_sites [5]"}
 
@@ -1719,19 +1508,16 @@ class TestFindingsSharing:
         bad_jar = _snapshot(tmp_path / "bad.snap", None, json.dumps(payload, sort_keys=True, separators=(",", ":")))
         findings = self._findings_file(analyzed, tmp_path, lambda records: records[0].__setitem__("setter_sites", [5]))
         capsys.readouterr()
-        assert _run(["--errors", "json", "report", "--findings", findings, "--jar", bad_jar,
-                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        assert _run_json("report", analyzed, {"--findings": findings, "--jar": bad_jar}) == 1
         assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
                                        "message": f"{bad_jar}: history[{rows[0]}]: bad setter_site 5"}
-        assert _run(["--errors", "json", "report", "--findings", findings, "--jar", analyzed / "jar.snap",
-                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        assert _run_json("report", analyzed, {"--findings": findings}) == 1
         assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
                                        "message": f"{findings}: record 0: bad setter_sites [5]"}
 
     def _first_error(self, analyzed, tmp_path, capsys, path: Path) -> dict:
         capsys.readouterr()
-        assert _run(["--errors", "json", "report", "--findings", path, "--jar", analyzed / "jar.snap",
-                     "--log", analyzed / "run.log", "--out", tmp_path / "report"]) == 1
+        assert _run_json("report", analyzed, {"--findings": path}) == 1
         return _json_error(capsys)
 
     def test_a_record_not_in_the_jar_before_a_bad_record_is_the_error(self, analyzed, tmp_path, capsys):
@@ -1762,6 +1548,20 @@ class TestFindingsSharingCompact(TestFindingsSharing):
     """The same, with the file rewritten compactly as ``detect`` writes it: unedited records skip the decode."""
 
     separators = (",", ":")
+
+
+def test_findings_with_default_separators_give_the_same_report(analyzed):
+    """Every line re-encoded with ``json.dumps``'s default separators: the same report, byte for byte."""
+    spaced = analyzed / "spaced.jsonl"
+    spaced.write_text("".join(json.dumps(json.loads(line)) + "\n"
+                              for line in (analyzed / "findings.jsonl").read_text().splitlines()))
+    reports = []
+    for findings in (analyzed / "findings.jsonl", spaced):
+        out = analyzed / f"{findings.stem}-report"
+        assert _run(_argv("report", analyzed, {"--findings": findings, "--resets": analyzed / "resets.jsonl",
+                                               "--syncs": analyzed / "syncs.jsonl", "--out": out})) == 0
+        reports.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(reports[0]) == 14 and reports[1] == reports[0]
 
 
 # --- the findings encoder against the path it replaced ------------------------------------
@@ -2089,8 +1889,7 @@ class TestSnapshotReader:
     def test_valid_json_of_the_wrong_shape_is_corrupt(self, analyzed, tmp_path, capsys, header, payload, problem):
         bad = _snapshot(tmp_path / "bad.snap", header, payload)
         capsys.readouterr()
-        assert _run(["--errors", "json", "detect", "--jar", bad, "--log", analyzed / "run.log",
-                     "--out", tmp_path / "f.jsonl"]) == 1
+        assert _run_json("detect", analyzed, {"--jar": bad}) == 1
         assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT", "message": f"{bad}: {problem}"}
 
     @staticmethod
@@ -2116,19 +1915,15 @@ class TestSnapshotReader:
     @pytest.mark.parametrize("command", ["detect", "report"])
     def test_mistyped_field_is_corrupt(self, analyzed, tmp_path, capsys, section, field, value, command):
         bad = self._mutated(analyzed, tmp_path, lambda payload: payload[section][1].__setitem__(field, value))
-        outputs = {"detect": ["--log", analyzed / "run.log", "--out", tmp_path / "f.jsonl"],
-                   "report": ["--findings", analyzed / "findings.jsonl", "--log", analyzed / "run.log",
-                              "--out", tmp_path / "report"]}[command]
         capsys.readouterr()
-        assert _run(["--errors", "json", command, "--jar", bad, *outputs]) == 1
+        assert _run_json(command, analyzed, {"--jar": bad}) == 1
         assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
                                        "message": f"{bad}: {section}[1]: bad {field} {value!r}"}
 
     def test_missing_field_is_corrupt(self, analyzed, tmp_path, capsys):
         bad = self._mutated(analyzed, tmp_path, lambda payload: payload["history"][0].pop("deleted"))
         capsys.readouterr()
-        assert _run(["--errors", "json", "detect", "--jar", bad, "--log", analyzed / "run.log",
-                     "--out", tmp_path / "f.jsonl"]) == 1
+        assert _run_json("detect", analyzed, {"--jar": bad}) == 1
         assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
                                        "message": f"{bad}: history[0]: missing field 'deleted'"}
 
@@ -2136,8 +1931,7 @@ class TestSnapshotReader:
     def test_accepted_sites_must_be_a_list_of_strings(self, analyzed, tmp_path, capsys, value):
         bad = self._mutated(analyzed, tmp_path, lambda payload: payload.__setitem__("accepted_sites", value))
         capsys.readouterr()
-        assert _run(["--errors", "json", "detect", "--jar", bad, "--log", analyzed / "run.log",
-                     "--out", tmp_path / "f.jsonl"]) == 1
+        assert _run_json("detect", analyzed, {"--jar": bad}) == 1
         assert _json_error(capsys) == {"error": "CORRUPT_SNAPSHOT",
                                        "message": f"{bad}: bad accepted_sites {value!r}"}
 
@@ -2153,27 +1947,14 @@ class TestSnapshotReader:
 
 
 class TestResetsAndSyncsReaders:
-    @pytest.fixture
-    def detected(self, analyzed):
-        assert _run(["detect", "--jar", analyzed / "jar.snap", "--log", analyzed / "run.log",
-                     "--psl", DEMO / "psl.dat", "--trackers", analyzed / "trackers.txt",
-                     "--out", analyzed / "findings.jsonl", "--resets-out", analyzed / "resets.jsonl",
-                     "--syncs-out", analyzed / "syncs.jsonl"]) == 0
-        return analyzed
-
-    def _report(self, detected, kind: str, path: Path) -> int:
-        return _run(["--errors", "json", "report", "--findings", detected / "findings.jsonl",
-                     "--jar", detected / "jar.snap", "--log", detected / "run.log", f"--{kind}", path,
-                     "--out", detected / "report"])
-
     @pytest.mark.parametrize("kind", ["resets", "syncs"])
-    def test_records_decode_to_what_detect_found(self, detected, kind):
-        records = [json.loads(line) for line in (detected / f"{kind}.jsonl").read_text().splitlines()[1:]]
+    def test_records_decode_to_what_detect_found(self, analyzed, kind):
+        records = [json.loads(line) for line in (analyzed / f"{kind}.jsonl").read_text().splitlines()[1:]]
         assert records
         fields = {"resets": cli._RESET_FIELDS, "syncs": cli._SYNC_FIELDS}[kind]
         assert [json.loads(fields.encode(fields.decode(record))) for record in records] == records
-        assert self._report(detected, kind, detected / f"{kind}.jsonl") == 0
-        header, row = (detected / "report" / "totals.csv").read_text().splitlines()
+        assert _run_json("report", analyzed, {f"--{kind}": analyzed / f"{kind}.jsonl"}) == 0
+        header, row = (analyzed / "report" / "totals.csv").read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))[kind] == str(len(records))
 
     @pytest.mark.parametrize("kind", ["resets", "syncs"])
@@ -2187,13 +1968,13 @@ class TestResetsAndSyncsReaders:
             (lambda records: [{**records[0], "partition": False}], "record 0: bad partition False"),
         ],
     )
-    def test_bad_record_exits_1(self, detected, tmp_path, capsys, kind, mutate, problem):
-        lines = (detected / f"{kind}.jsonl").read_text().splitlines()
+    def test_bad_record_exits_1(self, analyzed, tmp_path, capsys, kind, mutate, problem):
+        lines = (analyzed / f"{kind}.jsonl").read_text().splitlines()
         records = mutate([json.loads(line) for line in lines[1:]])
         bad = tmp_path / f"{kind}.jsonl"
         bad.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
         capsys.readouterr()
-        assert self._report(detected, kind, bad) == 1
+        assert _run_json("report", analyzed, {f"--{kind}": bad}) == 1
         assert _json_error(capsys) == {"error": "MALFORMED_RECORD", "message": f"{bad}: {problem}"}
 
     @pytest.mark.parametrize(
@@ -2206,12 +1987,12 @@ class TestResetsAndSyncsReaders:
             ("syncs", "parameter_name", []),
         ],
     )
-    def test_mistyped_field_exits_1(self, detected, tmp_path, capsys, kind, field, value):
-        lines = (detected / f"{kind}.jsonl").read_text().splitlines()
+    def test_mistyped_field_exits_1(self, analyzed, tmp_path, capsys, kind, field, value):
+        lines = (analyzed / f"{kind}.jsonl").read_text().splitlines()
         record = {**json.loads(lines[1]), field: value}
         bad = tmp_path / f"{kind}.jsonl"
         bad.write_text(f"{lines[0]}\n{json.dumps(record)}\n")
         capsys.readouterr()
-        assert self._report(detected, kind, bad) == 1
+        assert _run_json("report", analyzed, {f"--{kind}": bad}) == 1
         assert _json_error(capsys) == {"error": "MALFORMED_RECORD",
                                        "message": f"{bad}: record 0: bad {field} {value!r}"}

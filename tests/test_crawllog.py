@@ -49,7 +49,7 @@ from cookietrail.model import (
     VisitOutcome,
 )
 
-from helpers import banner_decodes, index_run, native_banner, numbered, random_config
+from helpers import banner_decodes, index_run, native_banner, numbered, random_config, set_path
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -1172,10 +1172,7 @@ def test_a_banner_list_or_record_of_another_json_type_is_refused(source, code, p
     error that names the field, even where the object's keys or a string's characters iterate as the items."""
     config, lines, line = _banner_sources()
     banner = config["sites"][1]["banner"]
-    parent = banner
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    set_path(banner, path, value)
     where = f"line {line + 1}: " if source == "log" else "sites[1]: "
     assert _banner_outcome(source, banner) == (code, f"{where}banner: {problem}")
 
