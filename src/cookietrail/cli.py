@@ -589,8 +589,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         _emit_error(exc, args.errors)
         return 1
-    except OSError as exc:
-        _emit_error(InputError("IO_ERROR", str(exc)), args.errors)
+    except OSError as exc:  # worded as ``str(exc)``, but with the file name cut like every echoed value
+        message = str(exc) if exc.filename is None else f"[Errno {exc.errno}] {exc.strerror}: {quoted(exc.filename)}"
+        _emit_error(InputError("IO_ERROR", message), args.errors)
         return 1
 
 

@@ -98,10 +98,6 @@ class DetectionResult:
     def canonical_findings(self) -> list[IntractableFinding]:
         return [f for f in self.findings if f.canonical]
 
-    @property
-    def staged_findings(self) -> list[IntractableFinding]:
-        return [f for f in self.findings if not f.canonical]
-
 
 def detect_intractable(
     jar: CookieJar,
@@ -192,16 +188,10 @@ def detect_reset(findings: Iterable[IntractableFinding], index: RunIndex) -> lis
     return resets
 
 
-_SIMPLE_LITERALS = frozenset({"YES", "NO", "true", "false", "0", "1"})
-
-
-def is_simple_value(value: str) -> bool:
-    """Preference-style values excluded from sync detection (flags, short numbers)."""
-    return value in _SIMPLE_LITERALS or (value.isdigit() and len(value) <= 10)
-
-
 def syncable_value(value: str) -> bool:
-    return len(value) > 10 and not is_simple_value(value)
+    # Longer than 10 characters: this length alone rules out flags
+    # (YES, true, 0, ...) and numbers of up to 10 digits.
+    return len(value) > 10
 
 
 def detect_sync(

@@ -31,7 +31,7 @@ the visited site, and the cost of a request does not grow with the store.
 
 ``ground_truth`` computes the cookies the detector must report by direct
 enumeration over the configuration, sharing only the seeded derivation
-discipline (and the banner-planning rules) with ``generate``.
+discipline (and the banner predicates) with ``generate``.
 
 A config's records are ``NamedTuple``s read through one ``model.RecordFields``
 declaration per kind, and ``validate`` checks what relates them; an error
@@ -41,6 +41,7 @@ names its object by its path: ``sites[0]: embeds[1]: bad channel 'SCRIPT'``.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -79,56 +80,14 @@ from .crawllog import (
     banner_to_obj,
 )
 
-# --- banner interaction planning ---------------------------------------------
+# --- banner predicates ------------------------------------------------------
 
 
-class RejectionOutcome(enum.Enum):
-    REJECTED = "REJECTED"
-    FAILED = "FAILED"
-    ACCEPT_RISK = "ACCEPT_RISK"
-
-
-@dataclass(frozen=True)
-class PlannedClick:
-    layer: int
-    label: str
-    action: ButtonAction
-
-
-@dataclass(frozen=True)
-class RejectionPlan:
-    clicks: tuple[PlannedClick, ...]
-    outcome: RejectionOutcome
-
-
-@dataclass(frozen=True)
-class SynonymTable:
-    """Button labels that count as reject / save actions, case-insensitive."""
-
-    reject: frozenset[str]
-    save: frozenset[str]
-
-    @classmethod
-    def load_default(cls) -> "SynonymTable":
-        text = resources.files("cookietrail").joinpath("data/reject_synonyms.json").read_text("utf-8")
-        return cls.from_obj(json.loads(text))
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "SynonymTable":
-        return cls(
-            reject=frozenset(label.casefold() for label in obj.get("reject", [])),
-            save=frozenset(label.casefold() for label in obj.get("save", [])),
-        )
-
-
-_DEFAULT_SYNONYMS: SynonymTable | None = None
-
-
-def default_synonyms() -> SynonymTable:
-    global _DEFAULT_SYNONYMS
-    if _DEFAULT_SYNONYMS is None:
-        _DEFAULT_SYNONYMS = SynonymTable.load_default()
-    return _DEFAULT_SYNONYMS
+@functools.cache
+def default_synonyms() -> tuple[frozenset[str], frozenset[str]]:
+    """The casefolded button labels that count as reject and as save actions, from the package's data file."""
+    obj = json.loads(resources.files("cookietrail").joinpath("data/reject_synonyms.json").read_text("utf-8"))
+    return frozenset(map(str.casefold, obj["reject"])), frozenset(map(str.casefold, obj["save"]))
 
 
 def _find_button(layer: BannerLayer, action: ButtonAction, labels: frozenset[str] = frozenset()):
@@ -138,38 +97,27 @@ def _find_button(layer: BannerLayer, action: ButtonAction, labels: frozenset[str
     return None
 
 
-def plan_rejection(banner: BannerDescriptor, synonyms: SynonymTable | None = None) -> RejectionPlan:
-    """Plan the clicks needed to reject a banner without ever accepting.
+def can_reject(banner: BannerDescriptor) -> bool:
+    """True when the banner can be rejected without ever accepting.
 
-    The main layer is tried first for a direct reject button.  Otherwise the
-    settings layer is opened and searched for a reject button, then for a
-    save-style button; saving counts as rejection only while every
-    non-essential toggle is preselected off, otherwise the plan is flagged
-    ACCEPT_RISK.
+    A main-layer reject button rejects.  Otherwise the main layer must open a
+    settings layer, where a reject button (by action or label) rejects, and so
+    does a save button (by action or label) while no non-essential toggle is
+    preselected on.
     """
-    if banner.banner_type is BannerType.NONE:
-        raise InputError("INVALID_CONFIG", "cannot plan rejection for a missing banner")
-    synonyms = synonyms or default_synonyms()
-    main = banner.layers[0] if banner.layers else BannerLayer()
-    reject_btn = _find_button(main, ButtonAction.REJECT)
-    if reject_btn is not None:
-        return RejectionPlan((PlannedClick(0, reject_btn.label, ButtonAction.REJECT),), RejectionOutcome.REJECTED)
-    settings_btn = _find_button(main, ButtonAction.SETTINGS)
-    if settings_btn is None or len(banner.layers) < 2:
-        return RejectionPlan((), RejectionOutcome.FAILED)
-    clicks = [PlannedClick(0, settings_btn.label, ButtonAction.SETTINGS)]
+    if banner.banner_type is BannerType.NONE or not banner.layers:
+        return False
+    main = banner.layers[0]
+    if _find_button(main, ButtonAction.REJECT) is not None:
+        return True
+    if _find_button(main, ButtonAction.SETTINGS) is None or len(banner.layers) < 2:
+        return False
+    reject, save = default_synonyms()
     settings = banner.layers[1]
-    deep_reject = _find_button(settings, ButtonAction.REJECT, synonyms.reject)
-    if deep_reject is not None:
-        clicks.append(PlannedClick(1, deep_reject.label, ButtonAction.REJECT))
-        return RejectionPlan(tuple(clicks), RejectionOutcome.REJECTED)
-    save_btn = _find_button(settings, ButtonAction.SAVE, synonyms.save)
-    if save_btn is None:
-        return RejectionPlan((), RejectionOutcome.FAILED)
-    clicks.append(PlannedClick(1, save_btn.label, ButtonAction.SAVE))
-    risky = any(t.preselected and not t.essential for t in settings.toggles)
-    outcome = RejectionOutcome.ACCEPT_RISK if risky else RejectionOutcome.REJECTED
-    return RejectionPlan(tuple(clicks), outcome)
+    if _find_button(settings, ButtonAction.REJECT, reject) is not None:
+        return True
+    return (_find_button(settings, ButtonAction.SAVE, save) is not None
+            and not any(t.preselected and not t.essential for t in settings.toggles))
 
 
 def can_accept(banner: BannerDescriptor) -> bool:
@@ -543,9 +491,7 @@ def ground_truth(config: EcosystemConfig, seed: int) -> GroundTruth:
 
     for site_name in config.schedule.phase2:
         site = config.site(site_name)
-        if site.banner.banner_type is BannerType.NONE:
-            continue
-        if plan_rejection(site.banner).outcome is not RejectionOutcome.REJECTED:
+        if not can_reject(site.banner):
             continue
         for embed in site.embeds:
             tracker = config.tracker(embed.tracker)
@@ -713,7 +659,7 @@ class _Run:
         if site.banner.banner_type is BannerType.NONE:
             self._end(VisitOutcome.NO_BANNER)
             return
-        if plan_rejection(site.banner).outcome is not RejectionOutcome.REJECTED:
+        if not can_reject(site.banner):
             self._end(VisitOutcome.INTERACTION_FAILED)
             return
         self._click(InteractionAction.REJECT_CLICKED, InteractionStage.AFTER_REJECT)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from cookietrail import crawllog, reports, simulator as sim
@@ -39,6 +40,40 @@ def set_path(obj, path, value) -> None:
     for key in path[:-1]:
         obj = obj[key]
     obj[path[-1]] = value
+
+
+def _field_paths(value, prefix=()):
+    """The path of every value that a JSON object or list holds, at any depth: object keys and list indices."""
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield prefix + (key,)
+        yield from _field_paths(item, prefix + (key,))
+
+
+# How each mutation replaces a value: by one of another JSON type, by null, by nothing, or by a huge string.
+_MUTATIONS = {
+    "wrong type": lambda value: 0 if type(value) in (str, bool, list, dict) else "0",
+    "null": lambda value: None,
+    "missing": None,
+    "huge": lambda value: "X" * 100_000,
+}
+
+
+def mutants(obj):
+    """(mutation, dotted path, mutated copy of ``obj``) for each of ``_MUTATIONS`` of each value that the JSON
+    object ``obj`` holds, at any depth, path by path."""
+    for path in _field_paths(obj):
+        dotted = ".".join(map(str, path))
+        for how, mutate in _MUTATIONS.items():
+            mutated = json.loads(json.dumps(obj))
+            parent = mutated
+            for key in path[:-1]:
+                parent = parent[key]
+            if mutate is None:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = mutate(parent[path[-1]])
+            yield how, dotted, mutated
 
 
 def banner_decodes(monkeypatch) -> list:

@@ -239,7 +239,7 @@ def test_c6a_reload_drop_quarter():
         _, _, result = run_pipeline(config, seed)
         before = len(result.canonical_findings)
         after = sum(
-            1 for f in result.staged_findings if f.stage is InteractionStage.AFTER_RELOADED_REJECT
+            1 for f in result.findings if not f.canonical and f.stage is InteractionStage.AFTER_RELOADED_REJECT
         )
         assert before > 0
         reductions.append(1 - after / before)

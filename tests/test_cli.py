@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
@@ -236,7 +237,7 @@ class TestSimulate:
         argv = ["--errors", "json", "simulate", "--config", DEMO / "ecosystem.json", "--seed", 7,
                 "--out", tmp_path / "run.log", flag, missing]
         assert _run(argv) == 1
-        problem = f"[Errno 2] No such file or directory: '{missing}'"
+        problem = f"[Errno 2] No such file or directory: {quoted(str(missing))}"
         assert _json_error(capsys) == {"error": "IO_ERROR", "message": problem}
         assert os.listdir(tmp_path) == []
         (tmp_path / "run.log").write_bytes(b"old log\n")
@@ -249,7 +250,7 @@ class TestSimulate:
         (tmp_path / "run.log").mkdir()
         assert _run(["--errors", "json", "simulate", "--config", DEMO / "ecosystem.json", "--seed", 7,
                      "--out", tmp_path / "run.log"]) == 1
-        problem = f"[Errno 21] Is a directory: '{tmp_path / 'run.log'}'"
+        problem = f"[Errno 21] Is a directory: {quoted(str(tmp_path / 'run.log'))}"
         assert _json_error(capsys) == {"error": "IO_ERROR", "message": problem}
         assert os.listdir(tmp_path) == ["run.log"]
 
@@ -271,10 +272,10 @@ class TestStagedOutputs:
         if unwritable == "a directory":
             blocked = tmp_path / "blocked"
             blocked.mkdir()
-            problem = f"[Errno 21] Is a directory: '{blocked}'"
+            problem = f"[Errno 21] Is a directory: {quoted(str(blocked))}"
         else:
             blocked = tmp_path / "missing" / "file"
-            problem = f"[Errno 2] No such file or directory: '{blocked}'"
+            problem = f"[Errno 2] No such file or directory: {quoted(str(blocked))}"
         paths = {f: blocked if f == flag else out / f.strip("-") for f in _STAGED_FLAGS[command]}
         argv = ["--errors", "json", *_argv(command, analyzed, paths)]
         capsys.readouterr()
@@ -309,7 +310,7 @@ class TestStagedOutputs:
         for out in (fresh, earlier):
             assert report(out) == 1
             assert _json_error(capsys) == {"error": "IO_ERROR",
-                                           "message": f"[Errno 21] Is a directory: '{out / blocked}'"}
+                                           "message": f"[Errno 21] Is a directory: {quoted(str(out / blocked))}"}
         assert os.listdir(fresh) == [blocked]
         assert sorted(os.listdir(earlier)) == names
         assert all((earlier / name).read_bytes() == b"old\n" for name in names if name != blocked)
@@ -328,6 +329,21 @@ class TestStagedOutputs:
         assert _json_error(capsys) == {"error": "IO_ERROR", "message": "[Errno 28] No space left on device"}
         assert os.listdir(target.parent) == ["jar.snap"]
         assert target.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-log", "--log", "P" * 100_000],
+    ["simulate", "--config", DEMO / "ecosystem.json", "--seed", 7, "--out", "R" * 100_000],
+], ids=["validate-log", "simulate"])
+def test_an_io_error_on_a_huge_path_is_one_bounded_record(tmp_path, capsys, monkeypatch, argv):
+    """An IO_ERROR cuts the path it names like every other echoed value."""
+    monkeypatch.chdir(tmp_path)
+    assert _run(["--errors", "json", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1 and len(err.encode("utf-8")) < 1000, err[:200]
+    problem = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: {quoted(argv[-1])}"
+    assert json.loads(err) == {"error": "IO_ERROR", "message": problem}
+    assert os.listdir(tmp_path) == []
 
 
 class TestPipeline:

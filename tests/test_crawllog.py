@@ -49,7 +49,7 @@ from cookietrail.model import (
     VisitOutcome,
 )
 
-from helpers import banner_decodes, index_run, native_banner, numbered, random_config, set_path
+from helpers import banner_decodes, index_run, mutants, native_banner, numbered, random_config, set_path
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -1128,28 +1128,16 @@ def _banner_outcome(source: str, banner: dict) -> tuple[str, str]:
 def test_each_banner_field_mutation_has_its_pinned_outcome(source, code):
     """Every field of a banner, of the wrong JSON type, null, missing or huge: accepted, or refused with the code
     and in the bounded wording of its source, naming the field's path."""
-    from test_simulator import _MUTATIONS, _field_paths
-
     config, lines, line = _banner_sources()
     banner = config["sites"][1]["banner"]
     where = f"line {line + 1}: banner: " if source == "log" else "sites[1]: banner: "
     outcomes = collections.Counter()
-    for path in _field_paths(banner):
-        dotted = ".".join(map(str, path))
-        for how, mutate in _MUTATIONS.items():
-            mutated = json.loads(json.dumps(banner))
-            parent = mutated
-            for key in path[:-1]:
-                parent = parent[key]
-            if mutate is None:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = mutate(parent[path[-1]])
-            got, message = _banner_outcome(source, mutated)
-            accepted = any(how == mutation and re.fullmatch(pattern, dotted) for mutation, pattern in _BANNER_ACCEPTED)
-            assert got == ("accepted" if accepted else code), (how, dotted, message)
-            assert got == "accepted" or (message.startswith(where) and len(message) < 200), (how, dotted, message)
-            outcomes[got] += 1
+    for how, dotted, mutated in mutants(banner):
+        got, message = _banner_outcome(source, mutated)
+        accepted = any(how == mutation and re.fullmatch(pattern, dotted) for mutation, pattern in _BANNER_ACCEPTED)
+        assert got == ("accepted" if accepted else code), (how, dotted, message)
+        assert got == "accepted" or (message.startswith(where) and len(message) < 200), (how, dotted, message)
+        outcomes[got] += 1
     assert outcomes == {code: 83, "accepted": 17}
 
 

@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
+import pytest
+
 from cookietrail.crawllog import (
     CookieSet,
     HttpRequest,
@@ -21,7 +23,6 @@ from cookietrail.detector import (
     SyncFinding,
     detect_reset,
     detect_sync,
-    is_simple_value,
     match_sent_to_jar,
     syncable_value,
 )
@@ -217,7 +218,7 @@ class TestDetect:
         # only send happens after reload.
         result = Detector(RULES, TRACKERS).detect(jar, index)
         canonical = result.canonical_findings
-        staged = result.staged_findings
+        staged = [f for f in result.findings if not f.canonical]
         assert canonical == []
         assert len(staged) == 1 and staged[0].stage is InteractionStage.AFTER_RELOADED_REJECT
 
@@ -228,7 +229,7 @@ class TestDetect:
         )
         result = Detector(RULES, TRACKERS).detect(jar, index)
         assert result.canonical_findings == []
-        assert len(result.staged_findings) == 1
+        assert len([f for f in result.findings if not f.canonical]) == 1
         assert result.stats.failed_rejections == 1
 
     def test_non_tracking_match_not_a_finding(self):
@@ -257,7 +258,7 @@ class TestDetect:
         ]
         result = Detector(RULES, TRACKERS).detect(jar, parse_log_text(serialize(events)))
         assert result.canonical_findings == []
-        assert [f.stage for f in result.staged_findings] == [InteractionStage.AFTER_ACCEPT]
+        assert [f.stage for f in result.findings if not f.canonical] == [InteractionStage.AFTER_ACCEPT]
 
     def test_accept_iteration_before_sends_not_canonical(self):
         jar = jar_with(make_record("id", "tracker.net", value="123"))
@@ -276,7 +277,7 @@ class TestDetect:
         ]
         result = Detector(RULES, TRACKERS).detect(jar, parse_log_text(serialize(events)))
         assert result.canonical_findings == []
-        assert len(result.staged_findings) == 1
+        assert len([f for f in result.findings if not f.canonical]) == 1
 
     def test_subset_and_uniques_identity(self):
         jar = jar_with(
@@ -546,15 +547,12 @@ class TestDetectSync:
         assert detect_sync(findings, index_run(events), RULES, TRACKERS) == expected
 
 
-class TestSimpleValues:
-    def test_literals(self):
-        for value in ["YES", "NO", "true", "false", "0", "1"]:
-            assert is_simple_value(value)
-
-    def test_short_numbers(self):
-        assert is_simple_value("1234567890")
-        assert not is_simple_value("12345678901")
-
-    def test_syncable_requires_length(self):
-        assert not syncable_value("shortvalue")
-        assert syncable_value("AbCdEf123456")
+@pytest.mark.parametrize("value, syncable", [
+    *((flag, False) for flag in ["YES", "NO", "true", "false", "0", "1"]),
+    ("1234567890", False),
+    ("12345678901", True),
+    ("shortvalue", False),
+    ("AbCdEf123456", True),
+])
+def test_syncable_value(value, syncable):
+    assert syncable_value(value) is syncable

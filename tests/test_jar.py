@@ -21,7 +21,7 @@ from cookietrail.model import (
     Phase,
 )
 
-from helpers import save_jar
+from helpers import mutants, save_jar
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -386,40 +386,28 @@ _PAYLOAD_ACCEPTED = {
 def test_each_payload_field_mutation_has_its_pinned_outcome(tmp_path):
     """Every payload field, of the wrong JSON type, null, missing or huge, checksummed again: accepted, or refused
     as CORRUPT_SNAPSHOT in a bounded message that names the field's path."""
-    from test_simulator import _MUTATIONS, _field_paths
-
     config = simulator.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
     save_jar(build_jar(parse_log_text(serialize(simulator.generate(config, 7)))), tmp_path / "demo.snap")
     payload = json.loads((tmp_path / "demo.snap").read_text(encoding="utf-8").splitlines()[1])
     bad = tmp_path / "bad.snap"
     outcomes = {}
-    for path in _field_paths(payload):
-        if any(type(key) is int and key != 0 for key in path):
+    for how, dotted, mutated in mutants(payload):
+        if any(part.isdigit() and part != "0" for part in dotted.split(".")):  # the first entry and row only
             continue
-        dotted = ".".join(map(str, path))
-        for how, mutate in _MUTATIONS.items():
-            mutated = json.loads(json.dumps(payload))
-            parent = mutated
-            for key in path[:-1]:
-                parent = parent[key]
-            if mutate is None:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = mutate(parent[path[-1]])
-            text = json.dumps(mutated, sort_keys=True, separators=(",", ":"))
-            header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
-                                 "payload_sha256": hashlib.sha256(text.encode()).hexdigest()})
-            bad.write_text(f"{header}\n{text}\n", encoding="utf-8")
-            try:
-                CookieJar.load(bad)
-                got = "accepted"
-            except InputError as exc:
-                got = exc.code
-                problem = exc.message.removeprefix(f"{bad}: ")
-                assert path[0] in problem and len(problem) < 150, (how, dotted, problem)
-            accepted = any(how == mutation and re.fullmatch(pattern, dotted) for mutation, pattern in _PAYLOAD_ACCEPTED)
-            assert got == ("accepted" if accepted else "CORRUPT_SNAPSHOT"), (how, dotted)
-            outcomes[got] = outcomes.get(got, 0) + 1
+        text = json.dumps(mutated, sort_keys=True, separators=(",", ":"))
+        header = json.dumps({"format": SNAPSHOT_FORMAT, "format_version": SNAPSHOT_VERSION,
+                             "payload_sha256": hashlib.sha256(text.encode()).hexdigest()})
+        bad.write_text(f"{header}\n{text}\n", encoding="utf-8")
+        try:
+            CookieJar.load(bad)
+            got = "accepted"
+        except InputError as exc:
+            got = exc.code
+            problem = exc.message.removeprefix(f"{bad}: ")
+            assert dotted.split(".")[0] in problem and len(problem) < 150, (how, dotted, problem)
+        accepted = any(how == mutation and re.fullmatch(pattern, dotted) for mutation, pattern in _PAYLOAD_ACCEPTED)
+        assert got == ("accepted" if accepted else "CORRUPT_SNAPSHOT"), (how, dotted)
+        outcomes[got] = outcomes.get(got, 0) + 1
     assert outcomes == {"CORRUPT_SNAPSHOT": 70, "accepted": 18}
 
 

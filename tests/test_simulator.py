@@ -34,6 +34,7 @@ from helpers import (
     banner_decodes,
     cmp_banner,
     index_run,
+    mutants,
     native_banner,
     object_path,
     paywall_banner,
@@ -45,71 +46,29 @@ from helpers import (
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
-class TestPlanRejection:
-    def test_main_layer_reject_single_click(self):
-        plan = sim.plan_rejection(native_banner())
-        assert plan.outcome is sim.RejectionOutcome.REJECTED
-        assert len(plan.clicks) == 1
-        assert plan.clicks[0].action is ButtonAction.REJECT
+def _settings_banner(label: str, action: ButtonAction = ButtonAction.OTHER) -> BannerDescriptor:
+    """A CMP banner whose second layer, behind Settings, holds one button."""
+    return BannerDescriptor(BannerType.CMP, (BannerLayer(buttons=(BannerButton("Options", ButtonAction.SETTINGS),)),
+                                             BannerLayer(buttons=(BannerButton(label, action),))))
 
-    def test_settings_reject(self):
-        plan = sim.plan_rejection(cmp_banner(settings_reject=True))
-        assert plan.outcome is sim.RejectionOutcome.REJECTED
-        assert [c.action for c in plan.clicks] == [ButtonAction.SETTINGS, ButtonAction.REJECT]
 
-    def test_save_with_preselected_off_rejects(self):
-        plan = sim.plan_rejection(cmp_banner(settings_save=True, save_label="SAVE & EXIT"))
-        assert plan.outcome is sim.RejectionOutcome.REJECTED
-        assert plan.clicks[-1].action is ButtonAction.SAVE
-
-    def test_save_with_preselected_on_is_accept_risk(self):
-        plan = sim.plan_rejection(cmp_banner(settings_save=True, preselected_on=True))
-        assert plan.outcome is sim.RejectionOutcome.ACCEPT_RISK
-
-    def test_no_reject_path_fails(self):
-        plan = sim.plan_rejection(cmp_banner(settings_reject=False, settings_save=False))
-        assert plan.outcome is sim.RejectionOutcome.FAILED
-
-    def test_paywall_fails(self):
-        assert sim.plan_rejection(paywall_banner()).outcome is sim.RejectionOutcome.FAILED
-
-    def test_never_clicks_accept(self):
-        rng = random.Random(3)
-        from helpers import random_banner
-
-        for _ in range(300):
-            banner = random_banner(rng)
-            if banner.banner_type is BannerType.NONE:
-                continue
-            plan = sim.plan_rejection(banner)
-            assert all(c.action is not ButtonAction.ACCEPT for c in plan.clicks)
-
-    def test_synonym_label_matched_in_settings(self):
-        banner = BannerDescriptor(
-            BannerType.CMP,
-            (
-                BannerLayer(buttons=(BannerButton("Options", ButtonAction.SETTINGS),)),
-                BannerLayer(buttons=(BannerButton("Alle ablehnen", ButtonAction.OTHER),)),
-            ),
-        )
-        plan = sim.plan_rejection(banner)
-        assert plan.outcome is sim.RejectionOutcome.REJECTED
-
-    def test_custom_synonym_table(self):
-        table = sim.SynonymTable(reject=frozenset({"nope"}), save=frozenset())
-        banner = BannerDescriptor(
-            BannerType.CMP,
-            (
-                BannerLayer(buttons=(BannerButton("Settings", ButtonAction.SETTINGS),)),
-                BannerLayer(buttons=(BannerButton("NOPE", ButtonAction.OTHER),)),
-            ),
-        )
-        assert sim.plan_rejection(banner, table).outcome is sim.RejectionOutcome.REJECTED
-        assert sim.plan_rejection(banner).outcome is sim.RejectionOutcome.FAILED
-
-    def test_banner_none_rejected_input(self):
-        with pytest.raises(InputError):
-            sim.plan_rejection(BannerDescriptor(BannerType.NONE))
+@pytest.mark.parametrize("banner, rejectable", [
+    pytest.param(native_banner(), True, id="main-layer reject"),
+    pytest.param(cmp_banner(settings_reject=True, settings_save=False), True, id="settings reject by action"),
+    pytest.param(_settings_banner("Alle ablehnen"), True, id="settings reject by label"),
+    pytest.param(cmp_banner(settings_reject=True, preselected_on=True), True, id="settings reject, a toggle on"),
+    pytest.param(_settings_banner("Done", ButtonAction.SAVE), True, id="save by action"),
+    pytest.param(_settings_banner("SAVE & EXIT"), True, id="save by label SAVE & EXIT"),
+    pytest.param(_settings_banner("Accept Selected"), True, id="save by label Accept Selected"),
+    pytest.param(cmp_banner(settings_save=True, preselected_on=True), False, id="save with a preselected toggle"),
+    pytest.param(cmp_banner(settings_reject=False, settings_save=False), False, id="no reject path"),
+    pytest.param(native_banner(reject=False), False, id="accept only"),
+    pytest.param(paywall_banner(), False, id="paywall"),
+    pytest.param(BannerDescriptor(BannerType.NONE), False, id="NONE"),
+    pytest.param(BannerDescriptor(BannerType.CMP), False, id="no layers"),
+])
+def test_can_reject(banner, rejectable):
+    assert sim.can_reject(banner) is rejectable
 
 
 class TestGenerate:
@@ -240,22 +199,6 @@ class TestGenerate:
             ).validate()
 
 
-def _field_paths(value, prefix=()):
-    """The path of every value that a JSON object or list holds, at any depth: object keys and list indices."""
-    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
-    for key, item in items:
-        yield prefix + (key,)
-        yield from _field_paths(item, prefix + (key,))
-
-
-# How each mutation replaces a value: by one of another JSON type, by null, by nothing, or by a huge string.
-_MUTATIONS = {
-    "wrong type": lambda value: 0 if type(value) in (str, bool, list, dict) else "0",
-    "null": lambda value: None,
-    "missing": None,
-    "huge": lambda value: "X" * 100_000,
-}
-
 # The outcome of each mutation of each demo config path, as loading gave it before the config was read by
 # declared fields: a (mutation, regular expression) that the dotted path matches in full, else INVALID_CONFIG.
 _PINNED_OUTCOMES = {
@@ -279,27 +222,17 @@ def test_each_field_mutation_of_the_demo_config_has_its_pinned_outcome():
     the code that loading gave before the config was read by declared fields."""
     demo = json.loads((DEMO / "ecosystem.json").read_text(encoding="utf-8"))
     outcomes = collections.Counter()
-    for path in _field_paths(demo):
-        dotted = ".".join(map(str, path))
-        for how, mutate in _MUTATIONS.items():
-            obj = json.loads(json.dumps(demo))
-            parent = obj
-            for key in path[:-1]:
-                parent = parent[key]
-            if mutate is None:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = mutate(parent[path[-1]])
-            try:
-                sim.EcosystemConfig.from_obj(obj)
-                got = "accepted"
-            except InputError as exc:
-                got = exc.code
-                assert len(exc.message) < 200 and "Error(" not in exc.message, (how, dotted, exc.message)
-            expected = next((outcome for (mutation, pattern), outcome in _PINNED_OUTCOMES.items()
-                             if mutation == how and re.fullmatch(pattern, dotted)), "INVALID_CONFIG")
-            assert got == expected, (how, dotted)
-            outcomes[got] += 1
+    for how, dotted, obj in mutants(demo):
+        try:
+            sim.EcosystemConfig.from_obj(obj)
+            got = "accepted"
+        except InputError as exc:
+            got = exc.code
+            assert len(exc.message) < 200 and "Error(" not in exc.message, (how, dotted, exc.message)
+        expected = next((outcome for (mutation, pattern), outcome in _PINNED_OUTCOMES.items()
+                         if mutation == how and re.fullmatch(pattern, dotted)), "INVALID_CONFIG")
+        assert got == expected, (how, dotted)
+        outcomes[got] += 1
     assert outcomes == {"INVALID_CONFIG": 704, "accepted": 145, "INVALID_LABEL": 31}
 
 
@@ -548,9 +481,7 @@ def _ref_ground_truth(config: sim.EcosystemConfig, seed: int) -> sim.GroundTruth
 
     for site_name in config.schedule.phase2:
         site = config.site(site_name)
-        if site.banner.banner_type is BannerType.NONE:
-            continue
-        if sim.plan_rejection(site.banner).outcome is not sim.RejectionOutcome.REJECTED:
+        if not sim.can_reject(site.banner):
             continue
         for embed in site.embeds:
             tracker = config.tracker(embed.tracker)
@@ -613,7 +544,7 @@ class TestScenarioShapes:
             _, _, result = run_pipeline(config, seed)
             before = [f for f in result.canonical_findings]
             after = [
-                f for f in result.staged_findings if f.stage is InteractionStage.AFTER_RELOADED_REJECT
+                f for f in result.findings if not f.canonical and f.stage is InteractionStage.AFTER_RELOADED_REJECT
             ]
             assert before
             reductions.append(1 - len(after) / len(before))
