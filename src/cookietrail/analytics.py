@@ -22,7 +22,7 @@ from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .detector import IntractableFinding
 from .errors import InputError
-from .filterlist import TrackerDomainSet, is_tracker
+from .filterlist import is_tracker
 from .jar import CookieJar
 from .model import BannerType, CookieKey, SiteId
 from .psl import PslRuleSet, etld_plus_one
@@ -321,7 +321,7 @@ class PartitionedRow(NamedTuple):
 
 def partitioned_summary(
     jar: CookieJar,
-    trackers: TrackerDomainSet,
+    trackers: frozenset[str],
     rules: PslRuleSet,
 ) -> list[PartitionedRow]:
     """Unique-cookie counts by partitioned status: all cookies, then tracking cookies.

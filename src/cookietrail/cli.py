@@ -173,7 +173,7 @@ def _load_rules(args) -> PslRuleSet:
     return EMPTY_RULESET
 
 
-def _adblock_domains(paths, error_format: str) -> tuple[list[filterlist.TrackerDomainSet], int]:
+def _adblock_domains(paths, error_format: str) -> tuple[list[frozenset[str]], int]:
     """Each ``--adblock`` list's domains, its issues emitted as it is read, and the rules they all ignored."""
     sets, ignored = [], 0
     for path in paths:
@@ -185,7 +185,7 @@ def _adblock_domains(paths, error_format: str) -> tuple[list[filterlist.TrackerD
     return sets, ignored
 
 
-def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
+def _load_trackers(args, error_format: str) -> frozenset[str]:
     sets = []
     for path in args.trackers or []:
         issues: list = []
@@ -193,7 +193,7 @@ def _load_trackers(args, error_format: str) -> filterlist.TrackerDomainSet:
             sets.append(filterlist.parse_domain_list(Path(path).read_text(encoding="utf-8"), issues=issues))
         _emit_issues(named(issues), error_format)
     sets += _adblock_domains(args.adblock or [], error_format)[0]
-    return filterlist.merge(sets) if sets else filterlist.EMPTY_TRACKER_SET
+    return frozenset().union(*sets)
 
 
 # --- findings NDJSON ---------------------------------------------------------
@@ -459,14 +459,14 @@ def _cmd_report(args, error_format: str) -> int:
 
 def _cmd_filter_convert(args, error_format: str) -> int:
     sets, ignored = _adblock_domains(args.adblock, error_format)
-    merged = filterlist.merge(sets)
-    text = "".join(f"{d}\n" for d in sorted(merged.domains))
+    merged = frozenset().union(*sets)
+    text = "".join(f"{d}\n" for d in sorted(merged))
     if args.out:
         with _staged_outputs() as open_output, open_output(args.out) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    print(f"filter-convert: {len(merged.domains)} domains, {ignored} rules ignored", file=sys.stderr)
+    print(f"filter-convert: {len(merged)} domains, {ignored} rules ignored", file=sys.stderr)
     return 0
 
 

@@ -148,18 +148,6 @@ class VisitEnd(NamedTuple):
 
 CrawlEvent = VisitStart | BannerObserved | Interaction | HttpRequest | CookieSet | VisitEnd
 
-class SentCookieObservation(NamedTuple):
-    """One cookie name/value pair observed in an outgoing request."""
-
-    name: str
-    value: str
-    target_host: str
-    sender_site: SiteId
-    stage: InteractionStage
-    channel: Channel
-    visit_id: str
-    event_index: int
-
 
 class SetCookieFragment(NamedTuple):
     """The pieces of a Set-Cookie header the pipeline cares about."""
@@ -638,33 +626,6 @@ def record_from_cookie_set(
 def in_visit(issues: list[ParseIssue], start: int, visit_id: str) -> None:
     """Start the message of each issue from ``issues[start]`` on with ``visit '<id>': ``; cheap if there is none."""
     issues[start:] = [ParseIssue(i.code, f"visit {visit_id!r}: {i.detail}", i.line) for i in issues[start:]]
-
-
-def extract_sent(index: RunIndex, *, issues: list[ParseIssue] | None = None) -> list[SentCookieObservation]:
-    """One observation per (HTTP_REQUEST, cookie pair), in event order; each issue collected names its visit."""
-    visits = index.visits
-    observations: list[SentCookieObservation] = []
-    issues = [] if issues is None else issues
-    for event in index.requests:
-        site = visits[event.visit_id].site
-        start = len(issues)
-        pairs = parse_cookie_header(event.cookie_header, issues=issues)
-        if len(issues) > start:
-            in_visit(issues, start, event.visit_id)
-        for name, value in pairs:
-            observations.append(
-                SentCookieObservation(
-                    name=name,
-                    value=value,
-                    target_host=event.target_host,
-                    sender_site=site,
-                    stage=event.stage,
-                    channel=event.channel,
-                    visit_id=event.visit_id,
-                    event_index=event.event_index,
-                )
-            )
-    return observations
 
 
 _event_index = attrgetter("event_index")

@@ -9,19 +9,19 @@ with ``canonical=False``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 from urllib.parse import parse_qsl, urlsplit
 
-from .crawllog import RunIndex, SentCookieObservation, VisitSummary, extract_sent, parse_set_cookie
+from .crawllog import RunIndex, in_visit, parse_cookie_header, parse_set_cookie
 from .errors import InputError, ParseIssue
-from .filterlist import TrackerDomainSet, is_tracker
+from .filterlist import is_tracker
 from .jar import CookieJar
 from .model import Channel, CookieKey, InteractionStage, Phase, SiteId, VisitOutcome
 from .psl import PslRuleSet, etld_plus_one
 
 
-def match_sent_to_jar(obs: SentCookieObservation, jar: CookieJar) -> CookieKey | None:
-    """Find the jar entry a sent cookie came from, or None.
+def match_sent_to_jar(name: str, value: str, target_host: str, jar: CookieJar) -> CookieKey | None:
+    """Find the jar entry a cookie sent to ``target_host`` came from, or None.
 
     Candidates share the cookie name, are not partitioned (partitioned
     entries never travel cross-site), and their host domain-matches the
@@ -30,14 +30,14 @@ def match_sent_to_jar(obs: SentCookieObservation, jar: CookieJar) -> CookieKey |
     in ``jar.entries`` by suffix, longest first, instead of scanning the jar.
     Ties prefer an exact value match, then the longest host.
     """
-    labels = obs.target_host.split(".")
+    labels = target_host.split(".")
     longest: CookieKey | None = None
     for i in range(len(labels)):
-        key = CookieKey(obs.name, ".".join(labels[i:]), None)
+        key = CookieKey(name, ".".join(labels[i:]), None)
         record = jar.entries.get(key)
         if record is None:
             continue
-        if record.value == obs.value:
+        if record.value == value:
             return key
         if longest is None:
             longest = key
@@ -99,70 +99,75 @@ class DetectionResult:
         return [f for f in self.findings if f.canonical]
 
 
+def _tracker_domain(
+    host: str, rules: PslRuleSet, trackers: frozenset[str], memo: dict[str, SiteId | InputError | None]
+) -> SiteId | InputError | None:
+    """A listed host's tracker domain (its registrable domain), None for an unlisted host, or the PSL's error.
+
+    Each host's verdict is reached once per ``memo`` and reused after.
+    """
+    if host not in memo:
+        try:
+            memo[host] = etld_plus_one(host, rules) if is_tracker(host, trackers) else None
+        except InputError as exc:
+            memo[host] = exc
+    return memo[host]
+
+
 def detect_intractable(
     jar: CookieJar,
-    observations: Iterable[SentCookieObservation],
-    visits: Mapping[str, VisitSummary],
+    index: RunIndex,
     rules: PslRuleSet,
-    trackers: TrackerDomainSet,
+    trackers: frozenset[str],
     *,
     issues: list[ParseIssue],
     stats: DetectionStats,
 ) -> list[IntractableFinding]:
     """Match measure-phase sends against the jar and label each finding's stage.
 
-    Only tracking cookies (blocklist match on the jar host) yield findings;
-    first- and third-party hosts alike.  Findings keep event order, so the
-    output is deterministic however the observations were produced.  Each
-    measure-phase observation lands in exactly one of ``stats``'
-    ``unmatched_observations``, ``non_tracking_matches`` and ``psl_failures``,
-    or in the findings.
-
-    Each cookie host's verdict (not a tracker, its tracker domain, or the PSL
-    error) is reached once per call and reused for every later send.
+    One walk of the run's requests: every Cookie header is split, in every
+    phase, so each malformed pair is an issue naming its visit; each pair
+    sent on a measure-phase visit is then decided.  Only tracking cookies
+    (blocklist match on the jar host) yield findings; first- and third-party
+    hosts alike.  Findings keep event order.  Each measure-phase pair lands
+    in exactly one of ``stats``' ``unmatched_observations``,
+    ``non_tracking_matches`` and ``psl_failures``, or in the findings.  The
+    PSL failures' issues follow all the pair issues.
     """
     findings: list[IntractableFinding] = []
-    verdicts: dict[str, SiteId | InputError | None] = {}  # cookie host -> tracker domain, None if not a tracker
-    for obs in observations:
-        visit = visits[obs.visit_id]
+    psl_issues: list[ParseIssue] = []
+    verdicts: dict[str, SiteId | InputError | None] = {}
+    visits = index.visits
+    for event in index.requests:
+        start = len(issues)
+        pairs = parse_cookie_header(event.cookie_header, issues=issues)
+        if len(issues) > start:
+            in_visit(issues, start, event.visit_id)
+        visit = visits[event.visit_id]
         if visit.phase is not Phase.STATELESS_MEASURE:
             continue
-        stats.observations += 1
-        key = match_sent_to_jar(obs, jar)
-        if key is None:
-            stats.unmatched_observations += 1
-            continue
-        host = key.host
-        if host in verdicts:
-            tracker_domain = verdicts[host]
-        elif not is_tracker(host, trackers):
-            tracker_domain = verdicts[host] = None
-        else:
-            try:
-                tracker_domain = etld_plus_one(host, rules)
-            except InputError as exc:
-                tracker_domain = exc
-            verdicts[host] = tracker_domain
-        if tracker_domain is None:
-            stats.non_tracking_matches += 1
-            continue
-        if type(tracker_domain) is not str:
-            stats.psl_failures += 1
-            issues.append(ParseIssue(tracker_domain.code, f"cookie host {host!r}: {tracker_domain.message}"))
-            continue
-        findings.append(
-            IntractableFinding(
-                key=key,
-                value_at_send=obs.value,
-                sender_site=obs.sender_site,
-                tracker_domain=tracker_domain,
-                stage=obs.stage,
-                channel=obs.channel,
-                visit_id=obs.visit_id,
-                event_index=obs.event_index,
-                canonical=visit.rejected_measurement and obs.stage is InteractionStage.BEFORE_INTERACTION,
-            )
-        )
+        stats.observations += len(pairs)
+        canonical = visit.rejected_measurement and event.stage is InteractionStage.BEFORE_INTERACTION
+        for name, value in pairs:
+            key = match_sent_to_jar(name, value, event.target_host, jar)
+            if key is None:
+                stats.unmatched_observations += 1
+                continue
+            tracker_domain = _tracker_domain(key.host, rules, trackers, verdicts)
+            if tracker_domain is None:
+                stats.non_tracking_matches += 1
+            elif type(tracker_domain) is not str:
+                stats.psl_failures += 1
+                detail = f"cookie host {key.host!r}: {tracker_domain.message}"
+                psl_issues.append(ParseIssue(tracker_domain.code, detail))
+            else:
+                findings.append(
+                    IntractableFinding(
+                        key, value, visit.site, tracker_domain, event.stage, event.channel,
+                        event.visit_id, event.event_index, canonical,
+                    )
+                )
+    issues += psl_issues
     return findings
 
 
@@ -198,14 +203,14 @@ def detect_sync(
     findings: Iterable[IntractableFinding],
     index: RunIndex,
     rules: PslRuleSet,
-    trackers: TrackerDomainSet,
+    trackers: frozenset[str],
 ) -> list[SyncFinding]:
     """Identifier-looking cookie values reappearing in redirect URL parameters.
 
     A sync is recorded when a canonical finding's value shows up verbatim as
     a query-parameter value of a redirect target whose registrable domain is
-    a different tracker.  Each redirect target host's destination (its
-    tracker domain, or None) is reached once per call.
+    a different tracker.  Each redirect target host's verdict is reached once
+    per call.
     """
     # value -> distinct (key, tracker domain) in first-seen order: the only
     # finding fields a sync carries, so repeat sends of one cookie collapse.
@@ -218,22 +223,12 @@ def detect_sync(
         return []
     syncs: list[SyncFinding] = []
     seen: set[SyncFinding] = set()
-    destinations: dict[str, SiteId | None] = {}  # target host -> its tracker domain, None if not a tracker
+    destinations: dict[str, SiteId | InputError | None] = {}
     for event in index.requests:
         if event.redirect_parent_url is None:
             continue
-        host = event.target_host
-        if host in destinations:
-            destination = destinations[host]
-        else:
-            try:
-                destination = etld_plus_one(host, rules)
-            except InputError:
-                destination = None
-            if destination is not None and not is_tracker(host, trackers):
-                destination = None
-            destinations[host] = destination
-        if destination is None:
+        destination = _tracker_domain(event.target_host, rules, trackers, destinations)
+        if type(destination) is not str:
             continue
         params = parse_qsl(urlsplit(event.target_url).query, keep_blank_values=True)
         for name, value in params:
@@ -256,7 +251,7 @@ def detect_sync(
 class Detector:
     """Bundles the rule inputs and runs the full detection pass over a log."""
 
-    def __init__(self, rules: PslRuleSet, trackers: TrackerDomainSet):
+    def __init__(self, rules: PslRuleSet, trackers: frozenset[str]):
         self.rules = rules
         self.trackers = trackers
 
@@ -271,10 +266,7 @@ class Detector:
                 stats.rejected_visits += 1
             elif visit.in_reject_iteration and visit.outcome is VisitOutcome.INTERACTION_FAILED:
                 stats.failed_rejections += 1
-        observations = extract_sent(index, issues=issues)
-        findings = detect_intractable(
-            jar, observations, index.visits, self.rules, self.trackers, issues=issues, stats=stats
-        )
+        findings = detect_intractable(jar, index, self.rules, self.trackers, issues=issues, stats=stats)
         resets = detect_reset(findings, index)
         syncs = detect_sync(findings, index, self.rules, self.trackers)
         return DetectionResult(findings=findings, resets=resets, syncs=syncs, stats=stats, issues=issues)

@@ -23,9 +23,10 @@ from typing import NamedTuple, Sequence, TextIO
 from . import crawllog
 from .errors import InputError, ParseIssue, json_object, quoted, reading
 from .model import (
+    CANONICAL,
+    CANONICAL_LIST,
     FIXED_EXPIRY,
-    OPTIONAL_STR,
-    STRINGS,
+    OPTIONAL_CANONICAL,
     ConsentState,
     CookieKey,
     CookieRecord,
@@ -47,15 +48,15 @@ class HistoryEntry(NamedTuple):
     deleted: bool = False
 
 
-# A snapshot's entry and history rows.
+# A snapshot's entry and history rows.  Their hosts and sites are canonical, as ``build_jar`` wrote them.
 _ENTRY_FIELDS = RecordFields(
-    CookieRecord, name={str}, host={str}, partition=OPTIONAL_STR, value={str},
-    original_expiry={float, int, type(None)}, setter_site={str}, set_at={int}, consent_state_at_set=ConsentState,
+    CookieRecord, name={str}, host=CANONICAL, partition=OPTIONAL_CANONICAL, value={str},
+    original_expiry={float, int, type(None)}, setter_site=CANONICAL, set_at={int}, consent_state_at_set=ConsentState,
     phase=Phase, effective_expiry=datetime,
 )
 _HISTORY_FIELDS = RecordFields(
-    HistoryEntry, name={str}, host={str}, partition=OPTIONAL_STR, setter_site={str}, event_index={int},
-    deleted={bool},
+    HistoryEntry, name={str}, host=CANONICAL, partition=OPTIONAL_CANONICAL, setter_site=CANONICAL,
+    event_index={int}, deleted={bool},
 )
 
 
@@ -66,8 +67,8 @@ class _Payload(NamedTuple):  # a snapshot's second line
 
 
 _PAYLOAD_FIELDS = RecordFields(
-    _Payload, accepted_sites=STRINGS, entries=Field({list}, read=_ENTRY_FIELDS.rows),
-    history=Field({list}, read=_HISTORY_FIELDS.rows),
+    _Payload, accepted_sites=CANONICAL_LIST, entries=Field({list}, read=_ENTRY_FIELDS.rows, memo="hosts, banners"),
+    history=Field({list}, read=_HISTORY_FIELDS.rows, memo="hosts, banners"),
 )
 
 
@@ -160,7 +161,8 @@ class CookieJar:
         """Write a checksummed snapshot to the text file ``out``; byte-identical for equal jars."""
         keys = sorted(self.entries, key=lambda k: (k.name, k.host, k.partition or ""))
         payload = _PAYLOAD_FIELDS.encode(
-            _Payload(sorted(self.accepted_sites), tuple(map(self.entries.__getitem__, keys)), self.history)
+            _Payload(sorted(self.accepted_sites), tuple(map(self.entries.__getitem__, keys)), self.history),
+            None,  # the banners memo: a snapshot holds none
         )
         header = canonical_json({
             "format": SNAPSHOT_FORMAT,
@@ -175,7 +177,8 @@ class CookieJar:
 
         Raises:
             InputError: ``CORRUPT_SNAPSHOT`` on any structural or checksum
-                mismatch, or for an entry whose cookie an earlier entry holds.
+                mismatch, for a host or site that is not canonical, or for an
+                entry whose cookie an earlier entry holds.
                 I/O failures propagate as ``OSError``.
         """
         with reading(path, "CORRUPT_SNAPSHOT"):
@@ -192,7 +195,8 @@ class CookieJar:
             if hashlib.sha256(lines[1].encode()).hexdigest() != header.get("payload_sha256"):
                 raise InputError("CORRUPT_SNAPSHOT", "checksum mismatch")
             try:
-                payload = _PAYLOAD_FIELDS.decode(json_object(lines[1], "CORRUPT_SNAPSHOT", "line 2: "))
+                # Memos: the hosts and sites checked so far, and no banners.
+                payload = _PAYLOAD_FIELDS.decode(json_object(lines[1], "CORRUPT_SNAPSHOT", "line 2: "), {}, None)
                 entries = {}
                 for index, record in enumerate(payload.entries):
                     expiry = record.original_expiry

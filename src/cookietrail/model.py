@@ -273,10 +273,34 @@ def _string_list(value: list, name: str) -> list:
     return value
 
 
+def _already_canonical(raw: str, name: str, hosts: dict) -> str:
+    """``raw``, refused unless it is its own canonical form; once per distinct string of one load's ``hosts``."""
+    if raw not in hosts:
+        try:
+            canonical = canonicalize_host(raw) == raw
+        except InputError:
+            canonical = False
+        if not canonical:
+            raise ValueError(f"bad {name} {quoted(raw)} (not canonical)")
+        hosts[raw] = raw
+    return raw
+
+
+def _canonical_list(value: list, name: str, hosts: dict) -> list:
+    """A list of strings, each its own canonical form, as ``_already_canonical`` checks ``<name>[<i>]``."""
+    for index, raw in enumerate(_string_list(value, name)):
+        _already_canonical(raw, f"{name}[{index}]", hosts)
+    return value
+
+
 OPTIONAL_STR = {str, type(None)}
 POSITIVE_INT = Field({int}, test="{} >= 1")
 HOST = Field({str}, read=_canonical_host, memo="hosts")  # read as its canonical form
 STRINGS = Field({list}, read=_string_list)  # a list of strings
+# A host or site that a file this program wrote holds, so canonical already; a list of them.
+CANONICAL = Field({str}, read=_already_canonical, memo="hosts")
+OPTIONAL_CANONICAL = Field(OPTIONAL_STR, read=_already_canonical, memo="hosts")
+CANONICAL_LIST = Field({list}, read=_canonical_list, memo="hosts")
 _DATE = Field({str}, read=_iso_date)  # a ``datetime`` in ISO format
 
 

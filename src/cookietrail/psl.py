@@ -33,6 +33,7 @@ EMPTY_RULESET = PslRuleSet(frozenset(), frozenset(), frozenset())
 def load_psl(text: str, *, include_private: bool = True) -> PslRuleSet:
     """Parse a suffix list in its canonical text format.
 
+    Lines end at ``\\n`` only, and a rule is read up to the first whitespace.
     Lines starting with ``//`` are comments; ``!`` marks exception rules and
     ``*.`` wildcard rules.  ``include_private`` keeps the private-domains
     section (the default); input order is irrelevant.
@@ -44,7 +45,7 @@ def load_psl(text: str, *, include_private: bool = True) -> PslRuleSet:
     wildcard: set[str] = set()
     exception: set[str] = set()
     in_private = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -22,7 +22,6 @@ from typing import Callable, Mapping, Sequence, TextIO
 from . import analytics
 from .crawllog import VisitSummary
 from .detector import IntractableFinding, ResetFinding, SyncFinding
-from .filterlist import TrackerDomainSet
 from .jar import CookieJar
 from .model import BannerType, Channel, CookieKey, InteractionStage, SiteId, canonical_json
 from .psl import PslRuleSet
@@ -45,7 +44,7 @@ class ReportInputs:
     findings: list[IntractableFinding]
     jar: CookieJar
     rules: PslRuleSet
-    trackers: TrackerDomainSet
+    trackers: frozenset[str]
     visits: Mapping[str, VisitSummary]  # in VISIT_START order, as ``crawllog.parse_log_text`` builds them
     tier_cutoffs: Sequence[int]
     gpc_findings: list[IntractableFinding] | None = None

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from cookietrail.filterlist import TrackerDomainSet
 from cookietrail.psl import load_psl
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -27,7 +26,7 @@ def basic_rules():
 
 @pytest.fixture
 def tracker_set():
-    return TrackerDomainSet(frozenset({"tracker.net", "ads.example", "sync.example"}))
+    return frozenset({"tracker.net", "ads.example", "sync.example"})
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,7 +9,6 @@ from cookietrail import crawllog, reports, simulator as sim
 from cookietrail.cli import _staged_outputs
 from cookietrail.crawllog import BannerObserved, CookieSet, HttpRequest, RunIndex, VisitEnd, VisitStart, VisitSummary
 from cookietrail.detector import DetectionResult, Detector
-from cookietrail.filterlist import TrackerDomainSet
 from cookietrail.jar import CookieJar, build_jar
 from cookietrail.model import (
     BannerButton,
@@ -330,6 +329,5 @@ def run_pipeline(config: sim.EcosystemConfig, seed: int) -> tuple[RunIndex, Cook
     """
     index = crawllog.parse_log_text(crawllog.serialize(sim.generate(config, seed)))
     jar = build_jar(index)
-    trackers = TrackerDomainSet(frozenset(config.listed_tracker_domains()))
-    result = Detector(SIM_PSL, trackers).detect(jar, index)
+    result = Detector(SIM_PSL, frozenset(config.listed_tracker_domains())).detect(jar, index)
     return index, jar, result

@@ -21,7 +21,7 @@ from cookietrail import analytics, reports, simulator as sim
 from cookietrail.cli import main
 from cookietrail.crawllog import parse_log_text, serialize, strict_issues
 from cookietrail.errors import InputError, InvariantError
-from cookietrail.filterlist import TrackerDomainSet, is_tracker
+from cookietrail.filterlist import is_tracker
 from cookietrail.jar import CookieJar
 from cookietrail.model import (
     FIXED_EXPIRY,
@@ -105,7 +105,7 @@ def test_c2_is_tracker_matches_reference_on_1e5_pairs():
             host = rng.choice(labels) + entry  # boundary violation arm
         else:
             host = rand_domain(4)
-        tracker_set = TrackerDomainSet(frozenset({entry}))
+        tracker_set = frozenset({entry})
         reference = host == entry or host.endswith("." + entry)
         if is_tracker(host, tracker_set) != reference:
             disagreements += 1
@@ -550,7 +550,7 @@ def test_c9_report_conservation(tmp_path):
         canonical = result.canonical_findings
         inputs = reports.ReportInputs(
             findings=result.findings, jar=jar, rules=SIM_PSL,
-            trackers=TrackerDomainSet(frozenset(config.listed_tracker_domains())),
+            trackers=frozenset(config.listed_tracker_domains()),
             visits=index.visits, tier_cutoffs=[10],
         )
         write_report(tmp_path / str(seed), inputs)
@@ -565,3 +565,56 @@ def test_c9_report_conservation(tmp_path):
         if fractions:
             assert fractions == sorted(fractions)
             assert fractions[-1] == 1.0
+
+
+# --- criterion 10: the paper's causal claims as metamorphic relations ---------------------
+
+
+def _canonical_sends(config: sim.EcosystemConfig, seed: int) -> tuple[frozenset, frozenset]:
+    """The canonical sends that ``detect`` finds and that the oracle expects, each as (name, host, sender, stage)."""
+    _, _, result = run_pipeline(config, seed)
+    detected = frozenset((f.key.name, f.key.host, f.sender_site, f.stage) for f in result.canonical_findings)
+    truth = sim.ground_truth(config, seed).expected_findings
+    return detected, frozenset((key.name, key.host, sender, stage) for key, sender, stage in truth)
+
+
+@pytest.fixture(scope="module")
+def relation_bases() -> list[tuple[sim.EcosystemConfig, tuple[frozenset, frozenset]]]:
+    """For each of 200 seeds, a random ecosystem with the GPC signal off, which every relation changes, and its
+    canonical sends."""
+    configs = [random_config(random.Random(seed), gpc=False) for seed in range(200)]
+    return [(config, _canonical_sends(config, seed)) for seed, config in enumerate(configs)]
+
+
+def _partitioning(config: sim.EcosystemConfig, rng: random.Random):
+    """One tracker switches to partitioned cookies: no canonical send stays on its exact host."""
+    domain = rng.choice(config.trackers).domain
+    trackers = tuple(t._replace(sets_partitioned=True) if t.domain == domain else t for t in config.trackers)
+    return trackers, config.schedule, lambda before, after: all(host != domain for _, host, _, _ in after)
+
+
+def _gpc(config: sim.EcosystemConfig, rng: random.Random):
+    """Turning the GPC signal on never adds a canonical send."""
+    return config.trackers, config.schedule._replace(gpc_enabled=True), frozenset.issuperset
+
+
+def _fewer_acceptances(config: sim.EcosystemConfig, rng: random.Random):
+    """Removing a phase-1 site never adds a canonical send."""
+    phase1 = list(config.schedule.phase1)
+    phase1.remove(rng.choice(phase1))
+    return config.trackers, config.schedule._replace(phase1=tuple(phase1)), frozenset.issuperset
+
+
+@pytest.mark.parametrize("relation", [_partitioning, _gpc, _fewer_acceptances],
+                         ids=["partitioning", "gpc", "fewer-acceptances"])
+def test_c10_metamorphic_relation(relation_bases, relation):
+    """A relation between two runs that the paper's claims imply holds for ``detect`` and for the oracle, each on
+    its own, on 200 random ecosystems; and the change removes some sends, so the relation is not vacuous."""
+    removed = {"detect": 0, "oracle": 0}
+    for seed, (config, sends) in enumerate(relation_bases):
+        trackers, schedule, holds = relation(config, random.Random(seed))
+        changed = _canonical_sends(sim.EcosystemConfig(config.sites, trackers, schedule), seed)
+        for side, before, after in zip(removed, sends, changed):
+            assert holds(before, after), (side, seed, sorted(after - before))
+            removed[side] += len(before - after)
+    assert removed["detect"] > 0 and removed["oracle"] > 0, removed

@@ -27,7 +27,6 @@ from cookietrail.analytics import (
     tracker_table,
 )
 from cookietrail.detector import IntractableFinding
-from cookietrail.filterlist import TrackerDomainSet
 from cookietrail.jar import CookieJar
 from cookietrail.model import BannerType, Channel, CookieKey, InteractionStage
 from cookietrail.psl import load_psl
@@ -74,7 +73,7 @@ def report_tables(directory: Path, inputs: reports.ReportInputs) -> dict[str, li
 
 def hand_built_inputs(findings, jar) -> reports.ReportInputs:
     """Report inputs over hand-built findings: no visits, so no rejected sender sites."""
-    return reports.ReportInputs(findings=findings, jar=jar, rules=RULES, trackers=TrackerDomainSet(frozenset()),
+    return reports.ReportInputs(findings=findings, jar=jar, rules=RULES, trackers=frozenset(),
                                 visits={}, tier_cutoffs=[10])
 
 
@@ -83,7 +82,7 @@ def pipeline_inputs(config, seed) -> tuple[reports.ReportInputs, list[str]]:
     index, jar, result = run_pipeline(config, seed)
     visits = index.visits
     inputs = reports.ReportInputs(findings=result.findings, jar=jar, rules=SIM_PSL,
-                                  trackers=TrackerDomainSet(frozenset(config.listed_tracker_domains())),
+                                  trackers=frozenset(config.listed_tracker_domains()),
                                   visits=visits, tier_cutoffs=[5, max(site.rank for site in config.sites)])
     return inputs, reports._site_views(visits)[0]
 
@@ -454,7 +453,7 @@ class TestReportViews:
 
 class TestPartitionedSummary:
     def test_partitioned_with_np_sibling(self):
-        trackers = TrackerDomainSet(frozenset({"t.net"}))
+        trackers = frozenset({"t.net"})
         jar = CookieJar()
         jar.upsert(make_record("id_p", "t.net", partition="a.com"))
         jar.upsert(make_record("id", "t.net", set_at=1))
@@ -466,7 +465,7 @@ class TestPartitionedSummary:
         assert tracking.along_with_np == 1
 
     def test_no_partitioned(self):
-        trackers = TrackerDomainSet(frozenset({"t.net"}))
+        trackers = frozenset({"t.net"})
         jar = CookieJar()
         jar.upsert(make_record("id", "t.net"))
         jar.upsert(make_record("x", "benign.com", set_at=1))
@@ -476,7 +475,7 @@ class TestPartitionedSummary:
         ]
 
     def test_same_key_both_ways_counts_once_per_group(self):
-        trackers = TrackerDomainSet(frozenset({"t.net"}))
+        trackers = frozenset({"t.net"})
         jar = CookieJar()
         jar.upsert(make_record("id", "t.net", partition="a.com"))
         jar.upsert(make_record("id", "t.net", set_at=1))
@@ -486,7 +485,7 @@ class TestPartitionedSummary:
         assert tracking.along_with_np == 1
 
     def test_np_from_different_tracker_does_not_count(self):
-        trackers = TrackerDomainSet(frozenset({"t.net", "u.net"}))
+        trackers = frozenset({"t.net", "u.net"})
         jar = CookieJar()
         jar.upsert(make_record("id", "t.net", partition="a.com"))
         jar.upsert(make_record("other", "u.net", set_at=1))

@@ -1050,6 +1050,9 @@ _FAULTS = [
     _Fault("cookie-listed-twice", JARS,
            _payload_edit(lambda p: p["entries"].insert(1, {**p["entries"][0], "value": "tampered"})),
            "entries[1]: duplicate cookie ('mid', 'metrics.example', None)"),
+    # build-jar writes canonical hosts and sites only; a cookie under any other host could never match a send.
+    _Fault("host-not-canonical", JARS, _payload_edit(lambda p: p["entries"][0].update(host="METRICS.EXAMPLE.")),
+           "entries[0]: bad host 'METRICS.EXAMPLE.' (not canonical)"),
     # The jar checks --findings' setter lists; --gpc-findings come from another run's jar, so only their types count.
     _Fault("setter-list-not-the-jars", ("report --findings",),
            _line_edit(None, lambda r: r["setter_sites"].append("elsewhere.example")),

@@ -18,12 +18,10 @@ from cookietrail.crawllog import (
     CookieSet,
     HttpRequest,
     Interaction,
-    SentCookieObservation,
     SetCookieFragment,
     VisitEnd,
     VisitStart,
     VisitSummary,
-    extract_sent,
     log_writer,
     parse_cookie_header,
     parse_log_text,
@@ -484,10 +482,9 @@ def test_records_are_immutable_hashable_and_round_trip():
     assert index == index_run(events)
     assert [type(e) for e in index.requests + index.cookie_sets] == [HttpRequest, HttpRequest, CookieSet]
     fragment = parse_set_cookie(index.cookie_sets[0].set_cookie_header, index.cookie_sets[0].setter_context_host)
-    records = [*events, *index.visits.values(), *extract_sent(index), fragment]
+    records = [*events, *index.visits.values(), fragment]
     assert {type(r) for r in records} == {
-        VisitStart, BannerObserved, Interaction, HttpRequest, CookieSet, VisitEnd,
-        VisitSummary, SentCookieObservation, SetCookieFragment,
+        VisitStart, BannerObserved, Interaction, HttpRequest, CookieSet, VisitEnd, VisitSummary, SetCookieFragment,
     }
     for record in records:
         hash(record)
@@ -614,58 +611,6 @@ class TestRecordFromCookieSet:
         event = CookieSet("v1", InteractionStage.AFTER_ACCEPT, "id=1; Partitioned", "t.net", event_index=0)
         record = record_from_cookie_set(event, visit)
         assert record.key.partition == "shop.com"
-
-
-class TestExtractSent:
-    def test_one_observation_per_pair(self):
-        observations = extract_sent(parse_log_text(serialize(_single_visit_events())))
-        assert len(observations) == 1
-        obs = observations[0]
-        assert obs.name == "id"
-        assert obs.sender_site == "new.com"
-        assert obs.stage is InteractionStage.BEFORE_INTERACTION
-
-    def test_empty_header_no_observations(self):
-        events = _single_visit_events()
-        events[2] = HttpRequest(
-            "v1", InteractionStage.BEFORE_INTERACTION, "t.net", "https://t.net/", Channel.API_CALL, ""
-        )
-        assert extract_sent(parse_log_text(serialize(events))) == []
-
-    def test_conservation_total_equals_pair_sum(self):
-        events = _single_visit_events()
-        events.insert(
-            3,
-            HttpRequest(
-                "v1",
-                InteractionStage.BEFORE_INTERACTION,
-                "other.net",
-                "https://other.net/",
-                Channel.RESOURCE_FETCH,
-                "id=123; t=9",
-            ),
-        )
-        index = parse_log_text(serialize(events))
-        observations = extract_sent(index)
-        expected = sum(len(parse_cookie_header(e.cookie_header)) for e in index.requests)
-        assert len(observations) == expected == 3
-
-    def test_same_cookie_to_two_trackers_distinct(self):
-        events = _single_visit_events()
-        events.insert(
-            3,
-            HttpRequest(
-                "v1",
-                InteractionStage.BEFORE_INTERACTION,
-                "other.net",
-                "https://other.net/",
-                Channel.RESOURCE_FETCH,
-                "id=123",
-            ),
-        )
-        observations = extract_sent(parse_log_text(serialize(events)))
-        assert len(observations) == 2
-        assert {o.target_host for o in observations} == {"cdn.tracker.net", "other.net"}
 
 
 class TestSummaries:

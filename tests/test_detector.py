@@ -11,9 +11,9 @@ from cookietrail.crawllog import (
     CookieSet,
     HttpRequest,
     Interaction,
-    SentCookieObservation,
     VisitEnd,
     VisitStart,
+    parse_cookie_header,
     parse_log_text,
     serialize,
 )
@@ -28,7 +28,7 @@ from cookietrail.detector import (
 )
 from cookietrail import simulator as sim
 from cookietrail.errors import InputError
-from cookietrail.filterlist import TrackerDomainSet, is_tracker
+from cookietrail.filterlist import is_tracker
 from cookietrail.jar import CookieJar, build_jar
 from cookietrail.model import (
     Channel,
@@ -49,13 +49,12 @@ from test_jar import make_record
 DEMO = Path(__file__).parent.parent / "demo"
 
 RULES = load_psl("com\nnet\nexample\n")
-TRACKERS = TrackerDomainSet(frozenset({"tracker.net", "other-tracker.com", "shop.com"}))
+TRACKERS = frozenset({"tracker.net", "other-tracker.com", "shop.com"})
 
 
-def obs(name="id", value="123", target="cdn.tracker.net", sender="new.com",
-        stage=InteractionStage.BEFORE_INTERACTION, channel=Channel.RESOURCE_FETCH,
-        visit_id="v1", event_index=0) -> SentCookieObservation:
-    return SentCookieObservation(name, value, target, sender, stage, channel, visit_id, event_index)
+def sent(name="id", value="123", target="cdn.tracker.net") -> tuple[str, str, str]:
+    """A sent cookie as ``match_sent_to_jar`` takes it: name, value, target host."""
+    return name, value, target
 
 
 def jar_with(*records: CookieRecord) -> CookieJar:
@@ -68,11 +67,11 @@ def jar_with(*records: CookieRecord) -> CookieJar:
 class TestMatchSentToJar:
     def test_domain_match_on_subdomain_target(self):
         jar = jar_with(make_record("id", "tracker.net", value="123"))
-        assert match_sent_to_jar(obs(target="a.tracker.net"), jar) == CookieKey("id", "tracker.net")
+        assert match_sent_to_jar(*sent(target="a.tracker.net"), jar) == CookieKey("id", "tracker.net")
 
     def test_partitioned_entries_never_match(self):
         jar = jar_with(make_record("id", "tracker.net", partition="shop.com", value="123"))
-        assert match_sent_to_jar(obs(target="tracker.net"), jar) is None
+        assert match_sent_to_jar(*sent(target="tracker.net"), jar) is None
 
     def test_value_tie_break_wins_over_host_length(self):
         jar = jar_with(
@@ -81,9 +80,9 @@ class TestMatchSentToJar:
         )
         # Target a.tracker.net domain-matches both entries; the value match
         # must win even though the other host is shorter.
-        got = match_sent_to_jar(obs(value="999", target="a.tracker.net"), jar)
+        got = match_sent_to_jar(*sent(value="999", target="a.tracker.net"), jar)
         assert got == CookieKey("id", "a.tracker.net")
-        got = match_sent_to_jar(obs(value="123", target="a.tracker.net"), jar)
+        got = match_sent_to_jar(*sent(value="123", target="a.tracker.net"), jar)
         assert got == CookieKey("id", "tracker.net")
 
     def test_longest_host_among_equal_values(self):
@@ -91,13 +90,13 @@ class TestMatchSentToJar:
             make_record("id", "tracker.net", value="same"),
             make_record("id", "a.tracker.net", value="same", set_at=1),
         )
-        got = match_sent_to_jar(obs(value="same", target="b.a.tracker.net"), jar)
+        got = match_sent_to_jar(*sent(value="same", target="b.a.tracker.net"), jar)
         assert got == CookieKey("id", "a.tracker.net")
 
     def test_no_candidate(self):
         jar = jar_with(make_record("id", "tracker.net"))
-        assert match_sent_to_jar(obs(name="zz"), jar) is None
-        assert match_sent_to_jar(obs(target="unrelated.org"), jar) is None
+        assert match_sent_to_jar(*sent(name="zz"), jar) is None
+        assert match_sent_to_jar(*sent(target="unrelated.org"), jar) is None
 
     def test_selection_invariant_under_insertion_order(self):
         """Brute force: result is identical for every insertion order of candidates."""
@@ -108,9 +107,9 @@ class TestMatchSentToJar:
             make_record("other", "a.tracker.net", value="999"),
         ]
         probes = [
-            obs(value="999", target="b.a.tracker.net"),
-            obs(value="123", target="a.tracker.net"),
-            obs(value="zzz", target="x.b.a.tracker.net"),
+            sent(value="999", target="b.a.tracker.net"),
+            sent(value="123", target="a.tracker.net"),
+            sent(value="zzz", target="x.b.a.tracker.net"),
         ]
         for probe in probes:
             results = set()
@@ -125,21 +124,21 @@ class TestMatchSentToJar:
                             set_at=position,
                         )
                     )
-                results.add(match_sent_to_jar(probe, jar))
+                results.add(match_sent_to_jar(*probe, jar))
             assert len(results) == 1, (probe, results)
 
 
     def test_matches_linear_scan_on_random_jars(self):
         """Suffix lookup picks what a scan over every jar entry picks."""
 
-        def scan(o: SentCookieObservation, jar: CookieJar) -> CookieKey | None:
+        def scan(name: str, value: str, target: str, jar: CookieJar) -> CookieKey | None:
             best = None
             for key, record in jar.entries.items():
-                if key.partition is not None or key.name != o.name:
+                if key.partition is not None or key.name != name:
                     continue
-                if not domain_match(o.target_host, key.host):
+                if not domain_match(target, key.host):
                     continue
-                rank = (0 if record.value == o.value else 1, -len(key.host), key.host)
+                rank = (0 if record.value == value else 1, -len(key.host), key.host)
                 if best is None or rank < best[0]:
                     best = (rank, key)
             return best[1] if best else None
@@ -163,9 +162,9 @@ class TestMatchSentToJar:
                     )
                 )
             for _ in range(4):
-                probe = obs(name=rng.choice(["id", "uid"]), value=rng.choice(["1", "2"]), target=rng.choice(targets))
-                got = match_sent_to_jar(probe, jar)
-                assert got == scan(probe, jar), (probe, sorted(jar.entries, key=repr))
+                probe = sent(name=rng.choice(["id", "uid"]), value=rng.choice(["1", "2"]), target=rng.choice(targets))
+                got = match_sent_to_jar(*probe, jar)
+                assert got == scan(*probe, jar), (probe, sorted(jar.entries, key=repr))
                 matched += got is not None
         assert matched > 1000
 
@@ -307,6 +306,74 @@ class TestDetect:
         assert finding.sender_site == finding.tracker_domain == "shop.com"
 
 
+def _request(target, header, visit_id="v1", stage=InteractionStage.BEFORE_INTERACTION):
+    return HttpRequest(visit_id, stage, target, f"https://{target}/", Channel.RESOURCE_FETCH, header)
+
+
+class TestDetectSends:
+    """Detection decides one send per (HTTP_REQUEST, cookie pair), in event order."""
+
+    def test_one_observation_per_pair(self):
+        jar = jar_with(make_record("id", "tracker.net", value="123"))
+        result = Detector(RULES, TRACKERS).detect(jar, parse_log_text(serialize(_reject_visit_events())))
+        assert result.stats.observations == 1
+        [finding] = result.findings
+        assert finding.key.name == "id"
+        assert finding.sender_site == "new.com"
+        assert finding.stage is InteractionStage.BEFORE_INTERACTION
+
+    def test_empty_header_no_observations(self):
+        jar = jar_with(make_record("id", "tracker.net", value="123"))
+        result = Detector(RULES, TRACKERS).detect(jar, parse_log_text(serialize(_reject_visit_events(header=""))))
+        assert result.stats.observations == 0
+        assert result.findings == []
+
+    def test_conservation_total_equals_pair_sum(self):
+        events = _reject_visit_events()
+        events.insert(2, _request("other.net", "id=123; t=9"))
+        index = parse_log_text(serialize(events))
+        result = Detector(RULES, TRACKERS).detect(CookieJar(), index)
+        expected = sum(len(parse_cookie_header(e.cookie_header)) for e in index.requests)
+        assert result.stats.observations == expected == 3
+
+    def test_same_cookie_to_two_trackers_distinct(self):
+        jar = jar_with(
+            make_record("id", "tracker.net", value="123"),
+            make_record("id", "other-tracker.com", value="123", set_at=1),
+        )
+        events = _reject_visit_events()
+        events.insert(2, _request("other-tracker.com", "id=123"))
+        result = Detector(RULES, TRACKERS).detect(jar, parse_log_text(serialize(events)))
+        assert result.stats.observations == 2
+        assert [(f.key.host, f.event_index) for f in result.findings] == [("tracker.net", 1), ("other-tracker.com", 2)]
+
+    def test_warning_order_pairs_then_psl_failures(self):
+        """Every malformed-pair warning, in event order and naming its visit, comes before any PSL failure."""
+        rules = load_psl("com\nnet\nexample\ntracker.net\n")
+        jar = jar_with(make_record("id", "tracker.net", value="123"))
+        accept_visit = [
+            VisitStart("a1", "shop.com", 1, Phase.STATEFUL_ACCEPT, Iteration.ACCEPT_ITER, False),
+            Interaction("a1", InteractionAction.ACCEPT_CLICKED, InteractionStage.AFTER_ACCEPT),
+            _request("cdn.tracker.net", "junk2", "a1", InteractionStage.AFTER_ACCEPT),
+            VisitEnd("a1", VisitOutcome.ACCEPTED),
+        ]
+        events = [
+            *_reject_visit_events("v1", header="id=123; junk1"),
+            *accept_visit,
+            *_reject_visit_events("v2", header="=x; id=123"),
+        ]
+        result = Detector(rules, TRACKERS).detect(jar, parse_log_text(serialize(events)))
+        psl_failure = ("HOST_IS_PUBLIC_SUFFIX", "cookie host 'tracker.net': 'tracker.net' has no registrable part")
+        assert [(i.code, i.detail) for i in result.issues] == [
+            ("MALFORMED_PAIR", "visit 'v1': cookie pair without '=': 'junk1'"),
+            ("MALFORMED_PAIR", "visit 'a1': cookie pair without '=': 'junk2'"),
+            ("MALFORMED_PAIR", "visit 'v2': cookie pair without '=': '=x'"),
+            psl_failure,
+            psl_failure,
+        ]
+        assert result.stats.psl_failures == 2
+
+
 def _assert_accounted(result) -> None:
     stats = result.stats
     accounted = stats.unmatched_observations + stats.non_tracking_matches + stats.psl_failures
@@ -320,7 +387,7 @@ class TestDetectionStatsIdentity:
         config = sim.EcosystemConfig.from_json((DEMO / "ecosystem.json").read_text())
         index = parse_log_text(serialize(sim.generate(config, 7)))
         rules = load_psl((DEMO / "psl.dat").read_text())
-        trackers = TrackerDomainSet(frozenset(config.listed_tracker_domains()))
+        trackers = frozenset(config.listed_tracker_domains())
         result = Detector(rules, trackers).detect(build_jar(index), index)
         assert result.findings
         _assert_accounted(result)

@@ -216,8 +216,8 @@ _CODECS = {
 
 def _awkward_records() -> list:
     """(record, its wire-only fields) of every declared kind: awkward strings, None, "" and awkward partitions,
-    bools, ints past 64 bits, session and deleting lifetimes, float probabilities and default values.  Hosts are
-    canonical and visit ids not empty, as a decoded record's are."""
+    bools, ints past 64 bits, session and deleting lifetimes, float probabilities and default values.  Hosts, and a
+    jar snapshot's partitions and sites, are canonical and visit ids not empty, as a decoded record's are."""
     from test_crawllog import _AWKWARD
 
     def pick(values, n):
@@ -247,11 +247,12 @@ def _awkward_records() -> list:
         rows = []
         for partition in (None, "", text):
             key = CookieKey(text, text, partition)
+            jar_key = CookieKey(text, host, None if partition is None else "a.com")
             rows += [
-                (CookieRecord(key, text, pick([None, 3600.5, -1, 0.0, 2**70, 1e300], n), text, big,
+                (CookieRecord(jar_key, text, pick([None, 3600.5, -1, 0.0, 2**70, 1e300], n), host, big,
                               pick(ConsentState, n), pick(Phase, n), pick([FIXED_EXPIRY, datetime(2026, 1, 1, 5)], n)),
                  {}),
-                (HistoryEntry(key, text, big, flag), {}),
+                (HistoryEntry(jar_key, host, big, flag), {}),
             ]
             records += [
                 (IntractableFinding(key, text, text, text, pick(InteractionStage, n), pick(Channel, n), text, big,
@@ -262,7 +263,7 @@ def _awkward_records() -> list:
         records += rows
         entries = tuple(row for row, _ in rows if type(row) is CookieRecord)
         history = tuple(row for row, _ in rows if type(row) is HistoryEntry)
-        records.append((_Payload(pick([[], [text], [text, host]], n), entries[:n % 4], history[n % 2:]), {}))
+        records.append((_Payload(pick([[], [host], ["a.com", host]], n), entries[:n % 4], history[n % 2:]), {}))
 
         generator = sim.ValueGenerator(pick(sim.VALUE_KINDS, n), big, text)
         cookies = (sim.CookieSpec(text, generator, pick([None, 0, -1, 365 * 86400, 2**70], n)), sim.CookieSpec(text))
