@@ -20,12 +20,10 @@ import statistics
 from collections import Counter, defaultdict
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .detector import IntractableFinding
-from .errors import InputError
-from .filterlist import is_tracker
+from .detector import IntractableFinding, tracker_domain
 from .jar import CookieJar
 from .model import BannerType, CookieKey, SiteId
-from .psl import PslRuleSet, etld_plus_one
+from .psl import PslRuleSet
 
 DAY = 86400.0
 
@@ -327,28 +325,27 @@ def partitioned_summary(
     """Unique-cookie counts by partitioned status: all cookies, then tracking cookies.
 
     ``along_with_np`` counts partitioned tracking cookies accompanied by a
-    non-partitioned tracking cookie from the same registrable domain.
+    non-partitioned tracking cookie from the same registrable domain.  A
+    listed host without one (``detector.tracker_domain``'s error) is
+    tracking but has no such sibling.
     """
-    def registrable(host: str) -> SiteId | None:
-        try:
-            return etld_plus_one(host, rules)
-        except InputError:
-            return None
-
+    verdicts: dict[str, SiteId | Exception | None] = {}
     groups: dict[tuple[str, str], bool] = {}
     np_tracking_domains: set[SiteId] = set()
     for key in jar.entries:
         group = (key.name, key.host)
         partitioned = key.partition is not None
         groups[group] = groups.get(group, False) or partitioned
-        if not partitioned and is_tracker(key.host, trackers):
-            domain = registrable(key.host)
-            if domain is not None:
+        if not partitioned:
+            domain = tracker_domain(key.host, rules, trackers, verdicts)
+            if type(domain) is str:
                 np_tracking_domains.add(domain)
     partitioned_count = sum(1 for flagged in groups.values() if flagged)
-    tracking_groups = {g: flagged for g, flagged in groups.items() if is_tracker(g[1], trackers)}
+    tracking_groups = {
+        g: flagged for g, flagged in groups.items() if tracker_domain(g[1], rules, trackers, verdicts) is not None
+    }
     tracking_partitioned = [g for g, flagged in tracking_groups.items() if flagged]
-    along = sum(1 for _, host in tracking_partitioned if registrable(host) in np_tracking_domains)
+    along = sum(1 for _, host in tracking_partitioned if verdicts[host] in np_tracking_domains)
     return [
         PartitionedRow("all", len(groups), partitioned_count, None),
         PartitionedRow("tracking", len(tracking_groups), len(tracking_partitioned), along),

@@ -199,20 +199,7 @@ class RunIndex:
         return self.event_count
 
 
-# --- banner serialization -------------------------------------------------
-
-
-def banner_to_obj(banner: BannerDescriptor) -> dict:
-    """The object of a banner's JSON, which ``_BANNER_FIELDS.encode`` writes, for ``EcosystemConfig.to_obj``."""
-    banner_type, layers = banner  # unpacked, and enums by ``_name_``: cheaper than attributes
-    return {
-        "banner_type": banner_type._name_,
-        "layers": [
-            {"buttons": [[label, action._name_] for label, action in buttons], "toggles": [list(t) for t in toggles]}
-            for buttons, toggles in layers
-        ],
-    }
-
+# --- banners ---------------------------------------------------------------
 
 # A banner's wire record: a button is ``[label, action]`` and a toggle ``[category,
 # preselected, essential]``; a layer's lists and a banner's layers may be omitted.

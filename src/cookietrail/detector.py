@@ -16,7 +16,7 @@ from .crawllog import RunIndex, in_visit, parse_cookie_header, parse_set_cookie
 from .errors import InputError, ParseIssue
 from .filterlist import is_tracker
 from .jar import CookieJar
-from .model import Channel, CookieKey, InteractionStage, Phase, SiteId, VisitOutcome
+from .model import Channel, CookieKey, InteractionStage, Phase, SiteId, VisitOutcome, label_suffixes
 from .psl import PslRuleSet, etld_plus_one
 
 
@@ -25,15 +25,13 @@ def match_sent_to_jar(name: str, value: str, target_host: str, jar: CookieJar) -
 
     Candidates share the cookie name, are not partitioned (partitioned
     entries never travel cross-site), and their host domain-matches the
-    request target.  The hosts that domain-match a target are exactly its
-    label suffixes (``a.b.c``, ``b.c``, ``c``), so candidates are looked up
-    in ``jar.entries`` by suffix, longest first, instead of scanning the jar.
-    Ties prefer an exact value match, then the longest host.
+    request target, that is, is one of its ``label_suffixes``: they are
+    looked up in ``jar.entries`` by suffix, longest first, instead of
+    scanning the jar.  Ties prefer an exact value match, then the longest host.
     """
-    labels = target_host.split(".")
     longest: CookieKey | None = None
-    for i in range(len(labels)):
-        key = CookieKey(name, ".".join(labels[i:]), None)
+    for host in label_suffixes(target_host):
+        key = CookieKey(name, host, None)
         record = jar.entries.get(key)
         if record is None:
             continue
@@ -99,12 +97,13 @@ class DetectionResult:
         return [f for f in self.findings if f.canonical]
 
 
-def _tracker_domain(
+def tracker_domain(
     host: str, rules: PslRuleSet, trackers: frozenset[str], memo: dict[str, SiteId | InputError | None]
 ) -> SiteId | InputError | None:
     """A listed host's tracker domain (its registrable domain), None for an unlisted host, or the PSL's error.
 
-    Each host's verdict is reached once per ``memo`` and reused after.
+    The one tracker verdict, for ``detect`` and ``report`` alike, reached
+    once per host and ``memo``, which keeps hosts in first-reached order.
     """
     if host not in memo:
         try:
@@ -131,11 +130,11 @@ def detect_intractable(
     (blocklist match on the jar host) yield findings; first- and third-party
     hosts alike.  Findings keep event order.  Each measure-phase pair lands
     in exactly one of ``stats``' ``unmatched_observations``,
-    ``non_tracking_matches`` and ``psl_failures``, or in the findings.  The
-    PSL failures' issues follow all the pair issues.
+    ``non_tracking_matches`` and ``psl_failures``, or in the findings.  After
+    all the pair issues comes one PSL issue per cookie host that failed, in
+    the order the hosts were first decided.
     """
     findings: list[IntractableFinding] = []
-    psl_issues: list[ParseIssue] = []
     verdicts: dict[str, SiteId | InputError | None] = {}
     visits = index.visits
     for event in index.requests:
@@ -153,21 +152,21 @@ def detect_intractable(
             if key is None:
                 stats.unmatched_observations += 1
                 continue
-            tracker_domain = _tracker_domain(key.host, rules, trackers, verdicts)
-            if tracker_domain is None:
+            domain = tracker_domain(key.host, rules, trackers, verdicts)
+            if domain is None:
                 stats.non_tracking_matches += 1
-            elif type(tracker_domain) is not str:
+            elif type(domain) is not str:
                 stats.psl_failures += 1
-                detail = f"cookie host {key.host!r}: {tracker_domain.message}"
-                psl_issues.append(ParseIssue(tracker_domain.code, detail))
             else:
                 findings.append(
                     IntractableFinding(
-                        key, value, visit.site, tracker_domain, event.stage, event.channel,
+                        key, value, visit.site, domain, event.stage, event.channel,
                         event.visit_id, event.event_index, canonical,
                     )
                 )
-    issues += psl_issues
+    for host, verdict in verdicts.items():
+        if isinstance(verdict, InputError):
+            issues.append(ParseIssue(verdict.code, f"cookie host {host!r}: {verdict.message}"))
     return findings
 
 
@@ -227,7 +226,7 @@ def detect_sync(
     for event in index.requests:
         if event.redirect_parent_url is None:
             continue
-        destination = _tracker_domain(event.target_host, rules, trackers, destinations)
+        destination = tracker_domain(event.target_host, rules, trackers, destinations)
         if type(destination) is not str:
             continue
         params = parse_qsl(urlsplit(event.target_url).query, keep_blank_values=True)

@@ -15,17 +15,12 @@ import re
 from dataclasses import dataclass
 
 from .errors import InputError, ParseIssue, quoted
-from .model import canonicalize_host
+from .model import canonicalize_host, label_suffixes
 
 
 def is_tracker(host: str, domains: frozenset[str]) -> bool:
-    """True iff some entry equals ``host`` or ``host`` ends with ``"." + entry``.
-
-    Those entries are exactly the host's label suffixes (``a.b.c``, ``b.c``,
-    ``c``), so each suffix is looked up in the set.
-    """
-    labels = host.split(".")
-    return any(".".join(labels[i:]) in domains for i in range(len(labels)))
+    """True iff some entry equals ``host`` or ``host`` ends with ``"." + entry``: iff a label suffix is listed."""
+    return not domains.isdisjoint(label_suffixes(host))
 
 
 def parse_domain_list(text: str, *, issues: list[ParseIssue] | None = None) -> frozenset[str]:

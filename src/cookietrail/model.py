@@ -17,6 +17,7 @@ writes what its ``decode`` reads.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import re
 from datetime import datetime, timezone
@@ -211,6 +212,18 @@ def canonicalize_host(raw: str) -> str:
 def domain_match(target_host: str, cookie_host: str) -> bool:
     """True when a cookie stored for ``cookie_host`` covers ``target_host``."""
     return target_host == cookie_host or target_host.endswith("." + cookie_host)
+
+
+@functools.lru_cache
+def label_suffixes(host: str) -> tuple[str, ...]:
+    """The hosts ``h`` with ``domain_match(host, h)``: its label suffixes, longest first (``a.b.c``, ``b.c``, ``c``).
+
+    The pipeline's one statement of domain-match: the cookie hosts a request
+    carries, the list entries that make a host a tracker and the names suffix
+    rules are looked up by.  Cached: a crawl sends to few distinct hosts.
+    """
+    labels = host.split(".")
+    return tuple(".".join(labels[i:]) for i in range(len(labels)))
 
 
 # --- wire records ----------------------------------------------------------------

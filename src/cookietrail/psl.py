@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, quoted
-from .model import SiteId, canonicalize_host
+from .model import SiteId, canonicalize_host, label_suffixes
 
 _PRIVATE_BEGIN = "===BEGIN PRIVATE DOMAINS==="
 _PRIVATE_END = "===END PRIVATE DOMAINS==="
@@ -71,20 +71,19 @@ def load_psl(text: str, *, include_private: bool = True) -> PslRuleSet:
     return PslRuleSet(frozenset(normal), frozenset(wildcard), frozenset(exception))
 
 
-def _public_suffix_labels(labels: list[str], rules: PslRuleSet) -> int:
-    """Number of labels in the host's public suffix, per the standard algorithm."""
-    n = len(labels)
+def _public_suffix_labels(suffixes: tuple[str, ...], rules: PslRuleSet) -> int:
+    """Number of labels in the public suffix of the host with these label suffixes, per the standard algorithm."""
+    n = len(suffixes)
     # Exception rules defeat everything else; the winning suffix is the
     # exception rule minus its leftmost label.
-    for i in range(n):
-        if ".".join(labels[i:]) in rules.exception_rules:
+    for i, suffix in enumerate(suffixes):
+        if suffix in rules.exception_rules:
             return (n - i) - 1
     best = 1  # the prevailing rule "*": unknown TLDs are single-label suffixes
-    for i in range(n):
-        candidate = ".".join(labels[i:])
-        if candidate in rules.normal_rules:
+    for i, suffix in enumerate(suffixes):
+        if suffix in rules.normal_rules:
             best = max(best, n - i)
-        if i >= 1 and candidate in rules.wildcard_rules:
+        if i >= 1 and suffix in rules.wildcard_rules:
             best = max(best, n - i + 1)
     return best
 
@@ -100,8 +99,8 @@ def etld_plus_one(host: str, rules: PslRuleSet) -> SiteId:
     """
     if not host:
         raise InputError("EMPTY_HOST", "empty hostname")
-    labels = host.split(".")
-    suffix_len = _public_suffix_labels(labels, rules)
-    if len(labels) <= suffix_len:
+    suffixes = label_suffixes(host)
+    suffix_len = _public_suffix_labels(suffixes, rules)
+    if len(suffixes) <= suffix_len:
         raise InputError("HOST_IS_PUBLIC_SUFFIX", f"{host!r} has no registrable part")
-    return ".".join(labels[len(labels) - suffix_len - 1:])
+    return suffixes[len(suffixes) - suffix_len - 1]

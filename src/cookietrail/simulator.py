@@ -67,6 +67,7 @@ from .model import (
     VisitOutcome,
     _canonical_host,
     domain_match,
+    label_suffixes,
 )
 from .crawllog import (
     BANNER,
@@ -77,7 +78,7 @@ from .crawllog import (
     Interaction,
     VisitEnd,
     VisitStart,
-    banner_to_obj,
+    _BANNER_FIELDS,
 )
 
 # --- banner predicates ------------------------------------------------------
@@ -355,12 +356,22 @@ class EcosystemConfig:
         return cls(*sections)
 
     def to_obj(self) -> dict:
+        """The JSON object ``from_obj`` reads.  Each distinct banner's is decoded once per call from the JSON its
+        declaration writes, so equal banners share one object, as ``from_obj`` makes them share one descriptor."""
+        banners: dict[BannerDescriptor, dict] = {}
+
+        def banner_obj(banner: BannerDescriptor) -> dict:
+            obj = banners.get(banner)
+            if obj is None:
+                obj = banners[banner] = json.loads(_BANNER_FIELDS.encode(banner))
+            return obj
+
         return {
             "sites": [
                 {
                     "site": s.site,
                     "rank": s.rank,
-                    "banner": banner_to_obj(s.banner),
+                    "banner": banner_obj(s.banner),
                     "embeds": [
                         {"tracker": e.tracker, "policy": e.policy.name, "channel": e.channel.name}
                         for e in s.embeds
@@ -523,10 +534,10 @@ class _CookieStore:
 
     Each bucket is an insertion-ordered ``dict[CookieKey, str]`` and keeps the
     ``pop`` / re-insert order of its own keys.  ``domain_match(target, host)``
-    holds exactly when ``host`` is one of the target's label suffixes
-    (``".".join(target.split(".")[i:])``), so ``attached`` walks those
-    suffixes, longest first, and reads only their ``(suffix, None)`` and
-    ``(suffix, visited_site)`` buckets instead of scanning every cookie.
+    holds exactly when ``host`` is one of the target's ``label_suffixes``,
+    so ``attached`` walks those suffixes, longest first, and reads only their
+    ``(suffix, None)`` and ``(suffix, visited_site)`` buckets instead of
+    scanning every cookie.
 
     The callers sort what ``attached`` returns, so its order only matters
     where a sort key ties.  The header key ``(-len(host), host, name,
@@ -539,7 +550,6 @@ class _CookieStore:
 
     def __init__(self):
         self._buckets: dict[tuple[str, SiteId | None], dict[CookieKey, str]] = {}
-        self._suffixes: dict[str, tuple[str, ...]] = {}  # target -> its label suffixes, longest first
 
     def set(self, key: CookieKey, value: str) -> None:
         self._buckets.setdefault((key.host, key.partition), {})[key] = value
@@ -551,13 +561,9 @@ class _CookieStore:
 
     def attached(self, target: str, visited_site: SiteId) -> list[tuple[CookieKey, str]]:
         """The (key, value) pairs a request to ``target`` from ``visited_site`` carries, unsorted."""
-        suffixes = self._suffixes.get(target)
-        if suffixes is None:
-            labels = target.split(".")
-            suffixes = self._suffixes[target] = tuple(".".join(labels[i:]) for i in range(len(labels)))
         found: list[tuple[CookieKey, str]] = []
         buckets = self._buckets
-        for suffix in suffixes:
+        for suffix in label_suffixes(target):
             for partition in (None, visited_site):
                 bucket = buckets.get((suffix, partition))
                 if bucket:

@@ -492,6 +492,21 @@ class TestPartitionedSummary:
         _every, tracking = partitioned_summary(jar, trackers, RULES)
         assert tracking.along_with_np == 0
 
+    def test_listed_host_without_registrable_domain(self):
+        """A listed host that is itself a suffix rule is tracking but shares no registrable domain with a sibling;
+        its subdomains keep theirs."""
+        rules = load_psl("com\nnet\nt.net\n")
+        jar = CookieJar()
+        jar.upsert(make_record("id_p", "t.net", partition="a.com"))
+        jar.upsert(make_record("id", "t.net", set_at=1))
+        jar.upsert(make_record("y", "a.t.net", partition="a.com", set_at=2))
+        jar.upsert(make_record("z", "b.a.t.net", set_at=3))
+        jar.upsert(make_record("x", "benign.com", set_at=4))
+        assert partitioned_summary(jar, frozenset({"t.net"}), rules) == [
+            PartitionedRow("all", 5, 2, None),
+            PartitionedRow("tracking", 4, 2, 1),
+        ]
+
 
 def test_five_number_summary():
     summary = five_number_summary([1, 2, 3, 4, 5])

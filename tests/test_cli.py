@@ -1279,6 +1279,23 @@ def test_detect_warning_names_its_visit(analyzed, tmp_path, capsys):
     ]
 
 
+def test_a_cookie_host_without_registrable_domain_warns_once(tmp_path, capsys):
+    """A listed cookie host that is itself a suffix-list rule fails each of its sends, with one
+    HOST_IS_PUBLIC_SUFFIX warning for the host, not one per send."""
+    d = tmp_path / "run"
+    _analyzed_run(d, random_config(random.Random(0)).to_obj(), 0)
+    psl = tmp_path / "psl.dat"
+    psl.write_text((DEMO / "psl.dat").read_text() + "t0.net\n")
+    capsys.readouterr()
+    assert _run_json("detect", d, {"--psl": psl}) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert records == [
+        {"error": "HOST_IS_PUBLIC_SUFFIX", "message": "cookie host 't0.net': 't0.net' has no registrable part"}
+    ]
+
+
 def test_list_warnings_name_their_file(analyzed, tmp_path, capsys):
     """Each tracker or adblock list's MALFORMED_DOMAIN warning names its own file and keeps its line."""
     plain_a, plain_b, adblock = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "ad.txt"

@@ -1117,7 +1117,7 @@ def test_a_banner_list_or_record_of_another_json_type_is_refused(source, code, p
 # encoders must write the same bytes.
 
 
-def _ref_banner_to_obj(banner):
+def _ref_banner_obj(banner):
     return {
         "banner_type": banner.banner_type.value,
         "layers": [
@@ -1140,7 +1140,7 @@ def _ref_event_to_record(event):
             continue
         value = getattr(event, name)
         if name == "banner":
-            value = _ref_banner_to_obj(value)
+            value = _ref_banner_obj(value)
         elif isinstance(value, enum.Enum):
             value = value.name
         record[name] = value

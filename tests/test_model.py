@@ -34,6 +34,7 @@ from cookietrail.model import (
     VisitOutcome,
     canonicalize_host,
     domain_match,
+    label_suffixes,
 )
 from helpers import random_config, run_pipeline, save_jar
 
@@ -287,9 +288,9 @@ def _ref_value(value):
     if isinstance(value, datetime):
         return value.isoformat()
     if isinstance(value, BannerDescriptor):
-        from test_crawllog import _ref_banner_to_obj
+        from test_crawllog import _ref_banner_obj
 
-        return _ref_banner_to_obj(value)
+        return _ref_banner_obj(value)
     if type(value) in (BannerButton, BannerToggle):
         return list(map(_ref_value, value))
     if hasattr(value, "_fields"):
@@ -356,6 +357,18 @@ class TestDomainMatch:
 
     def test_no_reverse_match(self):
         assert not domain_match("tracker.net", "a.tracker.net")
+
+
+def test_label_suffixes_are_the_domain_matched_hosts_longest_first():
+    """``label_suffixes(h)`` holds exactly the hosts ``e`` with ``domain_match(h, e)``, each once, longest first."""
+    hosts = ["net", "localhost", "t.net", "a.t.net", "sync.t0.net", "at.net", "x.y.z.w.v.u.example", "a.a.a.a"]
+    universe = {".".join(host.split(".")[i:]) for host in hosts for i in range(len(host.split(".")))}
+    universe |= {"a.net", "t.ne", "b.t.net", "y.z.w.v.u.example.com"}
+    for host in hosts:
+        suffixes = label_suffixes(host)
+        assert sorted(suffixes) == sorted(e for e in universe if domain_match(host, e)), host
+        assert [len(s) for s in suffixes] == sorted((len(s) for s in suffixes), reverse=True), host
+        assert suffixes[0] == host and len(set(suffixes)) == len(suffixes), host
 
 
 def test_banner_none_must_have_no_layers():
