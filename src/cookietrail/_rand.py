@@ -26,13 +26,14 @@ def unit_float(seed: int, *labels: str) -> float:
 
 
 def hex_token(seed: int, *labels: str, length: int = 16) -> str:
-    """Deterministic lowercase hex string of the given length."""
-    out = ""
-    block = 0
-    while len(out) < length:
-        out += digest(seed, *labels, f"block{block}").hex()
-        block += 1
-    return out[:length]
+    """Deterministic lowercase hex string of the given length (empty for ``length <= 0``).
+
+    Block ``i`` is the hex digest of the labels and ``block<i>``; the token
+    is the first ``length`` characters of blocks ``0, 1, ...`` joined.
+    """
+    if 0 < length <= 64:  # one block, the usual case, without the comprehension's frame
+        return digest(seed, *labels, "block0").hex()[:length]
+    return "".join([digest(seed, *labels, f"block{block}").hex() for block in range(-(-length // 64))])[:length]
 
 
 def digit_token(seed: int, *labels: str, length: int = 16) -> str:

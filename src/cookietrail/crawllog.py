@@ -393,6 +393,8 @@ class _LogParser:
 
 # Each event tag's decoder, and the filer named after the tag that takes what it decodes.
 _READERS = {fields.tag: (fields.decode, getattr(_LogParser, fields.tag.lower())) for fields in _EVENT_FIELDS.values()}
+# Each event kind's encoder, looked up by ``log_writer`` once per event.
+_ENCODERS = {kind: fields.encode for kind, fields in _EVENT_FIELDS.items()}
 
 
 def log_writer(write: Callable[[str], object]) -> Callable[[CrawlEvent], None]:
@@ -406,7 +408,7 @@ def log_writer(write: Callable[[str], object]) -> Callable[[CrawlEvent], None]:
     banners: dict = {}
 
     def write_event(event: CrawlEvent) -> None:
-        write(_EVENT_FIELDS[type(event)].encode(event, banners) + "\n")
+        write(_ENCODERS[type(event)](event, banners) + "\n")
 
     return write_event
 

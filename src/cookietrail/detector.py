@@ -170,8 +170,15 @@ def detect_intractable(
     return findings
 
 
-def detect_reset(findings: Iterable[IntractableFinding], index: RunIndex) -> list[ResetFinding]:
-    """Canonical findings whose key is re-set within the sender's own visit."""
+def detect_reset(
+    findings: Iterable[IntractableFinding], index: RunIndex, *, issues: list[ParseIssue]
+) -> list[ResetFinding]:
+    """Canonical findings whose key is re-set within the sender's own visit.
+
+    Only the Set-Cookie headers of visits with a canonical finding are read;
+    one that no cookie can be read from (``MISSING_NAME``, or a bad Domain's
+    host code) is an issue naming its visit.
+    """
     per_visit_keys: dict[str, dict[CookieKey, SiteId]] = {}
     for finding in findings:
         if finding.canonical:
@@ -183,7 +190,9 @@ def detect_reset(findings: Iterable[IntractableFinding], index: RunIndex) -> lis
             continue
         try:
             fragment = parse_set_cookie(event.set_cookie_header, event.setter_context_host)
-        except InputError:
+        except InputError as exc:
+            issues.append(ParseIssue(exc.code, exc.message))
+            in_visit(issues, len(issues) - 1, event.visit_id)
             continue
         set_key = CookieKey(fragment.name, fragment.host, None)
         if fragment.partitioned or set_key not in keys:
@@ -266,6 +275,6 @@ class Detector:
             elif visit.in_reject_iteration and visit.outcome is VisitOutcome.INTERACTION_FAILED:
                 stats.failed_rejections += 1
         findings = detect_intractable(jar, index, self.rules, self.trackers, issues=issues, stats=stats)
-        resets = detect_reset(findings, index)
+        resets = detect_reset(findings, index, issues=issues)
         syncs = detect_sync(findings, index, self.rules, self.trackers)
         return DetectionResult(findings=findings, resets=resets, syncs=syncs, stats=stats, issues=issues)

@@ -25,7 +25,7 @@ sync redirects.
 
 The simulated browser attaches stored cookies whose host domain-matches the
 request target and whose partition, if any, equals the visited site.  Its
-cookie store (``_CookieStore``) is indexed by (host, partition), so a request
+cookie store (``_CookieStore``) is indexed by host, then partition, so a request
 reads only the buckets of the target's label suffixes with partition None or
 the visited site, and the cost of a request does not grow with the store.
 
@@ -91,6 +91,12 @@ def default_synonyms() -> tuple[frozenset[str], frozenset[str]]:
     return frozenset(map(str.casefold, obj["reject"])), frozenset(map(str.casefold, obj["save"]))
 
 
+# The enum members the predicates and the crawl read per visit, looked up once:
+# a lookup on the class costs about 0.15 µs.
+_NO_BANNER = BannerType.NONE
+_REJECT, _SETTINGS, _SAVE, _ACCEPT = ButtonAction.REJECT, ButtonAction.SETTINGS, ButtonAction.SAVE, ButtonAction.ACCEPT
+
+
 def _find_button(layer: BannerLayer, action: ButtonAction, labels: frozenset[str] = frozenset()):
     for button in layer.buttons:
         if button.action is action or button.label.casefold().strip() in labels:
@@ -106,26 +112,26 @@ def can_reject(banner: BannerDescriptor) -> bool:
     does a save button (by action or label) while no non-essential toggle is
     preselected on.
     """
-    if banner.banner_type is BannerType.NONE or not banner.layers:
+    if banner.banner_type is _NO_BANNER or not banner.layers:
         return False
     main = banner.layers[0]
-    if _find_button(main, ButtonAction.REJECT) is not None:
+    if _find_button(main, _REJECT) is not None:
         return True
-    if _find_button(main, ButtonAction.SETTINGS) is None or len(banner.layers) < 2:
+    if _find_button(main, _SETTINGS) is None or len(banner.layers) < 2:
         return False
     reject, save = default_synonyms()
     settings = banner.layers[1]
-    if _find_button(settings, ButtonAction.REJECT, reject) is not None:
+    if _find_button(settings, _REJECT, reject) is not None:
         return True
-    return (_find_button(settings, ButtonAction.SAVE, save) is not None
+    return (_find_button(settings, _SAVE, save) is not None
             and not any(t.preselected and not t.essential for t in settings.toggles))
 
 
 def can_accept(banner: BannerDescriptor) -> bool:
     """True when the main layer offers a direct accept button."""
-    if banner.banner_type is BannerType.NONE or not banner.layers:
+    if banner.banner_type is _NO_BANNER or not banner.layers:
         return False
-    return _find_button(banner.layers[0], ButtonAction.ACCEPT) is not None
+    return _find_button(banner.layers[0], _ACCEPT) is not None
 
 
 # --- ecosystem configuration ----------------------------------------------------
@@ -528,66 +534,126 @@ def _resolve_like_detector(value: str, same_name: list[CookieKey], jar_values: d
 
 # --- log generation ----------------------------------------------------------------
 
+# ``tuple.__new__(kind, fields)`` builds a NamedTuple record without the Python
+# frame of its generated ``__new__``, as ``model``'s compiled codecs do.
+_new = tuple.__new__
+# More of the enum members the crawl reads per visit (see ``_NO_BANNER``).
+_POST_ACCEPT_ONLY, _PRE_CONSENT_ONLY = EmbedLoadPolicy.POST_ACCEPT_ONLY, EmbedLoadPolicy.PRE_CONSENT_ONLY
+_RESOURCE_FETCH = Channel.RESOURCE_FETCH
+_BEFORE_INTERACTION = InteractionStage.BEFORE_INTERACTION
+_ACCEPT_PHASE = (Phase.STATEFUL_ACCEPT, Iteration.ACCEPT_ITER)
+_REJECT_ITERATION = (Phase.STATELESS_MEASURE, Iteration.REJECT_ITER)
+_ACCEPT_ITERATION = (Phase.STATELESS_MEASURE, Iteration.ACCEPT_ITER)
+_ACCEPT_CLICK = (InteractionAction.ACCEPT_CLICKED, InteractionStage.AFTER_ACCEPT)
+_REJECT_CLICK = (InteractionAction.REJECT_CLICKED, InteractionStage.AFTER_REJECT)
+_RELOAD = (InteractionAction.RELOAD, InteractionStage.AFTER_RELOADED_REJECT)
+_ACCEPTED, _REJECTED = VisitOutcome.ACCEPTED, VisitOutcome.REJECTED
+_ENDED_NO_BANNER, _INTERACTION_FAILED = VisitOutcome.NO_BANNER, VisitOutcome.INTERACTION_FAILED
+
 
 class _CookieStore:
-    """The simulated browser's cookies, bucketed by (host, partition).
+    """The simulated browser's cookies, bucketed by host, then by partition.
 
     Each bucket is an insertion-ordered ``dict[CookieKey, str]`` and keeps the
     ``pop`` / re-insert order of its own keys.  ``domain_match(target, host)``
     holds exactly when ``host`` is one of the target's ``label_suffixes``,
-    so ``attached`` walks those suffixes, longest first, and reads only their
-    ``(suffix, None)`` and ``(suffix, visited_site)`` buckets instead of
-    scanning every cookie.
+    so ``attached`` walks those suffixes, longest first, and for each looks
+    the suffix up once and reads its ``None`` bucket, then its
+    ``visited_site`` one, instead of scanning every cookie.
 
-    The callers sort what ``attached`` returns, so its order only matters
-    where a sort key ties.  The header key ``(-len(host), host, name,
-    partition)`` is total.  The ``attached_own`` key ``(name, host)`` ties
-    only between two keys that differ in partition alone; every stored key's
-    host is its tracker's domain and ``sets_partitioned`` is fixed per
-    tracker, so such keys never coexist.  The output therefore equals that
-    of a full scan of a flat, insertion-ordered store.
+    The callers sort what ``attached`` returns, or pick from it by a key, so
+    its order only matters where a key ties.  The header key ``(-len(host),
+    host, name, partition)`` is total.  The resets' key ``(name, host)`` and
+    the sync key ``(len(value), name, host)`` tie only between two keys that
+    differ in partition alone; every stored key's host is its tracker's domain
+    and ``sets_partitioned`` is fixed per tracker, so such keys never coexist.
+    The output therefore equals that of a full scan of a flat,
+    insertion-ordered store.
     """
 
     def __init__(self):
-        self._buckets: dict[tuple[str, SiteId | None], dict[CookieKey, str]] = {}
+        self._hosts: dict[str, dict[SiteId | None, dict[CookieKey, str]]] = {}
 
     def set(self, key: CookieKey, value: str) -> None:
-        self._buckets.setdefault((key.host, key.partition), {})[key] = value
+        self._hosts.setdefault(key.host, {}).setdefault(key.partition, {})[key] = value
 
     def delete(self, key: CookieKey) -> None:
-        bucket = self._buckets.get((key.host, key.partition))
+        bucket = self._hosts.get(key.host, {}).get(key.partition)
         if bucket is not None:
             bucket.pop(key, None)
 
     def attached(self, target: str, visited_site: SiteId) -> list[tuple[CookieKey, str]]:
         """The (key, value) pairs a request to ``target`` from ``visited_site`` carries, unsorted."""
         found: list[tuple[CookieKey, str]] = []
-        buckets = self._buckets
+        hosts = self._hosts
         for suffix in label_suffixes(target):
-            for partition in (None, visited_site):
-                bucket = buckets.get((suffix, partition))
+            partitions = hosts.get(suffix)
+            if partitions:
+                bucket = partitions.get(None)
+                if bucket:
+                    found.extend(bucket.items())
+                bucket = partitions.get(visited_site)
                 if bucket:
                     found.extend(bucket.items())
         return found
 
 
+def _header_order(pair: tuple[CookieKey, str]) -> tuple:
+    key = pair[0]
+    return -len(key.host), key.host, key.name, key.partition or ""
+
+
+def _name_host(pair: tuple[CookieKey, str]) -> tuple[str, str]:
+    return pair[0].name, pair[0].host
+
+
+def _carried_order(pair: tuple[CookieKey, str]) -> tuple:
+    return len(pair[1]), pair[0].name, pair[0].host
+
+
 def _attach_header(attached: list[tuple[CookieKey, str]]) -> str:
     """Cookie header for the pairs ``_CookieStore.attached`` found for one request.
 
-    The store looks them up by (host, partition) over the target's label
+    The store looks them up by host and partition over the target's label
     suffixes; the header lists them longest host first.
     """
-    ordered = sorted(attached, key=lambda kv: (-len(kv[0].host), kv[0].host, kv[0].name, kv[0].partition or ""))
-    return "; ".join(f"{key.name}={value}" for key, value in ordered)
+    if len(attached) > 1:
+        attached = sorted(attached, key=_header_order)
+    return "; ".join([f"{key.name}={value}" for key, value in attached])
 
 
-def _set_cookie_header(cookie: CookieSpec, value: str, tracker: TrackerSpec) -> str:
-    parts = [f"{cookie.name}={value}", f"Domain=.{tracker.domain}"]
+def _set_cookie_attributes(cookie: CookieSpec, tracker: TrackerSpec) -> str:
+    """What follows ``name=value`` in the tracker's Set-Cookie header for ``cookie``."""
+    parts = ["", f"Domain=.{tracker.domain}"]
     if cookie.lifetime is not None:
         parts.append(f"Max-Age={int(cookie.lifetime)}")
     if tracker.sets_partitioned:
         parts.append("Partitioned")
     return "; ".join(parts)
+
+
+class _Tracker:
+    """What a tracker's requests and cookie writes need, worked out once per crawl."""
+
+    __slots__ = ("spec", "domain", "target", "honors_gpc", "partitioned", "resets_on_send", "syncs", "writes",
+                 "reset_attributes")
+
+    def __init__(self, tracker: TrackerSpec):
+        self.spec, self.domain, self.target = tracker, tracker.domain, _embed_target(tracker.domain)
+        self.honors_gpc, self.partitioned, self.resets_on_send = (
+            tracker.honors_gpc, tracker.sets_partitioned, tracker.resets_on_send)
+        # Each sync partner's host and its redirect URL, but for the carried value.
+        self.syncs = tuple((f"sync.{partner}", f"https://sync.{partner}/match?uid=") for partner in tracker.sync_partners)
+        # Each cookie write: its name, value generator, Set-Cookie attributes and whether it deletes.
+        self.writes = tuple(
+            (cookie.name, cookie.value, _set_cookie_attributes(cookie, tracker),
+             cookie.lifetime is not None and cookie.lifetime <= 0)
+            for cookie in tracker.cookies
+        )
+        # A reset re-sets a carried cookie with the attributes of the first spec of its name.
+        self.reset_attributes: dict[str, str] = {}
+        for name, _, attributes, _ in self.writes:
+            self.reset_attributes.setdefault(name, attributes)
 
 
 def generate(config: EcosystemConfig, seed: int, *, run_label: str = "") -> list[CrawlEvent]:
@@ -616,7 +682,7 @@ def crawl(config: EcosystemConfig, seed: int, sink: Callable[[CrawlEvent], objec
     for position, site_name in enumerate(config.schedule.phase2):
         site = config.site(site_name)
         run.reject_iteration(site, f"{prefix}p2r-{position:05d}")
-        if site.banner.banner_type is not BannerType.NONE:
+        if site.banner.banner_type is not _NO_BANNER:
             run.accept_iteration(site, f"{prefix}p2a-{position:05d}")
 
 
@@ -627,84 +693,88 @@ class _Run:
     time: each event goes to the sink as it is made, numbered by a counter,
     and no event list is kept.  The run keeps the open visit's id, its site
     and its stage, which is the stage the last click moved it to; every
-    request and cookie write of the visit carries that stage.
+    request and cookie write of the visit carries that stage.  Each tracker's
+    hosts, URLs and Set-Cookie attributes are worked out once per run
+    (``_Tracker``).
     """
 
     def __init__(self, config: EcosystemConfig, seed: int, sink: Callable[[CrawlEvent], object]):
         self.config = config
         self.seed = seed
         self.sink = sink
+        self.gpc = config.schedule.gpc_enabled
+        self.trackers = {tracker.domain: _Tracker(tracker) for tracker in config.trackers}
         self.emitted = 0  # the events handed to the sink, so the next one's event_index
         self.store = _CookieStore()
         self.visit_id = ""
         self.site: SiteSpec | None = None
-        self.stage = InteractionStage.BEFORE_INTERACTION
+        self.stage = _BEFORE_INTERACTION
 
     def accept_phase_visit(self, site: SiteSpec, visit_id: str) -> None:
         """Accept the banner, then load every embed; each tracker's cookie writes reach the store."""
-        self._start(site, visit_id, Phase.STATEFUL_ACCEPT, Iteration.ACCEPT_ITER)
-        if site.banner.banner_type is BannerType.NONE:
-            self._end(VisitOutcome.NO_BANNER)
+        self._start(site, visit_id, *_ACCEPT_PHASE)
+        if site.banner.banner_type is _NO_BANNER:
+            self._end(_ENDED_NO_BANNER)
             return
         if not can_accept(site.banner):
-            self._end(VisitOutcome.INTERACTION_FAILED)
+            self._end(_INTERACTION_FAILED)
             return
-        self._click(InteractionAction.ACCEPT_CLICKED, InteractionStage.AFTER_ACCEPT)
+        self._click(*_ACCEPT_CLICK)
         for embed in site.embeds:
-            tracker = self.config.tracker(embed.tracker)
-            target = _embed_target(tracker.domain)
-            self._request(target, f"https://{target}/collect?site={site.site}", embed.channel)
+            tracker = self.trackers[embed.tracker]
+            self._request(tracker.target, f"https://{tracker.target}/collect?site={site.site}", embed.channel)
             self._write_cookies(tracker, stored=True)
-        self._end(VisitOutcome.ACCEPTED)
+        self._end(_ACCEPTED)
 
     def reject_iteration(self, site: SiteSpec, visit_id: str) -> None:
         """Load the page, reject the banner and reload it, which drops some embeds, seeded per (site, tracker)."""
-        self._start(site, visit_id, Phase.STATELESS_MEASURE, Iteration.REJECT_ITER)
-        embeds = self._measured_embeds(EmbedLoadPolicy.POST_ACCEPT_ONLY)
+        self._start(site, visit_id, *_REJECT_ITERATION)
+        embeds = self._measured_embeds(_POST_ACCEPT_ONLY)
         self._embed_requests(embeds)
-        if site.banner.banner_type is BannerType.NONE:
-            self._end(VisitOutcome.NO_BANNER)
+        if site.banner.banner_type is _NO_BANNER:
+            self._end(_ENDED_NO_BANNER)
             return
         if not can_reject(site.banner):
-            self._end(VisitOutcome.INTERACTION_FAILED)
+            self._end(_INTERACTION_FAILED)
             return
-        self._click(InteractionAction.REJECT_CLICKED, InteractionStage.AFTER_REJECT)
+        self._click(*_REJECT_CLICK)
         # Rejection triggers no additional sends; the reload re-issues the
         # pre-consent embeds minus the seeded per-(site, tracker) drops.
-        self._click(InteractionAction.RELOAD, InteractionStage.AFTER_RELOADED_REJECT)
+        self._click(*_RELOAD)
         self._embed_requests(
-            [(embed, tracker) for embed, tracker in embeds if not _reload_dropped(self.seed, site.site, tracker)]
+            [(channel, tracker) for channel, tracker in embeds
+             if not _reload_dropped(self.seed, site.site, tracker.spec)]
         )
-        self._end(VisitOutcome.REJECTED)
+        self._end(_REJECTED)
 
     def accept_iteration(self, site: SiteSpec, visit_id: str) -> None:
         """Load the page and accept its banner; the consented trackers' cookie writes never reach the store."""
-        self._start(site, visit_id, Phase.STATELESS_MEASURE, Iteration.ACCEPT_ITER)
-        self._embed_requests(self._measured_embeds(EmbedLoadPolicy.POST_ACCEPT_ONLY))
+        self._start(site, visit_id, *_ACCEPT_ITERATION)
+        self._embed_requests(self._measured_embeds(_POST_ACCEPT_ONLY))
         if not can_accept(site.banner):
-            self._end(VisitOutcome.INTERACTION_FAILED)
+            self._end(_INTERACTION_FAILED)
             return
-        self._click(InteractionAction.ACCEPT_CLICKED, InteractionStage.AFTER_ACCEPT)
-        consented = self._measured_embeds(EmbedLoadPolicy.PRE_CONSENT_ONLY)
+        self._click(*_ACCEPT_CLICK)
+        consented = self._measured_embeds(_PRE_CONSENT_ONLY)
         self._embed_requests(consented)
         # Accepting triggers fresh cookie writes from every consented tracker;
         # these happen outside the accept phase and never reach the jar.
         for _, tracker in consented:
             self._write_cookies(tracker, stored=False)
-        self._end(VisitOutcome.ACCEPTED)
+        self._end(_ACCEPTED)
 
     # --- the steps the visits share ---------------------------------------------
 
     def _emit(self, cls, *fields) -> None:
         """Hand the sink a ``cls`` record of the open visit; ``fields`` are those between its visit id and index."""
-        self.sink(cls(self.visit_id, *fields, self.emitted))
+        self.sink(_new(cls, (self.visit_id, *fields, self.emitted)))
         self.emitted += 1
 
     def _start(self, site: SiteSpec, visit_id: str, phase: Phase, iteration: Iteration) -> None:
         """Open a visit: VISIT_START, then BANNER_OBSERVED unless the site has no banner."""
-        self.visit_id, self.site, self.stage = visit_id, site, InteractionStage.BEFORE_INTERACTION
-        self._emit(VisitStart, site.site, site.rank, phase, iteration, self.config.schedule.gpc_enabled)
-        if site.banner.banner_type is not BannerType.NONE:
+        self.visit_id, self.site, self.stage = visit_id, site, _BEFORE_INTERACTION
+        self._emit(VisitStart, site.site, site.rank, phase, iteration, self.gpc)
+        if site.banner.banner_type is not _NO_BANNER:
             self._emit(BannerObserved, site.banner)
 
     def _click(self, action: InteractionAction, stage: InteractionStage) -> None:
@@ -714,14 +784,13 @@ class _Run:
     def _end(self, outcome: VisitOutcome) -> None:
         self._emit(VisitEnd, outcome)
 
-    def _measured_embeds(self, skipped: EmbedLoadPolicy) -> list[tuple[EmbedSpec, TrackerSpec]]:
-        """The measure-phase embeds that load, with their trackers: all but ``skipped`` and GPC-honoring ones."""
-        gpc = self.config.schedule.gpc_enabled
+    def _measured_embeds(self, skipped: EmbedLoadPolicy) -> list[tuple[Channel, _Tracker]]:
+        """The channel and tracker of each measure-phase embed that loads: all but ``skipped`` and GPC-honoring ones."""
         embeds = []
         for embed in self.site.embeds:
-            tracker = self.config.tracker(embed.tracker)
-            if embed.policy is not skipped and not (gpc and tracker.honors_gpc):
-                embeds.append((embed, tracker))
+            tracker = self.trackers[embed.tracker]
+            if embed.policy is not skipped and not (self.gpc and tracker.honors_gpc):
+                embeds.append((embed.channel, tracker))
         return embeds
 
     def _request(
@@ -732,42 +801,35 @@ class _Run:
         self._emit(HttpRequest, self.stage, target, url, channel, _attach_header(attached), parent_url)
         return attached
 
-    def _embed_requests(self, embeds: list[tuple[EmbedSpec, TrackerSpec]]) -> None:
+    def _embed_requests(self, embeds: list[tuple[Channel, _Tracker]]) -> None:
         """One measure-phase request per embed, each followed by its tracker's resets and sync redirects."""
-        for embed, tracker in embeds:
-            target = _embed_target(tracker.domain)
-            origin_url = f"https://{target}/px?site={self.site.site}"
-            attached_own = sorted(
-                self._request(target, origin_url, embed.channel), key=lambda kv: (kv[0].name, kv[0].host)
-            )
+        for channel, tracker in embeds:
+            origin_url = f"https://{tracker.target}/px?site={self.site.site}"
+            attached = self._request(tracker.target, origin_url, channel)
+            if not attached:
+                continue
             if tracker.resets_on_send:
-                for key, value in attached_own:
-                    spec = next((c for c in tracker.cookies if c.name == key.name), None)
-                    if spec is not None and key.host == tracker.domain:
-                        self._set_cookie(spec, value, tracker)
-            if tracker.sync_partners and attached_own:
+                for key, value in sorted(attached, key=_name_host):
+                    attributes = tracker.reset_attributes.get(key.name)
+                    if attributes is not None and key.host == tracker.domain:
+                        self._emit(CookieSet, self.stage, f"{key.name}={value}{attributes}", tracker.target)
+            if tracker.syncs:
                 # Redirect chains carry the most identifier-like (longest) value.
-                carried = max(attached_own, key=lambda kv: (len(kv[1]), kv[0].name, kv[0].host))[1]
-                for partner in tracker.sync_partners:
-                    partner_host = f"sync.{partner}"
-                    self._request(
-                        partner_host, f"https://{partner_host}/match?uid={carried}", Channel.RESOURCE_FETCH, origin_url
-                    )
+                carried = max(attached, key=_carried_order)[1]
+                for host, url in tracker.syncs:
+                    self._request(host, url + carried, _RESOURCE_FETCH, origin_url)
 
-    def _set_cookie(self, cookie: CookieSpec, value: str, tracker: TrackerSpec) -> None:
-        self._emit(CookieSet, self.stage, _set_cookie_header(cookie, value, tracker), _embed_target(tracker.domain))
-
-    def _write_cookies(self, tracker: TrackerSpec, *, stored: bool) -> None:
+    def _write_cookies(self, tracker: _Tracker, *, stored: bool) -> None:
         """The tracker's cookie writes on the visited site after an accept; ``stored`` applies them to the store."""
         site = self.site.site
-        partition = site if tracker.sets_partitioned else None
-        for cookie in tracker.cookies:
-            value = cookie.value.generate(self.seed, tracker.domain, cookie.name, site)
-            self._set_cookie(cookie, value, tracker)
+        partition = site if tracker.partitioned else None
+        for name, generator, attributes, deletes in tracker.writes:
+            value = generator.generate(self.seed, tracker.domain, name, site)
+            self._emit(CookieSet, self.stage, f"{name}={value}{attributes}", tracker.target)
             if not stored:
                 continue
-            key = CookieKey(cookie.name, tracker.domain, partition)
-            if cookie.lifetime is not None and cookie.lifetime <= 0:
+            key = _new(CookieKey, (name, tracker.domain, partition))
+            if deletes:
                 self.store.delete(key)
             else:
                 self.store.set(key, value)

@@ -121,7 +121,10 @@ class TestExpiryBucket:
         assert expiry_bucket(1 * DAY) is ExpiryBucket.D1
         assert expiry_bucket(1 * DAY + 1) is ExpiryBucket.D10
         assert expiry_bucket(10 * DAY) is ExpiryBucket.D10
+        # The paper's "more than 10 days": one second past it leaves D10.
+        assert expiry_bucket(10 * DAY + 1) is ExpiryBucket.M3
         assert expiry_bucket(90 * DAY) is ExpiryBucket.M3
+        assert expiry_bucket(90 * DAY + 1) is ExpiryBucket.Y1
         assert expiry_bucket(365 * DAY + 1) is ExpiryBucket.OVER_Y1
         assert expiry_bucket(366 * DAY) is ExpiryBucket.OVER_Y1
 
@@ -513,3 +516,4 @@ def test_five_number_summary():
     assert (summary.min, summary.median, summary.max) == (1, 3, 5)
     assert summary.mean == 3.0
     assert five_number_summary([]) is None
+    assert five_number_summary([3.0]) == (1, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0)

@@ -1279,6 +1279,28 @@ def test_detect_warning_names_its_visit(analyzed, tmp_path, capsys):
     ]
 
 
+def test_detect_warns_of_a_nameless_set_cookie_in_a_canonical_visit(analyzed, tmp_path, capsys):
+    """A measure-phase Set-Cookie that detect reads for resets, on a visit with a canonical finding, and that no
+    cookie can be read from, is a MISSING_NAME warning naming its visit, as validate-log's error does."""
+    findings = [json.loads(line) for line in (analyzed / "findings.jsonl").read_text().splitlines()[1:]]
+    canonical = {f["visit_id"] for f in findings if f["canonical"]}
+    lines = (analyzed / "run.log").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if '"kind":"COOKIE_SET"' in line and json.loads(line)["visit_id"] in canonical)
+    record = json.loads(lines[i])
+    record["set_cookie_header"] = "=novalue; Domain=.x.com"
+    lines[i] = json.dumps(record)
+    log = tmp_path / "nameless.log"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _run_json("detect", analyzed, {"--log": log}) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    records = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    problem = "Set-Cookie without a cookie name: '=novalue; Domain=.x.com'"
+    assert records == [{"error": "MISSING_NAME", "message": f"visit {record['visit_id']!r}: {problem}"}]
+
+
 def test_a_cookie_host_without_registrable_domain_warns_once(tmp_path, capsys):
     """A listed cookie host that is itself a suffix-list rule fails each of its sends, with one
     HOST_IS_PUBLIC_SUFFIX warning for the host, not one per send."""

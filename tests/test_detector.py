@@ -434,14 +434,14 @@ class TestDetectReset:
 
     def test_reset_detected(self):
         index = self._index_with_set()
-        resets = detect_reset([self._finding()], index)
+        resets = detect_reset([self._finding()], index, issues=[])
         assert len(resets) == 1
         assert resets[0].key == CookieKey("id", "tracker.net")
         assert resets[0].sender_site == "new.com"
 
     def test_unrelated_set_ignored(self):
         index = self._index_with_set(set_header="unrelated=1")
-        assert detect_reset([self._finding()], index) == []
+        assert detect_reset([self._finding()], index, issues=[]) == []
 
     def test_two_senders_two_resets(self):
         first = _reject_visit_events(visit_id="v1", site="s1.com")
@@ -461,13 +461,21 @@ class TestDetectReset:
             self._finding(visit_id="v1", sender_site="s1.com"),
             self._finding(visit_id="v2", sender_site="s2.com"),
         ]
-        resets = detect_reset(findings, index)
+        resets = detect_reset(findings, index, issues=[])
         assert len(resets) == 2
         assert {r.sender_site for r in resets} == {"s1.com", "s2.com"}
 
     def test_non_canonical_findings_ignored(self):
         index = self._index_with_set()
-        assert detect_reset([self._finding(canonical=False)], index) == []
+        assert detect_reset([self._finding(canonical=False)], index, issues=[]) == []
+
+    def test_unreadable_set_is_an_issue_naming_its_visit(self):
+        index = self._index_with_set(set_header="=novalue; Domain=.tracker.net")
+        issues = []
+        assert detect_reset([self._finding()], index, issues=issues) == []
+        assert [(i.code, i.detail) for i in issues] == [
+            ("MISSING_NAME", "visit 'v1': Set-Cookie without a cookie name: '=novalue; Domain=.tracker.net'")
+        ]
 
 
 class TestDetectSync:

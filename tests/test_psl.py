@@ -34,11 +34,14 @@ class TestLoadPsl:
         assert exc.value.code == "MALFORMED_RULE"
 
     def test_private_section_flag(self):
-        text = (DATA_DIR / "psl_fixture.dat").read_text(encoding="utf-8")
+        # An ICANN rule after the private section, which ends the fixture, is kept either way.
+        text = (DATA_DIR / "psl_fixture.dat").read_text(encoding="utf-8") + "after.test\n"
         with_private = load_psl(text)
         without = load_psl(text, include_private=False)
         assert "uk.com" in with_private.normal_rules
         assert "uk.com" not in without.normal_rules
+        assert "after.test" in with_private.normal_rules and "after.test" in without.normal_rules
+        assert with_private.normal_rules - without.normal_rules == {"uk.com"}
 
     def test_unicode_rules_are_punycoded(self):
         rules = load_psl("公司.cn\n")

@@ -705,7 +705,7 @@ def _quadratic_digit_token(seed: int, *labels: str, length: int = 16) -> str:
 
 class TestDigitToken:
     def test_matches_the_quadratic_version(self):
-        for length in range(301):
+        for length in range(-1, 301):
             assert _rand.digit_token(4, "site.com", "id", length=length) == _quadratic_digit_token(
                 4, "site.com", "id", length=length
             ), length
@@ -718,3 +718,22 @@ class TestDigitToken:
         token = _rand.digit_token(1, "long", length=length)
         assert len(token) == length and token.isdigit()
         assert len(calls) == -(-length // 32)
+
+
+def _block_loop_hex_token(seed: int, *labels: str, length: int = 16) -> str:
+    """``_rand.hex_token`` as it was when it appended one digest per loop turn."""
+    out = ""
+    block = 0
+    while len(out) < length:
+        out += _rand.digest(seed, *labels, f"block{block}").hex()
+        block += 1
+    return out[:length]
+
+
+class TestHexToken:
+    @pytest.mark.parametrize("length", [-1, 0, 1, 16, 63, 64, 65, 128, 129])
+    def test_matches_the_block_loop(self, length):
+        token = _rand.hex_token(4, "cookie-value", "t.net", "id", "site.com", length=length)
+        assert token == _block_loop_hex_token(4, "cookie-value", "t.net", "id", "site.com", length=length)
+        assert len(token) == max(length, 0) and set(token) <= set("0123456789abcdef")
+
