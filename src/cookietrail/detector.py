@@ -75,7 +75,6 @@ class SyncFinding(NamedTuple):
 
 @dataclass
 class DetectionStats:
-    visits: int = 0
     rejected_visits: int = 0
     failed_rejections: int = 0
     observations: int = 0
@@ -269,7 +268,6 @@ class Detector:
         for visit in index.visits.values():
             if visit.phase is not Phase.STATELESS_MEASURE:
                 continue
-            stats.visits += 1
             if visit.rejected_measurement:
                 stats.rejected_visits += 1
             elif visit.in_reject_iteration and visit.outcome is VisitOutcome.INTERACTION_FAILED:

@@ -376,8 +376,27 @@ class RecordFields:
             raise ValueError(f"{name}: {exc}") from None
 
     def rows(self, objs: list, name: str, *memos) -> tuple:
-        """Each record of the list ``objs`` that ``name`` holds, read by ``nested`` as ``<name>[<i>]``, from 0."""
-        return tuple([self.nested(obj, f"{name}[{index}]", *memos) for index, obj in enumerate(objs)])
+        """Each record of the list ``objs`` that ``name`` holds, read as ``nested`` reads ``<name>[<i>]``, from 0.
+
+        The rows are decoded in one loop, with no name built.  From the first
+        row that fails on, ``nested`` reads them, so a row that fails is
+        named; a decode depends only on its row and on memos that hold what
+        read, so that row fails there as it did in the loop.
+        """
+        decode, shape, arity = self.decode, list if self.arity else dict, self.arity
+        records = []
+        try:
+            for obj in objs:
+                if type(obj) is not shape or arity and len(obj) != arity:
+                    break
+                records.append(decode(obj, *memos))
+            else:
+                return tuple(records)
+        except (InputError, ValueError):
+            pass
+        start = len(records)
+        records += [self.nested(obj, f"{name}[{index}]", *memos) for index, obj in enumerate(objs[start:], start)]
+        return tuple(records)
 
 
 def _compile(fields: dict, wire_only: tuple, held: list, flat: bool, codec: RecordFields, namespace: dict) -> str:

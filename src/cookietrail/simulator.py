@@ -134,6 +134,24 @@ def can_accept(banner: BannerDescriptor) -> bool:
     return _find_button(banner.layers[0], _ACCEPT) is not None
 
 
+def _per_banner(predicate: Callable[[BannerDescriptor], bool]) -> Callable[[BannerDescriptor], bool]:
+    """``predicate``, memoized by banner identity for as long as the returned function lives.
+
+    A config has few distinct banners, and one load shares each among its
+    sites (``crawllog.decode_banner``).  The memo holds each banner beside its
+    verdict, so no id is reused while it is a key.
+    """
+    memo: dict[int, tuple[BannerDescriptor, bool]] = {}
+
+    def verdict(banner: BannerDescriptor) -> bool:
+        entry = memo.get(id(banner))
+        if entry is None:
+            entry = memo[id(banner)] = (banner, predicate(banner))
+        return entry[1]
+
+    return verdict
+
+
 # --- ecosystem configuration ----------------------------------------------------
 
 
@@ -152,12 +170,17 @@ class ValueGenerator(NamedTuple):
     const: str = ""
 
     def generate(self, seed: int, tracker: str, name: str, setter: str) -> str:
+        return self.bind(seed, tracker, name)(setter)
+
+    def bind(self, seed: int, tracker: str, name: str) -> Callable[[str], str]:
+        """``setter -> generate(seed, tracker, name, setter)``: the labels before the setter are hashed once."""
         if self.kind == "hex":
-            return _rand.hex_token(seed, "cookie-value", tracker, name, setter, length=self.length)
+            return _rand.hex_tokens(seed, "cookie-value", tracker, name, length=self.length)
         if self.kind == "digits":
-            return _rand.digit_token(seed, "cookie-value", tracker, name, setter, length=self.length)
+            return _rand.digit_tokens(seed, "cookie-value", tracker, name, length=self.length)
         if self.kind == "const":
-            return self.const
+            const = self.const
+            return lambda setter: const
         raise InputError("INVALID_CONFIG", f"unknown value generator kind {quoted(self.kind)}")
 
 
@@ -225,13 +248,20 @@ def _parse_lifetime(raw: int | float | str, name: str) -> int | None:
 
 
 def _hosts(values: list, name: str, hosts: dict[str, SiteId]) -> tuple[SiteId, ...]:
-    """Each string of a list as a canonical host, as ``model.HOST`` reads one; item ``i`` is named ``<name>[<i>]``."""
+    """Each string of a list as a canonical host, as ``model.HOST`` reads one; item ``i`` is named ``<name>[<i>]``.
+
+    Most hosts of a schedule or a sync list were read earlier in the same
+    load, so each is first looked up in ``hosts``, without its name.
+    """
     canonical = []
-    for index, value in enumerate(values):
-        where = f"{name}[{index}]"
-        if type(value) is not str:
-            raise ValueError(f"bad {where} {quoted(value)}")
-        canonical.append(_canonical_host(value, where, hosts))
+    for value in values:
+        host = hosts.get(value) if type(value) is str else None
+        if host is None:  # not a string, or a host this load has not read yet
+            where = f"{name}[{len(canonical)}]"
+            if type(value) is not str:
+                raise ValueError(f"bad {where} {quoted(value)}")
+            host = _canonical_host(value, where, hosts)
+        canonical.append(host)
     return tuple(canonical)
 
 
@@ -444,12 +474,6 @@ def _embed_target(tracker_domain: SiteId) -> str:
     return f"cdn.{tracker_domain}"
 
 
-def _reload_dropped(seed: int, site: SiteId, tracker: TrackerSpec) -> bool:
-    if tracker.drop_after_reject_prob <= 0.0:
-        return False
-    return _rand.unit_float(seed, "reload-drop", site, tracker.domain) < tracker.drop_after_reject_prob
-
-
 def ground_truth(config: EcosystemConfig, seed: int) -> GroundTruth:
     """Enumerate the jar keys and pre-interaction findings the pipeline must report.
 
@@ -458,22 +482,26 @@ def ground_truth(config: EcosystemConfig, seed: int) -> GroundTruth:
     cookies (latest write wins, non-positive lifetimes delete), phase-2
     successfully rejected sites send every attachable non-partitioned cookie
     before interaction, and ambiguous same-name sends resolve exactly like
-    the detector's documented value-then-longest-host preference.
+    the detector's documented value-then-longest-host preference.  Each
+    cookie's value derivation, each banner's verdicts and what a send to each
+    target carries are worked out once per call.
     """
+    accepts, rejects = _per_banner(can_accept), _per_banner(can_reject)
+    values = {t.domain: [c.value.bind(seed, t.domain, c.name) for c in t.cookies] for t in config.trackers}
     jar_values: dict[CookieKey, str] = {}
     for site_name in config.schedule.phase1:
         site = config.site(site_name)
-        if not can_accept(site.banner):
+        if not accepts(site.banner):
             continue
         for embed in site.embeds:
             tracker = config.tracker(embed.tracker)
             partition = site.site if tracker.sets_partitioned else None
-            for cookie in tracker.cookies:
-                key = CookieKey(cookie.name, tracker.domain, partition)
+            for cookie, value_of in zip(tracker.cookies, values[tracker.domain]):
+                key = _new(CookieKey, (cookie.name, tracker.domain, partition))
                 if cookie.lifetime is not None and cookie.lifetime <= 0:
                     jar_values.pop(key, None)
                 else:
-                    jar_values[key] = cookie.value.generate(seed, tracker.domain, cookie.name, site.site)
+                    jar_values[key] = value_of(site.site)
 
     listed = {t.domain for t in config.trackers if t.listed}
 
@@ -494,21 +522,24 @@ def ground_truth(config: EcosystemConfig, seed: int) -> GroundTruth:
         return [pair for i in range(len(labels)) for pair in by_host.get(".".join(labels[i:]), ())]
 
     findings: set[tuple[CookieKey, SiteId, InteractionStage]] = set()
+    # Per target, the pairs a send carries and the listed cookies they resolve to: phase 2 changes no cookie.
+    sends: dict[str, tuple[list[tuple[CookieKey, str]], list[CookieKey]]] = {}
 
     def record_sends(target: str, sender: SiteId) -> list[tuple[CookieKey, str]]:
-        attached = attachable(target)
-        by_name: dict[str, list[CookieKey]] = {}
-        for key, _ in attached:
-            by_name.setdefault(key.name, []).append(key)
-        for key, value in attached:
-            resolved = _resolve_like_detector(value, by_name[key.name], jar_values)
-            if listed_match(resolved.host):
-                findings.add((resolved, sender, InteractionStage.BEFORE_INTERACTION))
+        if target not in sends:
+            attached = attachable(target)
+            by_name: dict[str, list[CookieKey]] = {}
+            for key, _ in attached:
+                by_name.setdefault(key.name, []).append(key)
+            resolved = [_resolve_like_detector(value, by_name[key.name], jar_values) for key, value in attached]
+            sends[target] = attached, [key for key in resolved if listed_match(key.host)]
+        attached, found = sends[target]
+        findings.update([(key, sender, InteractionStage.BEFORE_INTERACTION) for key in found])
         return attached
 
     for site_name in config.schedule.phase2:
         site = config.site(site_name)
-        if not can_reject(site.banner):
+        if not rejects(site.banner):
             continue
         for embed in site.embeds:
             tracker = config.tracker(embed.tracker)
@@ -635,18 +666,21 @@ def _set_cookie_attributes(cookie: CookieSpec, tracker: TrackerSpec) -> str:
 class _Tracker:
     """What a tracker's requests and cookie writes need, worked out once per crawl."""
 
-    __slots__ = ("spec", "domain", "target", "honors_gpc", "partitioned", "resets_on_send", "syncs", "writes",
-                 "reset_attributes")
+    __slots__ = ("domain", "target", "collect_url", "origin_url", "honors_gpc", "partitioned", "resets_on_send",
+                 "drop_prob", "syncs", "writes", "reset_attributes")
 
-    def __init__(self, tracker: TrackerSpec):
-        self.spec, self.domain, self.target = tracker, tracker.domain, _embed_target(tracker.domain)
-        self.honors_gpc, self.partitioned, self.resets_on_send = (
-            tracker.honors_gpc, tracker.sets_partitioned, tracker.resets_on_send)
+    def __init__(self, tracker: TrackerSpec, seed: int):
+        self.domain, self.target = tracker.domain, _embed_target(tracker.domain)
+        # The URLs of its accept-phase and measure-phase requests, but for the visited site.
+        self.collect_url, self.origin_url = f"https://{self.target}/collect?site=", f"https://{self.target}/px?site="
+        self.honors_gpc, self.partitioned, self.resets_on_send, self.drop_prob = (
+            tracker.honors_gpc, tracker.sets_partitioned, tracker.resets_on_send, tracker.drop_after_reject_prob)
         # Each sync partner's host and its redirect URL, but for the carried value.
         self.syncs = tuple((f"sync.{partner}", f"https://sync.{partner}/match?uid=") for partner in tracker.sync_partners)
-        # Each cookie write: its name, value generator, Set-Cookie attributes and whether it deletes.
+        # Each cookie write: its name, its value as a function of the visited site (``ValueGenerator.bind``), its
+        # Set-Cookie attributes and whether it deletes.
         self.writes = tuple(
-            (cookie.name, cookie.value, _set_cookie_attributes(cookie, tracker),
+            (cookie.name, cookie.value.bind(seed, tracker.domain, cookie.name), _set_cookie_attributes(cookie, tracker),
              cookie.lifetime is not None and cookie.lifetime <= 0)
             for cookie in tracker.cookies
         )
@@ -687,23 +721,24 @@ def crawl(config: EcosystemConfig, seed: int, sink: Callable[[CrawlEvent], objec
 
 
 class _Run:
-    """One crawl being written: its config and seed, its sink, the events emitted so far and the browser's store.
+    """One crawl being written: its sink, the events emitted so far and the browser's store.
 
     There is one method per visit kind.  A visit is written one event at a
     time: each event goes to the sink as it is made, numbered by a counter,
     and no event list is kept.  The run keeps the open visit's id, its site
     and its stage, which is the stage the last click moved it to; every
     request and cookie write of the visit carries that stage.  Each tracker's
-    hosts, URLs and Set-Cookie attributes are worked out once per run
-    (``_Tracker``).
+    hosts, URLs, Set-Cookie attributes and cookie value derivations are worked
+    out once per run (``_Tracker``), as are each banner's verdicts and the
+    hash prefix of the reload drops.
     """
 
     def __init__(self, config: EcosystemConfig, seed: int, sink: Callable[[CrawlEvent], object]):
-        self.config = config
-        self.seed = seed
         self.sink = sink
         self.gpc = config.schedule.gpc_enabled
-        self.trackers = {tracker.domain: _Tracker(tracker) for tracker in config.trackers}
+        self.trackers = {tracker.domain: _Tracker(tracker, seed) for tracker in config.trackers}
+        self.can_accept, self.can_reject = _per_banner(can_accept), _per_banner(can_reject)
+        self.reload_draw = _rand.unit_floats(seed, "reload-drop")  # of (site, tracker)
         self.emitted = 0  # the events handed to the sink, so the next one's event_index
         self.store = _CookieStore()
         self.visit_id = ""
@@ -716,13 +751,13 @@ class _Run:
         if site.banner.banner_type is _NO_BANNER:
             self._end(_ENDED_NO_BANNER)
             return
-        if not can_accept(site.banner):
+        if not self.can_accept(site.banner):
             self._end(_INTERACTION_FAILED)
             return
         self._click(*_ACCEPT_CLICK)
         for embed in site.embeds:
             tracker = self.trackers[embed.tracker]
-            self._request(tracker.target, f"https://{tracker.target}/collect?site={site.site}", embed.channel)
+            self._request(tracker.target, tracker.collect_url + site.site, embed.channel)
             self._write_cookies(tracker, stored=True)
         self._end(_ACCEPTED)
 
@@ -734,7 +769,7 @@ class _Run:
         if site.banner.banner_type is _NO_BANNER:
             self._end(_ENDED_NO_BANNER)
             return
-        if not can_reject(site.banner):
+        if not self.can_reject(site.banner):
             self._end(_INTERACTION_FAILED)
             return
         self._click(*_REJECT_CLICK)
@@ -743,7 +778,7 @@ class _Run:
         self._click(*_RELOAD)
         self._embed_requests(
             [(channel, tracker) for channel, tracker in embeds
-             if not _reload_dropped(self.seed, site.site, tracker.spec)]
+             if not (tracker.drop_prob > 0.0 and self.reload_draw(site.site, tracker.domain) < tracker.drop_prob)]
         )
         self._end(_REJECTED)
 
@@ -751,7 +786,7 @@ class _Run:
         """Load the page and accept its banner; the consented trackers' cookie writes never reach the store."""
         self._start(site, visit_id, *_ACCEPT_ITERATION)
         self._embed_requests(self._measured_embeds(_POST_ACCEPT_ONLY))
-        if not can_accept(site.banner):
+        if not self.can_accept(site.banner):
             self._end(_INTERACTION_FAILED)
             return
         self._click(*_ACCEPT_CLICK)
@@ -804,7 +839,7 @@ class _Run:
     def _embed_requests(self, embeds: list[tuple[Channel, _Tracker]]) -> None:
         """One measure-phase request per embed, each followed by its tracker's resets and sync redirects."""
         for channel, tracker in embeds:
-            origin_url = f"https://{tracker.target}/px?site={self.site.site}"
+            origin_url = tracker.origin_url + self.site.site
             attached = self._request(tracker.target, origin_url, channel)
             if not attached:
                 continue
@@ -823,8 +858,8 @@ class _Run:
         """The tracker's cookie writes on the visited site after an accept; ``stored`` applies them to the store."""
         site = self.site.site
         partition = site if tracker.partitioned else None
-        for name, generator, attributes, deletes in tracker.writes:
-            value = generator.generate(self.seed, tracker.domain, name, site)
+        for name, value_of, attributes, deletes in tracker.writes:
+            value = value_of(site)
             self._emit(CookieSet, self.stage, f"{name}={value}{attributes}", tracker.target)
             if not stored:
                 continue

@@ -976,9 +976,14 @@ def _payload_edit(edit):
 
 def _config_edit(path: tuple, value):
     """An edit of a JSON config: ``value`` at ``path``."""
+    return _config_change(lambda config: set_path(config, path, value))
+
+
+def _config_change(edit):
+    """An edit of a JSON config: ``edit`` changes it."""
     def apply(text: str) -> str:
         config = json.loads(text)
-        set_path(config, path, value)
+        edit(config)
         return json.dumps(config)
     return apply
 
@@ -1093,6 +1098,14 @@ _FAULTS = [
            f"record 0: bad parameter_name {quoted(['u'] * 100_000)}"),
     _Fault("huge-phase", JARS, _payload_edit(lambda p: p["entries"][0].update(phase=HUGE)),
            f"entries[0]: bad phase {quoted(HUGE)}"),
+    # A row past the first is named by its own index: the fourth history row, the third cookie of the second tracker
+    # and the sixth phase-2 site, after five that are read.
+    _Fault("bad-history-row", JARS, _payload_edit(lambda p: p["history"][3].update(setter_site="NEWS-PORTAL.COM")),
+           "history[3]: bad setter_site 'NEWS-PORTAL.COM' (not canonical)"),
+    _Fault("bad-later-lifetime", ("simulate --config",), _config_change(lambda c: c["trackers"][1]["cookies"].extend(
+        [{"name": "b"}, {"name": "c", "lifetime": "soon"}])), "trackers[1]: cookies[2]: bad lifetime 'soon'"),
+    _Fault("later-site-not-a-string", ("simulate --config",), _config_change(lambda c: c["schedule"]["phase2"].extend(
+        [*c["schedule"]["phase2"][:2], 7])), "schedule: bad phase2[5] 7"),
     _Fault("label-not-a-string", ("simulate --config",),
            _config_edit(("sites", 4, "banner", "layers", 0, "buttons", 0, 0), 5),
            "sites[4]: banner: layers[0]: buttons[0]: bad label 5"),

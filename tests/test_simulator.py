@@ -692,12 +692,17 @@ class TestIndexedStore:
         assert store.partitioned_hits and store.resets_after_delete
 
 
+def _digest(seed: int, *labels: str) -> bytes:
+    """The digest of ``(seed, labels...)`` as ``_rand`` states it, taken whole per call."""
+    return hashlib.sha256("\x1f".join([str(seed), *labels]).encode("utf-8")).digest()
+
+
 def _quadratic_digit_token(seed: int, *labels: str, length: int = 16) -> str:
     """``_rand.digit_token`` as it was when it re-summed its parts on every block."""
     out = []
     block = 0
     while sum(len(part) for part in out) < length:
-        raw = _rand.digest(seed, *labels, f"digits{block}")
+        raw = _digest(seed, *labels, f"digits{block}")
         out.append("".join(str(byte % 10) for byte in raw))
         block += 1
     return "".join(out)[:length]
@@ -711,13 +716,38 @@ class TestDigitToken:
             ), length
 
     def test_one_digest_per_32_digits(self, monkeypatch):
-        calls = []
-        digest = _rand.digest
-        monkeypatch.setattr(_rand, "digest", lambda *args: calls.append(1) or digest(*args))
+        digests = []
+        monkeypatch.setattr(_rand, "hashlib", _CountingHashlib(digests))
         length = 1_000_000
         token = _rand.digit_token(1, "long", length=length)
         assert len(token) == length and token.isdigit()
-        assert len(calls) == -(-length // 32)
+        assert len(digests) == -(-length // 32)
+
+
+class _CountingHashlib:
+    """Stands in for ``hashlib`` in ``_rand``: its SHA-256 states, and their copies, count the digests taken."""
+
+    def __init__(self, digests: list):
+        self.digests = digests
+
+    def sha256(self, data: bytes = b"", state=None):
+        counted = _CountingHashlib(self.digests)
+        counted.state = state or hashlib.sha256(data)
+        return counted
+
+    def copy(self):
+        return self.sha256(state=self.state.copy())
+
+    def update(self, data: bytes) -> None:
+        self.state.update(data)
+
+    def digest(self) -> bytes:
+        self.digests.append(1)
+        return self.state.digest()
+
+    def hexdigest(self) -> str:
+        self.digests.append(1)
+        return self.state.hexdigest()
 
 
 def _block_loop_hex_token(seed: int, *labels: str, length: int = 16) -> str:
@@ -725,7 +755,7 @@ def _block_loop_hex_token(seed: int, *labels: str, length: int = 16) -> str:
     out = ""
     block = 0
     while len(out) < length:
-        out += _rand.digest(seed, *labels, f"block{block}").hex()
+        out += _digest(seed, *labels, f"block{block}").hex()
         block += 1
     return out[:length]
 
@@ -737,3 +767,21 @@ class TestHexToken:
         assert token == _block_loop_hex_token(4, "cookie-value", "t.net", "id", "site.com", length=length)
         assert len(token) == max(length, 0) and set(token) <= set("0123456789abcdef")
 
+
+@pytest.mark.parametrize("kind", sim.VALUE_KINDS)
+@pytest.mark.parametrize("length", [-1, 0, 1, 6, 14, 16, 63, 64, 65, 129])
+def test_bound_value_matches_the_per_call_derivation(kind, length):
+    """A value bound once per (seed, tracker, name) equals the digest-per-call derivation, for any setter, reused."""
+    generator = sim.ValueGenerator(kind, length=length, const="c0nst")
+    value_of = generator.bind(4, "t.net", "id")
+    reference = {"hex": _block_loop_hex_token, "digits": _quadratic_digit_token}.get(kind)
+    for setter in ("site.com", "bücher.de", "x", "site.com"):
+        expected = reference(4, "cookie-value", "t.net", "id", setter, length=length) if reference else "c0nst"
+        assert value_of(setter) == expected == generator.generate(4, "t.net", "id", setter), setter
+
+
+def test_unit_floats_read_the_top_53_bits_of_the_digest():
+    draw = _rand.unit_floats(4, "reload-drop")
+    for site, tracker in (("site.com", "t.net"), ("bücher.de", "t.net"), ("site.com", "u.net")):
+        top = int.from_bytes(_digest(4, "reload-drop", site, tracker)[:8], "big") >> 11
+        assert draw(site, tracker) == top / 2**53
